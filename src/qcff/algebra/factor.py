@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 from ..errors import ConstantInput, ValidationError
 from .field import FieldCtx, prime_divisors_int
-from .poly import Poly, monic_of_degree, one, poly_cmp, poly_gcd, poly_powmod, var_T
+from .poly import Poly, monic_of_degree, one, poly_gcd, poly_powmod, var_T
 
 
 @dataclass(frozen=True)
@@ -168,21 +168,9 @@ def poly_factor(f: Poly, rng: random.Random | None = None) -> Factorization:
         for prod, d in distinct_degree_split(part):
             for prime in equal_degree_split(prod, d, rng):
                 found.append((prime, mult))
-    found.sort(key=_CmpKey)
+    found.sort(key=lambda item: item[0].sort_key)
     pps = tuple(PrimePower.make(prime, mult) for prime, mult in found)
     return Factorization(lead=lead, factors=pps)
-
-
-class _CmpKey:
-    """Sort key adapter around the canonical polynomial order."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, item: tuple[Poly, int]):
-        self.item = item
-
-    def __lt__(self, other: "_CmpKey") -> bool:
-        return poly_cmp(self.item[0], other.item[0]) < 0
 
 
 def poly_phi(ctx: FieldCtx, factors: Sequence[PrimePower]) -> int:

@@ -170,6 +170,12 @@ class Poly:
 
     # -- ordering / identity ----------------------------------------------------
 
+    @property
+    def sort_key(self) -> tuple:
+        """Key of the canonical order (see poly_cmp) among polynomials of one
+        field: degree first, then coefficients from the top down."""
+        return (len(self.coeffs), self.coeffs[::-1])
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.ctx._key == other.ctx._key
                 and self.coeffs == other.coeffs)
@@ -256,12 +262,8 @@ def poly_cmp(a: Poly, b: Poly) -> int:
     top down, compared by their integer encodings. Returns -1, 0 or 1."""
     if a.ctx._key != b.ctx._key:
         raise ValidationError("polynomials belong to different fields")
-    if a.degree != b.degree:
-        return -1 if a.degree < b.degree else 1
-    for x, y in zip(reversed(a.coeffs), reversed(b.coeffs)):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
+    ka, kb = a.sort_key, b.sort_key
+    return (ka > kb) - (ka < kb)
 
 
 def monic_of_degree(ctx: FieldCtx, d: int) -> Iterator[Poly]:

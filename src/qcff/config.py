@@ -66,12 +66,17 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value: Any) -> bool:
+    # bool is a subclass of int, but true/false are not integers in a config
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_poly_spec(value: Any, where: str) -> PolySpec:
     if isinstance(value, str):
         _expect(bool(value.strip()), f"{where}: empty polynomial string")
         return value
     if isinstance(value, list):
-        _expect(all(isinstance(c, int) and c >= 0 for c in value),
+        _expect(all(_is_int(c) and c >= 0 for c in value),
                 f"{where}: coefficient arrays must hold nonnegative integers")
         return value
     raise ConfigError(f"{where}: expected a polynomial string or coefficient array, "
@@ -85,22 +90,22 @@ def parse_config(raw: Any) -> JobConfig:
     _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
 
     if "schema_version" in raw:
-        _expect(raw["schema_version"] == SCHEMA_VERSION,
+        _expect(_is_int(raw["schema_version"]) and raw["schema_version"] == SCHEMA_VERSION,
                 f"unsupported schema_version {raw['schema_version']!r}")
 
     _expect("p" in raw, "config key 'p' is required")
     p = raw["p"]
-    _expect(isinstance(p, int) and p >= 2, "'p' must be an integer >= 2")
+    _expect(_is_int(p) and p >= 2, "'p' must be an integer >= 2")
 
     e = raw.get("e", 1)
-    _expect(isinstance(e, int) and e >= 1, "'e' must be an integer >= 1")
+    _expect(_is_int(e) and e >= 1, "'e' must be an integer >= 1")
 
     modulus = raw.get("modulus")
     if modulus is not None:
         modulus = _check_poly_spec(modulus, "'modulus'")
 
     rng_seed = raw.get("rng_seed", 0)
-    _expect(isinstance(rng_seed, int), "'rng_seed' must be an integer")
+    _expect(_is_int(rng_seed), "'rng_seed' must be an integer")
 
     _expect("conductor" in raw, "config key 'conductor' is required")
     cond = raw["conductor"]
@@ -120,7 +125,7 @@ def parse_config(raw: Any) -> JobConfig:
                     f"'conductor.factors[{i}]' must be a [poly, exponent] pair")
             prime = _check_poly_spec(entry[0], f"'conductor.factors[{i}][0]'")
             exp = entry[1]
-            _expect(isinstance(exp, int) and exp >= 1,
+            _expect(_is_int(exp) and exp >= 1,
                     f"'conductor.factors[{i}][1]' must be an integer >= 1")
             checked.append((prime, exp))
         conductor_factors = tuple(checked)
@@ -142,7 +147,7 @@ def parse_config(raw: Any) -> JobConfig:
         if key in opt_raw:
             _expect(isinstance(opt_raw[key], bool), f"option '{key}' must be a boolean")
     if "a_pq_term_cap" in opt_raw:
-        _expect(isinstance(opt_raw["a_pq_term_cap"], int) and opt_raw["a_pq_term_cap"] >= 1,
+        _expect(_is_int(opt_raw["a_pq_term_cap"]) and opt_raw["a_pq_term_cap"] >= 1,
                 "option 'a_pq_term_cap' must be a positive integer")
     options = Options(**opt_raw)
 

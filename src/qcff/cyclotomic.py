@@ -29,7 +29,6 @@ from .algebra import (
     poly_is_irreducible,
     poly_phi,
 )
-from .algebra.factor import _CmpKey
 from .errors import (
     ConstantConductor,
     DuplicatePrime,
@@ -94,7 +93,7 @@ def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> C
             raise DuplicatePrime(f"prime {prime} listed twice")
         seen.add(prime.coeffs)
         checked.append((prime, exp))
-    checked.sort(key=_CmpKey)
+    checked.sort(key=lambda item: item[0].sort_key)
 
     factors = tuple(PrimePower.make(prime, exp) for prime, exp in checked)
     m = one(ctx)

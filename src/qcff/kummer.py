@@ -139,40 +139,6 @@ class FormalSum:
         return 0
 
 
-class _SumBuilder:
-    def __init__(self):
-        self.acc: dict[FracClass, int] = {}
-        self.raw = 0
-
-    def add(self, cls: FracClass | None, coeff: int) -> None:
-        self.raw += 1
-        if cls is None or coeff == 0:
-            return
-        n = self.acc.get(cls, 0) + coeff
-        if n:
-            self.acc[cls] = n
-        else:
-            del self.acc[cls]
-
-    def finish(self) -> FormalSum:
-        items = sorted(self.acc.items(),
-                       key=lambda kv: (_PolyKey(kv[0].den), _PolyKey(kv[0].num)))
-        return FormalSum(terms=tuple(items), raw_terms=self.raw)
-
-
-class _PolyKey:
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: Poly):
-        self.poly = poly
-
-    def __lt__(self, other: "_PolyKey") -> bool:
-        return poly_cmp(self.poly, other.poly) < 0
-
-    def __eq__(self, other) -> bool:
-        return poly_cmp(self.poly, other.poly) == 0
-
-
 def raw_term_count(ctx, d_first: int, d_second: int) -> int:
     """Terms generated by the defining triple sum before any reduction:
     (q-2) * #[monic below d_second] * #[monic below d_first] * 2."""
@@ -186,22 +152,58 @@ def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
 
     Sums s * ([ (B*Q + gamma^{-s} A) / (P*Q) ] - [ (A*P + gamma^{-s} B) / (P*Q) ])
     over monic A with deg A < deg Q, monic B with deg B < deg P, and
-    s = 1..q-2, where (P, Q) is the oriented pair. Every fraction is reduced
-    to its canonical class; classes that land in A are dropped.
+    s = 1..q-2, where (P, Q) is the oriented pair. Every fraction is taken
+    to its canonical class; equal classes are summed and zero sums dropped.
+
+    No term needs a generic reduction. With c = gamma^{-s} nonzero, the
+    numerator N = B*Q + c*A has degree below deg PQ and is not zero, and Q
+    does not divide it because Q does not divide c*A. So gcd(N, PQ) is 1
+    or P, and P divides N exactly when B = -c * A * Q^{-1} mod P: for each
+    (A, s) at most one monic B does, and its class is (N/P) / Q. Every
+    other term is already the canonical class N / (PQ). The same holds for
+    A*P + c*B with P and Q swapped. Hence every denominator is PQ, Q or P,
+    no term lands in A, and raw_terms == raw_term_count(ctx, deg P, deg Q).
     """
     ctx = p_first.ctx
     _validate_pair(p_first, p_second)
-    den = p_first * p_second
-    out = _SumBuilder()
-    for a in enumerate_monic_below(ctx, p_second.degree):
-        ap = a * p_first
-        for b in enumerate_monic_below(ctx, p_first.degree):
-            bq = b * p_second
-            for s in range(1, ctx.q - 1):
-                gamma_minus_s = ctx.gamma_pow(-s)
-                out.add(reduce_fraction(bq + a.scale(gamma_minus_s), den), s)
-                out.add(reduce_fraction(ap + b.scale(gamma_minus_s), den), -s)
-    return out.finish()
+    P, Q = p_first.coeffs, p_second.coeffs
+    PQ = tuple(ctx.kernel.pmul(P, Q))
+    acc: dict[tuple[tuple, tuple], int] = {}
+    _add_half_sum(ctx, P, Q, PQ, 1, acc)
+    _add_half_sum(ctx, Q, P, PQ, -1, acc)
+    dens = {P: p_first, Q: p_second, PQ: Poly(ctx, PQ)}
+    terms = [(FracClass(num=Poly(ctx, num), den=dens[den]), n)
+             for (den, num), n in acc.items() if n]
+    terms.sort(key=lambda term: (term[0].den.sort_key, term[0].num.sort_key))
+    return FormalSum(terms=tuple(terms),
+                     raw_terms=raw_term_count(ctx, p_first.degree, p_second.degree))
+
+
+def _add_half_sum(ctx, P: tuple, Q: tuple, PQ: tuple, sign: int,
+                  acc: dict[tuple[tuple, tuple], int]) -> None:
+    """Add sign * s * [(B*Q + gamma^{-s} A) / PQ] to acc, keyed by the
+    class's (den, num) coefficient tuples, over monic B with deg B < deg P,
+    monic A with deg A < deg Q and s = 1..q-2 (see pair_formal_sum)."""
+    kernel = ctx.kernel
+    padd, pscale = kernel.padd, kernel.pscale
+    q_inv = kernel.ppowmod(Q, ctx.q ** (len(P) - 1) - 2, P)
+    b_times_q = {b.coeffs: tuple(kernel.pmul(b.coeffs, Q))
+                 for b in enumerate_monic_below(ctx, len(P) - 1)}
+    for a in (f.coeffs for f in enumerate_monic_below(ctx, len(Q) - 1)):
+        a_over_q = kernel.prem(kernel.pmul(a, q_inv), P)
+        for s in range(1, ctx.q - 1):
+            c = ctx.gamma_pow(-s)
+            ca = pscale(a, c)
+            # -c*A/Q mod P is the only B with P | B*Q + c*A, if it is monic
+            hit = b_times_q.get(tuple(pscale(a_over_q, ctx.neg_const(c))))
+            n = sign * s
+            for bq in b_times_q.values():
+                num = tuple(padd(bq, ca))
+                if bq is hit:
+                    key = (Q, tuple(kernel.pdivrem(num, P)[0]))
+                else:
+                    key = (PQ, num)
+                acc[key] = acc.get(key, 0) + n
 
 
 def _validate_pair(p_first: Poly, p_second: Poly) -> None:

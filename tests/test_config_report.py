@@ -48,6 +48,21 @@ def test_parse_config_schema_rejections():
             parse_config(raw)
 
 
+@pytest.mark.parametrize("raw", [
+    _base_config(rng_seed=True),
+    _base_config(options={"a_pq_term_cap": True}),
+    _base_config(e=True),
+    _base_config(conductor={"factors": [["T", True], ["T+1", 1]]}),
+    _base_config(schema_version=True),
+    _base_config(p=True),
+    _base_config(pairs=[[[0, True], "T+1"]]),
+], ids=["rng_seed", "a_pq_term_cap", "e", "conductor_exponent", "schema_version",
+        "p", "coefficient"])
+def test_parse_config_rejects_booleans_for_integers(raw):
+    with pytest.raises(ConfigError, match="must|unsupported"):
+        parse_config(raw)
+
+
 def test_load_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")

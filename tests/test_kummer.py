@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 
 import pytest
 
-from qcff.algebra import monic_irreducibles, monic_of_degree, var_T
+from qcff.algebra import (
+    enumerate_monic_below,
+    monic_irreducibles,
+    monic_of_degree,
+    poly_cmp,
+    var_T,
+)
 from qcff.cyclotomic import (
     conductor_create,
     genus_closed_form,
@@ -22,6 +29,7 @@ from qcff.errors import (
     WrongOrientation,
 )
 from qcff.kummer import (
+    FormalSum,
     genus_hasse_formula,
     genus_riemann_hurwitz,
     pair_formal_sum,
@@ -107,6 +115,59 @@ def test_formal_sum_classes_are_canonical(ctx3, mk):
         from qcff.algebra import poly_gcd
         assert poly_gcd(cls.num, cls.den).degree == 0
         assert (den % cls.den).is_zero  # denominator divides P*Q
+
+
+def _formal_sum_by_reduction(p_first, p_second):
+    """The formal sum straight from its definition: reduce_fraction on every
+    raw term, equal classes summed, zero classes dropped, sorted by poly_cmp."""
+    ctx = p_first.ctx
+    den = p_first * p_second
+    acc = {}
+    raw = 0
+    for a in enumerate_monic_below(ctx, p_second.degree):
+        for b in enumerate_monic_below(ctx, p_first.degree):
+            for s in range(1, ctx.q - 1):
+                c = ctx.gamma_pow(-s)
+                for num, coeff in ((b * p_second + a.scale(c), s),
+                                   (a * p_first + b.scale(c), -s)):
+                    raw += 1
+                    cls = reduce_fraction(num, den)
+                    if cls is not None:
+                        acc[cls] = acc.get(cls, 0) + coeff
+
+    def order(x, y):
+        return poly_cmp(x[0].den, y[0].den) or poly_cmp(x[0].num, y[0].num)
+
+    terms = sorted(((cls, n) for cls, n in acc.items() if n),
+                   key=functools.cmp_to_key(order))
+    return FormalSum(terms=tuple(terms), raw_terms=raw)
+
+
+def _oracle_pairs(ctx3, ctx5, ctx7, ctx9):
+    # every oriented pair of at most 100 raw terms, then seeded pairs of
+    # 1,040-1,400 raw terms
+    for ctx in (ctx3, ctx5, ctx7, ctx9):
+        primes = list(monic_irreducibles(ctx, 3 if ctx.q == 3 else 2))
+        for a, b in itertools.combinations(primes, 2):
+            if raw_term_count(ctx, a.degree, b.degree) <= 100:
+                yield a, b
+    rng = random.Random(2010)
+    for ctx, d_first, d_second in ((ctx3, 3, 4), (ctx5, 2, 3), (ctx9, 2, 2)):
+        a = rng.choice([f for f in monic_irreducibles(ctx, d_first) if f.degree == d_first])
+        b = rng.choice([f for f in monic_irreducibles(ctx, d_second)
+                        if f.degree == d_second and f != a])
+        yield (a, b) if a < b else (b, a)
+
+
+def test_formal_sum_matches_generic_reduction(ctx3, ctx5, ctx7, ctx9):
+    big = 0
+    for a, b in _oracle_pairs(ctx3, ctx5, ctx7, ctx9):
+        fs = pair_formal_sum(a, b)
+        assert fs == _formal_sum_by_reduction(a, b), (a, b)
+        assert fs.raw_terms == raw_term_count(a.ctx, a.degree, b.degree)
+        assert {cls.den for cls, _ in fs.terms} <= {a, b, a * b}
+        big += fs.raw_terms > 1000
+    assert big == 3
 
 
 def test_formal_sum_rejects_bad_pairs(ctx3, mk):

@@ -126,6 +126,24 @@ def test_cmp_is_strict_total_order(f, g, h):
         assert poly_cmp(f, h) <= 0
 
 
+def _cmp_by_definition(f, g):
+    # degree first, then coefficients from the top down
+    if f.degree != g.degree:
+        return -1 if f.degree < g.degree else 1
+    for x, y in zip(reversed(f.coeffs), reversed(g.coeffs)):
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+@given(f=polys(CTX3, max_len=4), g=polys(CTX3, max_len=4))  # short: degrees often tie
+def test_sort_key_order_is_poly_cmp_order(f, g):
+    expected = _cmp_by_definition(f, g)
+    assert poly_cmp(f, g) == expected
+    assert (f.sort_key < g.sort_key) == (expected < 0)
+    assert (f.sort_key == g.sort_key) == (expected == 0)
+
+
 def test_enumerate_monic_below_examples(ctx3, ctx5, mk):
     assert list(enumerate_monic_below(ctx3, 1)) == [one(ctx3)]
     got = [str(f) for f in enumerate_monic_below(ctx3, 2)]
