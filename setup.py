@@ -1,30 +1,22 @@
-"""Build script: compiles the optional Cython kernel when Cython is available.
+"""Build script: compiles the shipped C kernel ``src/qcff/_kernels/_core.c``.
 
-The package works without the extension (a pure-Python kernel is selected at
-import time), so a missing compiler or missing Cython only costs speed.
-Set QCFF_SKIP_EXT=1 to force a pure-Python build.
+The extension is optional: without a working C compiler setuptools warns
+and the package runs on its pure-Python kernel, selected at import time.
+``_core.c`` is generated from ``_core.pyx``; only after editing the
+``.pyx`` is Cython needed, to regenerate it:
+
+    cython -3 -o src/qcff/_kernels/_core.c src/qcff/_kernels/_core.pyx
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("QCFF_SKIP_EXT"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "qcff._kernels._core",
-                    ["src/qcff/_kernels/_core.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "qcff._kernels._core",
+            ["src/qcff/_kernels/_core.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
         )
-
-setup(ext_modules=ext_modules)
+    ]
+)

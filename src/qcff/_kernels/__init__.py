@@ -1,15 +1,11 @@
 """Kernel backend selection.
 
-The compiled Cython kernel is preferred when its extension module is
-importable; otherwise the pure-Python kernel is used. The environment
-variable ``QCFF_BACKEND`` forces a choice: ``pure`` always falls back,
-``cython`` raises if the extension is missing, anything else (or unset)
-means auto.
+The compiled kernel (the extension ``_core``, built from the shipped
+``_core.c``) is used when it imports; otherwise the pure-Python kernel is.
+Both take coefficient sequences and implement the same interface.
 """
 
 from __future__ import annotations
-
-import os
 
 from .pure import FieldKernel as PureFieldKernel
 
@@ -18,26 +14,12 @@ try:
 except ImportError:
     CompiledFieldKernel = None
 
-_choice = os.environ.get("QCFF_BACKEND", "auto").strip().lower() or "auto"
-
-if _choice == "pure":
-    FieldKernel = PureFieldKernel
-    BACKEND = "pure"
-elif _choice == "cython":
-    if CompiledFieldKernel is None:
-        raise ImportError(
-            "QCFF_BACKEND=cython but the compiled kernel is not built; "
-            "run `python setup.py build_ext --inplace` or reinstall"
-        )
+if CompiledFieldKernel is not None:
     FieldKernel = CompiledFieldKernel
     BACKEND = "cython"
 else:
-    if CompiledFieldKernel is not None:
-        FieldKernel = CompiledFieldKernel
-        BACKEND = "cython"
-    else:
-        FieldKernel = PureFieldKernel
-        BACKEND = "pure"
+    FieldKernel = PureFieldKernel
+    BACKEND = "pure"
 
 
 def backend_name() -> str:

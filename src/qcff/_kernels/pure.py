@@ -2,10 +2,11 @@
 
 Reference implementation of the hot operations: element arithmetic in F_q
 (elements encoded as ints in [0, q)) and dense polynomial arithmetic over
-F_q (coefficient lists, ascending degree, no trailing zeros, [] = 0).
+F_q (coefficient sequences, ascending degree, no trailing zeros, empty =
+0; inputs may be lists or tuples, results are lists).
 
 The compiled kernel in ``_core.pyx`` implements the identical interface;
-`qcff._kernels` picks one at import time.
+`qcff._kernels` uses it when it imports and this one otherwise.
 """
 
 from __future__ import annotations

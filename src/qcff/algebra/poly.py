@@ -81,7 +81,7 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _wrap(self.ctx, self.ctx.kernel.padd(list(self.coeffs), list(o.coeffs)))
+        return _wrap(self.ctx, self.ctx.kernel.padd(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -89,7 +89,7 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _wrap(self.ctx, self.ctx.kernel.psub(list(self.coeffs), list(o.coeffs)))
+        return _wrap(self.ctx, self.ctx.kernel.psub(self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -98,20 +98,20 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return _wrap(self.ctx, self.ctx.kernel.pscale(list(self.coeffs), self.ctx.minus_one))
+        return _wrap(self.ctx, self.ctx.kernel.pscale(self.coeffs, self.ctx.minus_one))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _wrap(self.ctx, self.ctx.kernel.pmul(list(self.coeffs), list(o.coeffs)))
+        return _wrap(self.ctx, self.ctx.kernel.pmul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "Poly":
         """Product with the encoded field element c."""
         self.ctx._check_elem(c)
-        return _wrap(self.ctx, self.ctx.kernel.pscale(list(self.coeffs), c))
+        return _wrap(self.ctx, self.ctx.kernel.pscale(self.coeffs, c))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -119,7 +119,7 @@ class Poly:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        q, r = self.ctx.kernel.pdivrem(list(self.coeffs), list(o.coeffs))
+        q, r = self.ctx.kernel.pdivrem(self.coeffs, o.coeffs)
         return _wrap(self.ctx, q), _wrap(self.ctx, r)
 
     def __floordiv__(self, other):
@@ -131,7 +131,7 @@ class Poly:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("polynomial reduction by zero")
-        return _wrap(self.ctx, self.ctx.kernel.prem(list(self.coeffs), list(o.coeffs)))
+        return _wrap(self.ctx, self.ctx.kernel.prem(self.coeffs, o.coeffs))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -147,18 +147,15 @@ class Poly:
         return acc
 
     def to_monic(self) -> "Poly":
-        return _wrap(self.ctx, self.ctx.kernel.pmonic(list(self.coeffs)))
+        return _wrap(self.ctx, self.ctx.kernel.pmonic(self.coeffs))
 
     def derivative(self) -> "Poly":
+        # the integer i % p is the encoding of i in the prime field, so the
+        # coefficient i * c of T^(i-1) is one product
         ctx = self.ctx
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            s = 0
-            for _ in range(i % ctx.p):
-                s = ctx.kernel.fadd(s, c)
-            out.append(s)
-        return _wrap(ctx, ctx.kernel.padd(out, []))
+        fmul, p = ctx.kernel.fmul, ctx.p
+        out = [fmul(c, i % p) for i, c in enumerate(self.coeffs) if i]
+        return _wrap(ctx, ctx.kernel.padd(out, ()))
 
     def eval_at(self, x: int) -> int:
         """Horner evaluation at an encoded field element."""
@@ -241,7 +238,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         raise GcdOfZeros("gcd(0, 0) is undefined")
     if a.ctx._key != b.ctx._key:
         raise ValidationError("polynomials belong to different fields")
-    return _wrap(a.ctx, a.ctx.kernel.pgcd(list(a.coeffs), list(b.coeffs)))
+    return _wrap(a.ctx, a.ctx.kernel.pgcd(a.coeffs, b.coeffs))
 
 
 def poly_powmod(a: Poly, n: int, m: Poly) -> Poly:
@@ -254,7 +251,7 @@ def poly_powmod(a: Poly, n: int, m: Poly) -> Poly:
         raise ValidationError("powmod modulus must be nonconstant")
     if a.ctx._key != m.ctx._key:
         raise ValidationError("polynomials belong to different fields")
-    return _wrap(a.ctx, a.ctx.kernel.ppowmod(list(a.coeffs), n, list(m.coeffs)))
+    return _wrap(a.ctx, a.ctx.kernel.ppowmod(a.coeffs, n, m.coeffs))
 
 
 def poly_cmp(a: Poly, b: Poly) -> int:

@@ -25,7 +25,7 @@ from .algebra import (
     poly_gcd,
     poly_is_irreducible,
 )
-from .cyclotomic import Conductor, galois_structure
+from .cyclotomic import Conductor, _as_genus, galois_structure
 from .errors import (
     BadPair,
     DuplicatePair,
@@ -393,15 +393,6 @@ def _paired_rows(cond: Conductor, pairs: PairSet, ram: RamTable) -> Iterator[tup
     for pp in cond.factors:
         if pairs.is_paired(pp.prime):
             yield pp, ram.row_for(pp.prime)
-
-
-def _as_genus(value: Fraction, where: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerGenus(f"{where} evaluated to non-integer {value}")
-    g = int(value)
-    if g < 0:
-        raise NonIntegerGenus(f"{where} evaluated to negative genus {g}")
-    return g
 
 
 def genus_hasse_formula(cond: Conductor, pairs: PairSet, base_genus: int,

@@ -56,14 +56,12 @@ def _poly_json(f: Poly) -> dict[str, Any]:
 
 
 def build_context(cfg: JobConfig) -> FieldCtx:
-    """Field context from config; the modulus string is parsed over F_p."""
-    if cfg.e == 1:
-        return field_create(cfg.p, 1)
-    base = field_create(cfg.p, 1)
-    if cfg.modulus is None:
-        return field_create(cfg.p, cfg.e)  # raises MissingModulus
-    modulus = _resolve_poly(base, cfg.modulus, "'modulus'")
-    return field_create(cfg.p, cfg.e, list(modulus.coeffs))
+    """Field context from config; a given modulus is parsed over F_p and left
+    to field_create to accept or reject, whatever e is."""
+    modulus = None
+    if cfg.modulus is not None:
+        modulus = _resolve_poly(field_create(cfg.p, 1), cfg.modulus, "'modulus'").coeffs
+    return field_create(cfg.p, cfg.e, modulus)
 
 
 def build_conductor(ctx: FieldCtx, cfg: JobConfig, rng: random.Random) -> Conductor:

@@ -8,14 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from qcff._kernels import PureFieldKernel
+from qcff.algebra import field
+from qcff.config import load_config
+from qcff.report import render_json, run_report
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "qcff", *args],
                           capture_output=True, text=True, env=env, cwd=cwd)
 
@@ -57,12 +60,25 @@ def test_report_byte_identical_across_runs(quasi_config):
     assert first.stdout == second.stdout
 
 
-def test_report_byte_identical_across_backends(quasi_config):
-    compiled = run_cli("report", "--config", str(quasi_config))
-    pure = run_cli("report", "--config", str(quasi_config),
-                   env_extra={"QCFF_BACKEND": "pure"})
-    assert compiled.returncode == pure.returncode == 0
-    assert compiled.stdout == pure.stdout
+def test_report_byte_identical_across_backends(quasi_config, monkeypatch):
+    """The loaded kernel against the pure one; without a compiled kernel
+    both renders use the pure kernel."""
+    cfg = load_config(quasi_config)
+    loaded = render_json(run_report(cfg))
+    monkeypatch.setattr(field, "FieldKernel", PureFieldKernel)
+    assert render_json(run_report(cfg)) == loaded
+
+
+def test_modulus_with_prime_field_exit_3(tmp_path):
+    cfg = tmp_path / "modulus.json"
+    cfg.write_text(json.dumps({
+        "p": 3, "e": 1, "modulus": "T^2+1",
+        "conductor": {"poly": "T^2+T"}, "pairs": [["T", "T+1"]],
+    }), encoding="utf-8")
+    proc = run_cli("report", "--config", str(cfg))
+    assert proc.returncode == 3
+    assert "modulus must be omitted" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_error_exit_2(tmp_path):

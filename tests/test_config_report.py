@@ -119,6 +119,16 @@ def test_run_report_validation_errors_propagate():
             conductor={"factors": [["T^2+2", 1]]}, pairs=[])), cyclotomic_only=True)
 
 
+@pytest.mark.parametrize("raw", [
+    _base_config(e=1, modulus="T^2+1", conductor={"poly": "T^2+T"}),
+    {"p": 3, "e": 2, "conductor": {"factors": [["T", 1]]}, "pairs": [["T", "T+1"]]},
+])
+def test_run_report_rejects_modulus_mismatch(raw):
+    """A modulus with e = 1 is rejected like a missing one with e > 1."""
+    with pytest.raises(ValidationError, match="modulus"):
+        run_report(parse_config(raw))
+
+
 def test_run_report_extension_field_modulus():
     raw = {
         "p": 3, "e": 2, "modulus": "T^2+1",

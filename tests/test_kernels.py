@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,10 +28,12 @@ def _kernels(p, e, mod):
 
 
 def _rand_poly(rng, q, max_len):
+    """Random stripped coefficient sequence, a list or a tuple (Poly passes
+    its tuples straight to the kernel)."""
     coeffs = [rng.randrange(q) for _ in range(rng.randrange(max_len))]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return coeffs
+    return tuple(coeffs) if rng.random() < 0.5 else coeffs
 
 
 @needs_compiled
@@ -80,15 +81,48 @@ def test_powmod_with_huge_exponent():
     assert pure.ppowmod(f, n, m) == comp.ppowmod(f, n, m)
 
 
-def test_backend_env_override_selects_pure():
-    env = dict(os.environ, QCFF_BACKEND="pure")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src"),
-         env.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", "import qcff; print(qcff.backend_name())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "pure"
+# Cython copies the .pyx source into comments of the C file it generates:
+#   /* "qcff/_kernels/_core.pyx":<line>
+#    * <lines around it, the one at <line> marked with _CURRENT>
+#    */
+_SOURCE_REF = re.compile(r'^\s*/\* "(?:[\w/]*/)?_core\.pyx":(\d+)$')
+_CURRENT = "# <<<<<<<<<<<<<<"
+# .pyx lines Cython generates no code for, so never copies
+_NOT_COPIED = re.compile(r"^\s*(#|from \S+ cimport |cdef [\w*]+ \w+$)")
+
+
+def _copied_pyx_lines(c_lines):
+    """{.pyx line number: set of texts} of the copies in the generated C."""
+    copied = {}
+    i = 0
+    while i < len(c_lines):
+        m = _SOURCE_REF.match(c_lines[i])
+        i += 1
+        if not m:
+            continue
+        block = []
+        while not c_lines[i].lstrip().startswith("*/"):
+            block.append(c_lines[i][3:])
+            i += 1
+        current = next(k for k, text in enumerate(block) if text.endswith(_CURRENT))
+        first = int(m.group(1)) - current
+        for k, text in enumerate(block):
+            copied.setdefault(first + k, set()).add(text.removesuffix(_CURRENT).rstrip())
+    return copied
+
+
+def test_shipped_c_kernel_matches_pyx():
+    kernels = Path(__file__).resolve().parent.parent / "src" / "qcff" / "_kernels"
+    pyx = (kernels / "_core.pyx").read_text(encoding="utf-8").splitlines()
+    c_lines = (kernels / "_core.c").read_text(encoding="utf-8").splitlines()
+    copied = _copied_pyx_lines(c_lines)
+    stale = "_core.c is stale: regenerate it from _core.pyx (see setup.py)"
+    for n, texts in sorted(copied.items()):
+        expected = pyx[n - 1].rstrip() if 0 < n <= len(pyx) else None
+        assert texts == {expected}, f"{stale}; _core.pyx:{n} differs"
+    uncopied = [n for n, line in enumerate(pyx, 1)
+                if line.strip() and n not in copied and not _NOT_COPIED.match(line)]
+    assert not uncopied, f"{stale}; _core.pyx lines {uncopied} are not in it"
 
 
 def test_divrem_by_zero_raises(ctx3):

@@ -82,6 +82,17 @@ def test_ring_laws(f, g, h):
     assert f - f == zero(CTX3)
 
 
+@pytest.mark.parametrize("ctx", [CTX3, CTX9], ids=["F3", "F9"])
+@given(data=st.data())
+def test_derivative_is_a_derivation(ctx, data):
+    f, g = data.draw(polys(ctx, 6)), data.draw(polys(ctx, 6))
+    assert (f + g).derivative() == f.derivative() + g.derivative()
+    assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+    T = var_T(ctx)
+    assert T.derivative() == one(ctx)
+    assert (T ** ctx.p).derivative() == zero(ctx)
+
+
 @given(f=nonzero_polys(CTX3), g=nonzero_polys(CTX3))
 def test_gcd_divides_both_and_is_monic(f, g):
     d = poly_gcd(f, g)
