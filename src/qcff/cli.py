@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .algebra import field_create, format_poly, parse_poly, poly_factor
+from .algebra.field import prime_divisors_int
 from .config import load_config
 from .errors import ConfigError, ConsistencyError, ValidationError
 from .report import render_json, render_text, run_report
@@ -93,31 +94,24 @@ def _cmd_selfcheck(args) -> int:
 def _split_prime_power(q: int) -> tuple[int, int]:
     if q < 3:
         raise ConfigError(f"q must be an odd prime power >= 3, got {q}")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    assert p is not None
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    primes = prime_divisors_int(q)
+    if len(primes) != 1:
         raise ConfigError(f"q = {q} is not a prime power")
+    p = primes[0]
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
     return p, e
 
 
 def _cmd_factor(args) -> int:
     p, e = _split_prime_power(args.q)
     base = field_create(p)
-    if e == 1:
-        ctx = base
-    else:
-        if not args.modulus:
-            raise ConfigError(f"q = {args.q} = {p}^{e} needs --modulus")
-        ctx = field_create(p, e, list(parse_poly(base, args.modulus).coeffs))
+    if e > 1 and not args.modulus:
+        raise ConfigError(f"q = {args.q} = {p}^{e} needs --modulus")
+    modulus = list(parse_poly(base, args.modulus).coeffs) if args.modulus else None
+    ctx = field_create(p, e, modulus)
     f = parse_poly(ctx, args.poly)
     fz = poly_factor(f, random.Random(args.seed))
     out = {

@@ -1,9 +1,15 @@
-"""Exhaustive property suites, runnable from the CLI.
+"""Exhaustive property suites: the one implementation of each law check.
 
 Each suite checks one mathematical law on a small exhaustive range (or a
-seeded random sample) and reports case counts plus failures. The "small"
-scope covers the cheap exhaustive suites over F_3; "full" adds F_5/F_9
-ranges, the degree-4 genus sweep, and the factorization round trip.
+seeded random sample) and reports case counts plus failures. The CLI's
+``selfcheck`` verb runs them through ``run_selfcheck``; the acceptance tests
+call the same suites and pin their case counts. The "small" scope covers the
+cheap exhaustive suites over F_3; "full" adds F_5/F_9 ranges, the degree-4
+genus sweep, and the factorization round trip.
+
+The brute-force helpers (``all_polys_below``, ``count_units``,
+``power_residue_set``) enumerate residues and multiply repeatedly, so they
+stay independent of the residue-symbol and Phi code they check.
 """
 
 from __future__ import annotations
@@ -47,9 +53,29 @@ class SuiteResult:
         return not self.failures
 
 
-def _all_polys_below(ctx: FieldCtx, d: int):
+def all_polys_below(ctx: FieldCtx, d: int):
+    """Every polynomial of degree < d, zero included."""
     for coeffs in itertools.product(range(ctx.q), repeat=d):
         yield Poly(ctx, list(coeffs))
+
+
+def count_units(ctx: FieldCtx, m: Poly) -> int:
+    """|(A/m)*| by enumerating residues and testing coprimality."""
+    return sum(1 for r in all_polys_below(ctx, m.degree)
+               if not r.is_zero and poly_gcd(r, m).degree == 0)
+
+
+def power_residue_set(ctx: FieldCtx, r: Poly) -> set[tuple[int, ...]]:
+    """(q-1)-th powers of the nonzero residues modulo r, by repeated products."""
+    out = set()
+    for x in all_polys_below(ctx, r.degree):
+        if x.is_zero:
+            continue
+        acc = one(ctx)
+        for _ in range(ctx.w):
+            acc = (acc * x) % r
+        out.add(acc.coeffs)
+    return out
 
 
 def suite_reciprocity(ctx: FieldCtx, max_degree: int) -> SuiteResult:
@@ -72,8 +98,7 @@ def suite_phi_bruteforce(ctx: FieldCtx, max_degree: int) -> SuiteResult:
     for d in range(1, max_degree + 1):
         for m in monic_of_degree(ctx, d):
             cases += 1
-            count = sum(1 for r in _all_polys_below(ctx, d)
-                        if not r.is_zero and poly_gcd(r, m).degree == 0)
+            count = count_units(ctx, m)
             expected = poly_phi(ctx, poly_factor(m).factors)
             if count != expected:
                 failures.append(f"{format_poly(m)}: brute {count} != {expected}")
@@ -85,14 +110,10 @@ def suite_symbol_character(ctx: FieldCtx, max_degree: int) -> SuiteResult:
     failures = []
     cases = 0
     for r in monic_irreducibles(ctx, max_degree):
-        residues = [a for a in _all_polys_below(ctx, r.degree) if not a.is_zero]
-        powers = set()
-        for x in residues:
-            acc = one(ctx)
-            for _ in range(ctx.w):
-                acc = (acc * x) % r
-            powers.add(acc.coeffs)
-        for a in residues:
+        powers = power_residue_set(ctx, r)
+        for a in all_polys_below(ctx, r.degree):
+            if a.is_zero:
+                continue
             cases += 1
             is_power = a.coeffs in powers
             symbol_trivial = residue_symbol(a, r).value == 1
@@ -114,7 +135,7 @@ def suite_parity(ctx: FieldCtx, max_degree: int) -> SuiteResult:
         cond = conductor_create(ctx, [(a, 1), (b, 1)])
         pairs = pairset_create(cond, [(a, b)])
         verdict = parity_consistency(pairs, ramification_table(cond, pairs))
-        if not verdict.passed:
+        if not (verdict.applicable and verdict.passed):
             failures.append(f"({format_poly(a)}, {format_poly(b)}): "
                             f"e={verdict.e_first} vs e={verdict.e_second}")
     return SuiteResult(f"parity q={ctx.q} deg<={max_degree}", cases, failures)
@@ -152,8 +173,8 @@ def suite_genus_paths(ctx: FieldCtx, max_degree: int) -> SuiteResult:
 
 def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
                            rng: random.Random) -> SuiteResult:
-    """Random polynomials factor, multiply back exactly, and every reported
-    prime passes the irreducibility test."""
+    """Random polynomials factor, multiply back exactly, and the reported
+    primes are distinct, monic, irreducible and of norm q^d."""
     failures = []
     for _ in range(count):
         d = rng.randint(1, max_degree)
@@ -164,8 +185,11 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
         if fz.product(ctx) != f:
             failures.append(f"{format_poly(f)}: product mismatch")
             continue
+        if len({pp.prime for pp in fz.factors}) != len(fz.factors):
+            failures.append(f"{format_poly(f)}: repeated prime")
         for pp in fz.factors:
-            if not pp.prime.monic or not poly_is_irreducible(pp.prime):
+            if (not pp.prime.monic or pp.norm != ctx.q ** pp.d
+                    or not poly_is_irreducible(pp.prime)):
                 failures.append(f"{format_poly(f)}: bad prime {format_poly(pp.prime)}")
     return SuiteResult(f"factor-roundtrip q={ctx.q} n={count} deg<={max_degree}",
                        count, failures)

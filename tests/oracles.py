@@ -1,15 +1,14 @@
-"""Brute-force oracles, deliberately independent of the library's hot paths.
+"""Table-free field oracles, deliberately independent of the library's hot paths.
 
 Field multiplication here works on digit vectors directly (no exp/log
-tables); unit counting enumerates residues; power-residue sets are built by
-repeated multiplication rather than modular exponentiation.
+tables), and polynomial products are plain convolutions over it. The
+brute-force oracles of the law checks (unit counts, power-residue sets) live
+with the suites that use them, in ``qcff.selfcheck``.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from qcff.algebra import FieldCtx, Poly, poly_gcd
+from qcff.algebra import FieldCtx, Poly
 
 
 def digits_of(ctx: FieldCtx, x: int) -> list[int]:
@@ -68,31 +67,6 @@ def naive_dlog(ctx: FieldCtx, x: int) -> int:
             return i
         acc = naive_fq_mul(ctx, acc, ctx.gamma)
     raise AssertionError(f"{x} not generated by gamma")
-
-
-def all_polys_below(ctx: FieldCtx, d: int):
-    """Every polynomial of degree < d, zero included."""
-    for coeffs in itertools.product(range(ctx.q), repeat=d):
-        yield Poly(ctx, list(coeffs))
-
-
-def count_units(ctx: FieldCtx, m: Poly) -> int:
-    """|(A/m)*| by enumerating residues and testing coprimality."""
-    return sum(1 for r in all_polys_below(ctx, m.degree)
-               if not r.is_zero and poly_gcd(r, m).degree == 0)
-
-
-def power_residue_set(ctx: FieldCtx, r: Poly) -> set[tuple[int, ...]]:
-    """(q-1)-th powers of the nonzero residues modulo r, by repeated products."""
-    out = set()
-    for x in all_polys_below(ctx, r.degree):
-        if x.is_zero:
-            continue
-        acc = Poly(ctx, [1])
-        for _ in range(ctx.w):
-            acc = (acc * x) % r
-        out.add(acc.coeffs)
-    return out
 
 
 def naive_poly_mul(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:

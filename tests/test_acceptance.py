@@ -6,7 +6,6 @@ success; failures surface through the assertion as usual).
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import random
@@ -15,29 +14,24 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from qcff.algebra import (
-    Poly,
-    field_create,
-    monic_irreducibles,
-    monic_of_degree,
-    poly_factor,
-    poly_is_irreducible,
-    poly_phi,
-    var_T,
-)
+from qcff.algebra import Poly, field_create, monic_irreducibles, var_T
 from qcff.cyclotomic import conductor_create, genus_closed_form, genus_riemann_hurwitz
 from qcff.kummer import (
     genus_hasse_formula,
     genus_riemann_hurwitz as kummer_genus_rh,
     pair_formal_sum,
     pairset_create,
-    parity_consistency,
     presentation,
     ramification_table,
 )
-from qcff.symbols import check_reciprocity, residue_symbol
-
-from .oracles import all_polys_below, count_units, power_residue_set
+from qcff.selfcheck import (
+    suite_factor_roundtrip,
+    suite_genus_paths,
+    suite_parity,
+    suite_phi_bruteforce,
+    suite_reciprocity,
+    suite_symbol_character,
+)
 
 F3 = field_create(3)
 F5 = field_create(5)
@@ -94,66 +88,38 @@ def test_criterion_02_quasi_fixture():
 def test_criterion_03_genus_oracle_equality_deg4():
     with criterion(3, "genus two-path equality, all conductors deg <= 4 over F_3, "
                       "all admissible single pairs"):
-        conductors = 0
-        pair_cases = 0
-        for d in range(1, 5):
-            for m in monic_of_degree(F3, d):
-                cond = conductor_create(F3, m, random.Random(0))
-                conductors += 1
-                base_closed = genus_closed_form(cond)
-                assert base_closed == genus_riemann_hurwitz(cond)
-                for i, j in itertools.combinations(range(len(cond.factors)), 2):
-                    pairs = pairset_create(cond, [(cond.factors[i].prime,
-                                                   cond.factors[j].prime)])
-                    ram = ramification_table(cond, pairs)
-                    pair_cases += 1
-                    assert genus_hasse_formula(cond, pairs, base_closed, ram) == \
-                        kummer_genus_rh(cond, pairs, base_closed, ram)
-        assert conductors == 120  # 3 + 9 + 27 + 81
-        assert pair_cases > 0
+        res = suite_genus_paths(F3, 4)
+        assert res.failures == []
+        assert res.cases == 120 + 102  # 3 + 9 + 27 + 81 conductors, then pairs
 
 
 def test_criterion_04_reciprocity_exhaustive():
     with criterion(4, "reciprocity law, F_3 deg <= 3 and F_5 deg <= 2"):
-        cases = 0
-        for ctx, maxdeg in ((F3, 3), (F5, 2)):
-            for a, b in itertools.combinations(monic_irreducibles(ctx, maxdeg), 2):
-                cases += 1
-                assert check_reciprocity(a, b, validate=False)
-        assert cases == 91 + 105
+        results = [suite_reciprocity(F3, 3), suite_reciprocity(F5, 2)]
+        assert [r.failures for r in results] == [[], []]
+        assert [r.cases for r in results] == [91, 105]
 
 
 def test_criterion_05_parity_exhaustive():
     with criterion(5, "parity rule e_P = e_Q when 2 | d_P d_Q, q in {3, 5}, deg <= 3"):
-        cases = 0
-        for ctx in (F3, F5):
-            for a, b in itertools.combinations(monic_irreducibles(ctx, 3), 2):
-                if (a.degree * b.degree) % 2 != 0:
-                    continue
-                cond = conductor_create(ctx, [(a, 1), (b, 1)])
-                pairs = pairset_create(cond, [(a, b)])
-                verdict = parity_consistency(pairs, ramification_table(cond, pairs))
-                cases += 1
-                assert verdict.applicable and verdict.passed
-        assert cases == 36 + 495
+        results = [suite_parity(F3, 3), suite_parity(F5, 3)]
+        assert [r.failures for r in results] == [[], []]
+        assert [r.cases for r in results] == [36, 495]
 
 
 def test_criterion_06_phi_bruteforce():
     with criterion(6, "Phi equals brute-force unit count, deg M <= 3 over F_3"):
-        for d in range(1, 4):
-            for m in monic_of_degree(F3, d):
-                assert poly_phi(F3, poly_factor(m).factors) == count_units(F3, m)
+        res = suite_phi_bruteforce(F3, 3)
+        assert res.failures == []
+        assert res.cases == 39
 
 
 def test_criterion_07_symbol_character():
     with criterion(7, "residue symbol is 1 exactly on (q-1)-th powers, "
                       "q = 3, deg R <= 2"):
-        for r in monic_irreducibles(F3, 2):
-            powers = power_residue_set(F3, r)
-            for a in all_polys_below(F3, r.degree):
-                if a.is_zero:
-                    continue
-                assert (residue_symbol(a, r).value == 1) == (a.coeffs in powers)
+        res = suite_symbol_character(F3, 2)
+        assert res.failures == []
+        assert res.cases == 30
 
 
 def test_criterion_08_formal_sum_structure():
@@ -188,18 +154,11 @@ def test_criterion_08_formal_sum_structure():
 def test_criterion_09_factor_roundtrip():
     with criterion(9, "factorization round trip + irreducibility certification, "
                       "1000 random polynomials per field over F_3, F_5, F_9"):
-        from qcff.algebra import Poly
-        for ctx in (F3, F5, F9):
-            rng = random.Random(9090)
-            for _ in range(1000):
-                d = rng.randint(1, 8)
-                coeffs = [rng.randrange(ctx.q) for _ in range(d)]
-                coeffs.append(rng.randrange(1, ctx.q))
-                f = Poly(ctx, coeffs)
-                fz = poly_factor(f, rng)
-                assert fz.product(ctx) == f
-                for pp in fz.factors:
-                    assert pp.prime.monic and poly_is_irreducible(pp.prime)
+        results = [suite_factor_roundtrip(F3, 1000, 8, random.Random(9090)),
+                   suite_factor_roundtrip(F5, 1000, 8, random.Random(9090)),
+                   suite_factor_roundtrip(F9, 1000, 8, random.Random(9090))]
+        assert [r.failures for r in results] == [[], [], []]
+        assert [r.cases for r in results] == [1000, 1000, 1000]
 
 
 def test_criterion_10_report_determinism(tmp_path):

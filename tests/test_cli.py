@@ -10,7 +10,9 @@ import pytest
 
 from qcff._kernels import PureFieldKernel
 from qcff.algebra import field
+from qcff.cli import main
 from qcff.config import load_config
+from qcff.kummer import genus_riemann_hurwitz as kummer_genus_rh
 from qcff.report import render_json, run_report
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -82,11 +84,22 @@ def test_modulus_with_prime_field_exit_3(tmp_path):
 
 
 def test_config_error_exit_2(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"p": 3}), encoding="utf-8")
-    proc = run_cli("report", "--config", str(cfg))
-    assert proc.returncode == 2
-    assert "config error" in proc.stderr
+    for name, data in (("bad.json", json.dumps({"p": 3}).encode()),
+                       ("latin.json", b'\xff\xfe{"p":3}'),
+                       ("deep.json", b"[" * 100_000 + b"]" * 100_000)):
+        cfg = tmp_path / name
+        cfg.write_bytes(data)
+        proc = run_cli("report", "--config", str(cfg))
+        assert proc.returncode == 2, name
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_consistency_failure_exit_4(quasi_config, monkeypatch, capsys):
+    monkeypatch.setattr("qcff.report.kummer_genus_riemann_hurwitz",
+                        lambda *args: kummer_genus_rh(*args) + 1)
+    assert main(["report", "--config", str(quasi_config)]) == 4
+    assert "internal consistency failure" in capsys.readouterr().err
 
 
 def test_empty_pairs_exit_2_unless_cyclotomic_only(tmp_path):
@@ -141,6 +154,10 @@ def test_factor_verb():
 
     proc = run_cli("factor", "--q", "9", "--poly", "T^2+2")
     assert proc.returncode == 2  # missing modulus for an extension field
+
+    proc = run_cli("factor", "--q", "3", "--poly", "T^2+1", "--modulus", "T^2+1")
+    assert proc.returncode == 3  # a modulus for a prime field
+    assert "modulus must be omitted" in proc.stderr
 
     proc = run_cli("factor", "--q", "12", "--poly", "T")
     assert proc.returncode == 2  # not a prime power

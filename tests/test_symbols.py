@@ -1,22 +1,19 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
 from qcff.algebra import (
     PrimePower,
-    field_create,
     monic_irreducibles,
     one,
     poly_gcd,
     var_T,
 )
 from qcff.errors import BadFactorization, EqualPrimes, NotCoprime, NotPrimeModulus
+from qcff.selfcheck import all_polys_below
 from qcff.symbols import check_reciprocity, jacobi_symbol, residue_symbol
-
-from .oracles import all_polys_below, power_residue_set
 
 
 def test_symbol_examples(ctx3, mk):
@@ -61,16 +58,6 @@ def test_symbol_depends_only_on_residue(ctx3, mk):
         assert residue_symbol(a, r).value == residue_symbol(shifted, r).value
 
 
-def test_character_property_exhaustive_f3(ctx3):
-    # symbol is 1 exactly on (q-1)-th powers, deg R <= 2
-    for r in monic_irreducibles(ctx3, 2):
-        powers = power_residue_set(ctx3, r)
-        for a in all_polys_below(ctx3, r.degree):
-            if a.is_zero:
-                continue
-            assert (residue_symbol(a, r).value == 1) == (a.coeffs in powers)
-
-
 def test_jacobi_examples(ctx3, mk):
     t = var_T(ctx3)
     b = mk(ctx3, "T+1") * mk(ctx3, "T+2")
@@ -107,12 +94,6 @@ def test_reciprocity_examples(ctx3, ctx5, mk):
     assert check_reciprocity(var_T(ctx3), mk(ctx3, "T+1"))
     assert check_reciprocity(var_T(ctx3), mk(ctx3, "T^2+1"))
     assert check_reciprocity(var_T(ctx5), mk(ctx5, "T+1"))
-
-
-def test_reciprocity_exhaustive_small(ctx3, ctx5):
-    for ctx, maxdeg in ((ctx3, 3), (ctx5, 2)):
-        for a, b in itertools.combinations(monic_irreducibles(ctx, maxdeg), 2):
-            assert check_reciprocity(a, b, validate=False)
 
 
 def test_reciprocity_rejects_equal_primes(ctx3):
