@@ -95,16 +95,16 @@ def test_criterion_03_genus_oracle_equality_deg4():
 
 def test_criterion_04_reciprocity_exhaustive():
     with criterion(4, "reciprocity law, F_3 deg <= 3 and F_5 deg <= 2"):
-        results = [suite_reciprocity(F3, 3), suite_reciprocity(F5, 2)]
-        assert [r.failures for r in results] == [[], []]
-        assert [r.cases for r in results] == [91, 105]
+        res3, res5 = suite_reciprocity(F3, 3), suite_reciprocity(F5, 2)
+        assert (res3.failures, res5.failures) == ([], [])
+        assert (res3.cases, res5.cases) == (91, 105)
 
 
 def test_criterion_05_parity_exhaustive():
     with criterion(5, "parity rule e_P = e_Q when 2 | d_P d_Q, q in {3, 5}, deg <= 3"):
-        results = [suite_parity(F3, 3), suite_parity(F5, 3)]
-        assert [r.failures for r in results] == [[], []]
-        assert [r.cases for r in results] == [36, 495]
+        res3, res5 = suite_parity(F3, 3), suite_parity(F5, 3)
+        assert (res3.failures, res5.failures) == ([], [])
+        assert (res3.cases, res5.cases) == (36, 495)
 
 
 def test_criterion_06_phi_bruteforce():
@@ -154,11 +154,11 @@ def test_criterion_08_formal_sum_structure():
 def test_criterion_09_factor_roundtrip():
     with criterion(9, "factorization round trip + irreducibility certification, "
                       "1000 random polynomials per field over F_3, F_5, F_9"):
-        results = [suite_factor_roundtrip(F3, 1000, 8, random.Random(9090)),
-                   suite_factor_roundtrip(F5, 1000, 8, random.Random(9090)),
-                   suite_factor_roundtrip(F9, 1000, 8, random.Random(9090))]
-        assert [r.failures for r in results] == [[], [], []]
-        assert [r.cases for r in results] == [1000, 1000, 1000]
+        res3 = suite_factor_roundtrip(F3, 1000, 8, random.Random(9090))
+        res5 = suite_factor_roundtrip(F5, 1000, 8, random.Random(9090))
+        res9 = suite_factor_roundtrip(F9, 1000, 8, random.Random(9090))
+        assert (res3.failures, res5.failures, res9.failures) == ([], [], [])
+        assert (res3.cases, res5.cases, res9.cases) == (1000, 1000, 1000)
 
 
 def test_criterion_10_report_determinism(tmp_path):
