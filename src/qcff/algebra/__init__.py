@@ -11,13 +11,11 @@ from .factor import (
 from .field import FieldCtx, field_create, fq_dlog, fq_order, is_prime_int
 from .poly import (
     Poly,
-    constant,
     enumerate_monic_below,
     format_poly,
     monic_of_degree,
     one,
     parse_poly,
-    poly,
     poly_cmp,
     poly_gcd,
     poly_powmod,
@@ -30,7 +28,6 @@ __all__ = [
     "Factorization",
     "Poly",
     "PrimePower",
-    "constant",
     "enumerate_monic_below",
     "field_create",
     "format_poly",
@@ -41,7 +38,6 @@ __all__ = [
     "monic_of_degree",
     "one",
     "parse_poly",
-    "poly",
     "poly_cmp",
     "poly_factor",
     "poly_gcd",

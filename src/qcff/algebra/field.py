@@ -9,7 +9,7 @@ both the canonical generator gamma and the total order on polynomials.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from .._kernels import FieldKernel
 from ..errors import (
@@ -26,19 +26,8 @@ _ADD_TABLE_MAX_Q = 256
 
 
 def is_prime_int(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic primality test (desk-scale n)."""
+    return n >= 2 and prime_divisors_int(n) == [n]
 
 
 def prime_divisors_int(n: int) -> list[int]:
@@ -71,36 +60,14 @@ def _digits_to_enc(digits: Sequence[int], p: int) -> int:
     return enc
 
 
-def _raw_mul(a: int, b: int, p: int, e: int, modulus: Sequence[int] | None) -> int:
-    """Schoolbook product of encoded elements, used only to bootstrap tables."""
-    if e == 1:
-        return (a * b) % p
-    da = _enc_to_digits(a, p, e)
-    db = _enc_to_digits(b, p, e)
-    conv = [0] * (2 * e - 1)
-    for i, x in enumerate(da):
-        if x:
-            for j, y in enumerate(db):
-                conv[i + j] = (conv[i + j] + x * y) % p
-    # reduce modulo the (monic) defining polynomial
-    assert modulus is not None
-    for k in range(len(conv) - 1, e - 1, -1):
-        c = conv[k]
-        if c:
-            conv[k] = 0
-            for j in range(e):
-                conv[k - e + j] = (conv[k - e + j] - c * modulus[j]) % p
-    return _digits_to_enc(conv[:e], p)
-
-
-def _raw_pow(x: int, n: int, p: int, e: int, modulus: Sequence[int] | None) -> int:
-    acc = 1
-    while n > 0:
-        if n & 1:
-            acc = _raw_mul(acc, x, p, e, modulus)
-        x = _raw_mul(x, x, p, e, modulus)
-        n >>= 1
-    return acc
+def _digit_vector(x: int, p: int) -> list[int]:
+    """Digits of an encoded element without trailing zeros: the element as a
+    kernel polynomial over F_p."""
+    out = []
+    while x:
+        x, r = divmod(x, p)
+        out.append(r)
+    return out
 
 
 class FieldCtx:
@@ -162,9 +129,6 @@ class FieldCtx:
     def minus_one(self) -> int:
         return self._neg[1]
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
-
     def dlog(self, x: int) -> int:
         """Discrete log base gamma; see fq_dlog()."""
         self._check_elem(x)
@@ -197,6 +161,7 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Fi
         if modulus is not None:
             raise ValidationError("modulus must be omitted for prime fields (e = 1)")
         mod_tuple = None
+        mul, power = (lambda a, b: a * b % p), (lambda x, n: pow(x, n, p))
     else:
         if modulus is None:
             raise MissingModulus(f"F_{p}^{e} needs an explicit degree-{e} modulus")
@@ -205,22 +170,28 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Fi
             raise ValidationError(f"modulus must be monic of degree {e} (ascending coefficients)")
         if any(not 0 <= c < p for c in mod_tuple):
             raise ValidationError(f"modulus coefficients must lie in [0, {p})")
-        if not _modulus_irreducible(p, mod_tuple):
+        # Rabin test over F_p; imported here because factor.py imports this module
+        from .factor import poly_is_irreducible
+        from .poly import Poly
+        base = field_create(p, 1)
+        if not poly_is_irreducible(Poly(base, mod_tuple)):
             raise ReducibleModulus(f"modulus {list(mod_tuple)} is reducible over F_{p}")
+        mul, power = _digit_arithmetic(base, mod_tuple)
 
     q = p ** e
     w = q - 1
-    gamma = _find_generator(p, e, mod_tuple)
+    checks = [w // ell for ell in prime_divisors_int(w)]
+    gamma = next(c for c in range(2, q) if all(power(c, n) != 1 for n in checks))
 
     exp = [1] * w
     for i in range(1, w):
-        exp[i] = _raw_mul(exp[i - 1], gamma, p, e, mod_tuple)
+        exp[i] = mul(exp[i - 1], gamma)
     log = [-1] * q
     for i, v in enumerate(exp):
         if log[v] != -1:
             raise ValidationError(f"generator {gamma} does not have order {w}")
         log[v] = i
-    if _raw_mul(exp[-1], gamma, p, e, mod_tuple) != 1:
+    if mul(exp[-1], gamma) != 1:
         raise ValidationError(f"generator {gamma} does not have order {w}")
 
     if e == 1:
@@ -246,22 +217,19 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Fi
                     tuple(add_table) if add_table is not None else None)
 
 
-def _find_generator(p: int, e: int, modulus: tuple[int, ...] | None) -> int:
-    q = p ** e
-    w = q - 1
-    checks = [w // ell for ell in prime_divisors_int(w)]
-    for cand in range(2, q):
-        if all(_raw_pow(cand, n, p, e, modulus) != 1 for n in checks):
-            return cand
-    raise ValidationError(f"no generator found for F_{q}")  # unreachable for true prime powers
+def _digit_arithmetic(base: FieldCtx, modulus: tuple[int, ...]) -> tuple[Callable, Callable]:
+    """Product and power of encoded elements of F_p[x]/(modulus), computed by
+    the kernel of F_p = base on digit vectors; used to build the tables."""
+    kernel, p = base.kernel, base.p
 
+    def mul(a: int, b: int) -> int:
+        prod = kernel.pmul(_digit_vector(a, p), _digit_vector(b, p))
+        return _digits_to_enc(kernel.prem(prod, modulus), p)
 
-def _modulus_irreducible(p: int, modulus: tuple[int, ...]) -> bool:
-    # Rabin test over F_p, kept local to avoid a circular import with factor.py.
-    base = field_create(p, 1)
-    from .factor import poly_is_irreducible
-    from .poly import Poly
-    return poly_is_irreducible(Poly(base, modulus))
+    def power(x: int, n: int) -> int:
+        return _digits_to_enc(kernel.ppowmod(_digit_vector(x, p), n, modulus), p)
+
+    return mul, power
 
 
 def fq_dlog(ctx: FieldCtx, x: int) -> int:

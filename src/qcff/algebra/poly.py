@@ -8,7 +8,7 @@ tuple and degree -1 (the distinguished "degree of zero" marker).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ..errors import (
     ConfigError,
@@ -70,8 +70,7 @@ class Poly:
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.ctx._key != self.ctx._key:
-                raise ValidationError("polynomials belong to different fields")
+            _same_field(self, other)
             return other
         if isinstance(other, int):
             return Poly(self.ctx, [other] if other else [])
@@ -174,11 +173,11 @@ class Poly:
         return (len(self.coeffs), self.coeffs[::-1])
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly) and self.ctx._key == other.ctx._key
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, Poly) and self.coeffs == other.coeffs
+                and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __hash__(self) -> int:
-        return hash((self.ctx._key, self.coeffs))
+        return hash((self.ctx, self.coeffs))
 
     def __lt__(self, other) -> bool:
         return poly_cmp(self, other) < 0
@@ -206,12 +205,12 @@ def _wrap(ctx: FieldCtx, coeffs: list[int]) -> Poly:
     return out
 
 
+def _same_field(a: Poly, b: Poly) -> None:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
+        raise ValidationError("polynomials belong to different fields")
+
+
 # -- constructors ----------------------------------------------------------------
-
-def poly(ctx: FieldCtx, coeffs: Sequence[int]) -> Poly:
-    """Polynomial from ascending encoded coefficients."""
-    return Poly(ctx, coeffs)
-
 
 def zero(ctx: FieldCtx) -> Poly:
     return Poly(ctx, [])
@@ -226,18 +225,13 @@ def var_T(ctx: FieldCtx) -> Poly:
     return Poly(ctx, [0, 1])
 
 
-def constant(ctx: FieldCtx, c: int) -> Poly:
-    return Poly(ctx, [c] if c else [])
-
-
 # -- the operation suite ------------------------------------------------------
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) is an error."""
     if a.is_zero and b.is_zero:
         raise GcdOfZeros("gcd(0, 0) is undefined")
-    if a.ctx._key != b.ctx._key:
-        raise ValidationError("polynomials belong to different fields")
+    _same_field(a, b)
     return _wrap(a.ctx, a.ctx.kernel.pgcd(a.coeffs, b.coeffs))
 
 
@@ -249,16 +243,14 @@ def poly_powmod(a: Poly, n: int, m: Poly) -> Poly:
         raise DivisionByZero("powmod modulus is zero")
     if m.is_constant:
         raise ValidationError("powmod modulus must be nonconstant")
-    if a.ctx._key != m.ctx._key:
-        raise ValidationError("polynomials belong to different fields")
+    _same_field(a, m)
     return _wrap(a.ctx, a.ctx.kernel.ppowmod(a.coeffs, n, m.coeffs))
 
 
 def poly_cmp(a: Poly, b: Poly) -> int:
     """Canonical strict total order: degree first, then coefficients from the
     top down, compared by their integer encodings. Returns -1, 0 or 1."""
-    if a.ctx._key != b.ctx._key:
-        raise ValidationError("polynomials belong to different fields")
+    _same_field(a, b)
     ka, kb = a.sort_key, b.sort_key
     return (ka > kb) - (ka < kb)
 
@@ -272,7 +264,7 @@ def monic_of_degree(ctx: FieldCtx, d: int) -> Iterator[Poly]:
     counter = [0] * d
     q = ctx.q
     while True:
-        yield _wrap(ctx, _strip(list(reversed(counter)) + [1]))
+        yield _wrap(ctx, counter[::-1] + [1])
         i = d - 1
         while i >= 0 and counter[i] == q - 1:
             counter[i] = 0
@@ -280,12 +272,6 @@ def monic_of_degree(ctx: FieldCtx, d: int) -> Iterator[Poly]:
         if i < 0:
             return
         counter[i] += 1
-
-
-def _strip(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
 
 
 def enumerate_monic_below(ctx: FieldCtx, d: int) -> Iterator[Poly]:

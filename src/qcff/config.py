@@ -11,12 +11,7 @@ arrays of encoded coefficients or as strings like "2*T^2+T+1".
       "rng_seed": 0,                  // factorization seed, default 0
       "conductor": {"poly": "T^2+T"}  // or {"factors": [["T", 1], ["T+1", 1]]}
       "pairs": [["T", "T+1"]],
-      "options": {
-        "validate_primality": true,
-        "emit_a_pq": false,
-        "run_oracles": true,
-        "a_pq_term_cap": 1000000
-      }
+      "options": {}                   // optional; keys and defaults: Options
     }
 
 Only schema-level checks happen here; mathematical validation (primality,
@@ -26,7 +21,7 @@ orientation, coprimality) happens when the pipeline ingests the values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Union
 
@@ -38,11 +33,21 @@ PolySpec = Union[str, list]
 
 _TOP_KEYS = {"schema_version", "p", "e", "modulus", "rng_seed", "conductor",
              "pairs", "options"}
-_OPTION_KEYS = {"validate_primality", "emit_a_pq", "run_oracles", "a_pq_term_cap"}
 
 
 @dataclass(frozen=True)
 class Options:
+    """The "options" object of a config; every field is a key, echoed in the
+    report's inputs.options.
+
+    validate_primality re-runs the irreducibility test on both members of
+    each pair inside the reciprocity oracle. It cannot change a report or an
+    exit code: every pair member is a conductor prime, and conductor primes
+    are always validated.
+    emit_a_pq adds the formal sum of each pair, refused when a pair has more
+    than a_pq_term_cap raw terms; run_oracles runs the internal cross-checks.
+    """
+
     validate_primality: bool = True
     emit_a_pq: bool = False
     run_oracles: bool = True
@@ -141,14 +146,15 @@ def parse_config(raw: Any) -> JobConfig:
 
     opt_raw = raw.get("options", {})
     _expect(isinstance(opt_raw, dict), "'options' must be an object")
-    unknown = set(opt_raw) - _OPTION_KEYS
+    option_fields = fields(Options)
+    unknown = set(opt_raw) - {f.name for f in option_fields}
     _expect(not unknown, f"unknown option keys: {sorted(unknown)}")
-    for key in ("validate_primality", "emit_a_pq", "run_oracles"):
-        if key in opt_raw:
-            _expect(isinstance(opt_raw[key], bool), f"option '{key}' must be a boolean")
-    if "a_pq_term_cap" in opt_raw:
-        _expect(_is_int(opt_raw["a_pq_term_cap"]) and opt_raw["a_pq_term_cap"] >= 1,
-                "option 'a_pq_term_cap' must be a positive integer")
+    for f in option_fields:
+        value = opt_raw.get(f.name, f.default)
+        if isinstance(f.default, bool):
+            _expect(isinstance(value, bool), f"option '{f.name}' must be a boolean")
+        else:
+            _expect(_is_int(value) and value >= 1, f"option '{f.name}' must be a positive integer")
     options = Options(**opt_raw)
 
     return JobConfig(p=p, e=e, modulus=modulus, rng_seed=rng_seed,

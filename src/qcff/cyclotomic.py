@@ -24,7 +24,6 @@ from .algebra import (
     Factorization,
     Poly,
     PrimePower,
-    one,
     poly_factor,
     poly_is_irreducible,
     poly_phi,
@@ -60,8 +59,8 @@ class Conductor:
 def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> Conductor:
     """Build a Conductor from a monic polynomial or a claimed factorization.
 
-    spec may be a Poly (factored here), a Factorization, or a sequence of
-    (prime, exponent) pairs. Claimed primes are always re-validated.
+    spec may be a Poly (factored here) or a sequence of (prime, exponent)
+    pairs. Claimed primes are always re-validated.
     """
     if isinstance(spec, Poly):
         if spec.is_zero or spec.is_constant:
@@ -69,10 +68,6 @@ def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> C
         if not spec.monic:
             raise NotMonic(f"conductor must be monic, got {spec}")
         pairs = [(pp.prime, pp.exp) for pp in poly_factor(spec, rng).factors]
-    elif isinstance(spec, Factorization):
-        if spec.lead != 1:
-            raise NotMonic("conductor factorization must have leading coefficient 1")
-        pairs = [(pp.prime, pp.exp) for pp in spec.factors]
     else:
         pairs = [(prime, int(exp)) for prime, exp in spec]
 
@@ -81,7 +76,7 @@ def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> C
     seen = set()
     checked: list[tuple[Poly, int]] = []
     for prime, exp in pairs:
-        if prime.ctx._key != ctx._key:
+        if prime.ctx != ctx:
             raise ValidationError(f"prime {prime} belongs to a different field")
         if exp < 1:
             raise ValidationError(f"prime exponent must be >= 1, got {exp}")
@@ -96,9 +91,7 @@ def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> C
     checked.sort(key=lambda item: item[0].sort_key)
 
     factors = tuple(PrimePower.make(prime, exp) for prime, exp in checked)
-    m = one(ctx)
-    for pp in factors:
-        m = m * pp.prime ** pp.exp
+    m = Factorization(lead=1, factors=factors).product(ctx)
     return Conductor(factors=factors, M=m, phi=poly_phi(ctx, factors), degM=m.degree)
 
 
@@ -150,8 +143,7 @@ def different_data(cond: Conductor) -> DifferentData:
     ctx = cond.ctx
     rows = []
     for pp in cond.factors:
-        local_phi = ctx.q ** (pp.d * (pp.exp - 1)) * (ctx.q ** pp.d - 1)
-        s = pp.exp * local_phi - ctx.q ** (pp.d * (pp.exp - 1))
+        s = pp.exp * poly_phi(ctx, [pp]) - ctx.q ** (pp.d * (pp.exp - 1))
         rows.append(PrimeDifferent(prime=pp.prime, d=pp.d, r=pp.exp, s=s,
                                    phi_cofactor=cond.cofactor_phi(pp)))
     if cond.phi % ctx.w != 0:

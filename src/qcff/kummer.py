@@ -74,7 +74,7 @@ def pairset_create(cond: Conductor, raw: Sequence[tuple[Poly, Poly]]) -> PairSet
     seconds: dict[tuple, list[Poly]] = {}
     for p_first, p_second in raw:
         for member in (p_first, p_second):
-            if member.ctx._key != cond.ctx._key:
+            if member.ctx != cond.ctx:
                 raise ValidationError(f"{member} belongs to a different field")
             if member.coeffs not in conductor_primes:
                 raise PrimeNotInConductor(f"{member} is not a prime of the conductor")
@@ -131,12 +131,6 @@ class FormalSum:
 
     terms: tuple[tuple[FracClass, int], ...]
     raw_terms: int
-
-    def coefficient(self, cls: FracClass) -> int:
-        for c, n in self.terms:
-            if c == cls:
-                return n
-        return 0
 
 
 def raw_term_count(ctx, d_first: int, d_second: int) -> int:
@@ -358,8 +352,7 @@ def _generator_name(prime: Poly) -> str:
     return f"sigma[{prime}]"
 
 
-def presentation(cond: Conductor, pairs: PairSet,
-                 ram: RamTable | None = None) -> GroupPresentation:
+def presentation(cond: Conductor, pairs: PairSet, ram: RamTable) -> GroupPresentation:
     """Generators and relations of the Galois group of the full tower.
 
     One generator per conductor prime plus the central epsilon of order w;
@@ -368,8 +361,6 @@ def presentation(cond: Conductor, pairs: PairSet,
     commutes. The p-part is central and reported by its order.
     """
     ctx = cond.ctx
-    if ram is None:
-        ram = ramification_table(cond, pairs)
     structure = galois_structure(cond)
     gens = []
     for pp in cond.factors:
@@ -396,14 +387,12 @@ def _paired_rows(cond: Conductor, pairs: PairSet, ram: RamTable) -> Iterator[tup
 
 
 def genus_hasse_formula(cond: Conductor, pairs: PairSet, base_genus: int,
-                        ram: RamTable | None = None) -> int:
+                        ram: RamTable) -> int:
     """Hasse's closed Kummer-extension formula, with every prime that occurs
     in at least one pair contributing (1 - 1/e(L)) * d_L * Phi(M/L^{r_L}) / 2.
     Infinite places are unramified in this step and the constant field does
     not grow, so the leading factor is exactly w."""
     ctx = cond.ctx
-    if ram is None:
-        ram = ramification_table(cond, pairs)
     total = Fraction(base_genus - 1)
     for pp, row in _paired_rows(cond, pairs, ram):
         total += Fraction(1, 2) * (1 - Fraction(1, row.e)) * pp.d * cond.cofactor_phi(pp)
@@ -411,13 +400,11 @@ def genus_hasse_formula(cond: Conductor, pairs: PairSet, base_genus: int,
 
 
 def genus_riemann_hurwitz(cond: Conductor, pairs: PairSet, base_genus: int,
-                          ram: RamTable | None = None) -> int:
+                          ram: RamTable) -> int:
     """The same genus from Riemann-Hurwitz on the tame Kummer step:
     2g - 2 = w(2g_base - 2) + sum (e(L)-1) * (w/e(L)) * d_L * Phi(M/L^{r_L}),
     using that the places above L have total degree d_L * Phi(M/L^{r_L})."""
     ctx = cond.ctx
-    if ram is None:
-        ram = ramification_table(cond, pairs)
     deg_different = 0
     for pp, row in _paired_rows(cond, pairs, ram):
         if ctx.w % row.e != 0:

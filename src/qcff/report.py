@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import asdict
 from typing import Any
 
 from . import __version__
@@ -117,12 +118,7 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
             "factors": [{"prime": _poly_json(pp.prime), "exp": pp.exp,
                          "degree": pp.d, "norm": pp.norm} for pp in cond.factors],
         },
-        "options": {
-            "validate_primality": cfg.options.validate_primality,
-            "emit_a_pq": cfg.options.emit_a_pq,
-            "run_oracles": cfg.options.run_oracles,
-            "a_pq_term_cap": cfg.options.a_pq_term_cap,
-        },
+        "options": asdict(cfg.options),
         "cyclotomic_only": cyclotomic_only,
     }
     report["cyclotomic"] = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Poly, PrimePower, poly_gcd, poly_is_irreducible, poly_powmod
+from .algebra import Factorization, Poly, PrimePower, poly_gcd, poly_is_irreducible, poly_powmod
 from .errors import (
     BadFactorization,
     EqualPrimes,
@@ -56,23 +56,19 @@ def residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:
     return SymbolValue.of(ctx, reduced.coeffs[0])
 
 
-def jacobi_symbol(a: Poly, b: Poly, b_factors: Sequence[PrimePower],
-                  *, validate: bool = False) -> SymbolValue:
+def jacobi_symbol(a: Poly, b: Poly, b_factors: Sequence[PrimePower]) -> SymbolValue:
     """Multiplicative extension of the residue symbol to a factored monic b.
 
     b_factors must multiply back to b; for b = 1 the symbol is 1.
     """
     ctx = a.ctx
-    prod = Poly(ctx, [1])
-    for pp in b_factors:
-        prod = prod * pp.prime ** pp.exp
-    if prod != b:
+    if Factorization(lead=1, factors=tuple(b_factors)).product(ctx) != b:
         raise BadFactorization(f"claimed factorization does not reproduce {b}")
     if poly_gcd(a, b).degree != 0:
         raise NotCoprime(f"{a} and {b} share a factor")
     acc = 0
     for pp in b_factors:
-        s = residue_symbol(a, pp.prime, validate=validate)
+        s = residue_symbol(a, pp.prime)
         acc = (acc + pp.exp * s.dlog) % ctx.w
     return SymbolValue(value=ctx.exp[acc], dlog=acc)
 

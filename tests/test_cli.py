@@ -86,7 +86,10 @@ def test_modulus_with_prime_field_exit_3(tmp_path):
 def test_config_error_exit_2(tmp_path):
     for name, data in (("bad.json", json.dumps({"p": 3}).encode()),
                        ("latin.json", b'\xff\xfe{"p":3}'),
-                       ("deep.json", b"[" * 100_000 + b"]" * 100_000)):
+                       ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+                       ("range.json", json.dumps({
+                           "p": 3, "conductor": {"factors": [[[0, 5], 1]]},
+                           "pairs": [["T", "T+1"]]}).encode())):
         cfg = tmp_path / name
         cfg.write_bytes(data)
         proc = run_cli("report", "--config", str(cfg))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -42,6 +43,8 @@ def test_parse_config_schema_rejections():
         _base_config(options={"emit_a_pq": 1}),    # not a boolean
         _base_config(options={"a_pq_term_cap": 0}),
         _base_config(rng_seed="x"),
+        _base_config(conductor={"poly": 5}),     # neither string nor array
+        _base_config(pairs=[[{"T": 1}, "T+1"]]),
     ]
     for raw in bad_cases:
         with pytest.raises(ConfigError):
@@ -134,6 +137,16 @@ def test_run_report_validation_errors_propagate():
 def test_run_report_rejects_modulus_mismatch(raw):
     """A modulus with e = 1 is rejected like a missing one with e > 1."""
     with pytest.raises(ValidationError, match="modulus"):
+        run_report(parse_config(raw))
+
+
+@pytest.mark.parametrize("raw,where", [
+    (_base_config(conductor={"factors": [[[0, 5], 1], ["T+1", 1]]}), "'conductor.factors[0]'"),
+    (_base_config(pairs=[["T", [1, 4]]]), "'pairs[0][1]'"),
+], ids=["conductor_factor", "pair_member"])
+def test_run_report_rejects_coefficients_outside_the_field(raw, where):
+    """Arrays pass the schema check; an entry >= q is a config error."""
+    with pytest.raises(ConfigError, match=re.escape(f"{where}: coefficient")):
         run_report(parse_config(raw))
 
 

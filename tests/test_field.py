@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from qcff.algebra import field_create, fq_dlog, fq_order
@@ -12,9 +14,9 @@ from qcff.errors import (
     ValidationError,
 )
 
-from .oracles import naive_dlog, naive_fq_mul, naive_fq_order
+from .oracles import digits_of, enc_of, naive_dlog, naive_fq_mul, naive_fq_order
 
-# q <= 25: every supported field in that range gets the exhaustive checks.
+# q <= 27: every supported field in that range gets the exhaustive checks.
 SMALL_FIELDS = [
     (3, 1, None),
     (5, 1, None),
@@ -23,6 +25,13 @@ SMALL_FIELDS = [
     (13, 1, None),
     (3, 2, [1, 0, 1]),   # q = 9
     (5, 2, [2, 0, 1]),   # q = 25
+    (3, 3, [1, 2, 0, 1]),  # q = 27
+]
+
+# q > 256: fields without an addition table, one prime and one extension
+LARGE_FIELDS = [
+    (257, 1, None),
+    (3, 6, [2, 1, 0, 0, 0, 0, 1]),  # q = 729, modulus T^6+T+2
 ]
 
 
@@ -100,6 +109,23 @@ def test_kernel_scalar_ops_match_naive(ctx9):
                 [(x + y) % ctx9.p for x, y in zip(ctx9.digits(a), ctx9.digits(b))])
     for a in range(1, ctx9.q):
         assert k.fmul(a, k.finv(a)) == 1
+
+
+@pytest.mark.parametrize("p,e,mod", LARGE_FIELDS)
+def test_table_free_fields_match_naive(p, e, mod):
+    ctx = field_create(p, e, mod)
+    assert ctx._add_table is None
+    assert naive_fq_order(ctx, ctx.gamma) == ctx.w
+    for cand in range(2, ctx.gamma):
+        assert naive_fq_order(ctx, cand) < ctx.w
+    k = ctx.kernel
+    rng = random.Random(729)
+    for _ in range(2000):
+        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        da, db = digits_of(ctx, a), digits_of(ctx, b)
+        assert k.fadd(a, b) == enc_of(ctx, [(x + y) % p for x, y in zip(da, db)])
+        assert k.fsub(a, b) == enc_of(ctx, [(x - y) % p for x, y in zip(da, db)])
+        assert k.fmul(a, b) == naive_fq_mul(ctx, a, b)
 
 
 def test_fq_order(ctx5):

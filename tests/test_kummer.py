@@ -284,7 +284,7 @@ def test_presentation_fixture(ctx3, mk):
     t, t1 = var_T(ctx3), mk(ctx3, "T+1")
     cond = _cond(ctx3, (t, 1), (t1, 1))
     ps = pairset_create(cond, [(t, t1)])
-    pres = presentation(cond, ps)
+    pres = presentation(cond, ps, ramification_table(cond, ps))
     assert pres.epsilon_order == 2
     assert pres.p_part_order == 1
     assert pres.group_order == 8
@@ -300,7 +300,7 @@ def test_presentation_unpaired_prime_keeps_base_order(ctx3, mk):
     t, t1, q2 = var_T(ctx3), mk(ctx3, "T+1"), mk(ctx3, "T^2+1")
     cond = _cond(ctx3, (t, 1), (t1, 1), (q2, 1))
     ps = pairset_create(cond, [(t, t1)])
-    pres = presentation(cond, ps)
+    pres = presentation(cond, ps, ramification_table(cond, ps))
     rows = {g.name: g for g in pres.generators}
     assert rows["sigma[T^2+1]"].lift_order == rows["sigma[T^2+1]"].base_order == 8
     assert rows["sigma[T^2+1]"].central
