@@ -2,7 +2,10 @@
 
 Times the hot operations (dense multiplication, division, modular
 exponentiation, gcd) and one composite workload (residue-symbol style
-powmod chains), on the same inputs for both backends.
+powmod chains), on the same inputs for both backends, over a prime field
+(F_7), an extension field (F_9) and a field without an addition table
+(F_257). It is the only per-operation, per-backend comparison; perfbench/
+times whole jobs with whichever kernel is loaded.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -32,16 +35,17 @@ def _time(fn, repeat: int) -> float:
     return best
 
 
-def bench(repeat: int) -> None:
-    ctx = field_create(3, 2, [1, 0, 1])  # F_9
-    kernels = {"pure": PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp,
-                                       ctx.log, ctx._neg, ctx._add_table)}
+# (label, p, e, modulus): a prime field and F_9 take the add-table loops,
+# F_257 (q > 256, no add table) takes the fadd loops
+FIELDS = [("F_7", 7, 1, None), ("F_9", 3, 2, [1, 0, 1]), ("F_257", 257, 1, None)]
+
+
+def bench_field(p: int, e: int, modulus, repeat: int) -> dict[str, dict[str, float]]:
+    ctx = field_create(p, e, modulus)
+    tables = (ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log, ctx._neg, ctx._add_table)
+    kernels = {"pure": PureFieldKernel(*tables)}
     if CompiledFieldKernel is not None:
-        kernels["cython"] = CompiledFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w,
-                                                ctx.exp, ctx.log, ctx._neg,
-                                                ctx._add_table)
-    else:
-        print("compiled kernel not built; timing the pure backend only")
+        kernels["cython"] = CompiledFieldKernel(*tables)
 
     rng = random.Random(7)
     f64 = _rand_poly(rng, ctx.q, 64)
@@ -62,22 +66,28 @@ def bench(repeat: int) -> None:
         "ppowmod symbol-style (x100)":
             lambda k: [k.ppowmod(base, exponent, m8) for _ in range(100)],
     }
+    return {wname: {kname: _time(lambda k=kern: load(k), repeat)
+                    for kname, kern in kernels.items()}
+            for wname, load in workloads.items()}
 
-    timings: dict[str, dict[str, float]] = {}
-    for wname, load in workloads.items():
-        timings[wname] = {kname: _time(lambda k=kern: load(k), repeat)
-                          for kname, kern in kernels.items()}
 
-    width = max(len(w) for w in workloads)
-    print(f"{'workload'.ljust(width)}  {'pure':>10}  {'cython':>10}  {'speedup':>8}")
-    for wname, per in timings.items():
+def bench(repeat: int) -> None:
+    if CompiledFieldKernel is None:
+        print("compiled kernel not built; timing the pure backend only")
+    rows = [(label, wname, per)
+            for label, p, e, modulus in FIELDS
+            for wname, per in bench_field(p, e, modulus, repeat).items()]
+
+    width = max(len(wname) for _, wname, _ in rows)
+    print(f"{'field':<6}  {'workload'.ljust(width)}  {'pure':>10}  {'cython':>10}  {'speedup':>8}")
+    for label, wname, per in rows:
         pure_t = per["pure"]
         if "cython" in per:
             cy_t = per["cython"]
-            print(f"{wname.ljust(width)}  {pure_t * 1e3:>8.2f}ms  "
+            print(f"{label:<6}  {wname.ljust(width)}  {pure_t * 1e3:>8.2f}ms  "
                   f"{cy_t * 1e3:>8.2f}ms  {pure_t / cy_t:>7.1f}x")
         else:
-            print(f"{wname.ljust(width)}  {pure_t * 1e3:>8.2f}ms  {'-':>10}  {'-':>8}")
+            print(f"{label:<6}  {wname.ljust(width)}  {pure_t * 1e3:>8.2f}ms  {'-':>10}  {'-':>8}")
 
 
 def main() -> None:

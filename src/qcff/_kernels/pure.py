@@ -5,6 +5,15 @@ Reference implementation of the hot operations: element arithmetic in F_q
 F_q (coefficient sequences, ascending degree, no trailing zeros, empty =
 0; inputs may be lists or tuples, results are lists).
 
+The polynomial loops work on discrete logs. Each call turns the fixed
+operand (the second factor of a product, the divisor of a division) into
+its nonzero (index, log) pairs once, and indexes ``_exp2``, the exp table
+repeated twice, with sums of two logs, so no step reduces mod w. Each
+step then adds one product into one coefficient: where the field has an
+addition table (q <= 256) that is one lookup, ``add_table[x * q + y]``;
+where it has none, it is one ``fadd`` call. The branch is taken once per
+call, outside the loops.
+
 The compiled kernel in ``_core.pyx`` implements the identical interface;
 `qcff._kernels` uses it when it imports and this one otherwise.
 """
@@ -21,7 +30,7 @@ class FieldKernel:
     when not None, is a flat q*q lookup for addition (built for small q).
     """
 
-    __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "add_table")
+    __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "add_table", "_exp2")
 
     def __init__(self, p, e, q, w, exp, log, neg, add_table=None):
         self.p = p
@@ -32,6 +41,8 @@ class FieldKernel:
         self.log = list(log)
         self.neg = list(neg)
         self.add_table = list(add_table) if add_table is not None else None
+        # _exp2[i] == exp[i % w] for 0 <= i < 2w: indexed by a sum of two logs
+        self._exp2 = self.exp * 2
 
     # -- scalar ops ---------------------------------------------------------
 
@@ -60,7 +71,7 @@ class FieldKernel:
     def fmul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % self.w]
+        return self._exp2[self.log[a] + self.log[b]]
 
     def finv(self, a):
         return self.exp[(self.w - self.log[a]) % self.w]
@@ -70,9 +81,14 @@ class FieldKernel:
     def padd(self, f, g):
         if len(f) < len(g):
             f, g = g, f
-        out = list(f)
-        for i, c in enumerate(g):
-            out[i] = self.fadd(out[i], c)
+        add = self.add_table
+        if add is not None:
+            q = self.q
+            out = [add[a * q + b] for a, b in zip(f, g)]
+        else:
+            fadd = self.fadd
+            out = [fadd(a, b) for a, b in zip(f, g)]
+        out.extend(f[len(g):])
         while out and out[-1] == 0:
             out.pop()
         return out
@@ -84,21 +100,33 @@ class FieldKernel:
     def pscale(self, f, c):
         if c == 0:
             return []
-        fmul = self.fmul
-        return [fmul(x, c) for x in f]
+        exp2, log = self._exp2, self.log
+        lc = log[c]
+        return [exp2[lc + log[x]] if x else 0 for x in f]
 
     def pmul(self, f, g):
         if not f or not g:
             return []
-        exp, log, w = self.exp, self.log, self.w
+        exp2, log = self._exp2, self.log
+        g_logs = [(j, log[b]) for j, b in enumerate(g) if b]
         out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a == 0:
-                continue
-            la = log[a]
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = self.fadd(out[i + j], exp[(la + log[b]) % w])
+        add = self.add_table
+        if add is not None:
+            q = self.q
+            for i, a in enumerate(f):
+                if a:
+                    la = log[a]
+                    for j, lb in g_logs:
+                        k = i + j
+                        out[k] = add[out[k] * q + exp2[la + lb]]
+        else:
+            fadd = self.fadd
+            for i, a in enumerate(f):
+                if a:
+                    la = log[a]
+                    for j, lb in g_logs:
+                        k = i + j
+                        out[k] = fadd(out[k], exp2[la + lb])
         while out and out[-1] == 0:
             out.pop()
         return out
@@ -110,15 +138,34 @@ class FieldKernel:
         dg = len(g) - 1
         if len(rem) - 1 < dg:
             return [], rem
-        inv_lc = self.finv(g[-1])
+        exp2, log, neg, w = self._exp2, self.log, self.neg, self.w
+        l_inv = (w - log[g[-1]]) % w
+        # step i subtracts t * g / lc(g), where t = rem[i + dg]: below the
+        # top it adds t * h_j with h_j = -g_j / lc(g), and the top becomes 0
+        h_logs = [(j, (log[neg[b]] + l_inv) % w) for j, b in enumerate(g[:dg]) if b]
         quot = [0] * (len(rem) - dg)
-        fmul, fsub = self.fmul, self.fsub
-        for i in range(len(rem) - dg - 1, -1, -1):
-            c = fmul(rem[i + dg], inv_lc)
-            quot[i] = c
-            if c:
-                for j in range(dg + 1):
-                    rem[i + j] = fsub(rem[i + j], fmul(c, g[j]))
+        add = self.add_table
+        if add is not None:
+            q = self.q
+            for i in range(len(rem) - dg - 1, -1, -1):
+                t = rem[i + dg]
+                if t:
+                    lt = log[t]
+                    quot[i] = exp2[lt + l_inv]
+                    for j, lh in h_logs:
+                        k = i + j
+                        rem[k] = add[rem[k] * q + exp2[lt + lh]]
+        else:
+            fadd = self.fadd
+            for i in range(len(rem) - dg - 1, -1, -1):
+                t = rem[i + dg]
+                if t:
+                    lt = log[t]
+                    quot[i] = exp2[lt + l_inv]
+                    for j, lh in h_logs:
+                        k = i + j
+                        rem[k] = fadd(rem[k], exp2[lt + lh])
+        del rem[dg:]
         while rem and rem[-1] == 0:
             rem.pop()
         while quot and quot[-1] == 0:

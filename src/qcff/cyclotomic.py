@@ -60,9 +60,11 @@ def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> C
     """Build a Conductor from a monic polynomial or a claimed factorization.
 
     spec may be a Poly (factored here) or a sequence of (prime, exponent)
-    pairs. Claimed primes are always re-validated.
+    pairs. Claimed primes are always tested for irreducibility; the primes
+    poly_factor returns are irreducible by construction and are not.
     """
-    if isinstance(spec, Poly):
+    factored_here = isinstance(spec, Poly)
+    if factored_here:
         if spec.is_zero or spec.is_constant:
             raise ConstantConductor(f"conductor must be nonconstant, got {spec}")
         if not spec.monic:
@@ -82,7 +84,7 @@ def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> C
             raise ValidationError(f"prime exponent must be >= 1, got {exp}")
         if not prime.monic:
             raise NotMonic(f"claimed prime {prime} is not monic")
-        if not poly_is_irreducible(prime):
+        if not factored_here and not poly_is_irreducible(prime):
             raise ReducibleClaimedPrime(f"claimed prime {prime} is reducible")
         if prime.coeffs in seen:
             raise DuplicatePrime(f"prime {prime} listed twice")

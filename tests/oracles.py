@@ -1,12 +1,15 @@
 """Table-free field oracles, deliberately independent of the library's hot paths.
 
-Field multiplication here works on digit vectors directly (no exp/log
-tables), and polynomial products are plain convolutions over it. The
-brute-force oracles of the law checks (unit counts, power-residue sets) live
-with the suites that use them, in ``qcff.selfcheck``.
+Field addition and multiplication here work on digit vectors directly (no
+exp/log or addition tables), and polynomial sums and products are plain
+coefficient-wise sums and convolutions over them. The brute-force oracles
+of the law checks (unit counts, power-residue sets) live with the suites
+that use them, in ``qcff.selfcheck``.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from qcff.algebra import FieldCtx, Poly
 
@@ -24,6 +27,11 @@ def enc_of(ctx: FieldCtx, digits: list[int]) -> int:
     for d in reversed(digits):
         enc = enc * ctx.p + d
     return enc
+
+
+def naive_fq_add(ctx: FieldCtx, a: int, b: int) -> int:
+    """Digit-wise sum without any lookup tables."""
+    return enc_of(ctx, [(x + y) % ctx.p for x, y in zip(digits_of(ctx, a), digits_of(ctx, b))])
 
 
 def naive_fq_mul(ctx: FieldCtx, a: int, b: int) -> int:
@@ -76,9 +84,11 @@ def naive_poly_mul(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
     conv = [0] * (f.degree + g.degree + 1)
     for i, a in enumerate(f.coeffs):
         for j, b in enumerate(g.coeffs):
-            term = naive_fq_mul(ctx, a, b)
-            # addition digit-wise, no tables
-            da = digits_of(ctx, conv[i + j])
-            db = digits_of(ctx, term)
-            conv[i + j] = enc_of(ctx, [(x + y) % ctx.p for x, y in zip(da, db)])
+            conv[i + j] = naive_fq_add(ctx, conv[i + j], naive_fq_mul(ctx, a, b))
     return Poly(ctx, conv)
+
+
+def naive_poly_add(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
+    """Coefficient-wise sum using only naive field addition."""
+    return Poly(ctx, [naive_fq_add(ctx, a, b)
+                      for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0)])

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from qcff.algebra import field_create, monic_of_degree, poly_phi, var_T
+import qcff.cyclotomic as cyclotomic
+from qcff.algebra import field_create, monic_of_degree, poly_is_irreducible, poly_phi, var_T
 from qcff.cyclotomic import (
     conductor_create,
     different_data,
@@ -55,6 +56,23 @@ def test_conductor_rejections(ctx3, mk):
         conductor_create(ctx3, [(var_T(ctx3), 1), (var_T(ctx3), 2)])
     with pytest.raises(ConstantInput):
         conductor_create(ctx3, [(mk(ctx3, "1"), 1)])
+
+
+def test_only_claimed_primes_are_retested(ctx3, mk, monkeypatch):
+    tested = []
+
+    def counting(f):
+        tested.append(f)
+        return poly_is_irreducible(f)
+
+    monkeypatch.setattr(cyclotomic, "poly_is_irreducible", counting)
+    primes = [var_T(ctx3), mk(ctx3, "T+1"), mk(ctx3, "T^2+1"), mk(ctx3, "T^3+2*T+1")]
+    m = mk(ctx3, "T^2") * primes[1] * primes[2] * primes[3] ** 2
+    from_poly = conductor_create(ctx3, m)
+    assert tested == []
+    claimed = conductor_create(ctx3, [(pp.prime, pp.exp) for pp in from_poly.factors])
+    assert sorted(f.sort_key for f in tested) == sorted(f.sort_key for f in primes)
+    assert claimed == from_poly
 
 
 def test_galois_structure_examples(ctx3, mk):

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel
-from qcff.algebra import field_create
+from qcff.algebra import Poly, field_create
+
+from .oracles import naive_poly_add, naive_poly_mul
 
 # the last two have no addition table (q > 256)
 FIELDS = [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, [1, 0, 1]),
@@ -131,3 +133,43 @@ def test_shipped_c_kernel_matches_pyx():
 def test_divrem_by_zero_raises(ctx3):
     with pytest.raises(ZeroDivisionError):
         ctx3.kernel.pdivrem([1, 2], [])
+
+
+@pytest.mark.parametrize("p,e,mod", FIELDS)
+def test_pure_kernel_poly_ops(p, e, mod):
+    """The pure kernel on its own, against the table-free oracles: runs
+    without the compiled kernel and reaches the add-table loops (q <= 256)
+    and the fadd loops (q > 256)."""
+    ctx = field_create(p, e, mod)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
+                           ctx._neg, ctx._add_table)
+    assert (kern.add_table is None) == (ctx.q > 256)
+    rng = random.Random(40)
+    non_monic = 0
+    for _ in range(30):
+        f = _rand_poly(rng, ctx.q, 42)  # degree <= 40
+        g = _rand_poly(rng, ctx.q, 42)
+        c = _rand_poly(rng, ctx.q, 6)
+        pf, pg = Poly(ctx, f), Poly(ctx, g)
+        assert kern.pmul(f, g) == list(naive_poly_mul(ctx, pf, pg).coeffs)
+        if g:
+            non_monic += g[-1] != 1
+            quot, rem = kern.pdivrem(f, g)
+            assert isinstance(quot, list) and isinstance(rem, list)
+            assert len(rem) < len(g) and (not rem or rem[-1])
+            back = naive_poly_add(ctx, naive_poly_mul(ctx, Poly(ctx, quot), pg), Poly(ctx, rem))
+            assert back == pf
+            assert kern.prem(f, g) == rem
+        if f or g:
+            d = kern.pgcd(f, g)
+            assert d[-1] == 1
+            assert kern.prem(f, d) == [] and kern.prem(g, d) == []
+        if c and (f or g):
+            assert kern.prem(kern.pgcd(kern.pmul(f, c), kern.pmul(g, c)), c) == []
+        if len(g) >= 2:
+            n = rng.randrange(12)
+            expected = [1]
+            for _ in range(n):
+                expected = kern.prem(kern.pmul(expected, f), g)
+            assert kern.ppowmod(f, n, g) == expected
+    assert non_monic > 0
