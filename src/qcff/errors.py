@@ -80,14 +80,10 @@ class EqualPrimes(ValidationError):
     """The reciprocity check needs two distinct primes."""
 
 
-class BadFactorization(ValidationError):
-    """A claimed factorization does not multiply back to its product."""
-
-
 # --- conductors ------------------------------------------------------------
 
 class NotMonic(ValidationError):
-    """Conductors and claimed prime factors must be monic."""
+    """Conductors, claimed prime factors and Jacobi-symbol lower entries must be monic."""
 
 
 class ConstantConductor(ValidationError):

@@ -14,13 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebra import (
     Poly,
-    PrimePower,
     enumerate_monic_below,
-    one,
     poly_cmp,
     poly_gcd,
     poly_is_irreducible,
@@ -36,7 +34,7 @@ from .errors import (
     ValidationError,
     WrongOrientation,
 )
-from .symbols import jacobi_symbol
+from .symbols import residue_symbol
 
 
 # -- pair sets ----------------------------------------------------------------
@@ -46,17 +44,9 @@ class PairSet:
     """Ordered, validated prime pairs (first < second) over one conductor."""
 
     pairs: tuple[tuple[Poly, Poly], ...]
-    firsts: dict[tuple, tuple[Poly, ...]]   # prime coeffs -> partners where prime is first
-    seconds: dict[tuple, tuple[Poly, ...]]  # prime coeffs -> partners where prime is second
-
-    def partners_as_first(self, prime: Poly) -> tuple[Poly, ...]:
-        return self.firsts.get(prime.coeffs, ())
-
-    def partners_as_second(self, prime: Poly) -> tuple[Poly, ...]:
-        return self.seconds.get(prime.coeffs, ())
 
     def is_paired(self, prime: Poly) -> bool:
-        return bool(self.partners_as_first(prime) or self.partners_as_second(prime))
+        return any(prime in pair for pair in self.pairs)
 
 
 def pairset_create(cond: Conductor, raw: Sequence[tuple[Poly, Poly]]) -> PairSet:
@@ -70,8 +60,6 @@ def pairset_create(cond: Conductor, raw: Sequence[tuple[Poly, Poly]]) -> PairSet
     conductor_primes = {pp.prime.coeffs for pp in cond.factors}
     seen = set()
     pairs = []
-    firsts: dict[tuple, list[Poly]] = {}
-    seconds: dict[tuple, list[Poly]] = {}
     for p_first, p_second in raw:
         for member in (p_first, p_second):
             if member.ctx != cond.ctx:
@@ -88,11 +76,7 @@ def pairset_create(cond: Conductor, raw: Sequence[tuple[Poly, Poly]]) -> PairSet
             raise DuplicatePair(f"pair ({p_first}, {p_second}) listed twice")
         seen.add(key)
         pairs.append((p_first, p_second))
-        firsts.setdefault(p_first.coeffs, []).append(p_second)
-        seconds.setdefault(p_second.coeffs, []).append(p_first)
-    return PairSet(pairs=tuple(pairs),
-                   firsts={k: tuple(v) for k, v in firsts.items()},
-                   seconds={k: tuple(v) for k, v in seconds.items()})
+    return PairSet(pairs=tuple(pairs))
 
 
 # -- formal sums ----------------------------------------------------------------
@@ -247,7 +231,7 @@ class RamRow:
 
 @dataclass(frozen=True)
 class RamTable:
-    rows: tuple[RamRow, ...]
+    rows: tuple[RamRow, ...]  # one per conductor prime, in cond.factors order
     pair_parities: tuple[PairParity, ...]
 
     def row_for(self, prime: Poly) -> RamRow:
@@ -263,33 +247,23 @@ class RamTable:
 def ramification_table(cond: Conductor, pairs: PairSet) -> RamTable:
     """Valuation classes and ramification indices of every conductor prime.
 
-    For a prime L the valuation of the Kummer unit is, mod w,
-    dlog jacobi(L over prod of partners-with-L-first) minus
-    dlog jacobi(L over prod of partners-with-L-second); the ramification
-    index is w / gcd(w, that class), with gcd(w, 0) = w giving e = 1.
+    For a prime L the valuation of the Kummer unit is, mod w, the sum of
+    dlog (L over Q) over the pairs (L, Q) minus the sum of dlog (L over P)
+    over the pairs (P, L); the ramification index is w / gcd(w, that
+    class), with gcd(w, 0) = w giving e = 1 for a prime in no pair.
     """
     ctx = cond.ctx
+    vbar = {pp.prime.coeffs: 0 for pp in cond.factors}
+    for a, b in pairs.pairs:
+        vbar[a.coeffs] += residue_symbol(a, b).dlog
+        vbar[b.coeffs] -= residue_symbol(b, a).dlog
     rows = []
     for pp in cond.factors:
-        first_part = _combined_dlog(pp.prime, pairs.partners_as_first(pp.prime))
-        second_part = _combined_dlog(pp.prime, pairs.partners_as_second(pp.prime))
-        vbar = (first_part - second_part) % ctx.w
-        e = ctx.w // math.gcd(ctx.w, vbar)
-        rows.append(RamRow(prime=pp.prime, vbar=vbar, e=e))
+        v = vbar[pp.prime.coeffs] % ctx.w
+        e = ctx.w // math.gcd(ctx.w, v)
+        rows.append(RamRow(prime=pp.prime, vbar=v, e=e))
     parities = tuple(_pair_parity(a, b) for a, b in pairs.pairs)
     return RamTable(rows=tuple(rows), pair_parities=parities)
-
-
-def _combined_dlog(prime: Poly, partners: Sequence[Poly]) -> int:
-    ctx = prime.ctx
-    if not partners:
-        return 0
-    lower = one(ctx)
-    factors = []
-    for partner in partners:
-        lower = lower * partner
-        factors.append(PrimePower.make(partner, 1))
-    return jacobi_symbol(prime, lower, factors).dlog
 
 
 @dataclass(frozen=True)
@@ -380,33 +354,26 @@ def presentation(cond: Conductor, pairs: PairSet, ram: RamTable) -> GroupPresent
 
 # -- genus of the Kummer layer -----------------------------------------------------
 
-def _paired_rows(cond: Conductor, pairs: PairSet, ram: RamTable) -> Iterator[tuple[PrimePower, RamRow]]:
-    for pp in cond.factors:
-        if pairs.is_paired(pp.prime):
-            yield pp, ram.row_for(pp.prime)
-
-
-def genus_hasse_formula(cond: Conductor, pairs: PairSet, base_genus: int,
-                        ram: RamTable) -> int:
-    """Hasse's closed Kummer-extension formula, with every prime that occurs
-    in at least one pair contributing (1 - 1/e(L)) * d_L * Phi(M/L^{r_L}) / 2.
+def genus_hasse_formula(cond: Conductor, base_genus: int, ram: RamTable) -> int:
+    """Hasse's closed Kummer-extension formula, with every conductor prime
+    contributing (1 - 1/e(L)) * d_L * Phi(M/L^{r_L}) / 2 (zero when e = 1,
+    as for a prime in no pair).
     Infinite places are unramified in this step and the constant field does
     not grow, so the leading factor is exactly w."""
     ctx = cond.ctx
     total = Fraction(base_genus - 1)
-    for pp, row in _paired_rows(cond, pairs, ram):
+    for pp, row in zip(cond.factors, ram.rows):
         total += Fraction(1, 2) * (1 - Fraction(1, row.e)) * pp.d * cond.cofactor_phi(pp)
     return _as_genus(1 + ctx.w * total, "Kummer closed-form genus")
 
 
-def genus_riemann_hurwitz(cond: Conductor, pairs: PairSet, base_genus: int,
-                          ram: RamTable) -> int:
+def genus_riemann_hurwitz(cond: Conductor, base_genus: int, ram: RamTable) -> int:
     """The same genus from Riemann-Hurwitz on the tame Kummer step:
     2g - 2 = w(2g_base - 2) + sum (e(L)-1) * (w/e(L)) * d_L * Phi(M/L^{r_L}),
     using that the places above L have total degree d_L * Phi(M/L^{r_L})."""
     ctx = cond.ctx
     deg_different = 0
-    for pp, row in _paired_rows(cond, pairs, ram):
+    for pp, row in zip(cond.factors, ram.rows):
         if ctx.w % row.e != 0:
             raise NonIntegerGenus(f"e = {row.e} does not divide w = {ctx.w}")  # pragma: no cover
         deg_different += (row.e - 1) * (ctx.w // row.e) * pp.d * cond.cofactor_phi(pp)

@@ -156,8 +156,8 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
                                      for a, b in pairs.pairs]
         ram = ramification_table(cond, pairs)
         pres = presentation(cond, pairs, ram)
-        g_hasse = genus_hasse_formula(cond, pairs, genus_closed, ram)
-        g_rh = kummer_genus_riemann_hurwitz(cond, pairs, genus_closed, ram)
+        g_hasse = genus_hasse_formula(cond, genus_closed, ram)
+        g_rh = kummer_genus_riemann_hurwitz(cond, genus_closed, ram)
 
         kummer_block: dict[str, Any] = {
             "ramification": {

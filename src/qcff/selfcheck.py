@@ -160,8 +160,8 @@ def suite_genus_paths(ctx: FieldCtx, max_degree: int) -> SuiteResult:
                                                cond.factors[j].prime)])
                 ram = ramification_table(cond, pairs)
                 cases += 1
-                g_hasse = genus_hasse_formula(cond, pairs, g_closed, ram)
-                g_kummer_rh = kummer_genus_rh(cond, pairs, g_closed, ram)
+                g_hasse = genus_hasse_formula(cond, g_closed, ram)
+                g_kummer_rh = kummer_genus_rh(cond, g_closed, ram)
                 if g_hasse != g_kummer_rh:
                     failures.append(
                         f"M={format_poly(m)} pair "

@@ -2,23 +2,16 @@
 
 The (q-1)-th residue symbol of a modulo a monic prime r is the unique
 element of F_q* congruent to a**((|r|-1)/(q-1)) mod r; |r| = q**deg(r).
-It extends multiplicatively to composite (factored) lower entries, and
-satisfies the reciprocity law checked by check_reciprocity().
+jacobi_symbol() extends it multiplicatively to any monic lower entry, and
+it satisfies the reciprocity law checked by check_reciprocity().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .algebra import Factorization, Poly, PrimePower, poly_gcd, poly_is_irreducible, poly_powmod
-from .errors import (
-    BadFactorization,
-    EqualPrimes,
-    NotCoprime,
-    NotPrimeModulus,
-    ValidationError,
-)
+from .algebra import Poly, poly_factor, poly_gcd, poly_is_irreducible, poly_powmod
+from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 
 
 @dataclass(frozen=True)
@@ -56,20 +49,20 @@ def residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:
     return SymbolValue.of(ctx, reduced.coeffs[0])
 
 
-def jacobi_symbol(a: Poly, b: Poly, b_factors: Sequence[PrimePower]) -> SymbolValue:
-    """Multiplicative extension of the residue symbol to a factored monic b.
+def jacobi_symbol(a: Poly, b: Poly) -> SymbolValue:
+    """Multiplicative extension of the residue symbol to a monic b.
 
-    b_factors must multiply back to b; for b = 1 the symbol is 1.
+    Its dlog is the sum of exp * dlog (a over P) over the prime powers P^exp
+    of b; for b = 1 the symbol is 1.
     """
     ctx = a.ctx
-    if Factorization(lead=1, factors=tuple(b_factors)).product(ctx) != b:
-        raise BadFactorization(f"claimed factorization does not reproduce {b}")
-    if poly_gcd(a, b).degree != 0:
-        raise NotCoprime(f"{a} and {b} share a factor")
+    if not b.monic:
+        raise NotMonic(f"lower entry {b} must be monic")
     acc = 0
-    for pp in b_factors:
-        s = residue_symbol(a, pp.prime)
-        acc = (acc + pp.exp * s.dlog) % ctx.w
+    if b.degree > 0:
+        for pp in poly_factor(b).factors:
+            s = residue_symbol(a, pp.prime)
+            acc = (acc + pp.exp * s.dlog) % ctx.w
     return SymbolValue(value=ctx.exp[acc], dlog=acc)
 
 

@@ -76,8 +76,8 @@ def test_criterion_02_quasi_fixture():
         assert ram.e_for(t) == 2
         assert ram.e_for(t1) == 1
         base = genus_closed_form(cond)
-        assert genus_hasse_formula(cond, pairs, base, ram) == 0
-        assert kummer_genus_rh(cond, pairs, base, ram) == 0
+        assert genus_hasse_formula(cond, base, ram) == 0
+        assert kummer_genus_rh(cond, base, ram) == 0
         pres = presentation(cond, pairs, ram)
         assert pres.group_order == 8
         assert sorted(g.lift_order for g in pres.generators) == [2, 4]

@@ -11,6 +11,7 @@ from qcff.algebra import (
     enumerate_monic_below,
     monic_irreducibles,
     monic_of_degree,
+    one,
     poly_cmp,
     var_T,
 )
@@ -41,7 +42,7 @@ from qcff.kummer import (
     reduce_fraction,
 )
 from qcff.selfcheck import suite_genus_paths
-from qcff.symbols import residue_symbol
+from qcff.symbols import jacobi_symbol, residue_symbol
 
 
 def _cond(ctx, *primes_with_exp):
@@ -49,14 +50,12 @@ def _cond(ctx, *primes_with_exp):
 
 
 def test_pairset_create_and_indices(ctx3, mk):
-    t, t1 = var_T(ctx3), mk(ctx3, "T+1")
-    cond = _cond(ctx3, (t, 1), (t1, 1))
+    t, t1, t2 = var_T(ctx3), mk(ctx3, "T+1"), mk(ctx3, "T+2")
+    cond = _cond(ctx3, (t, 1), (t1, 1), (t2, 1))
     ps = pairset_create(cond, [(t, t1)])
     assert ps.pairs == ((t, t1),)
-    assert ps.partners_as_first(t) == (t1,)
-    assert ps.partners_as_second(t1) == (t,)
-    assert ps.partners_as_first(t1) == ()
     assert ps.is_paired(t) and ps.is_paired(t1)
+    assert not ps.is_paired(t2)
 
 
 def test_pairset_rejections(ctx3, mk):
@@ -218,6 +217,39 @@ def test_ramification_matches_direct_symbol_formulas(ctx3, ctx5):
             assert ram.e_for(b) == e_second
 
 
+def test_ramification_matches_partner_product_formula(ctx3, ctx5):
+    # vbar(L) = dlog jacobi(L over the partners with L first)
+    #         - dlog jacobi(L over the partners with L second), mod w,
+    # on every pair set of size 2-3 in which some prime is first in one pair
+    # and second in another. F_3: every conductor of 3 or 4 distinct primes
+    # of degree <= 2; F_5: every one of 3 such primes (its 1,365 four-prime
+    # conductors would take about 25 s).
+    pair_sets = checks = 0
+    for ctx, sizes in ((ctx3, (3, 4)), (ctx5, (3,))):
+        primes = list(monic_irreducibles(ctx, 2))
+        for k in sizes:
+            for chosen in itertools.combinations(primes, k):
+                cond = _cond(ctx, *[(p, 1) for p in chosen])
+                possible = list(itertools.combinations(chosen, 2))
+                for r in (2, 3):
+                    for subset in itertools.combinations(possible, r):
+                        firsts = {a for a, _ in subset}
+                        if not any(b in firsts for _, b in subset):
+                            continue
+                        pair_sets += 1
+                        ram = ramification_table(cond, pairset_create(cond, list(subset)))
+                        for row in ram.rows:
+                            as_first = math.prod([b for a, b in subset if a == row.prime],
+                                              start=one(ctx))
+                            as_second = math.prod([a for a, b in subset if b == row.prime],
+                                              start=one(ctx))
+                            expected = (jacobi_symbol(row.prime, as_first).dlog
+                                        - jacobi_symbol(row.prime, as_second).dlog) % ctx.w
+                            assert row.vbar == expected, (subset, row.prime)
+                            checks += 1
+    assert (pair_sets, checks) == (1205, 3870)
+
+
 def test_unpaired_primes_are_unramified(ctx3, mk):
     t, t1, q2 = var_T(ctx3), mk(ctx3, "T+1"), mk(ctx3, "T^2+1")
     cond = _cond(ctx3, (t, 1), (t1, 1), (q2, 1))
@@ -334,8 +366,8 @@ def test_quasi_genus_fixture(ctx3, mk):
     ram = ramification_table(cond, ps)
     base = genus_closed_form(cond)
     assert base == 0
-    assert genus_hasse_formula(cond, ps, base, ram) == 0
-    assert genus_riemann_hurwitz(cond, ps, base, ram) == 0
+    assert genus_hasse_formula(cond, base, ram) == 0
+    assert genus_riemann_hurwitz(cond, base, ram) == 0
 
 
 def test_quasi_genus_collapses_when_unramified(ctx3, mk):
@@ -347,8 +379,8 @@ def test_quasi_genus_collapses_when_unramified(ctx3, mk):
     assert all(row.e == 1 for row in ram.rows)
     base = genus_closed_form(cond)
     expected = 1 + ctx3.w * (base - 1)
-    assert genus_hasse_formula(cond, ps, base, ram) == expected
-    assert genus_riemann_hurwitz(cond, ps, base, ram) == expected
+    assert genus_hasse_formula(cond, base, ram) == expected
+    assert genus_riemann_hurwitz(cond, base, ram) == expected
 
 
 def test_quasi_genus_paths_agree_exhaustively_deg4(ctx3):
@@ -366,8 +398,8 @@ def test_quasi_genus_paths_agree_exhaustively_deg4(ctx3):
                 for subset in itertools.combinations(possible, r):
                     ps = pairset_create(cond, list(subset))
                     ram = ramification_table(cond, ps)
-                    g1 = genus_hasse_formula(cond, ps, base, ram)
-                    g2 = genus_riemann_hurwitz(cond, ps, base, ram)
+                    g1 = genus_hasse_formula(cond, base, ram)
+                    g2 = genus_riemann_hurwitz(cond, base, ram)
                     assert g1 == g2 and g1 >= 0
 
 
@@ -389,8 +421,8 @@ def test_tower_fixture_with_repeated_prime_power(ctx3, mk):
     ps = pairset_create(cond, [(t, t1)])
     ram = ramification_table(cond, ps)
     assert ram.e_for(t) == 2 and ram.e_for(t1) == 1
-    assert genus_hasse_formula(cond, ps, 4, ram) == 8
-    assert genus_riemann_hurwitz(cond, ps, 4, ram) == 8
+    assert genus_hasse_formula(cond, 4, ram) == 8
+    assert genus_riemann_hurwitz(cond, 4, ram) == 8
     pres = presentation(cond, ps, ram)
     assert pres.p_part_order == 3
     assert pres.group_order == 24
@@ -408,8 +440,8 @@ def test_tower_fixture_over_f9(ctx9, mk):
     ram = ramification_table(cond, ps)
     assert ram.row_for(t).vbar == 4 and ram.e_for(t) == 2
     assert ram.e_for(t1) == 1
-    assert genus_hasse_formula(cond, ps, 21, ram) == 177
-    assert genus_riemann_hurwitz(cond, ps, 21, ram) == 177
+    assert genus_hasse_formula(cond, 21, ram) == 177
+    assert genus_riemann_hurwitz(cond, 21, ram) == 177
     pres = presentation(cond, ps, ram)
     assert pres.epsilon_order == 8
     assert pres.group_order == 512
@@ -432,5 +464,5 @@ def test_multi_pair_set_full_pipeline(ctx3, mk):
     assert len(pres.relations) == 2
     assert pres.group_order == ctx3.w * cond.phi
     base = genus_closed_form(cond)
-    assert genus_hasse_formula(cond, ps, base, ram) == \
-        genus_riemann_hurwitz(cond, ps, base, ram)
+    assert genus_hasse_formula(cond, base, ram) == \
+        genus_riemann_hurwitz(cond, base, ram)

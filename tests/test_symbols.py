@@ -5,13 +5,13 @@ import random
 import pytest
 
 from qcff.algebra import (
-    PrimePower,
     monic_irreducibles,
     one,
     poly_gcd,
     var_T,
+    zero,
 )
-from qcff.errors import BadFactorization, EqualPrimes, NotCoprime, NotPrimeModulus
+from qcff.errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus
 from qcff.selfcheck import all_polys_below
 from qcff.symbols import check_reciprocity, jacobi_symbol, residue_symbol
 
@@ -60,12 +60,9 @@ def test_symbol_depends_only_on_residue(ctx3, mk):
 
 def test_jacobi_examples(ctx3, mk):
     t = var_T(ctx3)
-    b = mk(ctx3, "T+1") * mk(ctx3, "T+2")
-    factors = [PrimePower.make(mk(ctx3, "T+1"), 1), PrimePower.make(mk(ctx3, "T+2"), 1)]
-    assert jacobi_symbol(t, b, factors).value == 2
-    assert jacobi_symbol(t, one(ctx3), []).value == 1
-    sq = mk(ctx3, "T+1") ** 2
-    assert jacobi_symbol(t, sq, [PrimePower.make(mk(ctx3, "T+1"), 2)]).value == 1
+    assert jacobi_symbol(t, mk(ctx3, "T+1") * mk(ctx3, "T+2")).value == 2
+    assert jacobi_symbol(t, one(ctx3)).value == 1
+    assert jacobi_symbol(t, mk(ctx3, "T+1") ** 2).value == 1
 
 
 def test_jacobi_agrees_with_residue_symbol_on_primes(ctx3):
@@ -73,21 +70,24 @@ def test_jacobi_agrees_with_residue_symbol_on_primes(ctx3):
         for a in all_polys_below(ctx3, 2):
             if a.is_zero or poly_gcd(a, r).degree != 0:
                 continue
-            direct = residue_symbol(a, r)
-            via_jacobi = jacobi_symbol(a, r, [PrimePower.make(r, 1)])
-            assert direct == via_jacobi
+            assert jacobi_symbol(a, r) == residue_symbol(a, r)
 
 
-def test_jacobi_rejects_wrong_factorization(ctx3, mk):
-    with pytest.raises(BadFactorization):
-        jacobi_symbol(var_T(ctx3), mk(ctx3, "T+1"),
-                      [PrimePower.make(mk(ctx3, "T+2"), 1)])
+def test_jacobi_rejects_non_monic_lower_entry(ctx3, mk):
+    with pytest.raises(NotMonic):
+        jacobi_symbol(var_T(ctx3), mk(ctx3, "2*T+1"))
+    with pytest.raises(NotMonic):
+        jacobi_symbol(var_T(ctx3), mk(ctx3, "2"))
+    with pytest.raises(NotMonic):
+        jacobi_symbol(var_T(ctx3), zero(ctx3))
 
 
 def test_jacobi_rejects_noncoprime(ctx3, mk):
     b = mk(ctx3, "T+1")
     with pytest.raises(NotCoprime):
-        jacobi_symbol(b, b, [PrimePower.make(b, 1)])
+        jacobi_symbol(b, b)
+    with pytest.raises(NotCoprime):
+        jacobi_symbol(b, var_T(ctx3) * b)
 
 
 def test_reciprocity_examples(ctx3, ctx5, mk):
