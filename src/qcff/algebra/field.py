@@ -9,7 +9,7 @@ both the canonical generator gamma and the total order on polynomials.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .._kernels import FieldKernel
 from ..errors import (
@@ -20,6 +20,9 @@ from ..errors import (
     ReducibleModulus,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    from .poly import Poly
 
 # Addition tables are precomputed for fields up to this size (q*q ints).
 _ADD_TABLE_MAX_Q = 256
@@ -141,13 +144,14 @@ class FieldCtx:
         return self.exp[i % self.w]
 
 
-def field_create(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> FieldCtx:
+def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None) -> FieldCtx:
     """Build the canonical context for F_{p^e}.
 
     The generator gamma is the first element in encoding order 2, 3, ...
     whose multiplicative order is exactly q - 1. For e > 1 a monic
-    irreducible degree-e modulus over F_p is required (ascending
-    coefficients, length e + 1).
+    irreducible degree-e modulus over F_p is required: ascending
+    coefficients (length e + 1), or a Poly over F_p, whose field is then
+    the one the tables are built with instead of a new F_p.
     """
     if not isinstance(p, int) or not is_prime_int(p):
         raise NonPrimeP(f"p = {p!r} is not prime")
@@ -165,15 +169,23 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Fi
     else:
         if modulus is None:
             raise MissingModulus(f"F_{p}^{e} needs an explicit degree-{e} modulus")
-        mod_tuple = tuple(int(c) for c in modulus)
+        # Rabin test over F_p; imported here because factor.py imports this module
+        from .factor import poly_is_irreducible
+        from .poly import Poly
+        if isinstance(modulus, Poly):
+            base = modulus.ctx
+            if base.e != 1 or base.p != p:
+                raise ValidationError(f"modulus must be a polynomial over F_{p}, not over F_{base.q}")
+            mod_tuple = modulus.coeffs
+        else:
+            base = None
+            mod_tuple = tuple(int(c) for c in modulus)
         if len(mod_tuple) != e + 1 or mod_tuple[-1] != 1:
             raise ValidationError(f"modulus must be monic of degree {e} (ascending coefficients)")
         if any(not 0 <= c < p for c in mod_tuple):
             raise ValidationError(f"modulus coefficients must lie in [0, {p})")
-        # Rabin test over F_p; imported here because factor.py imports this module
-        from .factor import poly_is_irreducible
-        from .poly import Poly
-        base = field_create(p, 1)
+        if base is None:
+            base = field_create(p, 1)
         if not poly_is_irreducible(Poly(base, mod_tuple)):
             raise ReducibleModulus(f"modulus {list(mod_tuple)} is reducible over F_{p}")
         mul, power = _digit_arithmetic(base, mod_tuple)

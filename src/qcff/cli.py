@@ -12,7 +12,6 @@ validation error, 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -110,7 +109,7 @@ def _cmd_factor(args) -> int:
     base = field_create(p)
     if e > 1 and not args.modulus:
         raise ConfigError(f"q = {args.q} = {p}^{e} needs --modulus")
-    modulus = list(parse_poly(base, args.modulus).coeffs) if args.modulus else None
+    modulus = parse_poly(base, args.modulus) if args.modulus else None
     ctx = field_create(p, e, modulus)
     f = parse_poly(ctx, args.poly)
     fz = poly_factor(f, random.Random(args.seed))
@@ -122,7 +121,7 @@ def _cmd_factor(args) -> int:
                                "str": format_poly(pp.prime)},
                      "exp": pp.exp, "degree": pp.d} for pp in fz.factors],
     }
-    print(json.dumps(out, sort_keys=True, indent=2))
+    sys.stdout.write(render_json(out))
     return EXIT_OK
 
 

@@ -7,9 +7,9 @@ and seeds produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 from . import __version__
@@ -58,10 +58,11 @@ def _poly_json(f: Poly) -> dict[str, Any]:
 
 def build_context(cfg: JobConfig) -> FieldCtx:
     """Field context from config; a given modulus is parsed over F_p and left
-    to field_create to accept or reject, whatever e is."""
+    to field_create to accept or reject, whatever e is. The parsed modulus
+    carries its F_p, so field_create builds its tables over that one."""
     modulus = None
     if cfg.modulus is not None:
-        modulus = _resolve_poly(field_create(cfg.p, 1), cfg.modulus, "'modulus'").coeffs
+        modulus = _resolve_poly(field_create(cfg.p, 1), cfg.modulus, "'modulus'")
     return field_create(cfg.p, cfg.e, modulus)
 
 
@@ -84,7 +85,11 @@ def build_pairs(ctx: FieldCtx, cond: Conductor, cfg: JobConfig) -> PairSet:
 
 def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
                ignore_term_cap: bool = False) -> dict[str, Any]:
-    """Execute the full pipeline and return the structured report."""
+    """Execute the full pipeline and return the structured report.
+
+    Fragments may be shared: a formal sum's terms reuse one dict per
+    distinct denominator. Treat the report as read-only.
+    """
     if not cfg.pairs and not cyclotomic_only:
         raise ConfigError("pair set must be nonempty; pass --cyclotomic-only "
                           "for a report on the cyclotomic layer alone")
@@ -222,18 +227,101 @@ def _formal_sums_block(pairs: PairSet, cap: int, ignore_cap: bool) -> list[dict]
                 f"{expected} raw terms, over the cap {cap}; raise "
                 f"options.a_pq_term_cap or pass --force-a-pq")
         fs = pair_formal_sum(a, b)
-        out.append({
-            "pair": [_poly_json(a), _poly_json(b)],
-            "raw_terms": fs.raw_terms,
-            "terms": [{"num": _poly_json(c.num), "den": _poly_json(c.den),
-                       "coeff": n} for c, n in fs.terms],
-        })
+        pair = [_poly_json(a), _poly_json(b)]
+        # the denominators are P, Q and PQ: one shared fragment each
+        dens = {a.coeffs: pair[0], b.coeffs: pair[1]}
+        terms = []
+        for c, n in fs.terms:
+            den = dens.get(c.den.coeffs)
+            if den is None:
+                den = dens[c.den.coeffs] = _poly_json(c.den)
+            terms.append({"num": _poly_json(c.num), "den": den, "coeff": n})
+        out.append({"pair": pair, "raw_terms": fs.raw_terms, "terms": terms})
     return out
 
 
 def render_json(report: dict[str, Any]) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, ASCII escapes,
+    trailing newline; the same text as the json module's dumps with
+    sort_keys=True, indent=2 and ensure_ascii=True, plus a newline.
+
+    A report holds only dict (with str keys), list, str, int, bool and
+    None. Anything else (a float, a tuple, a set, a Poly, a non-str key)
+    raises TypeError naming its type.
+    """
+    out: list[str] = []
+    _emit(report, 0, out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+_INT_LIST = {int}
+
+
+def _emit(value: Any, depth: int, out: list[str], memo: dict) -> None:
+    """Append the JSON text of value, nested depth levels deep, to out.
+
+    A polynomial fragment (a dict with "coeffs") is rendered once per
+    (object, depth) and its text reused: a formal sum repeats its three
+    denominators thousands of times. memo lives for one render_json call,
+    while every fragment is alive, so ids stay unique. A module-level
+    function, not a closure calling itself: that closure would be a
+    reference cycle holding out until the cyclic collector runs.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_json_str(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        fragment = "coeffs" in value
+        if fragment:
+            key = (id(value), depth)
+            text = memo.get(key)
+            if text is not None:
+                out.append(text)
+                return
+            start = len(out)
+        indent = "\n" + "  " * (depth + 1)
+        lead = "{" + indent
+        for name in sorted(value):
+            if type(name) is not str:
+                raise TypeError(f"report keys must be str, not {type(name).__name__}")
+            out.append(lead + _json_str(name) + ": ")
+            _emit(value[name], depth + 1, out, memo)
+            lead = "," + indent
+        out.append("\n" + "  " * depth + "}")
+        if fragment:
+            text = "".join(out[start:])
+            del out[start:]
+            out.append(text)
+            memo[key] = text
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        indent = "\n" + "  " * (depth + 1)
+        if set(map(type, value)) == _INT_LIST:
+            out.append("[" + indent + ("," + indent).join(map(repr, value))
+                       + "\n" + "  " * depth + "]")
+            return
+        lead = "[" + indent
+        for item in value:
+            out.append(lead)
+            _emit(item, depth + 1, out, memo)
+            lead = "," + indent
+        out.append("\n" + "  " * depth + "]")
+    else:
+        raise TypeError(f"a report cannot hold {kind.__name__}")
 
 
 def render_text(report: dict[str, Any]) -> str:

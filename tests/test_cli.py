@@ -150,10 +150,15 @@ def test_factor_verb():
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert [f["prime"]["str"] for f in out["factors"]] == ["T", "T+1", "T+2"]
+    # the bytes the generic encoder gives: print(json.dumps(out, ...))
+    assert proc.stdout == json.dumps(out, sort_keys=True, indent=2) + "\n"
 
     proc = run_cli("factor", "--q", "9", "--poly", "T^2+2",
                    "--modulus", "T^2+1")
     assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["q"] == 9 and out["factors"]
+    assert proc.stdout == json.dumps(out, sort_keys=True, indent=2) + "\n"
 
     proc = run_cli("factor", "--q", "9", "--poly", "T^2+2")
     assert proc.returncode == 2  # missing modulus for an extension field

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcff.algebra import parse_poly
+from qcff.algebra import FieldCtx, field_create, parse_poly, var_T
+from qcff.cli import main
 from qcff.config import Options, load_config, parse_config
 from qcff.errors import ConfigError, ValidationError
 from qcff.report import render_json, render_text, run_report
@@ -185,7 +189,6 @@ def test_report_is_deterministic_in_process():
 
 
 def test_every_reported_poly_round_trips():
-    from qcff.algebra import field_create
     ctx = field_create(3)
     raw = _base_config(conductor={"poly": "T^4+2*T^3+2*T"},
                        pairs=[], options={"emit_a_pq": False})
@@ -219,8 +222,121 @@ def test_render_text_mentions_key_facts():
     assert "Hasse formula" in text
 
 
+def _oracle(value) -> str:
+    """The canonical text by the generic encoder."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
 def test_render_json_is_canonical():
     report = run_report(parse_config(_base_config()))
     dumped = render_json(report)
+    assert dumped == _oracle(report)
     assert dumped.endswith("\n")
     assert json.loads(dumped) == report
+
+
+_ODD_CHARS = st.sampled_from('"\\/\x00\x01\x1f\x7f\b\f\n\r\t\u00e9\u2028\uffff\U0001f600')
+_TEXT = st.text(st.characters() | _ODD_CHARS, max_size=8)
+_KEYS = st.sampled_from(["coeffs", "str"]) | _TEXT
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(-2 ** 200, 2 ** 200) | _TEXT)
+_REPORT_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=4)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_REPORT_VALUES)
+def test_render_json_matches_generic_encoder(value):
+    assert render_json(value) == _oracle(value)
+
+
+def test_render_json_shared_fragment_at_every_depth():
+    frag = {"coeffs": [1, 0, 2], "str": "2*T^2+1"}
+    other = {"coeffs": [], "str": "0"}
+    value = {"a": frag, "b": [frag, frag, other], "c": {"d": [frag, {"e": frag}]},
+             "f": [[frag, other, frag]], "g": other}
+    assert render_json(value) == _oracle(value)
+    assert render_json([frag, value, frag]) == _oracle([frag, value, frag])
+
+
+_P9 = {"p": 3, "e": 2, "modulus": "T^2+1",
+       "conductor": {"factors": [["T", 1], ["T^2+T+3", 2]]},
+       "pairs": [["T", "T^2+T+3"]]}
+
+
+@pytest.mark.parametrize("raw,cyclotomic_only", [
+    (_base_config(options={"emit_a_pq": True}), False),
+    ({"p": 3, "rng_seed": 7, "conductor": {"poly": "T^3+2*T^2+T"},
+      "pairs": [["T", "T+1"]], "options": {"emit_a_pq": True}}, False),
+    (_base_config(conductor={"poly": "T^4+2*T^3+2*T"}, pairs=[]), True),
+    (_base_config(options={"emit_a_pq": True}), True),
+    (dict(_P9, options={"emit_a_pq": True}), False),
+    (_P9, True),
+], ids=["quasi_a_pq", "determinism_a_pq", "cyclotomic_only",
+        "cyclotomic_only_with_pairs", "f9_a_pq", "f9_cyclotomic_only"])
+def test_render_json_matches_generic_encoder_on_reports(raw, cyclotomic_only):
+    report = run_report(parse_config(raw), cyclotomic_only=cyclotomic_only)
+    assert render_json(report) == _oracle(report)
+
+
+@pytest.mark.parametrize("value,name", [
+    ({"x": 1.5}, "float"),
+    ({"x": (1, 2)}, "tuple"),
+    ([{1, 2}], "set"),
+    ({1: "one"}, "int"),
+    ({"x": [var_T(field_create(3))]}, "Poly"),
+], ids=["float", "tuple", "set", "non_str_key", "poly"])
+def test_render_json_rejects_other_types(value, name):
+    with pytest.raises(TypeError, match=name):
+        render_json(value)
+
+
+def test_render_json_leaves_no_garbage_cycles():
+    """A formal-sum report of 1,040 raw terms renders without creating
+    reference cycles, so its pieces are freed without the cyclic collector."""
+    raw = _base_config(conductor={"factors": [["T^3+2*T+1", 1], ["T^4+T+2", 1]]},
+                       pairs=[["T^3+2*T+1", "T^4+T+2"]], options={"emit_a_pq": True})
+    report = run_report(parse_config(raw))
+    assert report["kummer"]["formal_sums"][0]["raw_terms"] == 1040
+    gc.collect()
+    gc.disable()
+    try:
+        render_json(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _count_prime_field_builds(monkeypatch) -> list[int]:
+    builds = []
+    init = FieldCtx.__init__
+
+    def counting_init(self, p, e, *args):
+        if e == 1:
+            builds.append(p)
+        init(self, p, e, *args)
+
+    monkeypatch.setattr(FieldCtx, "__init__", counting_init)
+    return builds
+
+
+def test_extension_field_report_builds_f_p_once(monkeypatch):
+    builds = _count_prime_field_builds(monkeypatch)
+    run_report(parse_config(_P9), cyclotomic_only=True)
+    assert builds == [3]
+
+
+def test_factor_over_extension_field_builds_f_p_once(monkeypatch, capsys):
+    builds = _count_prime_field_builds(monkeypatch)
+    assert main(["factor", "--q", "9", "--poly", "T^2+2", "--modulus", "T^2+1"]) == 0
+    assert builds == [3]
+    assert json.loads(capsys.readouterr().out)["q"] == 9
+
+
+def test_field_create_rejects_modulus_over_another_field():
+    with pytest.raises(ValidationError, match="over F_3"):
+        field_create(3, 2, parse_poly(field_create(5), "T^2+2"))
