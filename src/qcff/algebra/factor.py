@@ -22,13 +22,13 @@ class PrimePower:
 
     prime: Poly
     exp: int
-    d: int
+    degree: int
     norm: int
 
     @classmethod
     def make(cls, prime: Poly, exp: int) -> "PrimePower":
         d = prime.degree
-        return cls(prime=prime, exp=exp, d=d, norm=prime.ctx.q ** d)
+        return cls(prime=prime, exp=exp, degree=d, norm=prime.ctx.q ** d)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def poly_phi(ctx: FieldCtx, factors: Sequence[PrimePower]) -> int:
         seen.add(pp.prime.coeffs)
         if pp.exp < 1:
             raise ValidationError(f"exponent must be >= 1, got {pp.exp}")
-        out *= ctx.q ** (pp.d * (pp.exp - 1)) * (ctx.q ** pp.d - 1)
+        out *= ctx.q ** (pp.degree * (pp.exp - 1)) * (ctx.q ** pp.degree - 1)
     return out
 
 

@@ -290,7 +290,7 @@ def enumerate_monic_below(ctx: FieldCtx, d: int) -> Iterator[Poly]:
 # Coefficients are encoded field elements; '*' is optional on input and
 # exponents 0 and 1 may be spelled explicitly.
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?T(?:\^(\d+))?$|^(\d+)$")
+_TERM_RE = re.compile(r"^(?:(\d+)\*?)?T(?:\^(\d+))?$|^(\d+)$", re.ASCII)
 
 
 def parse_poly(ctx: FieldCtx, text: str) -> Poly:

@@ -16,11 +16,11 @@ import random
 import sys
 from pathlib import Path
 
-from .algebra import field_create, format_poly, parse_poly, poly_factor
+from .algebra import field_create, parse_poly, poly_factor
 from .algebra.field import prime_divisors_int
 from .config import load_config
 from .errors import ConfigError, ConsistencyError, ValidationError
-from .report import render_json, render_text, run_report
+from .report import _poly_json, render_json, render_text, run_report
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
@@ -65,7 +65,10 @@ def _cmd_report(args) -> int:
                         ignore_term_cap=args.force_a_pq)
     text = render_json(report) if args.format == "json" else render_text(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -115,11 +118,10 @@ def _cmd_factor(args) -> int:
     fz = poly_factor(f, random.Random(args.seed))
     out = {
         "q": ctx.q,
-        "poly": {"coeffs": list(f.coeffs), "str": format_poly(f)},
+        "poly": _poly_json(f),
         "lead": fz.lead,
-        "factors": [{"prime": {"coeffs": list(pp.prime.coeffs),
-                               "str": format_poly(pp.prime)},
-                     "exp": pp.exp, "degree": pp.d} for pp in fz.factors],
+        "factors": [{"prime": _poly_json(pp.prime), "exp": pp.exp,
+                     "degree": pp.degree} for pp in fz.factors],
     }
     sys.stdout.write(render_json(out))
     return EXIT_OK

@@ -128,10 +128,10 @@ class PrimeDifferent:
     """Ramification data of one conductor prime in the cyclotomic layer."""
 
     prime: Poly
-    d: int
-    r: int
+    degree: int
+    exp: int
     s: int          # different coefficient of every place above the prime
-    phi_cofactor: int  # Phi(M / prime**r) = (number of places) * (residue degree)
+    phi_cofactor: int  # Phi(M / prime**exp) = (number of places) * (residue degree)
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,9 @@ def different_data(cond: Conductor) -> DifferentData:
     ctx = cond.ctx
     rows = []
     for pp in cond.factors:
-        s = pp.exp * poly_phi(ctx, [pp]) - ctx.q ** (pp.d * (pp.exp - 1))
-        rows.append(PrimeDifferent(prime=pp.prime, d=pp.d, r=pp.exp, s=s,
-                                   phi_cofactor=cond.cofactor_phi(pp)))
+        s = pp.exp * poly_phi(ctx, [pp]) - ctx.q ** (pp.degree * (pp.exp - 1))
+        rows.append(PrimeDifferent(prime=pp.prime, degree=pp.degree, exp=pp.exp,
+                                   s=s, phi_cofactor=cond.cofactor_phi(pp)))
     if cond.phi % ctx.w != 0:
         raise NonIntegerGenus("q - 1 must divide Phi(M)")  # pragma: no cover
     return DifferentData(per_prime=tuple(rows),
@@ -170,7 +170,7 @@ def genus_closed_form(cond: Conductor) -> int:
     ctx = cond.ctx
     dd = different_data(cond)
     g = (Fraction(ctx.q - 2, 2 * ctx.w) - 1) * cond.phi
-    g += Fraction(1, 2) * sum(row.s * row.d * row.phi_cofactor for row in dd.per_prime)
+    g += Fraction(1, 2) * sum(row.s * row.degree * row.phi_cofactor for row in dd.per_prime)
     g += 1
     return _as_genus(g, "closed-form genus")
 
@@ -180,7 +180,7 @@ def genus_riemann_hurwitz(cond: Conductor) -> int:
     (finite rows plus infinite places) into 2g - 2 = -2*Phi(M) + deg D."""
     ctx = cond.ctx
     dd = different_data(cond)
-    deg_different = sum(row.s * row.d * row.phi_cofactor for row in dd.per_prime)
+    deg_different = sum(row.s * row.degree * row.phi_cofactor for row in dd.per_prime)
     deg_different += dd.infinite_coefficient * dd.infinite_count
     two_g_minus_2 = -2 * cond.phi + deg_different
     return _as_genus(Fraction(two_g_minus_2 + 2, 2), "Riemann-Hurwitz genus")

@@ -231,11 +231,11 @@ class RamRow:
 
 @dataclass(frozen=True)
 class RamTable:
-    rows: tuple[RamRow, ...]  # one per conductor prime, in cond.factors order
+    per_prime: tuple[RamRow, ...]  # one per conductor prime, in cond.factors order
     pair_parities: tuple[PairParity, ...]
 
     def row_for(self, prime: Poly) -> RamRow:
-        for row in self.rows:
+        for row in self.per_prime:
             if row.prime == prime:
                 return row
         raise ValidationError(f"{prime} has no ramification row")
@@ -263,7 +263,7 @@ def ramification_table(cond: Conductor, pairs: PairSet) -> RamTable:
         e = ctx.w // math.gcd(ctx.w, v)
         rows.append(RamRow(prime=pp.prime, vbar=v, e=e))
     parities = tuple(_pair_parity(a, b) for a, b in pairs.pairs)
-    return RamTable(rows=tuple(rows), pair_parities=parities)
+    return RamTable(per_prime=tuple(rows), pair_parities=parities)
 
 
 @dataclass(frozen=True)
@@ -337,11 +337,10 @@ def presentation(cond: Conductor, pairs: PairSet, ram: RamTable) -> GroupPresent
     ctx = cond.ctx
     structure = galois_structure(cond)
     gens = []
-    for pp in cond.factors:
+    for pp, row in zip(cond.factors, ram.per_prime):
         base = pp.norm - 1
-        e = ram.e_for(pp.prime)
         gens.append(Generator(name=_generator_name(pp.prime), prime=pp.prime,
-                              base_order=base, lift_order=e * base,
+                              base_order=base, lift_order=row.e * base,
                               central=not pairs.is_paired(pp.prime)))
     relations = tuple(Relation(left=_generator_name(a), right=_generator_name(b))
                       for a, b in pairs.pairs)
@@ -362,8 +361,8 @@ def genus_hasse_formula(cond: Conductor, base_genus: int, ram: RamTable) -> int:
     not grow, so the leading factor is exactly w."""
     ctx = cond.ctx
     total = Fraction(base_genus - 1)
-    for pp, row in zip(cond.factors, ram.rows):
-        total += Fraction(1, 2) * (1 - Fraction(1, row.e)) * pp.d * cond.cofactor_phi(pp)
+    for pp, row in zip(cond.factors, ram.per_prime):
+        total += Fraction(1, 2) * (1 - Fraction(1, row.e)) * pp.degree * cond.cofactor_phi(pp)
     return _as_genus(1 + ctx.w * total, "Kummer closed-form genus")
 
 
@@ -373,9 +372,9 @@ def genus_riemann_hurwitz(cond: Conductor, base_genus: int, ram: RamTable) -> in
     using that the places above L have total degree d_L * Phi(M/L^{r_L})."""
     ctx = cond.ctx
     deg_different = 0
-    for pp, row in zip(cond.factors, ram.rows):
+    for pp, row in zip(cond.factors, ram.per_prime):
         if ctx.w % row.e != 0:
             raise NonIntegerGenus(f"e = {row.e} does not divide w = {ctx.w}")  # pragma: no cover
-        deg_different += (row.e - 1) * (ctx.w // row.e) * pp.d * cond.cofactor_phi(pp)
+        deg_different += (row.e - 1) * (ctx.w // row.e) * pp.degree * cond.cofactor_phi(pp)
     two_g_minus_2 = ctx.w * (2 * base_genus - 2) + deg_different
     return _as_genus(Fraction(two_g_minus_2 + 2, 2), "Kummer Riemann-Hurwitz genus")

@@ -8,7 +8,7 @@ and seeds produce byte-identical output.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
@@ -54,6 +54,19 @@ def _resolve_poly(ctx: FieldCtx, value: PolySpec, where: str) -> Poly:
 
 def _poly_json(f: Poly) -> dict[str, Any]:
     return {"coeffs": list(f.coeffs), "str": format_poly(f)}
+
+
+def _json(value: Any) -> Any:
+    """The report form of a result: a dataclass becomes the dict of its
+    fields, a Poly its fragment and a tuple a list, recursively. Anything
+    else is returned as it is, for render_json to accept or reject."""
+    if isinstance(value, Poly):
+        return _poly_json(value)
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def build_context(cfg: JobConfig) -> FieldCtx:
@@ -112,36 +125,19 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
         },
     }
 
-    structure = galois_structure(cond)
-    diff = different_data(cond)
     genus_closed = genus_closed_form(cond)
     genus_rh = genus_riemann_hurwitz(cond)
 
     report["inputs"] = {
-        "conductor": {
-            "poly": _poly_json(cond.M),
-            "factors": [{"prime": _poly_json(pp.prime), "exp": pp.exp,
-                         "degree": pp.d, "norm": pp.norm} for pp in cond.factors],
-        },
-        "options": asdict(cfg.options),
+        "conductor": {"poly": _poly_json(cond.M), "factors": _json(cond.factors)},
+        "options": _json(cfg.options),
         "cyclotomic_only": cyclotomic_only,
     }
     report["cyclotomic"] = {
         "phi": cond.phi,
         "conductor_degree": cond.degM,
-        "galois_structure": {
-            "cyclic_orders": list(structure.cyclic_orders),
-            "p_part_order": structure.p_part_order,
-            "total_order": structure.total_order,
-        },
-        "different": {
-            "per_prime": [{"prime": _poly_json(row.prime), "degree": row.d,
-                           "exp": row.r, "s": row.s,
-                           "phi_cofactor": row.phi_cofactor}
-                          for row in diff.per_prime],
-            "infinite_count": diff.infinite_count,
-            "infinite_coefficient": diff.infinite_coefficient,
-        },
+        "galois_structure": _json(galois_structure(cond)),
+        "different": _json(different_data(cond)),
         "genus": {"closed_form": genus_closed, "riemann_hurwitz": genus_rh},
     }
 
@@ -151,42 +147,19 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
                        "passed": genus_closed == genus_rh})
 
     if cyclotomic_only:
-        report["inputs"]["pairs"] = [
-            [_poly_json(_resolve_poly(ctx, a, "'pairs'")),
-             _poly_json(_resolve_poly(ctx, b, "'pairs'"))]
-            for a, b in cfg.pairs]
+        report["inputs"]["pairs"] = _json(tuple(
+            (_resolve_poly(ctx, a, "'pairs'"), _resolve_poly(ctx, b, "'pairs'"))
+            for a, b in cfg.pairs))
     else:
         pairs = build_pairs(ctx, cond, cfg)
-        report["inputs"]["pairs"] = [[_poly_json(a), _poly_json(b)]
-                                     for a, b in pairs.pairs]
+        report["inputs"]["pairs"] = _json(pairs.pairs)
         ram = ramification_table(cond, pairs)
-        pres = presentation(cond, pairs, ram)
         g_hasse = genus_hasse_formula(cond, genus_closed, ram)
         g_rh = kummer_genus_riemann_hurwitz(cond, genus_closed, ram)
 
         kummer_block: dict[str, Any] = {
-            "ramification": {
-                "per_prime": [{"prime": _poly_json(row.prime),
-                               "vbar": row.vbar, "e": row.e} for row in ram.rows],
-                "pair_parities": [
-                    {"pair": [_poly_json(pp.pair[0]), _poly_json(pp.pair[1])],
-                     "d_first_mod2": pp.d_first_mod2,
-                     "d_second_mod2": pp.d_second_mod2,
-                     "radicand": _poly_json(pp.radicand) if pp.radicand is not None else None}
-                    for pp in ram.pair_parities],
-            },
-            "presentation": {
-                "epsilon_order": pres.epsilon_order,
-                "p_part_order": pres.p_part_order,
-                "group_order": pres.group_order,
-                "generators": [{"name": g.name, "prime": _poly_json(g.prime),
-                                "base_order": g.base_order,
-                                "lift_order": g.lift_order,
-                                "central": g.central} for g in pres.generators],
-                "relations": [{"left": r.left, "right": r.right,
-                               "epsilon_exponent": r.epsilon_exponent}
-                              for r in pres.relations],
-            },
+            "ramification": _json(ram),
+            "presentation": _json(presentation(cond, pairs, ram)),
             "genus": {"hasse_formula": g_hasse, "riemann_hurwitz": g_rh},
         }
 

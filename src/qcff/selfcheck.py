@@ -188,7 +188,7 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
         if len({pp.prime for pp in fz.factors}) != len(fz.factors):
             failures.append(f"{format_poly(f)}: repeated prime")
         for pp in fz.factors:
-            if (not pp.prime.monic or pp.norm != ctx.q ** pp.d
+            if (not pp.prime.monic or pp.norm != ctx.q ** pp.degree
                     or not poly_is_irreducible(pp.prime)):
                 failures.append(f"{format_poly(f)}: bad prime {format_poly(pp.prime)}")
     return SuiteResult(f"factor-roundtrip q={ctx.q} n={count} deg<={max_degree}",

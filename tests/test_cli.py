@@ -55,6 +55,17 @@ def test_report_out_file_and_text_format(quasi_config, tmp_path):
     assert "group order 8" in proc.stdout
 
 
+@pytest.mark.parametrize("target", ["", "missing/report.json"],
+                         ids=["directory", "missing_directory"])
+def test_report_out_unwritable_exit_2(quasi_config, tmp_path, target):
+    out = tmp_path / target
+    proc = run_cli("report", "--config", str(quasi_config), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"config error: cannot write report to {out}: " in proc.stderr
+
+
 def test_report_byte_identical_across_runs(quasi_config):
     first = run_cli("report", "--config", str(quasi_config))
     second = run_cli("report", "--config", str(quasi_config))

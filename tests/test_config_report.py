@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import re
 
@@ -268,19 +269,36 @@ _P9 = {"p": 3, "e": 2, "modulus": "T^2+1",
        "pairs": [["T", "T^2+T+3"]]}
 
 
-@pytest.mark.parametrize("raw,cyclotomic_only", [
-    (_base_config(options={"emit_a_pq": True}), False),
+# json_sha and text_sha pin the bytes of render_json and render_text
+@pytest.mark.parametrize("raw,cyclotomic_only,json_sha,text_sha", [
+    (_base_config(options={"emit_a_pq": True}), False,
+     "ff076ee3c4e555b9ef9b12502e0ae01d9984e63977a6acf36ff5f6b0b96e531c",
+     "20fb7c5d76c60123e07bbcb62256e562ea76005017a9a1d8e63a09aa03c1ded3"),
     ({"p": 3, "rng_seed": 7, "conductor": {"poly": "T^3+2*T^2+T"},
-      "pairs": [["T", "T+1"]], "options": {"emit_a_pq": True}}, False),
-    (_base_config(conductor={"poly": "T^4+2*T^3+2*T"}, pairs=[]), True),
-    (_base_config(options={"emit_a_pq": True}), True),
-    (dict(_P9, options={"emit_a_pq": True}), False),
-    (_P9, True),
+      "pairs": [["T", "T+1"]], "options": {"emit_a_pq": True}}, False,
+     "172e426753f09387ed397655c4229a1119ced90ebe05910e4dae9c2b38ddf370",
+     "dedb89c9c46c6ff749fa424c962b6d3cd2af2e6138bb7212648bf01ab1aa150a"),
+    (_base_config(conductor={"poly": "T^4+2*T^3+2*T"}, pairs=[]), True,
+     "02a0cd859de113fbc043df1569d1be8c58a19ea14b09c658481cb4935e950274",
+     "68c4fcdf9f6cffdbab81b10a28e1e9576ed4feb463f9200b5661b067add3ff25"),
+    (_base_config(options={"emit_a_pq": True}), True,
+     "6fb07b16517a8a494c555f6a19c38b7cda2a98d41261d2c60dceb1280109ab5e",
+     "b3df1049775dcc417482ce5ff8ac3a473131f367274e113bf17672358adbb104"),
+    (dict(_P9, options={"emit_a_pq": True}), False,
+     "f3fbf930052a67fb2b9cf051406b07a10aede490818afd220c86ab26dc228905",
+     "2ac5b80b021a8cc51fbda6be7089511153e57fc21d8c7308c194336f0d368e56"),
+    (_P9, True,
+     "5398738a23a79110a55e18f5ca4807f5af533b99a7f1b9b725c2f5d1274d5d46",
+     "3a26cf6b9c2ea3855e2f2982cbce60cad23c7dc28e3d1a13b801673a1f25acdf"),
 ], ids=["quasi_a_pq", "determinism_a_pq", "cyclotomic_only",
         "cyclotomic_only_with_pairs", "f9_a_pq", "f9_cyclotomic_only"])
-def test_render_json_matches_generic_encoder_on_reports(raw, cyclotomic_only):
+def test_render_json_matches_generic_encoder_on_reports(raw, cyclotomic_only,
+                                                        json_sha, text_sha):
     report = run_report(parse_config(raw), cyclotomic_only=cyclotomic_only)
-    assert render_json(report) == _oracle(report)
+    text = render_json(report)
+    assert text == _oracle(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == json_sha
+    assert hashlib.sha256(render_text(report).encode()).hexdigest() == text_sha
 
 
 @pytest.mark.parametrize("value,name", [

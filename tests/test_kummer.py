@@ -238,7 +238,7 @@ def test_ramification_matches_partner_product_formula(ctx3, ctx5):
                             continue
                         pair_sets += 1
                         ram = ramification_table(cond, pairset_create(cond, list(subset)))
-                        for row in ram.rows:
+                        for row in ram.per_prime:
                             as_first = math.prod([b for a, b in subset if a == row.prime],
                                               start=one(ctx))
                             as_second = math.prod([a for a, b in subset if b == row.prime],
@@ -262,7 +262,7 @@ def test_ramification_e_divides_w(ctx5, mk):
     t, t1 = var_T(ctx5), mk(ctx5, "T+1")
     cond = _cond(ctx5, (t, 1), (t1, 1))
     ram = ramification_table(cond, pairset_create(cond, [(t, t1)]))
-    for row in ram.rows:
+    for row in ram.per_prime:
         assert ctx5.w % row.e == 0 and row.e >= 1
 
 
@@ -376,7 +376,7 @@ def test_quasi_genus_collapses_when_unramified(ctx3, mk):
     cond = _cond(ctx3, (t, 1), (q2, 1))
     ps = pairset_create(cond, [(t, q2)])
     ram = ramification_table(cond, ps)
-    assert all(row.e == 1 for row in ram.rows)
+    assert all(row.e == 1 for row in ram.per_prime)
     base = genus_closed_form(cond)
     expected = 1 + ctx3.w * (base - 1)
     assert genus_hasse_formula(cond, base, ram) == expected
