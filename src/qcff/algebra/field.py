@@ -48,14 +48,6 @@ def prime_divisors_int(n: int) -> list[int]:
     return out
 
 
-def _enc_to_digits(x: int, p: int, e: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(e):
-        x, r = divmod(x, p)
-        digits.append(r)
-    return tuple(digits)
-
-
 def _digits_to_enc(digits: Sequence[int], p: int) -> int:
     enc = 0
     for d in reversed(digits):
@@ -113,7 +105,7 @@ class FieldCtx:
     def digits(self, x: int) -> tuple[int, ...]:
         """Little-endian base-p digit view of an encoded element."""
         self._check_elem(x)
-        return _enc_to_digits(x, self.p, self.e)
+        return tuple(x // self.p ** i % self.p for i in range(self.e))
 
     def from_digits(self, digits: Sequence[int]) -> int:
         if len(digits) != self.e or any(not 0 <= d < self.p for d in digits):
@@ -152,6 +144,11 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
     irreducible degree-e modulus over F_p is required: ascending
     coefficients (length e + 1), or a Poly over F_p, whose field is then
     the one the tables are built with instead of a new F_p.
+
+    Negation and addition act digit by digit, so one rule builds both
+    tables for every e: the lowest base-p digit of an encoding negates or
+    adds mod p, and the higher digits take the entry already filled for
+    x // p, or for (a // p, b // p) in the addition table.
     """
     if not isinstance(p, int) or not is_prime_int(p):
         raise NonPrimeP(f"p = {p!r} is not prime")
@@ -206,24 +203,17 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
     if mul(exp[-1], gamma) != 1:
         raise ValidationError(f"generator {gamma} does not have order {w}")
 
-    if e == 1:
-        neg = [(p - x) % p for x in range(p)]
-    else:
-        neg = [_digits_to_enc([(p - d) % p for d in _enc_to_digits(x, p, e)], p)
-               for x in range(q)]
+    neg = [0] * q
+    for x in range(1, q):
+        neg[x] = (p - x % p) % p + p * neg[x // p]
 
     add_table = None
     if q <= _ADD_TABLE_MAX_Q:
-        if e == 1:
-            add_table = [(a + b) % p for a in range(q) for b in range(q)]
-        else:
-            add_table = [0] * (q * q)
-            for a in range(q):
-                da = _enc_to_digits(a, p, e)
-                for b in range(q):
-                    db = _enc_to_digits(b, p, e)
-                    add_table[a * q + b] = _digits_to_enc(
-                        [(x + y) % p for x, y in zip(da, db)], p)
+        add_table = list(range(q))  # row a = 0: 0 + b = b
+        for a in range(1, q):
+            low, high = a % p, a // p * q
+            add_table += [(low + b % p) % p + p * add_table[high + b // p]
+                          for b in range(q)]
 
     return FieldCtx(p, e, mod_tuple, gamma, tuple(exp), tuple(log), tuple(neg),
                     tuple(add_table) if add_table is not None else None)

@@ -16,11 +16,11 @@ import random
 import sys
 from pathlib import Path
 
-from .algebra import field_create, parse_poly, poly_factor
+from .algebra import parse_poly, poly_factor
 from .algebra.field import prime_divisors_int
 from .config import load_config
-from .errors import ConfigError, ConsistencyError, ValidationError
-from .report import _poly_json, render_json, render_text, run_report
+from .errors import ConfigError, ConsistencyError, MissingModulus, ValidationError
+from .report import _poly_json, build_field, render_json, render_text, run_report
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
@@ -63,7 +63,12 @@ def _cmd_report(args) -> int:
     cfg = load_config(args.config)
     report = run_report(cfg, cyclotomic_only=args.cyclotomic_only,
                         ignore_term_cap=args.force_a_pq)
-    text = render_json(report) if args.format == "json" else render_text(report)
+    try:
+        text = render_json(report) if args.format == "json" else render_text(report)
+    except ValueError as exc:  # an int past Python's int-to-str digit limit
+        raise ConfigError(f"the report holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                          f"for writing an integer as text") from exc
     if args.out:
         try:
             Path(args.out).write_text(text, encoding="utf-8")
@@ -109,11 +114,10 @@ def _split_prime_power(q: int) -> tuple[int, int]:
 
 def _cmd_factor(args) -> int:
     p, e = _split_prime_power(args.q)
-    base = field_create(p)
-    if e > 1 and not args.modulus:
-        raise ConfigError(f"q = {args.q} = {p}^{e} needs --modulus")
-    modulus = parse_poly(base, args.modulus) if args.modulus else None
-    ctx = field_create(p, e, modulus)
+    try:
+        ctx = build_field(p, e, args.modulus or None)
+    except MissingModulus as exc:
+        raise ConfigError(f"q = {args.q} = {p}^{e} needs --modulus") from exc
     f = parse_poly(ctx, args.poly)
     fz = poly_factor(f, random.Random(args.seed))
     out = {

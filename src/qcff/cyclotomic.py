@@ -52,8 +52,8 @@ class Conductor:
         return self.M.ctx
 
     def cofactor_phi(self, pp: PrimePower) -> int:
-        """Phi of M with the pp-component removed."""
-        return poly_phi(self.ctx, [f for f in self.factors if f.prime != pp.prime])
+        """Phi of M with the pp-component removed; exact, as Phi is multiplicative."""
+        return self.phi // poly_phi(self.ctx, [pp])
 
 
 def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> Conductor:

@@ -69,14 +69,13 @@ def _json(value: Any) -> Any:
     return value
 
 
-def build_context(cfg: JobConfig) -> FieldCtx:
-    """Field context from config; a given modulus is parsed over F_p and left
+def build_field(p: int, e: int, modulus: PolySpec | None) -> FieldCtx:
+    """Field context for F_{p^e}; a given modulus is parsed over F_p and left
     to field_create to accept or reject, whatever e is. The parsed modulus
     carries its F_p, so field_create builds its tables over that one."""
-    modulus = None
-    if cfg.modulus is not None:
-        modulus = _resolve_poly(field_create(cfg.p, 1), cfg.modulus, "'modulus'")
-    return field_create(cfg.p, cfg.e, modulus)
+    if modulus is not None:
+        modulus = _resolve_poly(field_create(p, 1), modulus, "'modulus'")
+    return field_create(p, e, modulus)
 
 
 def build_conductor(ctx: FieldCtx, cfg: JobConfig, rng: random.Random) -> Conductor:
@@ -89,11 +88,10 @@ def build_conductor(ctx: FieldCtx, cfg: JobConfig, rng: random.Random) -> Conduc
     return conductor_create(ctx, pairs, rng)
 
 
-def build_pairs(ctx: FieldCtx, cond: Conductor, cfg: JobConfig) -> PairSet:
-    raw = [(_resolve_poly(ctx, a, f"'pairs[{i}][0]'"),
-            _resolve_poly(ctx, b, f"'pairs[{i}][1]'"))
-           for i, (a, b) in enumerate(cfg.pairs)]
-    return pairset_create(cond, raw)
+def resolve_pairs(ctx: FieldCtx, cfg: JobConfig) -> tuple[tuple[Poly, Poly], ...]:
+    return tuple((_resolve_poly(ctx, a, f"'pairs[{i}][0]'"),
+                  _resolve_poly(ctx, b, f"'pairs[{i}][1]'"))
+                 for i, (a, b) in enumerate(cfg.pairs))
 
 
 def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
@@ -106,7 +104,7 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
     if not cfg.pairs and not cyclotomic_only:
         raise ConfigError("pair set must be nonempty; pass --cyclotomic-only "
                           "for a report on the cyclotomic layer alone")
-    ctx = build_context(cfg)
+    ctx = build_field(cfg.p, cfg.e, cfg.modulus)
     rng = random.Random(cfg.rng_seed)
     cond = build_conductor(ctx, cfg, rng)
 
@@ -146,12 +144,11 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
         checks.append({"name": "cyclotomic genus paths agree",
                        "passed": genus_closed == genus_rh})
 
+    raw_pairs = resolve_pairs(ctx, cfg)
     if cyclotomic_only:
-        report["inputs"]["pairs"] = _json(tuple(
-            (_resolve_poly(ctx, a, "'pairs'"), _resolve_poly(ctx, b, "'pairs'"))
-            for a, b in cfg.pairs))
+        report["inputs"]["pairs"] = _json(raw_pairs)
     else:
-        pairs = build_pairs(ctx, cond, cfg)
+        pairs = pairset_create(cond, raw_pairs)
         report["inputs"]["pairs"] = _json(pairs.pairs)
         ram = ramification_table(cond, pairs)
         g_hasse = genus_hasse_formula(cond, genus_closed, ram)
@@ -220,7 +217,9 @@ def render_json(report: dict[str, Any]) -> str:
 
     A report holds only dict (with str keys), list, str, int, bool and
     None. Anything else (a float, a tuple, a set, a Poly, a non-str key)
-    raises TypeError naming its type.
+    raises TypeError naming its type. An int longer than Python's limit
+    for writing an integer as text (sys.get_int_max_str_digits(), 4300
+    digits by default) raises ValueError, as in the json module.
     """
     out: list[str] = []
     _emit(report, 0, out, {})

@@ -109,6 +109,23 @@ def test_config_error_exit_2(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_past_the_integer_digit_limit_exit_2(tmp_path, fmt):
+    """Phi(M) for M = T^10000 (T+1) has about 4,772 digits, past Python's
+    default limit of 4,300 for writing an integer as text."""
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({
+        "p": 3, "conductor": {"factors": [["T", 10000], ["T+1", 1]]},
+        "pairs": [["T", "T+1"]],
+    }), encoding="utf-8")
+    proc = run_cli("report", "--config", str(cfg), "--format", fmt)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "config error" in proc.stderr
+    assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_consistency_failure_exit_4(quasi_config, monkeypatch, capsys):
     monkeypatch.setattr("qcff.report.kummer_genus_riemann_hurwitz",
                         lambda *args: kummer_genus_rh(*args) + 1)

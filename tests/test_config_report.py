@@ -145,14 +145,16 @@ def test_run_report_rejects_modulus_mismatch(raw):
         run_report(parse_config(raw))
 
 
-@pytest.mark.parametrize("raw,where", [
-    (_base_config(conductor={"factors": [[[0, 5], 1], ["T+1", 1]]}), "'conductor.factors[0]'"),
-    (_base_config(pairs=[["T", [1, 4]]]), "'pairs[0][1]'"),
-], ids=["conductor_factor", "pair_member"])
-def test_run_report_rejects_coefficients_outside_the_field(raw, where):
+@pytest.mark.parametrize("raw,where,cyclotomic_only", [
+    (_base_config(conductor={"factors": [[[0, 5], 1], ["T+1", 1]]}),
+     "'conductor.factors[0]'", False),
+    (_base_config(pairs=[["T", [1, 4]]]), "'pairs[0][1]'", False),
+    (_base_config(pairs=[["T", "T+1"], [[1, 4], "T"]]), "'pairs[1][0]'", True),
+], ids=["conductor_factor", "pair_member", "pair_member_cyclotomic_only"])
+def test_run_report_rejects_coefficients_outside_the_field(raw, where, cyclotomic_only):
     """Arrays pass the schema check; an entry >= q is a config error."""
     with pytest.raises(ConfigError, match=re.escape(f"{where}: coefficient")):
-        run_report(parse_config(raw))
+        run_report(parse_config(raw), cyclotomic_only=cyclotomic_only)
 
 
 def test_run_report_extension_field_modulus():
@@ -353,6 +355,10 @@ def test_factor_over_extension_field_builds_f_p_once(monkeypatch, capsys):
     assert main(["factor", "--q", "9", "--poly", "T^2+2", "--modulus", "T^2+1"]) == 0
     assert builds == [3]
     assert json.loads(capsys.readouterr().out)["q"] == 9
+    builds.clear()
+    assert main(["factor", "--q", "3", "--poly", "T^2+2"]) == 0
+    assert builds == [3]
+    assert json.loads(capsys.readouterr().out)["q"] == 3
 
 
 def test_field_create_rejects_modulus_over_another_field():

@@ -141,6 +141,19 @@ def test_phi_divisible_by_w(ctx3, ctx5):
                 assert conductor_create(ctx, m).phi % ctx.w == 0
 
 
+def test_cofactor_phi_is_phi_of_the_other_factors(ctx3):
+    cases = 0
+    for d in range(1, 5):
+        for m in monic_of_degree(ctx3, d):
+            cond = conductor_create(ctx3, m)
+            for pp in cond.factors:
+                others = [f for f in cond.factors if f is not pp]
+                assert cond.cofactor_phi(pp) == poly_phi(ctx3, others)
+                cases += 1
+    # sum over primes P of deg P <= d of the 3^(d - deg P) multiples of P
+    assert cases == 209
+
+
 def test_outputs_invariant_under_factor_permutation(ctx3, mk):
     primes = [(var_T(ctx3), 2), (mk(ctx3, "T+1"), 1), (mk(ctx3, "T^2+1"), 1)]
     conds = [conductor_create(ctx3, list(perm))

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 
 import pytest
 
-from qcff.algebra import field_create, fq_dlog, fq_order
+from qcff.algebra import field_create, fq_dlog, fq_order, monic_of_degree, poly_is_irreducible
+from qcff.algebra.field import prime_divisors_int
 from qcff.errors import (
     EvenCharacteristic,
     LogOfZero,
@@ -151,3 +154,36 @@ def test_field_create_rejections():
         field_create(3, 2, [1, 0, 2])  # not monic
     with pytest.raises(ValidationError):
         field_create(3, 0)
+
+
+def _table_sweep(max_q: int):
+    """(p, e, modulus) for every odd prime power q <= max_q; for e > 1 the
+    first two monic irreducible degree-e moduli with nonzero constant term."""
+    for q in range(3, max_q + 1, 2):
+        primes = prime_divisors_int(q)
+        if len(primes) != 1:
+            continue
+        p = primes[0]
+        e = round(math.log(q, p))
+        if e == 1:
+            yield p, 1, None
+            continue
+        moduli = (f.coeffs for f in monic_of_degree(field_create(p), e)
+                  if f.coeffs[0] and poly_is_irreducible(f))
+        for _ in range(2):
+            yield p, e, list(next(moduli))
+
+
+def test_field_tables_are_pinned():
+    """The tables of the 168 fields of the sweep up to q = 799 hash to one
+    pinned value, so a new way of building them cannot change an entry."""
+    digest = hashlib.sha256()
+    count = 0
+    for p, e, mod in _table_sweep(799):
+        ctx = field_create(p, e, mod)
+        digest.update(repr((ctx.q, ctx.modulus, ctx.gamma, ctx.exp, ctx.log,
+                            ctx._neg, ctx._add_table)).encode())
+        count += 1
+    assert count == 168
+    assert digest.hexdigest() == (
+        "168e56f8a393656b5cbb3e3fa238b0473ea11348807059dc42ab616f618c2746")
