@@ -18,7 +18,6 @@ from .algebra import (
     enumerate_monic_below,
     field_create,
     format_poly,
-    fq_dlog,
     parse_poly,
     poly_cmp,
     poly_factor,
@@ -33,8 +32,6 @@ from .cyclotomic import (
     DifferentData,
     GaloisStructure,
     conductor_create,
-    different_data,
-    galois_structure,
 )
 from .kummer import (
     FormalSum,
@@ -74,13 +71,10 @@ __all__ = [
     "check_reciprocity",
     "conductor_create",
     "cyclotomic",
-    "different_data",
     "enumerate_monic_below",
     "errors",
     "field_create",
     "format_poly",
-    "fq_dlog",
-    "galois_structure",
     "jacobi_symbol",
     "kummer",
     "load_config",

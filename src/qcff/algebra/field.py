@@ -125,7 +125,7 @@ class FieldCtx:
         return self._neg[1]
 
     def dlog(self, x: int) -> int:
-        """Discrete log base gamma; see fq_dlog()."""
+        """The unique i in [0, w) with gamma**i = x, for nonzero encoded x."""
         self._check_elem(x)
         if x == 0:
             raise LogOfZero("discrete log of zero")
@@ -232,11 +232,6 @@ def _digit_arithmetic(base: FieldCtx, modulus: tuple[int, ...]) -> tuple[Callabl
         return _digits_to_enc(kernel.ppowmod(_digit_vector(x, p), n, modulus), p)
 
     return mul, power
-
-
-def fq_dlog(ctx: FieldCtx, x: int) -> int:
-    """The unique i in [0, w) with gamma**i = x, for nonzero encoded x."""
-    return ctx.dlog(x)
 
 
 def fq_order(ctx: FieldCtx, x: int) -> int:

@@ -179,18 +179,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self.ctx, self.coeffs))
 
-    def __lt__(self, other) -> bool:
-        return poly_cmp(self, other) < 0
-
-    def __le__(self, other) -> bool:
-        return poly_cmp(self, other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return poly_cmp(self, other) > 0
-
-    def __ge__(self, other) -> bool:
-        return poly_cmp(self, other) >= 0
-
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r}, q={self.ctx.q})"
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .algebra import parse_poly, poly_factor
 from .algebra.field import prime_divisors_int
-from .config import load_config
+from .config import MAX_Q, load_config
 from .errors import ConfigError, ConsistencyError, MissingModulus, ValidationError
 from .report import _poly_json, build_field, render_json, render_text, run_report
 from .selfcheck import run_selfcheck
@@ -101,6 +101,8 @@ def _cmd_selfcheck(args) -> int:
 def _split_prime_power(q: int) -> tuple[int, int]:
     if q < 3:
         raise ConfigError(f"q must be an odd prime power >= 3, got {q}")
+    if q > MAX_Q:
+        raise ConfigError(f"q must be at most MAX_Q = {MAX_Q}")
     primes = prime_divisors_int(q)
     if len(primes) != 1:
         raise ConfigError(f"q = {q} is not a prime power")

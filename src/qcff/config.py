@@ -5,7 +5,7 @@ arrays of encoded coefficients or as strings like "2*T^2+T+1".
 
     {
       "schema_version": 1,            // optional, must equal 1 when present
-      "p": 3,                         // odd prime characteristic
+      "p": 3,                         // odd prime characteristic, p^e <= MAX_Q
       "e": 1,                         // extension degree, default 1
       "modulus": "T^2+1",             // required iff e > 1
       "rng_seed": 0,                  // factorization seed, default 0
@@ -28,6 +28,10 @@ from typing import Any, Union
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
+
+# Largest field size accepted from input: field_create builds exp/log tables
+# of q entries, and `qcff factor` trial-divides q up to its square root.
+MAX_Q = 2 ** 16
 
 PolySpec = Union[str, list]
 
@@ -104,6 +108,9 @@ def parse_config(raw: Any) -> JobConfig:
 
     e = raw.get("e", 1)
     _expect(_is_int(e) and e >= 1, "'e' must be an integer >= 1")
+    # bound e before taking p ** e: as p >= 2, any e past MAX_Q's bit length exceeds it
+    _expect(p <= MAX_Q and e <= MAX_Q.bit_length() and p ** e <= MAX_Q,
+            f"q = p^e must be at most MAX_Q = {MAX_Q}")
 
     modulus = raw.get("modulus")
     if modulus is not None:

@@ -2,7 +2,13 @@
 
 For a monic nonconstant conductor M = prod P_i**r_i the layer generated by
 the M-division points of the Carlitz module is abelian over F_q(T) with
-group (A/M)*. Its genus is computed along two deliberately separate paths:
+group (A/M)* = prod (A/P_i**r_i)*. The factorization fixes this whole layer,
+so conductor_create() computes its data once and the Conductor carries it:
+the group structure (Conductor.structure) and, per prime, the different
+coefficient s and the cofactor Phi(M/P_i**r_i) (Conductor.different). Both
+genus paths here and both Kummer genus paths read these fields.
+
+The genus is computed along two deliberately separate paths:
 
 * genus_closed_form() evaluates the closed formula directly;
 * genus_riemann_hurwitz() assembles the different divisor degree from the
@@ -15,6 +21,7 @@ assumed in code, so a transcription slip in either one is caught.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,21 +46,48 @@ from .errors import (
 
 
 @dataclass(frozen=True)
+class GaloisStructure:
+    """Structure of the abelian group (A/M)*: one cyclic factor of order
+    |P_i| - 1 per prime, plus a p-part reported by its order."""
+
+    cyclic_orders: tuple[int, ...]
+    p_part_order: int
+    total_order: int
+
+
+@dataclass(frozen=True)
+class PrimeDifferent:
+    """Ramification data of one conductor prime in the cyclotomic layer."""
+
+    prime: Poly
+    degree: int
+    exp: int
+    s: int          # different coefficient of every place above the prime
+    phi_cofactor: int  # Phi(M / prime**exp) = (number of places) * (residue degree)
+
+
+@dataclass(frozen=True)
+class DifferentData:
+    per_prime: tuple[PrimeDifferent, ...]
+    infinite_count: int       # Phi(M) / (q - 1) places at infinity
+    infinite_coefficient: int  # each contributes q - 2 to the different
+
+
+@dataclass(frozen=True)
 class Conductor:
-    """Validated, canonically sorted factorization of a monic conductor."""
+    """Validated, canonically sorted factorization of a monic conductor,
+    with the cyclotomic data that factorization fixes."""
 
     factors: tuple[PrimePower, ...]
     M: Poly
     phi: int
     degM: int
+    structure: GaloisStructure
+    different: DifferentData
 
     @property
     def ctx(self) -> FieldCtx:
         return self.M.ctx
-
-    def cofactor_phi(self, pp: PrimePower) -> int:
-        """Phi of M with the pp-component removed; exact, as Phi is multiplicative."""
-        return self.phi // poly_phi(self.ctx, [pp])
 
 
 def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> Conductor:
@@ -94,65 +128,27 @@ def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> C
 
     factors = tuple(PrimePower.make(prime, exp) for prime, exp in checked)
     m = Factorization(lead=1, factors=factors).product(ctx)
-    return Conductor(factors=factors, M=m, phi=poly_phi(ctx, factors), degM=m.degree)
-
-
-@dataclass(frozen=True)
-class GaloisStructure:
-    """Structure of the abelian group (A/M)*: one cyclic factor of order
-    |P_i| - 1 per prime, plus a p-part reported by its order."""
-
-    cyclic_orders: tuple[int, ...]
-    p_part_order: int
-    total_order: int
-
-
-def galois_structure(cond: Conductor) -> GaloisStructure:
-    ctx = cond.ctx
-    cyclic = tuple(pp.norm - 1 for pp in cond.factors)
-    p_part = 1
-    for pp in cond.factors:
-        p_part *= pp.norm ** (pp.exp - 1)
-    total = cond.phi
-    prod = p_part
-    for c in cyclic:
-        prod *= c
-    if prod != total:
+    # (A/M)* is the product of the (A/P^r)*, so Phi(M) and every cofactor
+    # Phi(M/P^r) are products of these orders
+    units = [poly_phi(ctx, [pp]) for pp in factors]
+    phi = math.prod(units)
+    cyclic = tuple(pp.norm - 1 for pp in factors)
+    p_part = math.prod(pp.norm ** (pp.exp - 1) for pp in factors)
+    if p_part * math.prod(cyclic) != phi:
         raise NonIntegerGenus(  # pragma: no cover - arithmetic identity
             "unit group order bookkeeping failed")
-    return GaloisStructure(cyclic_orders=cyclic, p_part_order=p_part, total_order=total)
-
-
-@dataclass(frozen=True)
-class PrimeDifferent:
-    """Ramification data of one conductor prime in the cyclotomic layer."""
-
-    prime: Poly
-    degree: int
-    exp: int
-    s: int          # different coefficient of every place above the prime
-    phi_cofactor: int  # Phi(M / prime**exp) = (number of places) * (residue degree)
-
-
-@dataclass(frozen=True)
-class DifferentData:
-    per_prime: tuple[PrimeDifferent, ...]
-    infinite_count: int       # Phi(M) / (q - 1) places at infinity
-    infinite_coefficient: int  # each contributes q - 2 to the different
-
-
-def different_data(cond: Conductor) -> DifferentData:
-    ctx = cond.ctx
-    rows = []
-    for pp in cond.factors:
-        s = pp.exp * poly_phi(ctx, [pp]) - ctx.q ** (pp.degree * (pp.exp - 1))
-        rows.append(PrimeDifferent(prime=pp.prime, degree=pp.degree, exp=pp.exp,
-                                   s=s, phi_cofactor=cond.cofactor_phi(pp)))
-    if cond.phi % ctx.w != 0:
+    if phi % ctx.w != 0:
         raise NonIntegerGenus("q - 1 must divide Phi(M)")  # pragma: no cover
-    return DifferentData(per_prime=tuple(rows),
-                         infinite_count=cond.phi // ctx.w,
-                         infinite_coefficient=ctx.q - 2)
+    rows = tuple(PrimeDifferent(prime=pp.prime, degree=pp.degree, exp=pp.exp,
+                                s=pp.exp * unit - ctx.q ** (pp.degree * (pp.exp - 1)),
+                                phi_cofactor=phi // unit)
+                 for pp, unit in zip(factors, units))
+    return Conductor(
+        factors=factors, M=m, phi=phi, degM=m.degree,
+        structure=GaloisStructure(cyclic_orders=cyclic, p_part_order=p_part,
+                                  total_order=phi),
+        different=DifferentData(per_prime=rows, infinite_count=phi // ctx.w,
+                                infinite_coefficient=ctx.q - 2))
 
 
 def _as_genus(value: Fraction, where: str) -> int:
@@ -168,7 +164,7 @@ def genus_closed_form(cond: Conductor) -> int:
     """Genus of the cyclotomic layer via the closed formula
     [(q-2)/(2(q-1)) - 1] * Phi(M) + (1/2) sum s_i d_i Phi(M/P_i^{r_i}) + 1."""
     ctx = cond.ctx
-    dd = different_data(cond)
+    dd = cond.different
     g = (Fraction(ctx.q - 2, 2 * ctx.w) - 1) * cond.phi
     g += Fraction(1, 2) * sum(row.s * row.degree * row.phi_cofactor for row in dd.per_prime)
     g += 1
@@ -179,7 +175,7 @@ def genus_riemann_hurwitz(cond: Conductor) -> int:
     """Same genus assembled the long way: degree of the different divisor
     (finite rows plus infinite places) into 2g - 2 = -2*Phi(M) + deg D."""
     ctx = cond.ctx
-    dd = different_data(cond)
+    dd = cond.different
     deg_different = sum(row.s * row.degree * row.phi_cofactor for row in dd.per_prime)
     deg_different += dd.infinite_coefficient * dd.infinite_count
     two_g_minus_2 = -2 * cond.phi + deg_different

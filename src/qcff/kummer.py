@@ -23,7 +23,7 @@ from .algebra import (
     poly_gcd,
     poly_is_irreducible,
 )
-from .cyclotomic import Conductor, _as_genus, galois_structure
+from .cyclotomic import Conductor, _as_genus
 from .errors import (
     BadPair,
     DuplicatePair,
@@ -335,7 +335,6 @@ def presentation(cond: Conductor, pairs: PairSet, ram: RamTable) -> GroupPresent
     commutes. The p-part is central and reported by its order.
     """
     ctx = cond.ctx
-    structure = galois_structure(cond)
     gens = []
     for pp, row in zip(cond.factors, ram.per_prime):
         base = pp.norm - 1
@@ -345,7 +344,7 @@ def presentation(cond: Conductor, pairs: PairSet, ram: RamTable) -> GroupPresent
     relations = tuple(Relation(left=_generator_name(a), right=_generator_name(b))
                       for a, b in pairs.pairs)
     return GroupPresentation(epsilon_order=ctx.w,
-                             p_part_order=structure.p_part_order,
+                             p_part_order=cond.structure.p_part_order,
                              group_order=ctx.w * cond.phi,
                              generators=tuple(gens),
                              relations=relations)
@@ -361,8 +360,8 @@ def genus_hasse_formula(cond: Conductor, base_genus: int, ram: RamTable) -> int:
     not grow, so the leading factor is exactly w."""
     ctx = cond.ctx
     total = Fraction(base_genus - 1)
-    for pp, row in zip(cond.factors, ram.per_prime):
-        total += Fraction(1, 2) * (1 - Fraction(1, row.e)) * pp.degree * cond.cofactor_phi(pp)
+    for pd, row in zip(cond.different.per_prime, ram.per_prime):
+        total += Fraction(1, 2) * (1 - Fraction(1, row.e)) * pd.degree * pd.phi_cofactor
     return _as_genus(1 + ctx.w * total, "Kummer closed-form genus")
 
 
@@ -372,9 +371,9 @@ def genus_riemann_hurwitz(cond: Conductor, base_genus: int, ram: RamTable) -> in
     using that the places above L have total degree d_L * Phi(M/L^{r_L})."""
     ctx = cond.ctx
     deg_different = 0
-    for pp, row in zip(cond.factors, ram.per_prime):
+    for pd, row in zip(cond.different.per_prime, ram.per_prime):
         if ctx.w % row.e != 0:
             raise NonIntegerGenus(f"e = {row.e} does not divide w = {ctx.w}")  # pragma: no cover
-        deg_different += (row.e - 1) * (ctx.w // row.e) * pp.degree * cond.cofactor_phi(pp)
+        deg_different += (row.e - 1) * (ctx.w // row.e) * pd.degree * pd.phi_cofactor
     two_g_minus_2 = ctx.w * (2 * base_genus - 2) + deg_different
     return _as_genus(Fraction(two_g_minus_2 + 2, 2), "Kummer Riemann-Hurwitz genus")

@@ -18,8 +18,6 @@ from .config import SCHEMA_VERSION, JobConfig, PolySpec
 from .cyclotomic import (
     Conductor,
     conductor_create,
-    different_data,
-    galois_structure,
     genus_closed_form,
     genus_riemann_hurwitz,
 )
@@ -134,8 +132,8 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
     report["cyclotomic"] = {
         "phi": cond.phi,
         "conductor_degree": cond.degM,
-        "galois_structure": _json(galois_structure(cond)),
-        "different": _json(different_data(cond)),
+        "galois_structure": _json(cond.structure),
+        "different": _json(cond.different),
         "genus": {"closed_form": genus_closed, "riemann_hurwitz": genus_rh},
     }
 

@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from qcff.algebra import Poly, field_create, monic_irreducibles, var_T
+from qcff.algebra import Poly, field_create, monic_irreducibles, poly_cmp, var_T
 from qcff.cyclotomic import conductor_create, genus_closed_form, genus_riemann_hurwitz
 from qcff.kummer import (
     genus_hasse_formula,
@@ -138,7 +138,7 @@ def test_criterion_08_formal_sum_structure():
             done = 0
             while done < 10:
                 a, b = rng.sample(primes, 2)
-                if a > b:
+                if poly_cmp(a, b) > 0:
                     a, b = b, a
                 if a.degree + b.degree > 5:
                     continue

@@ -11,7 +11,7 @@ import pytest
 from qcff._kernels import PureFieldKernel
 from qcff.algebra import field
 from qcff.cli import main
-from qcff.config import load_config
+from qcff.config import MAX_Q, load_config
 from qcff.kummer import genus_riemann_hurwitz as kummer_genus_rh
 from qcff.report import render_json, run_report
 
@@ -200,6 +200,12 @@ def test_factor_verb():
 
     proc = run_cli("factor", "--q", "4", "--poly", "T")
     assert proc.returncode == 3  # even characteristic is a validation error
+
+
+@pytest.mark.parametrize("q", [65537, 257 ** 2, 10 ** 40 + 1])
+def test_factor_rejects_q_past_max_q(q, capsys):
+    assert main(["factor", "--q", str(q), "--poly", "T"]) == 2
+    assert f"MAX_Q = {MAX_Q}" in capsys.readouterr().err
 
 
 def test_force_a_pq_flag(tmp_path):

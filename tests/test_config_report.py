@@ -4,14 +4,16 @@ import gc
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcff import cyclotomic
 from qcff.algebra import FieldCtx, field_create, parse_poly, var_T
 from qcff.cli import main
-from qcff.config import Options, load_config, parse_config
+from qcff.config import MAX_Q, Options, load_config, parse_config
 from qcff.errors import ConfigError, ValidationError
 from qcff.report import render_json, render_text, run_report
 
@@ -54,6 +56,17 @@ def test_parse_config_schema_rejections():
     for raw in bad_cases:
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+
+@pytest.mark.parametrize("p,e", [
+    (65537, 1),          # the next prime past MAX_Q
+    (10 ** 12 + 39, 1),  # a prime whose tables would not fit in memory
+    (257, 2),
+    (3, 10 ** 9),        # rejected without evaluating 3 ** e
+])
+def test_parse_config_rejects_q_past_max_q(p, e):
+    with pytest.raises(ConfigError, match=f"MAX_Q = {MAX_Q}"):
+        parse_config(_base_config(p=p, e=e))
 
 
 @pytest.mark.parametrize("raw", [
@@ -364,3 +377,28 @@ def test_factor_over_extension_field_builds_f_p_once(monkeypatch, capsys):
 def test_field_create_rejects_modulus_over_another_field():
     with pytest.raises(ValidationError, match="over F_3"):
         field_create(3, 2, parse_poly(field_create(5), "T^2+2"))
+
+
+def test_run_report_builds_cyclotomic_data_once(monkeypatch):
+    """One unit-group order per conductor prime: the conductor carries
+    Phi(M), the cofactors and the different data for every later stage."""
+    real, calls = cyclotomic.poly_phi, []
+
+    def counting_phi(ctx, factors):
+        calls.append(len(factors))
+        return real(ctx, factors)
+
+    monkeypatch.setattr(cyclotomic, "poly_phi", counting_phi)
+    run_report(parse_config(_base_config(
+        conductor={"factors": [["T", 1], ["T+1", 2], ["T^2+1", 1]]})))
+    assert calls == [1, 1, 1]
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(code, namespace)
+    assert namespace["cond"].structure.total_order == namespace["cond"].phi == 4
+    assert namespace["g_base"] == 0

@@ -8,8 +8,6 @@ import qcff.cyclotomic as cyclotomic
 from qcff.algebra import field_create, monic_of_degree, poly_is_irreducible, poly_phi, var_T
 from qcff.cyclotomic import (
     conductor_create,
-    different_data,
-    galois_structure,
     genus_closed_form,
     genus_riemann_hurwitz,
 )
@@ -77,11 +75,11 @@ def test_only_claimed_primes_are_retested(ctx3, mk, monkeypatch):
 
 def test_galois_structure_examples(ctx3, mk):
     t = var_T(ctx3)
-    gs = galois_structure(conductor_create(ctx3, t))
+    gs = conductor_create(ctx3, t).structure
     assert (gs.cyclic_orders, gs.p_part_order, gs.total_order) == ((2,), 1, 2)
-    gs = galois_structure(conductor_create(ctx3, t * t))
+    gs = conductor_create(ctx3, t * t).structure
     assert (gs.cyclic_orders, gs.p_part_order, gs.total_order) == ((2,), 3, 6)
-    gs = galois_structure(conductor_create(ctx3, t * mk(ctx3, "T^2+1")))
+    gs = conductor_create(ctx3, t * mk(ctx3, "T^2+1")).structure
     assert (gs.cyclic_orders, gs.p_part_order, gs.total_order) == ((2, 8), 1, 16)
 
 
@@ -89,18 +87,18 @@ def test_galois_structure_total_is_phi(ctx3):
     for d in range(1, 5):
         for m in monic_of_degree(ctx3, d):
             cond = conductor_create(ctx3, m)
-            assert galois_structure(cond).total_order == cond.phi
+            assert cond.structure.total_order == cond.phi
 
 
 def test_different_coefficients(ctx3, mk):
     t = var_T(ctx3)
-    assert different_data(conductor_create(ctx3, t)).per_prime[0].s == 1
-    assert different_data(conductor_create(ctx3, t * t)).per_prime[0].s == 9
-    assert different_data(conductor_create(ctx3, mk(ctx3, "T^2+1"))).per_prime[0].s == 7
+    assert conductor_create(ctx3, t).different.per_prime[0].s == 1
+    assert conductor_create(ctx3, t * t).different.per_prime[0].s == 9
+    assert conductor_create(ctx3, mk(ctx3, "T^2+1")).different.per_prime[0].s == 7
 
 
 def test_infinite_place_data(ctx3, mk):
-    dd = different_data(conductor_create(ctx3, mk(ctx3, "T^2+1")))
+    dd = conductor_create(ctx3, mk(ctx3, "T^2+1")).different
     assert dd.infinite_count == 4  # Phi / (q-1) = 8 / 2
     assert dd.infinite_coefficient == 1  # q - 2
 
@@ -146,9 +144,9 @@ def test_cofactor_phi_is_phi_of_the_other_factors(ctx3):
     for d in range(1, 5):
         for m in monic_of_degree(ctx3, d):
             cond = conductor_create(ctx3, m)
-            for pp in cond.factors:
+            for pp, row in zip(cond.factors, cond.different.per_prime):
                 others = [f for f in cond.factors if f is not pp]
-                assert cond.cofactor_phi(pp) == poly_phi(ctx3, others)
+                assert row.phi_cofactor == poly_phi(ctx3, others)
                 cases += 1
     # sum over primes P of deg P <= d of the 3^(d - deg P) multiples of P
     assert cases == 209
@@ -162,7 +160,7 @@ def test_outputs_invariant_under_factor_permutation(ctx3, mk):
     for cond in conds[1:]:
         assert cond == base
         assert genus_closed_form(cond) == genus_closed_form(base)
-        assert galois_structure(cond) == galois_structure(base)
+        assert cond.structure == base.structure
 
 
 def test_phi_consistency_with_bruteforce_on_conductor(ctx3, mk):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qcff.algebra import field_create, fq_dlog, fq_order, monic_of_degree, poly_is_irreducible
+from qcff.algebra import field_create, fq_order, monic_of_degree, poly_is_irreducible
 from qcff.algebra.field import prime_divisors_int
 from qcff.errors import (
     EvenCharacteristic,
@@ -71,7 +71,7 @@ def test_gamma_is_smallest_with_full_order():
 def test_dlog_exhaustive(p, e, mod):
     ctx = field_create(p, e, mod)
     for x in range(1, ctx.q):
-        i = fq_dlog(ctx, x)
+        i = ctx.dlog(x)
         assert 0 <= i < ctx.w
         assert i == naive_dlog(ctx, x)
         assert ctx.exp[i] == x
@@ -83,18 +83,18 @@ def test_dlog_is_homomorphism(p, e, mod):
     for x in range(1, ctx.q):
         for y in range(1, ctx.q):
             xy = naive_fq_mul(ctx, x, y)
-            assert fq_dlog(ctx, xy) == (fq_dlog(ctx, x) + fq_dlog(ctx, y)) % ctx.w
+            assert ctx.dlog(xy) == (ctx.dlog(x) + ctx.dlog(y)) % ctx.w
 
 
 def test_dlog_examples(ctx3, ctx5):
-    assert fq_dlog(ctx3, 1) == 0
-    assert fq_dlog(ctx3, 2) == 1
-    assert fq_dlog(ctx5, 4) == 2  # 2^2 = 4
+    assert ctx3.dlog(1) == 0
+    assert ctx3.dlog(2) == 1
+    assert ctx5.dlog(4) == 2  # 2^2 = 4
 
 
 def test_dlog_of_zero_rejected(ctx3):
     with pytest.raises(LogOfZero):
-        fq_dlog(ctx3, 0)
+        ctx3.dlog(0)
 
 
 def test_enc_digit_round_trip(ctx9):

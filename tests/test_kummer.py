@@ -140,7 +140,7 @@ def _oracle_pairs(ctx3, ctx5, ctx7, ctx9):
         a = rng.choice([f for f in monic_irreducibles(ctx, d_first) if f.degree == d_first])
         b = rng.choice([f for f in monic_irreducibles(ctx, d_second)
                         if f.degree == d_second and f != a])
-        yield (a, b) if a < b else (b, a)
+        yield (a, b) if poly_cmp(a, b) < 0 else (b, a)
 
 
 def test_formal_sum_matches_generic_reduction(ctx3, ctx5, ctx7, ctx9):
