@@ -3,6 +3,13 @@
 Factorization runs squarefree decomposition, then distinct-degree splitting,
 then randomized equal-degree (Cantor-Zassenhaus) splitting. The random
 source is injectable so CLI output stays reproducible.
+
+Distinct-degree splitting and the Rabin test raise h to the q-th power mod
+f again and again. Coefficients in F_q are fixed by that map, so it is
+F_q-linear: h**q = sum h_i * T**(q*i) mod f. frobenius_table(f) holds the
+rows T**(q*i) mod f, and frobenius_apply() applies them in deg(f)**2 steps
+(von zur Gathen and Shoup, "Computing Frobenius maps and factoring
+polynomials", Comput. Complexity 2, 1992).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import Iterator, Sequence
 
 from ..errors import ConstantInput, ValidationError
 from .field import FieldCtx, prime_divisors_int
-from .poly import Poly, monic_of_degree, one, poly_gcd, poly_powmod, var_T
+from .poly import Poly, _wrap, monic_of_degree, one, poly_gcd, poly_powmod, var_T
 
 
 @dataclass(frozen=True)
@@ -84,16 +91,49 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return parts
 
 
+def frobenius_table(f: Poly) -> tuple[list[int], ...]:
+    """The rows T**(q*i) mod f for i < deg f, f nonconstant, as coefficient lists.
+
+    Row 1 is one powmod; each later row is the one before times row 1,
+    reduced mod f. While q < deg f row 1 is the monomial T**q, so that
+    product is a shift and each row costs about q * deg f steps.
+    """
+    kernel, m = f.ctx.kernel, f.coeffs
+    x = kernel.ppowmod([0, 1], f.ctx.q, m)
+    rows = [[1]]
+    for _ in range(1, f.degree):
+        rows.append(kernel.prem(kernel.pmul(rows[-1], x), m))
+    return tuple(rows)
+
+
+def frobenius_apply(rows: Sequence[list[int]], h: Poly) -> Poly:
+    """h**q mod f, for h reduced mod f and rows = frobenius_table(f)."""
+    if h.degree >= len(rows):
+        raise ValidationError("frobenius_apply needs h reduced mod the table's modulus")
+    kernel = h.ctx.kernel
+    padd, pscale = kernel.padd, kernel.pscale
+    acc: list[int] = []
+    for c, row in zip(h.coeffs, rows):
+        if c:
+            acc = padd(acc, row if c == 1 else pscale(row, c))
+    return _wrap(h.ctx, acc)
+
+
 def distinct_degree_split(f: Poly) -> list[tuple[Poly, int]]:
     """Split a monic squarefree f into products of irreducibles of equal degree."""
     ctx = f.ctx
     T = var_T(ctx)
+    prem = ctx.kernel.prem
     out: list[tuple[Poly, int]] = []
+    rows = frobenius_table(f)
     h = T % f
     d = 0
     while f.degree >= 2 * (d + 1):
         d += 1
-        h = poly_powmod(h, ctx.q, f)
+        if len(rows) > f.degree:
+            # f shrank: T**(q*i) mod the old f reduces to T**(q*i) mod its factor f
+            rows = tuple(prem(row, f.coeffs) for row in rows[:f.degree])
+        h = frobenius_apply(rows, h)
         g = poly_gcd(f, h - T)
         if g.degree >= 1:
             out.append((g, d))
@@ -138,16 +178,17 @@ def poly_is_irreducible(f: Poly) -> bool:
         return True
     ctx = f.ctx
     T = var_T(ctx)
+    rows = frobenius_table(f)
     h = T % f
     cur = 0
     for t in sorted({d // ell for ell in prime_divisors_int(d)}):
         while cur < t:
-            h = poly_powmod(h, ctx.q, f)
+            h = frobenius_apply(rows, h)
             cur += 1
         if poly_gcd(h - T, f).degree != 0:
             return False
     while cur < d:
-        h = poly_powmod(h, ctx.q, f)
+        h = frobenius_apply(rows, h)
         cur += 1
     return h == T
 

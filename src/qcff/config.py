@@ -178,7 +178,8 @@ def load_config(path: str | Path) -> JobConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's limit on int digits
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config file {path} is nested too deeply") from exc

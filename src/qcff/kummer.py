@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     WrongOrientation,
 )
-from .symbols import residue_symbol
+from .symbols import symbol_dlog
 
 
 # -- pair sets ----------------------------------------------------------------
@@ -255,8 +255,8 @@ def ramification_table(cond: Conductor, pairs: PairSet) -> RamTable:
     ctx = cond.ctx
     vbar = {pp.prime.coeffs: 0 for pp in cond.factors}
     for a, b in pairs.pairs:
-        vbar[a.coeffs] += residue_symbol(a, b).dlog
-        vbar[b.coeffs] -= residue_symbol(b, a).dlog
+        vbar[a.coeffs] += symbol_dlog(a, b)
+        vbar[b.coeffs] -= symbol_dlog(b, a)
     rows = []
     for pp in cond.factors:
         v = vbar[pp.prime.coeffs] % ctx.w

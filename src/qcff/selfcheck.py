@@ -7,6 +7,10 @@ call the same suites and pin their case counts. The "small" scope covers the
 cheap exhaustive suites over F_3; "full" adds F_5/F_9 ranges, the degree-4
 genus sweep, and the factorization round trip.
 
+suite_symbol_euclid is the one suite that run_selfcheck does not run: the
+benchmark in perfbench/ pins run_selfcheck's list of (suite, cases) in its
+pool.json. The tests call it with pinned case counts.
+
 The brute-force helpers (``all_polys_below``, ``count_units``,
 ``power_residue_set``) enumerate residues and multiply repeatedly, so they
 stay independent of the residue-symbol and Phi code they check.
@@ -32,6 +36,7 @@ from .algebra import (
     poly_phi,
 )
 from .cyclotomic import conductor_create, genus_closed_form, genus_riemann_hurwitz
+from .errors import NotCoprime
 from .kummer import (
     genus_hasse_formula,
     genus_riemann_hurwitz as kummer_genus_rh,
@@ -39,7 +44,7 @@ from .kummer import (
     parity_consistency,
     ramification_table,
 )
-from .symbols import check_reciprocity, residue_symbol
+from .symbols import check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
 
 
 @dataclass
@@ -120,6 +125,36 @@ def suite_symbol_character(ctx: FieldCtx, max_degree: int) -> SuiteResult:
             if is_power != symbol_trivial:
                 failures.append(f"({format_poly(a)} / {format_poly(r)})")
     return SuiteResult(f"symbol-character q={ctx.q} degR<={max_degree}", cases, failures)
+
+
+def suite_symbol_euclid(ctx: FieldCtx, max_degree: int, a_degree: int) -> SuiteResult:
+    """symbol_dlog (Euclid and reciprocity) against the powmod symbols, for
+    every monic b of degree <= max_degree and every a of degree < a_degree.
+
+    The reference is jacobi_symbol: one residue_symbol per prime of b. Both
+    must raise NotCoprime on the same pairs. Not part of run_selfcheck (see
+    the module docstring).
+    """
+    failures = []
+    cases = 0
+    for d in range(max_degree + 1):
+        for b in monic_of_degree(ctx, d):
+            for a in all_polys_below(ctx, a_degree):
+                cases += 1
+                euclid = powmod = "not coprime"
+                try:
+                    euclid = symbol_dlog(a, b)
+                except NotCoprime:
+                    pass
+                try:
+                    powmod = jacobi_symbol(a, b).dlog
+                except NotCoprime:
+                    pass
+                if euclid != powmod:
+                    failures.append(f"({format_poly(a)} / {format_poly(b)}): "
+                                    f"euclid {euclid} != powmod {powmod}")
+    return SuiteResult(f"symbol-euclid q={ctx.q} degB<={max_degree} degA<{a_degree}",
+                       cases, failures)
 
 
 def suite_parity(ctx: FieldCtx, max_degree: int) -> SuiteResult:

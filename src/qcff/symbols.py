@@ -4,6 +4,17 @@ The (q-1)-th residue symbol of a modulo a monic prime r is the unique
 element of F_q* congruent to a**((|r|-1)/(q-1)) mod r; |r| = q**deg(r).
 jacobi_symbol() extends it multiplicatively to any monic lower entry, and
 it satisfies the reciprocity law checked by check_reciprocity().
+
+The symbol is computed along two paths:
+
+* residue_symbol() is the definition: one modular power per prime.
+  jacobi_symbol() is built on it by factoring the lower entry. These are
+  the oracle: check_reciprocity() and the selfcheck suites use only them,
+  so a law they check is never checked against itself.
+* symbol_dlog() runs Euclid's algorithm on (a, b) and applies the
+  reciprocity law at each step (Rosen, Number Theory in Function Fields,
+  Thm 3.3, with d = q-1). It costs O(deg**2) field operations and needs
+  no factorization of b. The report's ramification table uses it.
 """
 
 from __future__ import annotations
@@ -64,6 +75,37 @@ def jacobi_symbol(a: Poly, b: Poly) -> SymbolValue:
             s = residue_symbol(a, pp.prime)
             acc = (acc + pp.exp * s.dlog) % ctx.w
     return SymbolValue(value=ctx.exp[acc], dlog=acc)
+
+
+def symbol_dlog(a: Poly, b: Poly) -> int:
+    """The dlog mod w of the symbol (a over b) for a monic b, by Euclid.
+
+    Each step reduces a mod b; pulls out a's leading coefficient c, since
+    (c over b) = c**deg b; then swaps the two monic entries by reciprocity,
+    (a over b) = (-1)**(deg a * deg b) * (b over a), where -1 has dlog w/2.
+    It equals jacobi_symbol(a, b).dlog and raises NotCoprime on the same
+    inputs: a reaches 0 while b is still nonconstant exactly when
+    gcd(a, b) != 1.
+    """
+    ctx = a.ctx
+    if ctx is not b.ctx and ctx != b.ctx:
+        raise ValidationError("polynomials belong to different fields")
+    if not b.monic:
+        raise NotMonic(f"lower entry {b} must be monic")
+    kernel, log, w = ctx.kernel, ctx.log, ctx.w
+    x, y = a.coeffs, b.coeffs
+    acc = 0
+    while len(y) > 1:
+        x = kernel.prem(x, y)
+        if not x:
+            raise NotCoprime(f"{a} and {b} share a factor")
+        dy = len(y) - 1
+        acc += log[x[-1]] * dy
+        x = kernel.pmonic(x)
+        if (len(x) - 1) * dy % 2:
+            acc += w // 2
+        x, y = y, x
+    return acc % w
 
 
 def check_reciprocity(p1: Poly, p2: Poly, *, validate: bool = True) -> bool:

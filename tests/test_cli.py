@@ -126,6 +126,18 @@ def test_report_past_the_integer_digit_limit_exit_2(tmp_path, fmt):
     assert "Traceback" not in proc.stderr
 
 
+def test_config_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
+    """json.loads refuses to read an integer of more than 4,300 digits."""
+    cfg = tmp_path / "long_p.json"
+    cfg.write_text('{"p": ' + "1" * 5000 + ', "conductor": {"poly": "T"}, '
+                   '"pairs": [["T", "T+1"]]}', encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "digits" in err
+    assert "Traceback" not in err
+
+
 def test_consistency_failure_exit_4(quasi_config, monkeypatch, capsys):
     monkeypatch.setattr("qcff.report.kummer_genus_riemann_hurwitz",
                         lambda *args: kummer_genus_rh(*args) + 1)

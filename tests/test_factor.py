@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -7,14 +8,22 @@ import pytest
 from qcff.algebra import (
     Poly,
     monic_irreducibles,
+    monic_of_degree,
+    one,
     poly_factor,
     poly_is_irreducible,
     poly_phi,
+    poly_powmod,
     var_T,
 )
-from qcff.algebra.factor import squarefree_decomposition
+from qcff.algebra.factor import (
+    distinct_degree_split,
+    frobenius_apply,
+    frobenius_table,
+    squarefree_decomposition,
+)
 from qcff.errors import ConstantInput, ValidationError
-from qcff.selfcheck import suite_phi_bruteforce
+from qcff.selfcheck import all_polys_below, suite_phi_bruteforce
 
 
 def _shape(fz):
@@ -99,3 +108,59 @@ def test_phi_rejects_repeated_primes(ctx3):
     t = var_T(ctx3)
     with pytest.raises(ValidationError):
         poly_phi(ctx3, [PrimePower.make(t, 1), PrimePower.make(t, 2)])
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
+    """Every h mod f over F_3; over F_5 a seeded sample of 16 h per f."""
+    ctx = {3: ctx3, 5: ctx5}[q]
+    rng = random.Random(q)
+    checked = 0
+    for d in range(1, 5):
+        for f in monic_of_degree(ctx, d):
+            rows = frobenius_table(f)
+            assert len(rows) == d
+            hs = list(all_polys_below(ctx, d))
+            if q == 5:
+                hs = rng.sample(hs, min(16, len(hs)))
+            for h in hs:
+                assert frobenius_apply(rows, h) == poly_powmod(h, q, f), (f, h)
+                checked += 1
+    assert checked == {3: 9 + 81 + 729 + 6561, 5: 25 + 25 * 16 + 125 * 16 + 625 * 16}[q]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_frobenius_rows_reduce_to_the_table_of_a_factor(q, ctx3, ctx5):
+    ctx = {3: ctx3, 5: ctx5}[q]
+    for d in range(2, 5):
+        for f in monic_of_degree(ctx, d):
+            rows = frobenius_table(f)
+            primes = [pp.prime for pp in poly_factor(f).factors]
+            for g in primes + [f // p for p in primes if (f // p).degree >= 1]:
+                reduced = tuple(ctx.kernel.prem(r, g.coeffs) for r in rows[:g.degree])
+                assert reduced == frobenius_table(g), (f, g)
+
+
+def test_distinct_degree_split_of_known_products(ctx3):
+    """Products of 2 or 3 distinct primes of degree <= 3 over F_3: the split
+    groups them by degree, also when it goes on after f has shrunk."""
+    primes = list(monic_irreducibles(ctx3, 3))
+    cases = 0
+    for k in (2, 3):
+        for chosen in itertools.combinations(primes, k):
+            f = one(ctx3)
+            by_degree: dict[int, Poly] = {}
+            for p in chosen:
+                f = f * p
+                by_degree[p.degree] = by_degree.get(p.degree, one(ctx3)) * p
+            split = distinct_degree_split(f)
+            assert sorted((d, g.coeffs) for g, d in split) == \
+                sorted((d, g.coeffs) for d, g in by_degree.items()), f
+            cases += 1
+    assert cases == 91 + 364  # 3 + 3 + 8 = 14 primes: C(14, 2) + C(14, 3)
+
+
+def test_frobenius_apply_rejects_unreduced_input(ctx3, mk):
+    rows = frobenius_table(mk(ctx3, "T^2+1"))
+    with pytest.raises(ValidationError):
+        frobenius_apply(rows, mk(ctx3, "T^2"))

@@ -11,9 +11,9 @@ from qcff.algebra import (
     var_T,
     zero,
 )
-from qcff.errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus
-from qcff.selfcheck import all_polys_below
-from qcff.symbols import check_reciprocity, jacobi_symbol, residue_symbol
+from qcff.errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
+from qcff.selfcheck import all_polys_below, suite_symbol_euclid
+from qcff.symbols import check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
 
 
 def test_symbol_examples(ctx3, mk):
@@ -99,3 +99,20 @@ def test_reciprocity_examples(ctx3, ctx5, mk):
 def test_reciprocity_rejects_equal_primes(ctx3):
     with pytest.raises(EqualPrimes):
         check_reciprocity(var_T(ctx3), var_T(ctx3))
+
+
+def test_euclidean_symbol_matches_powmod_symbols(ctx3, ctx5, ctx9):
+    results = [suite_symbol_euclid(ctx3, 3, 4), suite_symbol_euclid(ctx5, 2, 3),
+               suite_symbol_euclid(ctx9, 2, 2)]
+    assert [r.failures for r in results] == [[], [], []]
+    # (sum over deg b <= bound of q^deg b monic b) * q^a_degree residues a
+    assert [r.cases for r in results] == [40 * 81, 31 * 125, 91 * 81]
+
+
+def test_euclidean_symbol_rejects_bad_lower_entry(ctx3, ctx5, mk):
+    with pytest.raises(NotMonic):
+        symbol_dlog(var_T(ctx3), mk(ctx3, "2*T+1"))
+    with pytest.raises(NotMonic):
+        symbol_dlog(var_T(ctx3), zero(ctx3))
+    with pytest.raises(ValidationError):
+        symbol_dlog(var_T(ctx3), mk(ctx5, "T+1"))
