@@ -8,6 +8,7 @@ tuple and degree -1 (the distinguished "degree of zero" marker).
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Iterator
 
 from ..errors import (
@@ -17,6 +18,7 @@ from ..errors import (
     NonpositiveBound,
     ValidationError,
 )
+from ..limits import MAX_DEGREE
 from .field import FieldCtx
 
 
@@ -282,7 +284,11 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?T(?:\^(\d+))?$|^(\d+)$", re.ASCII)
 
 
 def parse_poly(ctx: FieldCtx, text: str) -> Poly:
-    """Parse the human polynomial syntax into a canonical Poly."""
+    """Parse the human polynomial syntax into a canonical Poly.
+
+    Bad syntax, a coefficient outside F_q, an exponent past MAX_DEGREE or a
+    numeral too long for int() is a ConfigError; the degree is checked
+    before the coefficient list is allocated."""
     compact = text.replace(" ", "").replace("\t", "")
     if not compact:
         raise ConfigError("empty polynomial string")
@@ -291,13 +297,19 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
         m = _TERM_RE.match(term)
         if not m:
             raise ConfigError(f"cannot parse polynomial term {term!r} in {text!r}")
-        if m.group(3) is not None:
-            c, k = int(m.group(3)), 0
-        else:
-            c = int(m.group(1)) if m.group(1) is not None else 1
-            k = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            if m.group(3) is not None:
+                c, k = int(m.group(3)), 0
+            else:
+                c = int(m.group(1)) if m.group(1) is not None else 1
+                k = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError as exc:  # a numeral past Python's int-from-text digit limit
+            raise ConfigError(f"a numeral in a polynomial term has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from exc
         if c >= ctx.q:
             raise ConfigError(f"coefficient {c} out of range for F_{ctx.q} in {text!r}")
+        if k > MAX_DEGREE:
+            raise ConfigError(f"exponent {k} is past MAX_DEGREE = {MAX_DEGREE} in {text!r}")
         coeffs[k] = ctx.kernel.fadd(coeffs.get(k, 0), c)
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():

@@ -18,9 +18,10 @@ from pathlib import Path
 
 from .algebra import parse_poly, poly_factor
 from .algebra.field import prime_divisors_int
-from .config import MAX_Q, load_config
+from .config import build_field, load_config
 from .errors import ConfigError, ConsistencyError, MissingModulus, ValidationError
-from .report import _poly_json, build_field, render_json, render_text, run_report
+from .limits import MAX_Q
+from .report import _poly_json, render_json, render_text, run_report
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0

@@ -1,4 +1,4 @@
-"""Job configuration: schema validation and loading.
+"""Job configuration: from JSON to the field and polynomials of one job.
 
 The config is a JSON object; polynomials may be written either as ascending
 arrays of encoded coefficients or as strings like "2*T^2+T+1".
@@ -14,26 +14,22 @@ arrays of encoded coefficients or as strings like "2*T^2+T+1".
       "options": {}                   // optional; keys and defaults: Options
     }
 
-Only schema-level checks happen here; mathematical validation (primality,
-orientation, coprimality) happens when the pipeline ingests the values.
+parse_config builds the field and every polynomial, and nothing else reads
+the config; run_report checks the mathematics of the conductor and pairs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Union
+from typing import Any
 
-from .errors import ConfigError
+from .algebra import FieldCtx, Poly, field_create, parse_poly
+from .errors import ConfigError, ValidationError
+from .limits import MAX_DEGREE, MAX_Q
 
 SCHEMA_VERSION = 1
-
-# Largest field size accepted from input: field_create builds exp/log tables
-# of q entries, and `qcff factor` trial-divides q up to its square root.
-MAX_Q = 2 ** 16
-
-PolySpec = Union[str, list]
 
 _TOP_KEYS = {"schema_version", "p", "e", "modulus", "rng_seed", "conductor",
              "pairs", "options"}
@@ -60,14 +56,13 @@ class Options:
 
 @dataclass(frozen=True)
 class JobConfig:
-    p: int
-    e: int = 1
-    modulus: PolySpec | None = None
-    rng_seed: int = 0
-    conductor_poly: PolySpec | None = None
-    conductor_factors: tuple[tuple[PolySpec, int], ...] | None = None
-    pairs: tuple[tuple[PolySpec, PolySpec], ...] = ()
-    options: Options = field(default_factory=Options)
+    """One job's inputs; conductor is in either form conductor_create takes."""
+
+    field: FieldCtx
+    conductor: Poly | tuple[tuple[Poly, int], ...]
+    pairs: tuple[tuple[Poly, Poly], ...]
+    rng_seed: int
+    options: Options
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -80,20 +75,42 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_poly_spec(value: Any, where: str) -> PolySpec:
+def _poly(ctx: FieldCtx, value: Any, where: str) -> Poly:
+    """The polynomial a config value spells: text, or an ascending array of
+    encoded coefficients. where names the value in error messages."""
     if isinstance(value, str):
         _expect(bool(value.strip()), f"{where}: empty polynomial string")
-        return value
+        return parse_poly(ctx, value)
     if isinstance(value, list):
+        _expect(len(value) <= MAX_DEGREE + 1,
+                f"{where}: more than MAX_DEGREE + 1 = {MAX_DEGREE + 1} coefficients")
         _expect(all(_is_int(c) and c >= 0 for c in value),
                 f"{where}: coefficient arrays must hold nonnegative integers")
-        return value
+        try:
+            return Poly(ctx, value)
+        except ValidationError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: expected a polynomial string or coefficient array, "
                       f"got {type(value).__name__}")
 
 
+def build_field(p: int, e: int, modulus: Any) -> FieldCtx:
+    """Field context for F_{p^e}; a given modulus is read over F_p and left
+    to field_create to accept or reject, whatever e is. The modulus carries
+    its F_p, so field_create builds its tables over that one."""
+    if modulus is not None:
+        modulus = _poly(field_create(p, 1), modulus, "'modulus'")
+    return field_create(p, e, modulus)
+
+
 def parse_config(raw: Any) -> JobConfig:
-    """Validate a decoded JSON object against the config schema."""
+    """Validate a decoded JSON object and build the job's inputs. Errors are
+    found in this order: (1) the schema checks, which read no polynomial
+    (ConfigError, exit 2); (2) the field from p, e and the modulus (exit 2
+    for a malformed modulus, a ValidationError, exit 3, for a non-prime or
+    even p or a bad modulus); (3) the polynomials, conductor before pairs:
+    text, array shape, coefficients in F_q and MAX_DEGREE, which also bounds
+    a claimed factorization's product (exit 2)."""
     _expect(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
     _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
@@ -112,10 +129,6 @@ def parse_config(raw: Any) -> JobConfig:
     _expect(p <= MAX_Q and e <= MAX_Q.bit_length() and p ** e <= MAX_Q,
             f"q = p^e must be at most MAX_Q = {MAX_Q}")
 
-    modulus = raw.get("modulus")
-    if modulus is not None:
-        modulus = _check_poly_spec(modulus, "'modulus'")
-
     rng_seed = raw.get("rng_seed", 0)
     _expect(_is_int(rng_seed), "'rng_seed' must be an integer")
 
@@ -123,33 +136,21 @@ def parse_config(raw: Any) -> JobConfig:
     cond = raw["conductor"]
     _expect(isinstance(cond, dict) and set(cond) in ({"poly"}, {"factors"}),
             "'conductor' must be {\"poly\": ...} or {\"factors\": [...]}")
-    conductor_poly = None
-    conductor_factors = None
-    if "poly" in cond:
-        conductor_poly = _check_poly_spec(cond["poly"], "'conductor.poly'")
-    else:
+    if "factors" in cond:
         entries = cond["factors"]
         _expect(isinstance(entries, list) and entries,
                 "'conductor.factors' must be a nonempty array")
-        checked = []
         for i, entry in enumerate(entries):
             _expect(isinstance(entry, list) and len(entry) == 2,
                     f"'conductor.factors[{i}]' must be a [poly, exponent] pair")
-            prime = _check_poly_spec(entry[0], f"'conductor.factors[{i}][0]'")
-            exp = entry[1]
-            _expect(_is_int(exp) and exp >= 1,
+            _expect(_is_int(entry[1]) and entry[1] >= 1,
                     f"'conductor.factors[{i}][1]' must be an integer >= 1")
-            checked.append((prime, exp))
-        conductor_factors = tuple(checked)
 
     raw_pairs = raw.get("pairs", [])
     _expect(isinstance(raw_pairs, list), "'pairs' must be an array")
-    pairs = []
     for i, entry in enumerate(raw_pairs):
         _expect(isinstance(entry, list) and len(entry) == 2,
                 f"'pairs[{i}]' must be a [poly, poly] pair")
-        pairs.append((_check_poly_spec(entry[0], f"'pairs[{i}][0]'"),
-                      _check_poly_spec(entry[1], f"'pairs[{i}][1]'")))
 
     opt_raw = raw.get("options", {})
     _expect(isinstance(opt_raw, dict), "'options' must be an object")
@@ -162,12 +163,21 @@ def parse_config(raw: Any) -> JobConfig:
             _expect(isinstance(value, bool), f"option '{f.name}' must be a boolean")
         else:
             _expect(_is_int(value) and value >= 1, f"option '{f.name}' must be a positive integer")
-    options = Options(**opt_raw)
 
-    return JobConfig(p=p, e=e, modulus=modulus, rng_seed=rng_seed,
-                     conductor_poly=conductor_poly,
-                     conductor_factors=conductor_factors,
-                     pairs=tuple(pairs), options=options)
+    ctx = build_field(p, e, raw.get("modulus"))
+    if "poly" in cond:
+        conductor = _poly(ctx, cond["poly"], "'conductor.poly'")
+    else:
+        conductor = tuple((_poly(ctx, prime, f"'conductor.factors[{i}]'"), exp)
+                          for i, (prime, exp) in enumerate(cond["factors"]))
+        # constants and 0 count 0: conductor_create rejects them before the product
+        degree = sum(max(prime.degree, 0) * exp for prime, exp in conductor)
+        _expect(degree <= MAX_DEGREE, f"'conductor.factors': the product has degree "
+                                      f"{degree}, past MAX_DEGREE = {MAX_DEGREE}")
+    pairs = tuple((_poly(ctx, a, f"'pairs[{i}][0]'"), _poly(ctx, b, f"'pairs[{i}][1]'"))
+                  for i, (a, b) in enumerate(raw_pairs))
+    return JobConfig(field=ctx, conductor=conductor, pairs=pairs,
+                     rng_seed=rng_seed, options=Options(**opt_raw))
 
 
 def load_config(path: str | Path) -> JobConfig:

@@ -1,4 +1,4 @@
-"""Pipeline orchestration: config -> field -> conductor -> pairs -> report.
+"""Pipeline orchestration: a parsed config -> conductor -> pairs -> report.
 
 The structured report is a plain dict rendered as canonical JSON
 (sorted keys, fixed indentation, trailing newline), so identical configs
@@ -13,15 +13,14 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 from . import __version__
-from .algebra import FieldCtx, Poly, field_create, format_poly, parse_poly
-from .config import SCHEMA_VERSION, JobConfig, PolySpec
+from .algebra import Poly, format_poly
+from .config import SCHEMA_VERSION, JobConfig
 from .cyclotomic import (
-    Conductor,
     conductor_create,
     genus_closed_form,
     genus_riemann_hurwitz,
 )
-from .errors import ConfigError, ConsistencyError, ValidationError
+from .errors import ConfigError, ConsistencyError
 from .kummer import (
     PairSet,
     genus_hasse_formula,
@@ -41,15 +40,6 @@ _ORDER_NOTE = ("polynomials ordered by degree, then coefficients from the top "
                "degree down, compared by element encoding")
 
 
-def _resolve_poly(ctx: FieldCtx, value: PolySpec, where: str) -> Poly:
-    if isinstance(value, str):
-        return parse_poly(ctx, value)
-    try:
-        return Poly(ctx, value)
-    except ValidationError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 def _poly_json(f: Poly) -> dict[str, Any]:
     return {"coeffs": list(f.coeffs), "str": format_poly(f)}
 
@@ -67,31 +57,6 @@ def _json(value: Any) -> Any:
     return value
 
 
-def build_field(p: int, e: int, modulus: PolySpec | None) -> FieldCtx:
-    """Field context for F_{p^e}; a given modulus is parsed over F_p and left
-    to field_create to accept or reject, whatever e is. The parsed modulus
-    carries its F_p, so field_create builds its tables over that one."""
-    if modulus is not None:
-        modulus = _resolve_poly(field_create(p, 1), modulus, "'modulus'")
-    return field_create(p, e, modulus)
-
-
-def build_conductor(ctx: FieldCtx, cfg: JobConfig, rng: random.Random) -> Conductor:
-    if cfg.conductor_poly is not None:
-        return conductor_create(ctx, _resolve_poly(ctx, cfg.conductor_poly,
-                                                   "'conductor.poly'"), rng)
-    assert cfg.conductor_factors is not None
-    pairs = [(_resolve_poly(ctx, spec, f"'conductor.factors[{i}]'"), exp)
-             for i, (spec, exp) in enumerate(cfg.conductor_factors)]
-    return conductor_create(ctx, pairs, rng)
-
-
-def resolve_pairs(ctx: FieldCtx, cfg: JobConfig) -> tuple[tuple[Poly, Poly], ...]:
-    return tuple((_resolve_poly(ctx, a, f"'pairs[{i}][0]'"),
-                  _resolve_poly(ctx, b, f"'pairs[{i}][1]'"))
-                 for i, (a, b) in enumerate(cfg.pairs))
-
-
 def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
                ignore_term_cap: bool = False) -> dict[str, Any]:
     """Execute the full pipeline and return the structured report.
@@ -102,9 +67,8 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
     if not cfg.pairs and not cyclotomic_only:
         raise ConfigError("pair set must be nonempty; pass --cyclotomic-only "
                           "for a report on the cyclotomic layer alone")
-    ctx = build_field(cfg.p, cfg.e, cfg.modulus)
-    rng = random.Random(cfg.rng_seed)
-    cond = build_conductor(ctx, cfg, rng)
+    ctx = cfg.field
+    cond = conductor_create(ctx, cfg.conductor, random.Random(cfg.rng_seed))
 
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -142,11 +106,10 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
         checks.append({"name": "cyclotomic genus paths agree",
                        "passed": genus_closed == genus_rh})
 
-    raw_pairs = resolve_pairs(ctx, cfg)
     if cyclotomic_only:
-        report["inputs"]["pairs"] = _json(raw_pairs)
+        report["inputs"]["pairs"] = _json(cfg.pairs)
     else:
-        pairs = pairset_create(cond, raw_pairs)
+        pairs = pairset_create(cond, cfg.pairs)
         report["inputs"]["pairs"] = _json(pairs.pairs)
         ram = ramification_table(cond, pairs)
         g_hasse = genus_hasse_formula(cond, genus_closed, ram)

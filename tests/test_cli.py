@@ -138,6 +138,32 @@ def test_config_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_LONG_NUMERAL = "1" * 5000  # past Python's default limit of 4,300 digits for int()
+
+
+@pytest.mark.parametrize("conductor,pair", [
+    ("T^" + _LONG_NUMERAL, ["T", "T+1"]),
+    ("T^2+T", [_LONG_NUMERAL + "*T+1", "T+1"]),
+], ids=["conductor_exponent", "pair_coefficient"])
+def test_report_numeral_past_the_digit_limit_exit_2(tmp_path, capsys, conductor, pair):
+    cfg = tmp_path / "long_numeral.json"
+    cfg.write_text(json.dumps({"p": 3, "conductor": {"poly": conductor},
+                               "pairs": [pair]}), encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "digits" in err
+    assert "Traceback" not in err
+
+
+def test_factor_numeral_past_the_digit_limit_exit_2(capsys):
+    assert main(["factor", "--q", "3", "--poly", "T^" + _LONG_NUMERAL]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "digits" in err
+    assert "Traceback" not in err
+
+
 def test_consistency_failure_exit_4(quasi_config, monkeypatch, capsys):
     monkeypatch.setattr("qcff.report.kummer_genus_riemann_hurwitz",
                         lambda *args: kummer_genus_rh(*args) + 1)

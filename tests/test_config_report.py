@@ -14,7 +14,8 @@ from qcff import cyclotomic
 from qcff.algebra import FieldCtx, field_create, parse_poly, var_T
 from qcff.cli import main
 from qcff.config import MAX_Q, Options, load_config, parse_config
-from qcff.errors import ConfigError, ValidationError
+from qcff.errors import ConfigError, NonPrimeP, ValidationError
+from qcff.limits import MAX_DEGREE
 from qcff.report import render_json, render_text, run_report
 
 
@@ -30,9 +31,12 @@ def _base_config(**overrides):
 
 def test_parse_config_defaults():
     cfg = parse_config(_base_config())
-    assert cfg.p == 3 and cfg.e == 1 and cfg.rng_seed == 0
+    ctx = cfg.field
+    assert (ctx.p, ctx.e, cfg.rng_seed) == (3, 1, 0)
     assert cfg.options == Options()
-    assert cfg.conductor_factors == (("T", 1), ("T+1", 1))
+    t, t1 = parse_poly(ctx, "T"), parse_poly(ctx, "T+1")
+    assert cfg.conductor == ((t, 1), (t1, 1))
+    assert cfg.pairs == ((t, t1),)
 
 
 def test_parse_config_schema_rejections():
@@ -81,6 +85,42 @@ def test_parse_config_rejects_q_past_max_q(p, e):
         "p", "coefficient"])
 def test_parse_config_rejects_booleans_for_integers(raw):
     with pytest.raises(ConfigError, match="must|unsupported"):
+        parse_config(raw)
+
+
+def test_parse_config_error_order():
+    """Schema checks read no polynomial; the field comes before the
+    polynomials, and every polynomial before the conductor's mathematics."""
+    with pytest.raises(NonPrimeP):
+        parse_config({"p": 4, "conductor": {"poly": 5}})
+    with pytest.raises(ConfigError, match=re.escape("'pairs[0][1]'")):
+        parse_config(_base_config(conductor={"factors": [["T^2+2", 1]]},
+                                  pairs=[["T", {}]]))
+
+
+def test_parse_poly_degree_bound():
+    ctx = field_create(3)
+    assert parse_poly(ctx, f"T^{MAX_DEGREE}").degree == MAX_DEGREE
+    # rejected before a coefficient list is allocated
+    for text in (f"T^{MAX_DEGREE + 1}", "T^" + str(10 ** 12) + "+1"):
+        with pytest.raises(ConfigError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+            parse_poly(ctx, text)
+
+
+@pytest.mark.parametrize("raw", [
+    _base_config(conductor={"factors": [["T", 10 ** 9], ["T+1", 1]]}),
+    _base_config(conductor={"factors": [["T", MAX_DEGREE], ["T+1", 1]]}),
+    _base_config(conductor={"factors": [["T^2", MAX_DEGREE // 2 + 1]]}),
+    _base_config(conductor={"poly": "T^" + str(10 ** 12)}),
+    _base_config(conductor={"poly": [0] * (MAX_DEGREE + 1) + [1]}),
+    _base_config(pairs=[["T", [1] * (MAX_DEGREE + 2)]]),
+    _base_config(e=2, modulus=[1] + [0] * MAX_DEGREE + [1]),
+], ids=["exponent_1e9", "product_one_past", "prime_degree_times_exponent",
+        "text_exponent", "conductor_array", "pair_array", "modulus_array"])
+def test_parse_config_rejects_degrees_past_max_degree(raw):
+    """A claimed factorization is bounded by the degree of its product,
+    which conductor_create would otherwise multiply out."""
+    with pytest.raises(ConfigError, match="MAX_DEGREE"):
         parse_config(raw)
 
 
@@ -402,3 +442,13 @@ def test_readme_library_example_runs():
     exec(code, namespace)
     assert namespace["cond"].structure.total_order == namespace["cond"].phi == 4
     assert namespace["g_base"] == 0
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\nExample config:\n", 1)[1]
+    cfg = tmp_path / "example.json"
+    cfg.write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kummer"]["presentation"]["group_order"] == 8
