@@ -1,15 +1,14 @@
 """Irreducibility testing and factorization in F_q[T].
 
 Factorization runs squarefree decomposition, then distinct-degree splitting,
-then randomized equal-degree (Cantor-Zassenhaus) splitting. The random
-source is injectable so CLI output stays reproducible.
+then randomized equal-degree (Cantor-Zassenhaus) splitting; the random source
+is injectable so CLI output stays reproducible. The irreducibility test is
+the distinct-degree split stopped at its first part (Ben-Or, FOCS 1981).
 
-Distinct-degree splitting and the Rabin test raise h to the q-th power mod
-f again and again. Coefficients in F_q are fixed by that map, so it is
-F_q-linear: h**q = sum h_i * T**(q*i) mod f. frobenius_table(f) holds the
-rows T**(q*i) mod f, and frobenius_apply() applies them in deg(f)**2 steps
-(von zur Gathen and Shoup, "Computing Frobenius maps and factoring
-polynomials", Comput. Complexity 2, 1992).
+The split raises h to the q-th power mod f again and again. That map fixes
+F_q, so it is F_q-linear: h**q = sum h_i * T**(q*i) mod f. frobenius_table(f)
+holds the rows T**(q*i) mod f, and frobenius_apply() applies them in
+deg(f)**2 steps (von zur Gathen and Shoup, Comput. Complexity 2, 1992).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..errors import ConstantInput, ValidationError
-from .field import FieldCtx, prime_divisors_int
+from .field import FieldCtx
 from .poly import Poly, _wrap, monic_of_degree, one, poly_gcd, poly_powmod, var_T
 
 
@@ -119,12 +118,13 @@ def frobenius_apply(rows: Sequence[list[int]], h: Poly) -> Poly:
     return _wrap(h.ctx, acc)
 
 
-def distinct_degree_split(f: Poly) -> list[tuple[Poly, int]]:
-    """Split a monic squarefree f into products of irreducibles of equal degree."""
-    ctx = f.ctx
-    T = var_T(ctx)
-    prem = ctx.kernel.prem
-    out: list[tuple[Poly, int]] = []
+def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
+    """Yield (g, d), g the product of the monic f's primes of degree d, as found.
+    The parts multiply to f when f is squarefree, as factoring needs. For any
+    f the first part is (f, deg f) exactly when f is irreducible (Ben-Or): a
+    reducible f, squares included, has a prime of degree <= deg(f)/2."""
+    T = var_T(f.ctx)
+    prem = f.ctx.kernel.prem
     rows = frobenius_table(f)
     h = T % f
     d = 0
@@ -136,12 +136,11 @@ def distinct_degree_split(f: Poly) -> list[tuple[Poly, int]]:
         h = frobenius_apply(rows, h)
         g = poly_gcd(f, h - T)
         if g.degree >= 1:
-            out.append((g, d))
+            yield g, d
             f = f // g
             h = h % f
     if f.degree >= 1:
-        out.append((f, f.degree))
-    return out
+        yield f, f.degree
 
 
 def equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
@@ -169,28 +168,13 @@ def equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
 
 
 def poly_is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over F_q."""
+    """Ben-Or's irreducibility test over F_q: the first distinct-degree part."""
     if f.is_zero or f.degree < 1:
         raise ConstantInput("irreducibility is tested for nonconstant polynomials only")
     f = f.to_monic()
-    d = f.degree
-    if d == 1:
+    if f.degree == 1:
         return True
-    ctx = f.ctx
-    T = var_T(ctx)
-    rows = frobenius_table(f)
-    h = T % f
-    cur = 0
-    for t in sorted({d // ell for ell in prime_divisors_int(d)}):
-        while cur < t:
-            h = frobenius_apply(rows, h)
-            cur += 1
-        if poly_gcd(h - T, f).degree != 0:
-            return False
-    while cur < d:
-        h = frobenius_apply(rows, h)
-        cur += 1
-    return h == T
+    return next(distinct_degree_split(f))[1] == f.degree
 
 
 def poly_factor(f: Poly, rng: random.Random | None = None) -> Factorization:

@@ -166,7 +166,7 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
     else:
         if modulus is None:
             raise MissingModulus(f"F_{p}^{e} needs an explicit degree-{e} modulus")
-        # Rabin test over F_p; imported here because factor.py imports this module
+        # irreducibility test over F_p; imported here because factor.py imports this module
         from .factor import poly_is_irreducible
         from .poly import Poly
         if isinstance(modulus, Poly):

@@ -164,3 +164,50 @@ def test_frobenius_apply_rejects_unreduced_input(ctx3, mk):
     rows = frobenius_table(mk(ctx3, "T^2+1"))
     with pytest.raises(ValidationError):
         frobenius_apply(rows, mk(ctx3, "T^2"))
+
+
+def _irreducible_by_trial_division(f):
+    """No Frobenius: f has no monic divisor of degree 1..deg(f)//2, by % alone."""
+    return all(not (f % g).is_zero
+               for k in range(1, f.degree // 2 + 1)
+               for g in monic_of_degree(f.ctx, k))
+
+
+def test_irreducibility_matches_trial_division(ctx3, ctx5, ctx9):
+    """Every monic polynomial of degree <= 6 over F_3, <= 4 over F_5 and
+    <= 3 over F_9, squares and other repeated factors included."""
+    total = irreducible = 0
+    for ctx, top in ((ctx3, 6), (ctx5, 4), (ctx9, 3)):
+        for d in range(1, top + 1):
+            for f in monic_of_degree(ctx, d):
+                expected = _irreducible_by_trial_division(f)
+                assert poly_is_irreducible(f) == expected, f
+                total += 1
+                irreducible += expected
+    assert (total, irreducible) == (1092 + 780 + 819, 196 + 205 + 285)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_products_of_equal_and_repeated_primes_are_reducible(q, ctx3, ctx5):
+    """P**2, P*Q with deg P = deg Q, and P**2*Q for seeded primes of degree
+    4..8, past the necklace count's range. For P*Q the split's first part is
+    all of f, found at degree deg P: a test that read the part's degree
+    instead of the degree it was found at would call f irreducible."""
+    ctx = {3: ctx3, 5: ctx5}[q]
+    rng = random.Random(q)
+    primes = {}
+    for k in range(4, 9):
+        found = []
+        while len(found) < 2:
+            f = Poly(ctx, [rng.randrange(q) for _ in range(k)] + [1])
+            if f not in found and _irreducible_by_trial_division(f):
+                found.append(f)
+        primes[k] = found
+    for k, (p, r) in primes.items():
+        assert poly_is_irreducible(p) and poly_is_irreducible(r), (p, r)
+        other = primes[5 if k == 4 else 4][0]
+        for f, shape in ((p * p, {(p, 2)}), (p * r, {(p, 1), (r, 1)}),
+                         (p * p * r, {(p, 2), (r, 1)}),
+                         (p * p * other, {(p, 2), (other, 1)})):
+            assert not poly_is_irreducible(f), f
+            assert {(pp.prime, pp.exp) for pp in poly_factor(f).factors} == shape, f
