@@ -171,8 +171,8 @@ class Poly:
     @property
     def sort_key(self) -> tuple:
         """Key of the canonical order (see poly_cmp) among polynomials of one
-        field: degree first, then coefficients from the top down."""
-        return (len(self.coeffs), self.coeffs[::-1])
+        field: coeffs_sort_key of the coefficients."""
+        return coeffs_sort_key(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -193,6 +193,12 @@ def _wrap(ctx: FieldCtx, coeffs: list[int]) -> Poly:
     object.__setattr__(out, "ctx", ctx)
     object.__setattr__(out, "coeffs", tuple(coeffs))
     return out
+
+
+def coeffs_sort_key(coeffs: tuple) -> tuple:
+    """Key of the canonical order on coefficient tuples of one field: degree
+    first, then coefficients from the top down, compared by encoding."""
+    return (len(coeffs), coeffs[::-1])
 
 
 def _same_field(a: Poly, b: Poly) -> None:

@@ -23,6 +23,7 @@ from .algebra import (
     poly_gcd,
     poly_is_irreducible,
 )
+from .algebra.poly import _wrap, coeffs_sort_key
 from .cyclotomic import Conductor, _as_genus
 from .errors import (
     BadPair,
@@ -141,27 +142,45 @@ def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     other term is already the canonical class N / (PQ). The same holds for
     A*P + c*B with P and Q swapped. Hence every denominator is PQ, Q or P,
     no term lands in A, and raw_terms == raw_term_count(ctx, deg P, deg Q).
+
+    The terms are summed in one dict per denominator, keyed by numerator
+    coefficients, and come out in the canonical order of (den, num): the
+    denominators P, Q, PQ in that order (see _add_half_sum), each followed
+    by its numerators sorted by coeffs_sort_key. The numerators come from
+    the kernel on valid inputs, so they are wrapped without validation.
     """
     ctx = p_first.ctx
     _validate_pair(p_first, p_second)
     P, Q = p_first.coeffs, p_second.coeffs
     PQ = tuple(ctx.kernel.pmul(P, Q))
-    acc: dict[tuple[tuple, tuple], int] = {}
-    _add_half_sum(ctx, P, Q, PQ, 1, acc)
-    _add_half_sum(ctx, Q, P, PQ, -1, acc)
-    dens = {P: p_first, Q: p_second, PQ: Poly(ctx, PQ)}
-    terms = [(FracClass(num=Poly(ctx, num), den=dens[den]), n)
-             for (den, num), n in acc.items() if n]
-    terms.sort(key=lambda term: (term[0].den.sort_key, term[0].num.sort_key))
+    over_p: dict[tuple, int] = {}
+    over_q: dict[tuple, int] = {}
+    over_pq: dict[tuple, int] = {}
+    _add_half_sum(ctx, P, Q, 1, over_q, over_pq)
+    _add_half_sum(ctx, Q, P, -1, over_p, over_pq)
+    terms = []
+    for den, acc in ((p_first, over_p), (p_second, over_q), (_wrap(ctx, PQ), over_pq)):
+        for num in sorted(acc, key=coeffs_sort_key):
+            n = acc[num]
+            if n:
+                terms.append((FracClass(num=_wrap(ctx, num), den=den), n))
     return FormalSum(terms=tuple(terms),
                      raw_terms=raw_term_count(ctx, p_first.degree, p_second.degree))
 
 
-def _add_half_sum(ctx, P: tuple, Q: tuple, PQ: tuple, sign: int,
-                  acc: dict[tuple[tuple, tuple], int]) -> None:
-    """Add sign * s * [(B*Q + gamma^{-s} A) / PQ] to acc, keyed by the
-    class's (den, num) coefficient tuples, over monic B with deg B < deg P,
-    monic A with deg A < deg Q and s = 1..q-2 (see pair_formal_sum)."""
+def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
+                  over_q: dict[tuple, int], over_pq: dict[tuple, int]) -> None:
+    """Add sign * s * [(B*Q + gamma^{-s} A) / PQ] over monic B with
+    deg B < deg P, monic A with deg A < deg Q and s = 1..q-2 (see
+    pair_formal_sum), each class to the dict of its denominator, keyed by
+    its numerator's coefficient tuple: the terms with P | B*Q + c*A to
+    over_q, all others to over_pq.
+
+    pair_formal_sum calls this for (P, Q) and then for (Q, P), so its three
+    dicts hold the classes over P, Q and PQ. Listed in that order they are
+    in the canonical order of their denominators: the pair is oriented,
+    P < Q, and deg PQ exceeds both degrees.
+    """
     kernel = ctx.kernel
     padd, pscale = kernel.padd, kernel.pscale
     q_inv = kernel.ppowmod(Q, ctx.q ** (len(P) - 1) - 2, P)
@@ -178,10 +197,10 @@ def _add_half_sum(ctx, P: tuple, Q: tuple, PQ: tuple, sign: int,
             for bq in b_times_q.values():
                 num = tuple(padd(bq, ca))
                 if bq is hit:
-                    key = (Q, tuple(kernel.pdivrem(num, P)[0]))
+                    num = tuple(kernel.pdivrem(num, P)[0])
+                    over_q[num] = over_q.get(num, 0) + n
                 else:
-                    key = (PQ, num)
-                acc[key] = acc.get(key, 0) + n
+                    over_pq[num] = over_pq.get(num, 0) + n
 
 
 def _validate_pair(p_first: Poly, p_second: Poly) -> None:

@@ -194,9 +194,12 @@ _INT_LIST = {int}
 def _emit(value: Any, depth: int, out: list[str], memo: dict) -> None:
     """Append the JSON text of value, nested depth levels deep, to out.
 
-    A polynomial fragment (a dict with "coeffs") is rendered once per
-    (object, depth) and its text reused: a formal sum repeats its three
-    denominators thousands of times. memo lives for one render_json call,
+    A polynomial fragment, a dict whose keys are exactly "coeffs" (a list
+    of ints, maybe empty) and "str" (a str), is rendered in one step from
+    its two values; every other dict, a near-fragment included, takes the
+    generic path. Fragments are the only values memoized, by (object,
+    depth): a formal sum repeats its three denominators thousands of times,
+    while other dicts are not shared. memo lives for one render_json call,
     while every fragment is alive, so ids stay unique. A module-level
     function, not a closure calling itself: that closure would be a
     reference cycle holding out until the cyclic collector runs.
@@ -216,14 +219,18 @@ def _emit(value: Any, depth: int, out: list[str], memo: dict) -> None:
         if not value:
             out.append("{}")
             return
-        fragment = "coeffs" in value
-        if fragment:
+        coeffs = value.get("coeffs")
+        if len(value) == 2 and type(coeffs) is list and type(value.get("str")) is str:
             key = (id(value), depth)
             text = memo.get(key)
+            if text is None and set(map(type, coeffs)) <= _INT_LIST:
+                pad = "  " * depth
+                listed = _int_list_text(coeffs, depth + 1)
+                text = memo[key] = (f'{{\n{pad}  "coeffs": {listed},\n'
+                                    f'{pad}  "str": {_json_str(value["str"])}\n{pad}}}')
             if text is not None:
                 out.append(text)
                 return
-            start = len(out)
         indent = "\n" + "  " * (depth + 1)
         lead = "{" + indent
         for name in sorted(value):
@@ -233,20 +240,11 @@ def _emit(value: Any, depth: int, out: list[str], memo: dict) -> None:
             _emit(value[name], depth + 1, out, memo)
             lead = "," + indent
         out.append("\n" + "  " * depth + "}")
-        if fragment:
-            text = "".join(out[start:])
-            del out[start:]
-            out.append(text)
-            memo[key] = text
     elif kind is list:
-        if not value:
-            out.append("[]")
+        if set(map(type, value)) <= _INT_LIST:
+            out.append(_int_list_text(value, depth))
             return
         indent = "\n" + "  " * (depth + 1)
-        if set(map(type, value)) == _INT_LIST:
-            out.append("[" + indent + ("," + indent).join(map(repr, value))
-                       + "\n" + "  " * depth + "]")
-            return
         lead = "[" + indent
         for item in value:
             out.append(lead)
@@ -255,6 +253,15 @@ def _emit(value: Any, depth: int, out: list[str], memo: dict) -> None:
         out.append("\n" + "  " * depth + "]")
     else:
         raise TypeError(f"a report cannot hold {kind.__name__}")
+
+
+def _int_list_text(items: list[int], depth: int) -> str:
+    """JSON text of a list of ints nested depth levels deep, one item a
+    line as json.dumps(indent=2) writes it, or "[]" when it is empty."""
+    if not items:
+        return "[]"
+    indent = "\n" + "  " * (depth + 1)
+    return "[" + indent + ("," + indent).join(map(repr, items)) + "\n" + "  " * depth + "]"
 
 
 def render_text(report: dict[str, Any]) -> str:

@@ -319,6 +319,29 @@ def test_render_json_shared_fragment_at_every_depth():
     assert render_json([frag, value, frag]) == _oracle([frag, value, frag])
 
 
+_SHARED = {"coeffs": [2, 1], "str": "T+2"}
+
+
+# the edge between a fragment rendered in one step and the generic path
+@pytest.mark.parametrize("value", [
+    {"coeffs": [], "str": "0"},
+    {"coeffs": [-1, 0, -2 ** 70, 2 ** 70], "str": "T^3"},
+    {"coeffs": [1, True], "str": "T+1"},
+    {"coeffs": [False], "str": "0"},
+    {"coeffs": [1, None], "str": "T+1"},
+    {"coeffs": [1, 2], "str": "2*T+1", "deg": 1},
+    {"coeffs": [1, 2], "str": 5},
+    {"coeffs": [1, 2], "str": None},
+    {"coeffs": [1, 2], "text": "2*T+1"},
+    {"coeffs": "T", "str": "T"},
+    {"a": _SHARED, "b": [[_SHARED]]},
+], ids=["empty", "big_and_negative", "bool", "false_only", "none", "third_key",
+        "int_str", "none_str", "no_str", "str_coeffs", "shared_at_two_depths"])
+def test_render_json_fragment_edges(value):
+    assert render_json(value) == _oracle(value)
+    assert render_json([value, {"x": value}]) == _oracle([value, {"x": value}])
+
+
 _P9 = {"p": 3, "e": 2, "modulus": "T^2+1",
        "conductor": {"factors": [["T", 1], ["T^2+T+3", 2]]},
        "pairs": [["T", "T^2+T+3"]]}
@@ -362,7 +385,8 @@ def test_render_json_matches_generic_encoder_on_reports(raw, cyclotomic_only,
     ([{1, 2}], "set"),
     ({1: "one"}, "int"),
     ({"x": [var_T(field_create(3))]}, "Poly"),
-], ids=["float", "tuple", "set", "non_str_key", "poly"])
+    ({"coeffs": (1, 2), "str": "x"}, "tuple"),
+], ids=["float", "tuple", "set", "non_str_key", "poly", "fragment_tuple_coeffs"])
 def test_render_json_rejects_other_types(value, name):
     with pytest.raises(TypeError, match=name):
         render_json(value)
