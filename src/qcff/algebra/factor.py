@@ -9,6 +9,9 @@ The split raises h to the q-th power mod f again and again. That map fixes
 F_q, so it is F_q-linear: h**q = sum h_i * T**(q*i) mod f. frobenius_table(f)
 holds the rows T**(q*i) mod f, and frobenius_apply() applies them in
 deg(f)**2 steps (von zur Gathen and Shoup, Comput. Complexity 2, 1992).
+On the same table frobenius_norm() raises h to 1 + q + ... + q**(d-1),
+d = deg f, by an Itoh-Tsujii addition chain (Inform. Comput. 78, 1988):
+d - 1 table applications and about 2*log2(d) products mod f.
 """
 
 from __future__ import annotations
@@ -90,31 +93,71 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return parts
 
 
-def frobenius_table(f: Poly) -> tuple[list[int], ...]:
-    """The rows T**(q*i) mod f for i < deg f, f nonconstant, as coefficient lists.
+class FrobeniusTable(tuple):
+    """The rows T**(q*i) mod f for i < deg f, as coefficient lists; the
+    modulus f's coefficients are kept as .modulus for frobenius_norm()."""
+
+    def __new__(cls, rows, modulus):
+        table = super().__new__(cls, rows)
+        table.modulus = modulus
+        return table
+
+
+def frobenius_table(f: Poly) -> FrobeniusTable:
+    """The Frobenius table of f nonconstant: rows T**(q*i) mod f, i < deg f.
 
     Row 1 is one powmod; each later row is the one before times row 1,
     reduced mod f. While q < deg f row 1 is the monomial T**q, so that
     product is a shift and each row costs about q * deg f steps.
     """
     kernel, m = f.ctx.kernel, f.coeffs
-    x = kernel.ppowmod([0, 1], f.ctx.q, m)
     rows = [[1]]
-    for _ in range(1, f.degree):
-        rows.append(kernel.prem(kernel.pmul(rows[-1], x), m))
-    return tuple(rows)
+    if f.degree > 1:
+        x = kernel.ppowmod([0, 1], f.ctx.q, m)
+        rows.append(x)
+        for _ in range(2, f.degree):
+            rows.append(kernel.prem(kernel.pmul(rows[-1], x), m))
+    return FrobeniusTable(rows, m)
+
+
+def _apply(kernel, rows: Sequence[list[int]], h: Sequence[int]) -> list[int]:
+    # h**q mod f on coefficient lists: the sum of h_i * row i
+    padd, pscale = kernel.padd, kernel.pscale
+    acc: list[int] = []
+    for c, row in zip(h, rows):
+        if c:
+            acc = padd(acc, row if c == 1 else pscale(row, c))
+    return acc
 
 
 def frobenius_apply(rows: Sequence[list[int]], h: Poly) -> Poly:
     """h**q mod f, for h reduced mod f and rows = frobenius_table(f)."""
     if h.degree >= len(rows):
         raise ValidationError("frobenius_apply needs h reduced mod the table's modulus")
-    kernel = h.ctx.kernel
-    padd, pscale = kernel.padd, kernel.pscale
-    acc: list[int] = []
-    for c, row in zip(h.coeffs, rows):
-        if c:
-            acc = padd(acc, row if c == 1 else pscale(row, c))
+    return _wrap(h.ctx, _apply(h.ctx.kernel, rows, h.coeffs))
+
+
+def frobenius_norm(rows: FrobeniusTable, h: Poly) -> Poly:
+    """h**(1 + q + ... + q**(d-1)) mod f, d = deg f, for h reduced mod f and
+    rows = frobenius_table(f).
+
+    N_k = h**(1 + q + ... + q**(k-1)) follows the bits of d from the top:
+    N_2k = N_k**(q**k) * N_k and N_(k+1) = N_k**q * h. These are identities
+    of the ring F_q[T]/(f), so the result equals the powmod for every f.
+    """
+    if h.degree >= len(rows):
+        raise ValidationError("frobenius_norm needs h reduced mod the table's modulus")
+    kernel, m = h.ctx.kernel, rows.modulus
+    pmul, prem = kernel.pmul, kernel.prem
+    acc = base = h.coeffs
+    k = 1
+    for bit in bin(len(rows))[3:]:
+        shifted = acc
+        for _ in range(k):
+            shifted = _apply(kernel, rows, shifted)
+        acc, k = prem(pmul(shifted, acc), m), 2 * k
+        if bit == "1":
+            acc, k = prem(pmul(_apply(kernel, rows, acc), base), m), k + 1
     return _wrap(h.ctx, acc)
 
 
@@ -123,9 +166,13 @@ def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
     The parts multiply to f when f is squarefree, as factoring needs. For any
     f the first part is (f, deg f) exactly when f is irreducible (Ben-Or): a
     reducible f, squares included, has a prime of degree <= deg(f)/2."""
+    return _distinct_degree_split(f, frobenius_table(f))
+
+
+def _distinct_degree_split(f: Poly, rows: Sequence[list[int]]) -> Iterator[tuple[Poly, int]]:
+    # distinct_degree_split on the caller's rows = frobenius_table(f)
     T = var_T(f.ctx)
     prem = f.ctx.kernel.prem
-    rows = frobenius_table(f)
     h = T % f
     d = 0
     while f.degree >= 2 * (d + 1):
@@ -141,6 +188,12 @@ def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
             h = h % f
     if f.degree >= 1:
         yield f, f.degree
+
+
+def _is_irreducible(f: Poly, rows: Sequence[list[int]]) -> bool:
+    """Ben-Or's test of a monic nonconstant f on rows = frobenius_table(f):
+    the first distinct-degree part is f itself, found at degree deg f."""
+    return f.degree == 1 or next(_distinct_degree_split(f, rows))[1] == f.degree
 
 
 def equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
@@ -172,9 +225,7 @@ def poly_is_irreducible(f: Poly) -> bool:
     if f.is_zero or f.degree < 1:
         raise ConstantInput("irreducibility is tested for nonconstant polynomials only")
     f = f.to_monic()
-    if f.degree == 1:
-        return True
-    return next(distinct_degree_split(f))[1] == f.degree
+    return _is_irreducible(f, frobenius_table(f))
 
 
 def poly_factor(f: Poly, rng: random.Random | None = None) -> Factorization:

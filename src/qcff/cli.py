@@ -6,7 +6,8 @@ Verbs:
   factor     factor one polynomial over F_q
 
 Exit codes: 0 ok, 1 selfcheck failure, 2 config error, 3 mathematical
-validation error, 4 internal consistency failure.
+validation error, 4 internal consistency failure. An error's line on
+stderr names its class: ``validation error (NotPrimeModulus): ...``.
 """
 
 from __future__ import annotations
@@ -143,14 +144,17 @@ def main(argv=None) -> int:
             return _cmd_selfcheck(args)
         return _cmd_factor(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config error", exc, EXIT_CONFIG)
     except ConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
+        return _fail("internal consistency failure", exc, EXIT_CONSISTENCY)
     except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail("validation error", exc, EXIT_VALIDATION)
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    # one line on stderr that names the kind of failure and the error's class
+    print(f"{kind} ({type(exc).__name__}): {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,10 +7,13 @@ it satisfies the reciprocity law checked by check_reciprocity().
 
 The symbol is computed along two paths:
 
-* residue_symbol() is the definition: one modular power per prime.
-  jacobi_symbol() is built on it by factoring the lower entry. These are
-  the oracle: check_reciprocity() and the selfcheck suites use only them,
-  so a law they check is never checked against itself.
+* residue_symbol() is the definition: the norm a**(1 + q + ... + q**(d-1))
+  mod r, d = deg r, taken on r's Frobenius table (frobenius_norm), which is
+  the same power as a**((|r|-1)/(q-1)) for every monic r. With validate
+  the Ben-Or re-check of r walks that same table. jacobi_symbol() is built
+  on it by factoring the lower entry. These are the oracle:
+  check_reciprocity() and the selfcheck suites use only them, so a law they
+  check is never checked against itself.
 * symbol_dlog() runs Euclid's algorithm on (a, b) and applies the
   reciprocity law at each step (Rosen, Number Theory in Function Fields,
   Thm 3.3, with d = q-1). It costs O(deg**2) field operations and needs
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly, poly_factor, poly_gcd, poly_is_irreducible, poly_powmod
+from .algebra import Poly, poly_factor, poly_gcd
+from .algebra.factor import _is_irreducible, frobenius_norm, frobenius_table
 from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 
 
@@ -43,19 +47,23 @@ class SymbolValue:
 def residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:
     """The (q-1)-th power residue symbol of a modulo the monic prime r.
 
-    With validate=True the primality of r is re-checked; callers holding a
-    certified factorization can skip that.
+    With validate=True the primality of r is re-checked (Ben-Or, on the table
+    the norm uses); callers holding a certified factorization can skip that.
+    Errors, in this order: NotPrimeModulus for a constant or non-monic r, or
+    a reducible one under validate; NotCoprime when gcd(a, r) != 1;
+    NotPrimeModulus when the norm is not constant (r is then reducible).
     """
     ctx = a.ctx
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
-    if validate and not poly_is_irreducible(r):
+    rows = frobenius_table(r)
+    if validate and not _is_irreducible(r, rows):
         raise NotPrimeModulus(f"lower entry {r} is reducible")
-    if poly_gcd(a, r).degree != 0:
-        raise NotCoprime(f"{a} and {r} share a factor")
-    exponent = (ctx.q ** r.degree - 1) // ctx.w
-    reduced = poly_powmod(a, exponent, r)
+    reduced = frobenius_norm(rows, a % r)
     if reduced.degree != 0:
+        # a unit's norm is a unit, so a nonzero constant proves gcd(a, r) = 1
+        if poly_gcd(a, r).degree != 0:
+            raise NotCoprime(f"{a} and {r} share a factor")
         raise NotPrimeModulus(f"{r} is not prime (symbol power was not constant)")
     return SymbolValue.of(ctx, reduced.coeffs[0])
 

@@ -4,14 +4,18 @@ Field addition and multiplication here work on digit vectors directly (no
 exp/log or addition tables), and polynomial sums and products are plain
 coefficient-wise sums and convolutions over them. The brute-force oracles
 of the law checks (unit counts, power-residue sets) live with the suites
-that use them, in ``qcff.selfcheck``.
+that use them, in ``qcff.selfcheck``. ``powmod_residue_symbol`` keeps the
+residue symbol's definition as one modular power, the reference of the
+library's norm form.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
 
-from qcff.algebra import FieldCtx, Poly
+from qcff.algebra import FieldCtx, Poly, poly_gcd, poly_is_irreducible, poly_powmod
+from qcff.errors import NotCoprime, NotPrimeModulus
+from qcff.symbols import SymbolValue
 
 
 def digits_of(ctx: FieldCtx, x: int) -> list[int]:
@@ -92,3 +96,19 @@ def naive_poly_add(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
     """Coefficient-wise sum using only naive field addition."""
     return Poly(ctx, [naive_fq_add(ctx, a, b)
                       for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0)])
+
+
+def powmod_residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:
+    """The residue symbol as a**((|r|-1)/(q-1)) mod r by one powmod, with
+    residue_symbol's checks in residue_symbol's order."""
+    ctx = a.ctx
+    if r.is_zero or r.is_constant or not r.monic:
+        raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
+    if validate and not poly_is_irreducible(r):
+        raise NotPrimeModulus(f"lower entry {r} is reducible")
+    if poly_gcd(a, r).degree != 0:
+        raise NotCoprime(f"{a} and {r} share a factor")
+    reduced = poly_powmod(a, (ctx.q ** r.degree - 1) // ctx.w, r)
+    if reduced.degree != 0:
+        raise NotPrimeModulus(f"{r} is not prime (symbol power was not constant)")
+    return SymbolValue.of(ctx, reduced.coeffs[0])

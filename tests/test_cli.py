@@ -63,7 +63,7 @@ def test_report_out_unwritable_exit_2(quasi_config, tmp_path, target):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert f"config error: cannot write report to {out}: " in proc.stderr
+    assert f"config error (ConfigError): cannot write report to {out}: " in proc.stderr
 
 
 def test_report_byte_identical_across_runs(quasi_config):
@@ -90,7 +90,7 @@ def test_modulus_with_prime_field_exit_3(tmp_path):
     }), encoding="utf-8")
     proc = run_cli("report", "--config", str(cfg))
     assert proc.returncode == 3
-    assert "modulus must be omitted" in proc.stderr
+    assert "validation error (ValidationError): modulus must be omitted" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -105,7 +105,7 @@ def test_config_error_exit_2(tmp_path):
         cfg.write_bytes(data)
         proc = run_cli("report", "--config", str(cfg))
         assert proc.returncode == 2, name
-        assert "config error" in proc.stderr
+        assert proc.stderr.startswith("config error (ConfigError): "), name
         assert "Traceback" not in proc.stderr
 
 
@@ -168,7 +168,9 @@ def test_consistency_failure_exit_4(quasi_config, monkeypatch, capsys):
     monkeypatch.setattr("qcff.report.kummer_genus_riemann_hurwitz",
                         lambda *args: kummer_genus_rh(*args) + 1)
     assert main(["report", "--config", str(quasi_config)]) == 4
-    assert "internal consistency failure" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "internal consistency failure (ConsistencyError): internal cross-checks failed: "
+        "['kummer genus paths agree']")
 
 
 def test_empty_pairs_exit_2_unless_cyclotomic_only(tmp_path):
@@ -195,6 +197,7 @@ def test_math_validation_exit_3(tmp_path):
     }), encoding="utf-8")
     proc = run_cli("report", "--config", str(wrong_orientation))
     assert proc.returncode == 3
+    assert "validation error (WrongOrientation): " in proc.stderr
     assert "must be listed as" in proc.stderr
 
     reducible = tmp_path / "reducible.json"
@@ -203,6 +206,7 @@ def test_math_validation_exit_3(tmp_path):
     ), encoding="utf-8")
     proc = run_cli("report", "--config", str(reducible), "--cyclotomic-only")
     assert proc.returncode == 3
+    assert "validation error (ReducibleClaimedPrime): " in proc.stderr
 
 
 def test_selfcheck_small():

@@ -19,6 +19,7 @@ from qcff.algebra import (
 from qcff.algebra.factor import (
     distinct_degree_split,
     frobenius_apply,
+    frobenius_norm,
     frobenius_table,
     squarefree_decomposition,
 )
@@ -112,7 +113,8 @@ def test_phi_rejects_repeated_primes(ctx3):
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
-    """Every h mod f over F_3; over F_5 a seeded sample of 16 h per f."""
+    """Every h mod f over F_3; over F_5 a seeded sample of 16 h per f. The
+    norm h**(1 + q + ... + q**(d-1)) mod f, d = deg f, is checked too."""
     ctx = {3: ctx3, 5: ctx5}[q]
     rng = random.Random(q)
     checked = 0
@@ -125,6 +127,8 @@ def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
                 hs = rng.sample(hs, min(16, len(hs)))
             for h in hs:
                 assert frobenius_apply(rows, h) == poly_powmod(h, q, f), (f, h)
+                assert frobenius_norm(rows, h) == \
+                    poly_powmod(h, (q ** d - 1) // (q - 1), f), (f, h)
                 checked += 1
     assert checked == {3: 9 + 81 + 729 + 6561, 5: 25 + 25 * 16 + 125 * 16 + 625 * 16}[q]
 
@@ -164,6 +168,8 @@ def test_frobenius_apply_rejects_unreduced_input(ctx3, mk):
     rows = frobenius_table(mk(ctx3, "T^2+1"))
     with pytest.raises(ValidationError):
         frobenius_apply(rows, mk(ctx3, "T^2"))
+    with pytest.raises(ValidationError):
+        frobenius_norm(rows, mk(ctx3, "T^2"))
 
 
 def _irreducible_by_trial_division(f):

@@ -6,6 +6,7 @@ import pytest
 
 from qcff.algebra import (
     monic_irreducibles,
+    monic_of_degree,
     one,
     poly_gcd,
     var_T,
@@ -13,7 +14,9 @@ from qcff.algebra import (
 )
 from qcff.errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 from qcff.selfcheck import all_polys_below, suite_symbol_euclid
-from qcff.symbols import check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
+from qcff.symbols import SymbolValue, check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
+
+from .oracles import powmod_residue_symbol
 
 
 def test_symbol_examples(ctx3, mk):
@@ -34,6 +37,37 @@ def test_symbol_rejects_noncoprime_and_bad_modulus(ctx3, mk):
         residue_symbol(one(ctx3), mk(ctx3, "2*T+1"))  # not monic
     with pytest.raises(NotPrimeModulus):
         residue_symbol(var_T(ctx3), mk(ctx3, "T^2+2"), validate=True)  # reducible
+
+
+def _outcome(symbol, a, r, validate):
+    try:
+        return symbol(a, r, validate=validate)
+    except ValidationError as exc:
+        return type(exc)
+
+
+def test_norm_symbol_matches_powmod_definition(ctx3, ctx5, ctx9):
+    """Every monic r of degree <= 3 over F_3 with every a of degree < 3, and
+    every monic r of degree <= 2 over F_5 and F_9 with every a of degree < 2:
+    the same value or the same exception class as one powmod, with and
+    without validate. Reducible r and constant r are included."""
+    seen: dict[object, int] = {}
+    for ctx, top in ((ctx3, 3), (ctx5, 2), (ctx9, 2)):
+        upper = list(all_polys_below(ctx, top))
+        for d in range(top + 1):
+            for r in monic_of_degree(ctx, d):
+                for a in upper:
+                    for validate in (False, True):
+                        got = _outcome(residue_symbol, a, r, validate)
+                        assert got == _outcome(powmod_residue_symbol, a, r, validate), \
+                            (a, r, validate)
+                        kind = got if isinstance(got, type) else SymbolValue
+                        seen[kind, validate] = seen.get((kind, validate), 0) + 1
+    # without validate a reducible r gives values, NotCoprime and NotPrimeModulus
+    assert seen[SymbolValue, False] > seen[SymbolValue, True]
+    assert seen[NotCoprime, False] > seen[NotCoprime, True]
+    assert seen[NotPrimeModulus, True] > seen[NotPrimeModulus, False] > 0
+    assert sum(seen.values()) == 2 * (40 * 27 + 31 * 25 + 91 * 81)
 
 
 def test_symbol_multiplicative_in_upper_entry(ctx3, mk):
