@@ -45,7 +45,7 @@ def bench_field(p: int, e: int, modulus, repeat: int) -> dict[str, dict[str, flo
     tables = (ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log, ctx._neg, ctx._add_table)
     kernels = {"pure": PureFieldKernel(*tables)}
     if CompiledFieldKernel is not None:
-        kernels["cython"] = CompiledFieldKernel(*tables)
+        kernels["compiled"] = CompiledFieldKernel(*tables)
 
     rng = random.Random(7)
     f64 = _rand_poly(rng, ctx.q, 64)
@@ -79,13 +79,13 @@ def bench(repeat: int) -> None:
             for wname, per in bench_field(p, e, modulus, repeat).items()]
 
     width = max(len(wname) for _, wname, _ in rows)
-    print(f"{'field':<6}  {'workload'.ljust(width)}  {'pure':>10}  {'cython':>10}  {'speedup':>8}")
+    print(f"{'field':<6}  {'workload'.ljust(width)}  {'pure':>10}  {'compiled':>10}  {'speedup':>8}")
     for label, wname, per in rows:
         pure_t = per["pure"]
-        if "cython" in per:
-            cy_t = per["cython"]
+        if "compiled" in per:
+            comp_t = per["compiled"]
             print(f"{label:<6}  {wname.ljust(width)}  {pure_t * 1e3:>8.2f}ms  "
-                  f"{cy_t * 1e3:>8.2f}ms  {pure_t / cy_t:>7.1f}x")
+                  f"{comp_t * 1e3:>8.2f}ms  {pure_t / comp_t:>7.1f}x")
         else:
             print(f"{label:<6}  {wname.ljust(width)}  {pure_t * 1e3:>8.2f}ms  {'-':>10}  {'-':>8}")
 

@@ -1,11 +1,9 @@
-"""Build script: compiles the shipped C kernel ``src/qcff/_kernels/_core.c``.
+"""Build script: compiles the C kernel ``src/qcff/_kernels/_core.c``.
 
-The extension is optional: without a working C compiler setuptools warns
-and the package runs on its pure-Python kernel, selected at import time.
-``_core.c`` is generated from ``_core.pyx``; only after editing the
-``.pyx`` is Cython needed, to regenerate it:
-
-    cython -3 -o src/qcff/_kernels/_core.c src/qcff/_kernels/_core.pyx
+``_core.c`` is hand-written against the CPython API and needs only a C
+compiler and the Python headers. The extension is optional: without a
+working C compiler setuptools warns and the package runs on its
+pure-Python kernel, selected at import time.
 """
 
 from setuptools import Extension, setup

@@ -14,7 +14,7 @@ addition table (q <= 256) that is one lookup, ``add_table[x * q + y]``;
 where it has none, it is one ``fadd`` call. The branch is taken once per
 call, outside the loops.
 
-The compiled kernel in ``_core.pyx`` implements the identical interface;
+The compiled kernel in ``_core.c`` implements the identical interface;
 `qcff._kernels` uses it when it imports and this one otherwise.
 """
 

@@ -4,6 +4,7 @@ Verbs:
   report     run the full pipeline on a JSON config and emit the report
   selfcheck  run the exhaustive property suites
   factor     factor one polynomial over F_q
+  info       print the version and the loaded kernel backend
 
 Exit codes: 0 ok, 1 selfcheck failure, 2 config error, 3 mathematical
 validation error, 4 internal consistency failure. An error's line on
@@ -17,6 +18,7 @@ import random
 import sys
 from pathlib import Path
 
+from . import __version__, _kernels
 from .algebra import parse_poly, poly_factor
 from .algebra.field import prime_divisors_int
 from .config import build_field, load_config
@@ -58,6 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--poly", required=True, help="polynomial to factor")
     fac.add_argument("--modulus", help="extension modulus over F_p (required for q = p^e, e > 1)")
     fac.add_argument("--seed", type=int, default=0)
+
+    sub.add_parser("info", help="print the version and the loaded kernel backend")
     return parser
 
 
@@ -135,6 +139,14 @@ def _cmd_factor(args) -> int:
     return EXIT_OK
 
 
+def _cmd_info(args) -> int:
+    print(f"qcff {__version__}")
+    print(f"backend: {_kernels.backend_name()}")
+    if _kernels.IMPORT_ERROR is not None:
+        print(f"compiled kernel not loaded: {_kernels.IMPORT_ERROR}")
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -142,6 +154,8 @@ def main(argv=None) -> int:
             return _cmd_report(args)
         if args.command == "selfcheck":
             return _cmd_selfcheck(args)
+        if args.command == "info":
+            return _cmd_info(args)
         return _cmd_factor(args)
     except ConfigError as exc:
         return _fail("config error", exc, EXIT_CONFIG)

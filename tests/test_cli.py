@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qcff import __version__, _kernels, backend_name
 from qcff._kernels import PureFieldKernel
 from qcff.algebra import field
 from qcff.cli import main
@@ -264,3 +265,22 @@ def test_force_a_pq_flag(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["kummer"]["formal_sums"][0]["raw_terms"] == 2
+
+
+def test_info_verb_names_version_and_backend():
+    proc = run_cli("info")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == [f"qcff {__version__}", f"backend: {backend_name()}"]
+    if _kernels.IMPORT_ERROR is None:
+        assert len(lines) == 2
+    else:
+        assert lines[2] == f"compiled kernel not loaded: {_kernels.IMPORT_ERROR}"
+
+
+def test_info_verb_prints_why_compiled_kernel_is_missing(monkeypatch, capsys):
+    monkeypatch.setattr(_kernels, "BACKEND", "pure")
+    monkeypatch.setattr(_kernels, "IMPORT_ERROR", ImportError("no _core here"))
+    assert main(["info"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "backend: pure", "compiled kernel not loaded: no _core here"]

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-import re
-from pathlib import Path
+import tracemalloc
 
 import pytest
 
@@ -86,48 +85,132 @@ def test_powmod_with_huge_exponent():
     assert pure.ppowmod(f, n, m) == comp.ppowmod(f, n, m)
 
 
-# Cython copies the .pyx source into comments of the C file it generates:
-#   /* "qcff/_kernels/_core.pyx":<line>
-#    * <lines around it, the one at <line> marked with _CURRENT>
-#    */
-_SOURCE_REF = re.compile(r'^\s*/\* "(?:[\w/]*/)?_core\.pyx":(\d+)$')
-_CURRENT = "# <<<<<<<<<<<<<<"
-# .pyx lines Cython generates no code for, so never copies
-_NOT_COPIED = re.compile(r"^\s*(#|from \S+ cimport |cdef [\w*]+ \w+$)")
+@needs_compiled
+def test_compiled_kernel_has_pure_interface():
+    """Every public method of the pure kernel, and the attributes p e q w,
+    exist on the compiled one (the sweeps above check what they compute)."""
+    ctx, pure, comp = _kernels(5, 2, [2, 0, 1])
+    methods = [name for name, attr in vars(PureFieldKernel).items()
+               if callable(attr) and not name.startswith("_")]
+    assert len(methods) == 14
+    for name in methods:
+        assert callable(getattr(comp, name, None)), name
+    for name in ("p", "e", "q", "w"):
+        assert getattr(comp, name) == getattr(pure, name) == getattr(ctx, name)
 
 
-def _copied_pyx_lines(c_lines):
-    """{.pyx line number: set of texts} of the copies in the generated C."""
-    copied = {}
-    i = 0
-    while i < len(c_lines):
-        m = _SOURCE_REF.match(c_lines[i])
-        i += 1
-        if not m:
-            continue
-        block = []
-        while not c_lines[i].lstrip().startswith("*/"):
-            block.append(c_lines[i][3:])
-            i += 1
-        current = next(k for k, text in enumerate(block) if text.endswith(_CURRENT))
-        first = int(m.group(1)) - current
-        for k, text in enumerate(block):
-            copied.setdefault(first + k, set()).add(text.removesuffix(_CURRENT).rstrip())
-    return copied
+def _backends():
+    """The pure kernel on F_5, and the compiled one when it is built, as
+    pytest params named after their backend."""
+    ctx = field_create(5, 1, None)
+    tables = (ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log, ctx._neg, ctx._add_table)
+    classes = [("pure", PureFieldKernel), ("compiled", CompiledFieldKernel)]
+    return [pytest.param(cls(*tables), id=name) for name, cls in classes if cls is not None]
 
 
-def test_shipped_c_kernel_matches_pyx():
-    kernels = Path(__file__).resolve().parent.parent / "src" / "qcff" / "_kernels"
-    pyx = (kernels / "_core.pyx").read_text(encoding="utf-8").splitlines()
-    c_lines = (kernels / "_core.c").read_text(encoding="utf-8").splitlines()
-    copied = _copied_pyx_lines(c_lines)
-    stale = "_core.c is stale: regenerate it from _core.pyx (see setup.py)"
-    for n, texts in sorted(copied.items()):
-        expected = pyx[n - 1].rstrip() if 0 < n <= len(pyx) else None
-        assert texts == {expected}, f"{stale}; _core.pyx:{n} differs"
-    uncopied = [n for n, line in enumerate(pyx, 1)
-                if line.strip() and n not in copied and not _NOT_COPIED.match(line)]
-    assert not uncopied, f"{stale}; _core.pyx lines {uncopied} are not in it"
+@pytest.mark.parametrize("kern", _backends())
+def test_division_by_zero_polynomial_raises(kern):
+    for op in (kern.prem, kern.pdivrem):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            op([1, 2], [])
+
+
+@pytest.mark.parametrize("kern", _backends())
+def test_powmod_by_constant_modulus_raises(kern):
+    for m in ([], [3]):
+        with pytest.raises(ZeroDivisionError, match="powmod modulus must be nonconstant"):
+            kern.ppowmod([1, 2], 3, m)
+
+
+@pytest.mark.parametrize("kern", _backends())
+def test_powmod_nonpositive_exponent_is_one(kern):
+    f, m = [2, 3, 1], [1, 4, 0, 1]
+    assert kern.ppowmod(f, 0, m) == kern.ppowmod(f, -5, m) == [1]
+    assert kern.ppowmod(f, -2 ** 80, m) == [1]
+
+
+# (method, arguments), each holding a None coefficient the method reads
+_NONE_CALLS = [
+    ("pmul", ([1, None], [1, 1])),
+    ("pdivrem", ([1, None, 1], [1, 1])),
+    ("pgcd", ([1, None, 1], [1, 1])),
+    ("pmonic", ([None, 2],)),
+    ("pscale", ([1, None], 2)),
+    ("ppowmod", ([1, None], 3, [1, 1])),
+]
+
+
+@needs_compiled
+@pytest.mark.parametrize("op,args", _NONE_CALLS)
+def test_compiled_rejects_non_int_coefficient(op, args):
+    comp = _kernels(5, 1, None)[2]
+    with pytest.raises(TypeError):
+        getattr(comp, op)(*args)
+
+
+@needs_compiled
+def test_compiled_rejects_out_of_range_element():
+    comp = _kernels(5, 1, None)[2]
+    for call in (lambda: comp.fadd(5, 1), lambda: comp.pmul([7], [1]),
+                 lambda: comp.fneg(-1), lambda: comp.prem([1, 1], [5])):
+        with pytest.raises(ValueError):
+            call()
+
+
+@needs_compiled
+def test_compiled_rejects_inconsistent_tables():
+    """The compiled kernel indexes its tables without further checks, so
+    its constructor rejects tables that could send an index outside them."""
+    ctx = field_create(5, 1, None)
+    exp, log, neg = list(ctx.exp), list(ctx.log), list(ctx._neg)
+    bad = [
+        (5, 2, 5, 4, exp, log, neg),                 # q != p**e
+        (5, 1, 5, 4, exp[:-1], log, neg),            # exp too short
+        (5, 1, 5, 4, exp, log, neg, [0] * 24),       # add table too short
+        (5, 1, 5, 4, [0] + exp[1:], log, neg),       # exp holds 0
+        (5, 1, 5, 4, exp, [-1, 0, -1, 3, 2], neg),   # log of 2 negative
+        (5, 1, 5, 4, exp, log, [0, 4, 3, 2, 5]),     # neg outside [0, q)
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            CompiledFieldKernel(*args)
+
+
+def _every_op_once(kern):
+    """Calls each of the 14 methods on F_5, and each failing call above."""
+    f, g, m = [1, 2, 0, 3, 1], [2, 1, 1], [1, 0, 3, 1]
+    kern.fadd(1, 2), kern.fneg(3), kern.fsub(1, 4), kern.fmul(2, 3), kern.finv(2)
+    kern.padd(f, g), kern.psub(g, f), kern.pscale(f, 3), kern.pmul(f, g)
+    kern.pdivrem(f, g), kern.prem(f, g), kern.pmonic(g), kern.pgcd(f, g)
+    kern.ppowmod(f, 10 ** 30, m), kern.ppowmod(tuple(f), 12345, m)
+    failing = [(kern.prem, (f, [])), (kern.pdivrem, (f, [])),
+               (kern.ppowmod, (f, 3, [2])), (kern.pmul, ([1], [5])),
+               (kern.ppowmod, (f, None, m))]
+    failing += [(getattr(kern, op), args) for op, args in _NONE_CALLS]
+    for fn, args in failing:
+        try:
+            fn(*args)
+        except (ZeroDivisionError, TypeError, ValueError):
+            pass
+
+
+@needs_compiled
+def test_compiled_kernel_does_not_leak():
+    """3,000 rounds of every op, failing calls included, leave the traced
+    memory flat: a leak of one object or buffer per round would add at
+    least 16 bytes per round, 48 kB in all."""
+    comp = _kernels(5, 1, None)[2]
+    tracemalloc.start()
+    try:
+        for _ in range(300):  # warm up free lists and caches under the tracer
+            _every_op_once(comp)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3000):
+            _every_op_once(comp)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 3000, f"traced memory grew by {grown} bytes over 3000 rounds"
 
 
 def test_divrem_by_zero_raises(ctx3):
