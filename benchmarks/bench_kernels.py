@@ -1,10 +1,10 @@
 """Benchmark the compiled kernel against the pure-Python fallback.
 
 Times the hot operations (dense multiplication, division, modular
-exponentiation, gcd) and one composite workload (residue-symbol style
-powmod chains), on the same inputs for both backends, over a prime field
-(F_7), an extension field (F_9) and a field without an addition table
-(F_257). It is the only per-operation, per-backend comparison; perfbench/
+exponentiation, gcd, one application of a Frobenius table) and one
+composite workload (residue-symbol style powmod chains), on the same
+inputs for both backends, over a prime field (F_7), an extension field
+(F_9) and a field without an addition table (F_257). It is the only per-operation, per-backend comparison; perfbench/
 times whole jobs with whichever kernel is loaded.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
@@ -17,7 +17,8 @@ import random
 import time
 
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel
-from qcff.algebra import field_create
+from qcff.algebra import Poly, field_create
+from qcff.algebra.factor import frobenius_table
 
 
 def _rand_poly(rng: random.Random, q: int, degree: int) -> list[int]:
@@ -55,6 +56,8 @@ def bench_field(p: int, e: int, modulus, repeat: int) -> dict[str, dict[str, flo
     m8 = _rand_poly(rng, ctx.q, 8)
     base = _rand_poly(rng, ctx.q, 7)
     exponent = (ctx.q ** 8 - 1) // ctx.w
+    rows = frobenius_table(Poly(ctx, _rand_poly(rng, ctx.q, 16)))
+    h16 = _rand_poly(rng, ctx.q, 15)
 
     workloads = {
         "pmul deg 64 x 64 (x200)":
@@ -65,6 +68,8 @@ def bench_field(p: int, e: int, modulus, repeat: int) -> dict[str, dict[str, flo
             lambda k: [k.pgcd(f64, g64) for _ in range(100)],
         "ppowmod symbol-style (x100)":
             lambda k: [k.ppowmod(base, exponent, m8) for _ in range(100)],
+        "papply table deg 16 (x200)":
+            lambda k: [k.papply(rows, h16) for _ in range(200)],
     }
     return {wname: {kname: _time(lambda k=kern: load(k), repeat)
                     for kname, kern in kernels.items()}

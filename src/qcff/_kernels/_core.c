@@ -11,6 +11,11 @@
  * addition table when the field has one (q <= 256) and digit by digit
  * otherwise.
  *
+ * papply(rows, h) returns the sum of h_i * rows[i] in one buffer: on a
+ * Frobenius table (rows[i] = T**(q*i) mod f) that is h**q mod f, so one
+ * application of the q-th power map is one call. Its n rows, like h, hold
+ * at most n coefficients each; a longer one raises ValueError.
+ *
  * Every int read from Python is checked to lie in its table's range, so no
  * lookup can leave its table. Buffers come from PyMem, so tracemalloc sees
  * them.
@@ -298,7 +303,17 @@ SCALAR_METHOD(fadd, 2, f_add(k, v[0], v[1]))
 SCALAR_METHOD(fneg, 1, k->neg[v[0]])
 SCALAR_METHOD(fsub, 2, f_add(k, v[0], k->neg[v[1]]))
 SCALAR_METHOD(fmul, 2, f_mul(k, v[0], v[1]))
-SCALAR_METHOD(finv, 1, f_inv(k, v[0]))
+
+static PyObject *k_finv(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
+    int a;
+    if (check_nargs("finv", nargs, 1) < 0 || read_int(args[0], 0, k->q, &a) < 0)
+        return NULL;
+    if (a == 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "inverse of zero");
+        return NULL;
+    }
+    return PyLong_FromLong(f_inv(k, a));
+}
 
 /* -- polynomial methods ---------------------------------------------------- */
 
@@ -392,6 +407,43 @@ static PyObject *k_pmul(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     }
     PyMem_Free(f);
     PyMem_Free(g);
+    PyMem_Free(out);
+    return res;
+}
+
+/* The sum of h_i * rows[i]. rows is copied into a tuple first, so no code
+ * run while a row is read can change which rows there are. */
+static PyObject *k_papply(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
+    Py_ssize_t n, lh = 0, lr = 0, i, j;
+    int *h = NULL, *out = NULL, *row = NULL;
+    PyObject *rows, *res = NULL;
+    if (check_nargs("papply", nargs, 2) < 0
+        || (rows = PySequence_Tuple(args[0])) == NULL)
+        return NULL;
+    n = PyTuple_GET_SIZE(rows);
+    if ((h = read_poly(k, args[1], 0, &lh)) == NULL || (out = new_ints(n)) == NULL)
+        goto done;
+    memset(out, 0, n * sizeof(int));
+    for (i = 0; i < n && lh <= n && lr <= n; i++) {
+        PyObject *seq = PyTuple_GET_ITEM(rows, i);
+        int l = i < lh && h[i] ? k->log[h[i]] : -1;
+        if (l < 0 ? (lr = PyObject_Length(seq)) < 0
+                  : (row = read_poly(k, seq, 0, &lr)) == NULL)
+            goto done;
+        for (j = 0; row != NULL && lr <= n && j < lr; j++)
+            if (row[j])
+                out[j] = f_add(k, out[j], k->exp2[l + k->log[row[j]]]);
+        PyMem_Free(row);
+        row = NULL;
+    }
+    if (lh > n || lr > n)
+        PyErr_Format(PyExc_ValueError,
+                     "papply: h and each row need at most %zd coefficients", n);
+    else
+        res = to_list(out, strip(out, n));
+done:
+    Py_DECREF(rows);
+    PyMem_Free(h);
     PyMem_Free(out);
     return res;
 }
@@ -554,7 +606,7 @@ done:
 static PyMethodDef kernel_methods[] = {
     METHOD(fadd), METHOD(fneg), METHOD(fsub), METHOD(fmul), METHOD(finv),
     METHOD(padd), METHOD(psub), METHOD(pscale), METHOD(pmul), METHOD(pdivrem),
-    METHOD(prem), METHOD(pmonic), METHOD(pgcd), METHOD(ppowmod),
+    METHOD(prem), METHOD(pmonic), METHOD(pgcd), METHOD(ppowmod), METHOD(papply),
     {NULL, NULL, 0, NULL},
 };
 

@@ -14,6 +14,12 @@ addition table (q <= 256) that is one lookup, ``add_table[x * q + y]``;
 where it has none, it is one ``fadd`` call. The branch is taken once per
 call, outside the loops.
 
+``papply(rows, h)`` is the one op that is not ring arithmetic on two
+polynomials: it returns the sum of h_i * rows[i]. On a Frobenius table
+(rows[i] = T**(q*i) mod f) that is h**q mod f, so one application of the
+q-th power map is one call. Its n rows, like h, hold at most n
+coefficients each; a longer one raises ``ValueError``.
+
 The compiled kernel in ``_core.c`` implements the identical interface;
 `qcff._kernels` uses it when it imports and this one otherwise.
 """
@@ -74,6 +80,8 @@ class FieldKernel:
         return self._exp2[self.log[a] + self.log[b]]
 
     def finv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
         return self.exp[(self.w - self.log[a]) % self.w]
 
     # -- polynomial ops -------------------------------------------------------
@@ -127,6 +135,33 @@ class FieldKernel:
                     for j, lb in g_logs:
                         k = i + j
                         out[k] = fadd(out[k], exp2[la + lb])
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def papply(self, rows, h):
+        n = len(rows)
+        if len(h) > n or max(map(len, rows), default=0) > n:
+            raise ValueError(f"papply: h and each row need at most {n} coefficients")
+        exp2, log = self._exp2, self.log
+        out = [0] * n
+        add = self.add_table
+        if add is not None:
+            q = self.q
+            for c, row in zip(h, rows):
+                if c:
+                    lc = log[c]
+                    for j, b in enumerate(row):
+                        if b:
+                            out[j] = add[out[j] * q + exp2[lc + log[b]]]
+        else:
+            fadd = self.fadd
+            for c, row in zip(h, rows):
+                if c:
+                    lc = log[c]
+                    for j, b in enumerate(row):
+                        if b:
+                            out[j] = fadd(out[j], exp2[lc + log[b]])
         while out and out[-1] == 0:
             out.pop()
         return out

@@ -8,7 +8,8 @@ the distinct-degree split stopped at its first part (Ben-Or, FOCS 1981).
 The split raises h to the q-th power mod f again and again. That map fixes
 F_q, so it is F_q-linear: h**q = sum h_i * T**(q*i) mod f. frobenius_table(f)
 holds the rows T**(q*i) mod f, and frobenius_apply() applies them in
-deg(f)**2 steps (von zur Gathen and Shoup, Comput. Complexity 2, 1992).
+deg(f)**2 steps (von zur Gathen and Shoup, Comput. Complexity 2, 1992);
+an application is one kernel call, papply(rows, h).
 On the same table frobenius_norm() raises h to 1 + q + ... + q**(d-1),
 d = deg f, by an Itoh-Tsujii addition chain (Inform. Comput. 78, 1988):
 d - 1 table applications and about 2*log2(d) products mod f.
@@ -106,35 +107,25 @@ class FrobeniusTable(tuple):
 def frobenius_table(f: Poly) -> FrobeniusTable:
     """The Frobenius table of f nonconstant: rows T**(q*i) mod f, i < deg f.
 
-    Row 1 is one powmod; each later row is the one before times row 1,
-    reduced mod f. While q < deg f row 1 is the monomial T**q, so that
-    product is a shift and each row costs about q * deg f steps.
+    While q < deg f row 1 is the monomial T**q, so each later row, the one
+    before times row 1 reduced mod f, is a shift costing about q * deg f
+    steps; otherwise row 1 is one powmod.
     """
-    kernel, m = f.ctx.kernel, f.coeffs
+    kernel, m, q = f.ctx.kernel, f.coeffs, f.ctx.q
     rows = [[1]]
     if f.degree > 1:
-        x = kernel.ppowmod([0, 1], f.ctx.q, m)
+        x = [0] * q + [1] if q < f.degree else kernel.ppowmod([0, 1], q, m)
         rows.append(x)
         for _ in range(2, f.degree):
             rows.append(kernel.prem(kernel.pmul(rows[-1], x), m))
     return FrobeniusTable(rows, m)
 
 
-def _apply(kernel, rows: Sequence[list[int]], h: Sequence[int]) -> list[int]:
-    # h**q mod f on coefficient lists: the sum of h_i * row i
-    padd, pscale = kernel.padd, kernel.pscale
-    acc: list[int] = []
-    for c, row in zip(h, rows):
-        if c:
-            acc = padd(acc, row if c == 1 else pscale(row, c))
-    return acc
-
-
 def frobenius_apply(rows: Sequence[list[int]], h: Poly) -> Poly:
     """h**q mod f, for h reduced mod f and rows = frobenius_table(f)."""
     if h.degree >= len(rows):
         raise ValidationError("frobenius_apply needs h reduced mod the table's modulus")
-    return _wrap(h.ctx, _apply(h.ctx.kernel, rows, h.coeffs))
+    return _wrap(h.ctx, h.ctx.kernel.papply(rows, h.coeffs))
 
 
 def frobenius_norm(rows: FrobeniusTable, h: Poly) -> Poly:
@@ -148,16 +139,16 @@ def frobenius_norm(rows: FrobeniusTable, h: Poly) -> Poly:
     if h.degree >= len(rows):
         raise ValidationError("frobenius_norm needs h reduced mod the table's modulus")
     kernel, m = h.ctx.kernel, rows.modulus
-    pmul, prem = kernel.pmul, kernel.prem
+    papply, pmul, prem = kernel.papply, kernel.pmul, kernel.prem
     acc = base = h.coeffs
     k = 1
     for bit in bin(len(rows))[3:]:
         shifted = acc
         for _ in range(k):
-            shifted = _apply(kernel, rows, shifted)
+            shifted = papply(rows, shifted)
         acc, k = prem(pmul(shifted, acc), m), 2 * k
         if bit == "1":
-            acc, k = prem(pmul(_apply(kernel, rows, acc), base), m), k + 1
+            acc, k = prem(pmul(papply(rows, acc), base), m), k + 1
     return _wrap(h.ctx, acc)
 
 

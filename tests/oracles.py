@@ -6,7 +6,9 @@ coefficient-wise sums and convolutions over them. The brute-force oracles
 of the law checks (unit counts, power-residue sets) live with the suites
 that use them, in ``qcff.selfcheck``. ``powmod_residue_symbol`` keeps the
 residue symbol's definition as one modular power, the reference of the
-library's norm form.
+library's norm form, and ``frobenius_fold`` keeps the Frobenius
+application as the fold of kernel sums and scalings it was before the
+kernel had ``papply``.
 """
 
 from __future__ import annotations
@@ -96,6 +98,16 @@ def naive_poly_add(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
     """Coefficient-wise sum using only naive field addition."""
     return Poly(ctx, [naive_fq_add(ctx, a, b)
                       for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0)])
+
+
+def frobenius_fold(kernel, rows, h) -> list[int]:
+    """The sum of h_i * rows[i] by one kernel ``pscale`` and ``padd`` per
+    nonzero h_i: the reference of the kernels' ``papply``."""
+    acc: list[int] = []
+    for c, row in zip(h, rows):
+        if c:
+            acc = kernel.padd(acc, row if c == 1 else kernel.pscale(row, c))
+    return acc
 
 
 def powmod_residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:

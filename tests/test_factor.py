@@ -114,7 +114,9 @@ def test_phi_rejects_repeated_primes(ctx3):
 @pytest.mark.parametrize("q", [3, 5])
 def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
     """Every h mod f over F_3; over F_5 a seeded sample of 16 h per f. The
-    norm h**(1 + q + ... + q**(d-1)) mod f, d = deg f, is checked too."""
+    norm h**(1 + q + ... + q**(d-1)) mod f, d = deg f, is checked too. Both
+    kinds of row 1 occur: the monomial T**q (F_3, degree 4) and a powmod
+    (q >= deg f, every other case)."""
     ctx = {3: ctx3, 5: ctx5}[q]
     rng = random.Random(q)
     checked = 0

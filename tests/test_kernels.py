@@ -9,8 +9,9 @@ import pytest
 
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel
 from qcff.algebra import Poly, field_create
+from qcff.algebra.factor import frobenius_table
 
-from .oracles import naive_poly_add, naive_poly_mul
+from .oracles import frobenius_fold, naive_poly_add, naive_poly_mul
 
 # the last two have no addition table (q > 256)
 FIELDS = [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, [1, 0, 1]),
@@ -92,11 +93,45 @@ def test_compiled_kernel_has_pure_interface():
     ctx, pure, comp = _kernels(5, 2, [2, 0, 1])
     methods = [name for name, attr in vars(PureFieldKernel).items()
                if callable(attr) and not name.startswith("_")]
-    assert len(methods) == 14
+    assert len(methods) == 15
     for name in methods:
         assert callable(getattr(comp, name, None)), name
     for name in ("p", "e", "q", "w"):
         assert getattr(comp, name) == getattr(pure, name) == getattr(ctx, name)
+
+
+def _frobenius_cases(ctx, rng, count):
+    """(rows, h) pairs: the Frobenius table of a random monic f of degree
+    1..16, both kinds of row 1 (q < deg f and q >= deg f) where the field
+    allows, and a random h reduced mod f."""
+    for _ in range(count):
+        d = rng.randrange(1, 17)
+        f = Poly(ctx, [rng.randrange(ctx.q) for _ in range(d)] + [1])
+        rows = frobenius_table(f)
+        yield rows, _rand_poly(rng, ctx.q, d + 1)
+
+
+@needs_compiled
+@pytest.mark.parametrize("p,e,mod", FIELDS)
+def test_backends_agree_on_papply(p, e, mod):
+    ctx, pure, comp = _kernels(p, e, mod)
+    rng = random.Random(18)
+    for rows, h in _frobenius_cases(ctx, rng, 40):
+        assert pure.papply(rows, h) == comp.papply(rows, h), (rows, h)
+
+
+@pytest.mark.parametrize("cls", [
+    pytest.param(PureFieldKernel, id="pure"),
+    pytest.param(CompiledFieldKernel, id="compiled", marks=needs_compiled)])
+@pytest.mark.parametrize("p,e,mod", FIELDS)
+def test_papply_matches_the_fold(cls, p, e, mod):
+    ctx = field_create(p, e, mod)
+    kern = cls(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log, ctx._neg, ctx._add_table)
+    rng = random.Random(19)
+    for rows, h in _frobenius_cases(ctx, rng, 25):
+        out = kern.papply(rows, h)
+        assert isinstance(out, list) and (not out or out[-1])
+        assert out == frobenius_fold(kern, rows, h), (rows, h)
 
 
 def _backends():
@@ -129,6 +164,27 @@ def test_powmod_nonpositive_exponent_is_one(kern):
     assert kern.ppowmod(f, -2 ** 80, m) == [1]
 
 
+@pytest.mark.parametrize("kern", _backends())
+def test_papply_edge_cases(kern):
+    rows = [[1], [0, 0, 4], [0, 4]]  # the Frobenius table of T^3 + 1 over F_5
+    assert kern.papply(rows, []) == kern.papply([], []) == []
+    assert kern.papply(rows, (0, 1)) == [0, 0, 4]
+    assert kern.papply(rows, [2, 1, 3]) == [2, 2, 4]
+    # h longer than the table; an unused row too long; a used row too long
+    for bad_rows, h in ((rows, [1, 0, 0, 1]), ([], [1]),
+                        (rows + [[1, 2, 3, 4, 1]], [1]),
+                        ([[1], [0, 0, 1]], [0, 1])):
+        with pytest.raises(ValueError):
+            kern.papply(bad_rows, h)
+
+
+@pytest.mark.parametrize("kern", _backends())
+def test_finv_of_zero_raises(kern):
+    with pytest.raises(ZeroDivisionError):
+        kern.finv(0)
+    assert all(kern.fmul(a, kern.finv(a)) == 1 for a in range(1, kern.q))
+
+
 # (method, arguments), each holding a None coefficient the method reads
 _NONE_CALLS = [
     ("pmul", ([1, None], [1, 1])),
@@ -137,6 +193,7 @@ _NONE_CALLS = [
     ("pmonic", ([None, 2],)),
     ("pscale", ([1, None], 2)),
     ("ppowmod", ([1, None], 3, [1, 1])),
+    ("papply", ([[1, None], [0, 1]], [1])),
 ]
 
 
@@ -177,13 +234,15 @@ def test_compiled_rejects_inconsistent_tables():
 
 
 def _every_op_once(kern):
-    """Calls each of the 14 methods on F_5, and each failing call above."""
+    """Calls each of the 15 methods on F_5, and each failing call above."""
     f, g, m = [1, 2, 0, 3, 1], [2, 1, 1], [1, 0, 3, 1]
     kern.fadd(1, 2), kern.fneg(3), kern.fsub(1, 4), kern.fmul(2, 3), kern.finv(2)
     kern.padd(f, g), kern.psub(g, f), kern.pscale(f, 3), kern.pmul(f, g)
     kern.pdivrem(f, g), kern.prem(f, g), kern.pmonic(g), kern.pgcd(f, g)
     kern.ppowmod(f, 10 ** 30, m), kern.ppowmod(tuple(f), 12345, m)
-    failing = [(kern.prem, (f, [])), (kern.pdivrem, (f, [])),
+    kern.papply(([1], [0, 2, 1], (4, 4)), (3, 1, 2))
+    failing = [(kern.prem, (f, [])), (kern.pdivrem, (f, [])), (kern.finv, (0,)),
+               (kern.papply, ([[1], [0, 1, 1]], [1, 1])),
                (kern.ppowmod, (f, 3, [2])), (kern.pmul, ([1], [5])),
                (kern.ppowmod, (f, None, m))]
     failing += [(getattr(kern, op), args) for op, args in _NONE_CALLS]
