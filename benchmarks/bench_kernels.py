@@ -1,11 +1,12 @@
 """Benchmark the compiled kernel against the pure-Python fallback.
 
-Times the hot operations (dense multiplication, division, modular
-exponentiation, gcd, one application of a Frobenius table) and one
-composite workload (residue-symbol style powmod chains), on the same
-inputs for both backends, over a prime field (F_7), an extension field
-(F_9) and a field without an addition table (F_257). It is the only per-operation, per-backend comparison; perfbench/
-times whole jobs with whichever kernel is loaded.
+Times the hot operations (dense multiplication, division with and
+without the quotient, modular exponentiation, gcd, one application of a
+Frobenius table) and one composite workload (residue-symbol style powmod
+chains), on the same inputs for both backends, over a prime field
+(F_7), an extension field (F_9) and a field without an addition table
+(F_257). It is the only per-operation, per-backend comparison;
+perfbench/ times whole jobs with whichever kernel is loaded.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -64,6 +65,8 @@ def bench_field(p: int, e: int, modulus, repeat: int) -> dict[str, dict[str, flo
             lambda k: [k.pmul(f64, g64) for _ in range(200)],
         "pdivrem deg 128 / 32 (x200)":
             lambda k: [k.pdivrem(f128, g32) for _ in range(200)],
+        "prem deg 128 / 32 (x200)":
+            lambda k: [k.prem(f128, g32) for _ in range(200)],
         "pgcd deg 64, 64 (x100)":
             lambda k: [k.pgcd(f64, g64) for _ in range(100)],
         "ppowmod symbol-style (x100)":

@@ -7,12 +7,22 @@ F_q (coefficient sequences, ascending degree, no trailing zeros, empty =
 
 The polynomial loops work on discrete logs. Each call turns the fixed
 operand (the second factor of a product, the divisor of a division) into
-its nonzero (index, log) pairs once, and indexes ``_exp2``, the exp table
-repeated twice, with sums of two logs, so no step reduces mod w. Each
+its nonzero (index, log) pairs once, and indexes ``_exp3``, the exp table
+repeated three times, with sums of logs, so no step reduces mod w. Each
 step then adds one product into one coefficient: where the field has an
 addition table (q <= 256) that is one lookup, ``add_table[x * q + y]``;
 where it has none, it is one ``fadd`` call. The branch is taken once per
-call, outside the loops.
+call (once per quotient term in a division), outside the inner loops.
+
+Division has the shape of the compiled kernel's: ``_divisor(g)`` prepares
+g once (its nonzero (index, log) pairs below the top and c, the log of
+-1/lc(g), with -1 = gamma**(w/2) for odd q, so no ``neg`` lookup), and
+``_reduce`` is the one remainder loop. It works in place on a list, adds
+t * (-g_j/lc(g)) for the top coefficient t by one lookup of
+exp3[log t + c + log g_j], and writes the quotient only when asked.
+``pdivrem``, ``prem``, ``pgcd`` and ``ppowmod`` all run it: ``prem``
+builds no quotient, ``pgcd`` reduces its two lists in turn without a
+copy or a quotient per step, and ``ppowmod`` prepares its modulus once.
 
 ``papply(rows, h)`` is the one op that is not ring arithmetic on two
 polynomials: it returns the sum of h_i * rows[i]. On a Frobenius table
@@ -36,7 +46,7 @@ class FieldKernel:
     when not None, is a flat q*q lookup for addition (built for small q).
     """
 
-    __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "add_table", "_exp2")
+    __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "add_table", "_exp3")
 
     def __init__(self, p, e, q, w, exp, log, neg, add_table=None):
         self.p = p
@@ -47,8 +57,9 @@ class FieldKernel:
         self.log = list(log)
         self.neg = list(neg)
         self.add_table = list(add_table) if add_table is not None else None
-        # _exp2[i] == exp[i % w] for 0 <= i < 2w: indexed by a sum of two logs
-        self._exp2 = self.exp * 2
+        # _exp3[i] == exp[i % w] for 0 <= i < 3w: indexed by a sum of two
+        # logs, or of three in a reduction step
+        self._exp3 = self.exp * 3
 
     # -- scalar ops ---------------------------------------------------------
 
@@ -77,7 +88,7 @@ class FieldKernel:
     def fmul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        return self._exp2[self.log[a] + self.log[b]]
+        return self._exp3[self.log[a] + self.log[b]]
 
     def finv(self, a):
         if a == 0:
@@ -108,14 +119,14 @@ class FieldKernel:
     def pscale(self, f, c):
         if c == 0:
             return []
-        exp2, log = self._exp2, self.log
+        exp3, log = self._exp3, self.log
         lc = log[c]
-        return [exp2[lc + log[x]] if x else 0 for x in f]
+        return [exp3[lc + log[x]] if x else 0 for x in f]
 
     def pmul(self, f, g):
         if not f or not g:
             return []
-        exp2, log = self._exp2, self.log
+        exp3, log = self._exp3, self.log
         g_logs = [(j, log[b]) for j, b in enumerate(g) if b]
         out = [0] * (len(f) + len(g) - 1)
         add = self.add_table
@@ -126,7 +137,7 @@ class FieldKernel:
                     la = log[a]
                     for j, lb in g_logs:
                         k = i + j
-                        out[k] = add[out[k] * q + exp2[la + lb]]
+                        out[k] = add[out[k] * q + exp3[la + lb]]
         else:
             fadd = self.fadd
             for i, a in enumerate(f):
@@ -134,7 +145,7 @@ class FieldKernel:
                     la = log[a]
                     for j, lb in g_logs:
                         k = i + j
-                        out[k] = fadd(out[k], exp2[la + lb])
+                        out[k] = fadd(out[k], exp3[la + lb])
         while out and out[-1] == 0:
             out.pop()
         return out
@@ -143,7 +154,7 @@ class FieldKernel:
         n = len(rows)
         if len(h) > n or max(map(len, rows), default=0) > n:
             raise ValueError(f"papply: h and each row need at most {n} coefficients")
-        exp2, log = self._exp2, self.log
+        exp3, log = self._exp3, self.log
         out = [0] * n
         add = self.add_table
         if add is not None:
@@ -153,7 +164,7 @@ class FieldKernel:
                     lc = log[c]
                     for j, b in enumerate(row):
                         if b:
-                            out[j] = add[out[j] * q + exp2[lc + log[b]]]
+                            out[j] = add[out[j] * q + exp3[lc + log[b]]]
         else:
             fadd = self.fadd
             for c, row in zip(h, rows):
@@ -161,54 +172,67 @@ class FieldKernel:
                     lc = log[c]
                     for j, b in enumerate(row):
                         if b:
-                            out[j] = fadd(out[j], exp2[lc + log[b]])
+                            out[j] = fadd(out[j], exp3[lc + log[b]])
         while out and out[-1] == 0:
             out.pop()
         return out
 
-    def pdivrem(self, f, g):
+    # -- division: one divisor preparation, one remainder loop ----------------
+
+    def _divisor(self, g):
+        """g's nonzero (index, log) pairs below its top and the log of
+        -1/lc(g), where -1 = gamma**(w/2): the data of every step of a
+        reduction mod g."""
         if not g:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(f)
-        dg = len(g) - 1
-        if len(rem) - 1 < dg:
-            return [], rem
-        exp2, log, neg, w = self._exp2, self.log, self.neg, self.w
-        l_inv = (w - log[g[-1]]) % w
-        # step i subtracts t * g / lc(g), where t = rem[i + dg]: below the
-        # top it adds t * h_j with h_j = -g_j / lc(g), and the top becomes 0
-        h_logs = [(j, (log[neg[b]] + l_inv) % w) for j, b in enumerate(g[:dg]) if b]
-        quot = [0] * (len(rem) - dg)
-        add = self.add_table
-        if add is not None:
+        log = self.log
+        pairs = [(j, log[b]) for j, b in enumerate(g) if b]
+        w = self.w
+        return pairs[:-1], (w // 2 - pairs[-1][1]) % w, len(g) - 1
+
+    def _reduce(self, r, divisor, quot=None):
+        """Reduce the list r mod the prepared divisor in place and strip it;
+        write the quotient's len(r) - deg g coefficients to quot if given."""
+        pairs, c, dg = divisor
+        if len(r) > dg:
+            exp3, log, half = self._exp3, self.log, self.w // 2
+            add = self.add_table
+            fadd = self.fadd if add is None else None
             q = self.q
-            for i in range(len(rem) - dg - 1, -1, -1):
-                t = rem[i + dg]
+            # step i adds t * (-g_j / lc(g)) into r[i + j] below the top,
+            # t = r[i + dg]: one exp3 lookup on log t + c + log g_j < 3w
+            for i in range(len(r) - dg - 1, -1, -1):
+                t = r[i + dg]
                 if t:
-                    lt = log[t]
-                    quot[i] = exp2[lt + l_inv]
-                    for j, lh in h_logs:
-                        k = i + j
-                        rem[k] = add[rem[k] * q + exp2[lt + lh]]
-        else:
-            fadd = self.fadd
-            for i in range(len(rem) - dg - 1, -1, -1):
-                t = rem[i + dg]
-                if t:
-                    lt = log[t]
-                    quot[i] = exp2[lt + l_inv]
-                    for j, lh in h_logs:
-                        k = i + j
-                        rem[k] = fadd(rem[k], exp2[lt + lh])
-        del rem[dg:]
-        while rem and rem[-1] == 0:
-            rem.pop()
+                    lt = log[t] + c
+                    if quot is not None:
+                        quot[i] = exp3[lt + half]
+                    if fadd is None:
+                        for j, lg in pairs:
+                            k = i + j
+                            r[k] = add[r[k] * q + exp3[lt + lg]]
+                    else:
+                        for j, lg in pairs:
+                            k = i + j
+                            r[k] = fadd(r[k], exp3[lt + lg])
+            del r[dg:]
+        while r and r[-1] == 0:
+            r.pop()
+
+    def pdivrem(self, f, g):
+        divisor = self._divisor(g)
+        rem = list(f)
+        quot = [0] * max(len(rem) - len(g) + 1, 0)
+        self._reduce(rem, divisor, quot)
         while quot and quot[-1] == 0:
             quot.pop()
         return quot, rem
 
     def prem(self, f, g):
-        return self.pdivrem(f, g)[1]
+        divisor = self._divisor(g)
+        rem = list(f)
+        self._reduce(rem, divisor)
+        return rem
 
     def pmonic(self, f):
         if not f or f[-1] == 1:
@@ -218,18 +242,24 @@ class FieldKernel:
     def pgcd(self, f, g):
         f, g = list(f), list(g)
         while g:
-            f, g = g, self.prem(f, g)
+            self._reduce(f, self._divisor(g))
+            f, g = g, f
         return self.pmonic(f)
 
     def ppowmod(self, f, n, m):
         if len(m) < 2:
             raise ZeroDivisionError("powmod modulus must be nonconstant")
+        divisor = self._divisor(m)
+        reduce, pmul = self._reduce, self.pmul
         acc = [1]
-        base = self.prem(f, m)
+        base = list(f)
+        reduce(base, divisor)
         while n > 0:
             if n & 1:
-                acc = self.prem(self.pmul(acc, base), m)
+                acc = pmul(acc, base)
+                reduce(acc, divisor)
             n >>= 1
             if n:
-                base = self.prem(self.pmul(base, base), m)
+                base = pmul(base, base)
+                reduce(base, divisor)
         return acc

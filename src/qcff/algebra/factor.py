@@ -10,9 +10,14 @@ F_q, so it is F_q-linear: h**q = sum h_i * T**(q*i) mod f. frobenius_table(f)
 holds the rows T**(q*i) mod f, and frobenius_apply() applies them in
 deg(f)**2 steps (von zur Gathen and Shoup, Comput. Complexity 2, 1992);
 an application is one kernel call, papply(rows, h).
-On the same table frobenius_norm() raises h to 1 + q + ... + q**(d-1),
-d = deg f, by an Itoh-Tsujii addition chain (Inform. Comput. 78, 1988):
-d - 1 table applications and about 2*log2(d) products mod f.
+On the same table frobenius_norm() raises h to 1 + q + ... + q**(d-1)
+by an Itoh-Tsujii addition chain (Inform. Comput. 78, 1988): d - 1 table
+applications and about 2*log2(d) products mod f. With d = deg f it is the
+norm of the residue symbol. The equal-degree split needs a**((q**d-1)/2)
+mod g for the degree d of g's primes; for odd q that is exactly
+N_d(a)**((q-1)/2), N_d(a) = a**(1 + q + ... + q**(d-1)), so it takes the
+chain on g's table and a powmod to (q-1)/2 where the direct power took
+about d*log2(q) squarings mod g. No power above (q-1)/2 is left here.
 """
 
 from __future__ import annotations
@@ -128,21 +133,22 @@ def frobenius_apply(rows: Sequence[list[int]], h: Poly) -> Poly:
     return _wrap(h.ctx, h.ctx.kernel.papply(rows, h.coeffs))
 
 
-def frobenius_norm(rows: FrobeniusTable, h: Poly) -> Poly:
-    """h**(1 + q + ... + q**(d-1)) mod f, d = deg f, for h reduced mod f and
+def frobenius_norm(rows: FrobeniusTable, h: Poly, d: int) -> Poly:
+    """h**(1 + q + ... + q**(d-1)) mod f, for d >= 1, h reduced mod f and
     rows = frobenius_table(f).
 
     N_k = h**(1 + q + ... + q**(k-1)) follows the bits of d from the top:
     N_2k = N_k**(q**k) * N_k and N_(k+1) = N_k**q * h. These are identities
-    of the ring F_q[T]/(f), so the result equals the powmod for every f.
+    of the ring F_q[T]/(f), so the result equals the powmod for every f and
+    d; with d = deg f it is the norm of h when f is prime.
     """
-    if h.degree >= len(rows):
-        raise ValidationError("frobenius_norm needs h reduced mod the table's modulus")
+    if h.degree >= len(rows) or d < 1:
+        raise ValidationError("frobenius_norm needs h reduced mod the table's modulus, d >= 1")
     kernel, m = h.ctx.kernel, rows.modulus
     papply, pmul, prem = kernel.papply, kernel.pmul, kernel.prem
     acc = base = h.coeffs
     k = 1
-    for bit in bin(len(rows))[3:]:
+    for bit in bin(d)[3:]:
         shifted = acc
         for _ in range(k):
             shifted = papply(rows, shifted)
@@ -188,21 +194,31 @@ def _is_irreducible(f: Poly, rows: Sequence[list[int]]) -> bool:
 
 
 def equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d primes."""
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-d primes.
+
+    Each try draws a reduced mod the part g being split and takes
+    b = a**((q**d - 1)/2) - 1. Since (q**d - 1)/2 = (1 + q + ... + q**(d-1))
+    * (q - 1)/2 for odd q, b is N_d(a)**((q-1)/2) - 1 exactly, N_d(a) =
+    frobenius_norm(rows, a, d) on g's table: d - 1 table applications and
+    about 2*log2(d) products mod g, then a powmod to (q-1)/2, where the
+    direct power took about d*log2(q) squarings. b, every draw of rng and
+    every split are those of the direct power.
+    """
     ctx = f.ctx
     out: list[Poly] = []
     stack = [f]
-    exponent = (ctx.q ** d - 1) // 2
+    half = (ctx.q - 1) // 2
     while stack:
         g = stack.pop()
         if g.degree == d:
             out.append(g)
             continue
+        rows = frobenius_table(g)
         while True:
             a = Poly(ctx, [rng.randrange(ctx.q) for _ in range(g.degree)])
             if a.degree < 1:
                 continue
-            b = poly_powmod(a, exponent, g) - one(ctx)
+            b = poly_powmod(frobenius_norm(rows, a, d), half, g) - one(ctx)
             h = poly_gcd(b, g) if not b.is_zero else g
             if 0 < h.degree < g.degree:
                 stack.append(h)

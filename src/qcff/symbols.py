@@ -59,7 +59,7 @@ def residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:
     rows = frobenius_table(r)
     if validate and not _is_irreducible(r, rows):
         raise NotPrimeModulus(f"lower entry {r} is reducible")
-    reduced = frobenius_norm(rows, a % r)
+    reduced = frobenius_norm(rows, a % r, r.degree)
     if reduced.degree != 0:
         # a unit's norm is a unit, so a nonzero constant proves gcd(a, r) = 1
         if poly_gcd(a, r).degree != 0:

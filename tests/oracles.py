@@ -6,16 +6,22 @@ coefficient-wise sums and convolutions over them. The brute-force oracles
 of the law checks (unit counts, power-residue sets) live with the suites
 that use them, in ``qcff.selfcheck``. ``powmod_residue_symbol`` keeps the
 residue symbol's definition as one modular power, the reference of the
-library's norm form, and ``frobenius_fold`` keeps the Frobenius
+library's norm form, ``frobenius_fold`` keeps the Frobenius
 application as the fold of kernel sums and scalings it was before the
-kernel had ``papply``.
+kernel had ``papply``, and ``powmod_equal_degree_split`` keeps the
+Cantor-Zassenhaus split with its direct power a**((q**d - 1)/2), the
+reference of the library's split on the Frobenius table. ``naive_divrem``,
+``naive_gcd`` and ``naive_powmod`` are schoolbook division, Euclid and
+square-and-multiply on coefficient lists, on the naive field operations
+alone: the references of the kernels' shared remainder loop.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import zip_longest
 
-from qcff.algebra import FieldCtx, Poly, poly_gcd, poly_is_irreducible, poly_powmod
+from qcff.algebra import FieldCtx, Poly, one, poly_gcd, poly_is_irreducible, poly_powmod
 from qcff.errors import NotCoprime, NotPrimeModulus
 from qcff.symbols import SymbolValue
 
@@ -83,6 +89,63 @@ def naive_dlog(ctx: FieldCtx, x: int) -> int:
     raise AssertionError(f"{x} not generated by gamma")
 
 
+def naive_fq_inv(ctx: FieldCtx, x: int) -> int:
+    """x**(q - 2) by square and multiply on naive products."""
+    assert x != 0
+    acc, n = 1, ctx.q - 2
+    while n:
+        if n & 1:
+            acc = naive_fq_mul(ctx, acc, x)
+        x = naive_fq_mul(ctx, x, x)
+        n >>= 1
+    return acc
+
+
+def _strip(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def naive_divrem(ctx: FieldCtx, f, g) -> tuple[list[int], list[int]]:
+    """Schoolbook long division of coefficient lists, g nonzero: each step
+    subtracts (top / lc g) * T**i * g, with -1 encoded as p - 1."""
+    rem, n = list(f), len(g) - 1
+    quot = [0] * max(len(rem) - n, 0)
+    inv = naive_fq_inv(ctx, g[-1])
+    for i in range(len(quot) - 1, -1, -1):
+        t = naive_fq_mul(ctx, naive_fq_mul(ctx, rem[i + n], inv), ctx.p - 1)
+        quot[i] = naive_fq_mul(ctx, t, ctx.p - 1)
+        for j, b in enumerate(g):
+            rem[i + j] = naive_fq_add(ctx, rem[i + j], naive_fq_mul(ctx, t, b))
+    return _strip(quot), _strip(rem[:n])
+
+
+def naive_gcd(ctx: FieldCtx, f, g) -> list[int]:
+    """Monic gcd by Euclid on naive_divrem; gcd(0, 0) = []."""
+    f, g = list(f), list(g)
+    while g:
+        f, g = g, naive_divrem(ctx, f, g)[1]
+    if not f:
+        return f
+    inv = naive_fq_inv(ctx, f[-1])
+    return [naive_fq_mul(ctx, c, inv) for c in f]
+
+
+def naive_powmod(ctx: FieldCtx, f, n: int, m) -> list[int]:
+    """f**n mod m by square and multiply on naive products and naive_divrem."""
+    def mulmod(a, b):
+        return naive_divrem(ctx, naive_poly_mul(ctx, Poly(ctx, a), Poly(ctx, b)).coeffs, m)[1]
+
+    acc, base = [1], naive_divrem(ctx, f, m)[1]
+    while n > 0:
+        if n & 1:
+            acc = mulmod(acc, base)
+        base = mulmod(base, base)
+        n >>= 1
+    return acc
+
+
 def naive_poly_mul(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
     """Convolution product using only naive field multiplication."""
     if f.is_zero or g.is_zero:
@@ -108,6 +171,31 @@ def frobenius_fold(kernel, rows, h) -> list[int]:
         if c:
             acc = kernel.padd(acc, row if c == 1 else kernel.pscale(row, c))
     return acc
+
+
+def powmod_equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
+    primes, with b = a**((q**d - 1)/2) - 1 by one powmod per try."""
+    ctx = f.ctx
+    out: list[Poly] = []
+    stack = [f]
+    exponent = (ctx.q ** d - 1) // 2
+    while stack:
+        g = stack.pop()
+        if g.degree == d:
+            out.append(g)
+            continue
+        while True:
+            a = Poly(ctx, [rng.randrange(ctx.q) for _ in range(g.degree)])
+            if a.degree < 1:
+                continue
+            b = poly_powmod(a, exponent, g) - one(ctx)
+            h = poly_gcd(b, g) if not b.is_zero else g
+            if 0 < h.degree < g.degree:
+                stack.append(h)
+                stack.append(g // h)
+                break
+    return out
 
 
 def powmod_residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:

@@ -18,6 +18,7 @@ from qcff.algebra import (
 )
 from qcff.algebra.factor import (
     distinct_degree_split,
+    equal_degree_split,
     frobenius_apply,
     frobenius_norm,
     frobenius_table,
@@ -25,6 +26,8 @@ from qcff.algebra.factor import (
 )
 from qcff.errors import ConstantInput, ValidationError
 from qcff.selfcheck import all_polys_below, suite_phi_bruteforce
+
+from .oracles import powmod_equal_degree_split
 
 
 def _shape(fz):
@@ -114,9 +117,10 @@ def test_phi_rejects_repeated_primes(ctx3):
 @pytest.mark.parametrize("q", [3, 5])
 def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
     """Every h mod f over F_3; over F_5 a seeded sample of 16 h per f. The
-    norm h**(1 + q + ... + q**(d-1)) mod f, d = deg f, is checked too. Both
-    kinds of row 1 occur: the monomial T**q (F_3, degree 4) and a powmod
-    (q >= deg f, every other case)."""
+    chain h**(1 + q + ... + q**(k-1)) mod f is checked too, for every
+    k <= deg f: the norm (k = deg f) and the shorter chains the equal-degree
+    split runs. Both kinds of row 1 occur: the monomial T**q (F_3, degree 4)
+    and a powmod (q >= deg f, every other case)."""
     ctx = {3: ctx3, 5: ctx5}[q]
     rng = random.Random(q)
     checked = 0
@@ -129,8 +133,9 @@ def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
                 hs = rng.sample(hs, min(16, len(hs)))
             for h in hs:
                 assert frobenius_apply(rows, h) == poly_powmod(h, q, f), (f, h)
-                assert frobenius_norm(rows, h) == \
-                    poly_powmod(h, (q ** d - 1) // (q - 1), f), (f, h)
+                for k in range(1, d + 1):
+                    assert frobenius_norm(rows, h, k) == \
+                        poly_powmod(h, (q ** k - 1) // (q - 1), f), (f, h, k)
                 checked += 1
     assert checked == {3: 9 + 81 + 729 + 6561, 5: 25 + 25 * 16 + 125 * 16 + 625 * 16}[q]
 
@@ -166,12 +171,43 @@ def test_distinct_degree_split_of_known_products(ctx3):
     assert cases == 91 + 364  # 3 + 3 + 8 = 14 primes: C(14, 2) + C(14, 3)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_equal_degree_split_matches_the_direct_power(q, ctx3, ctx5, ctx7, ctx9):
+    """Products of 2 or 3 distinct primes of one degree d <= 4, from up to
+    eight seeded primes per degree: the split on the Frobenius table gives
+    the primes of the split with the direct power a**((q**d - 1)/2), in the
+    same order, and leaves its random source in the same state."""
+    ctx = {3: ctx3, 5: ctx5, 7: ctx7, 9: ctx9}[q]
+    pick = random.Random(q)
+    cases = 0
+    for d in range(1, 5):
+        candidates = list(monic_of_degree(ctx, d))
+        pick.shuffle(candidates)
+        primes = [f for f in candidates[:40 * d] if poly_is_irreducible(f)][:8]
+        for k in (2, 3):
+            for chosen in itertools.combinations(primes, k):
+                f = one(ctx)
+                for p in chosen:
+                    f = f * p
+                seed = pick.randrange(2 ** 32)
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert equal_degree_split(f, d, rng) == \
+                    powmod_equal_degree_split(f, d, ref), (f, d)
+                assert rng.getstate() == ref.getstate(), (f, d)
+                cases += 1
+    # C(n, 2) + C(n, 3) products from n primes: 4 for n = 3 (F_3 has three
+    # primes of degree 1 and three of degree 2), 20, 56 and 84 for 5, 7, 8
+    assert cases == {3: 4 + 4 + 84 + 84, 5: 20 + 3 * 84, 7: 56 + 3 * 84, 9: 4 * 84}[q]
+
+
 def test_frobenius_apply_rejects_unreduced_input(ctx3, mk):
     rows = frobenius_table(mk(ctx3, "T^2+1"))
     with pytest.raises(ValidationError):
         frobenius_apply(rows, mk(ctx3, "T^2"))
     with pytest.raises(ValidationError):
-        frobenius_norm(rows, mk(ctx3, "T^2"))
+        frobenius_norm(rows, mk(ctx3, "T^2"), 2)
+    with pytest.raises(ValidationError):
+        frobenius_norm(rows, mk(ctx3, "T"), 0)
 
 
 def _irreducible_by_trial_division(f):

@@ -11,7 +11,14 @@ from qcff._kernels import CompiledFieldKernel, PureFieldKernel
 from qcff.algebra import Poly, field_create
 from qcff.algebra.factor import frobenius_table
 
-from .oracles import frobenius_fold, naive_poly_add, naive_poly_mul
+from .oracles import (
+    frobenius_fold,
+    naive_divrem,
+    naive_gcd,
+    naive_poly_add,
+    naive_poly_mul,
+    naive_powmod,
+)
 
 # the last two have no addition table (q > 256)
 FIELDS = [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, [1, 0, 1]),
@@ -315,3 +322,47 @@ def test_pure_kernel_poly_ops(p, e, mod):
                 expected = kern.prem(kern.pmul(expected, f), g)
             assert kern.ppowmod(f, n, g) == expected
     assert non_monic > 0
+
+
+# F_3 and F_9 reduce through the addition table, F_257 (e = 1) and F_3^6
+# (e > 1) through fadd
+REDUCTION_FIELDS = [
+    pytest.param(3, 1, None, id="F_3"),
+    pytest.param(3, 2, [1, 0, 1], id="F_9"),
+    pytest.param(257, 1, None, id="F_257"),
+    pytest.param(3, 6, [2, 1, 0, 0, 0, 0, 1], id="F_3^6"),
+]
+
+
+@pytest.mark.parametrize("p,e,mod", REDUCTION_FIELDS)
+def test_pure_reduction_loop_matches_schoolbook(p, e, mod):
+    """pdivrem, prem, pgcd and ppowmod share the pure kernel's divisor
+    preparation and remainder loop. Each is checked against schoolbook
+    division, Euclid and square-and-multiply on the naive field operations,
+    on random pairs and on the edges: f = [], f shorter than g, a constant
+    g, a common factor, both argument orders of pgcd. No input is changed."""
+    ctx = field_create(p, e, mod)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
+                           ctx._neg, ctx._add_table)
+    assert (kern.add_table is None) == (ctx.q > 256)
+    rng = random.Random(19 * p + e)
+    unit = [rng.randrange(1, ctx.q)]
+    short = [rng.randrange(ctx.q), rng.randrange(1, ctx.q)]
+    g = [rng.randrange(1, ctx.q), 0, 0, 0, rng.randrange(1, ctx.q)]
+    pairs = [([], g), ([], unit), (short, g), (g, unit), (short, unit), ([], [])]
+    for _ in range(12):
+        f = _rand_poly(rng, ctx.q, 14)
+        g = _rand_poly(rng, ctx.q, 7)
+        c = list(_rand_poly(rng, ctx.q, 4)) + [rng.randrange(1, ctx.q)]
+        pairs += [(f, g), (kern.pmul(f, c), kern.pmul(g, c))]
+    for f, g in pairs:
+        before = (list(f), list(g))
+        if g:
+            quot, rem = naive_divrem(ctx, f, g)
+            assert kern.pdivrem(f, g) == (quot, rem), (f, g)
+            assert kern.prem(f, g) == rem, (f, g)
+        assert kern.pgcd(f, g) == kern.pgcd(g, f) == naive_gcd(ctx, f, g), (f, g)
+        if len(g) >= 2:
+            for n in (0, 1, 2, rng.randrange(3, 2 ** 10)):
+                assert kern.ppowmod(f, n, g) == naive_powmod(ctx, f, n, g), (f, n, g)
+        assert (list(f), list(g)) == before
