@@ -30,6 +30,10 @@ polynomials: it returns the sum of h_i * rows[i]. On a Frobenius table
 q-th power map is one call. Its n rows, like h, hold at most n
 coefficients each; a longer one raises ``ValueError``.
 
+``fneg`` and ``fsub`` raise ``ValueError`` for an element outside [0, q),
+as the compiled kernel does, since ``neg[a]`` would wrap a negative a.
+``fadd`` and the polynomial loops are hot and check nothing.
+
 The compiled kernel in ``_core.c`` implements the identical interface;
 `qcff._kernels` uses it when it imports and this one otherwise.
 """
@@ -79,11 +83,16 @@ class FieldKernel:
             scale *= p
         return out
 
+    def _element(self, a):
+        if not 0 <= a < self.q:
+            raise ValueError(f"{a} is outside [0, {self.q})")
+        return a
+
     def fneg(self, a):
-        return self.neg[a]
+        return self.neg[self._element(a)]
 
     def fsub(self, a, b):
-        return self.fadd(a, self.neg[b])
+        return self.fadd(self._element(a), self.neg[self._element(b)])
 
     def fmul(self, a, b):
         if a == 0 or b == 0:

@@ -162,27 +162,31 @@ def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
     """Yield (g, d), g the product of the monic f's primes of degree d, as found.
     The parts multiply to f when f is squarefree, as factoring needs. For any
     f the first part is (f, deg f) exactly when f is irreducible (Ben-Or): a
-    reducible f, squares included, has a prime of degree <= deg(f)/2."""
+    reducible f, squares included, has a prime of degree <= deg(f)/2.
+
+    Step d holds h = T**(q**d) mod the f left after the parts found so far.
+    Every step applies the first f's table, F's: h**q mod F is h**q plus a
+    multiple of F, hence of the current f, so once f has shrunk below F the
+    result is reduced mod f. That costs about 2*deg f*(deg F - deg f) field
+    operations in each of the at most deg(f)/2 steps left, where reducing
+    the table's rows mod f cost about deg f**2 * (deg F - deg f) at once."""
     return _distinct_degree_split(f, frobenius_table(f))
 
 
 def _distinct_degree_split(f: Poly, rows: Sequence[list[int]]) -> Iterator[tuple[Poly, int]]:
     # distinct_degree_split on the caller's rows = frobenius_table(f)
     T = var_T(f.ctx)
-    prem = f.ctx.kernel.prem
     h = T % f
     d = 0
     while f.degree >= 2 * (d + 1):
         d += 1
-        if len(rows) > f.degree:
-            # f shrank: T**(q*i) mod the old f reduces to T**(q*i) mod its factor f
-            rows = tuple(prem(row, f.coeffs) for row in rows[:f.degree])
         h = frobenius_apply(rows, h)
+        if f.degree < len(rows):
+            h = h % f
         g = poly_gcd(f, h - T)
         if g.degree >= 1:
             yield g, d
             f = f // g
-            h = h % f
     if f.degree >= 1:
         yield f, f.degree
 

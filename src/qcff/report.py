@@ -130,11 +130,13 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
         if cfg.options.run_oracles:
             checks.append({"name": "kummer genus paths agree",
                            "passed": g_hasse == g_rh})
+            # pairs share primes: one Frobenius table and Ben-Or walk per prime
+            tables: dict = {}
             for a, b in pairs.pairs:
                 checks.append({
                     "name": f"reciprocity for ({format_poly(a)}, {format_poly(b)})",
                     "passed": check_reciprocity(
-                        a, b, validate=cfg.options.validate_primality)})
+                        a, b, validate=cfg.options.validate_primality, tables=tables)})
             if len(pairs.pairs) == 1:
                 parity = parity_consistency(pairs, ram)
                 if parity.applicable:

@@ -10,10 +10,14 @@ The symbol is computed along two paths:
 * residue_symbol() is the definition: the norm a**(1 + q + ... + q**(d-1))
   mod r, d = deg r, taken on r's Frobenius table (frobenius_norm), which is
   the same power as a**((|r|-1)/(q-1)) for every monic r. With validate
-  the Ben-Or re-check of r walks that same table. jacobi_symbol() is built
-  on it by factoring the lower entry. These are the oracle:
-  check_reciprocity() and the selfcheck suites use only them, so a law they
-  check is never checked against itself.
+  the Ben-Or re-check of r walks that same table. A caller checking many
+  symbols over one field may pass a tables dict, r.coeffs -> (table,
+  proven): each distinct r then gets one table and at most one Ben-Or walk
+  for as long as the caller keeps the dict (run_report keeps one per
+  report, suite_reciprocity one per suite). jacobi_symbol() is built on it
+  by factoring the lower entry. These are the oracle: check_reciprocity()
+  and the selfcheck suites use only them, so a law they check is never
+  checked against itself.
 * symbol_dlog() runs Euclid's algorithm on (a, b) and applies the
   reciprocity law at each step (Rosen, Number Theory in Function Fields,
   Thm 3.3, with d = q-1). It costs O(deg**2) field operations and needs
@@ -44,11 +48,16 @@ class SymbolValue:
         return cls(value=value, dlog=dlog)
 
 
-def residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:
+def residue_symbol(a: Poly, r: Poly, *, validate: bool = False,
+                   tables: dict | None = None) -> SymbolValue:
     """The (q-1)-th power residue symbol of a modulo the monic prime r.
 
     With validate=True the primality of r is re-checked (Ben-Or, on the table
     the norm uses); callers holding a certified factorization can skip that.
+    tables, when given, maps r.coeffs to (r's Frobenius table, whether Ben-Or
+    has passed on it) for moduli over a's field: r's entry is read before
+    the table is built and written after, so the dict's owner builds each
+    table and walks each Ben-Or at most once.
     Errors, in this order: NotPrimeModulus for a constant or non-monic r, or
     a reducible one under validate; NotCoprime when gcd(a, r) != 1;
     NotPrimeModulus when the norm is not constant (r is then reducible).
@@ -56,9 +65,14 @@ def residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:
     ctx = a.ctx
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
-    rows = frobenius_table(r)
-    if validate and not _is_irreducible(r, rows):
-        raise NotPrimeModulus(f"lower entry {r} is reducible")
+    entry = tables.get(r.coeffs) if tables is not None else None
+    rows, proven = entry if entry is not None else (frobenius_table(r), False)
+    if validate and not proven:
+        if not _is_irreducible(r, rows):
+            raise NotPrimeModulus(f"lower entry {r} is reducible")
+        proven = True
+    if tables is not None:
+        tables[r.coeffs] = (rows, proven)
     reduced = frobenius_norm(rows, a % r, r.degree)
     if reduced.degree != 0:
         # a unit's norm is a unit, so a nonzero constant proves gcd(a, r) = 1
@@ -116,14 +130,16 @@ def symbol_dlog(a: Poly, b: Poly) -> int:
     return acc % w
 
 
-def check_reciprocity(p1: Poly, p2: Poly, *, validate: bool = True) -> bool:
+def check_reciprocity(p1: Poly, p2: Poly, *, validate: bool = True,
+                      tables: dict | None = None) -> bool:
     """Evaluate both sides of the reciprocity law independently and compare:
-    symbol(p2 over p1) against (-1)**(deg p1 * deg p2) * symbol(p1 over p2)."""
+    symbol(p2 over p1) against (-1)**(deg p1 * deg p2) * symbol(p1 over p2).
+    tables is passed to both residue_symbol() calls."""
     if p1 == p2:
         raise EqualPrimes("reciprocity needs two distinct primes")
     ctx = p1.ctx
-    left = residue_symbol(p2, p1, validate=validate).value
-    right = residue_symbol(p1, p2, validate=validate).value
+    left = residue_symbol(p2, p1, validate=validate, tables=tables).value
+    right = residue_symbol(p1, p2, validate=validate, tables=tables).value
     if (p1.degree * p2.degree) % 2 == 1:
         right = ctx.kernel.fmul(right, ctx.minus_one)
     return left == right

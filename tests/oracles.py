@@ -10,7 +10,10 @@ library's norm form, ``frobenius_fold`` keeps the Frobenius
 application as the fold of kernel sums and scalings it was before the
 kernel had ``papply``, and ``powmod_equal_degree_split`` keeps the
 Cantor-Zassenhaus split with its direct power a**((q**d - 1)/2), the
-reference of the library's split on the Frobenius table. ``naive_divrem``,
+reference of the library's split on the Frobenius table, and
+``rereducing_distinct_degree_split`` keeps the distinct-degree walk that
+reduced its table's rows each time f shrank, the reference of the
+library's walk on the first table. ``naive_divrem``,
 ``naive_gcd`` and ``naive_powmod`` are schoolbook division, Euclid and
 square-and-multiply on coefficient lists, on the naive field operations
 alone: the references of the kernels' shared remainder loop.
@@ -21,7 +24,16 @@ from __future__ import annotations
 import random
 from itertools import zip_longest
 
-from qcff.algebra import FieldCtx, Poly, one, poly_gcd, poly_is_irreducible, poly_powmod
+from qcff.algebra import (
+    FieldCtx,
+    Poly,
+    one,
+    poly_gcd,
+    poly_is_irreducible,
+    poly_powmod,
+    var_T,
+)
+from qcff.algebra.factor import frobenius_apply, frobenius_table
 from qcff.errors import NotCoprime, NotPrimeModulus
 from qcff.symbols import SymbolValue
 
@@ -195,6 +207,31 @@ def powmod_equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]
                 stack.append(h)
                 stack.append(g // h)
                 break
+    return out
+
+
+def rereducing_distinct_degree_split(f: Poly) -> list[tuple[Poly, int]]:
+    """The distinct-degree parts (g, d) of a monic nonconstant f, in the
+    order found, by the walk that replaces its table each time f shrinks:
+    T**(q*i) mod the old f reduces to T**(q*i) mod its factor f."""
+    T = var_T(f.ctx)
+    prem = f.ctx.kernel.prem
+    rows = frobenius_table(f)
+    h = T % f
+    d = 0
+    out = []
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        if len(rows) > f.degree:
+            rows = tuple(prem(row, f.coeffs) for row in rows[:f.degree])
+        h = frobenius_apply(rows, h)
+        g = poly_gcd(f, h - T)
+        if g.degree >= 1:
+            out.append((g, d))
+            f = f // g
+            h = h % f
+    if f.degree >= 1:
+        out.append((f, f.degree))
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from qcff.algebra import (
     Poly,
+    field_create,
     monic_irreducibles,
     monic_of_degree,
     one,
@@ -17,6 +18,7 @@ from qcff.algebra import (
     var_T,
 )
 from qcff.algebra.factor import (
+    _is_irreducible,
     distinct_degree_split,
     equal_degree_split,
     frobenius_apply,
@@ -27,7 +29,7 @@ from qcff.algebra.factor import (
 from qcff.errors import ConstantInput, ValidationError
 from qcff.selfcheck import all_polys_below, suite_phi_bruteforce
 
-from .oracles import powmod_equal_degree_split
+from .oracles import powmod_equal_degree_split, rereducing_distinct_degree_split
 
 
 def _shape(fz):
@@ -169,6 +171,50 @@ def test_distinct_degree_split_of_known_products(ctx3):
                 sorted((d, g.coeffs) for d, g in by_degree.items()), f
             cases += 1
     assert cases == 91 + 364  # 3 + 3 + 8 = 14 primes: C(14, 2) + C(14, 3)
+
+
+def _random_monic(ctx, d, rng):
+    return Poly(ctx, [rng.randrange(ctx.q) for _ in range(d)] + [1])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 257])
+def test_distinct_degree_split_matches_rereducing_walk(q, ctx3, ctx5, ctx7, ctx9):
+    """Seeded squarefree products of one or two primes of each of three
+    degrees <= 4, so that f shrinks at least twice: the walk on the
+    first table gives the parts of the walk that reduces its table at each
+    shrink, in the same order. Ben-Or's verdict is the same on each product,
+    each of its primes and 40 seeded monic polynomials of degree <= 8,
+    squares and irreducibles among them."""
+    ctx = {3: ctx3, 5: ctx5, 7: ctx7, 9: ctx9}.get(q) or field_create(q)
+    rng = random.Random(q)
+    primes: dict[int, list[Poly]] = {}
+    for d in range(1, 5):
+        found: list[Poly] = []
+        while len(found) < 2:
+            f = _random_monic(ctx, d, rng)
+            if f not in found and poly_is_irreducible(f):
+                found.append(f)
+        primes[d] = found
+    tested = []
+    for degrees in itertools.combinations(range(1, 5), 3):
+        for k in (1, 2):
+            f = one(ctx)
+            for d in degrees:
+                for p in primes[d][:k]:
+                    f = f * p
+            parts = list(distinct_degree_split(f))
+            assert parts == rereducing_distinct_degree_split(f), f
+            assert len(parts) >= 3, f
+            tested.append(f)
+    tested += [p for found in primes.values() for p in found]
+    tested += [_random_monic(ctx, rng.randrange(1, 9), rng) for _ in range(40)]
+    tested += [p * p for p in primes[2]]
+    verdicts = set()
+    for f in tested:
+        ben_or = _is_irreducible(f, frobenius_table(f))
+        assert ben_or == (rereducing_distinct_degree_split(f)[0] == (f, f.degree)), f
+        verdicts.add(ben_or)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])

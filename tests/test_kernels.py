@@ -192,6 +192,14 @@ def test_finv_of_zero_raises(kern):
     assert all(kern.fmul(a, kern.finv(a)) == 1 for a in range(1, kern.q))
 
 
+@pytest.mark.parametrize("kern", _backends())
+def test_negation_rejects_out_of_range_element(kern):
+    for call in (lambda: kern.fneg(-1), lambda: kern.fneg(kern.q),
+                 lambda: kern.fsub(1, -1)):
+        with pytest.raises(ValueError):
+            call()
+
+
 # (method, arguments), each holding a None coefficient the method reads
 _NONE_CALLS = [
     ("pmul", ([1, None], [1, 1])),

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from qcff import symbols
 from qcff.algebra import (
     monic_irreducibles,
     monic_of_degree,
@@ -12,7 +14,9 @@ from qcff.algebra import (
     var_T,
     zero,
 )
+from qcff.config import parse_config
 from qcff.errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
+from qcff.report import run_report
 from qcff.selfcheck import all_polys_below, suite_symbol_euclid
 from qcff.symbols import SymbolValue, check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
 
@@ -133,6 +137,71 @@ def test_reciprocity_examples(ctx3, ctx5, mk):
 def test_reciprocity_rejects_equal_primes(ctx3):
     with pytest.raises(EqualPrimes):
         check_reciprocity(var_T(ctx3), var_T(ctx3))
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_reciprocity_with_shared_tables_matches_fresh_calls(ctx3, ctx5, ctx9, validate):
+    """Every pair of distinct monic primes, F_3 deg <= 3, F_5 and F_9
+    deg <= 2: one dict per field gives each pair the verdict of fresh calls,
+    and ends with one entry per prime, proven exactly under validate."""
+    for ctx, bound in ((ctx3, 3), (ctx5, 2), (ctx9, 2)):
+        primes = list(monic_irreducibles(ctx, bound))
+        tables: dict = {}
+        for a, b in itertools.combinations(primes, 2):
+            assert check_reciprocity(a, b, validate=validate, tables=tables) == \
+                check_reciprocity(a, b, validate=validate), (a, b)
+        assert sorted(tables) == sorted(p.coeffs for p in primes)
+        assert {proven for _, proven in tables.values()} == {validate}
+
+
+def test_shared_tables_never_skip_the_primality_check(ctx3, mk):
+    """A reducible r whose norm of 1 is constant passes without validate and
+    leaves its unproven table in the dict; every validated call after that
+    still runs Ben-Or and raises."""
+    r = mk(ctx3, "T^2+T")  # T * (T+1)
+    tables: dict = {}
+    assert residue_symbol(one(ctx3), r, tables=tables).value == 1
+    assert tables[r.coeffs][1] is False
+    for _ in range(2):
+        with pytest.raises(NotPrimeModulus, match="reducible"):
+            residue_symbol(one(ctx3), r, validate=True, tables=tables)
+    assert tables[r.coeffs][1] is False
+
+
+class _UnreadableDict(dict):
+    def _read(self, *args):
+        raise AssertionError("the tables dict was read")
+
+    get = __getitem__ = __setitem__ = __contains__ = _read
+
+
+def test_bad_modulus_raises_before_the_tables_are_read(ctx3, mk):
+    for r in (zero(ctx3), one(ctx3), mk(ctx3, "2"), mk(ctx3, "2*T+1")):
+        with pytest.raises(NotPrimeModulus, match="monic prime"):
+            residue_symbol(var_T(ctx3), r, validate=True, tables=_UnreadableDict())
+
+
+def test_report_builds_one_table_per_pair_prime(monkeypatch):
+    """Four pairs over four primes (one of degree 2): the reciprocity checks
+    build one Frobenius table per distinct pair member, not one per symbol."""
+    built = []
+    real = symbols.frobenius_table
+
+    def counting(r):
+        built.append(r.coeffs)
+        return real(r)
+
+    monkeypatch.setattr(symbols, "frobenius_table", counting)
+    cfg = parse_config({
+        "p": 3,
+        "conductor": {"factors": [["T", 1], ["T+1", 1], ["T+2", 1], ["T^2+1", 1]]},
+        "pairs": [["T", "T+1"], ["T", "T^2+1"], ["T+1", "T^2+1"], ["T+1", "T+2"]],
+    })
+    report = run_report(cfg)
+    checks = [c for c in report["oracles"]["checks"] if c["name"].startswith("reciprocity")]
+    assert len(checks) == 4 and all(c["passed"] for c in checks)
+    members = {p.coeffs for pair in cfg.pairs for p in pair}
+    assert sorted(built) == sorted(members) and len(members) == 4
 
 
 def test_euclidean_symbol_matches_powmod_symbols(ctx3, ctx5, ctx9):
