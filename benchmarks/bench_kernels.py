@@ -4,8 +4,8 @@ Times the hot operations (dense multiplication, division with and
 without the quotient, modular exponentiation, gcd, one application of a
 Frobenius table) and one composite workload (residue-symbol style powmod
 chains), on the same inputs for both backends, over a prime field
-(F_7), an extension field (F_9) and a field without an addition table
-(F_257). It is the only per-operation, per-backend comparison;
+(F_7), an extension field (F_9) and two fields without an addition table
+(F_257 and F_3^6). It is the only per-operation, per-backend comparison;
 perfbench/ times whole jobs with whichever kernel is loaded.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
@@ -37,9 +37,10 @@ def _time(fn, repeat: int) -> float:
     return best
 
 
-# (label, p, e, modulus): a prime field and F_9 take the add-table loops,
-# F_257 (q > 256, no add table) takes the fadd loops
-FIELDS = [("F_7", 7, 1, None), ("F_9", 3, 2, [1, 0, 1]), ("F_257", 257, 1, None)]
+# (label, p, e, modulus): the pure kernel adds through the q*q table on F_7
+# and F_9, through the 2p sums on F_257, and by digit groups on F_3^6
+FIELDS = [("F_7", 7, 1, None), ("F_9", 3, 2, [1, 0, 1]), ("F_257", 257, 1, None),
+          ("F_3^6", 3, 6, [2, 1, 0, 0, 0, 0, 1])]
 
 
 def bench_field(p: int, e: int, modulus, repeat: int) -> dict[str, dict[str, float]]:

@@ -359,10 +359,15 @@ static PyObject *scale_to_list(const Kernel *k, int *f, Py_ssize_t lf, int c) {
     return to_list(f, lf);
 }
 
-/* f made monic, as a list: f itself when it is 0 or already monic. */
+/* f made monic, as a list: f itself when it is 0 or already monic. An
+ * unstripped f with a zero top raises, as finv(0) does. */
 static PyObject *monic_to_list(const Kernel *k, int *f, Py_ssize_t lf) {
     if (lf == 0 || f[lf - 1] == 1)
         return to_list(f, lf);
+    if (f[lf - 1] == 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "inverse of zero");
+        return NULL;
+    }
     return scale_to_list(k, f, lf, f_inv(k, f[lf - 1]));
 }
 

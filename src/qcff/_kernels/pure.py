@@ -5,14 +5,21 @@ Reference implementation of the hot operations: element arithmetic in F_q
 F_q (coefficient sequences, ascending degree, no trailing zeros, empty =
 0; inputs may be lists or tuples, results are lists).
 
+Addition is one lookup, ``_sums[a * _stride + b]``, in ``fadd`` and in
+every loop. The constructor builds it once, in one of three ways:
+- the q*q table given as ``add_table`` (q <= 256), with stride q;
+- for a prime field without one, the 2p sums ``0, 1, ..., p - 1`` listed
+  twice, with stride 1, since a + b < 2p;
+- for an extension field without one, a ``_GroupSums``, which adds the
+  base-p digits of a and b a group at a time through one s*s table, s the
+  largest power of p not above 256 (or p itself), with stride q.
+``digit_sums`` builds both kinds of table, the q*q one for `field_create`.
+
 The polynomial loops work on discrete logs. Each call turns the fixed
 operand (the second factor of a product, the divisor of a division) into
 its nonzero (index, log) pairs once, and indexes ``_exp3``, the exp table
 repeated three times, with sums of logs, so no step reduces mod w. Each
-step then adds one product into one coefficient: where the field has an
-addition table (q <= 256) that is one lookup, ``add_table[x * q + y]``;
-where it has none, it is one ``fadd`` call. The branch is taken once per
-call (once per quotient term in a division), outside the inner loops.
+step then adds one product into one coefficient by the one lookup.
 
 Division has the shape of the compiled kernel's: ``_divisor(g)`` prepares
 g once (its nonzero (index, log) pairs below the top and c, the log of
@@ -40,6 +47,51 @@ The compiled kernel in ``_core.c`` implements the identical interface;
 
 from __future__ import annotations
 
+# Fields up to this size add through a q*q table, and larger extension
+# fields through an s*s table, s the largest power of p up to it (or p).
+ADD_TABLE_MAX_Q = 256
+
+
+def digit_sums(p, n):
+    """The flat q*q table of a + b in F_{p^n}, q = p**n, at a * q + b.
+
+    Addition acts digit by digit on encodings: the lowest base-p digits
+    add mod p, and the higher ones take the entry already filled for
+    (a // p, b // p)."""
+    q = p ** n
+    sums = list(range(q))  # row a = 0: 0 + b = b
+    for a in range(1, q):
+        low, high = a % p, a // p * q
+        sums += [(low + b % p) % p + p * sums[high + b // p] for b in range(q)]
+    return sums
+
+
+class _GroupSums:
+    """a + b in F_{p^e} at index a * q + b, through one s*s table: the
+    base-p digits of a and b are added k at a time, s = p**k."""
+
+    __slots__ = ("q", "s", "table")
+
+    def __init__(self, p, e):
+        k = 1
+        while p ** (k + 1) <= ADD_TABLE_MAX_Q:
+            k += 1
+        self.q = p ** e
+        self.s = p ** k
+        self.table = digit_sums(p, k)
+
+    def __getitem__(self, i):
+        q, s, table = self.q, self.s, self.table
+        a, b = i // q, i % q
+        out = table[a % s * s + b % s]
+        scale = 1
+        while a >= s or b >= s:
+            a //= s
+            b //= s
+            scale *= s
+            out += table[a % s * s + b % s] * scale
+        return out
+
 
 class FieldKernel:
     """Arithmetic engine bound to one field's precomputed tables.
@@ -50,7 +102,7 @@ class FieldKernel:
     when not None, is a flat q*q lookup for addition (built for small q).
     """
 
-    __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "add_table", "_exp3")
+    __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "_sums", "_stride", "_exp3")
 
     def __init__(self, p, e, q, w, exp, log, neg, add_table=None):
         self.p = p
@@ -60,7 +112,12 @@ class FieldKernel:
         self.exp = list(exp)
         self.log = list(log)
         self.neg = list(neg)
-        self.add_table = list(add_table) if add_table is not None else None
+        if add_table is not None:
+            self._sums, self._stride = list(add_table), q
+        elif e == 1:
+            self._sums, self._stride = list(range(p)) * 2, 1
+        else:
+            self._sums, self._stride = _GroupSums(p, e), q
         # _exp3[i] == exp[i % w] for 0 <= i < 3w: indexed by a sum of two
         # logs, or of three in a reduction step
         self._exp3 = self.exp * 3
@@ -68,20 +125,7 @@ class FieldKernel:
     # -- scalar ops ---------------------------------------------------------
 
     def fadd(self, a, b):
-        t = self.add_table
-        if t is not None:
-            return t[a * self.q + b]
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        scale = 1
-        while a or b:
-            out += ((a + b) % p) * scale
-            a //= p
-            b //= p
-            scale *= p
-        return out
+        return self._sums[a * self._stride + b]
 
     def _element(self, a):
         if not 0 <= a < self.q:
@@ -109,13 +153,8 @@ class FieldKernel:
     def padd(self, f, g):
         if len(f) < len(g):
             f, g = g, f
-        add = self.add_table
-        if add is not None:
-            q = self.q
-            out = [add[a * q + b] for a, b in zip(f, g)]
-        else:
-            fadd = self.fadd
-            out = [fadd(a, b) for a, b in zip(f, g)]
+        add, stride = self._sums, self._stride
+        out = [add[a * stride + b] for a, b in zip(f, g)]
         out.extend(f[len(g):])
         while out and out[-1] == 0:
             out.pop()
@@ -138,23 +177,13 @@ class FieldKernel:
         exp3, log = self._exp3, self.log
         g_logs = [(j, log[b]) for j, b in enumerate(g) if b]
         out = [0] * (len(f) + len(g) - 1)
-        add = self.add_table
-        if add is not None:
-            q = self.q
-            for i, a in enumerate(f):
-                if a:
-                    la = log[a]
-                    for j, lb in g_logs:
-                        k = i + j
-                        out[k] = add[out[k] * q + exp3[la + lb]]
-        else:
-            fadd = self.fadd
-            for i, a in enumerate(f):
-                if a:
-                    la = log[a]
-                    for j, lb in g_logs:
-                        k = i + j
-                        out[k] = fadd(out[k], exp3[la + lb])
+        add, stride = self._sums, self._stride
+        for i, a in enumerate(f):
+            if a:
+                la = log[a]
+                for j, lb in g_logs:
+                    k = i + j
+                    out[k] = add[out[k] * stride + exp3[la + lb]]
         while out and out[-1] == 0:
             out.pop()
         return out
@@ -165,23 +194,13 @@ class FieldKernel:
             raise ValueError(f"papply: h and each row need at most {n} coefficients")
         exp3, log = self._exp3, self.log
         out = [0] * n
-        add = self.add_table
-        if add is not None:
-            q = self.q
-            for c, row in zip(h, rows):
-                if c:
-                    lc = log[c]
-                    for j, b in enumerate(row):
-                        if b:
-                            out[j] = add[out[j] * q + exp3[lc + log[b]]]
-        else:
-            fadd = self.fadd
-            for c, row in zip(h, rows):
-                if c:
-                    lc = log[c]
-                    for j, b in enumerate(row):
-                        if b:
-                            out[j] = fadd(out[j], exp3[lc + log[b]])
+        add, stride = self._sums, self._stride
+        for c, row in zip(h, rows):
+            if c:
+                lc = log[c]
+                for j, b in enumerate(row):
+                    if b:
+                        out[j] = add[out[j] * stride + exp3[lc + log[b]]]
         while out and out[-1] == 0:
             out.pop()
         return out
@@ -205,9 +224,7 @@ class FieldKernel:
         pairs, c, dg = divisor
         if len(r) > dg:
             exp3, log, half = self._exp3, self.log, self.w // 2
-            add = self.add_table
-            fadd = self.fadd if add is None else None
-            q = self.q
+            add, stride = self._sums, self._stride
             # step i adds t * (-g_j / lc(g)) into r[i + j] below the top,
             # t = r[i + dg]: one exp3 lookup on log t + c + log g_j < 3w
             for i in range(len(r) - dg - 1, -1, -1):
@@ -216,14 +233,9 @@ class FieldKernel:
                     lt = log[t] + c
                     if quot is not None:
                         quot[i] = exp3[lt + half]
-                    if fadd is None:
-                        for j, lg in pairs:
-                            k = i + j
-                            r[k] = add[r[k] * q + exp3[lt + lg]]
-                    else:
-                        for j, lg in pairs:
-                            k = i + j
-                            r[k] = fadd(r[k], exp3[lt + lg])
+                    for j, lg in pairs:
+                        k = i + j
+                        r[k] = add[r[k] * stride + exp3[lt + lg]]
             del r[dg:]
         while r and r[-1] == 0:
             r.pop()

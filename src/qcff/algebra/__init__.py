@@ -8,7 +8,7 @@ from .factor import (
     poly_is_irreducible,
     poly_phi,
 )
-from .field import FieldCtx, field_create, fq_order, is_prime_int
+from .field import FieldCtx, field_create, is_prime_int
 from .poly import (
     Poly,
     enumerate_monic_below,
@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_monic_below",
     "field_create",
     "format_poly",
-    "fq_order",
     "is_prime_int",
     "monic_irreducibles",
     "monic_of_degree",

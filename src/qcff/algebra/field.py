@@ -8,10 +8,10 @@ both the canonical generator gamma and the total order on polynomials.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .._kernels import FieldKernel
+from .._kernels.pure import ADD_TABLE_MAX_Q, digit_sums
 from ..errors import (
     EvenCharacteristic,
     LogOfZero,
@@ -23,10 +23,6 @@ from ..errors import (
 
 if TYPE_CHECKING:
     from .poly import Poly
-
-# Addition tables are precomputed for fields up to this size (q*q ints).
-_ADD_TABLE_MAX_Q = 256
-
 
 def is_prime_int(n: int) -> bool:
     """Deterministic primality test (desk-scale n)."""
@@ -107,11 +103,6 @@ class FieldCtx:
         self._check_elem(x)
         return tuple(x // self.p ** i % self.p for i in range(self.e))
 
-    def from_digits(self, digits: Sequence[int]) -> int:
-        if len(digits) != self.e or any(not 0 <= d < self.p for d in digits):
-            raise ValidationError(f"digit vector must have length {self.e} with entries in [0, {self.p})")
-        return _digits_to_enc(digits, self.p)
-
     def _check_elem(self, x: int) -> None:
         if not isinstance(x, int) or not 0 <= x < self.q:
             raise ValidationError(f"{x!r} is not an encoded element of F_{self.q}")
@@ -145,10 +136,9 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
     coefficients (length e + 1), or a Poly over F_p, whose field is then
     the one the tables are built with instead of a new F_p.
 
-    Negation and addition act digit by digit, so one rule builds both
-    tables for every e: the lowest base-p digit of an encoding negates or
-    adds mod p, and the higher digits take the entry already filled for
-    x // p, or for (a // p, b // p) in the addition table.
+    Negation acts digit by digit: the lowest base-p digit of an encoding
+    negates mod p, and the higher digits take the entry already filled for
+    x // p. The addition table (q <= 256) is `digit_sums`, by the same rule.
     """
     if not isinstance(p, int) or not is_prime_int(p):
         raise NonPrimeP(f"p = {p!r} is not prime")
@@ -207,16 +197,8 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
     for x in range(1, q):
         neg[x] = (p - x % p) % p + p * neg[x // p]
 
-    add_table = None
-    if q <= _ADD_TABLE_MAX_Q:
-        add_table = list(range(q))  # row a = 0: 0 + b = b
-        for a in range(1, q):
-            low, high = a % p, a // p * q
-            add_table += [(low + b % p) % p + p * add_table[high + b // p]
-                          for b in range(q)]
-
-    return FieldCtx(p, e, mod_tuple, gamma, tuple(exp), tuple(log), tuple(neg),
-                    tuple(add_table) if add_table is not None else None)
+    add_table = tuple(digit_sums(p, e)) if q <= ADD_TABLE_MAX_Q else None
+    return FieldCtx(p, e, mod_tuple, gamma, tuple(exp), tuple(log), tuple(neg), add_table)
 
 
 def _digit_arithmetic(base: FieldCtx, modulus: tuple[int, ...]) -> tuple[Callable, Callable]:
@@ -232,11 +214,3 @@ def _digit_arithmetic(base: FieldCtx, modulus: tuple[int, ...]) -> tuple[Callabl
         return _digits_to_enc(kernel.ppowmod(_digit_vector(x, p), n, modulus), p)
 
     return mul, power
-
-
-def fq_order(ctx: FieldCtx, x: int) -> int:
-    """Multiplicative order of a nonzero element."""
-    i = ctx.dlog(x)
-    if i == 0:
-        return 1
-    return ctx.w // math.gcd(ctx.w, i)

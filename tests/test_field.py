@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qcff.algebra import field_create, fq_order, monic_of_degree, poly_is_irreducible
+from qcff.algebra import field_create, monic_of_degree, poly_is_irreducible
 from qcff.algebra.field import prime_divisors_int
 from qcff.errors import (
     EvenCharacteristic,
@@ -17,7 +17,7 @@ from qcff.errors import (
     ValidationError,
 )
 
-from .oracles import digits_of, enc_of, naive_dlog, naive_fq_mul, naive_fq_order
+from .oracles import digits_of, enc_of, naive_dlog, naive_fq_add, naive_fq_mul, naive_fq_order
 
 # q <= 27: every supported field in that range gets the exhaustive checks.
 SMALL_FIELDS = [
@@ -31,10 +31,12 @@ SMALL_FIELDS = [
     (3, 3, [1, 2, 0, 1]),  # q = 27
 ]
 
-# q > 256: fields without an addition table, one prime and one extension
+# q > 256: fields without an addition table, one prime and two extensions
+# (their digits add in groups of 5 + 1 and of 2 + 1)
 LARGE_FIELDS = [
     (257, 1, None),
     (3, 6, [2, 1, 0, 0, 0, 0, 1]),  # q = 729, modulus T^6+T+2
+    (7, 3, [2, 0, 0, 1]),  # q = 343, modulus T^3+2
 ]
 
 
@@ -99,18 +101,27 @@ def test_dlog_of_zero_rejected(ctx3):
 
 def test_enc_digit_round_trip(ctx9):
     for x in range(ctx9.q):
-        assert ctx9.from_digits(ctx9.digits(x)) == x
+        assert enc_of(ctx9, list(ctx9.digits(x))) == x
     assert ctx9.digits(4) == (1, 1)
 
 
-def test_kernel_scalar_ops_match_naive(ctx9):
-    k = ctx9.kernel
-    for a in range(ctx9.q):
-        for b in range(ctx9.q):
-            assert k.fmul(a, b) == naive_fq_mul(ctx9, a, b)
-            assert k.fadd(a, b) == ctx9.from_digits(
-                [(x + y) % ctx9.p for x, y in zip(ctx9.digits(a), ctx9.digits(b))])
-    for a in range(1, ctx9.q):
+@pytest.mark.parametrize("p,e,mod", [(3, 2, [1, 0, 1])] + LARGE_FIELDS,
+                         ids=["F_9", "F_257", "F_3^6", "F_7^3"])
+def test_kernel_scalar_ops_match_naive(p, e, mod):
+    """Every pair for q <= 343 and a seeded sample for F_3^6: the field's
+    addition lookup (table, 2p sums or digit groups) against the digit
+    oracle."""
+    ctx = field_create(p, e, mod)
+    k = ctx.kernel
+    if ctx.q <= 343:
+        pairs = [(a, b) for a in range(ctx.q) for b in range(ctx.q)]
+    else:
+        rng = random.Random(6)
+        pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(20000)]
+    for a, b in pairs:
+        assert k.fmul(a, b) == naive_fq_mul(ctx, a, b)
+        assert k.fadd(a, b) == naive_fq_add(ctx, a, b)
+    for a in range(1, ctx.q):
         assert k.fmul(a, k.finv(a)) == 1
 
 
@@ -129,12 +140,6 @@ def test_table_free_fields_match_naive(p, e, mod):
         assert k.fadd(a, b) == enc_of(ctx, [(x + y) % p for x, y in zip(da, db)])
         assert k.fsub(a, b) == enc_of(ctx, [(x - y) % p for x, y in zip(da, db)])
         assert k.fmul(a, b) == naive_fq_mul(ctx, a, b)
-
-
-def test_fq_order(ctx5):
-    assert fq_order(ctx5, 1) == 1
-    assert fq_order(ctx5, 4) == 2  # 4 = -1
-    assert fq_order(ctx5, 2) == 4
 
 
 def test_field_create_rejections():

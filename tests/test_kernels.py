@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel
+from qcff._kernels.pure import _GroupSums
 from qcff.algebra import Poly, field_create
 from qcff.algebra.factor import frobenius_table
 
@@ -20,9 +21,11 @@ from .oracles import (
     naive_powmod,
 )
 
-# the last two have no addition table (q > 256)
+# the last three have no addition table (q > 256): F_257 adds through its
+# 2p sums, F_3^6 and F_7^3 through digit groups of 5 + 1 and of 2 + 1
 FIELDS = [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, [1, 0, 1]),
-          (5, 2, [2, 0, 1]), (257, 1, None), (3, 6, [2, 1, 0, 0, 0, 0, 1])]
+          (5, 2, [2, 0, 1]), (257, 1, None), (3, 6, [2, 1, 0, 0, 0, 0, 1]),
+          (7, 3, [2, 0, 0, 1])]
 
 needs_compiled = pytest.mark.skipif(
     CompiledFieldKernel is None, reason="compiled kernel not built")
@@ -193,6 +196,15 @@ def test_finv_of_zero_raises(kern):
 
 
 @pytest.mark.parametrize("kern", _backends())
+def test_pmonic_of_zero_top_coefficient_raises(kern):
+    """An unstripped f with a zero top has no monic multiple: both backends
+    raise as finv(0) does, where the compiled one used to return [2, 0]."""
+    for call in (lambda: kern.pmonic([1, 0]), lambda: kern.pgcd([1, 0], [])):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            call()
+
+
+@pytest.mark.parametrize("kern", _backends())
 def test_negation_rejects_out_of_range_element(kern):
     for call in (lambda: kern.fneg(-1), lambda: kern.fneg(kern.q),
                  lambda: kern.fsub(1, -1)):
@@ -259,7 +271,7 @@ def _every_op_once(kern):
     failing = [(kern.prem, (f, [])), (kern.pdivrem, (f, [])), (kern.finv, (0,)),
                (kern.papply, ([[1], [0, 1, 1]], [1, 1])),
                (kern.ppowmod, (f, 3, [2])), (kern.pmul, ([1], [5])),
-               (kern.ppowmod, (f, None, m))]
+               (kern.ppowmod, (f, None, m)), (kern.pmonic, ([1, 0],))]
     failing += [(getattr(kern, op), args) for op, args in _NONE_CALLS]
     for fn, args in failing:
         try:
@@ -295,12 +307,10 @@ def test_divrem_by_zero_raises(ctx3):
 @pytest.mark.parametrize("p,e,mod", FIELDS)
 def test_pure_kernel_poly_ops(p, e, mod):
     """The pure kernel on its own, against the table-free oracles: runs
-    without the compiled kernel and reaches the add-table loops (q <= 256)
-    and the fadd loops (q > 256)."""
+    without the compiled kernel, on all three kinds of addition lookup."""
     ctx = field_create(p, e, mod)
     kern = PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
                            ctx._neg, ctx._add_table)
-    assert (kern.add_table is None) == (ctx.q > 256)
     rng = random.Random(40)
     non_monic = 0
     for _ in range(30):
@@ -332,13 +342,14 @@ def test_pure_kernel_poly_ops(p, e, mod):
     assert non_monic > 0
 
 
-# F_3 and F_9 reduce through the addition table, F_257 (e = 1) and F_3^6
-# (e > 1) through fadd
+# F_3 and F_9 reduce through the addition table, F_257 through its 2p
+# sums, F_3^6 and F_7^3 through digit groups
 REDUCTION_FIELDS = [
     pytest.param(3, 1, None, id="F_3"),
     pytest.param(3, 2, [1, 0, 1], id="F_9"),
     pytest.param(257, 1, None, id="F_257"),
     pytest.param(3, 6, [2, 1, 0, 0, 0, 0, 1], id="F_3^6"),
+    pytest.param(7, 3, [2, 0, 0, 1], id="F_7^3"),
 ]
 
 
@@ -352,7 +363,6 @@ def test_pure_reduction_loop_matches_schoolbook(p, e, mod):
     ctx = field_create(p, e, mod)
     kern = PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
                            ctx._neg, ctx._add_table)
-    assert (kern.add_table is None) == (ctx.q > 256)
     rng = random.Random(19 * p + e)
     unit = [rng.randrange(1, ctx.q)]
     short = [rng.randrange(ctx.q), rng.randrange(1, ctx.q)]
@@ -374,3 +384,33 @@ def test_pure_reduction_loop_matches_schoolbook(p, e, mod):
             for n in (0, 1, 2, rng.randrange(3, 2 ** 10)):
                 assert kern.ppowmod(f, n, g) == naive_powmod(ctx, f, n, g), (f, n, g)
         assert (list(f), list(g)) == before
+
+
+@pytest.mark.parametrize("p,e,mod,stride,size", [
+    pytest.param(3, 2, [1, 0, 1], 9, 81, id="F_9"),
+    pytest.param(257, 1, None, 1, 514, id="F_257"),
+    pytest.param(7, 3, [2, 0, 0, 1], 343, 49 * 49, id="F_7^3"),
+    pytest.param(3, 6, [2, 1, 0, 0, 0, 0, 1], 729, 243 * 243, id="F_3^6"),
+])
+def test_pure_kernel_builds_one_addition_lookup(p, e, mod, stride, size):
+    """The q*q table for q <= 256, the 2p sums of a prime field past it,
+    and one s*s table of digit groups for an extension field past it."""
+    ctx = field_create(p, e, mod)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
+                           ctx._neg, ctx._add_table)
+    sums = kern._sums
+    assert kern._stride == stride
+    assert len(sums.table if isinstance(sums, _GroupSums) else sums) == size
+
+
+def test_digit_groups_of_a_large_prime():
+    """F_37^3 adds one digit at a time (37^2 > 256): a 1,369-entry table."""
+    sums = _GroupSums(37, 3)
+    assert (sums.q, sums.s, len(sums.table)) == (37 ** 3, 37, 1369)
+    rng = random.Random(37)
+    for _ in range(2000):
+        da = [rng.randrange(37) for _ in range(3)]
+        db = [rng.randrange(37) for _ in range(3)]
+        a, b = (d[0] + 37 * d[1] + 37 ** 2 * d[2] for d in (da, db))
+        ds = [(x + y) % 37 for x, y in zip(da, db)]
+        assert sums[a * sums.q + b] == ds[0] + 37 * ds[1] + 37 ** 2 * ds[2]
