@@ -14,16 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
+from operator import itemgetter
 from typing import Sequence
 
 from .algebra import (
     Poly,
-    enumerate_monic_below,
     poly_cmp,
     poly_gcd,
     poly_is_irreducible,
 )
-from .algebra.poly import _wrap, coeffs_sort_key
+from .algebra.poly import _wrap
 from .cyclotomic import Conductor, _as_genus
 from .errors import (
     BadPair,
@@ -126,6 +127,10 @@ def raw_term_count(ctx, d_first: int, d_second: int) -> int:
     return (ctx.q - 2) * n_a * n_b * 2
 
 
+# a coefficient tuple from the top down: with len, the two keys of coeffs_sort_key
+_top_down = itemgetter(slice(None, None, -1))
+
+
 def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     """The formal k/A sum attached to an oriented prime pair.
 
@@ -144,10 +149,15 @@ def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     no term lands in A, and raw_terms == raw_term_count(ctx, deg P, deg Q).
 
     The terms are summed in one dict per denominator, keyed by numerator
-    coefficients, and come out in the canonical order of (den, num): the
-    denominators P, Q, PQ in that order (see _add_half_sum), each followed
-    by its numerators sorted by coeffs_sort_key. The numerators come from
-    the kernel on valid inputs, so they are wrapped without validation.
+    coefficients. _add_half_sum writes the numerators down without a kernel
+    call per raw term: c*A runs over the N of degree below deg Q whose
+    leading coefficient u is not 0 or 1, with weight s = w - log u, and the
+    P-divisible terms, at most one per A, are moved afterwards. Zero sums
+    are dropped, and the rest come out in the canonical order of
+    (den, num): the denominators P, Q, PQ in that order (see
+    _add_half_sum), each followed by its numerators sorted by
+    coeffs_sort_key. The numerators are built from kernel results on valid
+    inputs, so they are wrapped without validation.
     """
     ctx = p_first.ctx
     _validate_pair(p_first, p_second)
@@ -160,10 +170,12 @@ def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     _add_half_sum(ctx, Q, P, -1, over_p, over_pq)
     terms = []
     for den, acc in ((p_first, over_p), (p_second, over_q), (_wrap(ctx, PQ), over_pq)):
-        for num in sorted(acc, key=coeffs_sort_key):
-            n = acc[num]
-            if n:
-                terms.append((FracClass(num=_wrap(ctx, num), den=den), n))
+        nums = [num for num, n in acc.items() if n]
+        # coeffs_sort_key's order by two stable sorts on built-in keys:
+        # top-down coefficients, then length
+        nums.sort(key=_top_down)
+        nums.sort(key=len)
+        terms += [(FracClass(_wrap(ctx, num), den), acc[num]) for num in nums]
     return FormalSum(terms=tuple(terms),
                      raw_terms=raw_term_count(ctx, p_first.degree, p_second.degree))
 
@@ -176,31 +188,56 @@ def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
     its numerator's coefficient tuple: the terms with P | B*Q + c*A to
     over_q, all others to over_pq.
 
+    No raw term needs field arithmetic. The products N = c*A, c = gamma^{-s},
+    are exactly the nonzero N with deg N < deg Q and lc N = u not 0 or 1,
+    each once, with s = w - log u. So with bq = B*Q, the numerators of the
+    degree-i N are low + (bq[i] + u,) + bq[i+1:] for every low in F_q^i
+    (adding bq[:i] only permutes F_q^i): one addition per value of bq[i]
+    and u, kept in heads, and one tuple concatenation and one dict update
+    per raw term. All of them go to over_pq first.
+
+    Then the hits, the terms with P | B*Q + c*A, move their weight from
+    over_pq to over_q. Each A has at most one: with r = A * Q^{-1} mod P
+    it needs B = -c*r monic, so r != 0, c = -1/lc(r) and B = monic(r).
+    Its numerator P*M has the degree and leading coefficient of B*Q, so M
+    is monic with deg Q - deg P <= deg M < deg Q, and B and c*A are the
+    quotient and remainder of P*M by Q. So the hits are found from the
+    side of M, by one product and one remainder each: P*M is a hit
+    exactly when c = lc(P*M mod Q) is not 1, and its class is M / Q.
+
     pair_formal_sum calls this for (P, Q) and then for (Q, P), so its three
     dicts hold the classes over P, Q and PQ. Listed in that order they are
     in the canonical order of their denominators: the pair is oriented,
     P < Q, and deg PQ exceeds both degrees.
     """
-    kernel = ctx.kernel
-    padd, pscale = kernel.padd, kernel.pscale
-    q_inv = kernel.ppowmod(Q, ctx.q ** (len(P) - 1) - 2, P)
-    b_times_q = {b.coeffs: tuple(kernel.pmul(b.coeffs, Q))
-                 for b in enumerate_monic_below(ctx, len(P) - 1)}
-    for a in (f.coeffs for f in enumerate_monic_below(ctx, len(Q) - 1)):
-        a_over_q = kernel.prem(kernel.pmul(a, q_inv), P)
-        for s in range(1, ctx.q - 1):
-            c = ctx.gamma_pow(-s)
-            ca = pscale(a, c)
-            # -c*A/Q mod P is the only B with P | B*Q + c*A, if it is monic
-            hit = b_times_q.get(tuple(pscale(a_over_q, ctx.neg_const(c))))
-            n = sign * s
-            for bq in b_times_q.values():
-                num = tuple(padd(bq, ca))
-                if bq is hit:
-                    num = tuple(kernel.pdivrem(num, P)[0])
-                    over_q[num] = over_q.get(num, 0) + n
-                else:
-                    over_pq[num] = over_pq.get(num, 0) + n
+    kernel, q, w, log = ctx.kernel, ctx.q, ctx.w, ctx.log
+    d_p, d_q = len(P) - 1, len(Q) - 1
+    # weight[u] = sign * s for the leading coefficient u = gamma^{-s} of c*A
+    weight = [0, 0] + [sign * (w - log[u]) for u in range(2, q)]
+    # lows[i] is F_q^i: the low coefficients of the degree-i N, and with a
+    # leading 1 appended the monic polynomials of degree i
+    lows = [list(product(range(q), repeat=i)) for i in range(max(d_p, d_q))]
+    heads: dict[int, list] = {}  # t -> [(t + u, weight[u]) for u = 2..q-1]
+    get = over_pq.get
+    for b_low in chain.from_iterable(lows[:d_p]):
+        bq = kernel.pmul(b_low + (1,), Q)
+        for i in range(d_q):
+            t, high = bq[i], tuple(bq[i + 1:])
+            row = heads.get(t)
+            if row is None:
+                row = heads[t] = [(kernel.fadd(t, u), weight[u]) for u in range(2, q)]
+            for top, n in row:
+                head = (top,) + high
+                for low in lows[i]:
+                    num = low + head
+                    over_pq[num] = get(num, 0) + n
+    for m_low in chain.from_iterable(lows[max(d_q - d_p, 0):d_q]):
+        m = m_low + (1,)
+        num = tuple(kernel.pmul(P, m))
+        u = kernel.prem(num, Q)[-1]
+        if u != 1:
+            over_pq[num] -= weight[u]
+            over_q[m] = over_q.get(m, 0) + weight[u]
 
 
 def _validate_pair(p_first: Poly, p_second: Poly) -> None:

@@ -151,7 +151,8 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
 
 
 def _formal_sums_block(pairs: PairSet, cap: int, ignore_cap: bool) -> list[dict]:
-    out = []
+    """The formal sum of every pair. Each pair's raw term count is checked
+    against the cap before the first sum is computed."""
     for a, b in pairs.pairs:
         expected = raw_term_count(a.ctx, a.degree, b.degree)
         if not ignore_cap and expected > cap:
@@ -159,6 +160,8 @@ def _formal_sums_block(pairs: PairSet, cap: int, ignore_cap: bool) -> list[dict]
                 f"formal sum for ({format_poly(a)}, {format_poly(b)}) has "
                 f"{expected} raw terms, over the cap {cap}; raise "
                 f"options.a_pq_term_cap or pass --force-a-pq")
+    out = []
+    for a, b in pairs.pairs:
         fs = pair_formal_sum(a, b)
         pair = [_poly_json(a), _poly_json(b)]
         # the denominators are P, Q and PQ: one shared fragment each

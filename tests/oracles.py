@@ -17,6 +17,9 @@ library's walk on the first table. ``naive_divrem``,
 ``naive_gcd`` and ``naive_powmod`` are schoolbook division, Euclid and
 square-and-multiply on coefficient lists, on the naive field operations
 alone: the references of the kernels' shared remainder loop.
+``per_term_formal_sum`` keeps the formal sum's loop over every
+(A, s, B) with one kernel ``padd`` per raw term and a hit looked up per
+(A, s), the reference of the library's enumeration of the numerators.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from itertools import zip_longest
 from qcff.algebra import (
     FieldCtx,
     Poly,
+    enumerate_monic_below,
     one,
     poly_gcd,
     poly_is_irreducible,
@@ -34,7 +38,9 @@ from qcff.algebra import (
     var_T,
 )
 from qcff.algebra.factor import frobenius_apply, frobenius_table
+from qcff.algebra.poly import _wrap, coeffs_sort_key
 from qcff.errors import NotCoprime, NotPrimeModulus
+from qcff.kummer import FormalSum, FracClass, raw_term_count
 from qcff.symbols import SymbolValue
 
 
@@ -249,3 +255,47 @@ def powmod_residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> Symbol
     if reduced.degree != 0:
         raise NotPrimeModulus(f"{r} is not prime (symbol power was not constant)")
     return SymbolValue.of(ctx, reduced.coeffs[0])
+
+
+def per_term_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
+    """pair_formal_sum by one kernel sum per raw term: the half sums of
+    (P, Q) and (Q, P) loop over every monic A, s = 1..q-2 and monic B, and
+    the one B per (A, s) with P | B*Q + c*A is found by looking up
+    -c * A * Q^{-1} mod P among the B*Q."""
+    ctx = p_first.ctx
+    P, Q = p_first.coeffs, p_second.coeffs
+    over_p: dict[tuple, int] = {}
+    over_q: dict[tuple, int] = {}
+    over_pq: dict[tuple, int] = {}
+    _per_term_half_sum(ctx, P, Q, 1, over_q, over_pq)
+    _per_term_half_sum(ctx, Q, P, -1, over_p, over_pq)
+    terms = []
+    for den, acc in ((p_first, over_p), (p_second, over_q), (p_first * p_second, over_pq)):
+        for num in sorted(acc, key=coeffs_sort_key):
+            if acc[num]:
+                terms.append((FracClass(num=_wrap(ctx, num), den=den), acc[num]))
+    return FormalSum(terms=tuple(terms),
+                     raw_terms=raw_term_count(ctx, p_first.degree, p_second.degree))
+
+
+def _per_term_half_sum(ctx, P, Q, sign, over_q, over_pq) -> None:
+    kernel = ctx.kernel
+    padd, pscale = kernel.padd, kernel.pscale
+    q_inv = kernel.ppowmod(Q, ctx.q ** (len(P) - 1) - 2, P)
+    b_times_q = {b.coeffs: tuple(kernel.pmul(b.coeffs, Q))
+                 for b in enumerate_monic_below(ctx, len(P) - 1)}
+    for a in (f.coeffs for f in enumerate_monic_below(ctx, len(Q) - 1)):
+        a_over_q = kernel.prem(kernel.pmul(a, q_inv), P)
+        for s in range(1, ctx.q - 1):
+            c = ctx.gamma_pow(-s)
+            ca = pscale(a, c)
+            # -c*A/Q mod P is the only B with P | B*Q + c*A, if it is monic
+            hit = b_times_q.get(tuple(pscale(a_over_q, ctx.neg_const(c))))
+            n = sign * s
+            for bq in b_times_q.values():
+                num = tuple(padd(bq, ca))
+                if bq is hit:
+                    num = tuple(kernel.pdivrem(num, P)[0])
+                    over_q[num] = over_q.get(num, 0) + n
+                else:
+                    over_pq[num] = over_pq.get(num, 0) + n

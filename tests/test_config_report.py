@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcff import cyclotomic
+from qcff import report as report_module
 from qcff.algebra import FieldCtx, field_create, parse_poly, var_T
 from qcff.cli import main
 from qcff.config import MAX_Q, Options, load_config, parse_config
 from qcff.errors import ConfigError, NonPrimeP, ValidationError
+from qcff.kummer import pair_formal_sum
 from qcff.limits import MAX_DEGREE
 from qcff.report import render_json, render_text, run_report
 
@@ -237,6 +239,25 @@ def test_formal_sum_emission_and_cap():
     # override flag bypasses the cap
     report = run_report(parse_config(capped), ignore_term_cap=True)
     assert report["kummer"]["formal_sums"][0]["raw_terms"] == 2
+
+
+def test_term_cap_is_checked_before_any_formal_sum(monkeypatch):
+    """A pair over the cap is refused before the formal sum of an earlier
+    pair under it is computed."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return pair_formal_sum(a, b)
+
+    monkeypatch.setattr(report_module, "pair_formal_sum", counted)
+    two_pairs = _base_config(conductor={"factors": [["T", 1], ["T+1", 1], ["T^2+1", 1]]},
+                             pairs=[["T", "T+1"], ["T", "T^2+1"]],
+                             options={"emit_a_pq": True, "a_pq_term_cap": 2})
+    with pytest.raises(ConfigError, match=re.escape(
+            "formal sum for (T, T^2+1) has 8 raw terms, over the cap 2")):
+        run_report(parse_config(two_pairs))
+    assert calls == []
 
 
 def test_report_is_deterministic_in_process():

@@ -7,12 +7,17 @@ import random
 
 import pytest
 
+from qcff._kernels import CompiledFieldKernel, PureFieldKernel
 from qcff.algebra import (
+    Poly,
     enumerate_monic_below,
+    field,
+    field_create,
     monic_irreducibles,
     monic_of_degree,
     one,
     poly_cmp,
+    poly_is_irreducible,
     var_T,
 )
 from qcff.cyclotomic import (
@@ -43,6 +48,8 @@ from qcff.kummer import (
 )
 from qcff.selfcheck import suite_genus_paths
 from qcff.symbols import jacobi_symbol, residue_symbol
+
+from .oracles import per_term_formal_sum
 
 
 def _cond(ctx, *primes_with_exp):
@@ -152,6 +159,66 @@ def test_formal_sum_matches_generic_reduction(ctx3, ctx5, ctx7, ctx9):
         assert {cls.den for cls, _ in fs.terms} <= {a, b, a * b}
         big += fs.raw_terms > 1000
     assert big == 3
+
+
+# the per-term oracle's sweep: every oriented pair within the raw-term budget
+# over the small fields, then pairs of degree 1 and 2 over F_257 (stride-1
+# sums) and F_7^3 (digit-group sums)
+SMALL_FIELDS = [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, [1, 0, 1])]
+LARGE_FIELDS = [(257, 1, None), (7, 3, [2, 0, 0, 1])]
+PER_TERM_BUDGET = 400
+
+
+def _per_term_pairs():
+    for p, e, mod in SMALL_FIELDS:
+        ctx = field_create(p, e, mod)
+        d = 1
+        while raw_term_count(ctx, 1, d + 1) <= PER_TERM_BUDGET:
+            d += 1
+        for a, b in itertools.combinations(monic_irreducibles(ctx, d), 2):
+            if raw_term_count(ctx, a.degree, b.degree) <= PER_TERM_BUDGET:
+                yield a, b
+    rng = random.Random(1007)
+    for p, e, mod in LARGE_FIELDS:
+        ctx = field_create(p, e, mod)
+        linear = sorted(rng.sample(list(monic_of_degree(ctx, 1)), 4), key=lambda f: f.sort_key)
+        yield from itertools.combinations(linear, 2)
+        quadratic = var_T(ctx) * var_T(ctx)
+        while not poly_is_irreducible(quadratic):
+            quadratic = Poly(ctx, [rng.randrange(ctx.q), rng.randrange(ctx.q), 1])
+        yield linear[0], quadratic
+
+
+def _has_hit(p_first, p_second, a):
+    """Whether P | B*Q + gamma^{-s} A for some monic B below deg P and some s."""
+    ctx = p_first.ctx
+    return any(((b * p_second + a.scale(ctx.gamma_pow(-s))) % p_first).is_zero
+               for b in enumerate_monic_below(ctx, p_first.degree)
+               for s in range(1, ctx.q - 1))
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(PureFieldKernel, id="pure"),
+    pytest.param(CompiledFieldKernel, id="compiled", marks=pytest.mark.skipif(
+        CompiledFieldKernel is None, reason="compiled kernel not built"))])
+def test_formal_sum_matches_per_term_loop(kernel, monkeypatch):
+    """The enumeration of numerators against the loop that adds every raw
+    term by one kernel call, on both kernels."""
+    monkeypatch.setattr(field, "FieldKernel", kernel)
+    seen = {"deg P = 1": 0, "deg P = deg Q": 0, "A = P has no hit": 0,
+            "terms over P or Q": 0, "F_257, deg Q = 2": 0, "F_7^3, deg Q = 2": 0}
+    for a, b in _per_term_pairs():
+        assert isinstance(a.ctx.kernel, kernel)
+        fs = pair_formal_sum(a, b)
+        assert fs == per_term_formal_sum(a, b), (a, b)
+        seen["deg P = 1"] += a.degree == 1
+        seen["deg P = deg Q"] += a.degree == b.degree
+        # A = P is monic below deg Q, and P | A leaves no B with P | B*Q + c*A
+        seen["A = P has no hit"] += a.degree < b.degree and not _has_hit(a, b, a)
+        seen["terms over P or Q"] += any(cls.den in (a, b) for cls, _ in fs.terms)
+        seen["F_257, deg Q = 2"] += a.ctx.q == 257 and b.degree == 2
+        seen["F_7^3, deg Q = 2"] += a.ctx.q == 343 and b.degree == 2
+    assert all(seen.values()), seen
 
 
 def test_formal_sum_rejects_bad_pairs(ctx3, mk):
