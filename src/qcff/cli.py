@@ -14,7 +14,6 @@ stderr names its class: ``validation error (NotPrimeModulus): ...``.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
@@ -59,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--q", type=int, required=True, help="field size, an odd prime power")
     fac.add_argument("--poly", required=True, help="polynomial to factor")
     fac.add_argument("--modulus", help="extension modulus over F_p (required for q = p^e, e > 1)")
-    fac.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("info", help="print the version and the loaded kernel backend")
     return parser
@@ -127,7 +125,7 @@ def _cmd_factor(args) -> int:
     except MissingModulus as exc:
         raise ConfigError(f"q = {args.q} = {p}^{e} needs --modulus") from exc
     f = parse_poly(ctx, args.poly)
-    fz = poly_factor(f, random.Random(args.seed))
+    fz = poly_factor(f)
     out = {
         "q": ctx.q,
         "poly": _poly_json(f),

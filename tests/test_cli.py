@@ -244,6 +244,9 @@ def test_factor_verb():
     proc = run_cli("factor", "--q", "4", "--poly", "T")
     assert proc.returncode == 3  # even characteristic is a validation error
 
+    proc = run_cli("factor", "--q", "3", "--poly", "T^2+1", "--seed", "1")
+    assert proc.returncode == 2  # the factors never depended on a seed, so there is no option
+
 
 @pytest.mark.parametrize("q", [65537, 257 ** 2, 10 ** 40 + 1])
 def test_factor_rejects_q_past_max_q(q, capsys):

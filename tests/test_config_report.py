@@ -479,6 +479,38 @@ def test_run_report_builds_cyclotomic_data_once(monkeypatch):
     assert calls == [1, 1, 1]
 
 
+def _readme_example_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\nExample config:\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("raw", [
+    _readme_example_config(),
+    {"p": 3, "conductor": {"poly": "T^2+T"}, "pairs": [["T", "T+1"]],
+     "options": {"emit_a_pq": True}},
+    _base_config(p=5, conductor={"factors": [["T+1", 2], ["T^2+2", 1], ["T^3+T+1", 1]]},
+                 pairs=[["T+1", "T^2+2"], ["T^2+2", "T^3+T+1"]]),
+    dict(_P9, conductor={"factors": [["T", 1], ["T+1", 2], ["T^2+T+3", 1]]},
+         pairs=[["T", "T+1"], ["T", "T^2+T+3"], ["T+1", "T^2+T+3"]]),
+], ids=["readme_example", "frozen_a_pq", "f5_claimed_factors", "f9_three_pairs"])
+def test_validate_primality_changes_only_its_echo(raw):
+    """The option re-tests pair members that are conductor primes, already
+    proven prime, so the report with it off differs from the report with it
+    on in the one line that echoes it, and the text rendering not at all."""
+    texts = {}
+    for flag in (True, False):
+        cfg = dict(raw, options=dict(raw.get("options", {}), validate_primality=flag))
+        report = run_report(parse_config(cfg))
+        assert report["inputs"]["options"]["validate_primality"] is flag
+        texts[flag] = (render_json(report).splitlines(), render_text(report))
+    (on, text_on), (off, text_off) = texts[True], texts[False]
+    assert len(on) == len(off)
+    assert [(a, b) for a, b in zip(on, off) if a != b] == \
+        [('      "validate_primality": true', '      "validate_primality": false')]
+    assert text_on == text_off
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1]
@@ -490,10 +522,8 @@ def test_readme_library_example_runs():
 
 
 def test_readme_example_config_runs(tmp_path, capsys):
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\nExample config:\n", 1)[1]
     cfg = tmp_path / "example.json"
-    cfg.write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    cfg.write_text(json.dumps(_readme_example_config()), encoding="utf-8")
     assert main(["report", "--config", str(cfg)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["kummer"]["presentation"]["group_order"] == 8

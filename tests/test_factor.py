@@ -94,6 +94,29 @@ def test_factor_is_deterministic_given_seed(ctx3, mk):
     assert a == b
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_factor_does_not_depend_on_its_random_source(q, ctx3, ctx5, ctx9):
+    """Products of two and of three distinct primes of one degree d <= 3, so
+    the equal-degree split draws from rng: seeds 0-7 give one factorization,
+    the chosen primes in canonical order."""
+    ctx = {3: ctx3, 5: ctx5, 9: ctx9}[q]
+    pick = random.Random(q)
+    for d in range(1, 4):
+        primes = [f for f in monic_of_degree(ctx, d) if poly_is_irreducible(f)]
+        pick.shuffle(primes)
+        for k in (2, 3):
+            f = one(ctx)
+            for p in primes[:k]:
+                f = f * p
+            results = []
+            for s in range(8):
+                rng = random.Random(s)
+                results.append(poly_factor(f, rng))
+                assert rng.getstate() != random.Random(s).getstate(), (f, s)
+            assert results == [results[0]] * 8, f
+            assert sorted(_shape(results[0])) == sorted((str(p), 1) for p in primes[:k])
+
+
 def test_phi_examples(ctx3, mk):
     t = var_T(ctx3)
     assert poly_phi(ctx3, poly_factor(t).factors) == 2

@@ -159,9 +159,9 @@ def test_main_report_exits_0_2_or_3_and_repeats_its_bytes(raw, fmt, cyclotomic_o
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(q=st.one_of(st.sampled_from(sorted(FIELDS)), st.integers(-1, 9)),
        poly=st.one_of(WELL_FORMED, POLY_TEXTS),
-       modulus=st.one_of(st.none(), st.just("T^2+1"), POLY_TEXTS), seed=st.integers(0, 3))
-def test_main_factor_exits_0_2_or_3_and_repeats_its_bytes(q, poly, modulus, seed):
-    argv = ["factor", f"--q={q}", f"--poly={poly}", f"--seed={seed}"]
+       modulus=st.one_of(st.none(), st.just("T^2+1"), POLY_TEXTS))
+def test_main_factor_exits_0_2_or_3_and_repeats_its_bytes(q, poly, modulus):
+    argv = ["factor", f"--q={q}", f"--poly={poly}"]
     if modulus is not None:
         argv.append(f"--modulus={modulus}")
     code, out = _run_main(argv)
