@@ -45,7 +45,7 @@ FIELDS = [("F_7", 7, 1, None), ("F_9", 3, 2, [1, 0, 1]), ("F_257", 257, 1, None)
 
 def bench_field(p: int, e: int, modulus, repeat: int) -> dict[str, dict[str, float]]:
     ctx = field_create(p, e, modulus)
-    tables = (ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log, ctx._neg, ctx._add_table)
+    tables = (ctx.p, ctx.e, ctx.exp, ctx.log)
     kernels = {"pure": PureFieldKernel(*tables)}
     if CompiledFieldKernel is not None:
         kernels["compiled"] = CompiledFieldKernel(*tables)

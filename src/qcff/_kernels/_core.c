@@ -5,11 +5,12 @@
  * result is a new list. Each call copies its polynomials into int buffers,
  * works there and copies the result out.
  *
- * The loops work on discrete logs, as the pure kernel's do: exp2 is the
- * exp table repeated twice, so exp2[la + lb] is a product with no step
- * mod w. Each step adds one product into one coefficient, by the q*q
- * addition table when the field has one (q <= 256) and digit by digit
- * otherwise.
+ * FieldKernel(p, e, exp, log) takes the exp/log tables of F_q, q = p**e,
+ * and builds negation and addition from p and e, digit by digit on the
+ * encodings. The loops work on discrete logs, as the pure kernel's do: exp2
+ * is the exp table repeated twice, so exp2[la + lb] is a product with no
+ * step mod w. Each step adds one product into one coefficient, by the q*q
+ * addition table for q <= 256 and digit by digit otherwise.
  *
  * papply(rows, h) returns the sum of h_i * rows[i] in one buffer: on a
  * Frobenius table (rows[i] = T**(q*i) mod f) that is h**q mod f, so one
@@ -31,7 +32,7 @@ typedef struct {
     int *exp2; /* exp2[i] == exp[i % w] for 0 <= i < 2w */
     int *log;  /* log[0] == -1 */
     int *neg;
-    int *add;  /* add[a * q + b] == a + b, or NULL */
+    int *add;  /* add[a * q + b] == a + b for q <= 256, else NULL */
 } Kernel;
 
 /* A divisor g, prepared once for any number of reductions: the nonzero
@@ -245,38 +246,42 @@ static void kernel_dealloc(Kernel *self) {
 }
 
 static PyObject *kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
-    static char *kwlist[] = {"p", "e", "q", "w", "exp", "log", "neg",
-                             "add_table", NULL};
-    int p, e, q, w, a;
+    static char *kwlist[] = {"p", "e", "exp", "log", NULL};
+    int p, e, q, w, a, b;
     long long pe = 1;
-    PyObject *exp, *log, *neg, *add = Py_None;
+    PyObject *exp, *log;
     Kernel *self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iiiiOOO|O:FieldKernel", kwlist,
-                                     &p, &e, &q, &w, &exp, &log, &neg, &add))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iiOO:FieldKernel", kwlist,
+                                     &p, &e, &exp, &log))
         return NULL;
-    for (a = 0; a < e && pe <= q; a++)
+    for (a = 0; p >= 2 && a < e && pe <= (1 << 24); a++)
         pe *= p;
-    /* the digit-wise sum of two elements is below p**e, so q == p**e */
-    if (p < 2 || e < 1 || pe != q || q > (1 << 24) || w != q - 1) {
-        PyErr_SetString(PyExc_ValueError,
-                        "need p >= 2, e >= 1, q == p**e <= 2**24 and w == q - 1");
+    if (p < 2 || e < 1 || pe > (1 << 24)) {
+        PyErr_SetString(PyExc_ValueError, "need p >= 2, e >= 1 and p**e <= 2**24");
         return NULL;
     }
     if ((self = (Kernel *)type->tp_alloc(type, 0)) == NULL)
         return NULL;
     self->p = p;
     self->e = e;
-    self->q = q;
-    self->w = w;
+    self->q = q = (int)pe;
+    self->w = w = q - 1;
     if ((self->exp2 = read_table(exp, w, w, 1, q, "exp")) == NULL
         || (self->log = read_table(log, q, 0, -1, w, "log")) == NULL
-        || (self->neg = read_table(neg, q, 0, 0, q, "neg")) == NULL
-        || (add != Py_None && (self->add = read_table(
-                add, (Py_ssize_t)q * q, 0, 0, q, "add_table")) == NULL)) {
+        || (self->neg = new_ints(q)) == NULL
+        || (q <= 256 && (self->add = new_ints(q * q)) == NULL)) {
         Py_DECREF(self);
         return NULL;
     }
     memcpy(self->exp2 + w, self->exp2, w * sizeof(int));
+    /* the lowest base-p digit negates mod p, and the higher digits take the
+     * entry already filled for a / p */
+    self->neg[0] = 0;
+    for (a = 1; a < q; a++)
+        self->neg[a] = (p - a % p) % p + p * self->neg[a / p];
+    for (a = 0; self->add != NULL && a < q; a++)
+        for (b = 0; b < q; b++)
+            self->add[a * q + b] = add_digits(self, a, b);
     for (a = 1; a < q; a++)
         if (self->log[a] < 0) {
             PyErr_Format(PyExc_ValueError, "log[%d] is negative", a);

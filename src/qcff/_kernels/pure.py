@@ -5,15 +5,17 @@ Reference implementation of the hot operations: element arithmetic in F_q
 F_q (coefficient sequences, ascending degree, no trailing zeros, empty =
 0; inputs may be lists or tuples, results are lists).
 
-Addition is one lookup, ``_sums[a * _stride + b]``, in ``fadd`` and in
-every loop. The constructor builds it once, in one of three ways:
-- the q*q table given as ``add_table`` (q <= 256), with stride q;
-- for a prime field without one, the 2p sums ``0, 1, ..., p - 1`` listed
+The constructor takes (p, e, exp, log) and builds negation and addition
+from p and e alone, since both act digit by digit on encodings. Addition
+is one lookup, ``_sums[a * _stride + b]``, in ``fadd`` and in every loop,
+built once in one of three ways:
+- for q <= 256, the q*q table ``digit_sums(p, e)``, with stride q;
+- for a larger prime field, the 2p sums ``0, 1, ..., p - 1`` listed
   twice, with stride 1, since a + b < 2p;
-- for an extension field without one, a ``_GroupSums``, which adds the
-  base-p digits of a and b a group at a time through one s*s table, s the
-  largest power of p not above 256 (or p itself), with stride q.
-``digit_sums`` builds both kinds of table, the q*q one for `field_create`.
+- for a larger extension field, a ``_GroupSums``, which adds the base-p
+  digits of a and b a group at a time through one s*s table
+  ``digit_sums(p, k)``, s = p**k the largest power of p not above 256 (or
+  p itself), with stride q.
 
 The polynomial loops work on discrete logs. Each call turns the fixed
 operand (the second factor of a product, the divisor of a division) into
@@ -94,26 +96,28 @@ class _GroupSums:
 
 
 class FieldKernel:
-    """Arithmetic engine bound to one field's precomputed tables.
+    """Arithmetic engine for F_q, q = p**e, bound to its exp/log tables.
 
-    Parameters mirror what FieldCtx assembles at construction time:
-    ``exp[i]`` is the encoding of gamma**i for i in [0, w); ``log`` inverts
-    it (log[0] = -1); ``neg`` is the additive-inverse table; ``add_table``,
-    when not None, is a flat q*q lookup for addition (built for small q).
+    ``exp[i]`` is the encoding of gamma**i for i in [0, w), w = q - 1, and
+    ``log`` inverts it (log[0] = -1). Negation and addition are built here.
     """
 
     __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "_sums", "_stride", "_exp3")
 
-    def __init__(self, p, e, q, w, exp, log, neg, add_table=None):
+    def __init__(self, p, e, exp, log):
         self.p = p
         self.e = e
-        self.q = q
-        self.w = w
+        self.q = q = p ** e
+        self.w = q - 1
         self.exp = list(exp)
         self.log = list(log)
-        self.neg = list(neg)
-        if add_table is not None:
-            self._sums, self._stride = list(add_table), q
+        # the lowest base-p digit negates mod p, and the higher digits take
+        # the entry already filled for x // p
+        self.neg = neg = [0] * q
+        for x in range(1, q):
+            neg[x] = (p - x % p) % p + p * neg[x // p]
+        if q <= ADD_TABLE_MAX_Q:
+            self._sums, self._stride = digit_sums(p, e), q
         elif e == 1:
             self._sums, self._stride = list(range(p)) * 2, 1
         else:

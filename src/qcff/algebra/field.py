@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .._kernels import FieldKernel
-from .._kernels.pure import ADD_TABLE_MAX_Q, digit_sums
 from ..errors import (
     EvenCharacteristic,
     LogOfZero,
@@ -64,16 +63,15 @@ def _digit_vector(x: int, p: int) -> list[int]:
 class FieldCtx:
     """Immutable context for one finite field F_q.
 
-    Carries the precomputed exp/log tables for the canonical generator,
-    the kernel engine, and cached constants. Construct via field_create().
+    Carries the precomputed exp/log tables for the canonical generator
+    and the kernel engine built on them. Construct via field_create().
     """
 
     __slots__ = ("p", "e", "q", "w", "modulus", "gamma", "exp", "log",
-                 "_neg", "_add_table", "kernel", "_key")
+                 "kernel", "_key")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None,
-                 gamma: int, exp: tuple[int, ...], log: tuple[int, ...],
-                 neg: tuple[int, ...], add_table: tuple[int, ...] | None):
+                 gamma: int, exp: tuple[int, ...], log: tuple[int, ...]):
         self.p = p
         self.e = e
         self.q = p ** e
@@ -82,9 +80,7 @@ class FieldCtx:
         self.gamma = gamma
         self.exp = exp
         self.log = log
-        self._neg = neg
-        self._add_table = add_table
-        self.kernel = FieldKernel(p, e, self.q, self.w, exp, log, neg, add_table)
+        self.kernel = FieldKernel(p, e, exp, log)
         self._key = (p, e, modulus)
 
     def __repr__(self) -> str:
@@ -107,13 +103,10 @@ class FieldCtx:
         if not isinstance(x, int) or not 0 <= x < self.q:
             raise ValidationError(f"{x!r} is not an encoded element of F_{self.q}")
 
-    def neg_const(self, x: int) -> int:
-        self._check_elem(x)
-        return self._neg[x]
-
     @property
     def minus_one(self) -> int:
-        return self._neg[1]
+        """The encoding of -1: its lowest base-p digit is p - 1."""
+        return self.p - 1
 
     def dlog(self, x: int) -> int:
         """The unique i in [0, w) with gamma**i = x, for nonzero encoded x."""
@@ -134,11 +127,8 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
     whose multiplicative order is exactly q - 1. For e > 1 a monic
     irreducible degree-e modulus over F_p is required: ascending
     coefficients (length e + 1), or a Poly over F_p, whose field is then
-    the one the tables are built with instead of a new F_p.
-
-    Negation acts digit by digit: the lowest base-p digit of an encoding
-    negates mod p, and the higher digits take the entry already filled for
-    x // p. The addition table (q <= 256) is `digit_sums`, by the same rule.
+    the one the tables are built with instead of a new F_p. The kernel
+    builds negation and addition from p and e.
     """
     if not isinstance(p, int) or not is_prime_int(p):
         raise NonPrimeP(f"p = {p!r} is not prime")
@@ -192,13 +182,7 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
         log[v] = i
     if mul(exp[-1], gamma) != 1:
         raise ValidationError(f"generator {gamma} does not have order {w}")
-
-    neg = [0] * q
-    for x in range(1, q):
-        neg[x] = (p - x % p) % p + p * neg[x // p]
-
-    add_table = tuple(digit_sums(p, e)) if q <= ADD_TABLE_MAX_Q else None
-    return FieldCtx(p, e, mod_tuple, gamma, tuple(exp), tuple(log), tuple(neg), add_table)
+    return FieldCtx(p, e, mod_tuple, gamma, tuple(exp), tuple(log))
 
 
 def _digit_arithmetic(base: FieldCtx, modulus: tuple[int, ...]) -> tuple[Callable, Callable]:

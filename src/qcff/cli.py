@@ -103,8 +103,8 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _split_prime_power(q: int) -> tuple[int, int]:
-    if q < 3:
-        raise ConfigError(f"q must be an odd prime power >= 3, got {q}")
+    """(p, e) with q = p**e; an even q is left to field_create, which
+    refuses it as a validation error."""
     if q > MAX_Q:
         raise ConfigError(f"q must be at most MAX_Q = {MAX_Q}")
     primes = prime_divisors_int(q)

@@ -290,7 +290,7 @@ def _per_term_half_sum(ctx, P, Q, sign, over_q, over_pq) -> None:
             c = ctx.gamma_pow(-s)
             ca = pscale(a, c)
             # -c*A/Q mod P is the only B with P | B*Q + c*A, if it is monic
-            hit = b_times_q.get(tuple(pscale(a_over_q, ctx.neg_const(c))))
+            hit = b_times_q.get(tuple(pscale(a_over_q, ctx.kernel.fneg(c))))
             n = sign * s
             for bq in b_times_q.values():
                 num = tuple(padd(bq, ca))

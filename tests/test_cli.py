@@ -238,11 +238,14 @@ def test_factor_verb():
     assert proc.returncode == 3  # a modulus for a prime field
     assert "modulus must be omitted" in proc.stderr
 
-    proc = run_cli("factor", "--q", "12", "--poly", "T")
-    assert proc.returncode == 2  # not a prime power
+    for q in ("1", "12"):
+        proc = run_cli("factor", "--q", q, "--poly", "T")
+        assert proc.returncode == 2  # not a prime power
 
-    proc = run_cli("factor", "--q", "4", "--poly", "T")
-    assert proc.returncode == 3  # even characteristic is a validation error
+    for q in ("2", "4"):
+        proc = run_cli("factor", "--q", q, "--poly", "T")
+        assert proc.returncode == 3  # even characteristic is a validation error
+        assert "(EvenCharacteristic)" in proc.stderr
 
     proc = run_cli("factor", "--q", "3", "--poly", "T^2+1", "--seed", "1")
     assert proc.returncode == 2  # the factors never depended on a seed, so there is no option

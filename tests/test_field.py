@@ -128,7 +128,6 @@ def test_kernel_scalar_ops_match_naive(p, e, mod):
 @pytest.mark.parametrize("p,e,mod", LARGE_FIELDS)
 def test_table_free_fields_match_naive(p, e, mod):
     ctx = field_create(p, e, mod)
-    assert ctx._add_table is None
     assert naive_fq_order(ctx, ctx.gamma) == ctx.w
     for cand in range(2, ctx.gamma):
         assert naive_fq_order(ctx, cand) < ctx.w
@@ -181,13 +180,18 @@ def _table_sweep(max_q: int):
 
 def test_field_tables_are_pinned():
     """The tables of the 168 fields of the sweep up to q = 799 hash to one
-    pinned value, so a new way of building them cannot change an entry."""
+    pinned value, so a new way of building them cannot change an entry.
+    Negation and, for q <= 256, the addition table are read through the
+    kernel, which builds them."""
     digest = hashlib.sha256()
     count = 0
     for p, e, mod in _table_sweep(799):
         ctx = field_create(p, e, mod)
+        k, elems = ctx.kernel, range(ctx.q)
+        neg = tuple(k.fneg(x) for x in elems)
+        add = tuple(k.fadd(a, b) for a in elems for b in elems) if ctx.q <= 256 else None
         digest.update(repr((ctx.q, ctx.modulus, ctx.gamma, ctx.exp, ctx.log,
-                            ctx._neg, ctx._add_table)).encode())
+                            neg, add)).encode())
         count += 1
     assert count == 168
     assert digest.hexdigest() == (

@@ -33,10 +33,8 @@ needs_compiled = pytest.mark.skipif(
 
 def _kernels(p, e, mod):
     ctx = field_create(p, e, mod)
-    pure = PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
-                           ctx._neg, ctx._add_table)
-    comp = CompiledFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
-                               ctx._neg, ctx._add_table)
+    pure = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
+    comp = CompiledFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
     return ctx, pure, comp
 
 
@@ -136,7 +134,7 @@ def test_backends_agree_on_papply(p, e, mod):
 @pytest.mark.parametrize("p,e,mod", FIELDS)
 def test_papply_matches_the_fold(cls, p, e, mod):
     ctx = field_create(p, e, mod)
-    kern = cls(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log, ctx._neg, ctx._add_table)
+    kern = cls(ctx.p, ctx.e, ctx.exp, ctx.log)
     rng = random.Random(19)
     for rows, h in _frobenius_cases(ctx, rng, 25):
         out = kern.papply(rows, h)
@@ -148,7 +146,7 @@ def _backends():
     """The pure kernel on F_5, and the compiled one when it is built, as
     pytest params named after their backend."""
     ctx = field_create(5, 1, None)
-    tables = (ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log, ctx._neg, ctx._add_table)
+    tables = (ctx.p, ctx.e, ctx.exp, ctx.log)
     classes = [("pure", PureFieldKernel), ("compiled", CompiledFieldKernel)]
     return [pytest.param(cls(*tables), id=name) for name, cls in classes if cls is not None]
 
@@ -244,16 +242,16 @@ def test_compiled_rejects_out_of_range_element():
 @needs_compiled
 def test_compiled_rejects_inconsistent_tables():
     """The compiled kernel indexes its tables without further checks, so
-    its constructor rejects tables that could send an index outside them."""
+    its constructor rejects tables that could send an index outside them,
+    and (p, e) with e < 1 or p**e past 2**24."""
     ctx = field_create(5, 1, None)
-    exp, log, neg = list(ctx.exp), list(ctx.log), list(ctx._neg)
+    exp, log = list(ctx.exp), list(ctx.log)
     bad = [
-        (5, 2, 5, 4, exp, log, neg),                 # q != p**e
-        (5, 1, 5, 4, exp[:-1], log, neg),            # exp too short
-        (5, 1, 5, 4, exp, log, neg, [0] * 24),       # add table too short
-        (5, 1, 5, 4, [0] + exp[1:], log, neg),       # exp holds 0
-        (5, 1, 5, 4, exp, [-1, 0, -1, 3, 2], neg),   # log of 2 negative
-        (5, 1, 5, 4, exp, log, [0, 4, 3, 2, 5]),     # neg outside [0, q)
+        (5, 1, exp[:-1], log),                  # exp too short
+        (5, 1, [0] + exp[1:], log),             # exp holds 0
+        (5, 1, exp, [-1, 0, -1, 3, 2]),         # log of 2 negative
+        (4099, 2, exp, log),                    # p**e > 2**24
+        (5, 0, exp, log),                       # e < 1
     ]
     for args in bad:
         with pytest.raises(ValueError):
@@ -309,8 +307,7 @@ def test_pure_kernel_poly_ops(p, e, mod):
     """The pure kernel on its own, against the table-free oracles: runs
     without the compiled kernel, on all three kinds of addition lookup."""
     ctx = field_create(p, e, mod)
-    kern = PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
-                           ctx._neg, ctx._add_table)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
     rng = random.Random(40)
     non_monic = 0
     for _ in range(30):
@@ -361,8 +358,7 @@ def test_pure_reduction_loop_matches_schoolbook(p, e, mod):
     on random pairs and on the edges: f = [], f shorter than g, a constant
     g, a common factor, both argument orders of pgcd. No input is changed."""
     ctx = field_create(p, e, mod)
-    kern = PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
-                           ctx._neg, ctx._add_table)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
     rng = random.Random(19 * p + e)
     unit = [rng.randrange(1, ctx.q)]
     short = [rng.randrange(ctx.q), rng.randrange(1, ctx.q)]
@@ -396,8 +392,7 @@ def test_pure_kernel_builds_one_addition_lookup(p, e, mod, stride, size):
     """The q*q table for q <= 256, the 2p sums of a prime field past it,
     and one s*s table of digit groups for an extension field past it."""
     ctx = field_create(p, e, mod)
-    kern = PureFieldKernel(ctx.p, ctx.e, ctx.q, ctx.w, ctx.exp, ctx.log,
-                           ctx._neg, ctx._add_table)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
     sums = kern._sums
     assert kern._stride == stride
     assert len(sums.table if isinstance(sums, _GroupSums) else sums) == size
