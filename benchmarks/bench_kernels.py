@@ -2,8 +2,10 @@
 
 Times the hot operations (dense multiplication, division with and
 without the quotient, modular exponentiation, gcd, one application of a
-Frobenius table) and one composite workload (residue-symbol style powmod
-chains), on the same inputs for both backends, over a prime field
+Frobenius table) and two composite workloads (residue-symbol style powmod
+chains, and building a Frobenius table: shifts mod f on F_7 and F_9,
+where q < deg f, one powmod and products mod f on the other two), on the
+same inputs for both backends, over a prime field
 (F_7), an extension field (F_9) and two fields without an addition table
 (F_257 and F_3^6). It is the only per-operation, per-backend comparison;
 perfbench/ times whole jobs with whichever kernel is loaded.
@@ -18,7 +20,7 @@ import random
 import time
 
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel
-from qcff.algebra import Poly, field_create
+from qcff.algebra import FieldCtx, Poly, field_create
 from qcff.algebra.factor import frobenius_table
 
 
@@ -60,6 +62,12 @@ def bench_field(p: int, e: int, modulus, repeat: int) -> dict[str, dict[str, flo
     exponent = (ctx.q ** 8 - 1) // ctx.w
     rows = frobenius_table(Poly(ctx, _rand_poly(rng, ctx.q, 16)))
     h16 = _rand_poly(rng, ctx.q, 15)
+    # frobenius_table computes with the kernel of f's field: one field per backend
+    table_poly = {}
+    for kern in kernels.values():
+        kctx = FieldCtx(ctx.p, ctx.e, ctx.modulus, ctx.gamma, ctx.exp, ctx.log)
+        kctx.kernel = kern
+        table_poly[kern] = Poly(kctx, f64)
 
     workloads = {
         "pmul deg 64 x 64 (x200)":
@@ -74,6 +82,8 @@ def bench_field(p: int, e: int, modulus, repeat: int) -> dict[str, dict[str, flo
             lambda k: [k.ppowmod(base, exponent, m8) for _ in range(100)],
         "papply table deg 16 (x200)":
             lambda k: [k.papply(rows, h16) for _ in range(200)],
+        "frobenius_table deg 64 (x1)":
+            lambda k: frobenius_table(table_poly[k]),
     }
     return {wname: {kname: _time(lambda k=kern: load(k), repeat)
                     for kname, kern in kernels.items()}

@@ -203,13 +203,13 @@ static void prepare_divisor(const Kernel *k, const int *g, Py_ssize_t lg,
 }
 
 /* Reduces r (length lr) modulo the divisor in place and returns the
- * remainder's length; when lr - 1 < dg, r stays as it is. Writes the
- * quotient's lr - dg coefficients to quot unless it is NULL. */
+ * remainder's stripped length; when lr - 1 < dg, r is only stripped. Writes
+ * the quotient's lr - dg coefficients to quot unless it is NULL. */
 static Py_ssize_t rem_inplace(const Kernel *k, int *r, Py_ssize_t lr,
                               const Divisor *d, int *quot) {
     Py_ssize_t i, j, dg = d->dg;
     if (lr - 1 < dg)
-        return lr;
+        return strip(r, lr);
     for (i = lr - dg - 1; i >= 0; i--) {
         int t = r[i + dg], lt = t ? k->log[t] : 0, *ri = r + i;
         if (quot != NULL)

@@ -29,9 +29,14 @@ g once (its nonzero (index, log) pairs below the top and c, the log of
 ``_reduce`` is the one remainder loop. It works in place on a list, adds
 t * (-g_j/lc(g)) for the top coefficient t by one lookup of
 exp3[log t + c + log g_j], and writes the quotient only when asked.
-``pdivrem``, ``prem``, ``pgcd`` and ``ppowmod`` all run it: ``prem``
-builds no quotient, ``pgcd`` reduces its two lists in turn without a
-copy or a quotient per step, and ``ppowmod`` prepares its modulus once.
+``pdivrem``, ``prem`` and ``ppowmod`` run it: ``prem`` builds no
+quotient, and ``ppowmod`` prepares its modulus once. ``pgcd`` reduces
+its two lists in turn without a copy or a quotient per step. Most
+Euclid steps drop the degree by one (deg f = deg g + 1): there the
+quotient a*T + b is read off f's and g's top coefficients, and both rows
+are subtracted in one pass over g that reads each log[g_j] inline, with
+no (index, log) list. Every other step runs ``_divisor`` and
+``_reduce``. The compiled ``pgcd`` prepares a divisor per step.
 
 ``papply(rows, h)`` is the one op that is not ring arithmetic on two
 polynomials: it returns the sum of h_i * rows[i]. On a Frobenius table
@@ -266,8 +271,37 @@ class FieldKernel:
 
     def pgcd(self, f, g):
         f, g = list(f), list(g)
+        exp3, log, w = self._exp3, self.log, self.w
+        add, stride = self._sums, self._stride
         while g:
-            self._reduce(f, self._divisor(g))
+            n = len(g) - 1
+            if len(f) == n + 2 and n:
+                # one degree down: the quotient a*T + b in O(1), then both
+                # rows subtracted in one pass over g below its top. With c
+                # the log of -1/lc(g), row a adds exp3[la + log g_j] into
+                # f[j + 1] and row b adds exp3[lb + log g_j] into f[j]; they
+                # would clear f's top two coefficients, which are dropped.
+                c = (w // 2 - log[g[n]]) % w
+                la = log[f[n + 1]] + c
+                b = f[n]
+                if g[n - 1]:
+                    b = add[b * stride + exp3[la + log[g[n - 1]]]]
+                if b:
+                    lb = log[b] + c
+                    for j, x in zip(range(n), g):
+                        if x:
+                            lg = log[x]
+                            f[j] = add[f[j] * stride + exp3[lb + lg]]
+                            f[j + 1] = add[f[j + 1] * stride + exp3[la + lg]]
+                else:
+                    for j, x in zip(range(n), g):
+                        if x:
+                            f[j + 1] = add[f[j + 1] * stride + exp3[la + log[x]]]
+                del f[n:]
+                while f and f[-1] == 0:
+                    f.pop()
+            else:
+                self._reduce(f, self._divisor(g))
             f, g = g, f
         return self.pmonic(f)
 

@@ -113,13 +113,20 @@ def frobenius_table(f: Poly) -> FrobeniusTable:
     """The Frobenius table of f nonconstant: rows T**(q*i) mod f, i < deg f.
 
     While q < deg f row 1 is the monomial T**q, so each later row, the one
-    before times row 1 reduced mod f, is a shift costing about q * deg f
-    steps; otherwise row 1 is one powmod.
+    before times row 1 reduced mod f, is the one before shifted up q places
+    and reduced, about q * deg f steps and no product; otherwise row 1 is
+    one powmod and each later row a product mod f.
     """
     kernel, m, q = f.ctx.kernel, f.coeffs, f.ctx.q
     rows = [[1]]
-    if f.degree > 1:
-        x = [0] * q + [1] if q < f.degree else kernel.ppowmod([0, 1], q, m)
+    if q < f.degree:
+        rows.append([0] * q + [1])
+        for _ in range(2, f.degree):
+            row = rows[-1]
+            # an empty row stays empty, not q zeros
+            rows.append(kernel.prem([0] * q + row if row else row, m))
+    elif f.degree > 1:
+        x = kernel.ppowmod([0, 1], q, m)
         rows.append(x)
         for _ in range(2, f.degree):
             rows.append(kernel.prem(kernel.pmul(rows[-1], x), m))

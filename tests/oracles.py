@@ -17,6 +17,9 @@ library's walk on the first table. ``naive_divrem``,
 ``naive_gcd`` and ``naive_powmod`` are schoolbook division, Euclid and
 square-and-multiply on coefficient lists, on the naive field operations
 alone: the references of the kernels' shared remainder loop.
+``divisor_per_step_pgcd`` keeps the pure kernel's Euclid with a divisor
+prepared and one remainder loop per step, the reference of its ``pgcd``,
+which fuses each step that drops the degree by one into one pass.
 ``per_term_formal_sum`` keeps the formal sum's loop over every
 (A, s, B) with one kernel ``padd`` per raw term and a hit looked up per
 (A, s), the reference of the library's enumeration of the numerators.
@@ -148,6 +151,16 @@ def naive_gcd(ctx: FieldCtx, f, g) -> list[int]:
         return f
     inv = naive_fq_inv(ctx, f[-1])
     return [naive_fq_mul(ctx, c, inv) for c in f]
+
+
+def divisor_per_step_pgcd(kernel, f, g) -> list[int]:
+    """Monic gcd by the pure kernel's Euclid with one ``_divisor`` and one
+    ``_reduce`` per step: its ``pgcd`` before the fused degree-one step."""
+    f, g = list(f), list(g)
+    while g:
+        kernel._reduce(f, kernel._divisor(g))
+        f, g = g, f
+    return kernel.pmonic(f)
 
 
 def naive_powmod(ctx: FieldCtx, f, n: int, m) -> list[int]:

@@ -9,10 +9,11 @@ import pytest
 
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel
 from qcff._kernels.pure import _GroupSums
-from qcff.algebra import Poly, field_create
+from qcff.algebra import Poly, field, field_create
 from qcff.algebra.factor import frobenius_table
 
 from .oracles import (
+    divisor_per_step_pgcd,
     frobenius_fold,
     naive_divrem,
     naive_gcd,
@@ -50,7 +51,13 @@ def _rand_poly(rng, q, max_len):
 @needs_compiled
 @pytest.mark.parametrize("p,e,mod", FIELDS)
 def test_backends_agree_on_random_inputs(p, e, mod):
+    """Random pairs, and dividends shorter than the divisor or with zeros on
+    top, which both kernels return stripped, as schoolbook division does:
+    mod T**5 + 1, [0, 0, 0] leaves [] and [1, 0] leaves [1]."""
     ctx, pure, comp = _kernels(p, e, mod)
+    m = [1, 0, 0, 0, 0, 1]
+    for f in ([0, 0, 0], [1, 0], [0]):
+        assert pure.pdivrem(f, m) == comp.pdivrem(f, m) == naive_divrem(ctx, f, m)
     rng = random.Random(99)
     for _ in range(400):
         f = _rand_poly(rng, ctx.q, 10)
@@ -62,6 +69,9 @@ def test_backends_agree_on_random_inputs(p, e, mod):
         if g:
             assert pure.pdivrem(f, g) == comp.pdivrem(f, g)
             assert pure.prem(f, g) == comp.prem(f, g)
+            z = list(f[:len(g) - 1]) + [0] * rng.randrange(4)
+            assert pure.pdivrem(z, g) == comp.pdivrem(z, g) == naive_divrem(ctx, z, g), (z, g)
+            assert pure.prem(z, g) == comp.prem(z, g), (z, g)
         if f or g:
             assert pure.pgcd(f, g) == comp.pgcd(f, g)
         if len(g) >= 2:
@@ -352,11 +362,12 @@ REDUCTION_FIELDS = [
 
 @pytest.mark.parametrize("p,e,mod", REDUCTION_FIELDS)
 def test_pure_reduction_loop_matches_schoolbook(p, e, mod):
-    """pdivrem, prem, pgcd and ppowmod share the pure kernel's divisor
-    preparation and remainder loop. Each is checked against schoolbook
-    division, Euclid and square-and-multiply on the naive field operations,
-    on random pairs and on the edges: f = [], f shorter than g, a constant
-    g, a common factor, both argument orders of pgcd. No input is changed."""
+    """pdivrem, prem and ppowmod share the pure kernel's divisor preparation
+    and remainder loop, which pgcd runs off its fused degree-one step.
+    Each is checked against schoolbook division, Euclid and
+    square-and-multiply on the naive field operations, on random pairs and
+    on the edges: f = [], f shorter than g, a constant g, a common factor,
+    both argument orders of pgcd. No input is changed."""
     ctx = field_create(p, e, mod)
     kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
     rng = random.Random(19 * p + e)
@@ -380,6 +391,96 @@ def test_pure_reduction_loop_matches_schoolbook(p, e, mod):
             for n in (0, 1, 2, rng.randrange(3, 2 ** 10)):
                 assert kern.ppowmod(f, n, g) == naive_powmod(ctx, f, n, g), (f, n, g)
         assert (list(f), list(g)) == before
+
+
+def _euclid_step_kinds(ctx, f, g):
+    """Which branches of the pure pgcd the Euclid steps of gcd(f, g) take,
+    told apart by schoolbook division."""
+    kinds = set()
+    f, g = list(f), list(g)
+    while g:
+        quot, rem = naive_divrem(ctx, f, g)
+        if len(f) == len(g) + 1 and len(g) >= 2:
+            kinds.add("one down")
+            if quot[0] == 0:
+                kinds.add("b = 0")
+            if g[-2] == 0:
+                kinds.add("zero below g's top")
+            if len(g) == 2:
+                kinds.add("deg g = 1")
+        elif len(f) >= len(g) + 2:
+            kinds.add("two or more down")
+        f, g = g, rem
+    return kinds
+
+
+@pytest.mark.parametrize("p,e,mod", REDUCTION_FIELDS)
+def test_pure_pgcd_fused_step_matches_the_divisor_loop(p, e, mod):
+    """The pure pgcd subtracts the quotient a*T + b of a step that drops the
+    degree by one in one pass over g; other steps prepare a divisor. Both
+    argument orders agree with the loop that prepares a divisor per step
+    and with schoolbook Euclid, on targeted steps (b = 0, a zero just below
+    g's top, deg g = 1, drops of two or more) and on long remainder
+    sequences of random pairs of degree 30-60. No input is changed."""
+    ctx = field_create(p, e, mod)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
+    rng = random.Random(25 * p + e)
+
+    def poly(degree):
+        return [rng.randrange(ctx.q) for _ in range(degree)] + [rng.randrange(1, ctx.q)]
+
+    pairs = []
+    for _ in range(4):
+        g = poly(rng.randrange(2, 9))
+        pairs.append((kern.padd([0] + g, poly(len(g) - 2)), g))  # f = T*g + r: b = 0
+        g = poly(rng.randrange(2, 9))
+        g[-2] = 0
+        pairs.append((poly(len(g)), g))
+        pairs.append((poly(2), poly(1)))
+        pairs.append((poly(rng.randrange(4, 12)), poly(rng.randrange(1, 3))))
+        pairs.append((poly(rng.randrange(30, 61)), poly(rng.randrange(30, 61))))
+    kinds = set()
+    for f, g in pairs:
+        before = (list(f), list(g))
+        kinds |= _euclid_step_kinds(ctx, f, g) | _euclid_step_kinds(ctx, g, f)
+        expected = naive_gcd(ctx, f, g)
+        assert kern.pgcd(f, g) == divisor_per_step_pgcd(kern, f, g) == expected, (f, g)
+        assert kern.pgcd(g, f) == divisor_per_step_pgcd(kern, g, f) == expected, (f, g)
+        assert (list(f), list(g)) == before
+    assert kinds == {"one down", "b = 0", "zero below g's top", "deg g = 1",
+                     "two or more down"}
+
+
+@pytest.mark.parametrize("cls", [
+    pytest.param(PureFieldKernel, id="pure"),
+    pytest.param(CompiledFieldKernel, id="compiled", marks=needs_compiled)])
+@pytest.mark.parametrize("p,e,mod", [
+    pytest.param(3, 1, None, id="F_3"),
+    pytest.param(5, 1, None, id="F_5"),
+    pytest.param(3, 2, [1, 0, 1], id="F_9"),
+])
+def test_frobenius_rows_shift_by_t_to_the_q(cls, p, e, mod, monkeypatch):
+    """For q < deg f each row of frobenius_table(f) is the one before
+    shifted up q places mod f; each must equal T**(q*i) mod f, up to degree
+    12, with f = T**k * g and f = T**n among them, whose later rows are 0."""
+    monkeypatch.setattr(field, "FieldKernel", cls)
+    ctx = field_create(p, e, mod)
+    kern, q = ctx.kernel, ctx.q
+    assert isinstance(kern, cls)
+    rng = random.Random(q)
+    fs = []
+    for n in range(q + 1, 13):
+        g = [rng.randrange(1, ctx.q)] + [rng.randrange(ctx.q) for _ in range(rng.randrange(n - 1))]
+        fs += [[0] * n + [1], [0] * (n - len(g)) + g + [1]]
+        fs += [[rng.randrange(ctx.q) for _ in range(n)] + [1] for _ in range(4)]
+    zero_rows = 0
+    for m in fs:
+        rows = frobenius_table(Poly(ctx, m))
+        assert len(rows) == len(m) - 1
+        for i, row in enumerate(rows):
+            assert row == kern.ppowmod([0, 1], q * i, m), (m, i)
+            zero_rows += not row
+    assert zero_rows > 0
 
 
 @pytest.mark.parametrize("p,e,mod,stride,size", [
