@@ -327,15 +327,13 @@ def format_poly(f: Poly) -> str:
     """Canonical text form; parse_poly(format_poly(f)) == f."""
     if f.is_zero:
         return "0"
-    parts = []
-    for k in range(f.degree, -1, -1):
-        c = f.coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        elif k == 1:
-            parts.append("T" if c == 1 else f"{c}*T")
-        else:
-            parts.append(f"T^{k}" if c == 1 else f"{c}*T^{k}")
-    return "+".join(parts)
+    cs = f.coeffs
+    return "+".join(_monomial(k, cs[k]) for k in range(f.degree, -1, -1) if cs[k])
+
+
+def _monomial(k: int, c: int) -> str:
+    """The canonical text of the term c*T^k; for k = 0, the text of c."""
+    if k == 0:
+        return str(c)
+    power = "T" if k == 1 else f"T^{k}"
+    return power if c == 1 else f"{c}*{power}"

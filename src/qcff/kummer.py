@@ -113,10 +113,21 @@ def reduce_fraction(num: Poly, den: Poly) -> FracClass | None:
 @dataclass(frozen=True)
 class FormalSum:
     """Integer combination of k/A classes, with the raw (pre-reduction) term
-    count preserved for diagnostics."""
+    count preserved for diagnostics.
 
-    terms: tuple[tuple[FracClass, int], ...]
+    groups holds the classes by denominator: one (den, nums) entry each for
+    P, Q and PQ in that order, nums the sorted (numerator coefficients,
+    coefficient) pairs over den, maybe none."""
+
+    groups: tuple[tuple[Poly, tuple[tuple[tuple[int, ...], int], ...]], ...]
     raw_terms: int
+
+    @property
+    def terms(self) -> tuple[tuple[FracClass, int], ...]:
+        """The (class, coefficient) pairs in the canonical order of (den, num),
+        built from groups at each read."""
+        return tuple((FracClass(_wrap(den.ctx, num), den), n)
+                     for den, nums in self.groups for num, n in nums)
 
 
 def raw_term_count(ctx, d_first: int, d_second: int) -> int:
@@ -153,11 +164,11 @@ def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     call per raw term: c*A runs over the N of degree below deg Q whose
     leading coefficient u is not 0 or 1, with weight s = w - log u, and the
     P-divisible terms, at most one per A, are moved afterwards. Zero sums
-    are dropped, and the rest come out in the canonical order of
-    (den, num): the denominators P, Q, PQ in that order (see
-    _add_half_sum), each followed by its numerators sorted by
-    coeffs_sort_key. The numerators are built from kernel results on valid
-    inputs, so they are wrapped without validation.
+    are dropped, and the rest come out as the groups of the result in the
+    canonical order of (den, num): the denominators P, Q, PQ in that order
+    (see _add_half_sum), each with its numerators sorted by coeffs_sort_key.
+    The numerators are built from kernel results on valid inputs, so .terms
+    wraps them without validation.
     """
     ctx = p_first.ctx
     _validate_pair(p_first, p_second)
@@ -168,15 +179,15 @@ def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     over_pq: dict[tuple, int] = {}
     _add_half_sum(ctx, P, Q, 1, over_q, over_pq)
     _add_half_sum(ctx, Q, P, -1, over_p, over_pq)
-    terms = []
+    groups = []
     for den, acc in ((p_first, over_p), (p_second, over_q), (_wrap(ctx, PQ), over_pq)):
         nums = [num for num, n in acc.items() if n]
         # coeffs_sort_key's order by two stable sorts on built-in keys:
         # top-down coefficients, then length
         nums.sort(key=_top_down)
         nums.sort(key=len)
-        terms += [(FracClass(_wrap(ctx, num), den), acc[num]) for num in nums]
-    return FormalSum(terms=tuple(terms),
+        groups.append((den, tuple(zip(nums, map(acc.__getitem__, nums)))))
+    return FormalSum(groups=tuple(groups),
                      raw_terms=raw_term_count(ctx, p_first.degree, p_second.degree))
 
 
@@ -193,8 +204,8 @@ def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
     each once, with s = w - log u. So with bq = B*Q, the numerators of the
     degree-i N are low + (bq[i] + u,) + bq[i+1:] for every low in F_q^i
     (adding bq[:i] only permutes F_q^i): one addition per value of bq[i]
-    and u, kept in heads, and one tuple concatenation and one dict update
-    per raw term. All of them go to over_pq first.
+    and u, made one row of heads at a time, and one tuple concatenation and
+    one dict update per raw term. All of them go to over_pq first.
 
     Then the hits, the terms with P | B*Q + c*A, move their weight from
     over_pq to over_q. Each A has at most one: with r = A * Q^{-1} mod P
@@ -217,6 +228,7 @@ def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
     # lows[i] is F_q^i: the low coefficients of the degree-i N, and with a
     # leading 1 appended the monic polynomials of degree i
     lows = [list(product(range(q), repeat=i)) for i in range(max(d_p, d_q))]
+    us = list(range(2, q))
     heads: dict[int, list] = {}  # t -> [(t + u, weight[u]) for u = 2..q-1]
     get = over_pq.get
     for b_low in chain.from_iterable(lows[:d_p]):
@@ -225,7 +237,11 @@ def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
             t, high = bq[i], tuple(bq[i + 1:])
             row = heads.get(t)
             if row is None:
-                row = heads[t] = [(kernel.fadd(t, u), weight[u]) for u in range(2, q)]
+                # the row of sums t + u in one kernel call; padd strips a
+                # zero sum from the end, at most one since the sums differ
+                tops = kernel.padd([t] * len(us), us)
+                tops += [0] * (len(us) - len(tops))
+                row = heads[t] = list(zip(tops, weight[2:]))
             for top, n in row:
                 head = (top,) + high
                 for low in lows[i]:

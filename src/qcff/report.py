@@ -1,8 +1,9 @@
 """Pipeline orchestration: a parsed config -> conductor -> pairs -> report.
 
-The structured report is a plain dict rendered as canonical JSON
-(sorted keys, fixed indentation, trailing newline), so identical configs
-and seeds produce byte-identical output.
+The structured report is a dict of plain JSON values, a formal sum's
+terms aside (see render_json), rendered as canonical JSON (sorted keys,
+fixed indentation, trailing newline), so identical configs and seeds
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Any
 
 from . import __version__
 from .algebra import Poly, format_poly
+from .algebra.poly import _monomial, _wrap
 from .config import SCHEMA_VERSION, JobConfig
 from .cyclotomic import (
     conductor_create,
@@ -59,11 +61,7 @@ def _json(value: Any) -> Any:
 
 def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
                ignore_term_cap: bool = False) -> dict[str, Any]:
-    """Execute the full pipeline and return the structured report.
-
-    Fragments may be shared: a formal sum's terms reuse one dict per
-    distinct denominator. Treat the report as read-only.
-    """
+    """Execute the full pipeline and return the structured report."""
     if not cfg.pairs and not cyclotomic_only:
         raise ConfigError("pair set must be nonempty; pass --cyclotomic-only "
                           "for a report on the cyclotomic layer alone")
@@ -160,20 +158,59 @@ def _formal_sums_block(pairs: PairSet, cap: int, ignore_cap: bool) -> list[dict]
                 f"formal sum for ({format_poly(a)}, {format_poly(b)}) has "
                 f"{expected} raw terms, over the cap {cap}; raise "
                 f"options.a_pq_term_cap or pass --force-a-pq")
+    ctx = pairs.pairs[0][0].ctx
+    # numerators have degree below the largest deg PQ
+    monomials = [[_monomial(k, c) for c in range(ctx.q)]
+                 for k in range(max(a.degree + b.degree for a, b in pairs.pairs))]
     out = []
     for a, b in pairs.pairs:
         fs = pair_formal_sum(a, b)
-        pair = [_poly_json(a), _poly_json(b)]
-        # the denominators are P, Q and PQ: one shared fragment each
-        dens = {a.coeffs: pair[0], b.coeffs: pair[1]}
-        terms = []
-        for c, n in fs.terms:
-            den = dens.get(c.den.coeffs)
-            if den is None:
-                den = dens[c.den.coeffs] = _poly_json(c.den)
-            terms.append({"num": _poly_json(c.num), "den": den, "coeff": n})
-        out.append({"pair": pair, "raw_terms": fs.raw_terms, "terms": terms})
+        out.append({"pair": [_poly_json(a), _poly_json(b)], "raw_terms": fs.raw_terms,
+                    "terms": FormalTerms(fs.groups, monomials)})
     return out
+
+
+class FormalTerms:
+    """The terms of one formal sum in a report, held as FormalSum.groups.
+    Iterated, it gives the plain {"coeff", "den", "num"} dicts of its
+    classes in order; render_json writes it as the JSON text of the list of
+    those dicts, without making them. monomials[k][c] is the text of c*T^k
+    for every c and every k below the numerators' largest length; a
+    numerator's text reads only its nonzero terms, and row 0 is also the
+    text of each coefficient."""
+
+    __slots__ = ("groups", "monomials")
+
+    def __init__(self, groups: tuple, monomials: list[list[str]]):
+        self.groups = groups
+        self.monomials = monomials
+
+    def __iter__(self):
+        for den, nums in self.groups:
+            for num, n in nums:
+                yield {"coeff": n, "den": _poly_json(den),
+                       "num": _poly_json(_wrap(den.ctx, num))}
+
+    def json_text(self, depth: int) -> str:
+        """The JSON text of the list of term dicts, nested depth levels
+        deep, as json.dumps(sort_keys=True, indent=2) writes it."""
+        i1, i2, i3, i4 = ("\n" + "  " * (depth + k) for k in range(1, 5))
+        monomials, digits = self.monomials, self.monomials[0]
+        comma, head, end = "," + i4, f'{{{i2}"coeff": ', f'{i3}],{i3}"str": "'
+        close = f'"{i2}}}{i1}}}'
+        texts = []
+        for den, nums in self.groups:
+            den_parts: list[str] = []
+            _emit(_poly_json(den), depth + 2, den_parts)
+            mid = f',{i2}"den": {"".join(den_parts)},{i2}"num": {{{i3}"coeffs": [{i4}'
+            # the monomials hold only digits, "T", "^" and "*", which JSON
+            # writes as they are
+            texts += [f'{head}{n}{mid}{comma.join(map(digits.__getitem__, num))}{end}'
+                      f'{"+".join([row[c] for row, c in zip(monomials, num) if c][::-1])}'
+                      f'{close}' for num, n in nums]
+        if not texts:
+            return "[]"
+        return "[" + i1 + ("," + i1).join(texts) + "\n" + "  " * depth + "]"
 
 
 def render_json(report: dict[str, Any]) -> str:
@@ -182,13 +219,16 @@ def render_json(report: dict[str, Any]) -> str:
     sort_keys=True, indent=2 and ensure_ascii=True, plus a newline.
 
     A report holds only dict (with str keys), list, str, int, bool and
-    None. Anything else (a float, a tuple, a set, a Poly, a non-str key)
-    raises TypeError naming its type. An int longer than Python's limit
-    for writing an integer as text (sys.get_int_max_str_digits(), 4300
-    digits by default) raises ValueError, as in the json module.
+    None, and one other type: the "terms" of each entry of
+    kummer.formal_sums is a FormalTerms, written as the JSON list of the
+    term dicts it iterates as. Anything else (a float, a tuple, a set, a
+    Poly, a non-str key) raises TypeError naming its type. An int longer
+    than Python's limit for writing an integer as text
+    (sys.get_int_max_str_digits(), 4300 digits by default) raises
+    ValueError, as in the json module.
     """
     out: list[str] = []
-    _emit(report, 0, out, {})
+    _emit(report, 0, out)
     out.append("\n")
     return "".join(out)
 
@@ -196,18 +236,11 @@ def render_json(report: dict[str, Any]) -> str:
 _INT_LIST = {int}
 
 
-def _emit(value: Any, depth: int, out: list[str], memo: dict) -> None:
+def _emit(value: Any, depth: int, out: list[str]) -> None:
     """Append the JSON text of value, nested depth levels deep, to out.
 
-    A polynomial fragment, a dict whose keys are exactly "coeffs" (a list
-    of ints, maybe empty) and "str" (a str), is rendered in one step from
-    its two values; every other dict, a near-fragment included, takes the
-    generic path. Fragments are the only values memoized, by (object,
-    depth): a formal sum repeats its three denominators thousands of times,
-    while other dicts are not shared. memo lives for one render_json call,
-    while every fragment is alive, so ids stay unique. A module-level
-    function, not a closure calling itself: that closure would be a
-    reference cycle holding out until the cyclic collector runs.
+    A module-level function, not a closure calling itself: that closure
+    would be a reference cycle holding out until the cyclic collector runs.
     """
     kind = type(value)
     if kind is str:
@@ -224,25 +257,13 @@ def _emit(value: Any, depth: int, out: list[str], memo: dict) -> None:
         if not value:
             out.append("{}")
             return
-        coeffs = value.get("coeffs")
-        if len(value) == 2 and type(coeffs) is list and type(value.get("str")) is str:
-            key = (id(value), depth)
-            text = memo.get(key)
-            if text is None and set(map(type, coeffs)) <= _INT_LIST:
-                pad = "  " * depth
-                listed = _int_list_text(coeffs, depth + 1)
-                text = memo[key] = (f'{{\n{pad}  "coeffs": {listed},\n'
-                                    f'{pad}  "str": {_json_str(value["str"])}\n{pad}}}')
-            if text is not None:
-                out.append(text)
-                return
         indent = "\n" + "  " * (depth + 1)
         lead = "{" + indent
         for name in sorted(value):
             if type(name) is not str:
                 raise TypeError(f"report keys must be str, not {type(name).__name__}")
             out.append(lead + _json_str(name) + ": ")
-            _emit(value[name], depth + 1, out, memo)
+            _emit(value[name], depth + 1, out)
             lead = "," + indent
         out.append("\n" + "  " * depth + "}")
     elif kind is list:
@@ -253,9 +274,11 @@ def _emit(value: Any, depth: int, out: list[str], memo: dict) -> None:
         lead = "[" + indent
         for item in value:
             out.append(lead)
-            _emit(item, depth + 1, out, memo)
+            _emit(item, depth + 1, out)
             lead = "," + indent
         out.append("\n" + "  " * depth + "]")
+    elif kind is FormalTerms:
+        out.append(value.json_text(depth))
     else:
         raise TypeError(f"a report cannot hold {kind.__name__}")
 

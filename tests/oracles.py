@@ -23,6 +23,9 @@ which fuses each step that drops the degree by one into one pass.
 ``per_term_formal_sum`` keeps the formal sum's loop over every
 (A, s, B) with one kernel ``padd`` per raw term and a hit looked up per
 (A, s), the reference of the library's enumeration of the numerators.
+``dict_per_term_formal_sums`` keeps the report's formal-sums block as
+one plain dict per term, the reference of the terms the report writes
+straight as JSON text.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from qcff.algebra import (
     var_T,
 )
 from qcff.algebra.factor import frobenius_apply, frobenius_table
-from qcff.algebra.poly import _wrap, coeffs_sort_key
+from qcff.algebra.poly import coeffs_sort_key
 from qcff.errors import NotCoprime, NotPrimeModulus
-from qcff.kummer import FormalSum, FracClass, raw_term_count
+from qcff.kummer import FormalSum, pair_formal_sum, raw_term_count
+from qcff.report import _poly_json
 from qcff.symbols import SymbolValue
 
 
@@ -282,12 +286,11 @@ def per_term_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     over_pq: dict[tuple, int] = {}
     _per_term_half_sum(ctx, P, Q, 1, over_q, over_pq)
     _per_term_half_sum(ctx, Q, P, -1, over_p, over_pq)
-    terms = []
+    groups = []
     for den, acc in ((p_first, over_p), (p_second, over_q), (p_first * p_second, over_pq)):
-        for num in sorted(acc, key=coeffs_sort_key):
-            if acc[num]:
-                terms.append((FracClass(num=_wrap(ctx, num), den=den), acc[num]))
-    return FormalSum(terms=tuple(terms),
+        nums = sorted((num for num in acc if acc[num]), key=coeffs_sort_key)
+        groups.append((den, tuple((num, acc[num]) for num in nums)))
+    return FormalSum(groups=tuple(groups),
                      raw_terms=raw_term_count(ctx, p_first.degree, p_second.degree))
 
 
@@ -312,3 +315,22 @@ def _per_term_half_sum(ctx, P, Q, sign, over_q, over_pq) -> None:
                     over_q[num] = over_q.get(num, 0) + n
                 else:
                     over_pq[num] = over_pq.get(num, 0) + n
+
+
+def dict_per_term_formal_sums(pairs) -> list[dict]:
+    """The report's formal-sums block for the (P, Q) pairs with one
+    {"coeff", "den", "num"} dict per term of pair_formal_sum(P, Q).terms,
+    the three denominators' fragments shared."""
+    out = []
+    for a, b in pairs:
+        fs = pair_formal_sum(a, b)
+        pair = [_poly_json(a), _poly_json(b)]
+        dens = {a.coeffs: pair[0], b.coeffs: pair[1]}
+        terms = []
+        for c, n in fs.terms:
+            den = dens.get(c.den.coeffs)
+            if den is None:
+                den = dens[c.den.coeffs] = _poly_json(c.den)
+            terms.append({"num": _poly_json(c.num), "den": den, "coeff": n})
+        out.append({"pair": pair, "raw_terms": fs.raw_terms, "terms": terms})
+    return out

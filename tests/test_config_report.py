@@ -18,7 +18,9 @@ from qcff.config import MAX_Q, Options, load_config, parse_config
 from qcff.errors import ConfigError, NonPrimeP, ValidationError
 from qcff.kummer import pair_formal_sum
 from qcff.limits import MAX_DEGREE
-from qcff.report import render_json, render_text, run_report
+from qcff.report import FormalTerms, render_json, render_text, run_report
+
+from .oracles import dict_per_term_formal_sums
 
 
 def _base_config(**overrides):
@@ -299,9 +301,17 @@ def test_render_text_mentions_key_facts():
     assert "Hasse formula" in text
 
 
+def _plain_terms(value):
+    """json.dumps's hook for a formal sum's terms: their plain dicts."""
+    if isinstance(value, FormalTerms):
+        return list(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _oracle(value) -> str:
     """The canonical text by the generic encoder."""
-    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True,
+                      default=_plain_terms) + "\n"
 
 
 def test_render_json_is_canonical():
@@ -331,6 +341,60 @@ def test_render_json_matches_generic_encoder(value):
     assert render_json(value) == _oracle(value)
 
 
+def _formal_sum_config(p, pairs, e=1, modulus=None):
+    primes = sorted({prime for pair in pairs for prime in pair})
+    raw = {"p": p, "conductor": {"factors": [[prime, 1] for prime in primes]},
+           "pairs": pairs, "options": {"emit_a_pq": True}}
+    if modulus is not None:
+        raw.update(e=e, modulus=modulus)
+    return parse_config(raw)
+
+
+# pairs over F_3, F_5, F_7, F_9, F_257 and F_7^3, of 2 to 1,040 raw terms
+_TEXT_PATH_CONFIGS = {
+    "f3_linear": (3, [["T", "T+1"]]),
+    "f3_two_pairs": (3, [["T", "T+1"], ["T+1", "T^2+1"]]),
+    "f3_deg_3_4": (3, [["T^3+2*T+1", "T^4+T+2"]]),
+    "f5": (5, [["T", "T^2+2"]]),
+    "f7_linear": (7, [["T+1", "T+3"]]),
+    "f7": (7, [["T", "T^2+1"]]),
+    "f9": (3, [["T", "T^2+T+3"]], 2, "T^2+1"),
+    "f257": (257, [["T", "T+1"]]),
+    "f7_3": (7, [["T", "T+1"]], 3, "T^3+2"),
+}
+
+
+@pytest.mark.parametrize("args", _TEXT_PATH_CONFIGS.values(), ids=_TEXT_PATH_CONFIGS)
+def test_formal_sum_text_matches_dict_per_term_reference(args):
+    """The terms objects' JSON text against json.dumps of the same report
+    with one plain dict per term, at the depth of a report and at others."""
+    cfg = _formal_sum_config(*args)
+    report = run_report(cfg)
+    sums = report["kummer"]["formal_sums"]
+    ref_sums = dict_per_term_formal_sums(cfg.pairs)
+    ref_kummer = dict(report["kummer"], formal_sums=ref_sums)
+    ref = dict(report, kummer=ref_kummer)
+    for value, ref_value in ((report, ref), (report["kummer"], ref_kummer),
+                             ([report], [ref]), (sums, ref_sums),
+                             (sums[-1]["terms"], ref_sums[-1]["terms"])):
+        got = render_json(value)
+        want = json.dumps(ref_value, sort_keys=True, indent=2) + "\n"
+        if got != want:  # long texts: show where they differ, not a whole diff
+            at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
+                      min(len(got), len(want)))
+            pytest.fail(f"text differs at {at}: {got[at - 60:at + 60]!r} "
+                        f"!= {want[at - 60:at + 60]!r}")
+    assert [list(block["terms"]) for block in sums] == [block["terms"] for block in ref_sums]
+
+
+def test_formal_sum_text_covers_an_empty_group():
+    """Some pair of the text-path sweep has no class over P or over Q."""
+    empty = [any(not nums for _, nums in pair_formal_sum(a, b).groups[:2])
+             for args in _TEXT_PATH_CONFIGS.values()
+             for a, b in _formal_sum_config(*args).pairs]
+    assert any(empty) and not all(empty)
+
+
 def test_render_json_shared_fragment_at_every_depth():
     frag = {"coeffs": [1, 0, 2], "str": "2*T^2+1"}
     other = {"coeffs": [], "str": "0"}
@@ -343,7 +407,7 @@ def test_render_json_shared_fragment_at_every_depth():
 _SHARED = {"coeffs": [2, 1], "str": "T+2"}
 
 
-# the edge between a fragment rendered in one step and the generic path
+# dicts shaped like polynomial fragments, and near misses
 @pytest.mark.parametrize("value", [
     {"coeffs": [], "str": "0"},
     {"coeffs": [-1, 0, -2 ** 70, 2 ** 70], "str": "T^3"},

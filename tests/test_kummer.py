@@ -110,7 +110,8 @@ def test_formal_sum_classes_are_canonical(ctx3, mk):
 
 def _formal_sum_by_reduction(p_first, p_second):
     """The formal sum straight from its definition: reduce_fraction on every
-    raw term, equal classes summed, zero classes dropped, sorted by poly_cmp."""
+    raw term, equal classes summed, zero classes dropped, sorted by poly_cmp
+    and grouped by denominator."""
     ctx = p_first.ctx
     den = p_first * p_second
     acc = {}
@@ -131,7 +132,12 @@ def _formal_sum_by_reduction(p_first, p_second):
 
     terms = sorted(((cls, n) for cls, n in acc.items() if n),
                    key=functools.cmp_to_key(order))
-    return FormalSum(terms=tuple(terms), raw_terms=raw)
+    # one group per denominator in poly_cmp order, P, Q and PQ even if empty
+    dens = sorted({p_first, p_second, den} | {cls.den for cls, _ in terms},
+                  key=functools.cmp_to_key(poly_cmp))
+    groups = tuple((d, tuple((cls.num.coeffs, n) for cls, n in terms if cls.den == d))
+                   for d in dens)
+    return FormalSum(groups=groups, raw_terms=raw)
 
 
 def _oracle_pairs(ctx3, ctx5, ctx7, ctx9):
