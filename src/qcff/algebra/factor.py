@@ -1,8 +1,9 @@
 """Irreducibility testing and factorization in F_q[T].
 
 Factorization runs squarefree decomposition, then distinct-degree splitting,
-then randomized equal-degree (Cantor-Zassenhaus) splitting; the random source
-is injectable so CLI output stays reproducible. The irreducibility test is
+then randomized equal-degree (Cantor-Zassenhaus) splitting. The split draws
+from its own generator with a fixed seed, and the primes come out sorted, so
+a factorization is a function of its input alone. The irreducibility test is
 the distinct-degree split stopped at its first part (Ben-Or, FOCS 1981).
 
 The split raises h to the q-th power mod f again and again. That map fixes
@@ -204,7 +205,7 @@ def _is_irreducible(f: Poly, rows: Sequence[list[int]]) -> bool:
     return f.degree == 1 or next(_distinct_degree_split(f, rows))[1] == f.degree
 
 
-def equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+def equal_degree_split(f: Poly, d: int) -> list[Poly]:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d primes.
 
     Each try draws a reduced mod the part g being split and takes
@@ -212,18 +213,22 @@ def equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     * (q - 1)/2 for odd q, b is N_d(a)**((q-1)/2) - 1 exactly, N_d(a) =
     frobenius_norm(rows, a, d) on g's table: d - 1 table applications and
     about 2*log2(d) products mod g, then a powmod to (q-1)/2, where the
-    direct power took about d*log2(q) squarings. b, every draw of rng and
-    every split are those of the direct power.
+    direct power took about d*log2(q) squarings. b, every draw and every
+    split are those of the direct power. The draws come from random.Random(0),
+    made only once some part has to be split.
     """
     ctx = f.ctx
     out: list[Poly] = []
     stack = [f]
     half = (ctx.q - 1) // 2
+    rng = None
     while stack:
         g = stack.pop()
         if g.degree == d:
             out.append(g)
             continue
+        if rng is None:
+            rng = random.Random(0)
         rows = frobenius_table(g)
         while True:
             a = Poly(ctx, [rng.randrange(ctx.q) for _ in range(g.degree)])
@@ -246,7 +251,7 @@ def poly_is_irreducible(f: Poly) -> bool:
     return _is_irreducible(f, frobenius_table(f))
 
 
-def poly_factor(f: Poly, rng: random.Random | None = None) -> Factorization:
+def poly_factor(f: Poly) -> Factorization:
     """Full factorization into monic primes, sorted canonically.
 
     The leading coefficient is returned separately; the product of the prime
@@ -254,13 +259,11 @@ def poly_factor(f: Poly, rng: random.Random | None = None) -> Factorization:
     """
     if f.is_zero or f.degree < 1:
         raise ConstantInput("factorization needs a nonconstant polynomial")
-    if rng is None:
-        rng = random.Random(0)
     lead = f.lc
     found: list[tuple[Poly, int]] = []
     for part, mult in squarefree_decomposition(f.to_monic()):
         for prod, d in distinct_degree_split(part):
-            for prime in equal_degree_split(prod, d, rng):
+            for prime in equal_degree_split(prod, d):
                 found.append((prime, mult))
     found.sort(key=lambda item: item[0].sort_key)
     pps = tuple(PrimePower.make(prime, mult) for prime, mult in found)

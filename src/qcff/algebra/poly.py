@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import product
 from typing import Iterable, Iterator
 
 from ..errors import (
@@ -252,22 +253,10 @@ def poly_cmp(a: Poly, b: Poly) -> int:
 
 
 def monic_of_degree(ctx: FieldCtx, d: int) -> Iterator[Poly]:
-    """All monic polynomials of exact degree d >= 0, in canonical order."""
-    if d == 0:
-        yield one(ctx)
-        return
-    # counter over the d lower coefficients, most significant (degree d-1) first
-    counter = [0] * d
-    q = ctx.q
-    while True:
-        yield _wrap(ctx, counter[::-1] + [1])
-        i = d - 1
-        while i >= 0 and counter[i] == q - 1:
-            counter[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        counter[i] += 1
+    """All monic polynomials of exact degree d >= 0, in canonical order:
+    the d lower coefficients run through F_q^d, degree d-1 slowest."""
+    for top_down in product(range(ctx.q), repeat=d):
+        yield _wrap(ctx, [*reversed(top_down), 1])
 
 
 def enumerate_monic_below(ctx: FieldCtx, d: int) -> Iterator[Poly]:

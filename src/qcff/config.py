@@ -8,7 +8,7 @@ arrays of encoded coefficients or as strings like "2*T^2+T+1".
       "p": 3,                         // odd prime characteristic, p^e <= MAX_Q
       "e": 1,                         // extension degree, default 1
       "modulus": "T^2+1",             // required iff e > 1
-      "rng_seed": 0,                  // factorization seed, default 0
+      "rng_seed": 0,                  // integer, default 0; echoed only, no effect
       "conductor": {"poly": "T^2+T"}  // or {"factors": [["T", 1], ["T+1", 1]]}
       "pairs": [["T", "T+1"]],
       "options": {}                   // optional; keys and defaults: Options

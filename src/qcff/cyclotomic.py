@@ -22,7 +22,6 @@ assumed in code, so a transcription slip in either one is caught.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,7 +89,7 @@ class Conductor:
         return self.M.ctx
 
 
-def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> Conductor:
+def conductor_create(ctx: FieldCtx, spec) -> Conductor:
     """Build a Conductor from a monic polynomial or a claimed factorization.
 
     spec may be a Poly (factored here) or a sequence of (prime, exponent)
@@ -103,7 +102,7 @@ def conductor_create(ctx: FieldCtx, spec, rng: random.Random | None = None) -> C
             raise ConstantConductor(f"conductor must be nonconstant, got {spec}")
         if not spec.monic:
             raise NotMonic(f"conductor must be monic, got {spec}")
-        pairs = [(pp.prime, pp.exp) for pp in poly_factor(spec, rng).factors]
+        pairs = [(pp.prime, pp.exp) for pp in poly_factor(spec).factors]
     else:
         pairs = [(prime, int(exp)) for prime, exp in spec]
 

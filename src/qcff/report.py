@@ -2,13 +2,12 @@
 
 The structured report is a dict of plain JSON values, a formal sum's
 terms aside (see render_json), rendered as canonical JSON (sorted keys,
-fixed indentation, trailing newline), so identical configs and seeds
-produce byte-identical output.
+fixed indentation, trailing newline), so identical configs produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
@@ -66,7 +65,7 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
         raise ConfigError("pair set must be nonempty; pass --cyclotomic-only "
                           "for a report on the cyclotomic layer alone")
     ctx = cfg.field
-    cond = conductor_create(ctx, cfg.conductor, random.Random(cfg.rng_seed))
+    cond = conductor_create(ctx, cfg.conductor)
 
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -104,11 +103,9 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
         checks.append({"name": "cyclotomic genus paths agree",
                        "passed": genus_closed == genus_rh})
 
-    if cyclotomic_only:
-        report["inputs"]["pairs"] = _json(cfg.pairs)
-    else:
-        pairs = pairset_create(cond, cfg.pairs)
-        report["inputs"]["pairs"] = _json(pairs.pairs)
+    pairs = pairset_create(cond, cfg.pairs) if cfg.pairs else PairSet(pairs=())
+    report["inputs"]["pairs"] = _json(pairs.pairs)
+    if not cyclotomic_only:
         ram = ramification_table(cond, pairs)
         g_hasse = genus_hasse_formula(cond, genus_closed, ram)
         g_rh = kummer_genus_riemann_hurwitz(cond, genus_closed, ram)

@@ -208,10 +208,12 @@ def frobenius_fold(kernel, rows, h) -> list[int]:
     return acc
 
 
-def powmod_equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+def powmod_equal_degree_split(f: Poly, d: int) -> list[Poly]:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d
-    primes, with b = a**((q**d - 1)/2) - 1 by one powmod per try."""
+    primes, with b = a**((q**d - 1)/2) - 1 by one powmod per try, drawing
+    from random.Random(0) as the library's split does."""
     ctx = f.ctx
+    rng = random.Random(0)
     out: list[Poly] = []
     stack = [f]
     exponent = (ctx.q ** d - 1) // 2

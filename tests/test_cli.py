@@ -189,6 +189,22 @@ def test_empty_pairs_exit_2_unless_cyclotomic_only(tmp_path):
     assert report["cyclotomic"]["genus"]["closed_form"] == 0
 
 
+@pytest.mark.parametrize("pairs,error", [
+    ([["T", "T"]], "PairMembersEqual"),
+    ([["T+1", "T"]], "WrongOrientation"),
+    ([["T", "T+2"]], "PrimeNotInConductor"),
+    ([["T", "T+1"], ["T", "T+1"]], "DuplicatePair"),
+], ids=["equal_members", "wrong_orientation", "not_in_conductor", "listed_twice"])
+def test_cyclotomic_only_still_checks_given_pairs(tmp_path, capsys, pairs, error):
+    """The report echoes its pairs in inputs.pairs, so it checks them even
+    when it computes nothing from them."""
+    cfg = tmp_path / "pairs.json"
+    cfg.write_text(json.dumps({"p": 3, "conductor": {"poly": "T^2+T"}, "pairs": pairs}),
+                   encoding="utf-8")
+    assert main(["report", "--config", str(cfg), "--cyclotomic-only"]) == 3
+    assert capsys.readouterr().err.startswith(f"validation error ({error}): ")
+
+
 def test_math_validation_exit_3(tmp_path):
     wrong_orientation = tmp_path / "orient.json"
     wrong_orientation.write_text(json.dumps({

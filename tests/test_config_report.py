@@ -549,30 +549,45 @@ def _readme_example_config():
     return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
-@pytest.mark.parametrize("raw", [
-    _readme_example_config(),
-    {"p": 3, "conductor": {"poly": "T^2+T"}, "pairs": [["T", "T+1"]],
-     "options": {"emit_a_pq": True}},
-    _base_config(p=5, conductor={"factors": [["T+1", 2], ["T^2+2", 1], ["T^3+T+1", 1]]},
-                 pairs=[["T+1", "T^2+2"], ["T^2+2", "T^3+T+1"]]),
-    dict(_P9, conductor={"factors": [["T", 1], ["T+1", 2], ["T^2+T+3", 1]]},
-         pairs=[["T", "T+1"], ["T", "T^2+T+3"], ["T+1", "T^2+T+3"]]),
-], ids=["readme_example", "frozen_a_pq", "f5_claimed_factors", "f9_three_pairs"])
-def test_validate_primality_changes_only_its_echo(raw):
+_ECHO_CONFIGS = {
+    "readme_example": _readme_example_config(),
+    "frozen_a_pq": {"p": 3, "conductor": {"poly": "T^2+T"}, "pairs": [["T", "T+1"]],
+                    "options": {"emit_a_pq": True}},
+    "f5_claimed_factors": _base_config(
+        p=5, conductor={"factors": [["T+1", 2], ["T^2+2", 1], ["T^3+T+1", 1]]},
+        pairs=[["T+1", "T^2+2"], ["T^2+2", "T^3+T+1"]]),
+    "f9_three_pairs": dict(_P9, conductor={"factors": [["T", 1], ["T+1", 2], ["T^2+T+3", 1]]},
+                           pairs=[["T", "T+1"], ["T", "T^2+T+3"], ["T+1", "T^2+T+3"]]),
+}
+
+
+@pytest.mark.parametrize("name,rng_seed", [
+    pytest.param(name, seed, id=name if seed == 0 else f"{name}-rng_seed={seed}")
+    for seed in (0, 1, 7, 2 ** 40) for name in _ECHO_CONFIGS])
+def test_validate_primality_changes_only_its_echo(name, rng_seed):
     """The option re-tests pair members that are conductor primes, already
-    proven prime, so the report with it off differs from the report with it
-    on in the one line that echoes it, and the text rendering not at all."""
-    texts = {}
-    for flag in (True, False):
-        cfg = dict(raw, options=dict(raw.get("options", {}), validate_primality=flag))
+    proven prime, and rng_seed reaches nothing but its echo, so each report
+    differs from the one with the option on and seed 0 in the lines that
+    echo them alone, and the text rendering not at all."""
+    raw = _ECHO_CONFIGS[name]
+
+    def rendered(seed, flag):
+        cfg = dict(raw, rng_seed=seed,
+                   options=dict(raw.get("options", {}), validate_primality=flag))
         report = run_report(parse_config(cfg))
         assert report["inputs"]["options"]["validate_primality"] is flag
-        texts[flag] = (render_json(report).splitlines(), render_text(report))
-    (on, text_on), (off, text_off) = texts[True], texts[False]
-    assert len(on) == len(off)
-    assert [(a, b) for a, b in zip(on, off) if a != b] == \
-        [('      "validate_primality": true', '      "validate_primality": false')]
-    assert text_on == text_off
+        assert report["conventions"]["rng_seed"] == seed
+        return render_json(report).splitlines(), render_text(report)
+
+    base, base_text = rendered(0, True)
+    seed_echo = [('    "rng_seed": 0', f'    "rng_seed": {rng_seed}')] if rng_seed else []
+    for flag in (True, False):
+        lines, text = rendered(rng_seed, flag)
+        flag_echo = [] if flag else [('      "validate_primality": true',
+                                      '      "validate_primality": false')]
+        assert len(lines) == len(base)
+        assert [(a, b) for a, b in zip(base, lines) if a != b] == seed_echo + flag_echo
+        assert text == base_text
 
 
 def test_readme_library_example_runs():

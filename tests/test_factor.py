@@ -6,7 +6,9 @@ import random
 import pytest
 
 from qcff.algebra import (
+    Factorization,
     Poly,
+    PrimePower,
     field_create,
     monic_irreducibles,
     monic_of_degree,
@@ -87,18 +89,11 @@ def test_squarefree_decomposition_handles_pth_powers(ctx3, mk):
     assert [(str(g), m) for g, m in squarefree_decomposition(f9)] == [("T", 9)]
 
 
-def test_factor_is_deterministic_given_seed(ctx3, mk):
-    f = mk(ctx3, "T^6+T^4+2*T^2+T+1")
-    a = poly_factor(f, random.Random(7))
-    b = poly_factor(f, random.Random(7))
-    assert a == b
-
-
 @pytest.mark.parametrize("q", [3, 5, 9])
-def test_factor_does_not_depend_on_its_random_source(q, ctx3, ctx5, ctx9):
+def test_factor_is_a_function_of_its_input(q, ctx3, ctx5, ctx9):
     """Products of two and of three distinct primes of one degree d <= 3, so
-    the equal-degree split draws from rng: seeds 0-7 give one factorization,
-    the chosen primes in canonical order."""
+    the equal-degree split has to draw: repeated calls give equal
+    factorizations, the chosen primes in canonical order."""
     ctx = {3: ctx3, 5: ctx5, 9: ctx9}[q]
     pick = random.Random(q)
     for d in range(1, 4):
@@ -108,13 +103,11 @@ def test_factor_does_not_depend_on_its_random_source(q, ctx3, ctx5, ctx9):
             f = one(ctx)
             for p in primes[:k]:
                 f = f * p
-            results = []
-            for s in range(8):
-                rng = random.Random(s)
-                results.append(poly_factor(f, rng))
-                assert rng.getstate() != random.Random(s).getstate(), (f, s)
-            assert results == [results[0]] * 8, f
-            assert sorted(_shape(results[0])) == sorted((str(p), 1) for p in primes[:k])
+            fz = poly_factor(f)
+            assert [poly_factor(f) for _ in range(3)] == [fz] * 3, f
+            chosen = sorted(primes[:k], key=lambda p: p.sort_key)
+            assert fz == Factorization(lead=1, factors=tuple(
+                PrimePower.make(p, 1) for p in chosen)), f
 
 
 def test_phi_examples(ctx3, mk):
@@ -133,7 +126,6 @@ def test_phi_matches_unit_count_exhaustively(ctx5):
 
 
 def test_phi_rejects_repeated_primes(ctx3):
-    from qcff.algebra import PrimePower
     t = var_T(ctx3)
     with pytest.raises(ValidationError):
         poly_phi(ctx3, [PrimePower.make(t, 1), PrimePower.make(t, 2)])
@@ -244,8 +236,8 @@ def test_distinct_degree_split_matches_rereducing_walk(q, ctx3, ctx5, ctx7, ctx9
 def test_equal_degree_split_matches_the_direct_power(q, ctx3, ctx5, ctx7, ctx9):
     """Products of 2 or 3 distinct primes of one degree d <= 4, from up to
     eight seeded primes per degree: the split on the Frobenius table gives
-    the primes of the split with the direct power a**((q**d - 1)/2), in the
-    same order, and leaves its random source in the same state."""
+    the primes of the split with the direct power a**((q**d - 1)/2), drawn
+    from the same fixed-seed generator, in the same order."""
     ctx = {3: ctx3, 5: ctx5, 7: ctx7, 9: ctx9}[q]
     pick = random.Random(q)
     cases = 0
@@ -258,11 +250,7 @@ def test_equal_degree_split_matches_the_direct_power(q, ctx3, ctx5, ctx7, ctx9):
                 f = one(ctx)
                 for p in chosen:
                     f = f * p
-                seed = pick.randrange(2 ** 32)
-                rng, ref = random.Random(seed), random.Random(seed)
-                assert equal_degree_split(f, d, rng) == \
-                    powmod_equal_degree_split(f, d, ref), (f, d)
-                assert rng.getstate() == ref.getstate(), (f, d)
+                assert equal_degree_split(f, d) == powmod_equal_degree_split(f, d), (f, d)
                 cases += 1
     # C(n, 2) + C(n, 3) products from n primes: 4 for n = 3 (F_3 has three
     # primes of degree 1 and three of degree 2), 20, 56 and 84 for 5, 7, 8

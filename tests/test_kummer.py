@@ -414,7 +414,7 @@ def test_presentation_unpaired_prime_keeps_base_order(ctx3, mk):
 def test_presentation_invariants_sweep(ctx3):
     for d in range(2, 5):
         for m in monic_of_degree(ctx3, d):
-            cond = conductor_create(ctx3, m, random.Random(0))
+            cond = conductor_create(ctx3, m)
             if len(cond.factors) < 2:
                 continue
             names = {pp.prime: f"sigma[{pp.prime}]" for pp in cond.factors}
@@ -461,7 +461,7 @@ def test_quasi_genus_paths_agree_exhaustively_deg4(ctx3):
     # nonempty subsets of the possible pairs), both paths exactly equal
     for d in range(2, 5):
         for m in monic_of_degree(ctx3, d):
-            cond = conductor_create(ctx3, m, random.Random(0))
+            cond = conductor_create(ctx3, m)
             if len(cond.factors) < 2:
                 continue
             base = genus_closed_form(cond)
