@@ -30,13 +30,14 @@ g once (its nonzero (index, log) pairs below the top and c, the log of
 t * (-g_j/lc(g)) for the top coefficient t by one lookup of
 exp3[log t + c + log g_j], and writes the quotient only when asked.
 ``pdivrem``, ``prem`` and ``ppowmod`` run it: ``prem`` builds no
-quotient, and ``ppowmod`` prepares its modulus once. ``pgcd`` reduces
-its two lists in turn without a copy or a quotient per step. Most
-Euclid steps drop the degree by one (deg f = deg g + 1): there the
+quotient, ``ppowmod`` prepares its modulus once, and a dividend shorter
+than the divisor is only stripped, with no divisor prepared. ``pgcd``
+reduces its two lists in turn without a copy or a quotient per step.
+Most Euclid steps drop the degree by one (deg f = deg g + 1): there the
 quotient a*T + b is read off f's and g's top coefficients, and both rows
 are subtracted in one pass over g that reads each log[g_j] inline, with
-no (index, log) list. Every other step runs ``_divisor`` and
-``_reduce``. The compiled ``pgcd`` prepares a divisor per step.
+no (index, log) list. Every other step runs ``_reduce``. The compiled
+``pgcd`` prepares a divisor per step.
 
 ``papply(rows, h)`` is the one op that is not ring arithmetic on two
 polynomials: it returns the sum of h_i * rows[i]. On a Frobenius table
@@ -44,9 +45,42 @@ polynomials: it returns the sum of h_i * rows[i]. On a Frobenius table
 q-th power map is one call. Its n rows, like h, hold at most n
 coefficients each; a longer one raises ``ValueError``.
 
+Fields with q <= 16 (q = 3, 5, 7, 9, 11 or 13) have a second, byte path
+for long operands. A coefficient vector is packed one coefficient per
+byte (``bytes(v)``, little-endian as an int), and a whole row operation
+out + c*v is a few C-level calls:
+
+    ((out << 4) | v).to_bytes(n, "little").translate(ma[c])
+
+Each byte of ``(out << 4) | v`` holds the pair (o, b) as o * 16 + b,
+which is why q <= 16, and ``ma[c]`` is a 256-byte table with o + c*b at
+that index, built from ``_sums`` and the exp/log tables in q*q steps per
+scalar. They are built on the first byte-path call, not in the
+constructor: ``parse_config`` makes a field per job, and the build
+(0.02 ms for q = 3, 0.4 ms for q = 13) costs about as much as the rest
+of a parse. Where the path runs, by operand length (below each
+threshold the list loop costs about as much or less, measured per op):
+- ``papply``: tables of n >= 12 rows; the used rows are packed per call;
+- ``pmul``: both operands of length >= 8, one row operation per
+  coefficient of the shorter one;
+- ``_reduce`` (``prem``, ``pdivrem``, ``ppowmod`` and the Euclid steps
+  ``pgcd`` does not fuse): deg g >= 8 and (len r - deg g) * deg g >= 96,
+  one row operation per nonzero top coefficient with the packed
+  -g/lc(g), read and reduced on the bytes;
+- ``pgcd``: both operands of length >= 24; then the whole Euclid runs on
+  bytes, and ``rstrip`` gives each remainder's length. Below 24 the list
+  loop's fused step is as fast.
+The byte path refuses a coefficient that a byte cannot hold: ``bytes()``
+raises ``TypeError`` for a non-int and ``ValueError`` outside [0, 256),
+and a coefficient in [q, 256), which would spill into the next byte,
+raises ``ValueError`` (one C-level ``translate`` per operand finds it).
+On valid input the results, quotients and exceptions are those of the
+list loops, which stay for short operands and for every field with
+q > 16.
+
 ``fneg`` and ``fsub`` raise ``ValueError`` for an element outside [0, q),
 as the compiled kernel does, since ``neg[a]`` would wrap a negative a.
-``fadd`` and the polynomial loops are hot and check nothing.
+``fadd`` and the polynomial list loops are hot and check nothing.
 
 The compiled kernel in ``_core.c`` implements the identical interface;
 `qcff._kernels` uses it when it imports and this one otherwise.
@@ -57,6 +91,16 @@ from __future__ import annotations
 # Fields up to this size add through a q*q table, and larger extension
 # fields through an s*s table, s the largest power of p up to it (or p).
 ADD_TABLE_MAX_Q = 256
+
+# Fields up to this size also take the byte path: a coefficient and the
+# one it is added to share a byte as two nibbles.
+BYTES_MAX_Q = 16
+# Where the byte path runs, by operand length: set by measurement.
+PAPPLY_BYTES_MIN_ROWS = 12
+PMUL_BYTES_MIN_LEN = 8
+REDUCE_BYTES_MIN_DEG = 8
+REDUCE_BYTES_MIN_WORK = 96  # (len r - deg g) * deg g
+PGCD_BYTES_MIN_LEN = 24
 
 
 def digit_sums(p, n):
@@ -107,7 +151,8 @@ class FieldKernel:
     ``log`` inverts it (log[0] = -1). Negation and addition are built here.
     """
 
-    __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "_sums", "_stride", "_exp3")
+    __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "_sums", "_stride", "_exp3",
+                 "_small", "_digits", "_ma")
 
     def __init__(self, p, e, exp, log):
         self.p = p
@@ -130,6 +175,9 @@ class FieldKernel:
         # _exp3[i] == exp[i % w] for 0 <= i < 3w: indexed by a sum of two
         # logs, or of three in a reduction step
         self._exp3 = self.exp * 3
+        self._small = q <= BYTES_MAX_Q
+        self._digits = bytes(range(q)) if self._small else None
+        self._ma = None  # built by _mul_add on the first byte-path call
 
     # -- scalar ops ---------------------------------------------------------
 
@@ -183,6 +231,8 @@ class FieldKernel:
     def pmul(self, f, g):
         if not f or not g:
             return []
+        if self._small and len(f) >= PMUL_BYTES_MIN_LEN and len(g) >= PMUL_BYTES_MIN_LEN:
+            return self._pmul_bytes(f, g)
         exp3, log = self._exp3, self.log
         g_logs = [(j, log[b]) for j, b in enumerate(g) if b]
         out = [0] * (len(f) + len(g) - 1)
@@ -201,6 +251,8 @@ class FieldKernel:
         n = len(rows)
         if len(h) > n or max(map(len, rows), default=0) > n:
             raise ValueError(f"papply: h and each row need at most {n} coefficients")
+        if self._small and n >= PAPPLY_BYTES_MIN_ROWS:
+            return self._papply_bytes(rows, h, n)
         exp3, log = self._exp3, self.log
         out = [0] * n
         add, stride = self._sums, self._stride
@@ -219,19 +271,27 @@ class FieldKernel:
     def _divisor(self, g):
         """g's nonzero (index, log) pairs below its top and the log of
         -1/lc(g), where -1 = gamma**(w/2): the data of every step of a
-        reduction mod g."""
+        reduction mod g by the list loop."""
         if not g:
             raise ZeroDivisionError("polynomial division by zero")
         log = self.log
         pairs = [(j, log[b]) for j, b in enumerate(g) if b]
         w = self.w
-        return pairs[:-1], (w // 2 - pairs[-1][1]) % w, len(g) - 1
+        return pairs[:-1], (w // 2 - pairs[-1][1]) % w
 
-    def _reduce(self, r, divisor, quot=None):
-        """Reduce the list r mod the prepared divisor in place and strip it;
-        write the quotient's len(r) - deg g coefficients to quot if given."""
-        pairs, c, dg = divisor
+    def _reduce(self, r, g, quot=None, divisor=None):
+        """Reduce the list r mod g in place and strip it; write the
+        quotient's len(r) - deg g coefficients to quot if given. A dividend
+        shorter than g needs no divisor; a long reduction over a small field
+        runs on bytes; the list loop takes ``divisor``, g's prepared divisor,
+        or prepares one."""
+        dg = len(g) - 1
         if len(r) > dg:
+            if (self._small and dg >= REDUCE_BYTES_MIN_DEG
+                    and (len(r) - dg) * dg >= REDUCE_BYTES_MIN_WORK):
+                r[:] = self._rem_bytes(self._packed(r), self._packed(g), quot)
+                return
+            pairs, c = divisor or self._divisor(g)
             exp3, log, half = self._exp3, self.log, self.w // 2
             add, stride = self._sums, self._stride
             # step i adds t * (-g_j / lc(g)) into r[i + j] below the top,
@@ -250,18 +310,16 @@ class FieldKernel:
             r.pop()
 
     def pdivrem(self, f, g):
-        divisor = self._divisor(g)
         rem = list(f)
         quot = [0] * max(len(rem) - len(g) + 1, 0)
-        self._reduce(rem, divisor, quot)
+        self._reduce(rem, g, quot)
         while quot and quot[-1] == 0:
             quot.pop()
         return quot, rem
 
     def prem(self, f, g):
-        divisor = self._divisor(g)
         rem = list(f)
-        self._reduce(rem, divisor)
+        self._reduce(rem, g)
         return rem
 
     def pmonic(self, f):
@@ -270,6 +328,11 @@ class FieldKernel:
         return self.pscale(f, self.finv(f[-1]))
 
     def pgcd(self, f, g):
+        if self._small and len(f) >= PGCD_BYTES_MIN_LEN and len(g) >= PGCD_BYTES_MIN_LEN:
+            fb, gb = self._packed(f).rstrip(b"\0"), self._packed(g).rstrip(b"\0")
+            while gb:
+                fb, gb = gb, self._rem_bytes(fb, gb)
+            return self.pmonic(list(fb))
         f, g = list(f), list(g)
         exp3, log, w = self._exp3, self.log, self.w
         add, stride = self._sums, self._stride
@@ -301,7 +364,7 @@ class FieldKernel:
                 while f and f[-1] == 0:
                     f.pop()
             else:
-                self._reduce(f, self._divisor(g))
+                self._reduce(f, g)
             f, g = g, f
         return self.pmonic(f)
 
@@ -312,13 +375,81 @@ class FieldKernel:
         reduce, pmul = self._reduce, self.pmul
         acc = [1]
         base = list(f)
-        reduce(base, divisor)
+        reduce(base, m, divisor=divisor)
         while n > 0:
             if n & 1:
                 acc = pmul(acc, base)
-                reduce(acc, divisor)
+                reduce(acc, m, divisor=divisor)
             n >>= 1
             if n:
                 base = pmul(base, base)
-                reduce(base, divisor)
+                reduce(base, m, divisor=divisor)
         return acc
+
+    # -- the byte path, q <= 16 ---------------------------------------------
+
+    def _mul_add(self):
+        """Build and keep the translate tables, one per scalar c:
+        ma[c][o * 16 + b] is o + c*b for o, b in [0, q)."""
+        q, sums, fmul = self.q, self._sums, self.fmul
+        ma = self._ma = []
+        for c in range(q):
+            prods = [fmul(c, b) for b in range(q)]
+            table = bytearray(256)
+            for o in range(q):
+                table[o * 16:o * 16 + q] = bytes([sums[o * q + x] for x in prods])
+            ma.append(bytes(table))
+        return ma
+
+    def _packed(self, v):
+        """The coefficients of v, one byte each. bytes() refuses a non-int
+        (TypeError) or an int outside [0, 256) (ValueError); one in
+        [q, 256) would spill into the next byte, so it is refused here."""
+        b = bytes(v)
+        if b.translate(None, self._digits):  # what is left is outside [0, q)
+            raise ValueError(f"coefficient {max(b)} is outside [0, {self.q})")
+        return b
+
+    def _pmul_bytes(self, f, g):
+        if len(f) > len(g):
+            f, g = g, f
+        ma, from_bytes = self._ma or self._mul_add(), int.from_bytes
+        gi = from_bytes(self._packed(g), "little")
+        n = len(f) + len(g) - 1
+        out = bytes(n)
+        for i, a in enumerate(self._packed(f)):
+            if a:
+                out = (((from_bytes(out, "little") << 4) | (gi << 8 * i))
+                       .to_bytes(n, "little").translate(ma[a]))
+        return list(out.rstrip(b"\0"))
+
+    def _papply_bytes(self, rows, h, n):
+        ma, from_bytes, digits = self._ma or self._mul_add(), int.from_bytes, self._digits
+        out = bytes(n)
+        for c, row in zip(self._packed(h), rows):
+            if c:
+                row = bytes(row)
+                if row.translate(None, digits):
+                    self._packed(row)  # raises for the byte outside [0, q)
+                out = (((from_bytes(out, "little") << 4) | from_bytes(row, "little"))
+                       .to_bytes(n, "little").translate(ma[c]))
+        return list(out.rstrip(b"\0"))
+
+    def _rem_bytes(self, rb, gb, quot=None):
+        """rb mod gb, both packed and gb stripped and nonzero, as stripped
+        bytes; the quotient goes to quot if given. Step i adds t times the
+        packed -g/lc(g) below its top at byte i, t = rb[i + deg g]."""
+        ma, from_bytes = self._ma or self._mul_add(), int.from_bytes
+        exp3, log, half = self._exp3, self.log, self.w // 2
+        dg = len(gb) - 1
+        c = (half - log[gb[dg]]) % self.w  # the log of -1/lc(g)
+        ng = from_bytes(gb[:dg].translate(ma[exp3[c]]), "little")
+        n = len(rb)
+        for i in range(n - dg - 1, -1, -1):
+            t = rb[i + dg]
+            if t:
+                if quot is not None:
+                    quot[i] = exp3[log[t] + c + half]
+                rb = (((from_bytes(rb, "little") << 4) | (ng << 8 * i))
+                      .to_bytes(n, "little").translate(ma[t]))
+        return rb[:dg].rstrip(b"\0")

@@ -162,7 +162,7 @@ def divisor_per_step_pgcd(kernel, f, g) -> list[int]:
     ``_reduce`` per step: its ``pgcd`` before the fused degree-one step."""
     f, g = list(f), list(g)
     while g:
-        kernel._reduce(f, kernel._divisor(g))
+        kernel._reduce(f, g)
         f, g = g, f
     return kernel.pmonic(f)
 

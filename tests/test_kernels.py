@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from qcff._kernels import CompiledFieldKernel, PureFieldKernel
-from qcff._kernels.pure import _GroupSums
+from qcff._kernels import CompiledFieldKernel, PureFieldKernel, pure
+from qcff._kernels.pure import BYTES_MAX_Q, _GroupSums
 from qcff.algebra import Poly, field, field_create
 from qcff.algebra.factor import frobenius_table
 
@@ -77,6 +78,19 @@ def test_backends_agree_on_random_inputs(p, e, mod):
         if len(g) >= 2:
             n = rng.randrange(10 ** 9)
             assert pure.ppowmod(f, n, g) == comp.ppowmod(f, n, g)
+    # operands of up to 96 coefficients, where the pure kernel runs on bytes
+    for _ in range(60 if ctx.q <= BYTES_MAX_Q else 0):
+        f = _rand_poly(rng, ctx.q, 97)
+        g = _rand_poly(rng, ctx.q, 97)
+        assert pure.pmul(f, g) == comp.pmul(f, g)
+        if g:
+            assert pure.pdivrem(f, g) == comp.pdivrem(f, g)
+            assert pure.prem(f, g) == comp.prem(f, g)
+        if f or g:
+            assert pure.pgcd(f, g) == comp.pgcd(f, g)
+        if len(g) >= 2:
+            n = rng.randrange(10 ** 4)
+            assert pure.ppowmod(f, n, g) == comp.ppowmod(f, n, g)
 
 
 @needs_compiled
@@ -118,12 +132,12 @@ def test_compiled_kernel_has_pure_interface():
         assert getattr(comp, name) == getattr(pure, name) == getattr(ctx, name)
 
 
-def _frobenius_cases(ctx, rng, count):
+def _frobenius_cases(ctx, rng, count, max_degree=16):
     """(rows, h) pairs: the Frobenius table of a random monic f of degree
-    1..16, both kinds of row 1 (q < deg f and q >= deg f) where the field
-    allows, and a random h reduced mod f."""
+    1..max_degree, both kinds of row 1 (q < deg f and q >= deg f) where the
+    field allows, and a random h reduced mod f."""
     for _ in range(count):
-        d = rng.randrange(1, 17)
+        d = rng.randrange(1, max_degree + 1)
         f = Poly(ctx, [rng.randrange(ctx.q) for _ in range(d)] + [1])
         rows = frobenius_table(f)
         yield rows, _rand_poly(rng, ctx.q, d + 1)
@@ -135,6 +149,9 @@ def test_backends_agree_on_papply(p, e, mod):
     ctx, pure, comp = _kernels(p, e, mod)
     rng = random.Random(18)
     for rows, h in _frobenius_cases(ctx, rng, 40):
+        assert pure.papply(rows, h) == comp.papply(rows, h), (rows, h)
+    # tables of up to 48 rows, where the pure kernel runs on bytes
+    for rows, h in _frobenius_cases(ctx, rng, 20 if ctx.q <= BYTES_MAX_Q else 0, 48):
         assert pure.papply(rows, h) == comp.papply(rows, h), (rows, h)
 
 
@@ -510,3 +527,161 @@ def test_digit_groups_of_a_large_prime():
         a, b = (d[0] + 37 * d[1] + 37 ** 2 * d[2] for d in (da, db))
         ds = [(x + y) % 37 for x, y in zip(da, db)]
         assert sums[a * sums.q + b] == ds[0] + 37 * ds[1] + 37 ** 2 * ds[2]
+
+
+# every field small enough for the byte path: both moduli of F_9, and the
+# largest two primes below 16
+BYTE_FIELDS = [
+    pytest.param(3, 1, None, id="F_3"),
+    pytest.param(5, 1, None, id="F_5"),
+    pytest.param(7, 1, None, id="F_7"),
+    pytest.param(3, 2, [1, 0, 1], id="F_9"),
+    pytest.param(3, 2, [2, 1, 1], id="F_9'"),
+    pytest.param(11, 1, None, id="F_11"),
+    pytest.param(13, 1, None, id="F_13"),
+]
+
+_BYTE_PATHS = ("_pmul_bytes", "_papply_bytes", "_rem_bytes", "_reduce")
+
+
+def _count_byte_paths(monkeypatch):
+    """Count the calls of each byte-path helper, and of ``_reduce``."""
+    calls = Counter()
+    for name in _BYTE_PATHS:
+        def counted(self, *args, _name=name, _orig=getattr(PureFieldKernel, name), **kw):
+            calls[_name] += 1
+            return _orig(self, *args, **kw)
+        monkeypatch.setattr(PureFieldKernel, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,e,mod", BYTE_FIELDS)
+def test_pure_byte_path_matches_the_oracles_and_the_list_loop(p, e, mod, monkeypatch):
+    """Over every field with q <= 16, pmul, papply, prem, pdivrem, pgcd and
+    ppowmod on operands of 1-96 coefficients, on both sides of each
+    threshold, as lists and as tuples: the byte path gives what the
+    table-free oracles and the list loops (the same kernel with the byte
+    path off) give, and it runs exactly where its thresholds say. The
+    cases include divisors with zeros below the top, zero remainders,
+    gcds of 1 and of high degree, and rows shorter than the table."""
+    ctx = field_create(p, e, mod)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
+    loop = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
+    loop._small = False
+    calls = _count_byte_paths(monkeypatch)
+    rng = random.Random(29 * p + e + len(mod or []))
+    q = ctx.q
+
+    def poly(n):
+        """n coefficients, top nonzero, as a list or a tuple."""
+        out = [rng.randrange(q) for _ in range(n - 1)] + [rng.randrange(1, q)]
+        return tuple(out) if rng.random() < 0.5 else out
+
+    def ran(name, op, *args):
+        """op's result, and whether it called the helper ``name``."""
+        before = calls[name]
+        return op(*args), calls[name] > before
+
+    def on_bytes_reduce(f, g):
+        dg = len(g) - 1
+        return len(f) > dg >= pure.REDUCE_BYTES_MIN_DEG and (
+            (len(f) - dg) * dg >= pure.REDUCE_BYTES_MIN_WORK)
+
+    lengths = [1, 2, 7, 8, 9, 11, 12, 13, 23, 24, 25, 40, 64, 96]
+    pairs = [(poly(rng.choice(lengths)), poly(rng.choice(lengths))) for _ in range(40)]
+    for _ in range(6):
+        d = poly(rng.randrange(20, 40))  # a gcd of high degree
+        pairs.append((kern.pmul(poly(rng.randrange(5, 30)), d), kern.pmul(poly(rng.randrange(5, 30)), d)))
+        g, k = list(poly(rng.randrange(12, 30))), rng.randrange(1, 5)
+        g[-1 - k:-1] = [0] * k
+        pairs.append((poly(rng.randrange(30, 97)), g))  # zeros below g's top
+        pairs.append((kern.pmul(poly(rng.randrange(1, 40)), g), g))  # zero remainder
+    pairs.append((poly(96), poly(95)))  # coprime with probability about 1 - 1/q
+    gcd_degrees, byte_euclids = set(), 0
+    for f, g in pairs:
+        before = (list(f), list(g))
+        prod, on_bytes = ran("_pmul_bytes", kern.pmul, f, g)
+        assert prod == loop.pmul(f, g) == list(naive_poly_mul(ctx, Poly(ctx, f), Poly(ctx, g)).coeffs)
+        assert on_bytes == (min(len(f), len(g)) >= pure.PMUL_BYTES_MIN_LEN)
+        for a, b in ((f, g), (g, f)):
+            expected = naive_divrem(ctx, a, b)
+            divrem, on_bytes = ran("_rem_bytes", kern.pdivrem, a, b)
+            assert divrem == loop.pdivrem(a, b) == expected, (a, b)
+            assert on_bytes == on_bytes_reduce(a, b)
+            assert kern.prem(a, b) == loop.prem(a, b) == expected[1]
+        reduces = calls["_reduce"]
+        gcd, on_bytes = ran("_rem_bytes", kern.pgcd, f, g)
+        if min(len(f), len(g)) >= pure.PGCD_BYTES_MIN_LEN:  # the whole Euclid on bytes
+            assert on_bytes and calls["_reduce"] == reduces
+            byte_euclids += 1
+        assert gcd == kern.pgcd(g, f) == loop.pgcd(f, g) == naive_gcd(ctx, f, g), (f, g)
+        gcd_degrees.add(len(gcd) - 1)
+        assert (list(f), list(g)) == before
+    assert 0 in gcd_degrees and max(gcd_degrees) >= 20 and byte_euclids
+
+    for n in (1, 8, 11, 12, 13, 30, 48):
+        rows = [_rand_poly(rng, q, n + 1) for _ in range(n)]  # rows of 0..n coefficients
+        for h in (poly(rng.randrange(1, n + 1)), [0] * (n - 1) + [1]):
+            out, on_bytes = ran("_papply_bytes", kern.papply, rows, h)
+            assert out == loop.papply(rows, h) == frobenius_fold(loop, rows, h), (rows, h)
+            assert on_bytes == (n >= pure.PAPPLY_BYTES_MIN_ROWS)
+
+    for m_len in (3, 12, 20, 33):
+        m, f = poly(m_len), poly(rng.randrange(1, 2 * m_len))
+        for n in (0, 1, 5, rng.randrange(6, 200)):
+            assert kern.ppowmod(f, n, m) == loop.ppowmod(f, n, m) == naive_powmod(ctx, f, n, m)
+    assert all(calls[name] for name in _BYTE_PATHS)
+
+
+@pytest.mark.parametrize("p,e,mod", [
+    pytest.param(3, 2, [1, 0, 1], id="F_9"),
+    pytest.param(13, 1, None, id="F_13"),
+])
+def test_pure_byte_path_rejects_what_a_byte_cannot_hold(p, e, mod, monkeypatch):
+    """Every op that runs on bytes refuses a coefficient in [q, 256), which
+    would spill into the next byte, as well as a negative one or one past
+    255 (ValueError), and a None (TypeError), in each operand it packs."""
+    ctx = field_create(p, e, mod)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
+    calls = _count_byte_paths(monkeypatch)
+    q = ctx.q
+    long_f, long_g = [1] * 40, [2] * 19 + [1]
+    rows = [[0] * i + [1] for i in range(16)]
+    cases = [
+        (kern.pmul, (long_f, long_g), (0, 1)),
+        (kern.prem, (long_f, long_g), (0, 1)),
+        (kern.pdivrem, (long_f, long_g), (0, 1)),
+        (kern.pgcd, (long_f, [1] * 30), (0, 1)),
+        (kern.ppowmod, (long_f, 3, long_g), (0,)),  # m is read by the list loop's divisor first
+        (kern.papply, (rows, [1] * 16), (1,)),
+    ]
+    for op, args, operands in cases:
+        assert op(*args) is not None
+        for k in operands:
+            for bad, error in ((q, ValueError), (255, ValueError), (-1, ValueError),
+                               (256, ValueError), (None, TypeError)):
+                spoilt = list(args)
+                spoilt[k] = list(args[k])
+                spoilt[k][3] = bad
+                with pytest.raises(error):
+                    op(*spoilt)
+    rows[5] = [0] * 5 + [q]
+    with pytest.raises(ValueError, match="outside"):
+        kern.papply(rows, [1] * 16)
+    assert all(calls[name] for name in _BYTE_PATHS[:3])
+
+
+def test_byte_tables_are_built_on_first_use():
+    """A new kernel builds no translate table; the first byte-path call
+    builds one 256-byte table per element."""
+    ctx = field_create(13, 1, None)
+    kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
+    assert kern._ma is None
+    kern.pmul([1] * 4, [1] * 4)
+    assert kern._ma is None
+    kern.pmul([1] * 8, [1] * 8)
+    assert len(kern._ma) == 13 and all(len(t) == 256 for t in kern._ma)
+    ctx = field_create(17, 1, None)
+    big = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
+    big.pmul([1] * 40, [1] * 40)
+    assert big._ma is None
