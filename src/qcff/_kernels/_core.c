@@ -12,10 +12,15 @@
  * step mod w. Each step adds one product into one coefficient, by the q*q
  * addition table for q <= 256 and digit by digit otherwise.
  *
- * papply(rows, h) returns the sum of h_i * rows[i] in one buffer: on a
- * Frobenius table (rows[i] = T**(q*i) mod f) that is h**q mod f, so one
- * application of the q-th power map is one call. Its n rows, like h, hold
- * at most n coefficients each; a longer one raises ValueError.
+ * ptable(m) builds the Frobenius table of a nonconstant m, a FrobeniusTable
+ * object: the rows T**(q*i) mod m for i < n = deg m, as logs, and m's
+ * divisor, prepared once. Only the kernel that built a table reads it:
+ * papply(table, h) is h**q mod m, the sum of h_i * row i, one application
+ * of the q-th power map; pnorm(table, h, d) is h**(1 + q + ... + q**(d-1))
+ * mod m by an Itoh-Tsujii chain; pwalk(table, first) is the distinct-degree
+ * split of m made monic, as a list of (part, degree) pairs in the order
+ * found, only the first with first set. h has at most n coefficients; a
+ * longer one raises ValueError.
  *
  * Every int read from Python is checked to lie in its table's range, so no
  * lookup can leave its table. Buffers come from PyMem, so tracemalloc sees
@@ -43,6 +48,19 @@ typedef struct {
     int linv;      /* log of 1 / lc(g) */
     int *hidx, *hlog;
 } Divisor;
+
+/* The Frobenius table of m, n = deg m >= 1. */
+typedef struct {
+    PyObject_HEAD
+    Kernel *owner; /* the kernel that built it, the only one that reads it */
+    Py_ssize_t n;
+    int *mod;      /* m's n + 1 coefficients */
+    int *rows;     /* rows[i * n + j]: the log of coefficient j of row i, -1 for 0 */
+    int *room;     /* the divisor's 2n ints */
+    Divisor div;
+} Table;
+
+static PyTypeObject TableType;
 
 /* -- field arithmetic ---------------------------------------------------- */
 
@@ -220,6 +238,105 @@ static Py_ssize_t rem_inplace(const Kernel *k, int *r, Py_ssize_t lr,
             ri[d->hidx[j]] = f_add(k, ri[d->hidx[j]], k->exp2[lt + d->hlog[j]]);
     }
     return strip(r, dg);
+}
+
+/* Euclid's algorithm in place: *a and *b trade buffers, and each buffer only
+ * ever holds its input or a remainder computed in it, which is shorter.
+ * Returns the length of the last nonzero remainder, which *a then holds
+ * (not made monic). room holds 2 max(la, lb) ints. */
+static Py_ssize_t gcd_inplace(const Kernel *k, int **a, Py_ssize_t la, int **b,
+                              Py_ssize_t lb, int *room) {
+    Divisor d;
+    Py_ssize_t lr;
+    int *t;
+    while (lb > 0) {
+        prepare_divisor(k, *b, lb, room, &d);
+        lr = rem_inplace(k, *a, la, &d, NULL);
+        t = *a, *a = *b, *b = t;
+        la = lb, lb = lr;
+    }
+    return la;
+}
+
+/* a * b mod the divisor into out (room for la + lb ints), with logs room
+ * for lb ints; returns the stripped length. */
+static Py_ssize_t mulmod_into(const Kernel *k, const int *a, Py_ssize_t la,
+                              const int *b, Py_ssize_t lb, const Divisor *d,
+                              int *logs, int *out) {
+    logs_of(k, b, lb, logs);
+    return rem_inplace(k, out, mul_into(k, a, la, logs, lb, out), d, NULL);
+}
+
+/* -- Frobenius tables ------------------------------------------------------ */
+
+/* h**q mod m, the sum of h_i * row i, into out (n ints); h (lh <= n) and out
+ * are distinct. Returns the stripped length. */
+static Py_ssize_t apply_into(const Kernel *k, const Table *t, const int *h,
+                             Py_ssize_t lh, int *out) {
+    Py_ssize_t i, j, n = t->n;
+    memset(out, 0, n * sizeof(int));
+    for (i = 0; i < lh; i++) {
+        const int *row = t->rows + i * n;
+        int l;
+        if (h[i] == 0)
+            continue;
+        l = k->log[h[i]];
+        for (j = 0; j < n; j++)
+            if (row[j] >= 0)
+                out[j] = f_add(k, out[j], k->exp2[l + row[j]]);
+    }
+    return strip(out, n);
+}
+
+/* Stores the lr coefficients of v as row i of the table, in logs. */
+static void store_row(const Kernel *k, Table *t, Py_ssize_t i, const int *v,
+                      Py_ssize_t lr) {
+    Py_ssize_t j;
+    for (j = 0; j < t->n; j++)
+        t->rows[i * t->n + j] = j < lr && v[j] ? k->log[v[j]] : -1;
+}
+
+/* Fills the rows of t, whose divisor is prepared. work holds 6n ints. While
+ * q < n each row is the one before shifted up q places and reduced;
+ * otherwise row 1 is T**q by binary powering and each later row the one
+ * before times row 1. */
+static void build_rows(const Kernel *k, Table *t, int *work) {
+    Py_ssize_t n = t->n, q = k->q, i, lr = 1, lx = 0;
+    int *cur = work, *prod = work + 2 * n, *logs = work + 4 * n, *x = work + 5 * n;
+    long bit;
+    cur[0] = 1;
+    store_row(k, t, 0, cur, lr);
+    if (q >= n && n > 1) {
+        /* row 1 = x = T**q, from T down the bits of q below the top one:
+         * square, then times T for a 1 bit */
+        cur[0] = 0, cur[1] = 1, lr = 2;
+        for (bit = 30; !((q >> bit) & 1); bit--)
+            ;
+        while (--bit >= 0) {
+            lr = mulmod_into(k, cur, lr, cur, lr, &t->div, logs, prod);
+            memcpy(cur, prod, lr * sizeof(int));
+            if ((q >> bit) & 1 && lr > 0) {
+                memmove(cur + 1, cur, lr * sizeof(int));
+                cur[0] = 0;
+                lr = rem_inplace(k, cur, lr + 1, &t->div, NULL);
+            }
+        }
+        lx = lr;
+        memcpy(x, cur, lx * sizeof(int));
+    }
+    for (i = 1; i < n; i++) {
+        if (q < n) {
+            if (lr > 0) {
+                memmove(cur + q, cur, lr * sizeof(int));
+                memset(cur, 0, q * sizeof(int));
+                lr = rem_inplace(k, cur, lr + q, &t->div, NULL);
+            }
+        } else if (i > 1) {
+            lr = mulmod_into(k, cur, lr, x, lx, &t->div, logs, prod);
+            memcpy(cur, prod, lr * sizeof(int));
+        }
+        store_row(k, t, i, cur, lr);
+    }
 }
 
 /* -- the type ----------------------------------------------------------- */
@@ -421,41 +538,205 @@ static PyObject *k_pmul(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     return res;
 }
 
-/* The sum of h_i * rows[i]. rows is copied into a tuple first, so no code
- * run while a row is read can change which rows there are. */
-static PyObject *k_papply(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
-    Py_ssize_t n, lh = 0, lr = 0, i, j;
-    int *h = NULL, *out = NULL, *row = NULL;
-    PyObject *rows, *res = NULL;
-    if (check_nargs("papply", nargs, 2) < 0
-        || (rows = PySequence_Tuple(args[0])) == NULL)
+static PyObject *k_ptable(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
+    Py_ssize_t lm, n;
+    int *m, *work = NULL;
+    Table *t;
+    if (check_nargs("ptable", nargs, 1) < 0
+        || (m = read_poly(k, args[0], 0, &lm)) == NULL)
         return NULL;
-    n = PyTuple_GET_SIZE(rows);
-    if ((h = read_poly(k, args[1], 0, &lh)) == NULL || (out = new_ints(n)) == NULL)
-        goto done;
-    memset(out, 0, n * sizeof(int));
-    for (i = 0; i < n && lh <= n && lr <= n; i++) {
-        PyObject *seq = PyTuple_GET_ITEM(rows, i);
-        int l = i < lh && h[i] ? k->log[h[i]] : -1;
-        if (l < 0 ? (lr = PyObject_Length(seq)) < 0
-                  : (row = read_poly(k, seq, 0, &lr)) == NULL)
-            goto done;
-        for (j = 0; row != NULL && lr <= n && j < lr; j++)
-            if (row[j])
-                out[j] = f_add(k, out[j], k->exp2[l + k->log[row[j]]]);
-        PyMem_Free(row);
-        row = NULL;
+    if ((lm = strip(m, lm)) < 2) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "table modulus must be nonconstant");
+        PyMem_Free(m);
+        return NULL;
     }
-    if (lh > n || lr > n)
+    if ((t = PyObject_New(Table, &TableType)) == NULL) {
+        PyMem_Free(m);
+        return NULL;
+    }
+    Py_INCREF(k);
+    t->owner = k;
+    t->n = n = lm - 1;
+    t->mod = m;
+    t->room = NULL;
+    if ((t->rows = new_ints(n * n)) == NULL || (t->room = new_ints(2 * n)) == NULL
+        || (work = new_ints(6 * n)) == NULL) {
+        Py_DECREF(t);
+        return NULL;
+    }
+    prepare_divisor(k, m, lm, t->room, &t->div);
+    build_rows(k, t, work);
+    PyMem_Free(work);
+    return (PyObject *)t;
+}
+
+/* The table args[0], which this kernel built, and a new buffer holding h =
+ * args[1], of at most n coefficients, with room for n + extra ints; NULL
+ * with an exception set on failure. */
+static int *read_frobenius_args(Kernel *k, PyObject *const *args, Py_ssize_t extra,
+                            Table **t, Py_ssize_t *lh) {
+    int *h;
+    if (!PyObject_TypeCheck(args[0], &TableType) || ((Table *)args[0])->owner != k) {
+        PyErr_SetString(PyExc_TypeError, "expected a FrobeniusTable built by this kernel");
+        return NULL;
+    }
+    *t = (Table *)args[0];
+    if ((h = read_poly(k, args[1], (*t)->n + extra, lh)) != NULL && *lh > (*t)->n) {
         PyErr_Format(PyExc_ValueError,
-                     "papply: h and each row need at most %zd coefficients", n);
-    else
-        res = to_list(out, strip(out, n));
-done:
-    Py_DECREF(rows);
+                     "h needs at most %zd coefficients for a table of %zd rows",
+                     (*t)->n, (*t)->n);
+        PyMem_Free(h);
+        return NULL;
+    }
+    return h;
+}
+
+static PyObject *k_papply(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
+    Py_ssize_t lh;
+    int *h;
+    Table *t;
+    PyObject *res = NULL;
+    if (check_nargs("papply", nargs, 2) < 0
+        || (h = read_frobenius_args(k, args, 0, &t, &lh)) == NULL)
+        return NULL;
+    /* h has room for n ints past its own: the result goes there */
+    res = to_list(h + lh, apply_into(k, t, h, lh, h + lh));
     PyMem_Free(h);
-    PyMem_Free(out);
     return res;
+}
+
+/* N_k = h**(1 + q + ... + q**(k-1)) along the bits of d from the top:
+ * N_2k = N_k**(q**k) * N_k and N_(k+1) = N_k**q * h. */
+static PyObject *k_pnorm(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
+    Py_ssize_t lh, la, ls, n, d, kk = 1, i;
+    int *h, *work, *acc, *prod, *sh, *tmp, *logs, *swap, bit;
+    Table *t;
+    PyObject *res = NULL;
+    if (check_nargs("pnorm", nargs, 3) < 0
+        || (h = read_frobenius_args(k, args, 0, &t, &lh)) == NULL)
+        return NULL;
+    n = t->n;
+    if ((d = PyLong_AsSsize_t(args[2])) < 1) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError, "pnorm needs d >= 1, got %zd", d);
+        PyMem_Free(h);
+        return NULL;
+    }
+    /* acc and prod trade places, each with room for a product */
+    if ((work = new_ints(7 * n)) != NULL) {
+        acc = work, prod = work + 2 * n, sh = work + 4 * n, tmp = work + 5 * n;
+        logs = work + 6 * n;
+        la = strip(h, lh);
+        memcpy(acc, h, la * sizeof(int));
+        for (bit = 8 * (int)sizeof(d) - 2; !((d >> bit) & 1); bit--)
+            ;
+        while (--bit >= 0) {
+            memcpy(sh, acc, la * sizeof(int));
+            ls = la;
+            for (i = 0; i < kk; i++) {
+                ls = apply_into(k, t, sh, ls, tmp);
+                swap = sh, sh = tmp, tmp = swap;
+            }
+            la = mulmod_into(k, sh, ls, acc, la, &t->div, logs, prod);
+            swap = acc, acc = prod, prod = swap;
+            kk *= 2;
+            if ((d >> bit) & 1) {
+                ls = apply_into(k, t, acc, la, sh);
+                la = mulmod_into(k, sh, ls, h, strip(h, lh), &t->div, logs, prod);
+                swap = acc, acc = prod, prod = swap;
+                kk += 1;
+            }
+        }
+        res = to_list(acc, la);
+        PyMem_Free(work);
+    }
+    PyMem_Free(h);
+    return res;
+}
+
+/* Appends the pair (v as a list, deg) to out; -1 on failure. */
+static int append_part(PyObject *out, const int *v, Py_ssize_t lv, Py_ssize_t deg) {
+    PyObject *part = to_list(v, lv), *pair;
+    int status = -1;
+    if (part != NULL && (pair = Py_BuildValue("(On)", part, deg)) != NULL) {
+        status = PyList_Append(out, pair);
+        Py_DECREF(pair);
+    }
+    Py_XDECREF(part);
+    return status;
+}
+
+/* Step d holds h = T**(q**d) mod the f left after the parts found so far
+ * and takes gcd(f, h - T). Each step applies the first f's table: once f has
+ * shrunk, the result is reduced mod f. */
+static PyObject *k_pwalk(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
+    Py_ssize_t lf, lh = 0, la, lb, lg, n, d = 0, j;
+    int first, *work, *f, *h, *tmp, *a, *b, *quot, *room, *froom, *groom, *swap, inv;
+    Table *t;
+    Divisor fdiv, gdiv;
+    PyObject *out;
+    if (check_nargs("pwalk", nargs, 2) < 0
+        || !PyObject_TypeCheck(args[0], &TableType) || ((Table *)args[0])->owner != k) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "expected a FrobeniusTable built by this kernel");
+        return NULL;
+    }
+    t = (Table *)args[0];
+    n = t->n;
+    if ((first = PyObject_IsTrue(args[1])) < 0 || (work = new_ints(12 * (n + 1))) == NULL)
+        return NULL;
+    if ((out = PyList_New(0)) == NULL) {
+        PyMem_Free(work);
+        return NULL;
+    }
+    f = work, h = work + (n + 1), tmp = work + 2 * (n + 1), a = work + 3 * (n + 1);
+    b = work + 4 * (n + 1), quot = work + 5 * (n + 1), room = work + 6 * (n + 1);
+    froom = work + 8 * (n + 1), groom = work + 10 * (n + 1);
+    lf = n + 1;
+    inv = f_inv(k, t->mod[n]);
+    for (j = 0; j < lf; j++)
+        f[j] = f_mul(k, t->mod[j], inv);
+    if (n > 1)
+        h[0] = 0, h[1] = 1, lh = 2;
+    while (lf - 1 >= 2 * (d + 1)) {
+        d++;
+        lh = apply_into(k, t, h, lh, tmp);
+        swap = h, h = tmp, tmp = swap;
+        if (lf - 1 < n)
+            lh = rem_inplace(k, h, lh, &fdiv, NULL);
+        memcpy(a, f, lf * sizeof(int));
+        memcpy(b, h, lh * sizeof(int));
+        for (lb = lh; lb < 2; lb++)
+            b[lb] = 0;
+        b[1] = f_add(k, b[1], k->neg[1]); /* h - T */
+        la = lf;
+        lg = gcd_inplace(k, &a, la, &b, strip(b, lb), room);
+        if (lg < 2)
+            continue;
+        inv = f_inv(k, a[lg - 1]);
+        for (j = 0; j < lg; j++)
+            a[j] = f_mul(k, a[j], inv);
+        if (append_part(out, a, lg, d) < 0)
+            goto fail;
+        if (first)
+            goto done;
+        /* f = f / g, g = a monic: the quotient goes to quot */
+        prepare_divisor(k, a, lg, groom, &gdiv);
+        rem_inplace(k, f, lf, &gdiv, quot);
+        lf -= lg - 1;
+        memcpy(f, quot, lf * sizeof(int));
+        if (lf > 1)
+            prepare_divisor(k, f, lf, froom, &fdiv);
+    }
+    if (lf > 1 && append_part(out, f, lf, lf - 1) < 0)
+        goto fail;
+done:
+    PyMem_Free(work);
+    return out;
+fail:
+    PyMem_Free(work);
+    Py_DECREF(out);
+    return NULL;
 }
 
 /* Reads f and g for pdivrem and prem and prepares g as the divisor in
@@ -513,24 +794,16 @@ static PyObject *k_prem(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     return res;
 }
 
-/* Euclid's algorithm in place: a and b trade buffers, and each buffer only
- * ever holds its input or a remainder computed in it, which is shorter. */
 static PyObject *k_pgcd(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
-    Py_ssize_t la, lb, lr;
-    int *a, *b = NULL, *t, *room = NULL;
-    Divisor d;
+    Py_ssize_t la, lb;
+    int *a, *b = NULL, *room = NULL;
     PyObject *res = NULL;
     if (check_nargs("pgcd", nargs, 2) < 0
         || (a = read_poly(k, args[0], 0, &la)) == NULL)
         return NULL;
     if ((b = read_poly(k, args[1], 0, &lb)) != NULL
         && (room = new_ints(2 * (la > lb ? la : lb))) != NULL) {
-        while (lb > 0) {
-            prepare_divisor(k, b, lb, room, &d);
-            lr = rem_inplace(k, a, la, &d, NULL);
-            t = a, a = b, b = t;
-            la = lb, lb = lr;
-        }
+        la = gcd_inplace(k, &a, la, &b, lb, room);
         res = monic_to_list(k, a, la);
     }
     PyMem_Free(a);
@@ -616,7 +889,8 @@ done:
 static PyMethodDef kernel_methods[] = {
     METHOD(fadd), METHOD(fneg), METHOD(fsub), METHOD(fmul), METHOD(finv),
     METHOD(padd), METHOD(psub), METHOD(pscale), METHOD(pmul), METHOD(pdivrem),
-    METHOD(prem), METHOD(pmonic), METHOD(pgcd), METHOD(ppowmod), METHOD(papply),
+    METHOD(prem), METHOD(pmonic), METHOD(pgcd), METHOD(ppowmod), METHOD(ptable),
+    METHOD(papply), METHOD(pnorm), METHOD(pwalk),
     {NULL, NULL, 0, NULL},
 };
 
@@ -640,6 +914,32 @@ static PyTypeObject KernelType = {
     .tp_members = kernel_members,
 };
 
+static void table_dealloc(Table *t) {
+    Py_XDECREF(t->owner);
+    PyMem_Free(t->mod);
+    PyMem_Free(t->rows);
+    PyMem_Free(t->room);
+    PyObject_Free(t);
+}
+
+static Py_ssize_t table_length(Table *t) {
+    return t->n;
+}
+
+static PySequenceMethods table_as_sequence = {
+    .sq_length = (lenfunc)table_length,
+};
+
+static PyTypeObject TableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "qcff._kernels._core.FrobeniusTable",
+    .tp_doc = "The Frobenius table of one modulus, built by FieldKernel.ptable.",
+    .tp_basicsize = sizeof(Table),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_dealloc = (destructor)table_dealloc,
+    .tp_as_sequence = &table_as_sequence,
+};
+
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "qcff._kernels._core",
@@ -649,7 +949,8 @@ static struct PyModuleDef core_module = {
 
 PyMODINIT_FUNC PyInit__core(void) {
     PyObject *mod = PyModule_Create(&core_module);
-    if (mod != NULL && PyModule_AddType(mod, &KernelType) < 0)
+    if (mod != NULL && (PyModule_AddType(mod, &KernelType) < 0
+                        || PyModule_AddType(mod, &TableType) < 0))
         Py_CLEAR(mod);
     return mod;
 }

@@ -39,11 +39,8 @@ are subtracted in one pass over g that reads each log[g_j] inline, with
 no (index, log) list. Every other step runs ``_reduce``. The compiled
 ``pgcd`` prepares a divisor per step.
 
-``papply(rows, h)`` is the one op that is not ring arithmetic on two
-polynomials: it returns the sum of h_i * rows[i]. On a Frobenius table
-(rows[i] = T**(q*i) mod f) that is h**q mod f, so one application of the
-q-th power map is one call. Its n rows, like h, hold at most n
-coefficients each; a longer one raises ``ValueError``.
+The four ops on Frobenius tables, ``ptable``, ``papply``, ``pnorm`` and
+``pwalk``, are mixed in from ``pure_tables.TableOps``.
 
 Fields with q <= 16 (q = 3, 5, 7, 9, 11 or 13) have a second, byte path
 for long operands. A coefficient vector is packed one coefficient per
@@ -60,7 +57,12 @@ constructor: ``parse_config`` makes a field per job, and the build
 (0.02 ms for q = 3, 0.4 ms for q = 13) costs about as much as the rest
 of a parse. Where the path runs, by operand length (below each
 threshold the list loop costs about as much or less, measured per op):
-- ``papply``: tables of n >= 12 rows; the used rows are packed per call;
+- Frobenius tables, always (``pure_tables``): the rows, the norm chain
+  and the walk stay packed from the first step to the last. With the
+  rows re-packed on every ``papply`` and the chain and the walk in
+  ``algebra.factor`` on lists, the benchmark's ``tower_report`` ran
+  94.47 jobs/s; with them here, 133.0 (medians of ten alternated 30 s
+  pairs, seeds 4001-4010, ten won, 2-core Xeon VM, Python 3.11.7);
 - ``pmul``: both operands of length >= 8, one row operation per
   coefficient of the shorter one;
 - ``_reduce`` (``prem``, ``pdivrem``, ``ppowmod`` and the Euclid steps
@@ -68,8 +70,8 @@ threshold the list loop costs about as much or less, measured per op):
   one row operation per nonzero top coefficient with the packed
   -g/lc(g), read and reduced on the bytes;
 - ``pgcd``: both operands of length >= 24; then the whole Euclid runs on
-  bytes, and ``rstrip`` gives each remainder's length. Below 24 the list
-  loop's fused step is as fast.
+  bytes (``_gcd_bytes``, one loop with no call per step), and ``rstrip``
+  gives each remainder's length.
 The byte path refuses a coefficient that a byte cannot hold: ``bytes()``
 raises ``TypeError`` for a non-int and ``ValueError`` outside [0, 256),
 and a coefficient in [q, 256), which would spill into the next byte,
@@ -80,13 +82,20 @@ q > 16.
 
 ``fneg`` and ``fsub`` raise ``ValueError`` for an element outside [0, q),
 as the compiled kernel does, since ``neg[a]`` would wrap a negative a.
-``fadd`` and the polynomial list loops are hot and check nothing.
+So do a divisor (``prem``, ``pdivrem``), a modulus (``ppowmod``,
+``ptable``), both operands of ``pgcd`` and the h of a table op, checked
+by ``_check``, one C-level set test (``TypeError`` for a non-int): a
+coefficient past the log table would raise ``IndexError`` and a negative
+one would read it from the end. It costs about 0.1 us per operand.
+``fadd`` and the other polynomial loops are hot and check nothing.
 
 The compiled kernel in ``_core.c`` implements the identical interface;
 `qcff._kernels` uses it when it imports and this one otherwise.
 """
 
 from __future__ import annotations
+
+from .pure_tables import TableOps
 
 # Fields up to this size add through a q*q table, and larger extension
 # fields through an s*s table, s the largest power of p up to it (or p).
@@ -96,7 +105,6 @@ ADD_TABLE_MAX_Q = 256
 # one it is added to share a byte as two nibbles.
 BYTES_MAX_Q = 16
 # Where the byte path runs, by operand length: set by measurement.
-PAPPLY_BYTES_MIN_ROWS = 12
 PMUL_BYTES_MIN_LEN = 8
 REDUCE_BYTES_MIN_DEG = 8
 REDUCE_BYTES_MIN_WORK = 96  # (len r - deg g) * deg g
@@ -144,7 +152,7 @@ class _GroupSums:
         return out
 
 
-class FieldKernel:
+class FieldKernel(TableOps):
     """Arithmetic engine for F_q, q = p**e, bound to its exp/log tables.
 
     ``exp[i]`` is the encoding of gamma**i for i in [0, w), w = q - 1, and
@@ -152,7 +160,7 @@ class FieldKernel:
     """
 
     __slots__ = ("p", "e", "q", "w", "exp", "log", "neg", "_sums", "_stride", "_exp3",
-                 "_small", "_digits", "_ma")
+                 "_elements", "_small", "_digits", "_ma")
 
     def __init__(self, p, e, exp, log):
         self.p = p
@@ -175,6 +183,7 @@ class FieldKernel:
         # _exp3[i] == exp[i % w] for 0 <= i < 3w: indexed by a sum of two
         # logs, or of three in a reduction step
         self._exp3 = self.exp * 3
+        self._elements = frozenset(range(q))  # what _check accepts
         self._small = q <= BYTES_MAX_Q
         self._digits = bytes(range(q)) if self._small else None
         self._ma = None  # built by _mul_add on the first byte-path call
@@ -188,6 +197,17 @@ class FieldKernel:
         if not 0 <= a < self.q:
             raise ValueError(f"{a} is outside [0, {self.q})")
         return a
+
+    def _check(self, v):
+        """Refuse v if a coefficient is not an int in [0, q), as the
+        compiled kernel's read_poly does: TypeError for one that is not an
+        int, ValueError for one outside. One C-level set test in the common
+        case."""
+        if not self._elements.issuperset(v):
+            for c in v:
+                if not isinstance(c, int):
+                    raise TypeError(f"expected an int, got {type(c).__name__}")
+            raise ValueError(f"a coefficient of {list(v)} is outside [0, {self.q})")
 
     def fneg(self, a):
         return self.neg[self._element(a)]
@@ -247,25 +267,6 @@ class FieldKernel:
             out.pop()
         return out
 
-    def papply(self, rows, h):
-        n = len(rows)
-        if len(h) > n or max(map(len, rows), default=0) > n:
-            raise ValueError(f"papply: h and each row need at most {n} coefficients")
-        if self._small and n >= PAPPLY_BYTES_MIN_ROWS:
-            return self._papply_bytes(rows, h, n)
-        exp3, log = self._exp3, self.log
-        out = [0] * n
-        add, stride = self._sums, self._stride
-        for c, row in zip(h, rows):
-            if c:
-                lc = log[c]
-                for j, b in enumerate(row):
-                    if b:
-                        out[j] = add[out[j] * stride + exp3[lc + log[b]]]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
     # -- division: one divisor preparation, one remainder loop ----------------
 
     def _divisor(self, g):
@@ -289,7 +290,8 @@ class FieldKernel:
         if len(r) > dg:
             if (self._small and dg >= REDUCE_BYTES_MIN_DEG
                     and (len(r) - dg) * dg >= REDUCE_BYTES_MIN_WORK):
-                r[:] = self._rem_bytes(self._packed(r), self._packed(g), quot)
+                ng, c = self._packed_divisor(self._packed(g))
+                r[:] = self._rem_packed(self._packed(r), ng, dg, c, quot).rstrip(b"\0")
                 return
             pairs, c = divisor or self._divisor(g)
             exp3, log, half = self._exp3, self.log, self.w // 2
@@ -310,6 +312,7 @@ class FieldKernel:
             r.pop()
 
     def pdivrem(self, f, g):
+        self._check(g)
         rem = list(f)
         quot = [0] * max(len(rem) - len(g) + 1, 0)
         self._reduce(rem, g, quot)
@@ -318,6 +321,7 @@ class FieldKernel:
         return quot, rem
 
     def prem(self, f, g):
+        self._check(g)
         rem = list(f)
         self._reduce(rem, g)
         return rem
@@ -328,11 +332,11 @@ class FieldKernel:
         return self.pscale(f, self.finv(f[-1]))
 
     def pgcd(self, f, g):
+        self._check(f)
+        self._check(g)
         if self._small and len(f) >= PGCD_BYTES_MIN_LEN and len(g) >= PGCD_BYTES_MIN_LEN:
-            fb, gb = self._packed(f).rstrip(b"\0"), self._packed(g).rstrip(b"\0")
-            while gb:
-                fb, gb = gb, self._rem_bytes(fb, gb)
-            return self.pmonic(list(fb))
+            return self.pmonic(list(self._gcd_bytes(bytes(f).rstrip(b"\0"),
+                                                    bytes(g).rstrip(b"\0"))))
         f, g = list(f), list(g)
         exp3, log, w = self._exp3, self.log, self.w
         add, stride = self._sums, self._stride
@@ -371,6 +375,7 @@ class FieldKernel:
     def ppowmod(self, f, n, m):
         if len(m) < 2:
             raise ZeroDivisionError("powmod modulus must be nonconstant")
+        self._check(m)
         divisor = self._divisor(m)
         reduce, pmul = self._reduce, self.pmul
         acc = [1]
@@ -411,39 +416,41 @@ class FieldKernel:
         return b
 
     def _pmul_bytes(self, f, g):
-        if len(f) > len(g):
-            f, g = g, f
-        ma, from_bytes = self._ma or self._mul_add(), int.from_bytes
-        gi = from_bytes(self._packed(g), "little")
-        n = len(f) + len(g) - 1
-        out = bytes(n)
-        for i, a in enumerate(self._packed(f)):
-            if a:
-                out = (((from_bytes(out, "little") << 4) | (gi << 8 * i))
-                       .to_bytes(n, "little").translate(ma[a]))
-        return list(out.rstrip(b"\0"))
+        return list(self._mul_packed(self._packed(f), self._packed(g)).rstrip(b"\0"))
 
-    def _papply_bytes(self, rows, h, n):
-        ma, from_bytes, digits = self._ma or self._mul_add(), int.from_bytes, self._digits
-        out = bytes(n)
-        for c, row in zip(self._packed(h), rows):
+    def _mul_packed(self, a, b):
+        """a*b for packed a and b, as len(a) + len(b) - 1 bytes: one row
+        operation per nonzero byte of the shorter one."""
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return b""
+        ma, from_bytes = self._ma or self._mul_add(), int.from_bytes
+        bi = from_bytes(b, "little")
+        n = len(a) + len(b) - 1
+        out = 0
+        for i, c in enumerate(a):
             if c:
-                row = bytes(row)
-                if row.translate(None, digits):
-                    self._packed(row)  # raises for the byte outside [0, q)
-                out = (((from_bytes(out, "little") << 4) | from_bytes(row, "little"))
-                       .to_bytes(n, "little").translate(ma[c]))
-        return list(out.rstrip(b"\0"))
+                out = from_bytes(((out << 4) | (bi << 8 * i)).to_bytes(n, "little")
+                                 .translate(ma[c]), "little")
+        return out.to_bytes(n, "little")
 
-    def _rem_bytes(self, rb, gb, quot=None):
-        """rb mod gb, both packed and gb stripped and nonzero, as stripped
-        bytes; the quotient goes to quot if given. Step i adds t times the
-        packed -g/lc(g) below its top at byte i, t = rb[i + deg g]."""
-        ma, from_bytes = self._ma or self._mul_add(), int.from_bytes
-        exp3, log, half = self._exp3, self.log, self.w // 2
+    def _packed_divisor(self, gb):
+        """(ng, c) for the packed, stripped, nonconstant g: ng is -g/lc(g)
+        below its top as an int, one coefficient per byte, and c the log
+        of -1/lc(g)."""
+        ma = self._ma or self._mul_add()
         dg = len(gb) - 1
-        c = (half - log[gb[dg]]) % self.w  # the log of -1/lc(g)
-        ng = from_bytes(gb[:dg].translate(ma[exp3[c]]), "little")
+        c = (self.w // 2 - self.log[gb[dg]]) % self.w
+        return int.from_bytes(gb[:dg].translate(ma[self._exp3[c]]), "little"), c
+
+    def _rem_packed(self, rb, ng, dg, c=0, quot=None):
+        """The packed rb mod g of degree dg, given g's ng and c from
+        ``_packed_divisor``: rb's low dg bytes, not stripped. Step i adds t
+        times ng at byte i, t = rb[i + dg], and writes the quotient's
+        coefficient to quot[i] if quot is given."""
+        ma, from_bytes = self._ma, int.from_bytes
+        exp3, log, half = self._exp3, self.log, self.w // 2
         n = len(rb)
         for i in range(n - dg - 1, -1, -1):
             t = rb[i + dg]
@@ -452,4 +459,23 @@ class FieldKernel:
                     quot[i] = exp3[log[t] + c + half]
                 rb = (((from_bytes(rb, "little") << 4) | (ng << 8 * i))
                       .to_bytes(n, "little").translate(ma[t]))
-        return rb[:dg].rstrip(b"\0")
+        return rb[:dg]
+
+    def _gcd_bytes(self, fb, gb):
+        """Euclid on the packed, stripped fb and gb, each step reduced as
+        ``_rem_packed`` does, without a call per step: gcd(f, g) up to a
+        scalar, packed."""
+        ma, from_bytes = self._ma or self._mul_add(), int.from_bytes
+        exp3, log, w = self._exp3, self.log, self.w
+        half = w // 2
+        while gb:
+            dg = len(gb) - 1
+            ng = from_bytes(gb[:dg].translate(ma[exp3[(half - log[gb[dg]]) % w]]), "little")
+            n = len(fb)
+            for i in range(n - dg - 1, -1, -1):
+                t = fb[i + dg]
+                if t:
+                    fb = (((from_bytes(fb, "little") << 4) | (ng << 8 * i))
+                          .to_bytes(n, "little").translate(ma[t]))
+            fb, gb = gb, fb[:dg].rstrip(b"\0")
+        return fb

@@ -66,14 +66,14 @@ def residue_symbol(a: Poly, r: Poly, *, validate: bool = False,
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
     entry = tables.get(r.coeffs) if tables is not None else None
-    rows, proven = entry if entry is not None else (frobenius_table(r), False)
+    table, proven = entry if entry is not None else (frobenius_table(r), False)
     if validate and not proven:
-        if not _is_irreducible(r, rows):
+        if not _is_irreducible(r, table):
             raise NotPrimeModulus(f"lower entry {r} is reducible")
         proven = True
     if tables is not None:
-        tables[r.coeffs] = (rows, proven)
-    reduced = frobenius_norm(rows, a % r, r.degree)
+        tables[r.coeffs] = (table, proven)
+    reduced = frobenius_norm(table, a % r, r.degree)
     if reduced.degree != 0:
         # a unit's norm is a unit, so a nonzero constant proves gcd(a, r) = 1
         if poly_gcd(a, r).degree != 0:

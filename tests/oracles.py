@@ -8,7 +8,11 @@ that use them, in ``qcff.selfcheck``. ``powmod_residue_symbol`` keeps the
 residue symbol's definition as one modular power, the reference of the
 library's norm form, ``frobenius_fold`` keeps the Frobenius
 application as the fold of kernel sums and scalings it was before the
-kernel had ``papply``, and ``powmod_equal_degree_split`` keeps the
+kernel had ``papply``. ``list_frobenius_rows``, ``itoh_tsujii_norm`` and
+``list_distinct_degree_split`` keep the row build, the norm chain and
+the walk as Python loops over kernel calls on coefficient lists, as they
+were before the kernel had ``ptable``, ``pnorm`` and ``pwalk``: the
+references of those ops. ``powmod_equal_degree_split`` keeps the
 Cantor-Zassenhaus split with its direct power a**((q**d - 1)/2), the
 reference of the library's split on the Frobenius table, and
 ``rereducing_distinct_degree_split`` keeps the distinct-degree walk that
@@ -43,7 +47,6 @@ from qcff.algebra import (
     poly_powmod,
     var_T,
 )
-from qcff.algebra.factor import frobenius_apply, frobenius_table
 from qcff.algebra.poly import coeffs_sort_key
 from qcff.errors import NotCoprime, NotPrimeModulus
 from qcff.kummer import FormalSum, pair_formal_sum, raw_term_count
@@ -208,6 +211,75 @@ def frobenius_fold(kernel, rows, h) -> list[int]:
     return acc
 
 
+def table_rows(kernel, table) -> list[list[int]]:
+    """The rows of a kernel's Frobenius table as coefficient lists: row i is
+    papply of T**i, read through the op itself."""
+    return [kernel.papply(table, [0] * i + [1]) for i in range(len(table))]
+
+
+def list_frobenius_rows(kernel, m) -> list[list[int]]:
+    """The rows T**(q*i) mod m, i < deg m, of a nonconstant m as coefficient
+    lists, built by kernel ``prem``, ``pmul`` and ``ppowmod`` calls as
+    ``frobenius_table`` built them before the kernel had ``ptable``: while
+    q < deg m each row is the one before shifted up q places mod m,
+    otherwise row 1 is one powmod and each later row a product mod m."""
+    q, n = kernel.q, len(m) - 1
+    rows = [[1]]
+    if q < n:
+        for _ in range(1, n):
+            row = rows[-1]
+            rows.append(kernel.prem([0] * q + row if row else row, m))
+    elif n > 1:
+        x = kernel.ppowmod([0, 1], q, m)
+        rows.append(x)
+        for _ in range(2, n):
+            rows.append(kernel.prem(kernel.pmul(rows[-1], x), m))
+    return rows
+
+
+def itoh_tsujii_norm(kernel, rows, m, h, d: int) -> list[int]:
+    """h**(1 + q + ... + q**(d-1)) mod m for d >= 1 on the list rows of m
+    (``list_frobenius_rows``), by the Itoh-Tsujii chain that
+    ``frobenius_norm`` ran before the kernel had ``pnorm``: one
+    ``frobenius_fold`` per application, kernel ``pmul`` and ``prem`` for
+    each product mod m."""
+    acc = base = list(h)
+    k = 1
+    for bit in bin(d)[3:]:
+        shifted = acc
+        for _ in range(k):
+            shifted = frobenius_fold(kernel, rows, shifted)
+        acc, k = kernel.prem(kernel.pmul(shifted, acc), m), 2 * k
+        if bit == "1":
+            acc, k = kernel.prem(kernel.pmul(frobenius_fold(kernel, rows, acc), base), m), k + 1
+    return acc
+
+
+def list_distinct_degree_split(f: Poly) -> list[tuple[Poly, int]]:
+    """The distinct-degree parts (g, d) of a monic nonconstant f in the order
+    found, by the walk that ran on ``Poly`` operations before the kernel had
+    ``pwalk``: the first f's list rows, one ``frobenius_fold`` per step,
+    then h % f once f has shrunk, h - T and ``poly_gcd``."""
+    T = var_T(f.ctx)
+    kernel = f.ctx.kernel
+    rows = list_frobenius_rows(kernel, f.coeffs)
+    h = T % f
+    d = 0
+    out = []
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        h = Poly(f.ctx, frobenius_fold(kernel, rows, h.coeffs))
+        if f.degree < len(rows):
+            h = h % f
+        g = poly_gcd(f, h - T)
+        if g.degree >= 1:
+            out.append((g, d))
+            f = f // g
+    if f.degree >= 1:
+        out.append((f, f.degree))
+    return out
+
+
 def powmod_equal_degree_split(f: Poly, d: int) -> list[Poly]:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d
     primes, with b = a**((q**d - 1)/2) - 1 by one powmod per try, drawing
@@ -240,16 +312,16 @@ def rereducing_distinct_degree_split(f: Poly) -> list[tuple[Poly, int]]:
     order found, by the walk that replaces its table each time f shrinks:
     T**(q*i) mod the old f reduces to T**(q*i) mod its factor f."""
     T = var_T(f.ctx)
-    prem = f.ctx.kernel.prem
-    rows = frobenius_table(f)
+    kernel = f.ctx.kernel
+    rows = list_frobenius_rows(kernel, f.coeffs)
     h = T % f
     d = 0
     out = []
     while f.degree >= 2 * (d + 1):
         d += 1
         if len(rows) > f.degree:
-            rows = tuple(prem(row, f.coeffs) for row in rows[:f.degree])
-        h = frobenius_apply(rows, h)
+            rows = [kernel.prem(row, f.coeffs) for row in rows[:f.degree]]
+        h = Poly(f.ctx, frobenius_fold(kernel, rows, h.coeffs))
         g = poly_gcd(f, h - T)
         if g.degree >= 1:
             out.append((g, d))

@@ -31,7 +31,12 @@ from qcff.algebra.factor import (
 from qcff.errors import ConstantInput, ValidationError
 from qcff.selfcheck import all_polys_below, suite_phi_bruteforce
 
-from .oracles import powmod_equal_degree_split, rereducing_distinct_degree_split
+from .oracles import (
+    list_frobenius_rows,
+    powmod_equal_degree_split,
+    rereducing_distinct_degree_split,
+    table_rows,
+)
 
 
 def _shape(fz):
@@ -143,15 +148,15 @@ def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
     checked = 0
     for d in range(1, 5):
         for f in monic_of_degree(ctx, d):
-            rows = frobenius_table(f)
-            assert len(rows) == d
+            table = frobenius_table(f)
+            assert len(table) == d
             hs = list(all_polys_below(ctx, d))
             if q == 5:
                 hs = rng.sample(hs, min(16, len(hs)))
             for h in hs:
-                assert frobenius_apply(rows, h) == poly_powmod(h, q, f), (f, h)
+                assert frobenius_apply(table, h) == poly_powmod(h, q, f), (f, h)
                 for k in range(1, d + 1):
-                    assert frobenius_norm(rows, h, k) == \
+                    assert frobenius_norm(table, h, k) == \
                         poly_powmod(h, (q ** k - 1) // (q - 1), f), (f, h, k)
                 checked += 1
     assert checked == {3: 9 + 81 + 729 + 6561, 5: 25 + 25 * 16 + 125 * 16 + 625 * 16}[q]
@@ -159,14 +164,18 @@ def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_frobenius_rows_reduce_to_the_table_of_a_factor(q, ctx3, ctx5):
+    """The rows of f's table, reduced mod a factor g, are g's rows, and both
+    equal the rows of the reference build on coefficient lists."""
     ctx = {3: ctx3, 5: ctx5}[q]
+    kernel = ctx.kernel
     for d in range(2, 5):
         for f in monic_of_degree(ctx, d):
-            rows = frobenius_table(f)
+            rows = table_rows(kernel, frobenius_table(f))
+            assert rows == list_frobenius_rows(kernel, f.coeffs), f
             primes = [pp.prime for pp in poly_factor(f).factors]
             for g in primes + [f // p for p in primes if (f // p).degree >= 1]:
-                reduced = tuple(ctx.kernel.prem(r, g.coeffs) for r in rows[:g.degree])
-                assert reduced == frobenius_table(g), (f, g)
+                reduced = [kernel.prem(r, g.coeffs) for r in rows[:g.degree]]
+                assert reduced == table_rows(kernel, frobenius_table(g)), (f, g)
 
 
 def test_distinct_degree_split_of_known_products(ctx3):
@@ -258,13 +267,13 @@ def test_equal_degree_split_matches_the_direct_power(q, ctx3, ctx5, ctx7, ctx9):
 
 
 def test_frobenius_apply_rejects_unreduced_input(ctx3, mk):
-    rows = frobenius_table(mk(ctx3, "T^2+1"))
+    table = frobenius_table(mk(ctx3, "T^2+1"))
     with pytest.raises(ValidationError):
-        frobenius_apply(rows, mk(ctx3, "T^2"))
+        frobenius_apply(table, mk(ctx3, "T^2"))
     with pytest.raises(ValidationError):
-        frobenius_norm(rows, mk(ctx3, "T^2"), 2)
+        frobenius_norm(table, mk(ctx3, "T^2"), 2)
     with pytest.raises(ValidationError):
-        frobenius_norm(rows, mk(ctx3, "T"), 0)
+        frobenius_norm(table, mk(ctx3, "T"), 0)
 
 
 def _irreducible_by_trial_division(f):

@@ -10,17 +10,21 @@ import pytest
 
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel, pure
 from qcff._kernels.pure import BYTES_MAX_Q, _GroupSums
-from qcff.algebra import Poly, field, field_create
+from qcff.algebra import Poly, field, field_create, poly_is_irreducible
 from qcff.algebra.factor import frobenius_table
 
 from .oracles import (
     divisor_per_step_pgcd,
     frobenius_fold,
+    itoh_tsujii_norm,
+    list_distinct_degree_split,
+    list_frobenius_rows,
     naive_divrem,
     naive_gcd,
     naive_poly_add,
     naive_poly_mul,
     naive_powmod,
+    table_rows,
 )
 
 # the last three have no addition table (q > 256): F_257 adds through its
@@ -120,12 +124,13 @@ def test_powmod_with_huge_exponent():
 
 @needs_compiled
 def test_compiled_kernel_has_pure_interface():
-    """Every public method of the pure kernel, and the attributes p e q w,
-    exist on the compiled one (the sweeps above check what they compute)."""
+    """Every public method of the pure kernel, the Frobenius-table ops it
+    mixes in included, and the attributes p e q w, exist on the compiled
+    one (the sweeps above check what they compute)."""
     ctx, pure, comp = _kernels(5, 2, [2, 0, 1])
-    methods = [name for name, attr in vars(PureFieldKernel).items()
-               if callable(attr) and not name.startswith("_")]
-    assert len(methods) == 15
+    methods = [name for name in dir(PureFieldKernel)
+               if callable(getattr(PureFieldKernel, name)) and not name.startswith("_")]
+    assert len(methods) == 18
     for name in methods:
         assert callable(getattr(comp, name, None)), name
     for name in ("p", "e", "q", "w"):
@@ -133,14 +138,13 @@ def test_compiled_kernel_has_pure_interface():
 
 
 def _frobenius_cases(ctx, rng, count, max_degree=16):
-    """(rows, h) pairs: the Frobenius table of a random monic f of degree
-    1..max_degree, both kinds of row 1 (q < deg f and q >= deg f) where the
-    field allows, and a random h reduced mod f."""
+    """(m, h) pairs: a random monic m of degree 1..max_degree, which gives
+    both kinds of row 1 (q < deg m and q >= deg m) where the field allows,
+    and a random h reduced mod m."""
     for _ in range(count):
         d = rng.randrange(1, max_degree + 1)
-        f = Poly(ctx, [rng.randrange(ctx.q) for _ in range(d)] + [1])
-        rows = frobenius_table(f)
-        yield rows, _rand_poly(rng, ctx.q, d + 1)
+        m = [rng.randrange(ctx.q) for _ in range(d)] + [1]
+        yield m, _rand_poly(rng, ctx.q, d + 1)
 
 
 @needs_compiled
@@ -148,11 +152,14 @@ def _frobenius_cases(ctx, rng, count, max_degree=16):
 def test_backends_agree_on_papply(p, e, mod):
     ctx, pure, comp = _kernels(p, e, mod)
     rng = random.Random(18)
-    for rows, h in _frobenius_cases(ctx, rng, 40):
-        assert pure.papply(rows, h) == comp.papply(rows, h), (rows, h)
+    for m, h in _frobenius_cases(ctx, rng, 40):
+        assert pure.papply(pure.ptable(m), h) == comp.papply(comp.ptable(m), h), (m, h)
     # tables of up to 48 rows, where the pure kernel runs on bytes
-    for rows, h in _frobenius_cases(ctx, rng, 20 if ctx.q <= BYTES_MAX_Q else 0, 48):
-        assert pure.papply(rows, h) == comp.papply(rows, h), (rows, h)
+    for m, h in _frobenius_cases(ctx, rng, 20 if ctx.q <= BYTES_MAX_Q else 0, 48):
+        pure_table, comp_table = pure.ptable(m), comp.ptable(m)
+        assert pure.papply(pure_table, h) == comp.papply(comp_table, h), (m, h)
+        assert pure.pnorm(pure_table, h, 3) == comp.pnorm(comp_table, h, 3), (m, h)
+        assert pure.pwalk(pure_table, False) == comp.pwalk(comp_table, False), m
 
 
 @pytest.mark.parametrize("cls", [
@@ -163,10 +170,10 @@ def test_papply_matches_the_fold(cls, p, e, mod):
     ctx = field_create(p, e, mod)
     kern = cls(ctx.p, ctx.e, ctx.exp, ctx.log)
     rng = random.Random(19)
-    for rows, h in _frobenius_cases(ctx, rng, 25):
-        out = kern.papply(rows, h)
+    for m, h in _frobenius_cases(ctx, rng, 25):
+        out = kern.papply(kern.ptable(m), h)
         assert isinstance(out, list) and (not out or out[-1])
-        assert out == frobenius_fold(kern, rows, h), (rows, h)
+        assert out == frobenius_fold(kern, list_frobenius_rows(kern, m), h), (m, h)
 
 
 def _backends():
@@ -201,16 +208,70 @@ def test_powmod_nonpositive_exponent_is_one(kern):
 
 @pytest.mark.parametrize("kern", _backends())
 def test_papply_edge_cases(kern):
-    rows = [[1], [0, 0, 4], [0, 4]]  # the Frobenius table of T^3 + 1 over F_5
-    assert kern.papply(rows, []) == kern.papply([], []) == []
-    assert kern.papply(rows, (0, 1)) == [0, 0, 4]
-    assert kern.papply(rows, [2, 1, 3]) == [2, 2, 4]
-    # h longer than the table; an unused row too long; a used row too long
-    for bad_rows, h in ((rows, [1, 0, 0, 1]), ([], [1]),
-                        (rows + [[1, 2, 3, 4, 1]], [1]),
-                        ([[1], [0, 0, 1]], [0, 1])):
+    table = kern.ptable([1, 0, 0, 1])  # T^3 + 1 over F_5
+    assert len(table) == 3
+    assert table_rows(kern, table) == [[1], [0, 0, 4], [0, 4]]
+    assert kern.papply(table, []) == kern.papply(table, [0, 0]) == []
+    assert kern.papply(table, (0, 1)) == [0, 0, 4]
+    assert kern.papply(table, [2, 1, 3]) == [2, 2, 4]
+    # a table of one row: T^(q*0) = 1 mod T + 2, and a table of T^3, whose
+    # later rows are 0
+    line = kern.ptable((2, 1))
+    assert len(line) == 1 and kern.papply(line, [3]) == [3]
+    assert table_rows(kern, kern.ptable([0, 0, 0, 1])) == [[1], [], []]
+    # h longer than the table, with a zero on top or not; h out of range
+    for h in ([1, 0, 0, 1], [1, 0, 0, 0], [5], [0, -1]):
         with pytest.raises(ValueError):
-            kern.papply(bad_rows, h)
+            kern.papply(table, h)
+    with pytest.raises(TypeError):
+        kern.papply(table, [None])
+
+
+@pytest.mark.parametrize("kern", _backends())
+def test_table_ops_refuse_bad_input(kern):
+    """ptable refuses a zero or constant modulus (ZeroDivisionError, a zero
+    on top stripped first) and a coefficient outside [0, q) (ValueError) or
+    not an int (TypeError). papply, pnorm and pwalk take only a table this
+    kernel built (TypeError); pnorm refuses d < 1 and, like papply, an h
+    too long or out of range."""
+    for m in ([], [0], [3], (2, 0), [0, 0, 0]):
+        with pytest.raises(ZeroDivisionError):
+            kern.ptable(m)
+    for m in ([1, 5, 1], [1, -1, 1], [1, 2, 256]):
+        with pytest.raises(ValueError):
+            kern.ptable(m)
+    with pytest.raises(TypeError):
+        kern.ptable([1, None, 1])
+    table = kern.ptable([1, 0, 0, 1])
+    ctx = field_create(5, 1, None)
+    other = type(kern)(ctx.p, ctx.e, ctx.exp, ctx.log).ptable([1, 0, 0, 1])
+    for not_ours in ([[1], [0, 0, 4], [0, 4]], other, None):
+        for call in (lambda: kern.papply(not_ours, [1]), lambda: kern.pnorm(not_ours, [1], 2),
+                     lambda: kern.pwalk(not_ours, False)):
+            with pytest.raises(TypeError):
+                call()
+    for h, d in (([1, 0, 0, 1], 2), ([5], 2), ([-1], 1), ([1], 0), ([1], -3)):
+        with pytest.raises(ValueError):
+            kern.pnorm(table, h, d)
+    for h, d in (([None], 1), ([1], None)):
+        with pytest.raises(TypeError):
+            kern.pnorm(table, h, d)
+
+
+@pytest.mark.parametrize("kern", _backends())
+def test_divisors_and_gcd_operands_are_range_checked(kern):
+    """Over F_5 both backends refuse a divisor, a modulus or a gcd operand
+    outside [0, 5) with ValueError. The pure kernel used to raise
+    IndexError for 200 and 7 and to read log[-1] for -1, returning [1, 3],
+    [4] and [1] for the second, third and fifth calls."""
+    calls = [lambda: kern.ppowmod([1, 2], 3, [1, 200, 1]),
+             lambda: kern.ppowmod([1, 2], 3, [1, -1, 1]),
+             lambda: kern.prem([1, 2, 3, 4], [1, -1, 1]),
+             lambda: kern.pdivrem([1, 2, 3, 4], [1, 7, 1]),
+             lambda: kern.pgcd([1, 2, 3], [1, -1, 1])]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("kern", _backends())
@@ -245,7 +306,7 @@ _NONE_CALLS = [
     ("pmonic", ([None, 2],)),
     ("pscale", ([1, None], 2)),
     ("ppowmod", ([1, None], 3, [1, 1])),
-    ("papply", ([[1, None], [0, 1]], [1])),
+    ("ptable", ([1, None, 1],)),
 ]
 
 
@@ -286,15 +347,18 @@ def test_compiled_rejects_inconsistent_tables():
 
 
 def _every_op_once(kern):
-    """Calls each of the 15 methods on F_5, and each failing call above."""
+    """Calls each of the 18 methods on F_5, and each failing call above."""
     f, g, m = [1, 2, 0, 3, 1], [2, 1, 1], [1, 0, 3, 1]
     kern.fadd(1, 2), kern.fneg(3), kern.fsub(1, 4), kern.fmul(2, 3), kern.finv(2)
     kern.padd(f, g), kern.psub(g, f), kern.pscale(f, 3), kern.pmul(f, g)
     kern.pdivrem(f, g), kern.prem(f, g), kern.pmonic(g), kern.pgcd(f, g)
     kern.ppowmod(f, 10 ** 30, m), kern.ppowmod(tuple(f), 12345, m)
-    kern.papply(([1], [0, 2, 1], (4, 4)), (3, 1, 2))
+    table = kern.ptable(m)
+    kern.papply(table, (3, 1, 2)), kern.pnorm(table, (3, 1, 2), 7)
+    kern.pwalk(table, False), kern.pwalk(kern.ptable(kern.pmul(f, g)), True)
     failing = [(kern.prem, (f, [])), (kern.pdivrem, (f, [])), (kern.finv, (0,)),
-               (kern.papply, ([[1], [0, 1, 1]], [1, 1])),
+               (kern.papply, (table, [1, 1, 1, 1])), (kern.pnorm, (table, [1], 0)),
+               (kern.ptable, ([2],)), (kern.ptable, ([1, 9],)), (kern.pwalk, ([[1]], True)),
                (kern.ppowmod, (f, 3, [2])), (kern.pmul, ([1], [5])),
                (kern.ppowmod, (f, None, m)), (kern.pmonic, ([1, 0],))]
     failing += [(getattr(kern, op), args) for op, args in _NONE_CALLS]
@@ -492,9 +556,9 @@ def test_frobenius_rows_shift_by_t_to_the_q(cls, p, e, mod, monkeypatch):
         fs += [[rng.randrange(ctx.q) for _ in range(n)] + [1] for _ in range(4)]
     zero_rows = 0
     for m in fs:
-        rows = frobenius_table(Poly(ctx, m))
-        assert len(rows) == len(m) - 1
-        for i, row in enumerate(rows):
+        table = frobenius_table(Poly(ctx, m))
+        assert len(table) == len(m) - 1
+        for i, row in enumerate(table_rows(kern, table)):
             assert row == kern.ppowmod([0, 1], q * i, m), (m, i)
             zero_rows += not row
     assert zero_rows > 0
@@ -541,7 +605,7 @@ BYTE_FIELDS = [
     pytest.param(13, 1, None, id="F_13"),
 ]
 
-_BYTE_PATHS = ("_pmul_bytes", "_papply_bytes", "_rem_bytes", "_reduce")
+_BYTE_PATHS = ("_pmul_bytes", "_rem_packed", "_gcd_bytes", "_reduce")
 
 
 def _count_byte_paths(monkeypatch):
@@ -557,13 +621,14 @@ def _count_byte_paths(monkeypatch):
 
 @pytest.mark.parametrize("p,e,mod", BYTE_FIELDS)
 def test_pure_byte_path_matches_the_oracles_and_the_list_loop(p, e, mod, monkeypatch):
-    """Over every field with q <= 16, pmul, papply, prem, pdivrem, pgcd and
+    """Over every field with q <= 16, pmul, prem, pdivrem, pgcd and
     ppowmod on operands of 1-96 coefficients, on both sides of each
-    threshold, as lists and as tuples: the byte path gives what the
-    table-free oracles and the list loops (the same kernel with the byte
-    path off) give, and it runs exactly where its thresholds say. The
-    cases include divisors with zeros below the top, zero remainders,
-    gcds of 1 and of high degree, and rows shorter than the table."""
+    threshold, as lists and as tuples, and papply and pnorm on tables of
+    1-48 rows: the byte path gives what the table-free oracles and the list
+    loops (the same kernel with the byte path off) give, and it runs
+    exactly where its thresholds say; every table is packed. The cases
+    include divisors with zeros below the top, zero remainders, gcds of 1
+    and of high degree, and rows shorter than the table."""
     ctx = field_create(p, e, mod)
     kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
     loop = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
@@ -605,12 +670,12 @@ def test_pure_byte_path_matches_the_oracles_and_the_list_loop(p, e, mod, monkeyp
         assert on_bytes == (min(len(f), len(g)) >= pure.PMUL_BYTES_MIN_LEN)
         for a, b in ((f, g), (g, f)):
             expected = naive_divrem(ctx, a, b)
-            divrem, on_bytes = ran("_rem_bytes", kern.pdivrem, a, b)
+            divrem, on_bytes = ran("_rem_packed", kern.pdivrem, a, b)
             assert divrem == loop.pdivrem(a, b) == expected, (a, b)
             assert on_bytes == on_bytes_reduce(a, b)
             assert kern.prem(a, b) == loop.prem(a, b) == expected[1]
         reduces = calls["_reduce"]
-        gcd, on_bytes = ran("_rem_bytes", kern.pgcd, f, g)
+        gcd, on_bytes = ran("_gcd_bytes", kern.pgcd, f, g)
         if min(len(f), len(g)) >= pure.PGCD_BYTES_MIN_LEN:  # the whole Euclid on bytes
             assert on_bytes and calls["_reduce"] == reduces
             byte_euclids += 1
@@ -620,11 +685,16 @@ def test_pure_byte_path_matches_the_oracles_and_the_list_loop(p, e, mod, monkeyp
     assert 0 in gcd_degrees and max(gcd_degrees) >= 20 and byte_euclids
 
     for n in (1, 8, 11, 12, 13, 30, 48):
-        rows = [_rand_poly(rng, q, n + 1) for _ in range(n)]  # rows of 0..n coefficients
+        m = poly(n + 1)
+        table, loop_table = kern.ptable(m), loop.ptable(m)
+        assert all(type(row) is int for row in table.rows)
+        assert all(type(row) is list for row in loop_table.rows)
+        rows = list_frobenius_rows(loop, m)  # rows of 0..n coefficients
         for h in (poly(rng.randrange(1, n + 1)), [0] * (n - 1) + [1]):
-            out, on_bytes = ran("_papply_bytes", kern.papply, rows, h)
-            assert out == loop.papply(rows, h) == frobenius_fold(loop, rows, h), (rows, h)
-            assert on_bytes == (n >= pure.PAPPLY_BYTES_MIN_ROWS)
+            out = kern.papply(table, h)
+            assert out == loop.papply(loop_table, h) == frobenius_fold(loop, rows, h), (m, h)
+            assert kern.pnorm(table, h, 2) == loop.pnorm(loop_table, h, 2) == \
+                itoh_tsujii_norm(loop, rows, m, h, 2), (m, h)
 
     for m_len in (3, 12, 20, 33):
         m, f = poly(m_len), poly(rng.randrange(1, 2 * m_len))
@@ -646,14 +716,16 @@ def test_pure_byte_path_rejects_what_a_byte_cannot_hold(p, e, mod, monkeypatch):
     calls = _count_byte_paths(monkeypatch)
     q = ctx.q
     long_f, long_g = [1] * 40, [2] * 19 + [1]
-    rows = [[0] * i + [1] for i in range(16)]
+    table = kern.ptable([1] * 16 + [1])
     cases = [
         (kern.pmul, (long_f, long_g), (0, 1)),
         (kern.prem, (long_f, long_g), (0, 1)),
         (kern.pdivrem, (long_f, long_g), (0, 1)),
         (kern.pgcd, (long_f, [1] * 30), (0, 1)),
         (kern.ppowmod, (long_f, 3, long_g), (0,)),  # m is read by the list loop's divisor first
-        (kern.papply, (rows, [1] * 16), (1,)),
+        (kern.papply, (table, [1] * 16), (1,)),
+        (kern.pnorm, (table, [1] * 16, 3), (1,)),
+        (kern.ptable, ([1] * 16 + [1],), (0,)),
     ]
     for op, args, operands in cases:
         assert op(*args) is not None
@@ -665,9 +737,6 @@ def test_pure_byte_path_rejects_what_a_byte_cannot_hold(p, e, mod, monkeypatch):
                 spoilt[k][3] = bad
                 with pytest.raises(error):
                     op(*spoilt)
-    rows[5] = [0] * 5 + [q]
-    with pytest.raises(ValueError, match="outside"):
-        kern.papply(rows, [1] * 16)
     assert all(calls[name] for name in _BYTE_PATHS[:3])
 
 
@@ -685,3 +754,71 @@ def test_byte_tables_are_built_on_first_use():
     big = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
     big.pmul([1] * 40, [1] * 40)
     assert big._ma is None
+
+
+# the byte-path fields, both moduli of F_9, and two fields of list tables:
+# F_257 adds through its 2p sums and F_7^3 through digit groups
+TABLE_FIELDS = BYTE_FIELDS + [
+    pytest.param(257, 1, None, id="F_257"),
+    pytest.param(7, 3, [2, 0, 0, 1], id="F_7^3"),
+]
+# table degrees on both sides of every byte threshold a table op meets
+TABLE_DEGREES = (1, 2, 3, 7, 8, 9, 12, 13, 23, 24, 25, 40)
+
+
+@pytest.mark.parametrize("cls", [
+    pytest.param(PureFieldKernel, id="pure"),
+    pytest.param(CompiledFieldKernel, id="compiled", marks=needs_compiled)])
+@pytest.mark.parametrize("p,e,mod", TABLE_FIELDS)
+def test_table_ops_match_the_references(cls, p, e, mod, monkeypatch):
+    """ptable, papply, pnorm and pwalk against the Python loops they
+    replaced (``list_frobenius_rows``, ``frobenius_fold``,
+    ``itoh_tsujii_norm``, ``list_distinct_degree_split``) and, on small
+    degrees, ``naive_powmod``. The moduli are random monic ones, T**n and
+    T**k * g of each degree up to 40, so both kinds of row 1 (q < deg m and
+    q >= deg m) occur, and squares P**2 and P * Q**2 of primes, on which
+    the walk yields the reference's (part, degree) pairs in order and
+    Ben-Or's first part is the reference's."""
+    monkeypatch.setattr(field, "FieldKernel", cls)
+    ctx = field_create(p, e, mod)
+    kern, q = ctx.kernel, ctx.q
+    rng = random.Random(31 * q + e)
+
+    def monic(n):
+        return [rng.randrange(q) for _ in range(n)] + [1]
+
+    moduli = []
+    for n in TABLE_DEGREES:
+        k = rng.randrange(1, n + 1)
+        g = [rng.randrange(1, q)] + monic(n - k)[1:] if n > k else [1]
+        moduli += [monic(n), [0] * n + [1], [0] * k + g]
+    primes = [f for f in (Poly(ctx, monic(d)) for d in (1, 2, 2, 3, 3, 4, 4, 5) * 8)
+              if poly_is_irreducible(f)]
+    squares = []
+    for a, b in zip(primes, primes[1:]):
+        if a != b:
+            squares += [(a * a).coeffs, (a * b * b).coeffs]
+    assert len(squares) >= 8
+    naive_checks = 0
+    for m in moduli + squares[:8]:
+        n = len(m) - 1
+        table = kern.ptable(m)
+        assert len(table) == n
+        rows = list_frobenius_rows(kern, m)
+        assert table_rows(kern, table) == rows, m
+        h = list(_rand_poly(rng, q, n + 1))
+        assert kern.papply(table, h) == frobenius_fold(kern, rows, h), (m, h)
+        for d in {1, 2, n, rng.randrange(1, 2 * n + 2)}:
+            assert kern.pnorm(table, h, d) == itoh_tsujii_norm(kern, rows, m, h, d), (m, h, d)
+        if n <= 9 and naive_checks < 6:
+            naive_checks += 1
+            i = rng.randrange(n)
+            assert rows[i] == naive_powmod(ctx, [0, 1], q * i, m), (m, i)
+            assert kern.pnorm(table, h, 2) == naive_powmod(ctx, h, q + 1, m), (m, h)
+        parts = [(Poly(ctx, g), d) for g, d in kern.pwalk(table, False)]
+        reference = list_distinct_degree_split(Poly(ctx, m))
+        assert parts == reference, m
+        assert [(Poly(ctx, g), d) for g, d in kern.pwalk(table, True)] == reference[:1], m
+        if m in squares:
+            assert reference[0][1] < n  # Ben-Or calls a square reducible
+    assert naive_checks == 6
