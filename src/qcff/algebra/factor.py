@@ -109,14 +109,6 @@ def frobenius_table(f: Poly):
     return f.ctx.kernel.ptable(f.coeffs)
 
 
-def frobenius_apply(table, h: Poly) -> Poly:
-    """h**q mod f, for h reduced mod f and table = frobenius_table(f): the
-    kernel's papply."""
-    if h.degree >= len(table):
-        raise ValidationError("frobenius_apply needs h reduced mod the table's modulus")
-    return _wrap(h.ctx, h.ctx.kernel.papply(table, h.coeffs))
-
-
 def frobenius_norm(table, h: Poly, d: int) -> Poly:
     """h**(1 + q + ... + q**(d-1)) mod f, for d >= 1, h reduced mod f and
     table = frobenius_table(f): the kernel's pnorm, an Itoh-Tsujii chain on

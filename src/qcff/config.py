@@ -40,8 +40,8 @@ class Options:
     """The "options" object of a config; every field is a key, echoed in the
     report's inputs.options.
 
-    validate_primality re-runs the irreducibility test on both members of
-    each pair inside the reciprocity oracle. It cannot change a report or an
+    validate_primality re-runs the irreducibility test on each distinct pair
+    prime before the reciprocity oracle. It cannot change a report or an
     exit code: every pair member is a conductor prime, and conductor primes
     are always validated.
     emit_a_pq adds the formal sum of each pair, refused when a pair has more

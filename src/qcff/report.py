@@ -14,16 +14,14 @@ from typing import Any
 
 from . import __version__
 from .algebra import Poly, format_poly
+from .algebra.factor import _is_irreducible, frobenius_table
 from .algebra.poly import _monomial, _wrap
 from .config import SCHEMA_VERSION, JobConfig
-from .cyclotomic import (
-    conductor_create,
-    genus_closed_form,
-    genus_riemann_hurwitz,
-)
-from .errors import ConfigError, ConsistencyError
+from .cyclotomic import conductor_create, genus_closed_form, genus_riemann_hurwitz
+from .errors import ConfigError, ConsistencyError, NotPrimeModulus
 from .kummer import (
     PairSet,
+    RamTable,
     genus_hasse_formula,
     genus_riemann_hurwitz as kummer_genus_riemann_hurwitz,
     pair_formal_sum,
@@ -125,13 +123,7 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
         if cfg.options.run_oracles:
             checks.append({"name": "kummer genus paths agree",
                            "passed": g_hasse == g_rh})
-            # pairs share primes: one Frobenius table and Ben-Or walk per prime
-            tables: dict = {}
-            for a, b in pairs.pairs:
-                checks.append({
-                    "name": f"reciprocity for ({format_poly(a)}, {format_poly(b)})",
-                    "passed": check_reciprocity(
-                        a, b, validate=cfg.options.validate_primality, tables=tables)})
+            checks += _symbol_checks(pairs, ram, cfg.options.validate_primality)
             if len(pairs.pairs) == 1:
                 parity = parity_consistency(pairs, ram)
                 if parity.applicable:
@@ -143,6 +135,31 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
     if failed:
         raise ConsistencyError(f"internal cross-checks failed: {failed}")
     return report
+
+
+def _symbol_checks(pairs: PairSet, ram: RamTable, validate: bool) -> list[dict]:
+    """The reciprocity check of every pair, on one Frobenius table per pair
+    prime, which Ben-Or first proves prime under validate. The two symbols
+    of each pair also rebuild each prime's vbar, which the ramification
+    table took from symbol_dlog; a difference raises ConsistencyError."""
+    primes = {p.coeffs: p for pair in pairs.pairs for p in pair}
+    tables = {key: frobenius_table(p) for key, p in primes.items()}
+    for key, p in primes.items():
+        if validate and not _is_irreducible(p, tables[key]):
+            raise NotPrimeModulus(f"pair prime {p} is reducible")
+    checks, vbar = [], {row.prime.coeffs: 0 for row in ram.per_prime}
+    for a, b in pairs.pairs:
+        law = check_reciprocity(a, b, tables)
+        checks.append({"name": f"reciprocity for ({format_poly(a)}, {format_poly(b)})",
+                       "passed": law.holds})
+        vbar[a.coeffs] += law.first_over_second.dlog
+        vbar[b.coeffs] -= law.second_over_first.dlog
+    for row in ram.per_prime:
+        v = vbar[row.prime.coeffs] % row.prime.ctx.w
+        if v != row.vbar:
+            raise ConsistencyError(f"vbar of {format_poly(row.prime)} is {v} by the residue "
+                                   f"symbols but {row.vbar} in the ramification table")
+    return checks
 
 
 def _formal_sums_block(pairs: PairSet, cap: int, ignore_cap: bool) -> list[dict]:

@@ -35,6 +35,7 @@ from .algebra import (
     poly_is_irreducible,
     poly_phi,
 )
+from .algebra.factor import frobenius_table
 from .cyclotomic import conductor_create, genus_closed_form, genus_riemann_hurwitz
 from .errors import NotCoprime
 from .kummer import (
@@ -90,10 +91,10 @@ def suite_reciprocity(ctx: FieldCtx, max_degree: int) -> SuiteResult:
     primes = list(monic_irreducibles(ctx, max_degree))
     failures = []
     cases = 0
-    tables: dict = {}
+    tables = {p.coeffs: frobenius_table(p) for p in primes}
     for a, b in itertools.combinations(primes, 2):
         cases += 1
-        if not check_reciprocity(a, b, validate=False, tables=tables):
+        if not check_reciprocity(a, b, tables).holds:
             failures.append(f"({format_poly(a)}, {format_poly(b)})")
     return SuiteResult(f"reciprocity q={ctx.q} deg<={max_degree}", cases, failures)
 

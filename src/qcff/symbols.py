@@ -9,15 +9,12 @@ The symbol is computed along two paths:
 
 * residue_symbol() is the definition: the norm a**(1 + q + ... + q**(d-1))
   mod r, d = deg r, taken on r's Frobenius table (frobenius_norm), which is
-  the same power as a**((|r|-1)/(q-1)) for every monic r. With validate
-  the Ben-Or re-check of r walks that same table. A caller checking many
-  symbols over one field may pass a tables dict, r.coeffs -> (table,
-  proven): each distinct r then gets one table and at most one Ben-Or walk
-  for as long as the caller keeps the dict (run_report keeps one per
-  report, suite_reciprocity one per suite). jacobi_symbol() is built on it
-  by factoring the lower entry. These are the oracle: check_reciprocity()
-  and the selfcheck suites use only them, so a law they check is never
-  checked against itself.
+  the same power as a**((|r|-1)/(q-1)) for every monic r. Its caller
+  proves r prime and may pass r's table, which run_report and
+  suite_reciprocity build once per prime. jacobi_symbol() factors the lower
+  entry. These are the oracle: check_reciprocity() and the selfcheck
+  suites use only them, so a law they check is never checked against
+  itself.
 * symbol_dlog() runs Euclid's algorithm on (a, b) and applies the
   reciprocity law at each step (Rosen, Number Theory in Function Fields,
   Thm 3.3, with d = q-1). It costs O(deg**2) field operations and needs
@@ -27,9 +24,10 @@ The symbol is computed along two paths:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 from .algebra import Poly, poly_factor, poly_gcd
-from .algebra.factor import _is_irreducible, frobenius_norm, frobenius_table
+from .algebra.factor import frobenius_norm, frobenius_table
 from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 
 
@@ -48,38 +46,24 @@ class SymbolValue:
         return cls(value=value, dlog=dlog)
 
 
-def residue_symbol(a: Poly, r: Poly, *, validate: bool = False,
-                   tables: dict | None = None) -> SymbolValue:
-    """The (q-1)-th power residue symbol of a modulo the monic prime r.
-
-    With validate=True the primality of r is re-checked (Ben-Or, on the table
-    the norm uses); callers holding a certified factorization can skip that.
-    tables, when given, maps r.coeffs to (r's Frobenius table, whether Ben-Or
-    has passed on it) for moduli over a's field: r's entry is read before
-    the table is built and written after, so the dict's owner builds each
-    table and walks each Ben-Or at most once.
-    Errors, in this order: NotPrimeModulus for a constant or non-monic r, or
-    a reducible one under validate; NotCoprime when gcd(a, r) != 1;
-    NotPrimeModulus when the norm is not constant (r is then reducible).
+def residue_symbol(a: Poly, r: Poly, table=None) -> SymbolValue:
+    """The (q-1)-th power residue symbol of a modulo the monic prime r, on
+    r's Frobenius table, built here when none is given. Errors, in this
+    order: NotPrimeModulus for a constant or non-monic r; NotCoprime when
+    gcd(a, r) != 1; NotPrimeModulus when the norm is not constant (r is
+    then reducible).
     """
-    ctx = a.ctx
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
-    entry = tables.get(r.coeffs) if tables is not None else None
-    table, proven = entry if entry is not None else (frobenius_table(r), False)
-    if validate and not proven:
-        if not _is_irreducible(r, table):
-            raise NotPrimeModulus(f"lower entry {r} is reducible")
-        proven = True
-    if tables is not None:
-        tables[r.coeffs] = (table, proven)
+    if table is None:
+        table = frobenius_table(r)
     reduced = frobenius_norm(table, a % r, r.degree)
     if reduced.degree != 0:
         # a unit's norm is a unit, so a nonzero constant proves gcd(a, r) = 1
         if poly_gcd(a, r).degree != 0:
             raise NotCoprime(f"{a} and {r} share a factor")
         raise NotPrimeModulus(f"{r} is not prime (symbol power was not constant)")
-    return SymbolValue.of(ctx, reduced.coeffs[0])
+    return SymbolValue.of(a.ctx, reduced.coeffs[0])
 
 
 def jacobi_symbol(a: Poly, b: Poly) -> SymbolValue:
@@ -91,11 +75,8 @@ def jacobi_symbol(a: Poly, b: Poly) -> SymbolValue:
     ctx = a.ctx
     if not b.monic:
         raise NotMonic(f"lower entry {b} must be monic")
-    acc = 0
-    if b.degree > 0:
-        for pp in poly_factor(b).factors:
-            s = residue_symbol(a, pp.prime)
-            acc = (acc + pp.exp * s.dlog) % ctx.w
+    factors = poly_factor(b).factors if b.degree > 0 else ()
+    acc = sum(pp.exp * residue_symbol(a, pp.prime).dlog for pp in factors) % ctx.w
     return SymbolValue(value=ctx.exp[acc], dlog=acc)
 
 
@@ -130,16 +111,24 @@ def symbol_dlog(a: Poly, b: Poly) -> int:
     return acc % w
 
 
-def check_reciprocity(p1: Poly, p2: Poly, *, validate: bool = True,
-                      tables: dict | None = None) -> bool:
-    """Evaluate both sides of the reciprocity law independently and compare:
-    symbol(p2 over p1) against (-1)**(deg p1 * deg p2) * symbol(p1 over p2).
-    tables is passed to both residue_symbol() calls."""
+class Reciprocity(NamedTuple):
+    """The symbols (p1 over p2) and (p2 over p1) of two distinct monic primes,
+    and whether (p2 over p1) = (-1)**(deg p1 * deg p2) * (p1 over p2)."""
+
+    first_over_second: SymbolValue
+    second_over_first: SymbolValue
+    holds: bool
+
+
+def check_reciprocity(p1: Poly, p2: Poly, tables: Mapping | None = None) -> Reciprocity:
+    """Evaluate both sides of the reciprocity law independently and compare.
+    tables, read only, maps a prime's coeffs to its Frobenius table."""
     if p1 == p2:
         raise EqualPrimes("reciprocity needs two distinct primes")
-    ctx = p1.ctx
-    left = residue_symbol(p2, p1, validate=validate, tables=tables).value
-    right = residue_symbol(p1, p2, validate=validate, tables=tables).value
+    ctx, tables = p1.ctx, tables or {}
+    left = residue_symbol(p2, p1, tables.get(p1.coeffs))
+    right = residue_symbol(p1, p2, tables.get(p2.coeffs))
+    signed = right.value
     if (p1.degree * p2.degree) % 2 == 1:
-        right = ctx.kernel.fmul(right, ctx.minus_one)
-    return left == right
+        signed = ctx.kernel.fmul(signed, ctx.minus_one)
+    return Reciprocity(right, left, left.value == signed)

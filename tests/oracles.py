@@ -43,7 +43,6 @@ from qcff.algebra import (
     enumerate_monic_below,
     one,
     poly_gcd,
-    poly_is_irreducible,
     poly_powmod,
     var_T,
 )
@@ -332,14 +331,12 @@ def rereducing_distinct_degree_split(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def powmod_residue_symbol(a: Poly, r: Poly, *, validate: bool = False) -> SymbolValue:
+def powmod_residue_symbol(a: Poly, r: Poly) -> SymbolValue:
     """The residue symbol as a**((|r|-1)/(q-1)) mod r by one powmod, with
     residue_symbol's checks in residue_symbol's order."""
     ctx = a.ctx
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
-    if validate and not poly_is_irreducible(r):
-        raise NotPrimeModulus(f"lower entry {r} is reducible")
     if poly_gcd(a, r).degree != 0:
         raise NotCoprime(f"{a} and {r} share a factor")
     reduced = poly_powmod(a, (ctx.q ** r.degree - 1) // ctx.w, r)

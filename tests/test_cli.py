@@ -174,6 +174,36 @@ def test_consistency_failure_exit_4(quasi_config, monkeypatch, capsys):
         "['kummer genus paths agree']")
 
 
+def _sign_less_symbol_dlog(a, b):
+    """symbol_dlog without its reciprocity sign: never adds w/2 on a swap."""
+    kernel, log, w = a.ctx.kernel, a.ctx.log, a.ctx.w
+    x, y, acc = a.coeffs, b.coeffs, 0
+    while len(y) > 1:
+        x = kernel.prem(x, y)
+        acc += log[x[-1]] * (len(y) - 1)
+        x, y = y, kernel.pmonic(x)
+    return acc % w
+
+
+def test_wrong_ramification_symbols_exit_4(tmp_path, monkeypatch, capsys):
+    """The symbols of (T+1, T^3+2T+1) over F_3 take one reciprocity sign on
+    their way, so a symbol_dlog without it gives T+1 a wrong vbar; the
+    oracle's residue symbols catch it."""
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "p": 3,
+        "conductor": {"factors": [["T+1", 1], ["T^3+2*T+1", 1]]},
+        "pairs": [["T+1", "T^3+2*T+1"]],
+    }), encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 0
+    monkeypatch.setattr("qcff.kummer.symbol_dlog", _sign_less_symbol_dlog)
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "internal consistency failure (ConsistencyError): vbar of T+1 is 1 by the "
+        "residue symbols but 0 in the ramification table")
+
+
 def test_empty_pairs_exit_2_unless_cyclotomic_only(tmp_path):
     cfg = tmp_path / "nopairs.json"
     cfg.write_text(json.dumps({

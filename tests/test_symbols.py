@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import MappingProxyType
 
 import pytest
 
+from qcff import report as report_module
 from qcff import symbols
 from qcff.algebra import (
     monic_irreducibles,
@@ -14,6 +16,7 @@ from qcff.algebra import (
     var_T,
     zero,
 )
+from qcff.algebra.factor import frobenius_table
 from qcff.config import parse_config
 from qcff.errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 from qcff.report import run_report
@@ -40,12 +43,12 @@ def test_symbol_rejects_noncoprime_and_bad_modulus(ctx3, mk):
     with pytest.raises(NotPrimeModulus):
         residue_symbol(one(ctx3), mk(ctx3, "2*T+1"))  # not monic
     with pytest.raises(NotPrimeModulus):
-        residue_symbol(var_T(ctx3), mk(ctx3, "T^2+2"), validate=True)  # reducible
+        residue_symbol(mk(ctx3, "T+1"), mk(ctx3, "T^3+T"))  # T * (T^2+1)
 
 
-def _outcome(symbol, a, r, validate):
+def _outcome(symbol, *args):
     try:
-        return symbol(a, r, validate=validate)
+        return symbol(*args)
     except ValidationError as exc:
         return type(exc)
 
@@ -53,25 +56,24 @@ def _outcome(symbol, a, r, validate):
 def test_norm_symbol_matches_powmod_definition(ctx3, ctx5, ctx9):
     """Every monic r of degree <= 3 over F_3 with every a of degree < 3, and
     every monic r of degree <= 2 over F_5 and F_9 with every a of degree < 2:
-    the same value or the same exception class as one powmod, with and
-    without validate. Reducible r and constant r are included."""
+    the same value or the same exception class as one powmod, with r's table
+    built by the symbol and given to it. Reducible r and constant r are
+    included."""
     seen: dict[object, int] = {}
     for ctx, top in ((ctx3, 3), (ctx5, 2), (ctx9, 2)):
         upper = list(all_polys_below(ctx, top))
         for d in range(top + 1):
             for r in monic_of_degree(ctx, d):
+                table = frobenius_table(r) if d else None
                 for a in upper:
-                    for validate in (False, True):
-                        got = _outcome(residue_symbol, a, r, validate)
-                        assert got == _outcome(powmod_residue_symbol, a, r, validate), \
-                            (a, r, validate)
-                        kind = got if isinstance(got, type) else SymbolValue
-                        seen[kind, validate] = seen.get((kind, validate), 0) + 1
-    # without validate a reducible r gives values, NotCoprime and NotPrimeModulus
-    assert seen[SymbolValue, False] > seen[SymbolValue, True]
-    assert seen[NotCoprime, False] > seen[NotCoprime, True]
-    assert seen[NotPrimeModulus, True] > seen[NotPrimeModulus, False] > 0
-    assert sum(seen.values()) == 2 * (40 * 27 + 31 * 25 + 91 * 81)
+                    got = _outcome(residue_symbol, a, r)
+                    assert got == _outcome(powmod_residue_symbol, a, r), (a, r)
+                    assert _outcome(residue_symbol, a, r, table) == got, (a, r)
+                    kind = got if isinstance(got, type) else SymbolValue
+                    seen[kind] = seen.get(kind, 0) + 1
+    # a reducible r gives values, NotCoprime and NotPrimeModulus
+    assert min(seen[SymbolValue], seen[NotCoprime], seen[NotPrimeModulus]) > 0
+    assert sum(seen.values()) == 40 * 27 + 31 * 25 + 91 * 81
 
 
 def test_symbol_multiplicative_in_upper_entry(ctx3, mk):
@@ -129,9 +131,9 @@ def test_jacobi_rejects_noncoprime(ctx3, mk):
 
 
 def test_reciprocity_examples(ctx3, ctx5, mk):
-    assert check_reciprocity(var_T(ctx3), mk(ctx3, "T+1"))
-    assert check_reciprocity(var_T(ctx3), mk(ctx3, "T^2+1"))
-    assert check_reciprocity(var_T(ctx5), mk(ctx5, "T+1"))
+    assert check_reciprocity(var_T(ctx3), mk(ctx3, "T+1")).holds
+    assert check_reciprocity(var_T(ctx3), mk(ctx3, "T^2+1")).holds
+    assert check_reciprocity(var_T(ctx5), mk(ctx5, "T+1")).holds
 
 
 def test_reciprocity_rejects_equal_primes(ctx3):
@@ -139,69 +141,89 @@ def test_reciprocity_rejects_equal_primes(ctx3):
         check_reciprocity(var_T(ctx3), var_T(ctx3))
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_reciprocity_with_shared_tables_matches_fresh_calls(ctx3, ctx5, ctx9, validate):
+def test_reciprocity_returns_both_symbols(ctx3, ctx5, ctx9):
     """Every pair of distinct monic primes, F_3 deg <= 3, F_5 and F_9
-    deg <= 2: one dict per field gives each pair the verdict of fresh calls,
-    and ends with one entry per prime, proven exactly under validate."""
+    deg <= 2: check_reciprocity gives the two residue symbols and the
+    verdict of the law, and reads the tables it is given without writing
+    to them."""
     for ctx, bound in ((ctx3, 3), (ctx5, 2), (ctx9, 2)):
         primes = list(monic_irreducibles(ctx, bound))
-        tables: dict = {}
+        tables = MappingProxyType({p.coeffs: frobenius_table(p) for p in primes})
         for a, b in itertools.combinations(primes, 2):
-            assert check_reciprocity(a, b, validate=validate, tables=tables) == \
-                check_reciprocity(a, b, validate=validate), (a, b)
-        assert sorted(tables) == sorted(p.coeffs for p in primes)
-        assert {proven for _, proven in tables.values()} == {validate}
+            law = check_reciprocity(a, b, tables)
+            assert law == check_reciprocity(a, b), (a, b)
+            assert law.holds, (a, b)
+            assert law.first_over_second == residue_symbol(a, b)
+            assert law.second_over_first == residue_symbol(b, a)
 
 
-def test_shared_tables_never_skip_the_primality_check(ctx3, mk):
-    """A reducible r whose norm of 1 is constant passes without validate and
-    leaves its unproven table in the dict; every validated call after that
-    still runs Ben-Or and raises."""
-    r = mk(ctx3, "T^2+T")  # T * (T+1)
-    tables: dict = {}
-    assert residue_symbol(one(ctx3), r, tables=tables).value == 1
-    assert tables[r.coeffs][1] is False
-    for _ in range(2):
-        with pytest.raises(NotPrimeModulus, match="reducible"):
-            residue_symbol(one(ctx3), r, validate=True, tables=tables)
-    assert tables[r.coeffs][1] is False
+def _unbuildable(r):
+    raise AssertionError(f"a table of {r} was built")
 
 
-class _UnreadableDict(dict):
-    def _read(self, *args):
-        raise AssertionError("the tables dict was read")
-
-    get = __getitem__ = __setitem__ = __contains__ = _read
-
-
-def test_bad_modulus_raises_before_the_tables_are_read(ctx3, mk):
+def test_bad_modulus_raises_before_a_table_is_built(ctx3, mk, monkeypatch):
+    monkeypatch.setattr(symbols, "frobenius_table", _unbuildable)
     for r in (zero(ctx3), one(ctx3), mk(ctx3, "2"), mk(ctx3, "2*T+1")):
         with pytest.raises(NotPrimeModulus, match="monic prime"):
-            residue_symbol(var_T(ctx3), r, validate=True, tables=_UnreadableDict())
+            residue_symbol(var_T(ctx3), r)
+
+
+_FOUR_PAIRS = {
+    "p": 3,
+    "conductor": {"factors": [["T", 1], ["T+1", 1], ["T+2", 1], ["T^2+1", 1]]},
+    "pairs": [["T", "T+1"], ["T", "T^2+1"], ["T+1", "T^2+1"], ["T+1", "T+2"]],
+}
+
+
+class _WalkCountingKernel:
+    """A field kernel that records each first-part walk on one of tables."""
+
+    def __init__(self, kernel, tables):
+        self.kernel, self.tables, self.walked = kernel, tables, []
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def pwalk(self, table, first):
+        if first and any(table is t for t in self.tables):
+            self.walked.append(table)
+        return self.kernel.pwalk(table, first)
 
 
 def test_report_builds_one_table_per_pair_prime(monkeypatch):
-    """Four pairs over four primes (one of degree 2): the reciprocity checks
-    build one Frobenius table per distinct pair member, not one per symbol."""
-    built = []
-    real = symbols.frobenius_table
+    """Four pairs over four primes (one of degree 2): the oracle builds one
+    Frobenius table per distinct pair member, not one per symbol, and the
+    symbols build none of their own. With validate_primality it walks
+    Ben-Or once on the table of each one of degree >= 2 (degree 1 needs no
+    walk); without it, never."""
+    built: dict = {}
 
     def counting(r):
-        built.append(r.coeffs)
-        return real(r)
+        built[r.coeffs] = table = frobenius_table(r)
+        return table
 
-    monkeypatch.setattr(symbols, "frobenius_table", counting)
-    cfg = parse_config({
-        "p": 3,
-        "conductor": {"factors": [["T", 1], ["T+1", 1], ["T+2", 1], ["T^2+1", 1]]},
-        "pairs": [["T", "T+1"], ["T", "T^2+1"], ["T+1", "T^2+1"], ["T+1", "T+2"]],
-    })
-    report = run_report(cfg)
-    checks = [c for c in report["oracles"]["checks"] if c["name"].startswith("reciprocity")]
-    assert len(checks) == 4 and all(c["passed"] for c in checks)
-    members = {p.coeffs for pair in cfg.pairs for p in pair}
-    assert sorted(built) == sorted(members) and len(members) == 4
+    monkeypatch.setattr(report_module, "frobenius_table", counting)
+    monkeypatch.setattr(symbols, "frobenius_table", _unbuildable)
+    for validate in (True, False):
+        built.clear()
+        cfg = parse_config(dict(_FOUR_PAIRS, options={"validate_primality": validate}))
+        kernel = _WalkCountingKernel(cfg.field.kernel, built.values())
+        monkeypatch.setattr(cfg.field, "kernel", kernel)
+        report = run_report(cfg)
+        monkeypatch.setattr(cfg.field, "kernel", kernel.kernel)
+        checks = [c for c in report["oracles"]["checks"]
+                  if c["name"].startswith("reciprocity")]
+        assert len(checks) == 4 and all(c["passed"] for c in checks)
+        members = {p.coeffs for pair in cfg.pairs for p in pair}
+        assert sorted(built) == sorted(members) and len(members) == 4
+        expected = [t for key, t in built.items() if len(key) > 2] if validate else []
+        assert kernel.walked == expected and len(expected) == validate
+
+
+def test_report_raises_when_a_pair_prime_fails_ben_or(monkeypatch):
+    monkeypatch.setattr(report_module, "_is_irreducible", lambda f, table: False)
+    with pytest.raises(NotPrimeModulus, match="reducible"):
+        run_report(parse_config(_FOUR_PAIRS))
 
 
 def test_euclidean_symbol_matches_powmod_symbols(ctx3, ctx5, ctx9):
