@@ -114,9 +114,8 @@ def frobenius_norm(table, h: Poly, d: int) -> Poly:
     table = frobenius_table(f): the kernel's pnorm, an Itoh-Tsujii chain on
     the table. Its steps are identities of the ring F_q[T]/(f), so the
     result equals the powmod for every f and d; with d = deg f it is the
-    norm of h when f is prime."""
-    if h.degree >= len(table) or d < 1:
-        raise ValidationError("frobenius_norm needs h reduced mod the table's modulus, d >= 1")
+    norm of h when f is prime. The kernel raises ValueError for any other
+    h or d."""
     return _wrap(h.ctx, h.ctx.kernel.pnorm(table, h.coeffs, d))
 
 

@@ -16,6 +16,8 @@ arrays of encoded coefficients or as strings like "2*T^2+T+1".
 
 parse_config builds the field and every polynomial, and nothing else reads
 the config; run_report checks the mathematics of the conductor and pairs.
+Two keys are type-checked and echoed in the report and do nothing else:
+rng_seed and options.validate_primality.
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ class Options:
     """The "options" object of a config; every field is a key, echoed in the
     report's inputs.options.
 
-    validate_primality re-runs the irreducibility test on each distinct pair
-    prime before the reciprocity oracle. It cannot change a report or an
-    exit code: every pair member is a conductor prime, and conductor primes
-    are always validated.
+    validate_primality is echoed only: every pair member is a conductor
+    prime, and conductor_create proves every conductor prime, so nothing
+    reads the key.
     emit_a_pq adds the formal sum of each pair, refused when a pair has more
     than a_pq_term_cap raw terms; run_oracles runs the internal cross-checks.
     """

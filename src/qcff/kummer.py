@@ -22,7 +22,6 @@ from .algebra import (
     Poly,
     poly_cmp,
     poly_gcd,
-    poly_is_irreducible,
 )
 from .algebra.poly import _wrap
 from .cyclotomic import Conductor, _as_genus
@@ -145,6 +144,10 @@ _top_down = itemgetter(slice(None, None, -1))
 def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     """The formal k/A sum attached to an oriented prime pair.
 
+    The caller proves P and Q prime, as run_report does through the
+    conductor; here BadPair is raised only for a constant or non-monic
+    member, equal members or the wrong orientation.
+
     Sums s * ([ (B*Q + gamma^{-s} A) / (P*Q) ] - [ (A*P + gamma^{-s} B) / (P*Q) ])
     over monic A with deg A < deg Q, monic B with deg B < deg P, and
     s = 1..q-2, where (P, Q) is the oriented pair. Every fraction is taken
@@ -258,9 +261,8 @@ def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
 
 def _validate_pair(p_first: Poly, p_second: Poly) -> None:
     for member in (p_first, p_second):
-        if member.is_zero or member.is_constant or not member.monic \
-                or not poly_is_irreducible(member):
-            raise BadPair(f"{member} is not a monic prime")
+        if member.is_constant or not member.monic:
+            raise BadPair(f"{member} is not monic and nonconstant")
     if p_first == p_second:
         raise BadPair("pair members must be distinct")
     if poly_cmp(p_first, p_second) > 0:

@@ -14,11 +14,11 @@ from typing import Any
 
 from . import __version__
 from .algebra import Poly, format_poly
-from .algebra.factor import _is_irreducible, frobenius_table
+from .algebra.factor import frobenius_table
 from .algebra.poly import _monomial, _wrap
 from .config import SCHEMA_VERSION, JobConfig
 from .cyclotomic import conductor_create, genus_closed_form, genus_riemann_hurwitz
-from .errors import ConfigError, ConsistencyError, NotPrimeModulus
+from .errors import ConfigError, ConsistencyError
 from .kummer import (
     PairSet,
     RamTable,
@@ -123,7 +123,7 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
         if cfg.options.run_oracles:
             checks.append({"name": "kummer genus paths agree",
                            "passed": g_hasse == g_rh})
-            checks += _symbol_checks(pairs, ram, cfg.options.validate_primality)
+            checks += _symbol_checks(pairs, ram)
             if len(pairs.pairs) == 1:
                 parity = parity_consistency(pairs, ram)
                 if parity.applicable:
@@ -137,16 +137,13 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
     return report
 
 
-def _symbol_checks(pairs: PairSet, ram: RamTable, validate: bool) -> list[dict]:
+def _symbol_checks(pairs: PairSet, ram: RamTable) -> list[dict]:
     """The reciprocity check of every pair, on one Frobenius table per pair
-    prime, which Ben-Or first proves prime under validate. The two symbols
-    of each pair also rebuild each prime's vbar, which the ramification
-    table took from symbol_dlog; a difference raises ConsistencyError."""
+    prime. The two symbols of each pair also rebuild each prime's vbar,
+    which the ramification table took from symbol_dlog; a difference raises
+    ConsistencyError."""
     primes = {p.coeffs: p for pair in pairs.pairs for p in pair}
     tables = {key: frobenius_table(p) for key, p in primes.items()}
-    for key, p in primes.items():
-        if validate and not _is_irreducible(p, tables[key]):
-            raise NotPrimeModulus(f"pair prime {p} is reducible")
     checks, vbar = [], {row.prime.coeffs: 0 for row in ram.per_prime}
     for a, b in pairs.pairs:
         law = check_reciprocity(a, b, tables)

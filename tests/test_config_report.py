@@ -565,10 +565,10 @@ _ECHO_CONFIGS = {
     pytest.param(name, seed, id=name if seed == 0 else f"{name}-rng_seed={seed}")
     for seed in (0, 1, 7, 2 ** 40) for name in _ECHO_CONFIGS])
 def test_validate_primality_changes_only_its_echo(name, rng_seed):
-    """The option re-tests pair members that are conductor primes, already
-    proven prime, and rng_seed reaches nothing but its echo, so each report
-    differs from the one with the option on and seed 0 in the lines that
-    echo them alone, and the text rendering not at all."""
+    """validate_primality and rng_seed are echo-only: nothing but their
+    echoes reads them, so each report differs from the one with the option
+    on and seed 0 in the lines that echo them alone, and the text rendering
+    not at all."""
     raw = _ECHO_CONFIGS[name]
 
     def rendered(seed, flag):

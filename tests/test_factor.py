@@ -270,9 +270,9 @@ def test_frobenius_apply_rejects_unreduced_input(ctx3, mk):
     table = frobenius_table(mk(ctx3, "T^2+1"))
     with pytest.raises(ValueError):
         ctx3.kernel.papply(table, mk(ctx3, "T^2").coeffs)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         frobenius_norm(table, mk(ctx3, "T^2"), 2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         frobenius_norm(table, mk(ctx3, "T"), 0)
 
 

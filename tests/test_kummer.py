@@ -233,7 +233,32 @@ def test_formal_sum_rejects_bad_pairs(ctx3, mk):
     with pytest.raises(BadPair):
         pair_formal_sum(var_T(ctx3), var_T(ctx3))
     with pytest.raises(BadPair):
-        pair_formal_sum(var_T(ctx3), mk(ctx3, "T^2+2"))  # reducible
+        pair_formal_sum(var_T(ctx3), mk(ctx3, "2*T^2+1"))  # not monic
+    with pytest.raises(BadPair):
+        pair_formal_sum(mk(ctx3, "2"), var_T(ctx3))  # constant
+
+
+class _TablelessKernel:
+    """A field kernel that refuses to build a Frobenius table."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def ptable(self, *args):
+        raise AssertionError("a Frobenius table was built")
+
+
+def test_formal_sum_builds_no_frobenius_table(ctx3, ctx9, mk, monkeypatch):
+    """The caller proves the pair prime, so the sum never tables its members."""
+    for ctx, p_first, p_second in ((ctx3, "T", "T^2+1"), (ctx9, "T+1", "T^2+T+3")):
+        a, b = mk(ctx, p_first), mk(ctx, p_second)
+        expected = pair_formal_sum(a, b)
+        monkeypatch.setattr(ctx, "kernel", _TablelessKernel(ctx.kernel))
+        assert pair_formal_sum(a, b) == expected
+        monkeypatch.undo()
 
 
 def test_reduce_fraction_class_preserved_randomized(ctx3):
