@@ -5,7 +5,8 @@ Frobenius tables; the kernel mixes it in, and its methods use the
 kernel's own loops and byte path. ``ptable(m)`` builds the table of a
 nonconstant m, a ``FrobeniusTable``: the rows T**(q*i) mod m for i < n =
 deg m (while q < n each row is the one before shifted up q places and
-reduced, otherwise row 1 is T**q and each later row a product mod m),
+reduced, otherwise row 1 is T**q mod m, on the byte path the monomial
+reduced and on the list path a powmod, and each later row a product mod m),
 with m's divisor prepared once (von zur Gathen and Shoup, Comput.
 Complexity 2, 1992). Only the kernel that built a table reads it, and no
 call re-packs or re-checks its rows. ``papply(table, h)`` is h**q mod m,
@@ -71,7 +72,8 @@ class TableOps:
                     rows.append(from_bytes(rem((rows[-1] << 8 * q).to_bytes(n + q, "little"),
                                                ng, n), "little"))
             elif n > 1:
-                row = x = bytes(self.ppowmod([0, 1], q, m))
+                # row 1: the monomial T**q reduced, q - n + 1 row operations
+                row = x = rem(bytes(q) + b"\1", ng, n).rstrip(b"\0")
                 rows.append(from_bytes(x, "little"))
                 for _ in range(2, n):
                     row = rem(self._mul_packed(row, x), ng, n).rstrip(b"\0")

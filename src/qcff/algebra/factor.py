@@ -133,15 +133,12 @@ def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
     result is reduced mod f. That costs about 2*deg f*(deg F - deg f) field
     operations in each of the at most deg(f)/2 steps left, where reducing
     the table's rows mod f cost about deg f**2 * (deg F - deg f) at once."""
+    if f.degree == 1:  # a line is its only part: no table, no walk
+        yield f, 1
+        return
     ctx = f.ctx
     for part, d in ctx.kernel.pwalk(frobenius_table(f), False):
         yield _wrap(ctx, part), d
-
-
-def _is_irreducible(f: Poly, table) -> bool:
-    """Ben-Or's test of a monic nonconstant f on table = frobenius_table(f):
-    the first distinct-degree part is f itself, found at degree deg f."""
-    return f.degree == 1 or f.ctx.kernel.pwalk(table, True)[0][1] == f.degree
 
 
 def equal_degree_split(f: Poly, d: int) -> list[Poly]:
@@ -183,11 +180,13 @@ def equal_degree_split(f: Poly, d: int) -> list[Poly]:
 
 
 def poly_is_irreducible(f: Poly) -> bool:
-    """Ben-Or's irreducibility test over F_q: the first distinct-degree part."""
+    """Ben-Or's irreducibility test over F_q: the first distinct-degree part
+    of f is f itself, found at degree deg f."""
     if f.is_zero or f.degree < 1:
         raise ConstantInput("irreducibility is tested for nonconstant polynomials only")
-    f = f.to_monic()
-    return _is_irreducible(f, frobenius_table(f))
+    if f.degree == 1:  # no table to build
+        return True
+    return f.ctx.kernel.pwalk(frobenius_table(f.to_monic()), True)[0][1] == f.degree
 
 
 def poly_factor(f: Poly) -> Factorization:

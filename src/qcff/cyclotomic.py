@@ -126,7 +126,8 @@ def conductor_create(ctx: FieldCtx, spec) -> Conductor:
     checked.sort(key=lambda item: item[0].sort_key)
 
     factors = tuple(PrimePower.make(prime, exp) for prime, exp in checked)
-    m = Factorization(lead=1, factors=factors).product(ctx)
+    # a factored spec is M itself; claimed factors are multiplied out
+    m = spec if factored_here else Factorization(lead=1, factors=factors).product(ctx)
     # (A/M)* is the product of the (A/P^r)*, so Phi(M) and every cofactor
     # Phi(M/P^r) are products of these orders
     units = [poly_phi(ctx, [pp]) for pp in factors]

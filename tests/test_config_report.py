@@ -395,6 +395,49 @@ def test_formal_sum_text_covers_an_empty_group():
     assert any(empty) and not all(empty)
 
 
+# one pair each over F_3, F_5, F_7, F_9, F_11 and F_13, of 180 to 2,184 kept terms
+_BLOCK_PAIRS = {
+    "f3": (3, [["T^2+1", "T^4+T+2"]]),
+    "f5": (5, [["T^2+2", "T^3+T+1"]]),
+    "f7": (7, [["T", "T^3+2"]]),
+    "f9": (3, [["T", "T^3+T+3"]], 2, "T^2+1"),
+    "f11": (11, [["T^2+1", "T^2+3"]]),
+    "f13": (13, [["T^2+2", "T^2+5"]]),
+}
+
+
+@pytest.fixture(scope="module")
+def block_sums():
+    return {name: run_report(_formal_sum_config(*args))["kummer"]["formal_sums"][0]["terms"]
+            for name, args in _BLOCK_PAIRS.items()}
+
+
+@pytest.mark.parametrize("low_block", [1, 2, 3, 4])
+def test_formal_terms_text_from_blocks(block_sums, monkeypatch, low_block):
+    """json_text, built from cached low and high blocks, against json.dumps
+    of the term dicts re-indented, at depths 0 and 3, for the default block
+    size and the ones around it. At the default size the pairs above hold
+    numerators shorter than the low block, all-zero low blocks under a high
+    block, high blocks with a zero below their top, and, over F_11 and F_13
+    only, two-digit coefficients."""
+    low = report_module.LOW_BLOCK
+    nums = {name: [num for _, group in terms.groups for num, _ in group]
+            for name, terms in block_sums.items()}
+    every = [num for group in nums.values() for num in group]
+    assert any(len(num) < low for num in every)
+    assert any(len(num) > low and not any(num[:low]) for num in every)
+    assert any(0 in num[low:-1] for num in every)
+    two_digits = {name for name, group in nums.items() if any(c >= 10 for num in group for c in num)}
+    assert two_digits == {"f11", "f13"}
+
+    monkeypatch.setattr(report_module, "LOW_BLOCK", low_block)
+    for name, terms in block_sums.items():
+        want = json.dumps(list(terms), sort_keys=True, indent=2)
+        for depth in (0, 3):
+            got = terms.json_text(depth)
+            assert got == want.replace("\n", "\n" + "  " * depth), (name, depth)
+
+
 def test_render_json_shared_fragment_at_every_depth():
     frag = {"coeffs": [1, 0, 2], "str": "2*T^2+1"}
     other = {"coeffs": [], "str": "0"}

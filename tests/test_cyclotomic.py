@@ -34,6 +34,20 @@ def test_conductor_from_unfactored_input(ctx3, mk):
     assert cond.phi == 6
 
 
+def test_factored_conductor_is_its_input(ctx3, mk):
+    """A conductor given as a polynomial keeps it as M, not a product of its
+    factors rebuilt; the factors still multiply back to it."""
+    for text in ("T", "T^2+2*T+1", "T^7+2*T^5+T^4+T^2+2*T", "T^9+T^3+2"):
+        spec = mk(ctx3, text)
+        cond = conductor_create(ctx3, spec)
+        assert cond.M == spec and cond.M is spec
+        assert cond.degM == spec.degree
+        product = mk(ctx3, "1")
+        for pp in cond.factors:
+            product = product * pp.prime ** pp.exp
+        assert product == spec
+
+
 def test_conductor_sorts_factors_canonically(ctx3, mk):
     cond = conductor_create(ctx3, [(mk(ctx3, "T^2+1"), 1), (var_T(ctx3), 2)])
     assert [str(pp.prime) for pp in cond.factors] == ["T", "T^2+1"]

@@ -19,8 +19,8 @@ from qcff.algebra import (
     poly_powmod,
     var_T,
 )
+from qcff.algebra import factor
 from qcff.algebra.factor import (
-    _is_irreducible,
     distinct_degree_split,
     equal_degree_split,
     frobenius_norm,
@@ -46,6 +46,25 @@ def test_irreducibility_examples(ctx3, mk):
     assert poly_is_irreducible(var_T(ctx3))
     assert poly_is_irreducible(mk(ctx3, "T^2+1"))
     assert not poly_is_irreducible(mk(ctx3, "T^2+2"))  # (T+1)(T+2)
+
+
+def test_lines_build_no_frobenius_table(ctx3, mk, monkeypatch):
+    """A degree-1 polynomial is irreducible, and its own distinct-degree
+    part, without a table; factoring T * (T+1)**2 builds none either."""
+    built = []
+
+    def counting(f):
+        built.append(f)
+        return frobenius_table(f)
+
+    monkeypatch.setattr(factor, "frobenius_table", counting)
+    for text in ("T", "2*T+1", "T+2"):
+        assert poly_is_irreducible(mk(ctx3, text))
+    assert list(distinct_degree_split(mk(ctx3, "T+1"))) == [(mk(ctx3, "T+1"), 1)]
+    assert _shape(poly_factor(mk(ctx3, "T^3+2*T^2+T"))) == [("T", 1), ("T+1", 2)]
+    assert built == []
+    assert not poly_is_irreducible(mk(ctx3, "T^2+2"))
+    assert built == [mk(ctx3, "T^2+2")]
 
 
 def test_irreducibility_rejects_constants(ctx3, mk):
@@ -141,7 +160,7 @@ def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
     chain h**(1 + q + ... + q**(k-1)) mod f is checked too, for every
     k <= deg f: the norm (k = deg f) and the shorter chains the equal-degree
     split runs. Both kinds of row 1 occur: the monomial T**q (F_3, degree 4)
-    and a powmod (q >= deg f, every other case)."""
+    and its remainder mod f (q >= deg f, every other case)."""
     ctx = {3: ctx3, 5: ctx5}[q]
     rng = random.Random(q)
     checked = 0
@@ -235,7 +254,7 @@ def test_distinct_degree_split_matches_rereducing_walk(q, ctx3, ctx5, ctx7, ctx9
     tested += [p * p for p in primes[2]]
     verdicts = set()
     for f in tested:
-        ben_or = _is_irreducible(f, frobenius_table(f))
+        ben_or = poly_is_irreducible(f)
         assert ben_or == (rereducing_distinct_degree_split(f)[0] == (f, f.degree)), f
         verdicts.add(ben_or)
     assert verdicts == {True, False}

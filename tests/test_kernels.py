@@ -564,6 +564,36 @@ def test_frobenius_rows_shift_by_t_to_the_q(cls, p, e, mod, monkeypatch):
     assert zero_rows > 0
 
 
+@pytest.mark.parametrize("cls", [
+    pytest.param(PureFieldKernel, id="pure"),
+    pytest.param(CompiledFieldKernel, id="compiled", marks=needs_compiled)])
+@pytest.mark.parametrize("p,e,mod", [
+    pytest.param(5, 1, None, id="F_5"),
+    pytest.param(3, 2, [1, 0, 1], id="F_9"),
+    pytest.param(13, 1, None, id="F_13"),
+    pytest.param(17, 1, None, id="F_17"),
+    pytest.param(257, 1, None, id="F_257"),
+])
+def test_frobenius_row_one_for_q_at_least_deg_m(cls, p, e, mod):
+    """For q >= deg m row 1 of the table is T**q mod m (the pure kernel's
+    byte path, q <= 16, reduces the monomial T**q) and each later row a
+    product mod m: every row must equal ppowmod's T**(q*i) mod m, for deg m
+    from 2 up to q, T**n and T**k * g among them."""
+    ctx = field_create(p, e, mod)
+    kern, q = cls(ctx.p, ctx.e, ctx.exp, ctx.log), ctx.q
+    rng = random.Random(q)
+    moduli = []
+    for n in sorted({2, 3, 12, q // 2, q - 1, q} & set(range(2, min(q, 12) + 1))):
+        k = rng.randrange(1, n)
+        moduli += [[0] * n + [1], [0] * k + [rng.randrange(1, q)]
+                   + [rng.randrange(q) for _ in range(n - k - 1)] + [1]]
+        moduli += [[rng.randrange(q) for _ in range(n)] + [1] for _ in range(3)]
+    for m in moduli:
+        rows = table_rows(kern, kern.ptable(m))
+        assert len(rows) == len(m) - 1
+        assert rows == [kern.ppowmod([0, 1], q * i, m) for i in range(len(rows))], m
+
+
 @pytest.mark.parametrize("p,e,mod,stride,size", [
     pytest.param(3, 2, [1, 0, 1], 9, 81, id="F_9"),
     pytest.param(257, 1, None, 1, 514, id="F_257"),
