@@ -14,7 +14,9 @@
  *
  * ptable(m) builds the Frobenius table of a nonconstant m, a FrobeniusTable
  * object: the rows T**(q*i) mod m for i < n = deg m, as logs, and m's
- * divisor, prepared once. Only the kernel that built a table reads it:
+ * divisor, prepared once. While q < n each row is the one before shifted up
+ * q places and reduced; otherwise row 1 is T**q by ppowmod's loop and each
+ * later row a product mod m. Only the kernel that built a table reads it:
  * papply(table, h) is h**q mod m, the sum of h_i * row i, one application
  * of the q-th power map; pnorm(table, h, d) is h**(1 + q + ... + q**(d-1))
  * mod m by an Itoh-Tsujii chain; pwalk(table, first) is the distinct-degree
@@ -267,6 +269,37 @@ static Py_ssize_t mulmod_into(const Kernel *k, const int *a, Py_ssize_t la,
     return rem_inplace(k, out, mul_into(k, a, la, logs, lb, out), d, NULL);
 }
 
+/* base**n mod d by right-to-left binary powering, [1] for n <= 0: base is
+ * buf[0], reduced, of lbase ints; n's bits are small's, or the nbits of big's
+ * little-endian bytes when big is not NULL. The three buffers, each with room
+ * for a product of two remainders, trade places; buf[1] holds the result,
+ * whose stripped length is returned. logs holds deg d ints. */
+static Py_ssize_t powmod_into(const Kernel *k, int *buf[3], Py_ssize_t lbase,
+                              long long small, const char *big, Py_ssize_t nbits,
+                              const Divisor *d, int *logs) {
+    Py_ssize_t i, lacc = 1;
+    int *base = buf[0], *acc = buf[1], *prod = buf[2], *t;
+    if (big == NULL)
+        while (small > 0 && small >> nbits)
+            nbits++;
+    acc[0] = 1;
+    for (i = 0; i < nbits; i++) {
+        logs_of(k, base, lbase, logs);
+        if (big ? ((unsigned char)big[i / 8] >> (i % 8)) & 1 : (small >> i) & 1) {
+            lacc = rem_inplace(k, prod, mul_into(k, acc, lacc, logs, lbase, prod),
+                               d, NULL);
+            t = acc, acc = prod, prod = t;
+        }
+        if (i + 1 < nbits) {
+            lbase = rem_inplace(k, prod, mul_into(k, base, lbase, logs, lbase, prod),
+                                d, NULL);
+            t = base, base = prod, prod = t;
+        }
+    }
+    buf[0] = base, buf[1] = acc, buf[2] = prod;
+    return lacc;
+}
+
 /* -- Frobenius tables ------------------------------------------------------ */
 
 /* h**q mod m, the sum of h_i * row i, into out (n ints); h (lh <= n) and out
@@ -296,33 +329,18 @@ static void store_row(const Kernel *k, Table *t, Py_ssize_t i, const int *v,
         t->rows[i * t->n + j] = j < lr && v[j] ? k->log[v[j]] : -1;
 }
 
-/* Fills the rows of t, whose divisor is prepared. work holds 6n ints. While
- * q < n each row is the one before shifted up q places and reduced;
- * otherwise row 1 is T**q by binary powering and each later row the one
- * before times row 1. */
+/* Fills the rows of t, whose divisor is prepared; work holds 7n ints. While
+ * q < n row i is row i - 1 shifted up q places and reduced; otherwise row 1
+ * is T**q, which powmod_into leaves in buf[1], and row i row i - 1 times it. */
 static void build_rows(const Kernel *k, Table *t, int *work) {
     Py_ssize_t n = t->n, q = k->q, i, lr = 1, lx = 0;
-    int *cur = work, *prod = work + 2 * n, *logs = work + 4 * n, *x = work + 5 * n;
-    long bit;
+    int *buf[3] = {work, work + 2 * n, work + 4 * n}, *logs = work + 6 * n, *cur = work, *swap;
     cur[0] = 1;
     store_row(k, t, 0, cur, lr);
     if (q >= n && n > 1) {
-        /* row 1 = x = T**q, from T down the bits of q below the top one:
-         * square, then times T for a 1 bit */
-        cur[0] = 0, cur[1] = 1, lr = 2;
-        for (bit = 30; !((q >> bit) & 1); bit--)
-            ;
-        while (--bit >= 0) {
-            lr = mulmod_into(k, cur, lr, cur, lr, &t->div, logs, prod);
-            memcpy(cur, prod, lr * sizeof(int));
-            if ((q >> bit) & 1 && lr > 0) {
-                memmove(cur + 1, cur, lr * sizeof(int));
-                cur[0] = 0;
-                lr = rem_inplace(k, cur, lr + 1, &t->div, NULL);
-            }
-        }
-        lx = lr;
-        memcpy(x, cur, lx * sizeof(int));
+        cur[0] = 0, cur[1] = 1;
+        lx = lr = powmod_into(k, buf, 2, q, NULL, 0, &t->div, logs);
+        memcpy(cur = buf[0], buf[1], lx * sizeof(int));
     }
     for (i = 1; i < n; i++) {
         if (q < n) {
@@ -332,8 +350,8 @@ static void build_rows(const Kernel *k, Table *t, int *work) {
                 lr = rem_inplace(k, cur, lr + q, &t->div, NULL);
             }
         } else if (i > 1) {
-            lr = mulmod_into(k, cur, lr, x, lx, &t->div, logs, prod);
-            memcpy(cur, prod, lr * sizeof(int));
+            lr = mulmod_into(k, cur, lr, buf[1], lx, &t->div, logs, buf[2]);
+            swap = cur, cur = buf[2], buf[2] = swap;
         }
         store_row(k, t, i, cur, lr);
     }
@@ -560,7 +578,7 @@ static PyObject *k_ptable(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     t->mod = m;
     t->room = NULL;
     if ((t->rows = new_ints(n * n)) == NULL || (t->room = new_ints(2 * n)) == NULL
-        || (work = new_ints(6 * n)) == NULL) {
+        || (work = new_ints(7 * n)) == NULL) {
         Py_DECREF(t);
         return NULL;
     }
@@ -812,11 +830,11 @@ static PyObject *k_pgcd(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     return res;
 }
 
-/* f^n mod m by right-to-left binary powering; [1] for n <= 0. The bits of
- * an n past 63 bits are read from its little-endian bytes. */
+/* f^n mod m by powmod_into; [1] for n <= 0. The bits of an n past 63 bits
+ * are read from its little-endian bytes. */
 static PyObject *k_ppowmod(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
-    Py_ssize_t lf, lm, lbase, lacc = 1, cap, i, nbits = 0;
-    int *m, *f = NULL, *work = NULL, *base, *acc, *prod, *logs, *t, overflow;
+    Py_ssize_t lf, lm, lacc, cap, nbits = 0;
+    int *m, *f = NULL, *work = NULL, *buf[3], overflow;
     long long small;
     Divisor d;
     PyObject *big = NULL, *tmp, *res = NULL;
@@ -832,20 +850,14 @@ static PyObject *k_ppowmod(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     if ((f = read_poly(k, args[0], cap, &lf)) == NULL
         || (work = new_ints(5 * cap)) == NULL)
         goto done;
-    /* work holds acc, prod, logs and then the divisor's 2 (lm - 1) ints;
-     * base, acc and prod trade buffers, so each has room for cap ints */
-    base = f, acc = work, prod = work + cap, logs = work + 2 * cap;
+    /* work holds acc, prod, logs and then the divisor's 2 (lm - 1) ints */
+    buf[0] = f, buf[1] = work, buf[2] = work + cap;
     prepare_divisor(k, m, lm, work + 3 * cap, &d);
-    lbase = rem_inplace(k, base, lf, &d, NULL);
-    acc[0] = 1;
 
     small = PyLong_AsLongLongAndOverflow(args[1], &overflow);
     if (small == -1 && PyErr_Occurred())
         goto done;
-    if (overflow == 0)
-        while (small > 0 && small >> nbits)
-            nbits++;
-    else if (overflow > 0) {
+    if (overflow > 0) {
         if ((big = PyNumber_Index(args[1])) == NULL
             || (tmp = PyObject_CallMethod(big, "bit_length", NULL)) == NULL)
             goto done;
@@ -858,21 +870,9 @@ static PyObject *k_ppowmod(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
         if ((big = tmp) == NULL)
             goto done;
     }
-    for (i = 0; i < nbits; i++) {
-        logs_of(k, base, lbase, logs);
-        if (big ? ((unsigned char)PyBytes_AS_STRING(big)[i / 8] >> (i % 8)) & 1
-                : (small >> i) & 1) {
-            lacc = rem_inplace(k, prod, mul_into(k, acc, lacc, logs, lbase, prod),
-                               &d, NULL);
-            t = acc, acc = prod, prod = t;
-        }
-        if (i + 1 < nbits) {
-            lbase = rem_inplace(k, prod, mul_into(k, base, lbase, logs, lbase, prod),
-                                &d, NULL);
-            t = base, base = prod, prod = t;
-        }
-    }
-    res = to_list(acc, lacc);
+    lacc = powmod_into(k, buf, rem_inplace(k, f, lf, &d, NULL), small,
+                       big ? PyBytes_AS_STRING(big) : NULL, nbits, &d, work + 2 * cap);
+    res = to_list(buf[1], lacc);
 done:
     Py_XDECREF(big);
     PyMem_Free(m);

@@ -58,11 +58,7 @@ constructor: ``parse_config`` makes a field per job, and the build
 of a parse. Where the path runs, by operand length (below each
 threshold the list loop costs about as much or less, measured per op):
 - Frobenius tables, always (``pure_tables``): the rows, the norm chain
-  and the walk stay packed from the first step to the last. With the
-  rows re-packed on every ``papply`` and the chain and the walk in
-  ``algebra.factor`` on lists, the benchmark's ``tower_report`` ran
-  94.47 jobs/s; with them here, 133.0 (medians of ten alternated 30 s
-  pairs, seeds 4001-4010, ten won, 2-core Xeon VM, Python 3.11.7);
+  and the walk stay packed from the first step to the last;
 - ``pmul``: both operands of length >= 8, one row operation per
   coefficient of the shorter one;
 - ``_reduce`` (``prem``, ``pdivrem``, ``ppowmod`` and the Euclid steps

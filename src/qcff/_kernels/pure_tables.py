@@ -4,13 +4,11 @@
 Frobenius tables; the kernel mixes it in, and its methods use the
 kernel's own loops and byte path. ``ptable(m)`` builds the table of a
 nonconstant m, a ``FrobeniusTable``: the rows T**(q*i) mod m for i < n =
-deg m (while q < n each row is the one before shifted up q places and
-reduced, otherwise row 1 is T**q mod m, on the byte path the monomial
-reduced and on the list path a powmod, and each later row a product mod m),
-with m's divisor prepared once (von zur Gathen and Shoup, Comput.
-Complexity 2, 1992). Only the kernel that built a table reads it, and no
-call re-packs or re-checks its rows. ``papply(table, h)`` is h**q mod m,
-the sum of h_i * row i, one application of the q-th power map;
+deg m, row i being row i - 1 times T**q mod m, with m's divisor prepared
+once (von zur Gathen and Shoup, Comput. Complexity 2, 1992); each form
+below reaches T**q one way. Only the kernel that built a table reads it,
+and no call re-packs or re-checks its rows. ``papply(table, h)`` is h**q
+mod m, the sum of h_i * row i, one application of the q-th power map;
 ``pnorm(table, h, d)`` is h**(1 + q + ... + q**(d-1)) mod m by an
 Itoh-Tsujii chain (Inform. Comput. 78, 1988); ``pwalk(table, first)`` is
 the distinct-degree split of m made monic, its (part, degree) pairs in
@@ -18,12 +16,17 @@ the order found (only the first with ``first``). h has at most n
 coefficients; a longer one raises ``ValueError``.
 
 Over a field with q <= 16 every table takes the kernel's byte path: each
-row is one int, one coefficient per byte, built on bytes with m's packed
--m/lc(m) prepared once, and the chain and the walk keep their operands
-packed from the first step to the last, the walk's gcds included.
-Measured per op on tables of degree 2-32, the byte form was as fast as
-lists or faster, so there is no threshold. Over a larger field each row
-is its nonzero (index, log) pairs and the list loops run.
+row is one int, one coefficient per byte, and for every n it is the row
+before shifted up q places with its top q bytes reduced by m's packed
+-m/lc(m), prepared once, so row 1 is T**q mod m by construction. The
+chain and the walk keep their operands packed from the first step to the
+last, the walk's gcds included. Measured per op on tables of degree 2-32,
+the byte form was as fast as lists or faster, so there is no threshold.
+Over a larger field each row is its nonzero (index, log) pairs and the
+list loops run: while q < n each row is the one before shifted up q
+places and reduced, otherwise row 1 is ``ppowmod([0, 1], q, m)`` and each
+later row a product mod m, since a shift costs about q * n steps and q
+can be 2**16.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ class FrobeniusTable:
     """The Frobenius table of a nonconstant m, built by ``FieldKernel.ptable``
     and read only by the kernel that built it: the rows T**(q*i) mod m for
     i < deg m, and m's divisor, each prepared once. On the byte path each
-    row is an int, one coefficient per byte, and the divisor is m's ng
-    (``_packed_divisor``); otherwise each row is its nonzero (index, log)
-    pairs and the divisor is ``_divisor(m)``."""
+    row is an int, one coefficient per byte, the row before shifted up q
+    places and reduced, and the divisor is m's ng (``_packed_divisor``);
+    otherwise each row is its nonzero (index, log) pairs, shifted while q <
+    deg m and a product with the powmod T**q otherwise, and the divisor is
+    ``_divisor(m)``."""
 
     __slots__ = ("kernel", "modulus", "rows", "divisor")
 
@@ -66,18 +71,10 @@ class TableOps:
             ng = self._packed_divisor(bytes(m))[0]
             from_bytes, rem = int.from_bytes, self._rem_packed
             rows = [1]
-            if q < n:
-                # row i: row i - 1 shifted up q places, its top q bytes reduced
-                for _ in range(1, n):
-                    rows.append(from_bytes(rem((rows[-1] << 8 * q).to_bytes(n + q, "little"),
-                                               ng, n), "little"))
-            elif n > 1:
-                # row 1: the monomial T**q reduced, q - n + 1 row operations
-                row = x = rem(bytes(q) + b"\1", ng, n).rstrip(b"\0")
-                rows.append(from_bytes(x, "little"))
-                for _ in range(2, n):
-                    row = rem(self._mul_packed(row, x), ng, n).rstrip(b"\0")
-                    rows.append(from_bytes(row, "little"))
+            # row i: row i - 1 shifted up q places, its top q bytes reduced
+            for _ in range(1, n):
+                rows.append(from_bytes(rem((rows[-1] << 8 * q).to_bytes(n + q, "little"),
+                                           ng, n), "little"))
             return FrobeniusTable(self, m, rows, ng)
         divisor = self._divisor(m)
         rows = [[1]]
@@ -119,7 +116,7 @@ class TableOps:
 
     def pwalk(self, table, first):
         apply, _, h = self._frobenius(table, [0, 1] if len(table) > 1 else [])
-        if type(table.divisor) is int:
+        if self._small:
             minus_one = self._ma[self.neg[1]]  # minus_one[x * 16 + 1] is x - 1
             rem_packed, gcd_bytes = self._rem_packed, self._gcd_bytes
 
@@ -177,7 +174,7 @@ class TableOps:
         n = len(m) - 1
         if len(h) > n:
             raise ValueError(f"h needs at most {n} coefficients for a table of {n} rows")
-        if type(divisor) is int:
+        if self._small:
             ma, from_bytes, rem, mul = self._ma, int.from_bytes, self._rem_packed, self._mul_packed
 
             def apply(v):

@@ -114,17 +114,19 @@ def suite_phi_bruteforce(ctx: FieldCtx, max_degree: int) -> SuiteResult:
 
 
 def suite_symbol_character(ctx: FieldCtx, max_degree: int) -> SuiteResult:
-    """The residue symbol is 1 exactly on (q-1)-th power residues."""
+    """The residue symbol is 1 exactly on (q-1)-th power residues, with one
+    Frobenius table per prime."""
     failures = []
     cases = 0
     for r in monic_irreducibles(ctx, max_degree):
         powers = power_residue_set(ctx, r)
+        table = frobenius_table(r)
         for a in all_polys_below(ctx, r.degree):
             if a.is_zero:
                 continue
             cases += 1
             is_power = a.coeffs in powers
-            symbol_trivial = residue_symbol(a, r).value == 1
+            symbol_trivial = residue_symbol(a, r, table).value == 1
             if is_power != symbol_trivial:
                 failures.append(f"({format_poly(a)} / {format_poly(r)})")
     return SuiteResult(f"symbol-character q={ctx.q} degR<={max_degree}", cases, failures)

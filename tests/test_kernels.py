@@ -11,7 +11,6 @@ import pytest
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel, pure
 from qcff._kernels.pure import BYTES_MAX_Q, _GroupSums
 from qcff.algebra import Poly, field, field_create, poly_is_irreducible
-from qcff.algebra.factor import frobenius_table
 
 from .oracles import (
     divisor_per_step_pgcd,
@@ -117,9 +116,11 @@ def test_backends_agree_on_scalars(p, e, mod):
 def test_powmod_with_huge_exponent():
     ctx, pure, comp = _kernels(3, 2, [1, 0, 1])
     f = [4, 7, 1]
-    m = [1, 0, 0, 0, 1]
-    n = (ctx.q ** 40 - 1) // ctx.w
-    assert pure.ppowmod(f, n, m) == comp.ppowmod(f, n, m)
+    cases = [((ctx.q ** 40 - 1) // ctx.w, [1, 0, 0, 0, 1])]
+    # T**4 + 4 is prime, its units of order 9**4 - 1 = 2**5 * 5 * 41: a lost bit of n shows
+    cases += [(n, [4, 0, 0, 0, 1]) for n in (2 ** 63, 2 ** 64 + 12345, 3 ** 90, 2 ** 200 - 1)]
+    for n, m in cases:
+        assert pure.ppowmod(f, n, m) == comp.ppowmod(f, n, m), (n, m)
 
 
 @needs_compiled
@@ -532,66 +533,64 @@ def test_pure_pgcd_fused_step_matches_the_divisor_loop(p, e, mod):
                      "two or more down"}
 
 
-@pytest.mark.parametrize("cls", [
-    pytest.param(PureFieldKernel, id="pure"),
-    pytest.param(CompiledFieldKernel, id="compiled", marks=needs_compiled)])
-@pytest.mark.parametrize("p,e,mod", [
-    pytest.param(3, 1, None, id="F_3"),
-    pytest.param(5, 1, None, id="F_5"),
-    pytest.param(3, 2, [1, 0, 1], id="F_9"),
-])
-def test_frobenius_rows_shift_by_t_to_the_q(cls, p, e, mod, monkeypatch):
-    """For q < deg f each row of frobenius_table(f) is the one before
-    shifted up q places mod f; each must equal T**(q*i) mod f, up to degree
-    12, with f = T**k * g and f = T**n among them, whose later rows are 0."""
-    monkeypatch.setattr(field, "FieldKernel", cls)
+def _check_ptable_rows(cls, p, e, mod, degrees):
+    """Every row of ptable(m) must equal ppowmod's T**(q*i) mod m, for
+    T**n, T**k * g and three random moduli of each degree n; T**n's later
+    rows are 0."""
     ctx = field_create(p, e, mod)
-    kern, q = ctx.kernel, ctx.q
-    assert isinstance(kern, cls)
+    kern, q = cls(ctx.p, ctx.e, ctx.exp, ctx.log), ctx.q
     rng = random.Random(q)
-    fs = []
-    for n in range(q + 1, 13):
-        g = [rng.randrange(1, ctx.q)] + [rng.randrange(ctx.q) for _ in range(rng.randrange(n - 1))]
-        fs += [[0] * n + [1], [0] * (n - len(g)) + g + [1]]
-        fs += [[rng.randrange(ctx.q) for _ in range(n)] + [1] for _ in range(4)]
+    moduli = []
+    for n in degrees:
+        k = rng.randrange(1, n)
+        moduli += [[0] * n + [1], [0] * k + [rng.randrange(1, q)]
+                   + [rng.randrange(q) for _ in range(n - k - 1)] + [1]]
+        moduli += [[rng.randrange(q) for _ in range(n)] + [1] for _ in range(3)]
     zero_rows = 0
-    for m in fs:
-        table = frobenius_table(Poly(ctx, m))
-        assert len(table) == len(m) - 1
-        for i, row in enumerate(table_rows(kern, table)):
-            assert row == kern.ppowmod([0, 1], q * i, m), (m, i)
-            zero_rows += not row
+    for m in moduli:
+        rows = table_rows(kern, kern.ptable(m))
+        assert len(rows) == len(m) - 1
+        assert rows == [kern.ppowmod([0, 1], q * i, m) for i in range(len(rows))], m
+        zero_rows += rows.count([])
     assert zero_rows > 0
 
 
 @pytest.mark.parametrize("cls", [
     pytest.param(PureFieldKernel, id="pure"),
     pytest.param(CompiledFieldKernel, id="compiled", marks=needs_compiled)])
-@pytest.mark.parametrize("p,e,mod", [
-    pytest.param(5, 1, None, id="F_5"),
-    pytest.param(3, 2, [1, 0, 1], id="F_9"),
-    pytest.param(13, 1, None, id="F_13"),
-    pytest.param(17, 1, None, id="F_17"),
-    pytest.param(257, 1, None, id="F_257"),
+@pytest.mark.parametrize("p,e,mod,top", [
+    pytest.param(3, 1, None, 12, id="F_3"),
+    pytest.param(5, 1, None, 12, id="F_5"),
+    pytest.param(3, 2, [1, 0, 1], 12, id="F_9"),
+    pytest.param(13, 1, None, 14, id="F_13"),
+    pytest.param(17, 1, None, 20, id="F_17"),
 ])
-def test_frobenius_row_one_for_q_at_least_deg_m(cls, p, e, mod):
-    """For q >= deg m row 1 of the table is T**q mod m (the pure kernel's
-    byte path, q <= 16, reduces the monomial T**q) and each later row a
-    product mod m: every row must equal ppowmod's T**(q*i) mod m, for deg m
-    from 2 up to q, T**n and T**k * g among them."""
-    ctx = field_create(p, e, mod)
-    kern, q = cls(ctx.p, ctx.e, ctx.exp, ctx.log), ctx.q
-    rng = random.Random(q)
-    moduli = []
-    for n in sorted({2, 3, 12, q // 2, q - 1, q} & set(range(2, min(q, 12) + 1))):
-        k = rng.randrange(1, n)
-        moduli += [[0] * n + [1], [0] * k + [rng.randrange(1, q)]
-                   + [rng.randrange(q) for _ in range(n - k - 1)] + [1]]
-        moduli += [[rng.randrange(q) for _ in range(n)] + [1] for _ in range(3)]
-    for m in moduli:
-        rows = table_rows(kern, kern.ptable(m))
-        assert len(rows) == len(m) - 1
-        assert rows == [kern.ppowmod([0, 1], q * i, m) for i in range(len(rows))], m
+def test_frobenius_rows_shift_by_t_to_the_q(cls, p, e, mod, top):
+    """For q < deg m row i of ptable(m) is row i - 1 shifted up q places
+    mod m: checked for deg m from q + 1 up to top, so q + 1 on every
+    field, on the byte rows (q <= 16) and on the list and compiled rows'
+    shift branch."""
+    _check_ptable_rows(cls, p, e, mod, range(p ** e + 1, top + 1))
+
+
+@pytest.mark.parametrize("cls", [
+    pytest.param(PureFieldKernel, id="pure"),
+    pytest.param(CompiledFieldKernel, id="compiled", marks=needs_compiled)])
+@pytest.mark.parametrize("p,e,mod,top", [
+    pytest.param(3, 1, None, 3, id="F_3"),
+    pytest.param(5, 1, None, 5, id="F_5"),
+    pytest.param(3, 2, [1, 0, 1], 9, id="F_9"),
+    pytest.param(13, 1, None, 13, id="F_13"),
+    pytest.param(17, 1, None, 17, id="F_17"),
+    pytest.param(257, 1, None, 12, id="F_257"),
+])
+def test_frobenius_row_one_for_q_at_least_deg_m(cls, p, e, mod, top):
+    """For q >= deg m row 1 of ptable(m) is T**q mod m: the byte rows
+    (q <= 16) take it by the same shift loop, the list and compiled rows
+    by powmod and each later row as a product mod m. Checked for deg m
+    from 2 up to top, which is q on every field but F_257, where a table
+    at n = q would take minutes on the pure kernel."""
+    _check_ptable_rows(cls, p, e, mod, range(2, top + 1))
 
 
 @pytest.mark.parametrize("p,e,mod,stride,size", [
