@@ -6,6 +6,12 @@ from its own generator with a fixed seed, and the primes come out sorted, so
 a factorization is a function of its input alone. The irreducibility test is
 the distinct-degree split stopped at its first part (Ben-Or, FOCS 1981).
 
+Each stage is one helper on coefficient lists that calls the kernel
+directly; Poly appears only at the boundary. The public stage functions
+wrap their helper's results, and poly_factor runs the helpers from start
+to finish and wraps each prime once. A squarefree input, most inputs, costs
+the squarefree decomposition one gcd.
+
 The split raises h to the q-th power mod f again and again. That map fixes
 F_q, so it is F_q-linear: h**q = sum h_i * T**(q*i) mod f. frobenius_table(f)
 is the kernel's table of f, the rows T**(q*i) mod f with f's divisor, built
@@ -31,7 +37,7 @@ from typing import Iterator, Sequence
 
 from ..errors import ConstantInput, ValidationError
 from .field import FieldCtx
-from .poly import Poly, _wrap, monic_of_degree, one, poly_gcd, poly_powmod
+from .poly import Poly, _wrap, coeffs_derivative, coeffs_sort_key, monic_of_degree
 
 
 @dataclass(frozen=True)
@@ -55,10 +61,15 @@ class Factorization:
     factors: tuple[PrimePower, ...]
 
     def product(self, ctx: FieldCtx) -> Poly:
-        out = one(ctx).scale(self.lead)
+        """lead times the prime powers on coefficient lists: exp kernel
+        products per prime, one Poly for the result."""
+        ctx._check_elem(self.lead)
+        kernel = ctx.kernel
+        out = kernel.pscale([1], self.lead)
         for pp in self.factors:
-            out = out * pp.prime ** pp.exp
-        return out
+            for _ in range(pp.exp):
+                out = kernel.pmul(out, pp.prime.coeffs)
+        return _wrap(ctx, out)
 
 
 def _felem_pow(ctx: FieldCtx, c: int, n: int) -> int:
@@ -67,39 +78,48 @@ def _felem_pow(ctx: FieldCtx, c: int, n: int) -> int:
     return ctx.exp[(ctx.log[c] * n) % ctx.w]
 
 
-def _pth_root(f: Poly) -> Poly:
+def _pth_root(ctx: FieldCtx, f) -> list[int]:
     # f has zero derivative, i.e. f = g(T^p); invert Frobenius on coefficients.
-    ctx = f.ctx
     root_exp = ctx.p ** (ctx.e - 1)
-    cs = [_felem_pow(ctx, f.coeffs[i], root_exp)
-          for i in range(0, f.degree + 1, ctx.p)]
-    return Poly(ctx, cs)
+    return [_felem_pow(ctx, c, root_exp) for c in f[::ctx.p]]
 
 
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic squarefree parts with multiplicities; f must be monic, deg >= 1."""
-    ctx = f.ctx
-    parts: list[tuple[Poly, int]] = []
+def _squarefree_parts(ctx: FieldCtx, f) -> list[tuple[list[int], int]]:
+    """The squarefree parts of the monic nonconstant coefficient list f with
+    their multiplicities. When gcd(f, f') = 1 the f left is squarefree and
+    is the last part, so a squarefree input costs one gcd."""
+    kernel = ctx.kernel
+    parts: list[tuple[list[int], int]] = []
     n = 1
-    while f.degree >= 1:
-        df = f.derivative()
-        if df.is_zero:
-            f = _pth_root(f)
+    while len(f) > 1:
+        df = coeffs_derivative(ctx, f)
+        if not df:
+            f = _pth_root(ctx, f)
             n *= ctx.p
             continue
-        g = poly_gcd(f, df)
-        h = f // g
+        g = kernel.pgcd(f, df)
+        if len(g) == 1:
+            parts.append((f, n))
+            break
+        h = kernel.pdivrem(f, g)[0]
         i = 1
-        while h.degree >= 1:
-            g2 = poly_gcd(g, h)
-            z = h // g2
-            if z.degree >= 1:
+        while len(h) > 1:
+            g2 = kernel.pgcd(g, h)
+            z = kernel.pdivrem(h, g2)[0]
+            if len(z) > 1:
                 parts.append((z, i * n))
-            g = g // g2
+            g = kernel.pdivrem(g, g2)[0]
             h = g2
             i += 1
         f = g
     return parts
+
+
+def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
+    """Monic squarefree parts with multiplicities; f must be monic, deg >= 1.
+    Runs on coefficient lists; a squarefree f costs one gcd."""
+    ctx = f.ctx
+    return [(_wrap(ctx, g), m) for g, m in _squarefree_parts(ctx, f.coeffs)]
 
 
 def frobenius_table(f: Poly):
@@ -119,12 +139,21 @@ def frobenius_norm(table, h: Poly, d: int) -> Poly:
     return _wrap(h.ctx, h.ctx.kernel.pnorm(table, h.coeffs, d))
 
 
+def _distinct_degree_parts(kernel, f) -> list[tuple[list[int], int]]:
+    """The distinct-degree parts (g, d) of the monic nonconstant coefficient
+    list f: a line is its only part, with no table and no walk; otherwise
+    the kernel's pwalk on f's table."""
+    if len(f) == 2:
+        return [(f, 1)]
+    return kernel.pwalk(kernel.ptable(f), False)
+
+
 def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
     """Yield (g, d), g the product of the monic f's primes of degree d, in the
-    order found. The parts multiply to f when f is squarefree, as factoring
-    needs. For any f the first part is (f, deg f) exactly when f is
-    irreducible (Ben-Or): a reducible f, squares included, has a prime of
-    degree <= deg(f)/2.
+    order found, from the walk on coefficient lists. The parts multiply to f
+    when f is squarefree, as factoring needs. For any f the first part is
+    (f, deg f) exactly when f is irreducible (Ben-Or): a reducible f, squares
+    included, has a prime of degree <= deg(f)/2.
 
     The walk is the kernel's pwalk on f's table. Step d holds h = T**(q**d)
     mod the f left after the parts found so far, and takes gcd(f, h - T).
@@ -133,50 +162,58 @@ def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
     result is reduced mod f. That costs about 2*deg f*(deg F - deg f) field
     operations in each of the at most deg(f)/2 steps left, where reducing
     the table's rows mod f cost about deg f**2 * (deg F - deg f) at once."""
-    if f.degree == 1:  # a line is its only part: no table, no walk
-        yield f, 1
-        return
     ctx = f.ctx
-    for part, d in ctx.kernel.pwalk(frobenius_table(f), False):
+    for part, d in _distinct_degree_parts(ctx.kernel, f.coeffs):
         yield _wrap(ctx, part), d
 
 
+def _equal_degree_parts(ctx: FieldCtx, f, d: int) -> list[list[int]]:
+    """The degree-d primes of the monic squarefree coefficient list f, a
+    product of such primes, by the split equal_degree_split describes."""
+    kernel, q = ctx.kernel, ctx.q
+    out = []
+    stack = [f]
+    half = (q - 1) // 2
+    rng = None
+    while stack:
+        g = stack.pop()
+        n = len(g) - 1
+        if n == d:
+            out.append(g)
+            continue
+        if rng is None:
+            rng = random.Random(0)
+        table = kernel.ptable(g)
+        while True:
+            a = [rng.randrange(q) for _ in range(n)]
+            while a and a[-1] == 0:
+                a.pop()
+            if len(a) < 2:
+                continue
+            b = kernel.psub(kernel.ppowmod(kernel.pnorm(table, a, d), half, g), [1])
+            h = kernel.pgcd(b, g) if b else g
+            if 1 < len(h) < len(g):
+                stack.append(h)
+                stack.append(kernel.pdivrem(g, h)[0])
+                break
+    return out
+
+
 def equal_degree_split(f: Poly, d: int) -> list[Poly]:
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d primes.
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
+    primes, on coefficient lists.
 
     Each try draws a reduced mod the part g being split and takes
     b = a**((q**d - 1)/2) - 1. Since (q**d - 1)/2 = (1 + q + ... + q**(d-1))
-    * (q - 1)/2 for odd q, b is N_d(a)**((q-1)/2) - 1 exactly, N_d(a) =
-    frobenius_norm(table, a, d) on g's table: d - 1 table applications and
+    * (q - 1)/2 for odd q, b is N_d(a)**((q-1)/2) - 1 exactly, N_d(a) the
+    kernel's pnorm on g's table (frobenius_norm): d - 1 table applications and
     about 2*log2(d) products mod g, then a powmod to (q-1)/2, where the
     direct power took about d*log2(q) squarings. b, every draw and every
     split are those of the direct power. The draws come from random.Random(0),
     made only once some part has to be split.
     """
     ctx = f.ctx
-    out: list[Poly] = []
-    stack = [f]
-    half = (ctx.q - 1) // 2
-    rng = None
-    while stack:
-        g = stack.pop()
-        if g.degree == d:
-            out.append(g)
-            continue
-        if rng is None:
-            rng = random.Random(0)
-        table = frobenius_table(g)
-        while True:
-            a = Poly(ctx, [rng.randrange(ctx.q) for _ in range(g.degree)])
-            if a.degree < 1:
-                continue
-            b = poly_powmod(frobenius_norm(table, a, d), half, g) - one(ctx)
-            h = poly_gcd(b, g) if not b.is_zero else g
-            if 0 < h.degree < g.degree:
-                stack.append(h)
-                stack.append(g // h)
-                break
-    return out
+    return [_wrap(ctx, g) for g in _equal_degree_parts(ctx, f.coeffs, d)]
 
 
 def poly_is_irreducible(f: Poly) -> bool:
@@ -193,19 +230,20 @@ def poly_factor(f: Poly) -> Factorization:
     """Full factorization into monic primes, sorted canonically.
 
     The leading coefficient is returned separately; the product of the prime
-    powers times it reproduces the input exactly.
+    powers times it reproduces the input exactly. The stages run on
+    coefficient lists; each prime is wrapped once.
     """
     if f.is_zero or f.degree < 1:
         raise ConstantInput("factorization needs a nonconstant polynomial")
-    lead = f.lc
-    found: list[tuple[Poly, int]] = []
-    for part, mult in squarefree_decomposition(f.to_monic()):
-        for prod, d in distinct_degree_split(part):
-            for prime in equal_degree_split(prod, d):
-                found.append((prime, mult))
-    found.sort(key=lambda item: item[0].sort_key)
-    pps = tuple(PrimePower.make(prime, mult) for prime, mult in found)
-    return Factorization(lead=lead, factors=pps)
+    ctx = f.ctx
+    kernel = ctx.kernel
+    found: list[tuple[tuple, int]] = []
+    for part, mult in _squarefree_parts(ctx, kernel.pmonic(f.coeffs)):
+        for prod, d in _distinct_degree_parts(kernel, part):
+            found += [(tuple(prime), mult) for prime in _equal_degree_parts(ctx, prod, d)]
+    found.sort(key=lambda item: coeffs_sort_key(item[0]))
+    pps = tuple(PrimePower.make(_wrap(ctx, prime), mult) for prime, mult in found)
+    return Factorization(lead=f.lc, factors=pps)
 
 
 def poly_phi(ctx: FieldCtx, factors: Sequence[PrimePower]) -> int:

@@ -152,12 +152,7 @@ class Poly:
         return _wrap(self.ctx, self.ctx.kernel.pmonic(self.coeffs))
 
     def derivative(self) -> "Poly":
-        # the integer i % p is the encoding of i in the prime field, so the
-        # coefficient i * c of T^(i-1) is one product
-        ctx = self.ctx
-        fmul, p = ctx.kernel.fmul, ctx.p
-        out = [fmul(c, i % p) for i, c in enumerate(self.coeffs) if i]
-        return _wrap(ctx, ctx.kernel.padd(out, ()))
+        return _wrap(self.ctx, coeffs_derivative(self.ctx, self.coeffs))
 
     def eval_at(self, x: int) -> int:
         """Horner evaluation at an encoded field element."""
@@ -194,6 +189,14 @@ def _wrap(ctx: FieldCtx, coeffs: list[int]) -> Poly:
     object.__setattr__(out, "ctx", ctx)
     object.__setattr__(out, "coeffs", tuple(coeffs))
     return out
+
+
+def coeffs_derivative(ctx: FieldCtx, coeffs) -> list[int]:
+    """The formal derivative of a coefficient sequence, stripped. The integer
+    i % p is the encoding of i in the prime field, so the coefficient i * c
+    of T^(i-1) is one product."""
+    fmul, p = ctx.kernel.fmul, ctx.p
+    return ctx.kernel.padd([fmul(c, i % p) for i, c in enumerate(coeffs) if i], ())
 
 
 def coeffs_sort_key(coeffs: tuple) -> tuple:

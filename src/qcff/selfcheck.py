@@ -214,8 +214,17 @@ def suite_genus_paths(ctx: FieldCtx, max_degree: int) -> SuiteResult:
 def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
                            rng: random.Random) -> SuiteResult:
     """Polynomials drawn from rng factor, multiply back exactly, and the
-    reported primes are distinct, monic, irreducible and of norm q^d."""
+    reported primes are distinct, monic, irreducible and of norm q^d. Each
+    distinct prime is proven once per call; every sample that holds a bad
+    prime gets its own failure line."""
     failures = []
+    proven: dict[tuple, bool] = {}
+
+    def irreducible(prime: Poly) -> bool:
+        if prime.coeffs not in proven:
+            proven[prime.coeffs] = poly_is_irreducible(prime)
+        return proven[prime.coeffs]
+
     for _ in range(count):
         d = rng.randint(1, max_degree)
         coeffs = [rng.randrange(ctx.q) for _ in range(d)]
@@ -229,7 +238,7 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
             failures.append(f"{format_poly(f)}: repeated prime")
         for pp in fz.factors:
             if (not pp.prime.monic or pp.norm != ctx.q ** pp.degree
-                    or not poly_is_irreducible(pp.prime)):
+                    or not irreducible(pp.prime)):
                 failures.append(f"{format_poly(f)}: bad prime {format_poly(pp.prime)}")
     return SuiteResult(f"factor-roundtrip q={ctx.q} n={count} deg<={max_degree}",
                        count, failures)

@@ -17,7 +17,13 @@ Cantor-Zassenhaus split with its direct power a**((q**d - 1)/2), the
 reference of the library's split on the Frobenius table, and
 ``rereducing_distinct_degree_split`` keeps the distinct-degree walk that
 reduced its table's rows each time f shrank, the reference of the
-library's walk on the first table. ``naive_divrem``,
+library's walk on the first table. ``poly_squarefree_decomposition``
+keeps the squarefree loop on ``Poly`` operations, with the p-th root
+taken by naive field products, the reference of the library's loop on
+coefficient lists; ``reference_factorization`` assembles a factorization
+from the three ``Poly``-level stages and ``poly_power_product`` multiplies
+one out by ``Poly`` powers, the references of ``poly_factor`` and
+``Factorization.product``. ``naive_divrem``,
 ``naive_gcd`` and ``naive_powmod`` are schoolbook division, Euclid and
 square-and-multiply on coefficient lists, on the naive field operations
 alone: the references of the kernels' shared remainder loop.
@@ -38,8 +44,10 @@ import random
 from itertools import zip_longest
 
 from qcff.algebra import (
+    Factorization,
     FieldCtx,
     Poly,
+    PrimePower,
     enumerate_monic_below,
     one,
     poly_gcd,
@@ -125,6 +133,14 @@ def naive_fq_inv(ctx: FieldCtx, x: int) -> int:
             acc = naive_fq_mul(ctx, acc, x)
         x = naive_fq_mul(ctx, x, x)
         n >>= 1
+    return acc
+
+
+def naive_fq_pow(ctx: FieldCtx, x: int, n: int) -> int:
+    """x**n by n naive products (x**0 = 1)."""
+    acc = 1
+    for _ in range(n):
+        acc = naive_fq_mul(ctx, acc, x)
     return acc
 
 
@@ -328,6 +344,60 @@ def rereducing_distinct_degree_split(f: Poly) -> list[tuple[Poly, int]]:
             h = h % f
     if f.degree >= 1:
         out.append((f, f.degree))
+    return out
+
+
+def poly_squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
+    """Monic squarefree parts of a monic nonconstant f with multiplicities,
+    by the loop on ``Poly`` operations: gcd(f, f'), then the parts of each
+    multiplicity by gcds and divisions, and a p-th root of f when f' = 0."""
+    ctx = f.ctx
+    parts: list[tuple[Poly, int]] = []
+    n = 1
+    while f.degree >= 1:
+        df = f.derivative()
+        if df.is_zero:
+            # f = g(T^p): the root of each coefficient is its p**(e-1)-th power
+            root = []
+            for c in f.coeffs[::ctx.p]:
+                for _ in range(ctx.e - 1):
+                    c = naive_fq_pow(ctx, c, ctx.p)
+                root.append(c)
+            f = Poly(ctx, root)
+            n *= ctx.p
+            continue
+        g = poly_gcd(f, df)
+        h = f // g
+        i = 1
+        while h.degree >= 1:
+            g2 = poly_gcd(g, h)
+            z = h // g2
+            if z.degree >= 1:
+                parts.append((z, i * n))
+            g = g // g2
+            h = g2
+            i += 1
+        f = g
+    return parts
+
+
+def reference_factorization(f: Poly) -> Factorization:
+    """poly_factor(f) from the Poly-level references of its stages:
+    poly_squarefree_decomposition, rereducing_distinct_degree_split and
+    powmod_equal_degree_split, the primes in canonical order."""
+    found = []
+    for part, mult in poly_squarefree_decomposition(f.to_monic()):
+        for prod, d in rereducing_distinct_degree_split(part):
+            found += [(prime, mult) for prime in powmod_equal_degree_split(prod, d)]
+    found.sort(key=lambda item: item[0].sort_key)
+    return Factorization(lead=f.lc, factors=tuple(PrimePower.make(p, m) for p, m in found))
+
+
+def poly_power_product(ctx: FieldCtx, fz: Factorization) -> Poly:
+    """The lead times each prime to its exponent, by Poly products and powers."""
+    out = one(ctx).scale(fz.lead)
+    for pp in fz.factors:
+        out = out * pp.prime ** pp.exp
     return out
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from qcff.algebra import (
     poly_powmod,
     var_T,
 )
+from qcff import selfcheck
 from qcff.algebra import factor
 from qcff.algebra.factor import (
     distinct_degree_split,
@@ -28,11 +30,14 @@ from qcff.algebra.factor import (
     squarefree_decomposition,
 )
 from qcff.errors import ConstantInput, ValidationError
-from qcff.selfcheck import all_polys_below, suite_phi_bruteforce
+from qcff.selfcheck import all_polys_below, suite_factor_roundtrip, suite_phi_bruteforce
 
 from .oracles import (
     list_frobenius_rows,
+    poly_power_product,
+    poly_squarefree_decomposition,
     powmod_equal_degree_split,
+    reference_factorization,
     rereducing_distinct_degree_split,
     table_rows,
 )
@@ -40,6 +45,24 @@ from .oracles import (
 
 def _shape(fz):
     return [(str(pp.prime), pp.exp) for pp in fz.factors]
+
+
+class _CountingKernel:
+    """A field kernel proxy that counts the calls of each method."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls: Counter = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.kernel, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+        return counted
 
 
 def test_irreducibility_examples(ctx3, mk):
@@ -51,20 +74,15 @@ def test_irreducibility_examples(ctx3, mk):
 def test_lines_build_no_frobenius_table(ctx3, mk, monkeypatch):
     """A degree-1 polynomial is irreducible, and its own distinct-degree
     part, without a table; factoring T * (T+1)**2 builds none either."""
-    built = []
-
-    def counting(f):
-        built.append(f)
-        return frobenius_table(f)
-
-    monkeypatch.setattr(factor, "frobenius_table", counting)
+    counting = _CountingKernel(ctx3.kernel)
+    monkeypatch.setattr(ctx3, "kernel", counting)
     for text in ("T", "2*T+1", "T+2"):
         assert poly_is_irreducible(mk(ctx3, text))
     assert list(distinct_degree_split(mk(ctx3, "T+1"))) == [(mk(ctx3, "T+1"), 1)]
     assert _shape(poly_factor(mk(ctx3, "T^3+2*T^2+T"))) == [("T", 1), ("T+1", 2)]
-    assert built == []
+    assert counting.calls["ptable"] == 0
     assert not poly_is_irreducible(mk(ctx3, "T^2+2"))
-    assert built == [mk(ctx3, "T^2+2")]
+    assert counting.calls["ptable"] == 1
 
 
 def test_irreducibility_rejects_constants(ctx3, mk):
@@ -112,6 +130,64 @@ def test_squarefree_decomposition_handles_pth_powers(ctx3, mk):
     assert [(str(g), m) for g, m in squarefree_decomposition(f9)] == [("T", 9)]
 
 
+def test_squarefree_decomposition_takes_pth_roots_over_an_extension(ctx9, mk, monkeypatch):
+    """Over F_9 a p-th root maps each coefficient x to x**(p**(e-1)) = x**3,
+    not to itself: (T+1)*(T+3)**3 = T^4+T^3+6*T+6 leaves the cube T^3+6,
+    whose cube root is T+3."""
+    roots = []
+    pth_root = factor._pth_root
+
+    def spying(ctx, f):
+        roots.append((list(f), pth_root(ctx, f)))
+        return roots[-1][1]
+
+    monkeypatch.setattr(factor, "_pth_root", spying)
+    f = mk(ctx9, "T^4+T^3+6*T+6")
+    assert f == mk(ctx9, "T+1") * mk(ctx9, "T+3") ** 3
+    assert squarefree_decomposition(f) == [(mk(ctx9, "T+1"), 1), (mk(ctx9, "T+3"), 3)]
+    assert roots == [(list(mk(ctx9, "T^3+6").coeffs), list(mk(ctx9, "T+3").coeffs))]
+    assert _shape(poly_factor(f)) == [("T+1", 1), ("T+3", 3)]
+
+
+def test_squarefree_input_costs_one_gcd(ctx3, ctx9, mk, monkeypatch):
+    """A squarefree f leaves the decomposition after gcd(f, f') = 1, with no
+    division; a repeated factor still runs the loop."""
+    for ctx, text in ((ctx3, "T^3+2*T+1"), (ctx3, "T^3+2*T"), (ctx9, "T^2+T+3")):
+        f = mk(ctx, text)
+        counting = _CountingKernel(ctx.kernel)
+        monkeypatch.setattr(ctx, "kernel", counting)
+        assert squarefree_decomposition(f) == [(f, 1)]
+        assert (counting.calls["pgcd"], counting.calls["pdivrem"]) == (1, 0), text
+        monkeypatch.undo()
+    counting = _CountingKernel(ctx3.kernel)
+    monkeypatch.setattr(ctx3, "kernel", counting)
+    f = mk(ctx3, "T+1") ** 2 * mk(ctx3, "T^2+1")
+    assert squarefree_decomposition(f) == [(mk(ctx3, "T^2+1"), 1), (mk(ctx3, "T+1"), 2)]
+    assert counting.calls["pgcd"] > 1 and counting.calls["pdivrem"] > 0
+
+
+def test_factoring_matches_the_poly_level_references(ctx3, ctx5, ctx9):
+    """Every monic polynomial of degree <= 6 over F_3, <= 4 over F_5 and
+    <= 3 over F_9, and g * f**2 and g * f**3 for every monic f of degree
+    1 or 2 and monic g of degree <= 1: the squarefree decomposition, the
+    factorization and its product equal those of the Poly-level references."""
+    cases = 0
+    for ctx, top in ((ctx3, 6), (ctx5, 4), (ctx9, 3)):
+        inputs = [f for d in range(1, top + 1) for f in monic_of_degree(ctx, d)]
+        inputs += [g * f ** k for d in (1, 2) for f in monic_of_degree(ctx, d)
+                   for g in itertools.chain(monic_of_degree(ctx, 0), monic_of_degree(ctx, 1))
+                   for k in (2, 3)]
+        for f in inputs:
+            assert squarefree_decomposition(f) == poly_squarefree_decomposition(f), f
+            fz = poly_factor(f)
+            assert fz == reference_factorization(f), f
+            assert fz.product(ctx) == poly_power_product(ctx, fz) == f, f
+            cases += 1
+    # 1092 + 780 + 819 monic polynomials, and 2 * (q + q**2) * (q + 1)
+    # products: 96, 360 and 1800
+    assert cases == 1092 + 780 + 819 + 96 + 360 + 1800
+
+
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_factor_is_a_function_of_its_input(q, ctx3, ctx5, ctx9):
     """Products of two and of three distinct primes of one degree d <= 3, so
@@ -131,6 +207,55 @@ def test_factor_is_a_function_of_its_input(q, ctx3, ctx5, ctx9):
             chosen = sorted(primes[:k], key=lambda p: p.sort_key)
             assert fz == Factorization(lead=1, factors=tuple(
                 PrimePower.make(p, 1) for p in chosen)), f
+
+
+def _roundtrip_draws(ctx, count, max_degree, rng):
+    """The polynomials suite_factor_roundtrip draws from rng."""
+    out = []
+    for _ in range(count):
+        d = rng.randint(1, max_degree)
+        coeffs = [rng.randrange(ctx.q) for _ in range(d)]
+        coeffs.append(rng.randrange(1, ctx.q))
+        out.append(Poly(ctx, coeffs))
+    return out
+
+
+def test_roundtrip_proves_each_distinct_prime_once(ctx3, ctx9, monkeypatch):
+    """One suite_factor_roundtrip call runs Ben-Or once per distinct prime
+    of its samples' factorizations, though most primes recur."""
+    for ctx in (ctx3, ctx9):
+        draws = _roundtrip_draws(ctx, 300, 8, random.Random(35))
+        held = [pp.prime for f in draws for pp in poly_factor(f).factors]
+        proven: Counter = Counter()
+
+        def counting(f):
+            proven[f] += 1
+            return poly_is_irreducible(f)
+
+        monkeypatch.setattr(selfcheck, "poly_is_irreducible", counting)
+        result = suite_factor_roundtrip(ctx, 300, 8, random.Random(35))
+        monkeypatch.undo()
+        assert result.passed and result.cases == 300
+        assert proven == Counter(set(held)) and len(proven) < len(held) / 2, ctx.q
+
+
+def test_roundtrip_reports_a_bad_prime_in_every_sample(ctx3, mk, monkeypatch):
+    """A prime the test calls reducible is proven once, but every sample
+    that holds it gets its own failure line, in draw order."""
+    line = mk(ctx3, "T+1")
+    asked = []
+
+    def refusing(f):
+        asked.append(f)
+        return f != line and poly_is_irreducible(f)
+
+    monkeypatch.setattr(selfcheck, "poly_is_irreducible", refusing)
+    result = suite_factor_roundtrip(ctx3, 300, 8, random.Random(35))
+    draws = _roundtrip_draws(ctx3, 300, 8, random.Random(35))
+    expected = [f"{f}: bad prime T+1" for f in draws
+                if line in {pp.prime for pp in poly_factor(f).factors}]
+    assert result.failures == expected and len(expected) > 50
+    assert asked.count(line) == 1
 
 
 def test_phi_examples(ctx3, mk):
