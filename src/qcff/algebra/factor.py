@@ -10,11 +10,11 @@ Each stage is one helper on coefficient lists that calls the kernel
 directly; Poly appears only at the boundary. The public stage functions
 wrap their helper's results, and poly_factor runs the helpers from start
 to finish and wraps each prime once. A squarefree input, most inputs, costs
-the squarefree decomposition one gcd.
+the squarefree decomposition at most one gcd.
 
 The split raises h to the q-th power mod f again and again. That map fixes
-F_q, so it is F_q-linear: h**q = sum h_i * T**(q*i) mod f. frobenius_table(f)
-is the kernel's table of f, the rows T**(q*i) mod f with f's divisor, built
+F_q, so it is F_q-linear: h**q = sum h_i * T**(q*i) mod f. The field keeps
+f's table (frobenius_table), the rows T**(q*i) mod f with f's divisor, built
 once (von zur Gathen and Shoup, Comput. Complexity 2, 1992); the kernel
 applies it in deg(f)**2 steps (papply) and walks the distinct-degree split
 on it (pwalk), keeping h in its own form from step to step.
@@ -86,8 +86,8 @@ def _pth_root(ctx: FieldCtx, f) -> list[int]:
 
 def _squarefree_parts(ctx: FieldCtx, f) -> list[tuple[list[int], int]]:
     """The squarefree parts of the monic nonconstant coefficient list f with
-    their multiplicities. When gcd(f, f') = 1 the f left is squarefree and
-    is the last part, so a squarefree input costs one gcd."""
+    their multiplicities, by gcds and divisions of nonconstant operands only.
+    A squarefree f costs at most one gcd: gcd(f, f') = 1 makes f the last part."""
     kernel = ctx.kernel
     parts: list[tuple[list[int], int]] = []
     n = 1
@@ -97,14 +97,17 @@ def _squarefree_parts(ctx: FieldCtx, f) -> list[tuple[list[int], int]]:
             f = _pth_root(ctx, f)
             n *= ctx.p
             continue
-        g = kernel.pgcd(f, df)
+        g = kernel.pgcd(f, df) if len(df) > 1 else df
         if len(g) == 1:
             parts.append((f, n))
             break
         h = kernel.pdivrem(f, g)[0]
         i = 1
         while len(h) > 1:
-            g2 = kernel.pgcd(g, h)
+            g2 = kernel.pgcd(g, h) if len(g) > 1 else g
+            if len(g2) == 1:  # h is the part of multiplicity i, g has none of it
+                parts.append((h, i * n))
+                break
             z = kernel.pdivrem(h, g2)[0]
             if len(z) > 1:
                 parts.append((z, i * n))
@@ -117,16 +120,29 @@ def _squarefree_parts(ctx: FieldCtx, f) -> list[tuple[list[int], int]]:
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Monic squarefree parts with multiplicities; f must be monic, deg >= 1.
-    Runs on coefficient lists; a squarefree f costs one gcd."""
+    Runs on coefficient lists; a squarefree f costs at most one gcd."""
     ctx = f.ctx
     return [(_wrap(ctx, g), m) for g, m in _squarefree_parts(ctx, f.coeffs)]
 
 
-def frobenius_table(f: Poly):
-    """The Frobenius table of f nonconstant, the kernel's ptable(f): the rows
-    T**(q*i) mod f for i < deg f, with f's divisor, prepared once. len() of
-    the table is deg f."""
-    return f.ctx.kernel.ptable(f.coeffs)
+TABLE_COEFFS = 4096  # bound on the sum of deg**2 over one field's kept tables
+
+
+def frobenius_table(ctx: FieldCtx, m):
+    """The kernel's ptable(m) of the nonconstant stripped coefficient list m:
+    the rows T**(q*i) mod m for i < deg m, len() of them, and m's divisor.
+    ctx keeps it by m's tuple and the kernels only read a built table, so
+    later calls on m share it. ctx forgets all its tables once their total
+    deg**2 would pass TABLE_COEFFS, and keeps no table past it on its own."""
+    key = tuple(m)
+    table = ctx.tables.get(key)
+    if table is None:
+        table, size = ctx.kernel.ptable(key), (len(key) - 1) ** 2
+        if ctx.table_coeffs + size > TABLE_COEFFS:
+            ctx.tables, ctx.table_coeffs = {}, 0
+        if size <= TABLE_COEFFS:
+            ctx.tables[key], ctx.table_coeffs = table, ctx.table_coeffs + size
+    return table
 
 
 def frobenius_norm(table, h: Poly, d: int) -> Poly:
@@ -139,13 +155,13 @@ def frobenius_norm(table, h: Poly, d: int) -> Poly:
     return _wrap(h.ctx, h.ctx.kernel.pnorm(table, h.coeffs, d))
 
 
-def _distinct_degree_parts(kernel, f) -> list[tuple[list[int], int]]:
+def _distinct_degree_parts(ctx: FieldCtx, f) -> list[tuple[list[int], int]]:
     """The distinct-degree parts (g, d) of the monic nonconstant coefficient
     list f: a line is its only part, with no table and no walk; otherwise
     the kernel's pwalk on f's table."""
     if len(f) == 2:
         return [(f, 1)]
-    return kernel.pwalk(kernel.ptable(f), False)
+    return ctx.kernel.pwalk(frobenius_table(ctx, f), False)
 
 
 def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
@@ -163,7 +179,7 @@ def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
     operations in each of the at most deg(f)/2 steps left, where reducing
     the table's rows mod f cost about deg f**2 * (deg F - deg f) at once."""
     ctx = f.ctx
-    for part, d in _distinct_degree_parts(ctx.kernel, f.coeffs):
+    for part, d in _distinct_degree_parts(ctx, f.coeffs):
         yield _wrap(ctx, part), d
 
 
@@ -183,7 +199,7 @@ def _equal_degree_parts(ctx: FieldCtx, f, d: int) -> list[list[int]]:
             continue
         if rng is None:
             rng = random.Random(0)
-        table = kernel.ptable(g)
+        table = frobenius_table(ctx, g)
         while True:
             a = [rng.randrange(q) for _ in range(n)]
             while a and a[-1] == 0:
@@ -223,7 +239,8 @@ def poly_is_irreducible(f: Poly) -> bool:
         raise ConstantInput("irreducibility is tested for nonconstant polynomials only")
     if f.degree == 1:  # no table to build
         return True
-    return f.ctx.kernel.pwalk(frobenius_table(f.to_monic()), True)[0][1] == f.degree
+    table = frobenius_table(f.ctx, f.ctx.kernel.pmonic(f.coeffs))
+    return f.ctx.kernel.pwalk(table, True)[0][1] == f.degree
 
 
 def poly_factor(f: Poly) -> Factorization:
@@ -239,7 +256,7 @@ def poly_factor(f: Poly) -> Factorization:
     kernel = ctx.kernel
     found: list[tuple[tuple, int]] = []
     for part, mult in _squarefree_parts(ctx, kernel.pmonic(f.coeffs)):
-        for prod, d in _distinct_degree_parts(kernel, part):
+        for prod, d in _distinct_degree_parts(ctx, part):
             found += [(tuple(prime), mult) for prime in _equal_degree_parts(ctx, prod, d)]
     found.sort(key=lambda item: coeffs_sort_key(item[0]))
     pps = tuple(PrimePower.make(_wrap(ctx, prime), mult) for prime, mult in found)

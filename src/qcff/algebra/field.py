@@ -61,14 +61,15 @@ def _digit_vector(x: int, p: int) -> list[int]:
 
 
 class FieldCtx:
-    """Immutable context for one finite field F_q.
+    """Context for one finite field F_q, built by field_create().
 
-    Carries the precomputed exp/log tables for the canonical generator
-    and the kernel engine built on them. Construct via field_create().
+    Carries the precomputed exp/log tables for the canonical generator, the
+    kernel engine built on them and its one mutable part, tables: the
+    Frobenius tables factor.frobenius_table keeps, table_coeffs their deg**2.
     """
 
     __slots__ = ("p", "e", "q", "w", "modulus", "gamma", "exp", "log",
-                 "kernel", "_key")
+                 "kernel", "tables", "table_coeffs", "_key")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None,
                  gamma: int, exp: tuple[int, ...], log: tuple[int, ...]):
@@ -81,6 +82,7 @@ class FieldCtx:
         self.exp = exp
         self.log = log
         self.kernel = FieldKernel(p, e, exp, log)
+        self.tables, self.table_coeffs = {}, 0
         self._key = (p, e, modulus)
 
     def __repr__(self) -> str:

@@ -35,7 +35,6 @@ from .algebra import (
     poly_is_irreducible,
     poly_phi,
 )
-from .algebra.factor import frobenius_table
 from .cyclotomic import conductor_create, genus_closed_form, genus_riemann_hurwitz
 from .errors import NotCoprime
 from .kummer import (
@@ -86,15 +85,13 @@ def power_residue_set(ctx: FieldCtx, r: Poly) -> set[tuple[int, ...]]:
 
 def suite_reciprocity(ctx: FieldCtx, max_degree: int) -> SuiteResult:
     """(second/first) == (-1)^(d1*d2) * (first/second) over every distinct
-    monic prime pair up to the degree bound, with one Frobenius table per
-    prime across the suite."""
+    monic prime pair up to the degree bound."""
     primes = list(monic_irreducibles(ctx, max_degree))
     failures = []
     cases = 0
-    tables = {p.coeffs: frobenius_table(p) for p in primes}
     for a, b in itertools.combinations(primes, 2):
         cases += 1
-        if not check_reciprocity(a, b, tables).holds:
+        if not check_reciprocity(a, b).holds:
             failures.append(f"({format_poly(a)}, {format_poly(b)})")
     return SuiteResult(f"reciprocity q={ctx.q} deg<={max_degree}", cases, failures)
 
@@ -114,19 +111,17 @@ def suite_phi_bruteforce(ctx: FieldCtx, max_degree: int) -> SuiteResult:
 
 
 def suite_symbol_character(ctx: FieldCtx, max_degree: int) -> SuiteResult:
-    """The residue symbol is 1 exactly on (q-1)-th power residues, with one
-    Frobenius table per prime."""
+    """The residue symbol is 1 exactly on (q-1)-th power residues."""
     failures = []
     cases = 0
     for r in monic_irreducibles(ctx, max_degree):
         powers = power_residue_set(ctx, r)
-        table = frobenius_table(r)
         for a in all_polys_below(ctx, r.degree):
             if a.is_zero:
                 continue
             cases += 1
             is_power = a.coeffs in powers
-            symbol_trivial = residue_symbol(a, r, table).value == 1
+            symbol_trivial = residue_symbol(a, r).value == 1
             if is_power != symbol_trivial:
                 failures.append(f"({format_poly(a)} / {format_poly(r)})")
     return SuiteResult(f"symbol-character q={ctx.q} degR<={max_degree}", cases, failures)

@@ -10,11 +10,10 @@ The symbol is computed along two paths:
 * residue_symbol() is the definition: the norm a**(1 + q + ... + q**(d-1))
   mod r, d = deg r, taken on r's Frobenius table (frobenius_norm), which is
   the same power as a**((|r|-1)/(q-1)) for every monic r. Its caller
-  proves r prime and may pass r's table, which run_report and
-  suite_reciprocity build once per prime. jacobi_symbol() factors the lower
-  entry. These are the oracle: check_reciprocity() and the selfcheck
-  suites use only them, so a law they check is never checked against
-  itself.
+  proves r prime, and the field keeps r's table from that proof on.
+  jacobi_symbol() factors the lower entry. These are the oracle:
+  check_reciprocity() and the selfcheck suites use only them, so a law
+  they check is never checked against itself.
 * symbol_dlog() runs Euclid's algorithm on (a, b) and applies the
   reciprocity law at each step (Rosen, Number Theory in Function Fields,
   Thm 3.3, with d = q-1). It costs O(deg**2) field operations and needs
@@ -24,7 +23,7 @@ The symbol is computed along two paths:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .algebra import Poly, poly_factor, poly_gcd
 from .algebra.factor import frobenius_norm, frobenius_table
@@ -46,18 +45,15 @@ class SymbolValue:
         return cls(value=value, dlog=dlog)
 
 
-def residue_symbol(a: Poly, r: Poly, table=None) -> SymbolValue:
+def residue_symbol(a: Poly, r: Poly) -> SymbolValue:
     """The (q-1)-th power residue symbol of a modulo the monic prime r, on
-    r's Frobenius table, built here when none is given. Errors, in this
-    order: NotPrimeModulus for a constant or non-monic r; NotCoprime when
-    gcd(a, r) != 1; NotPrimeModulus when the norm is not constant (r is
-    then reducible).
+    the Frobenius table r's field keeps. Errors, in this order: NotPrimeModulus
+    for a constant or non-monic r; NotCoprime when gcd(a, r) != 1;
+    NotPrimeModulus when the norm is not constant (r is then reducible).
     """
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
-    if table is None:
-        table = frobenius_table(r)
-    reduced = frobenius_norm(table, a % r, r.degree)
+    reduced = frobenius_norm(frobenius_table(r.ctx, r.coeffs), a % r, r.degree)
     if reduced.degree != 0:
         # a unit's norm is a unit, so a nonzero constant proves gcd(a, r) = 1
         if poly_gcd(a, r).degree != 0:
@@ -120,14 +116,12 @@ class Reciprocity(NamedTuple):
     holds: bool
 
 
-def check_reciprocity(p1: Poly, p2: Poly, tables: Mapping | None = None) -> Reciprocity:
-    """Evaluate both sides of the reciprocity law independently and compare.
-    tables, read only, maps a prime's coeffs to its Frobenius table."""
+def check_reciprocity(p1: Poly, p2: Poly) -> Reciprocity:
+    """Evaluate both sides of the reciprocity law independently and compare."""
     if p1 == p2:
         raise EqualPrimes("reciprocity needs two distinct primes")
-    ctx, tables = p1.ctx, tables or {}
-    left = residue_symbol(p2, p1, tables.get(p1.coeffs))
-    right = residue_symbol(p1, p2, tables.get(p2.coeffs))
+    ctx = p1.ctx
+    left, right = residue_symbol(p2, p1), residue_symbol(p1, p2)
     signed = right.value
     if (p1.degree * p2.degree) % 2 == 1:
         signed = ctx.kernel.fmul(signed, ctx.minus_one)

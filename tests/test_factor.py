@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from qcff.algebra import (
     poly_powmod,
     var_T,
 )
+import qcff
 from qcff import selfcheck
 from qcff.algebra import factor
 from qcff.algebra.factor import (
@@ -31,6 +34,7 @@ from qcff.algebra.factor import (
 )
 from qcff.errors import ConstantInput, ValidationError
 from qcff.selfcheck import all_polys_below, suite_factor_roundtrip, suite_phi_bruteforce
+from qcff.symbols import residue_symbol
 
 from .oracles import (
     list_frobenius_rows,
@@ -48,11 +52,13 @@ def _shape(fz):
 
 
 class _CountingKernel:
-    """A field kernel proxy that counts the calls of each method."""
+    """A field kernel proxy that counts the calls of each method and keeps
+    their arguments."""
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.calls: Counter = Counter()
+        self.args: defaultdict = defaultdict(list)
 
     def __getattr__(self, name):
         attr = getattr(self.kernel, name)
@@ -61,6 +67,7 @@ class _CountingKernel:
 
         def counted(*args):
             self.calls[name] += 1
+            self.args[name].append(args)
             return attr(*args)
         return counted
 
@@ -71,17 +78,19 @@ def test_irreducibility_examples(ctx3, mk):
     assert not poly_is_irreducible(mk(ctx3, "T^2+2"))  # (T+1)(T+2)
 
 
-def test_lines_build_no_frobenius_table(ctx3, mk, monkeypatch):
+def test_lines_build_no_frobenius_table(mk, monkeypatch):
     """A degree-1 polynomial is irreducible, and its own distinct-degree
-    part, without a table; factoring T * (T+1)**2 builds none either."""
-    counting = _CountingKernel(ctx3.kernel)
-    monkeypatch.setattr(ctx3, "kernel", counting)
+    part, without a table; factoring T * (T+1)**2 builds none either. The
+    field is a fresh one, so no table kept by an earlier test hides a build."""
+    ctx = field_create(3)
+    counting = _CountingKernel(ctx.kernel)
+    monkeypatch.setattr(ctx, "kernel", counting)
     for text in ("T", "2*T+1", "T+2"):
-        assert poly_is_irreducible(mk(ctx3, text))
-    assert list(distinct_degree_split(mk(ctx3, "T+1"))) == [(mk(ctx3, "T+1"), 1)]
-    assert _shape(poly_factor(mk(ctx3, "T^3+2*T^2+T"))) == [("T", 1), ("T+1", 2)]
+        assert poly_is_irreducible(mk(ctx, text))
+    assert list(distinct_degree_split(mk(ctx, "T+1"))) == [(mk(ctx, "T+1"), 1)]
+    assert _shape(poly_factor(mk(ctx, "T^3+2*T^2+T"))) == [("T", 1), ("T+1", 2)]
     assert counting.calls["ptable"] == 0
-    assert not poly_is_irreducible(mk(ctx3, "T^2+2"))
+    assert not poly_is_irreducible(mk(ctx, "T^2+2"))
     assert counting.calls["ptable"] == 1
 
 
@@ -151,19 +160,39 @@ def test_squarefree_decomposition_takes_pth_roots_over_an_extension(ctx9, mk, mo
 
 def test_squarefree_input_costs_one_gcd(ctx3, ctx9, mk, monkeypatch):
     """A squarefree f leaves the decomposition after gcd(f, f') = 1, with no
-    division; a repeated factor still runs the loop."""
-    for ctx, text in ((ctx3, "T^3+2*T+1"), (ctx3, "T^3+2*T"), (ctx9, "T^2+T+3")):
+    division, and with no gcd at all when f' is a constant (T^3+2*T+1 over
+    F_3); a repeated factor still runs the loop."""
+    for ctx, text, gcds in ((ctx3, "T^3+2*T+1", 0), (ctx3, "T^3+2*T^2+2*T", 1),
+                            (ctx3, "T^3+2*T", 0), (ctx9, "T^2+T+3", 1)):
         f = mk(ctx, text)
         counting = _CountingKernel(ctx.kernel)
         monkeypatch.setattr(ctx, "kernel", counting)
         assert squarefree_decomposition(f) == [(f, 1)]
-        assert (counting.calls["pgcd"], counting.calls["pdivrem"]) == (1, 0), text
+        assert (counting.calls["pgcd"], counting.calls["pdivrem"]) == (gcds, 0), text
         monkeypatch.undo()
     counting = _CountingKernel(ctx3.kernel)
     monkeypatch.setattr(ctx3, "kernel", counting)
     f = mk(ctx3, "T+1") ** 2 * mk(ctx3, "T^2+1")
     assert squarefree_decomposition(f) == [(mk(ctx3, "T^2+1"), 1), (mk(ctx3, "T+1"), 2)]
     assert counting.calls["pgcd"] > 1 and counting.calls["pdivrem"] > 0
+
+
+def test_squarefree_parts_take_no_constant_operand(ctx3, ctx9, mk, monkeypatch):
+    """Once the repeated part g is 1, or shares nothing with h, h is the last
+    part of the round: no division by a constant and no gcd with a constant
+    operand, f' included. Over F_3, (T+1)**2 * (T^2+1) leaves g = 1; over
+    F_9, (T+1) * (T+3)**3 leaves g = (T+3)**3 coprime to h = T+1, and then
+    the cube root T+3, whose derivative is 1."""
+    for ctx, f, parts in (
+            (ctx3, mk(ctx3, "T+1") ** 2 * mk(ctx3, "T^2+1"), [("T^2+1", 1), ("T+1", 2)]),
+            (ctx9, mk(ctx9, "T+1") * mk(ctx9, "T+3") ** 3, [("T+1", 1), ("T+3", 3)])):
+        counting = _CountingKernel(ctx.kernel)
+        monkeypatch.setattr(ctx, "kernel", counting)
+        assert [(str(g), m) for g, m in squarefree_decomposition(f)] == parts
+        monkeypatch.undo()
+        assert counting.calls["pgcd"] > 0 and counting.calls["pdivrem"] > 0
+        assert all(len(b) > 1 for _, b in counting.args["pdivrem"]), f
+        assert all(min(len(a), len(b)) > 1 for a, b in counting.args["pgcd"]), f
 
 
 def test_factoring_matches_the_poly_level_references(ctx3, ctx5, ctx9):
@@ -291,7 +320,7 @@ def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
     checked = 0
     for d in range(1, 5):
         for f in monic_of_degree(ctx, d):
-            table = frobenius_table(f)
+            table = frobenius_table(ctx, f.coeffs)
             assert len(table) == d
             hs = list(all_polys_below(ctx, d))
             if q == 5:
@@ -314,12 +343,76 @@ def test_frobenius_rows_reduce_to_the_table_of_a_factor(q, ctx3, ctx5):
     kernel = ctx.kernel
     for d in range(2, 5):
         for f in monic_of_degree(ctx, d):
-            rows = table_rows(kernel, frobenius_table(f))
+            rows = table_rows(kernel, frobenius_table(ctx, f.coeffs))
             assert rows == list_frobenius_rows(kernel, f.coeffs), f
             primes = [pp.prime for pp in poly_factor(f).factors]
             for g in primes + [f // p for p in primes if (f // p).degree >= 1]:
                 reduced = [kernel.prem(r, g.coeffs) for r in rows[:g.degree]]
-                assert reduced == table_rows(kernel, frobenius_table(g)), (f, g)
+                assert reduced == table_rows(kernel, frobenius_table(ctx, g.coeffs)), (f, g)
+
+
+def test_the_field_keeps_each_table(mk, monkeypatch):
+    """A second Ben-Or test or residue symbol on a modulus reads the table
+    the field kept from the first call on it, whichever of the two came
+    first: one build per modulus."""
+    ctx = field_create(3)
+    counting = _CountingKernel(ctx.kernel)
+    monkeypatch.setattr(ctx, "kernel", counting)
+    r, s = mk(ctx, "T^3+2*T+1"), mk(ctx, "T^2+1")
+    assert poly_is_irreducible(r) and poly_is_irreducible(r) and poly_is_irreducible(2 * r)
+    assert counting.calls["ptable"] == 1
+    assert residue_symbol(var_T(ctx), r) == residue_symbol(var_T(ctx), r)
+    assert counting.calls["ptable"] == 1
+    first = residue_symbol(mk(ctx, "T+1"), s)
+    assert residue_symbol(mk(ctx, "T+1"), s) == first and poly_is_irreducible(s)
+    assert counting.calls["ptable"] == 2
+    assert [tuple(m) for (m,) in counting.args["ptable"]] == [r.coeffs, s.coeffs]
+    assert frobenius_table(ctx, r.coeffs) is frobenius_table(ctx, list(r.coeffs))
+    assert counting.calls["ptable"] == 2
+
+
+def test_the_kept_tables_stay_within_the_bound(monkeypatch):
+    """When a new table would take the total deg**2 of the kept tables past
+    TABLE_COEFFS, the field forgets them all and keeps the new one; a table
+    past the bound on its own is never kept. The running total is always
+    the sum over the kept tables."""
+    monkeypatch.setattr(factor, "TABLE_COEFFS", 20)
+    ctx = field_create(5)
+
+    def kept(m):
+        table = frobenius_table(ctx, m)
+        assert ctx.table_coeffs == sum((len(k) - 1) ** 2 for k in ctx.tables) <= 20
+        return table
+
+    square = kept((1, 0, 1))
+    kept((1, 1, 0, 1))
+    assert kept([1, 0, 1]) is square
+    kept((2, 0, 1))
+    assert list(ctx.tables) == [(1, 0, 1), (1, 1, 0, 1), (2, 0, 1)]
+    assert ctx.table_coeffs == 4 + 9 + 4
+    kept((1, 2, 0, 1))  # 17 + 9 > 20
+    assert list(ctx.tables) == [(1, 2, 0, 1)] and ctx.table_coeffs == 9
+    assert kept((1, 0, 1)) is not square
+    big = kept((1, 0, 0, 0, 0, 1))  # 25 > 20 alone
+    assert ctx.tables == {} and ctx.table_coeffs == 0
+    assert len(big) == 5 and kept((1, 0, 0, 0, 0, 1)) is not big
+
+
+def test_frobenius_table_is_the_one_place_a_table_is_built():
+    """Outside the kernels, a ptable call appears only inside
+    frobenius_table, so every table is one the field keeps."""
+    package = Path(qcff.__file__).parent
+    sources = {}
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix()
+        text = path.read_text(encoding="utf-8")
+        if not name.startswith("_kernels/") and ".ptable(" in text:
+            sources[name] = text
+    assert list(sources) == ["algebra/factor.py"]
+    text = sources["algebra/factor.py"]
+    owner = next(ast.get_source_segment(text, node) for node in ast.parse(text).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "frobenius_table")
+    assert text.count(".ptable(") == owner.count(".ptable(") == 1
 
 
 def test_distinct_degree_split_of_known_products(ctx3):
@@ -411,7 +504,7 @@ def test_equal_degree_split_matches_the_direct_power(q, ctx3, ctx5, ctx7, ctx9):
 
 
 def test_frobenius_apply_rejects_unreduced_input(ctx3, mk):
-    table = frobenius_table(mk(ctx3, "T^2+1"))
+    table = frobenius_table(ctx3, mk(ctx3, "T^2+1").coeffs)
     with pytest.raises(ValueError):
         ctx3.kernel.papply(table, mk(ctx3, "T^2").coeffs)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import pytest
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel, pure
 from qcff._kernels.pure import BYTES_MAX_Q, _GroupSums
 from qcff.algebra import Poly, field, field_create, poly_is_irreducible
+from qcff.algebra.factor import frobenius_table
 
 from .oracles import (
     divisor_per_step_pgcd,
@@ -851,3 +852,37 @@ def test_table_ops_match_the_references(cls, p, e, mod, monkeypatch):
         if m in squares:
             assert reference[0][1] < n  # Ben-Or calls a square reducible
     assert naive_checks == 6
+
+
+@pytest.mark.parametrize("cls", [
+    pytest.param(PureFieldKernel, id="pure"),
+    pytest.param(CompiledFieldKernel, id="compiled", marks=needs_compiled)])
+@pytest.mark.parametrize("p,e,mod", [
+    pytest.param(3, 1, None, id="F_3"), pytest.param(13, 1, None, id="F_13"),
+    pytest.param(257, 1, None, id="F_257"),
+    pytest.param(3, 6, [2, 1, 0, 0, 0, 0, 1], id="F_3^6")])
+def test_a_kept_table_reads_as_a_fresh_one(cls, p, e, mod, monkeypatch):
+    """The field shares each table it keeps with every later caller, so the
+    ops must leave a table as ptable built it: after walks with both first
+    values and norms on the kept table, papply, pnorm and pwalk on it give
+    what they give on a fresh ptable of the same modulus. The degrees lie
+    on both sides of q and of the byte thresholds."""
+    monkeypatch.setattr(field, "FieldKernel", cls)
+    ctx = field_create(p, e, mod)
+    kern, q = ctx.kernel, ctx.q
+    rng = random.Random(7 * q + e)
+    for n in (1, 2, 3, 8, 9, 13, 14, 24, 25):
+        m = [rng.randrange(q) for _ in range(n)] + [1]
+        kept = frobenius_table(ctx, m)
+        for first in (True, False, True, False):
+            kern.pwalk(kept, first)
+            kern.pnorm(kept, list(_rand_poly(rng, q, n + 1)), rng.randrange(1, 2 * n + 2))
+        assert frobenius_table(ctx, m) is kept
+        fresh = kern.ptable(m)
+        assert table_rows(kern, kept) == table_rows(kern, fresh), m
+        for _ in range(4):
+            h, d = list(_rand_poly(rng, q, n + 1)), rng.randrange(1, 2 * n + 2)
+            assert kern.papply(kept, h) == kern.papply(fresh, h), (m, h)
+            assert kern.pnorm(kept, h, d) == kern.pnorm(fresh, h, d), (m, h, d)
+        for first in (True, False):
+            assert kern.pwalk(kept, first) == kern.pwalk(fresh, first), (m, first)

@@ -251,9 +251,11 @@ class _TablelessKernel:
         raise AssertionError("a Frobenius table was built")
 
 
-def test_formal_sum_builds_no_frobenius_table(ctx3, ctx9, mk, monkeypatch):
-    """The caller proves the pair prime, so the sum never tables its members."""
-    for ctx, p_first, p_second in ((ctx3, "T", "T^2+1"), (ctx9, "T+1", "T^2+T+3")):
+def test_formal_sum_builds_no_frobenius_table(mk, monkeypatch):
+    """The caller proves the pair prime, so the sum never tables its members.
+    The fields are fresh, so no table kept by an earlier test hides a build."""
+    for ctx, p_first, p_second in ((field_create(3), "T", "T^2+1"),
+                                   (field_create(3, 2, [1, 0, 1]), "T+1", "T^2+T+3")):
         a, b = mk(ctx, p_first), mk(ctx, p_second)
         expected = pair_formal_sum(a, b)
         monkeypatch.setattr(ctx, "kernel", _TablelessKernel(ctx.kernel))

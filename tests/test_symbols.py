@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from types import MappingProxyType
 
 import pytest
 
-from qcff import report as report_module
 from qcff import symbols
 from qcff.algebra import (
+    Poly,
+    field_create,
     monic_irreducibles,
     monic_of_degree,
     one,
@@ -16,7 +16,6 @@ from qcff.algebra import (
     var_T,
     zero,
 )
-from qcff.algebra.factor import frobenius_table
 from qcff.config import parse_config
 from qcff.errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 from qcff.report import run_report
@@ -53,24 +52,29 @@ def _outcome(symbol, *args):
         return type(exc)
 
 
-def test_norm_symbol_matches_powmod_definition(ctx3, ctx5, ctx9):
+def test_norm_symbol_matches_powmod_definition(ctx3, ctx5, ctx9, monkeypatch):
     """Every monic r of degree <= 3 over F_3 with every a of degree < 3, and
     every monic r of degree <= 2 over F_5 and F_9 with every a of degree < 2:
-    the same value or the same exception class as one powmod, with r's table
-    built by the symbol and given to it. Reducible r and constant r are
-    included."""
+    the same value or the same exception class as one powmod, and a repeat
+    call gives the same outcome on the table r's field kept from the first,
+    building none. Reducible r and constant r are included."""
     seen: dict[object, int] = {}
     for ctx, top in ((ctx3, 3), (ctx5, 2), (ctx9, 2)):
         upper = list(all_polys_below(ctx, top))
+        kernel = _TableKernel(ctx.kernel)
+        monkeypatch.setattr(ctx, "kernel", kernel)
         for d in range(top + 1):
             for r in monic_of_degree(ctx, d):
-                table = frobenius_table(r) if d else None
                 for a in upper:
                     got = _outcome(residue_symbol, a, r)
                     assert got == _outcome(powmod_residue_symbol, a, r), (a, r)
-                    assert _outcome(residue_symbol, a, r, table) == got, (a, r)
+                    assert (r.coeffs in ctx.tables) == (d > 0), r
+                    built = len(kernel.built)
+                    assert _outcome(residue_symbol, a, r) == got, (a, r)
+                    assert len(kernel.built) == built, (a, r)
                     kind = got if isinstance(got, type) else SymbolValue
                     seen[kind] = seen.get(kind, 0) + 1
+        monkeypatch.undo()
     # a reducible r gives values, NotCoprime and NotPrimeModulus
     assert min(seen[SymbolValue], seen[NotCoprime], seen[NotPrimeModulus]) > 0
     assert sum(seen.values()) == 40 * 27 + 31 * 25 + 91 * 81
@@ -144,21 +148,21 @@ def test_reciprocity_rejects_equal_primes(ctx3):
 def test_reciprocity_returns_both_symbols(ctx3, ctx5, ctx9):
     """Every pair of distinct monic primes, F_3 deg <= 3, F_5 and F_9
     deg <= 2: check_reciprocity gives the two residue symbols and the
-    verdict of the law, and reads the tables it is given without writing
-    to them."""
+    verdict of the law on the tables the field keeps, and the same on a
+    fresh field that has kept none."""
     for ctx, bound in ((ctx3, 3), (ctx5, 2), (ctx9, 2)):
         primes = list(monic_irreducibles(ctx, bound))
-        tables = MappingProxyType({p.coeffs: frobenius_table(p) for p in primes})
         for a, b in itertools.combinations(primes, 2):
-            law = check_reciprocity(a, b, tables)
-            assert law == check_reciprocity(a, b), (a, b)
+            law = check_reciprocity(a, b)
+            fresh = field_create(ctx.p, ctx.e, ctx.modulus)
+            assert law == check_reciprocity(Poly(fresh, a.coeffs), Poly(fresh, b.coeffs)), (a, b)
             assert law.holds, (a, b)
             assert law.first_over_second == residue_symbol(a, b)
             assert law.second_over_first == residue_symbol(b, a)
 
 
-def _unbuildable(r):
-    raise AssertionError(f"a table of {r} was built")
+def _unbuildable(ctx, m):
+    raise AssertionError(f"a table of {list(m)} was built")
 
 
 def test_bad_modulus_raises_before_a_table_is_built(ctx3, mk, monkeypatch):
@@ -175,14 +179,19 @@ _FOUR_PAIRS = {
 }
 
 
-class _WalkCountingKernel:
-    """A field kernel that records the table of each first-part walk."""
+class _TableKernel:
+    """A field kernel that records the modulus of each table it builds and
+    the table of each first-part walk."""
 
     def __init__(self, kernel):
-        self.kernel, self.walked = kernel, []
+        self.kernel, self.built, self.walked = kernel, [], []
 
     def __getattr__(self, name):
         return getattr(self.kernel, name)
+
+    def ptable(self, m):
+        self.built.append(tuple(m))
+        return self.kernel.ptable(m)
 
     def pwalk(self, table, first):
         if first:
@@ -191,23 +200,15 @@ class _WalkCountingKernel:
 
 
 def test_report_builds_one_table_per_pair_prime(monkeypatch):
-    """Four pairs over four primes (one of degree 2): the oracle builds one
-    Frobenius table per distinct pair member, not one per symbol, and the
-    symbols build none of their own. With validate_primality on or off,
-    the one Ben-Or walk of the report is conductor_create's proof of the
-    degree-2 claimed prime (degree 1 needs no walk), never on those tables."""
-    built: dict = {}
-
-    def counting(r):
-        built[r.coeffs] = table = frobenius_table(r)
-        return table
-
-    monkeypatch.setattr(report_module, "frobenius_table", counting)
-    monkeypatch.setattr(symbols, "frobenius_table", _unbuildable)
+    """Four pairs over four primes (one of degree 2), with validate_primality
+    on and off: the job's field builds exactly one Frobenius table per
+    distinct pair member, four, not one per symbol. The one Ben-Or walk of
+    the report is conductor_create's proof of the degree-2 claimed prime
+    (degree 1 needs no walk), and the oracle's symbols modulo that prime
+    read the table the proof built."""
     for validate in (True, False):
-        built.clear()
         cfg = parse_config(dict(_FOUR_PAIRS, options={"validate_primality": validate}))
-        kernel = _WalkCountingKernel(cfg.field.kernel)
+        kernel = _TableKernel(cfg.field.kernel)
         monkeypatch.setattr(cfg.field, "kernel", kernel)
         report = run_report(cfg)
         monkeypatch.setattr(cfg.field, "kernel", kernel.kernel)
@@ -215,9 +216,10 @@ def test_report_builds_one_table_per_pair_prime(monkeypatch):
                   if c["name"].startswith("reciprocity")]
         assert len(checks) == 4 and all(c["passed"] for c in checks)
         members = {p.coeffs for pair in cfg.pairs for p in pair}
-        assert sorted(built) == sorted(members) and len(members) == 4
-        assert len(kernel.walked) == 1
-        assert not any(w is t for w in kernel.walked for t in built.values())
+        assert len(kernel.built) == len(members) == 4 and set(kernel.built) == members
+        square = (1, 0, 1)  # T^2+1
+        assert kernel.built[0] == square
+        assert kernel.walked == [cfg.field.tables[square]]
 
 
 def test_euclidean_symbol_matches_powmod_symbols(ctx3, ctx5, ctx9):
