@@ -7,10 +7,10 @@ a factorization is a function of its input alone. The irreducibility test is
 the distinct-degree split stopped at its first part (Ben-Or, FOCS 1981).
 
 Each stage is one helper on coefficient lists that calls the kernel
-directly; Poly appears only at the boundary. The public stage functions
-wrap their helper's results, and poly_factor runs the helpers from start
-to finish and wraps each prime once. A squarefree input, most inputs, costs
-the squarefree decomposition at most one gcd.
+directly; Poly appears only at the boundary. poly_factor runs the helpers
+from start to finish and wraps each prime once, and poly_is_irreducible
+reads the first distinct-degree part. A squarefree input, most inputs,
+costs the squarefree decomposition at most one gcd.
 
 The split raises h to the q-th power mod f again and again. That map fixes
 F_q, so it is F_q-linear: h**q = sum h_i * T**(q*i) mod f. The field keeps
@@ -18,15 +18,12 @@ f's table (frobenius_table), the rows T**(q*i) mod f with f's divisor, built
 once (von zur Gathen and Shoup, Comput. Complexity 2, 1992); the kernel
 applies it in deg(f)**2 steps (papply) and walks the distinct-degree split
 on it (pwalk), keeping h in its own form from step to step.
-On the same table frobenius_norm() raises h to 1 + q + ... + q**(d-1)
+On the same table the kernel's pnorm raises h to 1 + q + ... + q**(d-1)
 by an Itoh-Tsujii addition chain (Inform. Comput. 78, 1988), one kernel
-call (pnorm): d - 1 table applications and about 2*log2(d) products mod
-f. With d = deg f it is the
-norm of the residue symbol. The equal-degree split needs a**((q**d-1)/2)
-mod g for the degree d of g's primes; for odd q that is exactly
-N_d(a)**((q-1)/2), N_d(a) = a**(1 + q + ... + q**(d-1)), so it takes the
-chain on g's table and a powmod to (q-1)/2 where the direct power took
-about d*log2(q) squarings mod g. No power above (q-1)/2 is left here.
+call: d - 1 table applications and about 2*log2(d) products mod f. Its
+steps are identities of the ring F_q[T]/(f), so it equals the powmod for
+every f and d >= 1; with d = deg f it is the norm of the residue symbol.
+The equal-degree split takes its power on the same chain.
 """
 
 from __future__ import annotations
@@ -118,13 +115,6 @@ def _squarefree_parts(ctx: FieldCtx, f) -> list[tuple[list[int], int]]:
     return parts
 
 
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic squarefree parts with multiplicities; f must be monic, deg >= 1.
-    Runs on coefficient lists; a squarefree f costs at most one gcd."""
-    ctx = f.ctx
-    return [(_wrap(ctx, g), m) for g, m in _squarefree_parts(ctx, f.coeffs)]
-
-
 TABLE_COEFFS = 4096  # bound on the sum of deg**2 over one field's kept tables
 
 
@@ -145,47 +135,40 @@ def frobenius_table(ctx: FieldCtx, m):
     return table
 
 
-def frobenius_norm(table, h: Poly, d: int) -> Poly:
-    """h**(1 + q + ... + q**(d-1)) mod f, for d >= 1, h reduced mod f and
-    table = frobenius_table(f): the kernel's pnorm, an Itoh-Tsujii chain on
-    the table. Its steps are identities of the ring F_q[T]/(f), so the
-    result equals the powmod for every f and d; with d = deg f it is the
-    norm of h when f is prime. The kernel raises ValueError for any other
-    h or d."""
-    return _wrap(h.ctx, h.ctx.kernel.pnorm(table, h.coeffs, d))
-
-
-def _distinct_degree_parts(ctx: FieldCtx, f) -> list[tuple[list[int], int]]:
+def _distinct_degree_parts(ctx: FieldCtx, f,
+                           first: bool = False) -> list[tuple[list[int], int]]:
     """The distinct-degree parts (g, d) of the monic nonconstant coefficient
-    list f: a line is its only part, with no table and no walk; otherwise
-    the kernel's pwalk on f's table."""
+    list f, g the product of f's primes of degree d, in the order found;
+    with first, only the first part. A line is its only part, with no
+    table and no walk; otherwise the kernel's pwalk on f's table. The parts
+    multiply to f when f is squarefree, as factoring needs. For any f the
+    first part is (f, deg f) exactly when f is irreducible (Ben-Or): a
+    reducible f, squares included, has a prime of degree <= deg(f)/2.
+
+    Step d holds h = T**(q**d) mod the f left after the parts found so far,
+    and takes gcd(f, h - T). Every step applies the first f's table, F's:
+    h**q mod F is h**q plus a multiple of F, hence of the current f, so once
+    f has shrunk below F the result is reduced mod f. That costs about
+    2*deg f*(deg F - deg f) field operations in each of the at most
+    deg(f)/2 steps left, where reducing the table's rows mod f cost about
+    deg f**2 * (deg F - deg f) at once."""
     if len(f) == 2:
         return [(f, 1)]
-    return ctx.kernel.pwalk(frobenius_table(ctx, f), False)
-
-
-def distinct_degree_split(f: Poly) -> Iterator[tuple[Poly, int]]:
-    """Yield (g, d), g the product of the monic f's primes of degree d, in the
-    order found, from the walk on coefficient lists. The parts multiply to f
-    when f is squarefree, as factoring needs. For any f the first part is
-    (f, deg f) exactly when f is irreducible (Ben-Or): a reducible f, squares
-    included, has a prime of degree <= deg(f)/2.
-
-    The walk is the kernel's pwalk on f's table. Step d holds h = T**(q**d)
-    mod the f left after the parts found so far, and takes gcd(f, h - T).
-    Every step applies the first f's table, F's: h**q mod F is h**q plus a
-    multiple of F, hence of the current f, so once f has shrunk below F the
-    result is reduced mod f. That costs about 2*deg f*(deg F - deg f) field
-    operations in each of the at most deg(f)/2 steps left, where reducing
-    the table's rows mod f cost about deg f**2 * (deg F - deg f) at once."""
-    ctx = f.ctx
-    for part, d in _distinct_degree_parts(ctx, f.coeffs):
-        yield _wrap(ctx, part), d
+    return ctx.kernel.pwalk(frobenius_table(ctx, f), first)
 
 
 def _equal_degree_parts(ctx: FieldCtx, f, d: int) -> list[list[int]]:
     """The degree-d primes of the monic squarefree coefficient list f, a
-    product of such primes, by the split equal_degree_split describes."""
+    product of such primes, by Cantor-Zassenhaus.
+
+    Each try draws a reduced mod the part g being split and takes
+    b = a**((q**d - 1)/2) - 1. Since (q**d - 1)/2 = (1 + q + ... + q**(d-1))
+    * (q - 1)/2 for odd q, b is N_d(a)**((q-1)/2) - 1 exactly, N_d(a) the
+    kernel's pnorm on g's table: d - 1 table applications and about
+    2*log2(d) products mod g, then a powmod to (q-1)/2, where the direct
+    power took about d*log2(q) squarings. b, every draw and every split are
+    those of the direct power. The draws come from random.Random(0), made
+    only once some part has to be split."""
     kernel, q = ctx.kernel, ctx.q
     out = []
     stack = [f]
@@ -215,32 +198,13 @@ def _equal_degree_parts(ctx: FieldCtx, f, d: int) -> list[list[int]]:
     return out
 
 
-def equal_degree_split(f: Poly, d: int) -> list[Poly]:
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
-    primes, on coefficient lists.
-
-    Each try draws a reduced mod the part g being split and takes
-    b = a**((q**d - 1)/2) - 1. Since (q**d - 1)/2 = (1 + q + ... + q**(d-1))
-    * (q - 1)/2 for odd q, b is N_d(a)**((q-1)/2) - 1 exactly, N_d(a) the
-    kernel's pnorm on g's table (frobenius_norm): d - 1 table applications and
-    about 2*log2(d) products mod g, then a powmod to (q-1)/2, where the
-    direct power took about d*log2(q) squarings. b, every draw and every
-    split are those of the direct power. The draws come from random.Random(0),
-    made only once some part has to be split.
-    """
-    ctx = f.ctx
-    return [_wrap(ctx, g) for g in _equal_degree_parts(ctx, f.coeffs, d)]
-
-
 def poly_is_irreducible(f: Poly) -> bool:
     """Ben-Or's irreducibility test over F_q: the first distinct-degree part
     of f is f itself, found at degree deg f."""
     if f.is_zero or f.degree < 1:
         raise ConstantInput("irreducibility is tested for nonconstant polynomials only")
-    if f.degree == 1:  # no table to build
-        return True
-    table = frobenius_table(f.ctx, f.ctx.kernel.pmonic(f.coeffs))
-    return f.ctx.kernel.pwalk(table, True)[0][1] == f.degree
+    ctx = f.ctx
+    return _distinct_degree_parts(ctx, ctx.kernel.pmonic(f.coeffs), True)[0][1] == f.degree
 
 
 def poly_factor(f: Poly) -> Factorization:

@@ -146,7 +146,8 @@ def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
 
     The caller proves P and Q prime, as run_report does through the
     conductor; here BadPair is raised only for a constant or non-monic
-    member, equal members or the wrong orientation.
+    member, equal members, the wrong orientation or members with a common
+    factor, which distinct primes never have.
 
     Sums s * ([ (B*Q + gamma^{-s} A) / (P*Q) ] - [ (A*P + gamma^{-s} B) / (P*Q) ])
     over monic A with deg A < deg Q, monic B with deg B < deg P, and
@@ -267,6 +268,8 @@ def _validate_pair(p_first: Poly, p_second: Poly) -> None:
         raise BadPair("pair members must be distinct")
     if poly_cmp(p_first, p_second) > 0:
         raise BadPair(f"pair ({p_first}, {p_second}) has the wrong orientation")
+    if poly_gcd(p_first, p_second).degree != 0:
+        raise BadPair(f"pair members {p_first} and {p_second} share a factor")
 
 
 # -- ramification -----------------------------------------------------------------

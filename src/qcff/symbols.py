@@ -8,8 +8,8 @@ it satisfies the reciprocity law checked by check_reciprocity().
 The symbol is computed along two paths:
 
 * residue_symbol() is the definition: the norm a**(1 + q + ... + q**(d-1))
-  mod r, d = deg r, taken on r's Frobenius table (frobenius_norm), which is
-  the same power as a**((|r|-1)/(q-1)) for every monic r. Its caller
+  mod r, d = deg r, taken by the kernel's pnorm on r's Frobenius table, which
+  is the same power as a**((|r|-1)/(q-1)) for every monic r. Its caller
   proves r prime, and the field keeps r's table from that proof on.
   jacobi_symbol() factors the lower entry. These are the oracle:
   check_reciprocity() and the selfcheck suites use only them, so a law
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import Poly, poly_factor, poly_gcd
-from .algebra.factor import frobenius_norm, frobenius_table
+from .algebra.factor import frobenius_table
 from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 
 
@@ -53,13 +53,14 @@ def residue_symbol(a: Poly, r: Poly) -> SymbolValue:
     """
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
-    reduced = frobenius_norm(frobenius_table(r.ctx, r.coeffs), a % r, r.degree)
-    if reduced.degree != 0:
+    ctx = r.ctx
+    norm = ctx.kernel.pnorm(frobenius_table(ctx, r.coeffs), (a % r).coeffs, r.degree)
+    if len(norm) != 1:
         # a unit's norm is a unit, so a nonzero constant proves gcd(a, r) = 1
         if poly_gcd(a, r).degree != 0:
             raise NotCoprime(f"{a} and {r} share a factor")
         raise NotPrimeModulus(f"{r} is not prime (symbol power was not constant)")
-    return SymbolValue.of(a.ctx, reduced.coeffs[0])
+    return SymbolValue.of(ctx, norm[0])
 
 
 def jacobi_symbol(a: Poly, b: Poly) -> SymbolValue:

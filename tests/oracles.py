@@ -254,8 +254,8 @@ def list_frobenius_rows(kernel, m) -> list[list[int]]:
 
 def itoh_tsujii_norm(kernel, rows, m, h, d: int) -> list[int]:
     """h**(1 + q + ... + q**(d-1)) mod m for d >= 1 on the list rows of m
-    (``list_frobenius_rows``), by the Itoh-Tsujii chain that
-    ``frobenius_norm`` ran before the kernel had ``pnorm``: one
+    (``list_frobenius_rows``), by the Itoh-Tsujii chain that the library
+    ran before the kernel had ``pnorm``: one
     ``frobenius_fold`` per application, kernel ``pmul`` and ``prem`` for
     each product mod m."""
     acc = base = list(h)

@@ -25,13 +25,7 @@ from qcff.algebra import (
 import qcff
 from qcff import selfcheck
 from qcff.algebra import factor
-from qcff.algebra.factor import (
-    distinct_degree_split,
-    equal_degree_split,
-    frobenius_norm,
-    frobenius_table,
-    squarefree_decomposition,
-)
+from qcff.algebra.factor import frobenius_table
 from qcff.errors import ConstantInput, ValidationError
 from qcff.selfcheck import all_polys_below, suite_factor_roundtrip, suite_phi_bruteforce
 from qcff.symbols import residue_symbol
@@ -49,6 +43,11 @@ from .oracles import (
 
 def _shape(fz):
     return [(str(pp.prime), pp.exp) for pp in fz.factors]
+
+
+def _polys(ctx, parts):
+    """The (coefficient list, n) pairs of a list stage as (Poly, n)."""
+    return [(Poly(ctx, g), n) for g, n in parts]
 
 
 class _CountingKernel:
@@ -87,7 +86,8 @@ def test_lines_build_no_frobenius_table(mk, monkeypatch):
     monkeypatch.setattr(ctx, "kernel", counting)
     for text in ("T", "2*T+1", "T+2"):
         assert poly_is_irreducible(mk(ctx, text))
-    assert list(distinct_degree_split(mk(ctx, "T+1"))) == [(mk(ctx, "T+1"), 1)]
+    line = mk(ctx, "T+1").coeffs
+    assert factor._distinct_degree_parts(ctx, line) == [(line, 1)]
     assert _shape(poly_factor(mk(ctx, "T^3+2*T^2+T"))) == [("T", 1), ("T+1", 2)]
     assert counting.calls["ptable"] == 0
     assert not poly_is_irreducible(mk(ctx, "T^2+2"))
@@ -133,10 +133,11 @@ def test_factor_rejects_constants(ctx3, mk):
 
 def test_squarefree_decomposition_handles_pth_powers(ctx3, mk):
     f = mk(ctx3, "T+1") ** 3 * mk(ctx3, "T") ** 2
-    parts = dict((str(g), m) for g, m in squarefree_decomposition(f))
+    parts = dict((str(g), m) for g, m in _polys(ctx3, factor._squarefree_parts(ctx3, f.coeffs)))
     assert parts == {"T+1": 3, "T": 2}
     f9 = mk(ctx3, "T") ** 9
-    assert [(str(g), m) for g, m in squarefree_decomposition(f9)] == [("T", 9)]
+    assert [(str(g), m) for g, m in _polys(ctx3, factor._squarefree_parts(ctx3, f9.coeffs))] \
+        == [("T", 9)]
 
 
 def test_squarefree_decomposition_takes_pth_roots_over_an_extension(ctx9, mk, monkeypatch):
@@ -153,7 +154,8 @@ def test_squarefree_decomposition_takes_pth_roots_over_an_extension(ctx9, mk, mo
     monkeypatch.setattr(factor, "_pth_root", spying)
     f = mk(ctx9, "T^4+T^3+6*T+6")
     assert f == mk(ctx9, "T+1") * mk(ctx9, "T+3") ** 3
-    assert squarefree_decomposition(f) == [(mk(ctx9, "T+1"), 1), (mk(ctx9, "T+3"), 3)]
+    assert _polys(ctx9, factor._squarefree_parts(ctx9, f.coeffs)) == \
+        [(mk(ctx9, "T+1"), 1), (mk(ctx9, "T+3"), 3)]
     assert roots == [(list(mk(ctx9, "T^3+6").coeffs), list(mk(ctx9, "T+3").coeffs))]
     assert _shape(poly_factor(f)) == [("T+1", 1), ("T+3", 3)]
 
@@ -167,13 +169,14 @@ def test_squarefree_input_costs_one_gcd(ctx3, ctx9, mk, monkeypatch):
         f = mk(ctx, text)
         counting = _CountingKernel(ctx.kernel)
         monkeypatch.setattr(ctx, "kernel", counting)
-        assert squarefree_decomposition(f) == [(f, 1)]
+        assert factor._squarefree_parts(ctx, f.coeffs) == [(f.coeffs, 1)]
         assert (counting.calls["pgcd"], counting.calls["pdivrem"]) == (gcds, 0), text
         monkeypatch.undo()
     counting = _CountingKernel(ctx3.kernel)
     monkeypatch.setattr(ctx3, "kernel", counting)
     f = mk(ctx3, "T+1") ** 2 * mk(ctx3, "T^2+1")
-    assert squarefree_decomposition(f) == [(mk(ctx3, "T^2+1"), 1), (mk(ctx3, "T+1"), 2)]
+    assert _polys(ctx3, factor._squarefree_parts(ctx3, f.coeffs)) == \
+        [(mk(ctx3, "T^2+1"), 1), (mk(ctx3, "T+1"), 2)]
     assert counting.calls["pgcd"] > 1 and counting.calls["pdivrem"] > 0
 
 
@@ -188,7 +191,8 @@ def test_squarefree_parts_take_no_constant_operand(ctx3, ctx9, mk, monkeypatch):
             (ctx9, mk(ctx9, "T+1") * mk(ctx9, "T+3") ** 3, [("T+1", 1), ("T+3", 3)])):
         counting = _CountingKernel(ctx.kernel)
         monkeypatch.setattr(ctx, "kernel", counting)
-        assert [(str(g), m) for g, m in squarefree_decomposition(f)] == parts
+        assert [(str(g), m) for g, m in _polys(ctx, factor._squarefree_parts(ctx, f.coeffs))] \
+            == parts
         monkeypatch.undo()
         assert counting.calls["pgcd"] > 0 and counting.calls["pdivrem"] > 0
         assert all(len(b) > 1 for _, b in counting.args["pdivrem"]), f
@@ -207,7 +211,8 @@ def test_factoring_matches_the_poly_level_references(ctx3, ctx5, ctx9):
                    for g in itertools.chain(monic_of_degree(ctx, 0), monic_of_degree(ctx, 1))
                    for k in (2, 3)]
         for f in inputs:
-            assert squarefree_decomposition(f) == poly_squarefree_decomposition(f), f
+            assert _polys(ctx, factor._squarefree_parts(ctx, f.coeffs)) == \
+                poly_squarefree_decomposition(f), f
             fz = poly_factor(f)
             assert fz == reference_factorization(f), f
             assert fz.product(ctx) == poly_power_product(ctx, fz) == f, f
@@ -329,8 +334,8 @@ def test_frobenius_table_gives_qth_powers(q, ctx3, ctx5):
                 assert list(ctx.kernel.papply(table, h.coeffs)) == \
                     list(poly_powmod(h, q, f).coeffs), (f, h)
                 for k in range(1, d + 1):
-                    assert frobenius_norm(table, h, k) == \
-                        poly_powmod(h, (q ** k - 1) // (q - 1), f), (f, h, k)
+                    assert list(ctx.kernel.pnorm(table, h.coeffs, k)) == \
+                        list(poly_powmod(h, (q ** k - 1) // (q - 1), f).coeffs), (f, h, k)
                 checked += 1
     assert checked == {3: 9 + 81 + 729 + 6561, 5: 25 + 25 * 16 + 125 * 16 + 625 * 16}[q]
 
@@ -369,6 +374,30 @@ def test_the_field_keeps_each_table(mk, monkeypatch):
     assert [tuple(m) for (m,) in counting.args["ptable"]] == [r.coeffs, s.coeffs]
     assert frobenius_table(ctx, r.coeffs) is frobenius_table(ctx, list(r.coeffs))
     assert counting.calls["ptable"] == 2
+
+
+def test_ben_or_and_factoring_build_one_table_per_prime(mk, monkeypatch):
+    """poly_is_irreducible and poly_factor on one prime f of degree >= 2
+    build exactly one table between them, in either order and for any
+    leading coefficient: both take f's distinct-degree parts on the table
+    the field keeps. A line builds none."""
+    ctx = field_create(3)
+    counting = _CountingKernel(ctx.kernel)
+    monkeypatch.setattr(ctx, "kernel", counting)
+    built = 0
+    for text, ben_or_first in (("T^2+1", True), ("T^3+2*T+1", False), ("T^4+T+2", True)):
+        f = mk(ctx, text)
+        if ben_or_first:
+            assert poly_is_irreducible(2 * f), text
+        assert _shape(poly_factor(f)) == [(text, 1)]
+        assert poly_is_irreducible(2 * f), text
+        built += 1
+        assert counting.calls["ptable"] == built, text
+        assert tuple(counting.args["ptable"][-1][0]) == f.coeffs, text
+    for text in ("T+2", "2*T+1"):
+        assert poly_is_irreducible(mk(ctx, text))
+        assert poly_factor(mk(ctx, text)).factors[0].prime == mk(ctx, "T+2")
+    assert counting.calls["ptable"] == built
 
 
 def test_the_kept_tables_stay_within_the_bound(monkeypatch):
@@ -427,8 +456,8 @@ def test_distinct_degree_split_of_known_products(ctx3):
             for p in chosen:
                 f = f * p
                 by_degree[p.degree] = by_degree.get(p.degree, one(ctx3)) * p
-            split = distinct_degree_split(f)
-            assert sorted((d, g.coeffs) for g, d in split) == \
+            split = factor._distinct_degree_parts(ctx3, f.coeffs)
+            assert sorted((d, tuple(g)) for g, d in split) == \
                 sorted((d, g.coeffs) for d, g in by_degree.items()), f
             cases += 1
     assert cases == 91 + 364  # 3 + 3 + 8 = 14 primes: C(14, 2) + C(14, 3)
@@ -463,7 +492,7 @@ def test_distinct_degree_split_matches_rereducing_walk(q, ctx3, ctx5, ctx7, ctx9
             for d in degrees:
                 for p in primes[d][:k]:
                     f = f * p
-            parts = list(distinct_degree_split(f))
+            parts = _polys(ctx, factor._distinct_degree_parts(ctx, f.coeffs))
             assert parts == rereducing_distinct_degree_split(f), f
             assert len(parts) >= 3, f
             tested.append(f)
@@ -496,7 +525,8 @@ def test_equal_degree_split_matches_the_direct_power(q, ctx3, ctx5, ctx7, ctx9):
                 f = one(ctx)
                 for p in chosen:
                     f = f * p
-                assert equal_degree_split(f, d) == powmod_equal_degree_split(f, d), (f, d)
+                split = factor._equal_degree_parts(ctx, f.coeffs, d)
+                assert [Poly(ctx, g) for g in split] == powmod_equal_degree_split(f, d), (f, d)
                 cases += 1
     # C(n, 2) + C(n, 3) products from n primes: 4 for n = 3 (F_3 has three
     # primes of degree 1 and three of degree 2), 20, 56 and 84 for 5, 7, 8
@@ -508,9 +538,9 @@ def test_frobenius_apply_rejects_unreduced_input(ctx3, mk):
     with pytest.raises(ValueError):
         ctx3.kernel.papply(table, mk(ctx3, "T^2").coeffs)
     with pytest.raises(ValueError):
-        frobenius_norm(table, mk(ctx3, "T^2"), 2)
+        ctx3.kernel.pnorm(table, mk(ctx3, "T^2").coeffs, 2)
     with pytest.raises(ValueError):
-        frobenius_norm(table, mk(ctx3, "T"), 0)
+        ctx3.kernel.pnorm(table, mk(ctx3, "T").coeffs, 0)
 
 
 def _irreducible_by_trial_division(f):

@@ -236,6 +236,9 @@ def test_formal_sum_rejects_bad_pairs(ctx3, mk):
         pair_formal_sum(var_T(ctx3), mk(ctx3, "2*T^2+1"))  # not monic
     with pytest.raises(BadPair):
         pair_formal_sum(mk(ctx3, "2"), var_T(ctx3))  # constant
+    for second in ("T^2", "T^2+T"):  # gcd with T is T
+        with pytest.raises(BadPair):
+            pair_formal_sum(var_T(ctx3), mk(ctx3, second))
 
 
 class _TablelessKernel:

@@ -45,6 +45,18 @@ def test_symbol_rejects_noncoprime_and_bad_modulus(ctx3, mk):
         residue_symbol(mk(ctx3, "T+1"), mk(ctx3, "T^3+T"))  # T * (T^2+1)
 
 
+def test_symbol_takes_the_upper_entry_from_an_equal_field(ctx3, ctx5, mk):
+    """a may belong to another context of r's field, as a % r allows: the
+    norm runs on r's kernel, the one that built r's table. An a from
+    another field is refused."""
+    r, other = mk(ctx3, "T^2+1"), field_create(3)
+    assert other is not ctx3 and other.kernel is not ctx3.kernel
+    for text in ("T", "T+1", "2*T+2"):
+        assert residue_symbol(mk(other, text), r) == residue_symbol(mk(ctx3, text), r), text
+    with pytest.raises(ValidationError):
+        residue_symbol(mk(ctx5, "T"), mk(ctx3, "T+1"))
+
+
 def _outcome(symbol, *args):
     try:
         return symbol(*args)
