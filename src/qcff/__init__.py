@@ -47,7 +47,7 @@ from .kummer import (
 )
 from .report import render_json, render_text, run_report
 from .selfcheck import run_selfcheck
-from .symbols import SymbolValue, check_reciprocity, jacobi_symbol, residue_symbol
+from .symbols import check_reciprocity, jacobi_symbol, residue_symbol
 
 __all__ = [
     "Conductor",
@@ -64,7 +64,6 @@ __all__ = [
     "Poly",
     "PrimePower",
     "RamTable",
-    "SymbolValue",
     "__version__",
     "algebra",
     "backend_name",

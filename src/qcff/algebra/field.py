@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .._kernels import FieldKernel
 from ..errors import (
     EvenCharacteristic,
-    LogOfZero,
     MissingModulus,
     NonPrimeP,
     ReducibleModulus,
@@ -63,9 +62,12 @@ def _digit_vector(x: int, p: int) -> list[int]:
 class FieldCtx:
     """Context for one finite field F_q, built by field_create().
 
-    Carries the precomputed exp/log tables for the canonical generator, the
-    kernel engine built on them and its one mutable part, tables: the
-    Frobenius tables factor.frobenius_table keeps, table_coeffs their deg**2.
+    Carries the exp/log tables of the canonical generator gamma: exp[i] is
+    gamma**i for i in [0, w), and log[x] is the i with exp[i] = x for a
+    nonzero x (log[0] is -1). Every discrete log is read as log[x]. It also
+    carries the kernel engine built on the tables and its one mutable part,
+    tables: the Frobenius tables factor.frobenius_table keeps, table_coeffs
+    their deg**2.
     """
 
     __slots__ = ("p", "e", "q", "w", "modulus", "gamma", "exp", "log",
@@ -109,17 +111,6 @@ class FieldCtx:
     def minus_one(self) -> int:
         """The encoding of -1: its lowest base-p digit is p - 1."""
         return self.p - 1
-
-    def dlog(self, x: int) -> int:
-        """The unique i in [0, w) with gamma**i = x, for nonzero encoded x."""
-        self._check_elem(x)
-        if x == 0:
-            raise LogOfZero("discrete log of zero")
-        return self.log[x]
-
-    def gamma_pow(self, i: int) -> int:
-        """gamma**i for any integer i (reduced mod w)."""
-        return self.exp[i % self.w]
 
 
 def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None) -> FieldCtx:

@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="report only the cyclotomic layer (pairs may be empty)")
     rep.add_argument("--format", choices=("json", "text"), default="json",
                      help="output format (default json)")
-    rep.add_argument("--force-a-pq", action="store_true",
-                     help="emit formal sums even past the raw-term cap")
 
     chk = sub.add_parser("selfcheck", help="run the property suites")
     chk.add_argument("--scope", choices=("small", "full"), default="small")
@@ -65,8 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_report(args) -> int:
     cfg = load_config(args.config)
-    report = run_report(cfg, cyclotomic_only=args.cyclotomic_only,
-                        ignore_term_cap=args.force_a_pq)
+    report = run_report(cfg, cyclotomic_only=args.cyclotomic_only)
     try:
         text = render_json(report) if args.format == "json" else render_text(report)
     except ValueError as exc:  # an int past Python's int-to-str digit limit

@@ -46,10 +46,6 @@ class MissingModulus(ValidationError):
 
 # --- element / polynomial arithmetic --------------------------------------
 
-class LogOfZero(ValidationError):
-    """Discrete logarithm of the zero element requested."""
-
-
 class DivisionByZero(ValidationError):
     """Polynomial division or reduction by the zero polynomial."""
 

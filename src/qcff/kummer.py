@@ -352,8 +352,6 @@ class ParityReport:
     passed: bool
     e_first: int
     e_second: int
-    d_first: int
-    d_second: int
 
 
 def parity_consistency(pairs: PairSet, ram: RamTable) -> ParityReport:
@@ -365,9 +363,7 @@ def parity_consistency(pairs: PairSet, ram: RamTable) -> ParityReport:
     e2 = ram.e_for(p_second)
     applicable = (p_first.degree * p_second.degree) % 2 == 0
     passed = (e1 == e2) if applicable else True
-    return ParityReport(applicable=applicable, passed=passed,
-                        e_first=e1, e_second=e2,
-                        d_first=p_first.degree, d_second=p_second.degree)
+    return ParityReport(applicable=applicable, passed=passed, e_first=e1, e_second=e2)
 
 
 # -- the Galois presentation -----------------------------------------------------

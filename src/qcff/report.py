@@ -55,8 +55,7 @@ def _json(value: Any) -> Any:
     return value
 
 
-def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
-               ignore_term_cap: bool = False) -> dict[str, Any]:
+def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, Any]:
     """Execute the full pipeline and return the structured report."""
     if not cfg.pairs and not cyclotomic_only:
         raise ConfigError("pair set must be nonempty; pass --cyclotomic-only "
@@ -115,7 +114,7 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False,
 
         if cfg.options.emit_a_pq:
             kummer_block["formal_sums"] = _formal_sums_block(
-                pairs, cfg.options.a_pq_term_cap, ignore_term_cap)
+                pairs, cfg.options.a_pq_term_cap)
 
         report["kummer"] = kummer_block
 
@@ -146,8 +145,8 @@ def _symbol_checks(pairs: PairSet, ram: RamTable) -> list[dict]:
         law = check_reciprocity(a, b)
         checks.append({"name": f"reciprocity for ({format_poly(a)}, {format_poly(b)})",
                        "passed": law.holds})
-        vbar[a.coeffs] += law.first_over_second.dlog
-        vbar[b.coeffs] -= law.second_over_first.dlog
+        vbar[a.coeffs] += law.first_over_second
+        vbar[b.coeffs] -= law.second_over_first
     for row in ram.per_prime:
         v = vbar[row.prime.coeffs] % row.prime.ctx.w
         if v != row.vbar:
@@ -156,16 +155,16 @@ def _symbol_checks(pairs: PairSet, ram: RamTable) -> list[dict]:
     return checks
 
 
-def _formal_sums_block(pairs: PairSet, cap: int, ignore_cap: bool) -> list[dict]:
+def _formal_sums_block(pairs: PairSet, cap: int) -> list[dict]:
     """The formal sum of every pair. Each pair's raw term count is checked
     against the cap before the first sum is computed."""
     for a, b in pairs.pairs:
         expected = raw_term_count(a.ctx, a.degree, b.degree)
-        if not ignore_cap and expected > cap:
+        if expected > cap:
             raise ConfigError(
                 f"formal sum for ({format_poly(a)}, {format_poly(b)}) has "
                 f"{expected} raw terms, over the cap {cap}; raise "
-                f"options.a_pq_term_cap or pass --force-a-pq")
+                f"options.a_pq_term_cap")
     ctx = pairs.pairs[0][0].ctx
     # numerators have degree below the largest deg PQ
     monomials = [[_monomial(k, c) for c in range(ctx.q)]

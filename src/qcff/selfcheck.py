@@ -121,7 +121,7 @@ def suite_symbol_character(ctx: FieldCtx, max_degree: int) -> SuiteResult:
                 continue
             cases += 1
             is_power = a.coeffs in powers
-            symbol_trivial = residue_symbol(a, r).value == 1
+            symbol_trivial = residue_symbol(a, r) == 0
             if is_power != symbol_trivial:
                 failures.append(f"({format_poly(a)} / {format_poly(r)})")
     return SuiteResult(f"symbol-character q={ctx.q} degR<={max_degree}", cases, failures)
@@ -147,7 +147,7 @@ def suite_symbol_euclid(ctx: FieldCtx, max_degree: int, a_degree: int) -> SuiteR
                 except NotCoprime:
                     pass
                 try:
-                    powmod = jacobi_symbol(a, b).dlog
+                    powmod = jacobi_symbol(a, b)
                 except NotCoprime:
                     pass
                 if euclid != powmod:

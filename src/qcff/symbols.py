@@ -5,6 +5,10 @@ element of F_q* congruent to a**((|r|-1)/(q-1)) mod r; |r| = q**deg(r).
 jacobi_symbol() extends it multiplicatively to any monic lower entry, and
 it satisfies the reciprocity law checked by check_reciprocity().
 
+Every function here returns a symbol as its discrete log base gamma, an int
+in [0, w), w = q-1: that is all the Kummer layer reads (a prime's vbar is a
+sum of symbol logs). The value in F_q* is ctx.exp[dlog].
+
 The symbol is computed along two paths:
 
 * residue_symbol() is the definition: the norm a**(1 + q + ... + q**(d-1))
@@ -22,7 +26,6 @@ The symbol is computed along two paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import Poly, poly_factor, poly_gcd
@@ -30,26 +33,12 @@ from .algebra.factor import frobenius_table
 from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 
 
-@dataclass(frozen=True)
-class SymbolValue:
-    """A symbol value in F_q*, paired with its discrete log base gamma."""
-
-    value: int
-    dlog: int
-
-    @classmethod
-    def of(cls, ctx, value: int) -> "SymbolValue":
-        dlog = ctx.dlog(value)
-        if ctx.exp[dlog] != value:
-            raise ValidationError("inconsistent discrete log")  # pragma: no cover
-        return cls(value=value, dlog=dlog)
-
-
-def residue_symbol(a: Poly, r: Poly) -> SymbolValue:
-    """The (q-1)-th power residue symbol of a modulo the monic prime r, on
-    the Frobenius table r's field keeps. Errors, in this order: NotPrimeModulus
-    for a constant or non-monic r; NotCoprime when gcd(a, r) != 1;
-    NotPrimeModulus when the norm is not constant (r is then reducible).
+def residue_symbol(a: Poly, r: Poly) -> int:
+    """The dlog of the (q-1)-th power residue symbol of a modulo the monic
+    prime r, on the Frobenius table r's field keeps. Errors, in this order:
+    NotPrimeModulus for a constant or non-monic r; NotCoprime when
+    gcd(a, r) != 1; NotPrimeModulus when the norm is not constant (r is
+    then reducible).
     """
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
@@ -60,21 +49,18 @@ def residue_symbol(a: Poly, r: Poly) -> SymbolValue:
         if poly_gcd(a, r).degree != 0:
             raise NotCoprime(f"{a} and {r} share a factor")
         raise NotPrimeModulus(f"{r} is not prime (symbol power was not constant)")
-    return SymbolValue.of(ctx, norm[0])
+    return ctx.log[norm[0]]
 
 
-def jacobi_symbol(a: Poly, b: Poly) -> SymbolValue:
-    """Multiplicative extension of the residue symbol to a monic b.
-
-    Its dlog is the sum of exp * dlog (a over P) over the prime powers P^exp
-    of b; for b = 1 the symbol is 1.
+def jacobi_symbol(a: Poly, b: Poly) -> int:
+    """The dlog of the multiplicative extension of the residue symbol to a
+    monic b: the sum of exp * dlog (a over P) over the prime powers P^exp
+    of b, mod w; for b = 1 it is 0.
     """
-    ctx = a.ctx
     if not b.monic:
         raise NotMonic(f"lower entry {b} must be monic")
     factors = poly_factor(b).factors if b.degree > 0 else ()
-    acc = sum(pp.exp * residue_symbol(a, pp.prime).dlog for pp in factors) % ctx.w
-    return SymbolValue(value=ctx.exp[acc], dlog=acc)
+    return sum(pp.exp * residue_symbol(a, pp.prime) for pp in factors) % a.ctx.w
 
 
 def symbol_dlog(a: Poly, b: Poly) -> int:
@@ -83,7 +69,7 @@ def symbol_dlog(a: Poly, b: Poly) -> int:
     Each step reduces a mod b; pulls out a's leading coefficient c, since
     (c over b) = c**deg b; then swaps the two monic entries by reciprocity,
     (a over b) = (-1)**(deg a * deg b) * (b over a), where -1 has dlog w/2.
-    It equals jacobi_symbol(a, b).dlog and raises NotCoprime on the same
+    It equals jacobi_symbol(a, b) and raises NotCoprime on the same
     inputs: a reaches 0 while b is still nonconstant exactly when
     gcd(a, b) != 1.
     """
@@ -109,21 +95,21 @@ def symbol_dlog(a: Poly, b: Poly) -> int:
 
 
 class Reciprocity(NamedTuple):
-    """The symbols (p1 over p2) and (p2 over p1) of two distinct monic primes,
-    and whether (p2 over p1) = (-1)**(deg p1 * deg p2) * (p1 over p2)."""
+    """The dlogs of the symbols (p1 over p2) and (p2 over p1) of two distinct
+    monic primes, and whether
+    (p2 over p1) = (-1)**(deg p1 * deg p2) * (p1 over p2)."""
 
-    first_over_second: SymbolValue
-    second_over_first: SymbolValue
+    first_over_second: int
+    second_over_first: int
     holds: bool
 
 
 def check_reciprocity(p1: Poly, p2: Poly) -> Reciprocity:
-    """Evaluate both sides of the reciprocity law independently and compare."""
+    """Evaluate both sides of the reciprocity law independently and compare
+    them in logs, where the sign -1 is the shift by w/2, as in symbol_dlog."""
     if p1 == p2:
         raise EqualPrimes("reciprocity needs two distinct primes")
-    ctx = p1.ctx
+    w = p1.ctx.w
     left, right = residue_symbol(p2, p1), residue_symbol(p1, p2)
-    signed = right.value
-    if (p1.degree * p2.degree) % 2 == 1:
-        signed = ctx.kernel.fmul(signed, ctx.minus_one)
-    return Reciprocity(right, left, left.value == signed)
+    sign = w // 2 if (p1.degree * p2.degree) % 2 else 0
+    return Reciprocity(right, left, left == (right + sign) % w)

@@ -5,10 +5,11 @@ exp/log or addition tables), and polynomial sums and products are plain
 coefficient-wise sums and convolutions over them. The brute-force oracles
 of the law checks (unit counts, power-residue sets) live with the suites
 that use them, in ``qcff.selfcheck``. ``powmod_residue_symbol`` keeps the
-residue symbol's definition as one modular power, the reference of the
-library's norm form, ``frobenius_fold`` keeps the Frobenius
-application as the fold of kernel sums and scalings it was before the
-kernel had ``papply``. ``list_frobenius_rows``, ``itoh_tsujii_norm`` and
+residue symbol's definition as one modular power, its dlog found by
+``naive_dlog``, the reference of the library's norm form;
+``frobenius_fold`` keeps the Frobenius application as the fold of kernel
+sums and scalings it was before the kernel had ``papply``.
+``list_frobenius_rows``, ``itoh_tsujii_norm`` and
 ``list_distinct_degree_split`` keep the row build, the norm chain and
 the walk as Python loops over kernel calls on coefficient lists, as they
 were before the kernel had ``ptable``, ``pnorm`` and ``pwalk``: the
@@ -58,7 +59,6 @@ from qcff.algebra.poly import coeffs_sort_key
 from qcff.errors import NotCoprime, NotPrimeModulus
 from qcff.kummer import FormalSum, pair_formal_sum, raw_term_count
 from qcff.report import _poly_json
-from qcff.symbols import SymbolValue
 
 
 def digits_of(ctx: FieldCtx, x: int) -> list[int]:
@@ -401,9 +401,10 @@ def poly_power_product(ctx: FieldCtx, fz: Factorization) -> Poly:
     return out
 
 
-def powmod_residue_symbol(a: Poly, r: Poly) -> SymbolValue:
-    """The residue symbol as a**((|r|-1)/(q-1)) mod r by one powmod, with
-    residue_symbol's checks in residue_symbol's order."""
+def powmod_residue_symbol(a: Poly, r: Poly) -> int:
+    """The dlog of the residue symbol a**((|r|-1)/(q-1)) mod r, by one
+    powmod and a power walk from gamma, with residue_symbol's checks in
+    residue_symbol's order."""
     ctx = a.ctx
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
@@ -412,7 +413,7 @@ def powmod_residue_symbol(a: Poly, r: Poly) -> SymbolValue:
     reduced = poly_powmod(a, (ctx.q ** r.degree - 1) // ctx.w, r)
     if reduced.degree != 0:
         raise NotPrimeModulus(f"{r} is not prime (symbol power was not constant)")
-    return SymbolValue.of(ctx, reduced.coeffs[0])
+    return naive_dlog(ctx, reduced.coeffs[0])
 
 
 def per_term_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
@@ -444,7 +445,7 @@ def _per_term_half_sum(ctx, P, Q, sign, over_q, over_pq) -> None:
     for a in (f.coeffs for f in enumerate_monic_below(ctx, len(Q) - 1)):
         a_over_q = kernel.prem(kernel.pmul(a, q_inv), P)
         for s in range(1, ctx.q - 1):
-            c = ctx.gamma_pow(-s)
+            c = ctx.exp[-s % ctx.w]
             ca = pscale(a, c)
             # -c*A/Q mod P is the only B with P | B*Q + c*A, if it is monic
             hit = b_times_q.get(tuple(pscale(a_over_q, ctx.kernel.fneg(c))))

@@ -303,20 +303,30 @@ def test_factor_rejects_q_past_max_q(q, capsys):
     assert f"MAX_Q = {MAX_Q}" in capsys.readouterr().err
 
 
-def test_force_a_pq_flag(tmp_path):
-    cfg = tmp_path / "cap.json"
-    cfg.write_text(json.dumps({
+def test_term_cap_is_raised_in_the_config(tmp_path):
+    """A formal sum past the config's a_pq_term_cap exits 2 and names the
+    key; the same config with the cap raised gives the sum, and its report
+    echoes the cap it ran under. No flag overrides the cap."""
+    raw = {
         "p": 3,
         "conductor": {"factors": [["T", 1], ["T+1", 1]]},
         "pairs": [["T", "T+1"]],
         "options": {"emit_a_pq": True, "a_pq_term_cap": 1},
-    }), encoding="utf-8")
+    }
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
     proc = run_cli("report", "--config", str(cfg))
     assert proc.returncode == 2
-    proc = run_cli("report", "--config", str(cfg), "--force-a-pq")
-    assert proc.returncode == 0
+    assert "(ConfigError)" in proc.stderr and "a_pq_term_cap" in proc.stderr
+    assert run_cli("report", "--config", str(cfg), "--force-a-pq").returncode == 2
+
+    raw["options"]["a_pq_term_cap"] = 2
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    proc = run_cli("report", "--config", str(cfg))
+    assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["kummer"]["formal_sums"][0]["raw_terms"] == 2
+    assert report["inputs"]["options"]["a_pq_term_cap"] == 2
 
 
 def test_info_verb_names_version_and_backend():

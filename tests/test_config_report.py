@@ -238,8 +238,9 @@ def test_formal_sum_emission_and_cap():
     capped = _base_config(options={"emit_a_pq": True, "a_pq_term_cap": 1})
     with pytest.raises(ConfigError):
         run_report(parse_config(capped))
-    # override flag bypasses the cap
-    report = run_report(parse_config(capped), ignore_term_cap=True)
+    # a cap at the raw term count lets the sum through
+    raised = _base_config(options={"emit_a_pq": True, "a_pq_term_cap": 2})
+    report = run_report(parse_config(raised))
     assert report["kummer"]["formal_sums"][0]["raw_terms"] == 2
 
 
@@ -476,7 +477,7 @@ _P9 = {"p": 3, "e": 2, "modulus": "T^2+1",
 
 
 # json_sha and text_sha pin the bytes of render_json and render_text
-@pytest.mark.parametrize("raw,cyclotomic_only,json_sha,text_sha", [
+_PINNED_REPORTS = [
     (_base_config(options={"emit_a_pq": True}), False,
      "ff076ee3c4e555b9ef9b12502e0ae01d9984e63977a6acf36ff5f6b0b96e531c",
      "20fb7c5d76c60123e07bbcb62256e562ea76005017a9a1d8e63a09aa03c1ded3"),
@@ -496,8 +497,13 @@ _P9 = {"p": 3, "e": 2, "modulus": "T^2+1",
     (_P9, True,
      "5398738a23a79110a55e18f5ca4807f5af533b99a7f1b9b725c2f5d1274d5d46",
      "3a26cf6b9c2ea3855e2f2982cbce60cad23c7dc28e3d1a13b801673a1f25acdf"),
-], ids=["quasi_a_pq", "determinism_a_pq", "cyclotomic_only",
-        "cyclotomic_only_with_pairs", "f9_a_pq", "f9_cyclotomic_only"])
+]
+_PINNED_IDS = ["quasi_a_pq", "determinism_a_pq", "cyclotomic_only",
+               "cyclotomic_only_with_pairs", "f9_a_pq", "f9_cyclotomic_only"]
+
+
+@pytest.mark.parametrize("raw,cyclotomic_only,json_sha,text_sha", _PINNED_REPORTS,
+                         ids=_PINNED_IDS)
 def test_render_json_matches_generic_encoder_on_reports(raw, cyclotomic_only,
                                                         json_sha, text_sha):
     report = run_report(parse_config(raw), cyclotomic_only=cyclotomic_only)
@@ -505,6 +511,37 @@ def test_render_json_matches_generic_encoder_on_reports(raw, cyclotomic_only,
     assert text == _oracle(report)
     assert hashlib.sha256(text.encode()).hexdigest() == json_sha
     assert hashlib.sha256(render_text(report).encode()).hexdigest() == text_sha
+
+
+def _echoed_configs(report):
+    """The configs a report's echo spells: its field, conventions.rng_seed
+    and inputs, with the conductor once as its factors (and the polynomials
+    as coefficient arrays) and once as its product (and as text)."""
+    field, inputs = report["field"], report["inputs"]
+    base = {"p": field["p"], "e": field["e"], "rng_seed": report["conventions"]["rng_seed"],
+            "options": inputs["options"]}
+    if field["modulus"] is not None:
+        base["modulus"] = field["modulus"]
+    conductor = inputs["conductor"]
+    by_factors = dict(base, conductor={"factors": [[f["prime"]["coeffs"], f["exp"]]
+                                                   for f in conductor["factors"]]},
+                      pairs=[[a["coeffs"], b["coeffs"]] for a, b in inputs["pairs"]])
+    by_poly = dict(base, conductor={"poly": conductor["poly"]["str"]},
+                   pairs=[[a["str"], b["str"]] for a, b in inputs["pairs"]])
+    return by_factors, by_poly
+
+
+@pytest.mark.parametrize("raw,cyclotomic_only",
+                         [case[:2] for case in _PINNED_REPORTS], ids=_PINNED_IDS)
+def test_report_reproduces_from_its_echo(raw, cyclotomic_only):
+    """A config rebuilt from what a report echoes gives the same bytes, so
+    every input that shapes a report is echoed in it."""
+    report = run_report(parse_config(raw), cyclotomic_only=cyclotomic_only)
+    text = render_json(report)
+    for rebuilt in _echoed_configs(json.loads(text)):
+        again = run_report(parse_config(rebuilt),
+                           cyclotomic_only=report["inputs"]["cyclotomic_only"])
+        assert render_json(again) == text, rebuilt
 
 
 @pytest.mark.parametrize("value,name", [

@@ -119,7 +119,7 @@ def _formal_sum_by_reduction(p_first, p_second):
     for a in enumerate_monic_below(ctx, p_second.degree):
         for b in enumerate_monic_below(ctx, p_first.degree):
             for s in range(1, ctx.q - 1):
-                c = ctx.gamma_pow(-s)
+                c = ctx.exp[-s % ctx.w]
                 for num, coeff in ((b * p_second + a.scale(c), s),
                                    (a * p_first + b.scale(c), -s)):
                     raw += 1
@@ -198,7 +198,7 @@ def _per_term_pairs():
 def _has_hit(p_first, p_second, a):
     """Whether P | B*Q + gamma^{-s} A for some monic B below deg P and some s."""
     ctx = p_first.ctx
-    return any(((b * p_second + a.scale(ctx.gamma_pow(-s))) % p_first).is_zero
+    return any(((b * p_second + a.scale(ctx.exp[-s % ctx.w])) % p_first).is_zero
                for b in enumerate_monic_below(ctx, p_first.degree)
                for s in range(1, ctx.q - 1))
 
@@ -314,8 +314,8 @@ def test_ramification_matches_direct_symbol_formulas(ctx3, ctx5):
             cond = _cond(ctx, (a, 1), (b, 1))
             ps = pairset_create(cond, [(a, b)])
             ram = ramification_table(cond, ps)
-            e_first = ctx.w // math.gcd(ctx.w, residue_symbol(a, b).dlog)
-            e_second = ctx.w // math.gcd(ctx.w, residue_symbol(b, a).dlog)
+            e_first = ctx.w // math.gcd(ctx.w, residue_symbol(a, b))
+            e_second = ctx.w // math.gcd(ctx.w, residue_symbol(b, a))
             assert ram.e_for(a) == e_first
             assert ram.e_for(b) == e_second
 
@@ -346,8 +346,8 @@ def test_ramification_matches_partner_product_formula(ctx3, ctx5):
                                               start=one(ctx))
                             as_second = math.prod([a for a, b in subset if b == row.prime],
                                               start=one(ctx))
-                            expected = (jacobi_symbol(row.prime, as_first).dlog
-                                        - jacobi_symbol(row.prime, as_second).dlog) % ctx.w
+                            expected = (jacobi_symbol(row.prime, as_first)
+                                        - jacobi_symbol(row.prime, as_second)) % ctx.w
                             assert row.vbar == expected, (subset, row.prime)
                             checks += 1
     assert (pair_sets, checks) == (1205, 3870)
@@ -560,8 +560,8 @@ def test_multi_pair_set_full_pipeline(ctx3, mk):
     ram = ramification_table(cond, ps)
     # combined valuation for the shared prime T+1:
     # dlog(T+1 / T+2) - dlog(T+1 / T)
-    lhs = residue_symbol(t1, t2).dlog
-    rhs = residue_symbol(t1, t).dlog
+    lhs = residue_symbol(t1, t2)
+    rhs = residue_symbol(t1, t)
     assert ram.row_for(t1).vbar == (lhs - rhs) % ctx3.w
     pres = presentation(cond, ps, ram)
     assert len(pres.relations) == 2

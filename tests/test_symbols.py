@@ -20,20 +20,24 @@ from qcff.config import parse_config
 from qcff.errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 from qcff.report import run_report
 from qcff.selfcheck import all_polys_below, suite_symbol_euclid
-from qcff.symbols import SymbolValue, check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
+from qcff.symbols import check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
 
 from .oracles import powmod_residue_symbol
 
 
 def test_symbol_examples(ctx3, mk):
-    assert residue_symbol(one(ctx3), mk(ctx3, "T^2+1")).value == 1
-    assert residue_symbol(var_T(ctx3), mk(ctx3, "T+1")).value == 2  # T = -1 mod T+1
-    assert residue_symbol(var_T(ctx3), mk(ctx3, "T^2+1")).value == 1
+    # over F_3, gamma = 2 = -1: the value 1 has dlog 0 and the value 2 dlog 1
+    assert residue_symbol(one(ctx3), mk(ctx3, "T^2+1")) == 0
+    assert residue_symbol(var_T(ctx3), mk(ctx3, "T+1")) == 1  # T = -1 mod T+1
+    assert residue_symbol(var_T(ctx3), mk(ctx3, "T^2+1")) == 0
 
 
 def test_symbol_value_carries_consistent_dlog(ctx5, mk):
+    """The symbol is a dlog in [0, w) whose power of gamma is the symbol's
+    value: T = -1 mod T+1, and (-1)**((5-1)/4) = -1 = 4."""
     s = residue_symbol(var_T(ctx5), mk(ctx5, "T+1"))
-    assert ctx5.exp[s.dlog] == s.value
+    assert 0 <= s < ctx5.w
+    assert ctx5.exp[s] == 4
 
 
 def test_symbol_rejects_noncoprime_and_bad_modulus(ctx3, mk):
@@ -84,11 +88,13 @@ def test_norm_symbol_matches_powmod_definition(ctx3, ctx5, ctx9, monkeypatch):
                     built = len(kernel.built)
                     assert _outcome(residue_symbol, a, r) == got, (a, r)
                     assert len(kernel.built) == built, (a, r)
-                    kind = got if isinstance(got, type) else SymbolValue
+                    kind = got if isinstance(got, type) else int
+                    if kind is int:
+                        assert 0 <= got < ctx.w, (a, r)
                     seen[kind] = seen.get(kind, 0) + 1
         monkeypatch.undo()
     # a reducible r gives values, NotCoprime and NotPrimeModulus
-    assert min(seen[SymbolValue], seen[NotCoprime], seen[NotPrimeModulus]) > 0
+    assert min(seen[int], seen[NotCoprime], seen[NotPrimeModulus]) > 0
     assert sum(seen.values()) == 40 * 27 + 31 * 25 + 91 * 81
 
 
@@ -100,9 +106,9 @@ def test_symbol_multiplicative_in_upper_entry(ctx3, mk):
     for _ in range(100):
         a, b = rng.choice(residues), rng.choice(residues)
         lhs = residue_symbol(a * b, r)
-        assert lhs.value == ctx3.kernel.fmul(residue_symbol(a, r).value,
-                                             residue_symbol(b, r).value)
-        assert lhs.dlog == (residue_symbol(a, r).dlog + residue_symbol(b, r).dlog) % ctx3.w
+        assert ctx3.exp[lhs] == ctx3.kernel.fmul(ctx3.exp[residue_symbol(a, r)],
+                                                 ctx3.exp[residue_symbol(b, r)])
+        assert lhs == (residue_symbol(a, r) + residue_symbol(b, r)) % ctx3.w
 
 
 def test_symbol_depends_only_on_residue(ctx3, mk):
@@ -111,14 +117,15 @@ def test_symbol_depends_only_on_residue(ctx3, mk):
         if a.is_zero:
             continue
         shifted = a + r * mk(ctx3, "T^2+2*T+1")
-        assert residue_symbol(a, r).value == residue_symbol(shifted, r).value
+        assert residue_symbol(a, r) == residue_symbol(shifted, r)
 
 
 def test_jacobi_examples(ctx3, mk):
     t = var_T(ctx3)
-    assert jacobi_symbol(t, mk(ctx3, "T+1") * mk(ctx3, "T+2")).value == 2
-    assert jacobi_symbol(t, one(ctx3)).value == 1
-    assert jacobi_symbol(t, mk(ctx3, "T+1") ** 2).value == 1
+    # values 2, 1 and 1 over F_3, where gamma = 2
+    assert jacobi_symbol(t, mk(ctx3, "T+1") * mk(ctx3, "T+2")) == 1
+    assert jacobi_symbol(t, one(ctx3)) == 0
+    assert jacobi_symbol(t, mk(ctx3, "T+1") ** 2) == 0
 
 
 def test_jacobi_agrees_with_residue_symbol_on_primes(ctx3):
