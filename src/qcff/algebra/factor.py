@@ -29,16 +29,15 @@ The equal-degree split takes its power on the same chain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..errors import ConstantInput, ValidationError
+from ..record import Record
 from .field import FieldCtx
 from .poly import Poly, _wrap, coeffs_derivative, coeffs_sort_key, monic_of_degree
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(Record):
     """A monic irreducible together with its exponent in some factorization."""
 
     prime: Poly
@@ -52,8 +51,7 @@ class PrimePower:
         return cls(prime=prime, exp=exp, degree=d, norm=prime.ctx.q ** d)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     lead: int
     factors: tuple[PrimePower, ...]
 
@@ -122,16 +120,21 @@ def frobenius_table(ctx: FieldCtx, m):
     """The kernel's ptable(m) of the nonconstant stripped coefficient list m:
     the rows T**(q*i) mod m for i < deg m, len() of them, and m's divisor.
     ctx keeps it by m's tuple and the kernels only read a built table, so
-    later calls on m share it. ctx forgets all its tables once their total
-    deg**2 would pass TABLE_COEFFS, and keeps no table past it on its own."""
+    later calls on m share it. ctx keeps its tables in the order of their
+    last use and drops the least recently used ones while their total
+    deg**2 would pass TABLE_COEFFS; a table past it alone is not kept."""
     key = tuple(m)
-    table = ctx.tables.get(key)
-    if table is None:
-        table, size = ctx.kernel.ptable(key), (len(key) - 1) ** 2
-        if ctx.table_coeffs + size > TABLE_COEFFS:
-            ctx.tables, ctx.table_coeffs = {}, 0
-        if size <= TABLE_COEFFS:
-            ctx.tables[key], ctx.table_coeffs = table, ctx.table_coeffs + size
+    tables = ctx.tables
+    table = tables.get(key)
+    if table is not None:
+        tables.move_to_end(key)
+        return table
+    table, size = ctx.kernel.ptable(key), (len(key) - 1) ** 2
+    if size <= TABLE_COEFFS:
+        while ctx.table_coeffs + size > TABLE_COEFFS:
+            ctx.table_coeffs -= (len(tables.popitem(last=False)[0]) - 1) ** 2
+        tables[key] = table
+        ctx.table_coeffs += size
     return table
 
 
@@ -157,6 +160,21 @@ def _distinct_degree_parts(ctx: FieldCtx, f,
     return ctx.kernel.pwalk(frobenius_table(ctx, f), first)
 
 
+# failed draws on one part before the split checks that the part can split
+CHECK_AFTER_DRAWS = 20
+
+
+def _fixes_t(kernel, table, n: int, d: int) -> bool:
+    """Whether d divides n, the degree of table's modulus g, and
+    T**(q**d) = T mod g, by d table applications."""
+    if n % d:
+        return False
+    h = [0, 1]
+    for _ in range(d):
+        h = kernel.papply(table, h)
+    return h == [0, 1]
+
+
 def _equal_degree_parts(ctx: FieldCtx, f, d: int) -> list[list[int]]:
     """The degree-d primes of the monic squarefree coefficient list f, a
     product of such primes, by Cantor-Zassenhaus.
@@ -168,7 +186,17 @@ def _equal_degree_parts(ctx: FieldCtx, f, d: int) -> list[list[int]]:
     2*log2(d) products mod g, then a powmod to (q-1)/2, where the direct
     power took about d*log2(q) squarings. b, every draw and every split are
     those of the direct power. The draws come from random.Random(0), made
-    only once some part has to be split."""
+    only once some part has to be split.
+
+    A part that no draw can split, such as a prime of another degree, would
+    be drawn on forever. So after CHECK_AFTER_DRAWS draws on one part, d
+    table applications test that d divides deg g and T**(q**d) = T mod g,
+    that is, that g is squarefree with primes of degrees dividing d, and
+    ValueError is raised if not. A part that passes has two primes or more
+    and splits with probability 1, and each of its parts is tested the same
+    way. Valid input rarely gets that far, and the test draws nothing, so
+    its draws do not change. A part of degree d is not tested: it is taken
+    for a prime."""
     kernel, q = ctx.kernel, ctx.q
     out = []
     stack = [f]
@@ -183,7 +211,11 @@ def _equal_degree_parts(ctx: FieldCtx, f, d: int) -> list[list[int]]:
         if rng is None:
             rng = random.Random(0)
         table = frobenius_table(ctx, g)
+        draws = 0
         while True:
+            draws += 1
+            if draws == CHECK_AFTER_DRAWS and not _fixes_t(kernel, table, n, d):
+                raise ValueError(f"{g} is not a product of primes of degree {d}")
             a = [rng.randrange(q) for _ in range(n)]
             while a and a[-1] == 0:
                 a.pop()

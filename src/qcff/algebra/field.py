@@ -8,6 +8,7 @@ both the canonical generator gamma and the total order on polynomials.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .._kernels import FieldKernel
@@ -66,8 +67,8 @@ class FieldCtx:
     gamma**i for i in [0, w), and log[x] is the i with exp[i] = x for a
     nonzero x (log[0] is -1). Every discrete log is read as log[x]. It also
     carries the kernel engine built on the tables and its one mutable part,
-    tables: the Frobenius tables factor.frobenius_table keeps, table_coeffs
-    their deg**2.
+    tables: the Frobenius tables factor.frobenius_table keeps, least
+    recently used first, table_coeffs their deg**2.
     """
 
     __slots__ = ("p", "e", "q", "w", "modulus", "gamma", "exp", "log",
@@ -84,7 +85,7 @@ class FieldCtx:
         self.exp = exp
         self.log = log
         self.kernel = FieldKernel(p, e, exp, log)
-        self.tables, self.table_coeffs = {}, 0
+        self.tables, self.table_coeffs = OrderedDict(), 0
         self._key = (p, e, modulus)
 
     def __repr__(self) -> str:

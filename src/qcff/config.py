@@ -23,13 +23,13 @@ rng_seed and options.validate_primality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
 from .algebra import FieldCtx, Poly, field_create, parse_poly
 from .errors import ConfigError, ValidationError
 from .limits import MAX_DEGREE, MAX_Q
+from .record import Record
 
 SCHEMA_VERSION = 1
 
@@ -37,8 +37,7 @@ _TOP_KEYS = {"schema_version", "p", "e", "modulus", "rng_seed", "conductor",
              "pairs", "options"}
 
 
-@dataclass(frozen=True)
-class Options:
+class Options(Record):
     """The "options" object of a config; every field is a key, echoed in the
     report's inputs.options.
 
@@ -55,8 +54,7 @@ class Options:
     a_pq_term_cap: int = 1_000_000
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(Record):
     """One job's inputs; conductor is in either form conductor_create takes."""
 
     field: FieldCtx
@@ -155,15 +153,14 @@ def parse_config(raw: Any) -> JobConfig:
 
     opt_raw = raw.get("options", {})
     _expect(isinstance(opt_raw, dict), "'options' must be an object")
-    option_fields = fields(Options)
-    unknown = set(opt_raw) - {f.name for f in option_fields}
+    unknown = set(opt_raw).difference(Options._fields)
     _expect(not unknown, f"unknown option keys: {sorted(unknown)}")
-    for f in option_fields:
-        value = opt_raw.get(f.name, f.default)
-        if isinstance(f.default, bool):
-            _expect(isinstance(value, bool), f"option '{f.name}' must be a boolean")
+    for name, default in Options._field_defaults.items():
+        value = opt_raw.get(name, default)
+        if isinstance(default, bool):
+            _expect(isinstance(value, bool), f"option '{name}' must be a boolean")
         else:
-            _expect(_is_int(value) and value >= 1, f"option '{f.name}' must be a positive integer")
+            _expect(_is_int(value) and value >= 1, f"option '{name}' must be a positive integer")
 
     ctx = build_field(p, e, raw.get("modulus"))
     if "poly" in cond:

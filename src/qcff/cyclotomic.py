@@ -22,7 +22,6 @@ assumed in code, so a transcription slip in either one is caught.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -42,10 +41,10 @@ from .errors import (
     ReducibleClaimedPrime,
     ValidationError,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GaloisStructure:
+class GaloisStructure(Record):
     """Structure of the abelian group (A/M)*: one cyclic factor of order
     |P_i| - 1 per prime, plus a p-part reported by its order."""
 
@@ -54,8 +53,7 @@ class GaloisStructure:
     total_order: int
 
 
-@dataclass(frozen=True)
-class PrimeDifferent:
+class PrimeDifferent(Record):
     """Ramification data of one conductor prime in the cyclotomic layer."""
 
     prime: Poly
@@ -65,15 +63,13 @@ class PrimeDifferent:
     phi_cofactor: int  # Phi(M / prime**exp) = (number of places) * (residue degree)
 
 
-@dataclass(frozen=True)
-class DifferentData:
+class DifferentData(Record):
     per_prime: tuple[PrimeDifferent, ...]
     infinite_count: int       # Phi(M) / (q - 1) places at infinity
     infinite_coefficient: int  # each contributes q - 2 to the different
 
 
-@dataclass(frozen=True)
-class Conductor:
+class Conductor(Record):
     """Validated, canonically sorted factorization of a monic conductor,
     with the cyclotomic data that factorization fixes."""
 

@@ -12,7 +12,6 @@ step).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from operator import itemgetter
@@ -35,13 +34,13 @@ from .errors import (
     ValidationError,
     WrongOrientation,
 )
+from .record import Record
 from .symbols import symbol_dlog
 
 
 # -- pair sets ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairSet:
+class PairSet(Record):
     """Ordered, validated prime pairs (first < second) over one conductor."""
 
     pairs: tuple[tuple[Poly, Poly], ...]
@@ -82,8 +81,7 @@ def pairset_create(cond: Conductor, raw: Sequence[tuple[Poly, Poly]]) -> PairSet
 
 # -- formal sums ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FracClass:
+class FracClass(Record):
     """Canonical nonzero class in k/A: a reduced proper fraction num/den with
     den monic nonconstant, gcd(num, den) = 1 and deg num < deg den."""
 
@@ -109,8 +107,7 @@ def reduce_fraction(num: Poly, den: Poly) -> FracClass | None:
     return FracClass(num=num, den=den)
 
 
-@dataclass(frozen=True)
-class FormalSum:
+class FormalSum(Record):
     """Integer combination of k/A classes, with the raw (pre-reduction) term
     count preserved for diagnostics.
 
@@ -125,7 +122,7 @@ class FormalSum:
     def terms(self) -> tuple[tuple[FracClass, int], ...]:
         """The (class, coefficient) pairs in the canonical order of (den, num),
         built from groups at each read."""
-        return tuple((FracClass(_wrap(den.ctx, num), den), n)
+        return tuple((FracClass(num=_wrap(den.ctx, num), den=den), n)
                      for den, nums in self.groups for num, n in nums)
 
 
@@ -274,8 +271,7 @@ def _validate_pair(p_first: Poly, p_second: Poly) -> None:
 
 # -- ramification -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairParity:
+class PairParity(Record):
     """Degree parities of one pair, recording which square root multiplies the
     Kummer unit: none, the first prime, the second, or their product."""
 
@@ -299,15 +295,13 @@ def _pair_parity(p_first: Poly, p_second: Poly) -> PairParity:
                       d_second_mod2=m2, radicand=radicand)
 
 
-@dataclass(frozen=True)
-class RamRow:
+class RamRow(Record):
     prime: Poly
     vbar: int  # class mod w of the Kummer unit's valuation at the prime
     e: int     # ramification index in the Kummer step: w / gcd(w, vbar)
 
 
-@dataclass(frozen=True)
-class RamTable:
+class RamTable(Record):
     per_prime: tuple[RamRow, ...]  # one per conductor prime, in cond.factors order
     pair_parities: tuple[PairParity, ...]
 
@@ -343,8 +337,7 @@ def ramification_table(cond: Conductor, pairs: PairSet) -> RamTable:
     return RamTable(per_prime=tuple(rows), pair_parities=parities)
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(Record):
     """Diagnostic for the even-degree-product rule: when 2 | d_P * d_Q the two
     ramification indices of a single pair must agree."""
 
@@ -368,8 +361,7 @@ def parity_consistency(pairs: PairSet, ram: RamTable) -> ParityReport:
 
 # -- the Galois presentation -----------------------------------------------------
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     name: str
     prime: Poly
     base_order: int   # order of the residue generator at the prime: |P| - 1
@@ -377,8 +369,7 @@ class Generator:
     central: bool
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """left * right = right * left * eps**(-1) for the named generators."""
 
     left: str
@@ -386,8 +377,7 @@ class Relation:
     epsilon_exponent: int = -1
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     epsilon_order: int
     p_part_order: int
     group_order: int

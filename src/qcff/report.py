@@ -8,7 +8,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
@@ -30,6 +29,7 @@ from .kummer import (
     ramification_table,
     raw_term_count,
 )
+from .record import Record
 from .symbols import check_reciprocity
 
 _ENCODING_NOTE = ("field elements are integers in [0, q): enc = sum digits[i]*p^i "
@@ -43,15 +43,16 @@ def _poly_json(f: Poly) -> dict[str, Any]:
 
 
 def _json(value: Any) -> Any:
-    """The report form of a result: a dataclass becomes the dict of its
-    fields, a Poly its fragment and a tuple a list, recursively. Anything
-    else is returned as it is, for render_json to accept or reject."""
+    """The report form of a result: a Record becomes the dict of its
+    fields, one key per name in its _fields, in that order; a Poly becomes
+    its fragment and a tuple a list, recursively. Anything else is returned
+    as it is, for render_json to accept or reject."""
     if isinstance(value, Poly):
         return _poly_json(value)
     if isinstance(value, tuple):
         return [_json(item) for item in value]
-    if is_dataclass(value):
-        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Record):
+        return {name: _json(getattr(value, name)) for name in value._fields}
     return value
 
 

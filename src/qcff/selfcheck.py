@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .algebra import (
     FieldCtx,
@@ -44,11 +43,11 @@ from .kummer import (
     parity_consistency,
     ramification_table,
 )
+from .record import Record
 from .symbols import check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record, frozen=False):
     name: str
     cases: int
     failures: list[str]

@@ -402,9 +402,9 @@ def test_ben_or_and_factoring_build_one_table_per_prime(mk, monkeypatch):
 
 def test_the_kept_tables_stay_within_the_bound(monkeypatch):
     """When a new table would take the total deg**2 of the kept tables past
-    TABLE_COEFFS, the field forgets them all and keeps the new one; a table
-    past the bound on its own is never kept. The running total is always
-    the sum over the kept tables."""
+    TABLE_COEFFS, the field drops the least recently used tables until it
+    fits; a table past the bound on its own is never kept and drops none.
+    The running total is always the sum over the kept tables."""
     monkeypatch.setattr(factor, "TABLE_COEFFS", 20)
     ctx = field_create(5)
 
@@ -414,17 +414,34 @@ def test_the_kept_tables_stay_within_the_bound(monkeypatch):
         return table
 
     square = kept((1, 0, 1))
-    kept((1, 1, 0, 1))
+    cubic = kept((1, 1, 0, 1))
     assert kept([1, 0, 1]) is square
     kept((2, 0, 1))
-    assert list(ctx.tables) == [(1, 0, 1), (1, 1, 0, 1), (2, 0, 1)]
-    assert ctx.table_coeffs == 4 + 9 + 4
-    kept((1, 2, 0, 1))  # 17 + 9 > 20
-    assert list(ctx.tables) == [(1, 2, 0, 1)] and ctx.table_coeffs == 9
-    assert kept((1, 0, 1)) is not square
+    assert list(ctx.tables) == [(1, 1, 0, 1), (1, 0, 1), (2, 0, 1)]
+    assert ctx.table_coeffs == 9 + 4 + 4
+    kept((1, 2, 0, 1))  # 17 + 9 > 20: the cubic was used longest ago
+    assert list(ctx.tables) == [(1, 0, 1), (2, 0, 1), (1, 2, 0, 1)]
+    assert kept((1, 0, 1)) is square
+    assert kept((1, 1, 0, 1)) is not cubic  # 17 + 9 > 20: drops two
+    assert list(ctx.tables) == [(1, 0, 1), (1, 1, 0, 1)] and ctx.table_coeffs == 13
     big = kept((1, 0, 0, 0, 0, 1))  # 25 > 20 alone
-    assert ctx.tables == {} and ctx.table_coeffs == 0
+    assert list(ctx.tables) == [(1, 0, 1), (1, 1, 0, 1)] and ctx.table_coeffs == 13
     assert len(big) == 5 and kept((1, 0, 0, 0, 0, 1)) is not big
+
+
+def test_a_table_used_since_the_last_eviction_survives_the_next():
+    """With the real bound: two tables of degree 40 and one of degree 30
+    pass TABLE_COEFFS = 4096 (1600 + 1600 + 900), so the third drops one,
+    the one not read since the first was read again."""
+    assert factor.TABLE_COEFFS == 4096
+    ctx = field_create(3)
+    first, second, third = ([c] + [0] * (n - 1) + [1] for c, n in ((1, 40), (2, 40), (1, 30)))
+    kept = frobenius_table(ctx, first)
+    frobenius_table(ctx, second)
+    assert frobenius_table(ctx, first) is kept
+    frobenius_table(ctx, third)
+    assert list(ctx.tables) == [tuple(first), tuple(third)]
+    assert frobenius_table(ctx, first) is kept
 
 
 def test_frobenius_table_is_the_one_place_a_table_is_built():
@@ -531,6 +548,17 @@ def test_equal_degree_split_matches_the_direct_power(q, ctx3, ctx5, ctx7, ctx9):
     # C(n, 2) + C(n, 3) products from n primes: 4 for n = 3 (F_3 has three
     # primes of degree 1 and three of degree 2), 20, 56 and 84 for 5, 7, 8
     assert cases == {3: 4 + 4 + 84 + 84, 5: 20 + 3 * 84, 7: 56 + 3 * 84, 9: 4 * 84}[q]
+
+
+def test_equal_degree_split_refuses_what_it_cannot_split(ctx3):
+    """An input that is not a product of degree-d primes raises ValueError,
+    where the draws went on forever: T^2+1 is prime over F_3, no line; T is
+    a line, not a product of quadratics; T^3+T+1 has degree 3, no multiple
+    of 2. Valid input gets the same primes, as in the tests above."""
+    for f, d in (([1, 0, 1], 1), ([0, 1], 2), ([1, 1, 0, 1], 2)):
+        with pytest.raises(ValueError):
+            factor._equal_degree_parts(ctx3, f, d)
+    assert factor._equal_degree_parts(ctx3, [2, 0, 1], 1) == [[1, 1], [2, 1]]
 
 
 def test_frobenius_apply_rejects_unreduced_input(ctx3, mk):
