@@ -119,16 +119,16 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
 
     The generator gamma is the first element in encoding order 2, 3, ...
     whose multiplicative order is exactly q - 1. For e > 1 a monic
-    irreducible degree-e modulus over F_p is required: ascending
+    irreducible degree-e modulus over F_p is required: ascending int
     coefficients (length e + 1), or a Poly over F_p, whose field is then
     the one the tables are built with instead of a new F_p. The kernel
     builds negation and addition from p and e.
     """
-    if not isinstance(p, int) or not is_prime_int(p):
+    if type(p) is not int or not is_prime_int(p):
         raise NonPrimeP(f"p = {p!r} is not prime")
     if p == 2:
         raise EvenCharacteristic("characteristic 2 is not supported")
-    if not isinstance(e, int) or e < 1:
+    if type(e) is not int or e < 1:
         raise ValidationError(f"extension degree must be a positive integer, got {e!r}")
 
     mod_tuple: tuple[int, ...] | None
@@ -150,11 +150,11 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
             mod_tuple = modulus.coeffs
         else:
             base = None
-            mod_tuple = tuple(int(c) for c in modulus)
+            mod_tuple = tuple(modulus)
+            if any(type(c) is not int or not 0 <= c < p for c in mod_tuple):
+                raise ValidationError(f"modulus coefficients must be integers in [0, {p})")
         if len(mod_tuple) != e + 1 or mod_tuple[-1] != 1:
             raise ValidationError(f"modulus must be monic of degree {e} (ascending coefficients)")
-        if any(not 0 <= c < p for c in mod_tuple):
-            raise ValidationError(f"modulus coefficients must lie in [0, {p})")
         if base is None:
             base = field_create(p, 1)
         if not poly_is_irreducible(Poly(base, mod_tuple)):

@@ -29,7 +29,7 @@ class Poly:
     def __init__(self, ctx: FieldCtx, coeffs: Iterable[int]):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int) or not 0 <= c < ctx.q:
+            if type(c) is not int or not 0 <= c < ctx.q:  # a bool is no element
                 raise ValidationError(f"coefficient {c!r} is not an encoded element of F_{ctx.q}")
         while cs and cs[-1] == 0:
             cs.pop()

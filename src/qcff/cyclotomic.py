@@ -89,8 +89,9 @@ def conductor_create(ctx: FieldCtx, spec) -> Conductor:
     """Build a Conductor from a monic polynomial or a claimed factorization.
 
     spec may be a Poly (factored here) or a sequence of (prime, exponent)
-    pairs. Claimed primes are always tested for irreducibility; the primes
-    poly_factor returns are irreducible by construction and are not.
+    pairs, each exponent an int >= 1. Claimed primes are always tested for
+    irreducibility; the primes poly_factor returns are irreducible by
+    construction and are not.
     """
     factored_here = isinstance(spec, Poly)
     if factored_here:
@@ -100,7 +101,7 @@ def conductor_create(ctx: FieldCtx, spec) -> Conductor:
             raise NotMonic(f"conductor must be monic, got {spec}")
         pairs = [(pp.prime, pp.exp) for pp in poly_factor(spec).factors]
     else:
-        pairs = [(prime, int(exp)) for prime, exp in spec]
+        pairs = list(spec)
 
     if not pairs:
         raise ConstantConductor("conductor must have at least one prime factor")
@@ -109,8 +110,8 @@ def conductor_create(ctx: FieldCtx, spec) -> Conductor:
     for prime, exp in pairs:
         if prime.ctx != ctx:
             raise ValidationError(f"prime {prime} belongs to a different field")
-        if exp < 1:
-            raise ValidationError(f"prime exponent must be >= 1, got {exp}")
+        if type(exp) is not int or exp < 1:
+            raise ValidationError(f"prime exponent must be an integer >= 1, got {exp!r}")
         if not prime.monic:
             raise NotMonic(f"claimed prime {prime} is not monic")
         if not factored_here and not poly_is_irreducible(prime):

@@ -12,15 +12,14 @@ and Record collects their names into the class tuple _fields at class
 creation. That tuple is the report schema: report._json writes one key per
 name, in that order.
 
-Records are built by keyword or by position, with TypeError for a missing
-or unknown field. An instance keeps its keyword arguments, the dict the call
-made, as its __dict__, so building one by keyword costs one keys check and
-one store; a field left to its default is read from the class attribute
-that declares it. A record equals only a record of its own class with
-equal fields, hashes its field values, reprs as Name(field=value, ...) and
-raises AttributeError when a field is assigned. A class made with
-frozen=False (``class SuiteResult(Record, frozen=False)``) is mutable and
-unhashable.
+Records are built by keyword only, with TypeError for a positional
+argument, a missing field or an unknown one. An instance keeps the dict the
+call made as its __dict__, so building one costs one keys check and one
+store; a field left to its default is read from the class attribute that
+declares it. Every record is immutable: assigning or deleting a field
+raises AttributeError. A record equals only a record of its own class with
+equal fields, hashes its field values (one holding a list is unhashable)
+and reprs as Name(field=value, ...).
 """
 
 from __future__ import annotations
@@ -34,41 +33,28 @@ class Record:
     _field_defaults: dict[str, Any] = {}
     _required: frozenset[str] = frozenset()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs: Any):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)  # its own: since 3.10 none inherited
         cls._keys = frozenset(cls._fields)
         cls._field_defaults = {name: cls.__dict__[name]
                                for name in cls._fields if name in cls.__dict__}
         cls._required = cls._keys.difference(cls._field_defaults)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
-    def __init__(self, *args: Any, **values: Any):
-        if args or values.keys() != self._keys and values.keys() != self._required:
-            values = self._complete(args, values)
+    def __init__(self, **values: Any):
+        if values.keys() != self._keys and values.keys() != self._required:
+            self._check_fields(values)
         _set_dict(self, values)
 
-    def _complete(self, args: tuple, values: dict[str, Any]) -> dict[str, Any]:
-        """values, the call's own dict, with args added in field order;
-        TypeError for too many args, a field given twice, an unknown field
-        or a missing one without a default."""
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} fields, {len(args)} given")
-        for field, value in zip(fields, args):
-            if field in values:
-                raise TypeError(f"{name}() got field {field!r} twice")
-            values[field] = value
+    def _check_fields(self, values: dict[str, Any]) -> None:
+        """TypeError for an unknown field, or a missing one without a default."""
+        name = type(self).__name__
         unknown = values.keys() - self._keys
         if unknown:
             raise TypeError(f"{name}() has no field {min(unknown)!r}")
         missing = self._required - values.keys()
         if missing:
-            raise TypeError(f"{name}() is missing field {min(missing, key=fields.index)!r}")
-        return values
+            raise TypeError(f"{name}() is missing field {min(missing, key=self._fields.index)!r}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

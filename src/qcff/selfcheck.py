@@ -47,7 +47,7 @@ from .record import Record
 from .symbols import check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
 
 
-class SuiteResult(Record, frozen=False):
+class SuiteResult(Record):
     name: str
     cases: int
     failures: list[str]
@@ -92,7 +92,8 @@ def suite_reciprocity(ctx: FieldCtx, max_degree: int) -> SuiteResult:
         cases += 1
         if not check_reciprocity(a, b).holds:
             failures.append(f"({format_poly(a)}, {format_poly(b)})")
-    return SuiteResult(f"reciprocity q={ctx.q} deg<={max_degree}", cases, failures)
+    return SuiteResult(name=f"reciprocity q={ctx.q} deg<={max_degree}",
+                       cases=cases, failures=failures)
 
 
 def suite_phi_bruteforce(ctx: FieldCtx, max_degree: int) -> SuiteResult:
@@ -106,7 +107,8 @@ def suite_phi_bruteforce(ctx: FieldCtx, max_degree: int) -> SuiteResult:
             expected = poly_phi(ctx, poly_factor(m).factors)
             if count != expected:
                 failures.append(f"{format_poly(m)}: brute {count} != {expected}")
-    return SuiteResult(f"phi-bruteforce q={ctx.q} degM<={max_degree}", cases, failures)
+    return SuiteResult(name=f"phi-bruteforce q={ctx.q} degM<={max_degree}",
+                       cases=cases, failures=failures)
 
 
 def suite_symbol_character(ctx: FieldCtx, max_degree: int) -> SuiteResult:
@@ -123,7 +125,8 @@ def suite_symbol_character(ctx: FieldCtx, max_degree: int) -> SuiteResult:
             symbol_trivial = residue_symbol(a, r) == 0
             if is_power != symbol_trivial:
                 failures.append(f"({format_poly(a)} / {format_poly(r)})")
-    return SuiteResult(f"symbol-character q={ctx.q} degR<={max_degree}", cases, failures)
+    return SuiteResult(name=f"symbol-character q={ctx.q} degR<={max_degree}",
+                       cases=cases, failures=failures)
 
 
 def suite_symbol_euclid(ctx: FieldCtx, max_degree: int, a_degree: int) -> SuiteResult:
@@ -152,8 +155,8 @@ def suite_symbol_euclid(ctx: FieldCtx, max_degree: int, a_degree: int) -> SuiteR
                 if euclid != powmod:
                     failures.append(f"({format_poly(a)} / {format_poly(b)}): "
                                     f"euclid {euclid} != powmod {powmod}")
-    return SuiteResult(f"symbol-euclid q={ctx.q} degB<={max_degree} degA<{a_degree}",
-                       cases, failures)
+    return SuiteResult(name=f"symbol-euclid q={ctx.q} degB<={max_degree} degA<{a_degree}",
+                       cases=cases, failures=failures)
 
 
 def suite_parity(ctx: FieldCtx, max_degree: int) -> SuiteResult:
@@ -172,7 +175,8 @@ def suite_parity(ctx: FieldCtx, max_degree: int) -> SuiteResult:
         if not (verdict.applicable and verdict.passed):
             failures.append(f"({format_poly(a)}, {format_poly(b)}): "
                             f"e={verdict.e_first} vs e={verdict.e_second}")
-    return SuiteResult(f"parity q={ctx.q} deg<={max_degree}", cases, failures)
+    return SuiteResult(name=f"parity q={ctx.q} deg<={max_degree}",
+                       cases=cases, failures=failures)
 
 
 def suite_genus_paths(ctx: FieldCtx, max_degree: int) -> SuiteResult:
@@ -202,7 +206,8 @@ def suite_genus_paths(ctx: FieldCtx, max_degree: int) -> SuiteResult:
                         f"({format_poly(cond.factors[i].prime)}, "
                         f"{format_poly(cond.factors[j].prime)}): "
                         f"{g_hasse} != {g_kummer_rh}")
-    return SuiteResult(f"genus-paths q={ctx.q} degM<={max_degree}", cases, failures)
+    return SuiteResult(name=f"genus-paths q={ctx.q} degM<={max_degree}",
+                       cases=cases, failures=failures)
 
 
 def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
@@ -234,8 +239,8 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
             if (not pp.prime.monic or pp.norm != ctx.q ** pp.degree
                     or not irreducible(pp.prime)):
                 failures.append(f"{format_poly(f)}: bad prime {format_poly(pp.prime)}")
-    return SuiteResult(f"factor-roundtrip q={ctx.q} n={count} deg<={max_degree}",
-                       count, failures)
+    return SuiteResult(name=f"factor-roundtrip q={ctx.q} n={count} deg<={max_degree}",
+                       cases=count, failures=failures)
 
 
 def run_selfcheck(scope: str = "small", seed: int = 0) -> list[SuiteResult]:

@@ -8,6 +8,8 @@ it satisfies the reciprocity law checked by check_reciprocity().
 Every function here returns a symbol as its discrete log base gamma, an int
 in [0, w), w = q-1: that is all the Kummer layer reads (a prime's vbar is a
 sum of symbol logs). The value in F_q* is ctx.exp[dlog].
+check_reciprocity() returns a Reciprocity record, read by field name: both
+symbols' dlogs and whether they satisfy the law.
 
 The symbol is computed along two paths:
 
@@ -26,11 +28,11 @@ The symbol is computed along two paths:
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .algebra import Poly, poly_factor, poly_gcd
 from .algebra.factor import frobenius_table
-from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
+from .algebra.poly import _same_field
+from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus
+from .record import Record
 
 
 def residue_symbol(a: Poly, r: Poly) -> int:
@@ -74,8 +76,7 @@ def symbol_dlog(a: Poly, b: Poly) -> int:
     gcd(a, b) != 1.
     """
     ctx = a.ctx
-    if ctx is not b.ctx and ctx != b.ctx:
-        raise ValidationError("polynomials belong to different fields")
+    _same_field(a, b)
     if not b.monic:
         raise NotMonic(f"lower entry {b} must be monic")
     kernel, log, w = ctx.kernel, ctx.log, ctx.w
@@ -94,7 +95,7 @@ def symbol_dlog(a: Poly, b: Poly) -> int:
     return acc % w
 
 
-class Reciprocity(NamedTuple):
+class Reciprocity(Record):
     """The dlogs of the symbols (p1 over p2) and (p2 over p1) of two distinct
     monic primes, and whether
     (p2 over p1) = (-1)**(deg p1 * deg p2) * (p1 over p2)."""
@@ -112,4 +113,5 @@ def check_reciprocity(p1: Poly, p2: Poly) -> Reciprocity:
     w = p1.ctx.w
     left, right = residue_symbol(p2, p1), residue_symbol(p1, p2)
     sign = w // 2 if (p1.degree * p2.degree) % 2 else 0
-    return Reciprocity(right, left, left == (right + sign) % w)
+    return Reciprocity(first_over_second=right, second_over_first=left,
+                       holds=left == (right + sign) % w)

@@ -677,7 +677,11 @@ def test_readme_library_example_runs():
     namespace: dict = {}
     exec(code, namespace)
     assert namespace["cond"].structure.total_order == namespace["cond"].phi == 4
-    assert namespace["g_base"] == 0
+    assert namespace["gs"].cyclic_orders == (2, 2) and namespace["s"] == [1, 1]
+    assert namespace["g_base"] == namespace["g_tower"] == 0
+    assert namespace["pres"].group_order == 8
+    law = namespace["law"]
+    assert (law.first_over_second, law.second_over_first, law.holds) == (1, 0, True)
 
 
 def test_readme_example_config_runs(tmp_path, capsys):

@@ -17,6 +17,7 @@ from qcff.errors import (
     DuplicatePrime,
     NotMonic,
     ReducibleClaimedPrime,
+    ValidationError,
 )
 from qcff.selfcheck import count_units, suite_genus_paths
 
@@ -68,6 +69,14 @@ def test_conductor_rejections(ctx3, mk):
         conductor_create(ctx3, [(var_T(ctx3), 1), (var_T(ctx3), 2)])
     with pytest.raises(ConstantInput):
         conductor_create(ctx3, [(mk(ctx3, "1"), 1)])
+
+
+@pytest.mark.parametrize("exp", [1.9, "2", "x", True, 0], ids=repr)
+def test_conductor_exponents_are_ints(ctx3, exp):
+    """A claimed exponent is an int >= 1, not a bool or anything int()
+    would convert."""
+    with pytest.raises(ValidationError):
+        conductor_create(ctx3, [(var_T(ctx3), exp)])
 
 
 def test_only_claimed_primes_are_retested(ctx3, mk, monkeypatch):

@@ -156,6 +156,17 @@ def test_field_create_rejections():
         field_create(3, 0)
 
 
+@pytest.mark.parametrize("p,e,modulus", [
+    (3, 2, [1.7, 0, 1]), (3, 2, ["1", 0, 1]), (3, 2, [True, 0, 1]), (3, 2, ["x", 0, 1]),
+    (3, 2, "101"), (3, True, None), (3.0, 1, None), (True, 1, None),
+], ids=repr)
+def test_field_create_takes_only_ints(p, e, modulus):
+    """p, e and the modulus entries are ints, not bools or anything int()
+    would convert: each of these raises ValidationError (NonPrimeP is one)."""
+    with pytest.raises(ValidationError):
+        field_create(p, e, modulus)
+
+
 def _table_sweep(max_q: int):
     """(p, e, modulus) for every odd prime power q <= max_q; for e > 1 the
     first two monic irreducible degree-e moduli with nonzero constant term."""

@@ -220,6 +220,12 @@ def test_poly_rejects_bad_coefficients(ctx3):
         Poly(ctx3, [3])
     with pytest.raises(ValidationError):
         Poly(ctx3, [-1])
+    # a bool is an int to Python but no encoded element
+    for coeffs in ([True, 1], [1, False, 1]):
+        with pytest.raises(ValidationError):
+            Poly(ctx3, coeffs)
+    with pytest.raises(ValidationError):
+        var_T(ctx3) + True
 
 
 def test_cross_field_arithmetic_rejected(ctx3, ctx5):

@@ -1,8 +1,10 @@
-"""The result types share one base, Record: its behaviour on every type, and
-an import of qcff that loads neither dataclasses nor inspect."""
+"""The result types share one base, Record: its behaviour on every type, a
+scan of the source for any other record mechanism, and an import of qcff
+that loads neither dataclasses nor inspect."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -24,6 +26,9 @@ from qcff.kummer import (
 from qcff.record import Record
 from qcff.report import _json
 from qcff.selfcheck import SuiteResult
+from qcff.symbols import check_reciprocity
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _samples() -> list[Record]:
@@ -41,7 +46,7 @@ def _samples() -> list[Record]:
         cond.different, cond, pairs, fs.terms[0][0], fs, ram.pair_parities[0],
         ram.per_prime[0], ram, parity_consistency(pairs, ram), pres.generators[0],
         pres.relations[0], pres, cfg.options, cfg,
-        SuiteResult(name="suite", cases=1, failures=[]),
+        SuiteResult(name="suite", cases=1, failures=[]), check_reciprocity(t, t1),
     ]
 
 
@@ -55,7 +60,7 @@ def _fields(record: Record) -> dict:
 
 def test_every_result_type_is_sampled():
     types = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("qcff.")}
-    assert len(types) == len(SAMPLES) == 19
+    assert len(types) == len(SAMPLES) == 20
     assert types == {type(r) for r in SAMPLES}
 
 
@@ -64,7 +69,6 @@ def test_equal_to_a_copy_and_hashed_by_fields(record):
     cls = type(record)
     copy = cls(**_fields(record))
     assert copy == record and not copy != record and copy is not record
-    assert cls(*_fields(record).values()) == record
     first = record._fields[0]
     assert cls(**{**_fields(record), first: object()}) != record
     if cls is SuiteResult:
@@ -86,16 +90,12 @@ def test_unequal_to_another_class_with_the_same_fields(record):
 
 @each_record
 def test_assigning_a_field_raises(record):
-    """Every result type but SuiteResult is immutable."""
-    mutable = type(record) is SuiteResult
+    """Every result type is immutable, SuiteResult included."""
     for name, value in _fields(record).items():
-        if mutable:
+        with pytest.raises(AttributeError):
             setattr(record, name, value)
-        else:
-            with pytest.raises(AttributeError):
-                setattr(record, name, None)
-            with pytest.raises(AttributeError):
-                delattr(record, name)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
         assert getattr(record, name) is value
 
 
@@ -117,10 +117,11 @@ def test_defaults():
                   "a_pq_term_cap": 1_000_000},
         Relation: {"epsilon_exponent": -1},
     }
-    assert Options() == Options(True, False, True, 1_000_000)
+    assert Options() == Options(validate_primality=True, emit_a_pq=False, run_oracles=True,
+                                a_pq_term_cap=1_000_000)
     assert Options(emit_a_pq=True).emit_a_pq and Options(emit_a_pq=True).run_oracles
-    assert Relation("a", "b").epsilon_exponent == -1
-    assert Relation("a", "b", 2).epsilon_exponent == 2
+    assert Relation(left="a", right="b").epsilon_exponent == -1
+    assert Relation(left="a", right="b", epsilon_exponent=2).epsilon_exponent == 2
 
 
 @each_record
@@ -132,10 +133,18 @@ def test_a_missing_or_unknown_field_raises_type_error(record):
                 cls(**{k: v for k, v in values.items() if k != name})
     with pytest.raises(TypeError):
         cls(**values, not_a_field=1)
+
+
+@each_record
+def test_a_positional_call_raises_type_error(record):
+    """Records are built by keyword only: a call with every field by
+    position, or with one by position and the others by keyword, raises."""
+    cls, values = type(record), _fields(record)
+    first = record._fields[0]
     with pytest.raises(TypeError):
-        cls(*values.values(), 1)
+        cls(*values.values())
     with pytest.raises(TypeError):
-        cls(next(iter(values.values())), **values)
+        cls(values[first], **{k: v for k, v in values.items() if k != first})
 
 
 @each_record
@@ -145,9 +154,51 @@ def test_json_gives_one_key_per_field_in_order(record):
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     code = "import sys, qcff; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout == "[]\n"
+
+
+OTHER_MECHANISMS = {"NamedTuple", "namedtuple", "dataclass", "dataclasses"}
+
+
+def _record_mechanisms(tree: ast.Module) -> list[str]:
+    """Every name, attribute or import in a module that reaches NamedTuple,
+    namedtuple or dataclasses, and every class statement that passes a
+    keyword next to its bases."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.keywords:
+            found.append(f"class {node.name}")
+        names = [getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "module", None)]
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.name for alias in node.names]
+        found += [name for name in names if name in OTHER_MECHANISMS]
+    return found
+
+
+def test_record_is_the_only_record_mechanism():
+    """No module of qcff makes a result type any other way, and no class
+    passes Record a keyword: the base has no switches."""
+    modules = sorted((SRC / "qcff").rglob("*.py"))
+    assert len(modules) > 10
+    found = {str(path.relative_to(SRC)): _record_mechanisms(ast.parse(path.read_text()))
+             for path in modules}
+    assert {path: uses for path, uses in found.items() if uses} == {}
+
+
+def test_the_scan_sees_each_mechanism():
+    for code in ("from typing import NamedTuple", "import typing\nclass A(typing.NamedTuple): pass",
+                 "from collections import namedtuple", "import collections\ncollections.namedtuple",
+                 "from dataclasses import dataclass", "import dataclasses",
+                 "class A(Record, frozen=False): pass"):
+        assert _record_mechanisms(ast.parse(code)), code
+    assert _record_mechanisms(ast.parse("class A(Record):\n    x: int")) == []
+
+
+def test_record_takes_no_class_keyword():
+    with pytest.raises(TypeError):
+        type("Mutable", (Record,), {"__annotations__": {"x": "int"}}, frozen=False)
