@@ -105,7 +105,7 @@ class FieldCtx:
         return tuple(x // self.p ** i % self.p for i in range(self.e))
 
     def _check_elem(self, x: int) -> None:
-        if not isinstance(x, int) or not 0 <= x < self.q:
+        if type(x) is not int or not 0 <= x < self.q:
             raise ValidationError(f"{x!r} is not an encoded element of F_{self.q}")
 
     @property

@@ -237,7 +237,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def poly_powmod(a: Poly, n: int, m: Poly) -> Poly:
     """a**n reduced modulo the nonconstant polynomial m (square and multiply)."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValidationError("exponent must be a nonnegative integer")
     if m.is_zero:
         raise DivisionByZero("powmod modulus is zero")

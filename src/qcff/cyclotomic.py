@@ -89,9 +89,9 @@ def conductor_create(ctx: FieldCtx, spec) -> Conductor:
     """Build a Conductor from a monic polynomial or a claimed factorization.
 
     spec may be a Poly (factored here) or a sequence of (prime, exponent)
-    pairs, each exponent an int >= 1. Claimed primes are always tested for
-    irreducibility; the primes poly_factor returns are irreducible by
-    construction and are not.
+    pairs, each exponent an int >= 1; any other spec raises ValidationError.
+    Claimed primes are always tested for irreducibility; the primes
+    poly_factor returns are irreducible by construction and are not.
     """
     factored_here = isinstance(spec, Poly)
     if factored_here:
@@ -101,13 +101,21 @@ def conductor_create(ctx: FieldCtx, spec) -> Conductor:
             raise NotMonic(f"conductor must be monic, got {spec}")
         pairs = [(pp.prime, pp.exp) for pp in poly_factor(spec).factors]
     else:
-        pairs = list(spec)
+        try:
+            pairs = list(spec)
+        except TypeError:
+            raise ValidationError(f"conductor must be a Poly or a sequence of "
+                                  f"(prime, exponent) pairs, got {spec!r}") from None
 
     if not pairs:
         raise ConstantConductor("conductor must have at least one prime factor")
     seen = set()
     checked: list[tuple[Poly, int]] = []
-    for prime, exp in pairs:
+    for entry in pairs:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and isinstance(entry[0], Poly)):
+            raise ValidationError(f"claimed factor must be a (Poly, int) pair, got {entry!r}")
+        prime, exp = entry
         if prime.ctx != ctx:
             raise ValidationError(f"prime {prime} belongs to a different field")
         if type(exp) is not int or exp < 1:

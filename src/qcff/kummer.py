@@ -13,15 +13,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, product
-from operator import itemgetter
+from itertools import accumulate, chain, islice, product, repeat
+from operator import mul
 from typing import Sequence
 
-from .algebra import (
-    Poly,
-    poly_cmp,
-    poly_gcd,
-)
+from .algebra import Poly, poly_cmp, poly_gcd
 from .algebra.poly import _wrap
 from .cyclotomic import Conductor, _as_genus
 from .errors import (
@@ -112,18 +108,29 @@ class FormalSum(Record):
     count preserved for diagnostics.
 
     groups holds the classes by denominator: one (den, nums) entry each for
-    P, Q and PQ in that order, nums the sorted (numerator coefficients,
-    coefficient) pairs over den, maybe none."""
+    P, Q and PQ in that order, nums the (index, coefficient) pairs over den
+    by increasing index, maybe none. A numerator's index is the base-q
+    integer sum c_k * q^k of its coefficients c_k. Its top coefficient is
+    not 0, so the index order is the canonical order of numerators."""
 
-    groups: tuple[tuple[Poly, tuple[tuple[tuple[int, ...], int], ...]], ...]
+    groups: tuple[tuple[Poly, tuple[tuple[int, int], ...]], ...]
     raw_terms: int
 
     @property
     def terms(self) -> tuple[tuple[FracClass, int], ...]:
         """The (class, coefficient) pairs in the canonical order of (den, num),
-        built from groups at each read."""
-        return tuple((FracClass(num=_wrap(den.ctx, num), den=den), n)
-                     for den, nums in self.groups for num, n in nums)
+        decoded from groups at each read, unvalidated: kernel results."""
+        return tuple((FracClass(num=_wrap(den.ctx, _num_coeffs(v, den.ctx.q)), den=den), n)
+                     for den, nums in self.groups for v, n in nums)
+
+
+def _num_coeffs(v: int, q: int, length: int = 0) -> tuple[int, ...]:
+    """The coefficients of the numerator of index v, zero-padded to length."""
+    out = []
+    while v or len(out) < length:
+        v, c = divmod(v, q)
+        out.append(c)
+    return tuple(out)
 
 
 def raw_term_count(ctx, d_first: int, d_second: int) -> int:
@@ -134,17 +141,13 @@ def raw_term_count(ctx, d_first: int, d_second: int) -> int:
     return (ctx.q - 2) * n_a * n_b * 2
 
 
-# a coefficient tuple from the top down: with len, the two keys of coeffs_sort_key
-_top_down = itemgetter(slice(None, None, -1))
-
-
 def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     """The formal k/A sum attached to an oriented prime pair.
 
     The caller proves P and Q prime, as run_report does through the
-    conductor; here BadPair is raised only for a constant or non-monic
-    member, equal members, the wrong orientation or members with a common
-    factor, which distinct primes never have.
+    conductor; here BadPair is raised only for a member that is not a monic
+    nonconstant Poly, equal members, the wrong orientation or members with
+    a common factor, which distinct primes never have.
 
     Sums s * ([ (B*Q + gamma^{-s} A) / (P*Q) ] - [ (A*P + gamma^{-s} B) / (P*Q) ])
     over monic A with deg A < deg Q, monic B with deg B < deg P, and
@@ -160,107 +163,102 @@ def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     A*P + c*B with P and Q swapped. Hence every denominator is PQ, Q or P,
     no term lands in A, and raw_terms == raw_term_count(ctx, deg P, deg Q).
 
-    The terms are summed in one dict per denominator, keyed by numerator
-    coefficients. _add_half_sum writes the numerators down without a kernel
-    call per raw term: c*A runs over the N of degree below deg Q whose
-    leading coefficient u is not 0 or 1, with weight s = w - log u, and the
-    P-divisible terms, at most one per A, are moved afterwards. Zero sums
-    are dropped, and the rest come out as the groups of the result in the
-    canonical order of (den, num): the denominators P, Q, PQ in that order
-    (see _add_half_sum), each with its numerators sorted by coeffs_sort_key.
-    The numerators are built from kernel results on valid inputs, so .terms
-    wraps them without validation.
+    _add_half_sum writes the terms over PQ as runs of consecutive numerator
+    indices (see FormalSum) of one weight, as +n at a run's start and -n at
+    its end in one endpoint dict. One sweep of the sorted endpoints sums the
+    weights and expands each run of nonzero sum by range. The endpoints stay
+    sparse: a dense array would take q^(deg PQ) cells, 4.3e9 at q = 65,521.
     """
-    ctx = p_first.ctx
     _validate_pair(p_first, p_second)
+    ctx = p_first.ctx
     P, Q = p_first.coeffs, p_second.coeffs
-    PQ = tuple(ctx.kernel.pmul(P, Q))
-    over_p: dict[tuple, int] = {}
-    over_q: dict[tuple, int] = {}
-    over_pq: dict[tuple, int] = {}
-    _add_half_sum(ctx, P, Q, 1, over_q, over_pq)
-    _add_half_sum(ctx, Q, P, -1, over_p, over_pq)
-    groups = []
-    for den, acc in ((p_first, over_p), (p_second, over_q), (_wrap(ctx, PQ), over_pq)):
-        nums = [num for num, n in acc.items() if n]
-        # coeffs_sort_key's order by two stable sorts on built-in keys:
-        # top-down coefficients, then length
-        nums.sort(key=_top_down)
-        nums.sort(key=len)
-        groups.append((den, tuple(zip(nums, map(acc.__getitem__, nums)))))
-    return FormalSum(groups=tuple(groups),
+    ends: dict[int, int] = {}
+    over_q = _add_half_sum(ctx, P, Q, 1, ends)
+    over_p = _add_half_sum(ctx, Q, P, -1, ends)
+    points = sorted(ends)
+    over_pq: list[tuple[int, int]] = []
+    for start, stop, n in zip(points, islice(points, 1, None),
+                              accumulate(map(ends.__getitem__, points))):
+        if n and stop - start == 1:  # most runs, so without a range
+            over_pq.append((start, n))
+        elif n:
+            over_pq += zip(range(start, stop), repeat(n))
+    pq = _wrap(ctx, ctx.kernel.pmul(P, Q))
+    return FormalSum(groups=((p_first, over_p), (p_second, over_q), (pq, tuple(over_pq))),
                      raw_terms=raw_term_count(ctx, p_first.degree, p_second.degree))
 
 
 def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
-                  over_q: dict[tuple, int], over_pq: dict[tuple, int]) -> None:
+                  ends: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """Add sign * s * [(B*Q + gamma^{-s} A) / PQ] over monic B with
     deg B < deg P, monic A with deg A < deg Q and s = 1..q-2 (see
-    pair_formal_sum), each class to the dict of its denominator, keyed by
-    its numerator's coefficient tuple: the terms with P | B*Q + c*A to
-    over_q, all others to over_pq.
+    pair_formal_sum): the terms with P | B*Q + c*A are returned, as the
+    (index, coefficient) pairs of their classes over Q by increasing index,
+    and the others written to ends, the endpoints of the sum over PQ.
 
     No raw term needs field arithmetic. The products N = c*A, c = gamma^{-s},
     are exactly the nonzero N with deg N < deg Q and lc N = u not 0 or 1,
-    each once, with s = w - log u. So with bq = B*Q, the numerators of the
-    degree-i N are low + (bq[i] + u,) + bq[i+1:] for every low in F_q^i
-    (adding bq[:i] only permutes F_q^i): one addition per value of bq[i]
-    and u, made one row of heads at a time, and one tuple concatenation and
-    one dict update per raw term. All of them go to over_pq first.
+    each once, with s = w - log u. So with bq = B*Q and h the index of its
+    terms above degree i, the degree-i N give the indices h + x*q^i + low,
+    low < q^i (adding bq[:i] only permutes F_q^i): one run per top
+    x = bq[i] + u. Adjacent runs meet, so one row of steps writes them: at
+    each h + x*q^i, x = 0..q, the weight of top x less that of top x - 1,
+    if they differ (the tops of u = 0 and 1, and top q, weigh 0).
 
     Then the hits, the terms with P | B*Q + c*A, move their weight from
-    over_pq to over_q. Each A has at most one: with r = A * Q^{-1} mod P
-    it needs B = -c*r monic, so r != 0, c = -1/lc(r) and B = monic(r).
-    Its numerator P*M has the degree and leading coefficient of B*Q, so M
-    is monic with deg Q - deg P <= deg M < deg Q, and B and c*A are the
-    quotient and remainder of P*M by Q. So the hits are found from the
-    side of M, by one product and one remainder each: P*M is a hit
-    exactly when c = lc(P*M mod Q) is not 1, and its class is M / Q.
+    their numerator's index to their class over Q. Each A has at most one:
+    with r = A * Q^{-1} mod P it needs B = -c*r monic, so r != 0,
+    c = -1/lc(r) and B = monic(r). Its numerator P*M has the degree and
+    leading coefficient of B*Q, so M is monic with deg Q - deg P <= deg M
+    < deg Q, and B and c*A are P*M's quotient and remainder by Q. So a hit
+    is a P*M with c = lc(P*M mod Q) not 1, and its class is M / Q.
 
-    pair_formal_sum calls this for (P, Q) and then for (Q, P), so its three
-    dicts hold the classes over P, Q and PQ. Listed in that order they are
-    in the canonical order of their denominators: the pair is oriented,
-    P < Q, and deg PQ exceeds both degrees.
+    pair_formal_sum calls this for (P, Q) and then for (Q, P). Listed as P,
+    Q, PQ the groups are in the canonical order of their denominators: the
+    pair is oriented, P < Q, and deg PQ exceeds both degrees.
     """
     kernel, q, w, log = ctx.kernel, ctx.q, ctx.w, ctx.log
     d_p, d_q = len(P) - 1, len(Q) - 1
     # weight[u] = sign * s for the leading coefficient u = gamma^{-s} of c*A
     weight = [0, 0] + [sign * (w - log[u]) for u in range(2, q)]
-    # lows[i] is F_q^i: the low coefficients of the degree-i N, and with a
-    # leading 1 appended the monic polynomials of degree i
+    # lows[i] is F_q^i: with a leading 1 appended, the monic polynomials of degree i
     lows = [list(product(range(q), repeat=i)) for i in range(max(d_p, d_q))]
-    us = list(range(2, q))
-    heads: dict[int, list] = {}  # t -> [(t + u, weight[u]) for u = 2..q-1]
-    get = over_pq.get
+    powers = [q ** k for k in range(d_p + d_q)]  # an index is sum(map(mul, coeffs, powers))
+    rows: dict[tuple[int, int], list] = {}  # (bq[i], i) -> [(x * q^i, step)]
+    get = ends.get
     for b_low in chain.from_iterable(lows[:d_p]):
         bq = kernel.pmul(b_low + (1,), Q)
-        for i in range(d_q):
-            t, high = bq[i], tuple(bq[i + 1:])
-            row = heads.get(t)
+        h = sum(map(mul, bq[d_q:], powers[d_q:]))
+        for i in range(d_q - 1, -1, -1):
+            t, span = bq[i], powers[i]
+            row = rows.get((t, i))
             if row is None:
-                # the row of sums t + u in one kernel call; padd strips a
-                # zero sum from the end, at most one since the sums differ
-                tops = kernel.padd([t] * len(us), us)
-                tops += [0] * (len(us) - len(tops))
-                row = heads[t] = list(zip(tops, weight[2:]))
-            for top, n in row:
-                head = (top,) + high
-                for low in lows[i]:
-                    num = low + head
-                    over_pq[num] = get(num, 0) + n
+                by_top = [0] * (q + 1)
+                for u in range(2, q):
+                    by_top[kernel.fadd(t, u)] = weight[u]
+                row = rows[t, i] = [(x * span, n - m) for x, (m, n)
+                                    in enumerate(zip([0] + by_top, by_top)) if n != m]
+            for at, step in row:
+                at += h
+                ends[at] = get(at, 0) + step
+            h += t * span
+    hits = []
     for m_low in chain.from_iterable(lows[max(d_q - d_p, 0):d_q]):
         m = m_low + (1,)
-        num = tuple(kernel.pmul(P, m))
+        num = kernel.pmul(P, m)
         u = kernel.prem(num, Q)[-1]
         if u != 1:
-            over_pq[num] -= weight[u]
-            over_q[m] = over_q.get(m, 0) + weight[u]
+            v, n = sum(map(mul, num, powers)), weight[u]
+            ends[v] = get(v, 0) - n
+            ends[v + 1] = get(v + 1, 0) + n
+            hits.append((sum(map(mul, m, powers)), n))
+    return tuple(sorted(hits))
 
 
 def _validate_pair(p_first: Poly, p_second: Poly) -> None:
     for member in (p_first, p_second):
-        if member.is_constant or not member.monic:
-            raise BadPair(f"{member} is not monic and nonconstant")
+        if not (isinstance(member, Poly) and member.monic and not member.is_constant):
+            raise BadPair(f"{member!r} is not a monic nonconstant Poly")
     if p_first == p_second:
         raise BadPair("pair members must be distinct")
     if poly_cmp(p_first, p_second) > 0:

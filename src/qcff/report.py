@@ -20,6 +20,7 @@ from .errors import ConfigError, ConsistencyError
 from .kummer import (
     PairSet,
     RamTable,
+    _num_coeffs,
     genus_hasse_formula,
     genus_riemann_hurwitz as kummer_genus_riemann_hurwitz,
     pair_formal_sum,
@@ -180,8 +181,8 @@ def _formal_sums_block(pairs: PairSet, cap: int) -> list[dict]:
 
 # A numerator's first LOW_BLOCK coefficients are its low block and the rest
 # its high block; FormalTerms.json_text writes each block's text once per
-# call. Over the benchmark's formal sums (F_3 to F_9) json_text took 1.8x
-# as long with 1, 1.1x with 3 and 2.6x with 4 (pure Python 3.11, in process).
+# call. Over the benchmark's formal sums (F_3 to F_9) json_text took 1.7x
+# as long with 1, 1.4x with 3 and 3.6x with 4 (pure Python 3.11, in process).
 LOW_BLOCK = 2
 
 
@@ -191,7 +192,6 @@ class _Texts(dict):
     __slots__ = ("make",)
 
     def __init__(self, make):
-        super().__init__()
         self.make = make
 
     def __missing__(self, key):
@@ -202,23 +202,19 @@ class _Texts(dict):
 class FormalTerms:
     """The terms of one formal sum in a report, held as FormalSum.groups.
     Iterated, it gives the plain {"coeff", "den", "num"} dicts of its
-    classes in order; render_json writes it as the JSON text of the list of
-    those dicts, without making them. monomials[k][c] is the text of c*T^k
-    for every c and every k below the numerators' largest length; a
-    numerator's text reads only its nonzero terms, and row 0 is also the
-    text of each coefficient.
+    classes in order; render_json writes it as the JSON text of their list,
+    without making them. monomials[k][c] is the text of c*T^k for every c
+    and every k below the numerators' largest length, and row 0 also that
+    of each coefficient.
 
-    json_text writes each term from pieces it makes once per call and
-    keeps for that call only: per denominator and coefficient n, the text
-    up to the numerator's first coefficient; per low block (a numerator's
-    first LOW_BLOCK coefficients), its "coeffs" lines, and its monomials
-    with the text that closes the term; per high block (the rest), its
-    lines, the text between the "coeffs" list and the "str" value, and its
-    monomials. "coeffs" runs from the low block up and "str" from the high
-    block down, so a term is: its opening, the low lines, the high piece,
-    the low close. The low close starts with "+" unless the low block is
-    all zeros. A numerator of at most LOW_BLOCK coefficients has no high
-    block, and everything after its opening is one piece."""
+    json_text makes each piece once per call, and decodes coefficients only
+    then: per denominator and coefficient n, a term's opening; per low block
+    (index v % q**LOW_BLOCK, the first LOW_BLOCK coefficients), its "coeffs"
+    lines and its close (its nonzero monomials, "+" first unless none, and
+    the term's end); per high block (v // q**LOW_BLOCK), its lines, the
+    text up to the "str" value and its monomials. As "coeffs" runs up and
+    "str" down, a term is: opening, low lines, high piece, low close. A
+    numerator with v < q**LOW_BLOCK is one piece after its opening."""
 
     __slots__ = ("groups", "monomials")
 
@@ -228,9 +224,9 @@ class FormalTerms:
 
     def __iter__(self):
         for den, nums in self.groups:
-            for num, n in nums:
+            for v, n in nums:
                 yield {"coeff": n, "den": _poly_json(den),
-                       "num": _poly_json(_wrap(den.ctx, num))}
+                       "num": _poly_json(_wrap(den.ctx, _num_coeffs(v, den.ctx.q)))}
 
     def json_text(self, depth: int) -> str:
         """The JSON text of the list of term dicts, nested depth levels
@@ -239,40 +235,46 @@ class FormalTerms:
         monomials, digits = self.monomials, self.monomials[0]
         comma, head, mid = "," + i4, f'{{{i2}"coeff": ', f'{i3}],{i3}"str": "'
         close = f'"{i2}}}{i1}}}'
+        q = self.groups[0][0].ctx.q
+        base = q ** LOW_BLOCK
 
         # the monomials hold only digits, "T", "^" and "*", which JSON
         # writes as they are
         def lines(block):
             return comma.join(map(digits.__getitem__, block))
 
-        def terms(block, k):
-            """The "+"-joined nonzero monomials of block, whose first
-            coefficient is that of T^k, from the top down."""
+        def terms(block, k):  # "+"-joined, top first; block[0] is the coefficient of T^k
             return "+".join([row[c] for row, c in zip(monomials[k:], block) if c][::-1])
 
-        def whole(num):
+        def whole(v):
+            num = _num_coeffs(v, q)
             return f"{lines(num)}{mid}{terms(num, 0)}{close}"
 
-        def high(block):
+        def low(v):  # the lines and the close
+            block = _num_coeffs(v, q, LOW_BLOCK)
+            text = terms(block, 0)
+            return lines(block), f"+{text}{close}" if text else close
+
+        def high(v):
+            block = _num_coeffs(v, q)
             return f"{comma}{lines(block)}{mid}{terms(block, LOW_BLOCK)}"
 
-        def low_close(block):
-            text = terms(block, 0)
-            return f"+{text}{close}" if text else close
-
-        wholes, lows, highs, low_closes = (_Texts(make) for make in (whole, lines, high, low_close))
+        wholes, lows, highs = _Texts(whole), _Texts(low), _Texts(high)
         texts: list[str] = []
         for den, nums in self.groups:
             den_parts: list[str] = []
             _emit(_poly_json(den), depth + 2, den_parts)
             num_open = f',{i2}"den": {"".join(den_parts)},{i2}"num": {{{i3}"coeffs": [{i4}'
             opens = {n: f"{head}{n}{num_open}" for n in {n for _, n in nums}}
-            texts += [f"{opens[n]}{wholes[num]}" if len(num) <= LOW_BLOCK else
-                      f"{opens[n]}{lows[low := num[:LOW_BLOCK]]}{highs[num[LOW_BLOCK:]]}"
-                      f"{low_closes[low]}" for num, n in nums]
+            texts += [f"{opens[n]}{wholes[v]}" if v < base else
+                      f"{opens[n]}{(lo := lows[v % base])[0]}{highs[v // base]}{lo[1]}"
+                      for v, n in nums]
         if not texts:
             return "[]"
-        return "[" + i1 + ("," + i1).join(texts) + "\n" + "  " * depth + "]"
+        # the brackets go on the end texts, so the long text is copied once
+        texts[0] = f"[{i1}{texts[0]}"
+        texts[-1] += "\n" + "  " * depth + "]"
+        return ("," + i1).join(texts)
 
 
 def render_json(report: dict[str, Any]) -> str:

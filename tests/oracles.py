@@ -33,7 +33,10 @@ prepared and one remainder loop per step, the reference of its ``pgcd``,
 which fuses each step that drops the degree by one into one pass.
 ``per_term_formal_sum`` keeps the formal sum's loop over every
 (A, s, B) with one kernel ``padd`` per raw term and a hit looked up per
-(A, s), the reference of the library's enumeration of the numerators.
+(A, s), the reference of the library's sweep over numerator indices;
+``index_groups`` and ``flat_terms`` put a reference's groups, kept by
+numerator coefficients, beside ``FormalSum.groups`` and, through
+``decoded_terms``, ``FormalSum.terms``.
 ``dict_per_term_formal_sums`` keeps the report's formal-sums block as
 one plain dict per term, the reference of the terms the report writes
 straight as JSON text.
@@ -57,7 +60,7 @@ from qcff.algebra import (
 )
 from qcff.algebra.poly import coeffs_sort_key
 from qcff.errors import NotCoprime, NotPrimeModulus
-from qcff.kummer import FormalSum, pair_formal_sum, raw_term_count
+from qcff.kummer import FormalSum, pair_formal_sum
 from qcff.report import _poly_json
 
 
@@ -416,11 +419,12 @@ def powmod_residue_symbol(a: Poly, r: Poly) -> int:
     return naive_dlog(ctx, reduced.coeffs[0])
 
 
-def per_term_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
-    """pair_formal_sum by one kernel sum per raw term: the half sums of
-    (P, Q) and (Q, P) loop over every monic A, s = 1..q-2 and monic B, and
-    the one B per (A, s) with P | B*Q + c*A is found by looking up
-    -c * A * Q^{-1} mod P among the B*Q."""
+def per_term_formal_sum(p_first: Poly, p_second: Poly) -> tuple:
+    """pair_formal_sum's groups by one kernel sum per raw term, each
+    numerator kept as its coefficient tuple: the half sums of (P, Q) and
+    (Q, P) loop over every monic A, s = 1..q-2 and monic B, and the one B
+    per (A, s) with P | B*Q + c*A is found by looking up -c * A * Q^{-1}
+    mod P among the B*Q."""
     ctx = p_first.ctx
     P, Q = p_first.coeffs, p_second.coeffs
     over_p: dict[tuple, int] = {}
@@ -432,8 +436,28 @@ def per_term_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     for den, acc in ((p_first, over_p), (p_second, over_q), (p_first * p_second, over_pq)):
         nums = sorted((num for num in acc if acc[num]), key=coeffs_sort_key)
         groups.append((den, tuple((num, acc[num]) for num in nums)))
-    return FormalSum(groups=tuple(groups),
-                     raw_terms=raw_term_count(ctx, p_first.degree, p_second.degree))
+    return tuple(groups)
+
+
+def index_groups(groups: tuple) -> tuple:
+    """A reference's groups of (den, ((numerator coefficients, coefficient),
+    ...)) in the form of FormalSum.groups: each numerator as its index,
+    the base-q integer sum c_k * q^k of its coefficients c_k."""
+    return tuple((den, tuple((sum(c * den.ctx.q ** k for k, c in enumerate(num)), n)
+                             for num, n in nums))
+                 for den, nums in groups)
+
+
+def decoded_terms(fs: FormalSum) -> list[tuple]:
+    """The (den, numerator coefficients, coefficient) of each of fs.terms,
+    to set beside the flat terms of a reference's groups."""
+    return [(cls.den, cls.num.coeffs, n) for cls, n in fs.terms]
+
+
+def flat_terms(groups: tuple) -> list[tuple]:
+    """The (den, numerator coefficients, coefficient) of each term of a
+    reference's groups, in order."""
+    return [(den, num, n) for den, nums in groups for num, n in nums]
 
 
 def _per_term_half_sum(ctx, P, Q, sign, over_q, over_pq) -> None:

@@ -351,7 +351,7 @@ def _formal_sum_config(p, pairs, e=1, modulus=None):
     return parse_config(raw)
 
 
-# pairs over F_3, F_5, F_7, F_9, F_257 and F_7^3, of 2 to 1,040 raw terms
+# pairs over F_3, F_5, F_7, F_9, F_257, F_7^3 and F_3^6, of 2 to 1,454 raw terms
 _TEXT_PATH_CONFIGS = {
     "f3_linear": (3, [["T", "T+1"]]),
     "f3_two_pairs": (3, [["T", "T+1"], ["T+1", "T^2+1"]]),
@@ -362,6 +362,7 @@ _TEXT_PATH_CONFIGS = {
     "f9": (3, [["T", "T^2+T+3"]], 2, "T^2+1"),
     "f257": (257, [["T", "T+1"]]),
     "f7_3": (7, [["T", "T+1"]], 3, "T^3+2"),
+    "f3_6": (3, [["T+1", "T+5"]], 6, "T^6+T+2"),
 }
 
 
@@ -422,7 +423,7 @@ def test_formal_terms_text_from_blocks(block_sums, monkeypatch, low_block):
     block, high blocks with a zero below their top, and, over F_11 and F_13
     only, two-digit coefficients."""
     low = report_module.LOW_BLOCK
-    nums = {name: [num for _, group in terms.groups for num, _ in group]
+    nums = {name: [_coeffs_of(v, den.ctx.q) for den, group in terms.groups for v, _ in group]
             for name, terms in block_sums.items()}
     every = [num for group in nums.values() for num in group]
     assert any(len(num) < low for num in every)
@@ -437,6 +438,38 @@ def test_formal_terms_text_from_blocks(block_sums, monkeypatch, low_block):
         for depth in (0, 3):
             got = terms.json_text(depth)
             assert got == want.replace("\n", "\n" + "  " * depth), (name, depth)
+
+
+def _coeffs_of(v, q):
+    """The coefficients of the numerator of index v, low first."""
+    out = []
+    while v:
+        out.append(v % q)
+        v //= q
+    return tuple(out)
+
+
+# a linear pair over F_257 and one over F_3^6: numerator coefficients of
+# three digits, and at LOW_BLOCK = 1 a high block of one of them
+_WIDE_BLOCK_PAIRS = {
+    "f257": (257, [["T+3", "T+250"]]),
+    "f3_6": (3, [["T+1", "T+5"]], 6, "T^6+T+2"),
+}
+
+
+@pytest.mark.parametrize("low_block", [1, 2, 3, 4])
+def test_formal_terms_text_over_wide_fields(monkeypatch, low_block):
+    """json_text against json.dumps of the term dicts past the benchmark
+    pool's q <= 9, at depths 0 and 3."""
+    monkeypatch.setattr(report_module, "LOW_BLOCK", low_block)
+    for name, args in _WIDE_BLOCK_PAIRS.items():
+        terms = run_report(_formal_sum_config(*args))["kummer"]["formal_sums"][0]["terms"]
+        q = terms.groups[0][0].ctx.q
+        assert any(c >= 100 for _, group in terms.groups for v, _ in group
+                   for c in _coeffs_of(v, q)), name
+        want = json.dumps(list(terms), sort_keys=True, indent=2)
+        for depth in (0, 3):
+            assert terms.json_text(depth) == want.replace("\n", "\n" + "  " * depth), (name, depth)
 
 
 def test_render_json_shared_fragment_at_every_depth():

@@ -79,6 +79,26 @@ def test_conductor_exponents_are_ints(ctx3, exp):
         conductor_create(ctx3, [(var_T(ctx3), exp)])
 
 
+@pytest.mark.parametrize("spec", [5, None, [("T", 1)], [(3, 1)], [(None, 1)], "T",
+                                  ["T", 1], [((1, 1), 1)], [("T",)], [(None,)], [(1, 1, 1)]],
+                         ids=repr)
+def test_malformed_claimed_factorizations_rejected(ctx3, spec):
+    """A spec that is neither a Poly nor a sequence of (Poly, exponent)
+    pairs raises ValidationError, not a bare Python error."""
+    with pytest.raises(ValidationError):
+        conductor_create(ctx3, spec)
+
+
+def test_claimed_factor_shapes(ctx3, ctx5):
+    t = var_T(ctx3)
+    for spec in ([(t,)], [(t, 1, 1)], [t], [(t, 1), t]):
+        with pytest.raises(ValidationError):
+            conductor_create(ctx3, spec)
+    with pytest.raises(ValidationError):
+        conductor_create(ctx3, [(var_T(ctx5), 1)])  # a prime of another field
+    assert conductor_create(ctx3, [[t, 1]]).M == conductor_create(ctx3, [(t, 1)]).M
+
+
 def test_only_claimed_primes_are_retested(ctx3, mk, monkeypatch):
     tested = []
 

@@ -35,7 +35,6 @@ from qcff.errors import (
     WrongOrientation,
 )
 from qcff.kummer import (
-    FormalSum,
     genus_hasse_formula,
     genus_riemann_hurwitz,
     pair_formal_sum,
@@ -49,7 +48,7 @@ from qcff.kummer import (
 from qcff.selfcheck import suite_genus_paths
 from qcff.symbols import jacobi_symbol, residue_symbol
 
-from .oracles import per_term_formal_sum
+from .oracles import decoded_terms, flat_terms, index_groups, per_term_formal_sum
 
 
 def _cond(ctx, *primes_with_exp):
@@ -111,7 +110,8 @@ def test_formal_sum_classes_are_canonical(ctx3, mk):
 def _formal_sum_by_reduction(p_first, p_second):
     """The formal sum straight from its definition: reduce_fraction on every
     raw term, equal classes summed, zero classes dropped, sorted by poly_cmp
-    and grouped by denominator."""
+    and grouped by denominator, each numerator kept as its coefficient
+    tuple. Returns the groups and the raw term count."""
     ctx = p_first.ctx
     den = p_first * p_second
     acc = {}
@@ -137,7 +137,7 @@ def _formal_sum_by_reduction(p_first, p_second):
                   key=functools.cmp_to_key(poly_cmp))
     groups = tuple((d, tuple((cls.num.coeffs, n) for cls, n in terms if cls.den == d))
                    for d in dens)
-    return FormalSum(groups=groups, raw_terms=raw)
+    return groups, raw
 
 
 def _oracle_pairs(ctx3, ctx5, ctx7, ctx9):
@@ -160,8 +160,10 @@ def test_formal_sum_matches_generic_reduction(ctx3, ctx5, ctx7, ctx9):
     big = 0
     for a, b in _oracle_pairs(ctx3, ctx5, ctx7, ctx9):
         fs = pair_formal_sum(a, b)
-        assert fs == _formal_sum_by_reduction(a, b), (a, b)
-        assert fs.raw_terms == raw_term_count(a.ctx, a.degree, b.degree)
+        groups, raw = _formal_sum_by_reduction(a, b)
+        assert fs.groups == index_groups(groups), (a, b)
+        assert decoded_terms(fs) == flat_terms(groups), (a, b)
+        assert fs.raw_terms == raw == raw_term_count(a.ctx, a.degree, b.degree)
         assert {cls.den for cls, _ in fs.terms} <= {a, b, a * b}
         big += fs.raw_terms > 1000
     assert big == 3
@@ -216,7 +218,10 @@ def test_formal_sum_matches_per_term_loop(kernel, monkeypatch):
     for a, b in _per_term_pairs():
         assert isinstance(a.ctx.kernel, kernel)
         fs = pair_formal_sum(a, b)
-        assert fs == per_term_formal_sum(a, b), (a, b)
+        groups = per_term_formal_sum(a, b)
+        assert fs.groups == index_groups(groups), (a, b)
+        assert decoded_terms(fs) == flat_terms(groups), (a, b)
+        assert fs.raw_terms == raw_term_count(a.ctx, a.degree, b.degree)
         seen["deg P = 1"] += a.degree == 1
         seen["deg P = deg Q"] += a.degree == b.degree
         # A = P is monic below deg Q, and P | A leaves no B with P | B*Q + c*A
@@ -239,6 +244,41 @@ def test_formal_sum_rejects_bad_pairs(ctx3, mk):
     for second in ("T^2", "T^2+T"):  # gcd with T is T
         with pytest.raises(BadPair):
             pair_formal_sum(var_T(ctx3), mk(ctx3, second))
+
+
+@pytest.mark.parametrize("other", ["x", None, 1, (1, 1), [0, 1]], ids=repr)
+def test_formal_sum_rejects_members_that_are_not_polys(ctx3, other):
+    t = var_T(ctx3)
+    for pair in ((t, other), (other, t), (other, other)):
+        with pytest.raises(BadPair):
+            pair_formal_sum(*pair)
+
+
+# past the benchmark pool's q <= 9: a linear pair over F_257, with numerator
+# coefficients and sum coefficients of three digits, and one over F_3^6,
+# whose elements are base-3 digit encodings up to 728
+_WIDE_PAIRS = {"f257": (257, 1, None, "T+3", "T+250"),
+               "f3_6": (3, 6, [2, 1, 0, 0, 0, 0, 1], "T+1", "T+5")}
+
+
+@pytest.mark.parametrize("args", _WIDE_PAIRS.values(), ids=_WIDE_PAIRS)
+def test_formal_sum_over_wide_fields_matches_references(mk, args):
+    """The sweep against the per-term loop and the generic reduction."""
+    p, e, modulus, first, second = args
+    ctx = field_create(p, e, modulus)
+    a, b = mk(ctx, first), mk(ctx, second)
+    fs = pair_formal_sum(a, b)
+    assert fs.raw_terms == raw_term_count(ctx, 1, 1) == 2 * (ctx.q - 2)
+    groups, raw = _formal_sum_by_reduction(a, b)
+    assert per_term_formal_sum(a, b) == groups
+    assert fs.groups == index_groups(groups)
+    assert decoded_terms(fs) == flat_terms(groups)
+    assert raw == fs.raw_terms
+    nums = [num for _, num, _ in flat_terms(groups)]
+    assert max(c for num in nums for c in num) >= 100
+    assert max(abs(n) for _, _, n in flat_terms(groups)) >= 100
+    # every numerator over PQ is linear: its index lies in [q, q^2)
+    assert all(ctx.q <= v < ctx.q ** 2 for v, _ in fs.groups[2][1])
 
 
 class _TablelessKernel:

@@ -228,6 +228,18 @@ def test_poly_rejects_bad_coefficients(ctx3):
         var_T(ctx3) + True
 
 
+def test_bool_scalars_and_exponents_rejected(ctx3):
+    """A bool is no encoded element for scale and no exponent for
+    poly_powmod, as it is no coefficient for Poly."""
+    t = var_T(ctx3)
+    for flag in (True, False):
+        with pytest.raises(ValidationError):
+            t.scale(flag)
+        with pytest.raises(ValidationError):
+            poly_powmod(t, flag, t * t + 1)
+    assert t.scale(1) == poly_powmod(t, 1, t * t + 1) == t
+
+
 def test_cross_field_arithmetic_rejected(ctx3, ctx5):
     with pytest.raises(ValidationError):
         var_T(ctx3) + var_T(ctx5)
