@@ -213,6 +213,13 @@ def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
     < deg Q, and B and c*A are P*M's quotient and remainder by Q. So a hit
     is a P*M with c = lc(P*M mod Q) not 1, and its class is M / Q.
 
+    The M are the T^j*H + K with j = max(deg Q - deg P, 0), H monic with
+    deg H < min(deg P, deg Q) and K in F_q^j. P*K has degree below deg Q,
+    so with X = P*T^j*H and r = X mod Q, one product and one remainder per
+    H, P*M mod Q is r + P*K. As P is monic, its lead is lc K if P*K has the
+    larger degree, lc r if r has, and else lc r + lc K, or, when that is 0,
+    the lead of the sum itself. Only a hit adds X + P*K, for its index.
+
     pair_formal_sum calls this for (P, Q) and then for (Q, P). Listed as P,
     Q, PQ the groups are in the canonical order of their denominators: the
     pair is oriented, P < Q, and deg PQ exceeds both degrees.
@@ -222,7 +229,7 @@ def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
     # weight[u] = sign * s for the leading coefficient u = gamma^{-s} of c*A
     weight = [0, 0] + [sign * (w - log[u]) for u in range(2, q)]
     # lows[i] is F_q^i: with a leading 1 appended, the monic polynomials of degree i
-    lows = [list(product(range(q), repeat=i)) for i in range(max(d_p, d_q))]
+    lows = [list(product(range(q), repeat=i)) for i in range(d_p)]
     powers = [q ** k for k in range(d_p + d_q)]  # an index is sum(map(mul, coeffs, powers))
     rows: dict[tuple[int, int], list] = {}  # (bq[i], i) -> [(x * q^i, step)]
     get = ends.get
@@ -242,16 +249,32 @@ def _add_half_sum(ctx, P: tuple, Q: tuple, sign: int,
                 at += h
                 ends[at] = get(at, 0) + step
             h += t * span
+    j, fadd, padd = max(d_q - d_p, 0), kernel.fadd, kernel.padd
+    # (P*K, deg P*K, lc K, index of K) for each K in F_q^j by degree, K = 0
+    # first: those of degree i are the q^i of lower degree plus c*T^i
+    by_k = [((), -1, 0, 0)]
+    for i in range(j):
+        for c in range(1, q):
+            top = (0,) * i + tuple(kernel.pscale(P, c))  # c*T^i*P
+            by_k += [(padd(pk, top), d_p + i, c, v + c * powers[i])
+                     for pk, _, _, v in by_k[:q ** i]]
     hits = []
-    for m_low in chain.from_iterable(lows[max(d_q - d_p, 0):d_q]):
-        m = m_low + (1,)
-        num = kernel.pmul(P, m)
-        u = kernel.prem(num, Q)[-1]
-        if u != 1:
-            v, n = sum(map(mul, num, powers)), weight[u]
-            ends[v] = get(v, 0) - n
-            ends[v + 1] = get(v + 1, 0) + n
-            hits.append((sum(map(mul, m, powers)), n))
+    for h_low in chain.from_iterable(lows[:min(d_p, d_q)]):
+        m = (0,) * j + h_low + (1,)  # T^j * H
+        x = kernel.pmul(P, m)
+        r = kernel.prem(x, Q)
+        d_r, lc_r, v_m = len(r) - 1, r[-1], sum(map(mul, m, powers))
+        for pk, d_k, lc_k, v_k in by_k:
+            if d_k != d_r:
+                u = lc_k if d_k > d_r else lc_r
+            else:
+                u = fadd(lc_r, lc_k) or padd(r, pk)[-1]
+            if u != 1:
+                num = padd(x, pk) if pk else x
+                v, n = sum(map(mul, num, powers)), weight[u]
+                ends[v] = get(v, 0) - n
+                ends[v + 1] = get(v + 1, 0) + n
+                hits.append((v_m + v_k, n))
     return tuple(sorted(hits))
 
 

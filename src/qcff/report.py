@@ -180,9 +180,9 @@ def _formal_sums_block(pairs: PairSet, cap: int) -> list[dict]:
 
 
 # A numerator's first LOW_BLOCK coefficients are its low block and the rest
-# its high block; FormalTerms.json_text writes each block's text once per
-# call. Over the benchmark's formal sums (F_3 to F_9) json_text took 1.7x
-# as long with 1, 1.4x with 3 and 3.6x with 4 (pure Python 3.11, in process).
+# its high block; FormalTerms.write_json makes each block's text once per
+# call. Over the benchmark's formal sums (F_3 to F_9) the text took 1.7x as
+# long with 1, 1.4x with 3 and 3.6x with 4 (pure Python 3.11, in process).
 LOW_BLOCK = 2
 
 
@@ -207,14 +207,16 @@ class FormalTerms:
     and every k below the numerators' largest length, and row 0 also that
     of each coefficient.
 
-    json_text makes each piece once per call, and decodes coefficients only
-    then: per denominator and coefficient n, a term's opening; per low block
-    (index v % q**LOW_BLOCK, the first LOW_BLOCK coefficients), its "coeffs"
-    lines and its close (its nonzero monomials, "+" first unless none, and
-    the term's end); per high block (v // q**LOW_BLOCK), its lines, the
-    text up to the "str" value and its monomials. As "coeffs" runs up and
-    "str" down, a term is: opening, low lines, high piece, low close. A
-    numerator with v < q**LOW_BLOCK is one piece after its opening."""
+    write_json appends one text per term to render_json's list of pieces,
+    so the one join there is the only copy of the long text. It makes each
+    part once per call, and decodes coefficients only then: per
+    denominator and coefficient n, a term's opening; per low block (index
+    v % q**LOW_BLOCK, the first LOW_BLOCK coefficients), its "coeffs" lines
+    and its close (its nonzero monomials, "+" first unless none, and the
+    term's end); per high block (v // q**LOW_BLOCK), its lines, the text up
+    to the "str" value and its monomials. As "coeffs" runs up and "str"
+    down, a term is: opening, low lines, high piece, low close. A numerator
+    with v < q**LOW_BLOCK is one part after its opening."""
 
     __slots__ = ("groups", "monomials")
 
@@ -228,12 +230,15 @@ class FormalTerms:
                 yield {"coeff": n, "den": _poly_json(den),
                        "num": _poly_json(_wrap(den.ctx, _num_coeffs(v, den.ctx.q)))}
 
-    def json_text(self, depth: int) -> str:
-        """The JSON text of the list of term dicts, nested depth levels
-        deep, as json.dumps(sort_keys=True, indent=2) writes it."""
+    def write_json(self, depth: int, out: list[str]) -> None:
+        """Append to out the JSON text of the list of term dicts, nested
+        depth levels deep, as json.dumps(sort_keys=True, indent=2) writes
+        it: one piece per term, led by its separator, "," and a newline,
+        or by "[" and a newline for the first, then one piece closing the
+        list; or the one piece "[]"."""
         i1, i2, i3, i4 = ("\n" + "  " * (depth + k) for k in range(1, 5))
         monomials, digits = self.monomials, self.monomials[0]
-        comma, head, mid = "," + i4, f'{{{i2}"coeff": ', f'{i3}],{i3}"str": "'
+        comma, head, mid = "," + i4, f',{i1}{{{i2}"coeff": ', f'{i3}],{i3}"str": "'
         close = f'"{i2}}}{i1}}}'
         q = self.groups[0][0].ctx.q
         base = q ** LOW_BLOCK
@@ -260,21 +265,20 @@ class FormalTerms:
             return f"{comma}{lines(block)}{mid}{terms(block, LOW_BLOCK)}"
 
         wholes, lows, highs = _Texts(whole), _Texts(low), _Texts(high)
-        texts: list[str] = []
+        first = len(out)
         for den, nums in self.groups:
             den_parts: list[str] = []
             _emit(_poly_json(den), depth + 2, den_parts)
             num_open = f',{i2}"den": {"".join(den_parts)},{i2}"num": {{{i3}"coeffs": [{i4}'
             opens = {n: f"{head}{n}{num_open}" for n in {n for _, n in nums}}
-            texts += [f"{opens[n]}{wholes[v]}" if v < base else
-                      f"{opens[n]}{(lo := lows[v % base])[0]}{highs[v // base]}{lo[1]}"
-                      for v, n in nums]
-        if not texts:
-            return "[]"
-        # the brackets go on the end texts, so the long text is copied once
-        texts[0] = f"[{i1}{texts[0]}"
-        texts[-1] += "\n" + "  " * depth + "]"
-        return ("," + i1).join(texts)
+            out += [f"{opens[n]}{wholes[v]}" if v < base else
+                    f"{opens[n]}{(lo := lows[v % base])[0]}{highs[v // base]}{lo[1]}"
+                    for v, n in nums]
+        if len(out) == first:
+            out.append("[]")
+            return
+        out[first] = "[" + out[first][1:]
+        out.append("\n" + "  " * depth + "]")
 
 
 def render_json(report: dict[str, Any]) -> str:
@@ -285,7 +289,9 @@ def render_json(report: dict[str, Any]) -> str:
     A report holds only dict (with str keys), list, str, int, bool and
     None, and one other type: the "terms" of each entry of
     kummer.formal_sums is a FormalTerms, written as the JSON list of the
-    term dicts it iterates as. Anything else (a float, a tuple, a set, a
+    term dicts it iterates as. Every value appends its text to one list of
+    pieces, a FormalTerms one piece per term, and one join at the end
+    makes the only copy of the whole text. Anything else (a float, a tuple, a set, a
     Poly, a non-str key) raises TypeError naming its type. An int longer
     than Python's limit for writing an integer as text
     (sys.get_int_max_str_digits(), 4300 digits by default) raises
@@ -342,7 +348,7 @@ def _emit(value: Any, depth: int, out: list[str]) -> None:
             lead = "," + indent
         out.append("\n" + "  " * depth + "]")
     elif kind is FormalTerms:
-        out.append(value.json_text(depth))
+        value.write_json(depth, out)
     else:
         raise TypeError(f"a report cannot hold {kind.__name__}")
 

@@ -416,7 +416,7 @@ def block_sums():
 
 @pytest.mark.parametrize("low_block", [1, 2, 3, 4])
 def test_formal_terms_text_from_blocks(block_sums, monkeypatch, low_block):
-    """json_text, built from cached low and high blocks, against json.dumps
+    """write_json, built from cached low and high blocks, against json.dumps
     of the term dicts re-indented, at depths 0 and 3, for the default block
     size and the ones around it. At the default size the pairs above hold
     numerators shorter than the low block, all-zero low blocks under a high
@@ -436,8 +436,31 @@ def test_formal_terms_text_from_blocks(block_sums, monkeypatch, low_block):
     for name, terms in block_sums.items():
         want = json.dumps(list(terms), sort_keys=True, indent=2)
         for depth in (0, 3):
-            got = terms.json_text(depth)
+            got = _terms_text(terms, depth)
             assert got == want.replace("\n", "\n" + "  " * depth), (name, depth)
+
+
+def _terms_text(terms, depth):
+    """The text write_json appends, joined, after checking that it holds
+    each term in a piece of its own: the one copy of the text is the join
+    render_json makes."""
+    out = ["before"]
+    terms.write_json(depth, out)
+    assert out[0] == "before"
+    assert all(piece.count('"coeff"') <= 1 for piece in out)
+    assert sum('"coeff"' in piece for piece in out) == len(list(terms))
+    return "".join(out[1:])
+
+
+def test_formal_terms_without_a_term_write_an_empty_list():
+    """Groups that all hold no class write "[]", in one piece, as json
+    writes an empty list at any depth."""
+    ctx = field_create(3)
+    terms = FormalTerms(((var_T(ctx), ()), (var_T(ctx) + 1, ())), [["0", "1", "2"]])
+    for depth in (0, 3):
+        assert _terms_text(terms, depth) == "[]"
+    value = {"a": [{"terms": terms}]}
+    assert render_json(value) == _oracle(value)
 
 
 def _coeffs_of(v, q):
@@ -459,7 +482,7 @@ _WIDE_BLOCK_PAIRS = {
 
 @pytest.mark.parametrize("low_block", [1, 2, 3, 4])
 def test_formal_terms_text_over_wide_fields(monkeypatch, low_block):
-    """json_text against json.dumps of the term dicts past the benchmark
+    """write_json against json.dumps of the term dicts past the benchmark
     pool's q <= 9, at depths 0 and 3."""
     monkeypatch.setattr(report_module, "LOW_BLOCK", low_block)
     for name, args in _WIDE_BLOCK_PAIRS.items():
@@ -469,7 +492,7 @@ def test_formal_terms_text_over_wide_fields(monkeypatch, low_block):
                    for c in _coeffs_of(v, q)), name
         want = json.dumps(list(terms), sort_keys=True, indent=2)
         for depth in (0, 3):
-            assert terms.json_text(depth) == want.replace("\n", "\n" + "  " * depth), (name, depth)
+            assert _terms_text(terms, depth) == want.replace("\n", "\n" + "  " * depth), (name, depth)
 
 
 def test_render_json_shared_fragment_at_every_depth():

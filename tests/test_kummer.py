@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -205,6 +206,32 @@ def _has_hit(p_first, p_second, a):
                for s in range(1, ctx.q - 1))
 
 
+def _first_half_leads(p_first, p_second):
+    """How the first half sum finds each hit's lead, counted by Poly
+    arithmetic: M = T^j*H + K with j = max(deg Q - deg P, 0), H monic below
+    min(deg P, deg Q) and K in F_q^j, and P*M mod Q = r + P*K with
+    r = P*T^j*H mod Q. Returns j and the number of (H, K) where P*K has the
+    larger degree, where r has (K not 0), where both have one degree, and
+    where, of those, the leads cancel."""
+    ctx = p_first.ctx
+    j = max(p_second.degree - p_first.degree, 0)
+    shift = Poly(ctx, [0] * j + [1])
+    ks = [Poly(ctx, list(k)) for k in itertools.product(range(ctx.q), repeat=j)]
+    counts = [0, 0, 0, 0]
+    for h in enumerate_monic_below(ctx, min(p_first.degree, p_second.degree)):
+        r = (p_first * shift * h) % p_second
+        for k in ks:
+            if k.is_zero:
+                continue
+            pk = p_first * k
+            if pk.degree != r.degree:
+                counts[pk.degree < r.degree] += 1
+            else:
+                counts[2] += 1
+                counts[3] += (r + pk).degree < r.degree
+    return j, counts
+
+
 @pytest.mark.parametrize("kernel", [
     pytest.param(PureFieldKernel, id="pure"),
     pytest.param(CompiledFieldKernel, id="compiled", marks=pytest.mark.skipif(
@@ -214,7 +241,9 @@ def test_formal_sum_matches_per_term_loop(kernel, monkeypatch):
     term by one kernel call, on both kernels."""
     monkeypatch.setattr(field, "FieldKernel", kernel)
     seen = {"deg P = 1": 0, "deg P = deg Q": 0, "A = P has no hit": 0,
-            "terms over P or Q": 0, "F_257, deg Q = 2": 0, "F_7^3, deg Q = 2": 0}
+            "terms over P or Q": 0, "F_257, deg Q = 2": 0, "F_7^3, deg Q = 2": 0,
+            "first half with j >= 2": 0, "deg P*K > deg r": 0, "deg r > deg P*K": 0,
+            "deg r = deg P*K": 0, "leads cancel": 0}
     for a, b in _per_term_pairs():
         assert isinstance(a.ctx.kernel, kernel)
         fs = pair_formal_sum(a, b)
@@ -229,6 +258,11 @@ def test_formal_sum_matches_per_term_loop(kernel, monkeypatch):
         seen["terms over P or Q"] += any(cls.den in (a, b) for cls, _ in fs.terms)
         seen["F_257, deg Q = 2"] += a.ctx.q == 257 and b.degree == 2
         seen["F_7^3, deg Q = 2"] += a.ctx.q == 343 and b.degree == 2
+        j, leads = _first_half_leads(a, b)
+        seen["first half with j >= 2"] += j >= 2
+        for name, count in zip(("deg P*K > deg r", "deg r > deg P*K", "deg r = deg P*K",
+                                "leads cancel"), leads):
+            seen[name] += count
     assert all(seen.values()), seen
 
 
@@ -304,6 +338,37 @@ def test_formal_sum_builds_no_frobenius_table(mk, monkeypatch):
         monkeypatch.setattr(ctx, "kernel", _TablelessKernel(ctx.kernel))
         assert pair_formal_sum(a, b) == expected
         monkeypatch.undo()
+
+
+class _CountingKernel:
+    """A field kernel that counts the calls of each op."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        op = getattr(self.kernel, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return op(*args)
+        return counted
+
+
+@pytest.mark.parametrize("pair, prems", [(("T", "T^4+T+2"), 2), (("T^2+1", "T^2+T+2"), 8)],
+                         ids=["j=3", "j=0"])
+def test_formal_sum_takes_one_remainder_per_high_part(mk, monkeypatch, pair, prems):
+    """Each half sum takes one remainder by Q per monic H below
+    min(deg P, deg Q), not one per monic M: for (T, T^4+T+2) over F_3 one
+    in each half, where the 27 M = T^3 + K of the first half took 27."""
+    ctx = field_create(3)
+    a, b = (mk(ctx, f) for f in pair)
+    expected = pair_formal_sum(a, b)
+    counting = _CountingKernel(ctx.kernel)
+    monkeypatch.setattr(ctx, "kernel", counting)
+    assert pair_formal_sum(a, b) == expected
+    assert counting.calls["prem"] == prems
 
 
 def test_reduce_fraction_class_preserved_randomized(ctx3):
