@@ -233,6 +233,8 @@ def _equal_degree_parts(ctx: FieldCtx, f, d: int) -> list[list[int]]:
 def poly_is_irreducible(f: Poly) -> bool:
     """Ben-Or's irreducibility test over F_q: the first distinct-degree part
     of f is f itself, found at degree deg f."""
+    if not isinstance(f, Poly):
+        raise ValidationError(f"irreducibility is tested for a Poly, not {f!r}")
     if f.is_zero or f.degree < 1:
         raise ConstantInput("irreducibility is tested for nonconstant polynomials only")
     ctx = f.ctx
@@ -246,6 +248,8 @@ def poly_factor(f: Poly) -> Factorization:
     powers times it reproduces the input exactly. The stages run on
     coefficient lists; each prime is wrapped once.
     """
+    if not isinstance(f, Poly):
+        raise ValidationError(f"factorization needs a Poly, not {f!r}")
     if f.is_zero or f.degree < 1:
         raise ConstantInput("factorization needs a nonconstant polynomial")
     ctx = f.ctx

@@ -136,7 +136,7 @@ class Poly:
         return _wrap(self.ctx, self.ctx.kernel.prem(self.coeffs, o.coeffs))
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # a bool is no exponent
             raise ValidationError("polynomial powers must be nonnegative integers")
         acc = Poly(self.ctx, [1])
         base = self
@@ -265,8 +265,8 @@ def monic_of_degree(ctx: FieldCtx, d: int) -> Iterator[Poly]:
 def enumerate_monic_below(ctx: FieldCtx, d: int) -> Iterator[Poly]:
     """All monic polynomials of degree < d, ordered by the canonical total
     order; there are (q**d - 1) // (q - 1) of them."""
-    if not isinstance(d, int) or d < 1:
-        raise NonpositiveBound(f"degree bound must be >= 1, got {d!r}")
+    if type(d) is not int or d < 1:  # a bool is no bound
+        raise NonpositiveBound(f"degree bound must be an integer >= 1, got {d!r}")
     for k in range(d):
         yield from monic_of_degree(ctx, k)
 
@@ -295,12 +295,10 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
         m = _TERM_RE.match(term)
         if not m:
             raise ConfigError(f"cannot parse polynomial term {term!r} in {text!r}")
+        coeff, power, constant = m.groups()
         try:
-            if m.group(3) is not None:
-                c, k = int(m.group(3)), 0
-            else:
-                c = int(m.group(1)) if m.group(1) is not None else 1
-                k = int(m.group(2)) if m.group(2) is not None else 1
+            c = int(constant or coeff or 1)
+            k = 0 if constant is not None else int(power or 1)
         except ValueError as exc:  # a numeral past Python's int-from-text digit limit
             raise ConfigError(f"a numeral in a polynomial term has more than "
                               f"{sys.get_int_max_str_digits()} digits") from exc
@@ -308,7 +306,7 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
             raise ConfigError(f"coefficient {c} out of range for F_{ctx.q} in {text!r}")
         if k > MAX_DEGREE:
             raise ConfigError(f"exponent {k} is past MAX_DEGREE = {MAX_DEGREE} in {text!r}")
-        coeffs[k] = ctx.kernel.fadd(coeffs.get(k, 0), c)
+        coeffs[k] = ctx.kernel.fadd(coeffs[k], c) if k in coeffs else c
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c

@@ -74,16 +74,20 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _poly(ctx: FieldCtx, value: Any, where: str) -> Poly:
+def _poly(ctx: FieldCtx, value: Any, where: str, parsed: dict[str, Poly]) -> Poly:
     """The polynomial a config value spells: text, or an ascending array of
-    encoded coefficients. where names the value in error messages."""
+    encoded coefficients. where names the value in error messages. A text
+    is parsed once: parsed keeps the polynomial of each text read so far."""
     if isinstance(value, str):
-        _expect(bool(value.strip()), f"{where}: empty polynomial string")
-        return parse_poly(ctx, value)
+        if value not in parsed:
+            _expect(bool(value.strip()), f"{where}: empty polynomial string")
+            parsed[value] = parse_poly(ctx, value)
+        return parsed[value]
     if isinstance(value, list):
         _expect(len(value) <= MAX_DEGREE + 1,
                 f"{where}: more than MAX_DEGREE + 1 = {MAX_DEGREE + 1} coefficients")
-        _expect(all(_is_int(c) and c >= 0 for c in value),
+        _expect(set(map(type, value)) <= {int} and min(value, default=0) >= 0  # plain ints at C speed
+                or all(_is_int(c) and c >= 0 for c in value),
                 f"{where}: coefficient arrays must hold nonnegative integers")
         try:
             return Poly(ctx, value)
@@ -98,7 +102,7 @@ def build_field(p: int, e: int, modulus: Any) -> FieldCtx:
     to field_create to accept or reject, whatever e is. The modulus carries
     its F_p, so field_create builds its tables over that one."""
     if modulus is not None:
-        modulus = _poly(field_create(p, 1), modulus, "'modulus'")
+        modulus = _poly(field_create(p, 1), modulus, "'modulus'", {})
     return field_create(p, e, modulus)
 
 
@@ -163,17 +167,18 @@ def parse_config(raw: Any) -> JobConfig:
             _expect(_is_int(value) and value >= 1, f"option '{name}' must be a positive integer")
 
     ctx = build_field(p, e, raw.get("modulus"))
+    parsed: dict[str, Poly] = {}
     if "poly" in cond:
-        conductor = _poly(ctx, cond["poly"], "'conductor.poly'")
+        conductor = _poly(ctx, cond["poly"], "'conductor.poly'", parsed)
     else:
-        conductor = tuple((_poly(ctx, prime, f"'conductor.factors[{i}]'"), exp)
+        conductor = tuple((_poly(ctx, prime, f"'conductor.factors[{i}]'", parsed), exp)
                           for i, (prime, exp) in enumerate(cond["factors"]))
         # constants and 0 count 0: conductor_create rejects them before the product
         degree = sum(max(prime.degree, 0) * exp for prime, exp in conductor)
         _expect(degree <= MAX_DEGREE, f"'conductor.factors': the product has degree "
                                       f"{degree}, past MAX_DEGREE = {MAX_DEGREE}")
-    pairs = tuple((_poly(ctx, a, f"'pairs[{i}][0]'"), _poly(ctx, b, f"'pairs[{i}][1]'"))
-                  for i, (a, b) in enumerate(raw_pairs))
+    pairs = tuple((_poly(ctx, a, f"'pairs[{i}][0]'", parsed),
+                   _poly(ctx, b, f"'pairs[{i}][1]'", parsed)) for i, (a, b) in enumerate(raw_pairs))
     return JobConfig(field=ctx, conductor=conductor, pairs=pairs,
                      rng_seed=rng_seed, options=Options(**opt_raw))
 

@@ -22,7 +22,6 @@ assumed in code, so a transcription slip in either one is caught.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .algebra import (
     FieldCtx,
@@ -156,10 +155,13 @@ def conductor_create(ctx: FieldCtx, spec) -> Conductor:
                                 infinite_coefficient=ctx.q - 2))
 
 
-def _as_genus(value: Fraction, where: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerGenus(f"{where} evaluated to non-integer {value}")
-    g = int(value)
+def _as_genus(num: int, den: int, where: str) -> int:
+    """The genus num / den, den > 0, of a genus formula computed in ints, its
+    denominators cleared; NonIntegerGenus if it is not a nonnegative int."""
+    g, rem = divmod(num, den)
+    if rem:
+        common = math.gcd(num, den)
+        raise NonIntegerGenus(f"{where} evaluated to non-integer {num // common}/{den // common}")
     if g < 0:
         raise NonIntegerGenus(f"{where} evaluated to negative genus {g}")
     return g
@@ -167,21 +169,18 @@ def _as_genus(value: Fraction, where: str) -> int:
 
 def genus_closed_form(cond: Conductor) -> int:
     """Genus of the cyclotomic layer via the closed formula
-    [(q-2)/(2(q-1)) - 1] * Phi(M) + (1/2) sum s_i d_i Phi(M/P_i^{r_i}) + 1."""
-    ctx = cond.ctx
-    dd = cond.different
-    g = (Fraction(ctx.q - 2, 2 * ctx.w) - 1) * cond.phi
-    g += Fraction(1, 2) * sum(row.s * row.degree * row.phi_cofactor for row in dd.per_prime)
-    g += 1
-    return _as_genus(g, "closed-form genus")
+    [(q-2)/(2(q-1)) - 1] * Phi(M) + (1/2) sum s_i d_i Phi(M/P_i^{r_i}) + 1,
+    in ints: times 2(q-1), (q-2 - 2(q-1)) * Phi(M) + (q-1) * sum + 2(q-1)."""
+    q, w = cond.ctx.q, cond.ctx.w
+    total = sum(row.s * row.degree * row.phi_cofactor for row in cond.different.per_prime)
+    return _as_genus((q - 2 - 2 * w) * cond.phi + w * total + 2 * w, 2 * w, "closed-form genus")
 
 
 def genus_riemann_hurwitz(cond: Conductor) -> int:
-    """Same genus assembled the long way: degree of the different divisor
-    (finite rows plus infinite places) into 2g - 2 = -2*Phi(M) + deg D."""
-    ctx = cond.ctx
+    """Same genus assembled the long way, in ints: degree of the different
+    divisor (finite rows plus infinite places) into 2g - 2 = -2*Phi(M) + deg D."""
     dd = cond.different
     deg_different = sum(row.s * row.degree * row.phi_cofactor for row in dd.per_prime)
     deg_different += dd.infinite_coefficient * dd.infinite_count
     two_g_minus_2 = -2 * cond.phi + deg_different
-    return _as_genus(Fraction(two_g_minus_2 + 2, 2), "Riemann-Hurwitz genus")
+    return _as_genus(two_g_minus_2 + 2, 2, "Riemann-Hurwitz genus")

@@ -12,7 +12,6 @@ step).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, chain, islice, product, repeat
 from operator import mul
 from typing import Sequence
@@ -58,8 +57,8 @@ def pairset_create(cond: Conductor, raw: Sequence[tuple[Poly, Poly]]) -> PairSet
     pairs = []
     for p_first, p_second in raw:
         for member in (p_first, p_second):
-            if member.ctx != cond.ctx:
-                raise ValidationError(f"{member} belongs to a different field")
+            if not isinstance(member, Poly) or member.ctx != cond.ctx:
+                raise ValidationError(f"{member!r} is not a Poly over the conductor's field")
             if member.coeffs not in conductor_primes:
                 raise PrimeNotInConductor(f"{member} is not a prime of the conductor")
         if p_first == p_second:
@@ -406,10 +405,6 @@ class GroupPresentation(Record):
     relations: tuple[Relation, ...]
 
 
-def _generator_name(prime: Poly) -> str:
-    return f"sigma[{prime}]"
-
-
 def presentation(cond: Conductor, pairs: PairSet, ram: RamTable) -> GroupPresentation:
     """Generators and relations of the Galois group of the full tower.
 
@@ -419,13 +414,14 @@ def presentation(cond: Conductor, pairs: PairSet, ram: RamTable) -> GroupPresent
     commutes. The p-part is central and reported by its order.
     """
     ctx = cond.ctx
+    names = {pp.prime.coeffs: f"sigma[{pp.prime}]" for pp in cond.factors}
     gens = []
     for pp, row in zip(cond.factors, ram.per_prime):
         base = pp.norm - 1
-        gens.append(Generator(name=_generator_name(pp.prime), prime=pp.prime,
+        gens.append(Generator(name=names[pp.prime.coeffs], prime=pp.prime,
                               base_order=base, lift_order=row.e * base,
                               central=not pairs.is_paired(pp.prime)))
-    relations = tuple(Relation(left=_generator_name(a), right=_generator_name(b))
+    relations = tuple(Relation(left=names[a.coeffs], right=names[b.coeffs])
                       for a, b in pairs.pairs)
     return GroupPresentation(epsilon_order=ctx.w,
                              p_part_order=cond.structure.p_part_order,
@@ -441,16 +437,16 @@ def genus_hasse_formula(cond: Conductor, base_genus: int, ram: RamTable) -> int:
     contributing (1 - 1/e(L)) * d_L * Phi(M/L^{r_L}) / 2 (zero when e = 1,
     as for a prime in no pair).
     Infinite places are unramified in this step and the constant field does
-    not grow, so the leading factor is exactly w."""
-    ctx = cond.ctx
-    total = Fraction(base_genus - 1)
+    not grow, so the leading factor is exactly w. In ints, over D = 2 lcm(e(L))."""
+    den = 2 * math.lcm(*(row.e for row in ram.per_prime))
+    total = den * (base_genus - 1)
     for pd, row in zip(cond.different.per_prime, ram.per_prime):
-        total += Fraction(1, 2) * (1 - Fraction(1, row.e)) * pd.degree * pd.phi_cofactor
-    return _as_genus(1 + ctx.w * total, "Kummer closed-form genus")
+        total += (row.e - 1) * (den // (2 * row.e)) * pd.degree * pd.phi_cofactor
+    return _as_genus(den + cond.ctx.w * total, den, "Kummer closed-form genus")
 
 
 def genus_riemann_hurwitz(cond: Conductor, base_genus: int, ram: RamTable) -> int:
-    """The same genus from Riemann-Hurwitz on the tame Kummer step:
+    """The same genus from Riemann-Hurwitz on the tame Kummer step, in ints:
     2g - 2 = w(2g_base - 2) + sum (e(L)-1) * (w/e(L)) * d_L * Phi(M/L^{r_L}),
     using that the places above L have total degree d_L * Phi(M/L^{r_L})."""
     ctx = cond.ctx
@@ -460,4 +456,4 @@ def genus_riemann_hurwitz(cond: Conductor, base_genus: int, ram: RamTable) -> in
             raise NonIntegerGenus(f"e = {row.e} does not divide w = {ctx.w}")  # pragma: no cover
         deg_different += (row.e - 1) * (ctx.w // row.e) * pd.degree * pd.phi_cofactor
     two_g_minus_2 = ctx.w * (2 * base_genus - 2) + deg_different
-    return _as_genus(Fraction(two_g_minus_2 + 2, 2), "Kummer Riemann-Hurwitz genus")
+    return _as_genus(two_g_minus_2 + 2, 2, "Kummer Riemann-Hurwitz genus")

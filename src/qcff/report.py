@@ -39,21 +39,50 @@ _ORDER_NOTE = ("polynomials ordered by degree, then coefficients from the top "
                "degree down, compared by element encoding")
 
 
+class _Texts(dict):
+    """A dict that fills a missing key with make(key) and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+class _PolyJson(dict):
+    """A polynomial's fragment; texts[depth] is its JSON text at depth."""
+
+    __slots__ = ("texts",)
+
+
 def _poly_json(f: Poly) -> dict[str, Any]:
-    return {"coeffs": list(f.coeffs), "str": format_poly(f)}
+    """The {"coeffs", "str"} fragment of f. A report holds one per distinct
+    polynomial, so one format_poly text; render_json keeps its JSON text at
+    each depth, so a fragment must not change once it is written."""
+    frag = _PolyJson(coeffs=list(f.coeffs), str=format_poly(f))
+    frag.texts = {}
+    return frag
 
 
-def _json(value: Any) -> Any:
+def _json(value: Any, polys: dict | None = None) -> Any:
     """The report form of a result: a Record becomes the dict of its
     fields, one key per name in its _fields, in that order; a Poly becomes
-    its fragment and a tuple a list, recursively. Anything else is returned
-    as it is, for render_json to accept or reject."""
-    if isinstance(value, Poly):
-        return _poly_json(value)
-    if isinstance(value, tuple):
-        return [_json(item) for item in value]
+    its fragment, polys[coeffs] when polys is given, and a tuple a list,
+    recursively. Anything else is returned as it is, for render_json to
+    accept or reject."""
+    if type(value) is Poly:
+        return _poly_json(value) if polys is None else polys[value.coeffs]
+    if type(value) is tuple:
+        return [_json(item, polys) for item in value]
     if isinstance(value, Record):
-        return {name: _json(getattr(value, name)) for name in value._fields}
+        out = {}
+        for name in value._fields:  # a scalar field without a call
+            item = getattr(value, name)
+            out[name] = item if type(item) in _SCALAR_TEXT else _json(item, polys)
+        return out
     return value
 
 
@@ -64,6 +93,8 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, An
                           "for a report on the cyclotomic layer alone")
     ctx = cfg.field
     cond = conductor_create(ctx, cfg.conductor)
+    # the report's one fragment of each polynomial, by coefficients
+    polys = _Texts(lambda coeffs: _poly_json(_wrap(ctx, coeffs)))
 
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -84,7 +115,7 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, An
     genus_rh = genus_riemann_hurwitz(cond)
 
     report["inputs"] = {
-        "conductor": {"poly": _poly_json(cond.M), "factors": _json(cond.factors)},
+        "conductor": {"poly": polys[cond.M.coeffs], "factors": _json(cond.factors, polys)},
         "options": _json(cfg.options),
         "cyclotomic_only": cyclotomic_only,
     }
@@ -92,7 +123,7 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, An
         "phi": cond.phi,
         "conductor_degree": cond.degM,
         "galois_structure": _json(cond.structure),
-        "different": _json(cond.different),
+        "different": _json(cond.different, polys),
         "genus": {"closed_form": genus_closed, "riemann_hurwitz": genus_rh},
     }
 
@@ -102,28 +133,28 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, An
                        "passed": genus_closed == genus_rh})
 
     pairs = pairset_create(cond, cfg.pairs) if cfg.pairs else PairSet(pairs=())
-    report["inputs"]["pairs"] = _json(pairs.pairs)
+    report["inputs"]["pairs"] = _json(pairs.pairs, polys)
     if not cyclotomic_only:
         ram = ramification_table(cond, pairs)
         g_hasse = genus_hasse_formula(cond, genus_closed, ram)
         g_rh = kummer_genus_riemann_hurwitz(cond, genus_closed, ram)
 
         kummer_block: dict[str, Any] = {
-            "ramification": _json(ram),
-            "presentation": _json(presentation(cond, pairs, ram)),
+            "ramification": _json(ram, polys),
+            "presentation": _json(presentation(cond, pairs, ram), polys),
             "genus": {"hasse_formula": g_hasse, "riemann_hurwitz": g_rh},
         }
 
         if cfg.options.emit_a_pq:
             kummer_block["formal_sums"] = _formal_sums_block(
-                pairs, cfg.options.a_pq_term_cap)
+                pairs, cfg.options.a_pq_term_cap, polys)
 
         report["kummer"] = kummer_block
 
         if cfg.options.run_oracles:
             checks.append({"name": "kummer genus paths agree",
                            "passed": g_hasse == g_rh})
-            checks += _symbol_checks(pairs, ram)
+            checks += _symbol_checks(pairs, ram, polys)
             if len(pairs.pairs) == 1:
                 parity = parity_consistency(pairs, ram)
                 if parity.applicable:
@@ -137,16 +168,16 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, An
     return report
 
 
-def _symbol_checks(pairs: PairSet, ram: RamTable) -> list[dict]:
+def _symbol_checks(pairs: PairSet, ram: RamTable, polys: dict) -> list[dict]:
     """The reciprocity check of every pair, on the Frobenius tables the field
-    keeps. The two symbols of each pair also rebuild each prime's vbar,
-    which the ramification table took from symbol_dlog; a difference raises
-    ConsistencyError."""
+    keeps, named by the texts in polys. The two symbols of each pair also
+    rebuild each prime's vbar, which the ramification table took from
+    symbol_dlog; a difference raises ConsistencyError."""
     checks, vbar = [], {row.prime.coeffs: 0 for row in ram.per_prime}
     for a, b in pairs.pairs:
         law = check_reciprocity(a, b)
-        checks.append({"name": f"reciprocity for ({format_poly(a)}, {format_poly(b)})",
-                       "passed": law.holds})
+        name = f"reciprocity for ({polys[a.coeffs]['str']}, {polys[b.coeffs]['str']})"
+        checks.append({"name": name, "passed": law.holds})
         vbar[a.coeffs] += law.first_over_second
         vbar[b.coeffs] -= law.second_over_first
     for row in ram.per_prime:
@@ -157,7 +188,7 @@ def _symbol_checks(pairs: PairSet, ram: RamTable) -> list[dict]:
     return checks
 
 
-def _formal_sums_block(pairs: PairSet, cap: int) -> list[dict]:
+def _formal_sums_block(pairs: PairSet, cap: int, polys: dict) -> list[dict]:
     """The formal sum of every pair. Each pair's raw term count is checked
     against the cap before the first sum is computed."""
     for a, b in pairs.pairs:
@@ -174,7 +205,7 @@ def _formal_sums_block(pairs: PairSet, cap: int) -> list[dict]:
     out = []
     for a, b in pairs.pairs:
         fs = pair_formal_sum(a, b)
-        out.append({"pair": [_poly_json(a), _poly_json(b)], "raw_terms": fs.raw_terms,
+        out.append({"pair": [polys[a.coeffs], polys[b.coeffs]], "raw_terms": fs.raw_terms,
                     "terms": FormalTerms(fs.groups, monomials)})
     return out
 
@@ -184,19 +215,6 @@ def _formal_sums_block(pairs: PairSet, cap: int) -> list[dict]:
 # call. Over the benchmark's formal sums (F_3 to F_9) the text took 1.7x as
 # long with 1, 1.4x with 3 and 3.6x with 4 (pure Python 3.11, in process).
 LOW_BLOCK = 2
-
-
-class _Texts(dict):
-    """A dict that fills a missing key with make(key) and keeps it."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        text = self[key] = self.make(key)
-        return text
 
 
 class FormalTerms:
@@ -287,15 +305,17 @@ def render_json(report: dict[str, Any]) -> str:
     sort_keys=True, indent=2 and ensure_ascii=True, plus a newline.
 
     A report holds only dict (with str keys), list, str, int, bool and
-    None, and one other type: the "terms" of each entry of
+    None, and two other types. The "terms" of each entry of
     kummer.formal_sums is a FormalTerms, written as the JSON list of the
-    term dicts it iterates as. Every value appends its text to one list of
-    pieces, a FormalTerms one piece per term, and one join at the end
-    makes the only copy of the whole text. Anything else (a float, a tuple, a set, a
-    Poly, a non-str key) raises TypeError naming its type. An int longer
-    than Python's limit for writing an integer as text
-    (sys.get_int_max_str_digits(), 4300 digits by default) raises
-    ValueError, as in the json module.
+    term dicts it iterates as. A polynomial's fragment (_poly_json) is
+    shared by every place of the report that holds it: one text per
+    polynomial, and its JSON text is made once per depth and kept on it.
+    Every value appends its text to one list of pieces, a FormalTerms one
+    piece per term, and one join at the end makes the only copy of the
+    whole text. Anything else (a float, a tuple, a set, a Poly, a non-str
+    key) raises TypeError naming its type. An int longer than Python's
+    limit for writing an integer as text (sys.get_int_max_str_digits(),
+    4300 digits by default) raises ValueError, as in the json module.
     """
     out: list[str] = []
     _emit(report, 0, out)
@@ -303,7 +323,9 @@ def render_json(report: dict[str, Any]) -> str:
     return "".join(out)
 
 
-_INT_LIST = {int}
+# the JSON text of a scalar, by its type
+_SCALAR_TEXT = {str: _json_str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+                type(None): lambda _: "null"}
 
 
 def _emit(value: Any, depth: int, out: list[str]) -> None:
@@ -313,16 +335,9 @@ def _emit(value: Any, depth: int, out: list[str]) -> None:
     would be a reference cycle holding out until the cyclic collector runs.
     """
     kind = type(value)
-    if kind is str:
-        out.append(_json_str(value))
-    elif kind is int:
-        out.append(repr(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
+    text = _SCALAR_TEXT.get(kind)
+    if text is not None:
+        out.append(text(value))
     elif kind is dict:
         if not value:
             out.append("{}")
@@ -332,34 +347,38 @@ def _emit(value: Any, depth: int, out: list[str]) -> None:
         for name in sorted(value):
             if type(name) is not str:
                 raise TypeError(f"report keys must be str, not {type(name).__name__}")
-            out.append(lead + _json_str(name) + ": ")
-            _emit(value[name], depth + 1, out)
+            item = value[name]
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(lead + _json_str(name) + ": ")
+                _emit(item, depth + 1, out)
+            else:  # a scalar, without a call
+                out.append(f"{lead}{_json_str(name)}: {text(item)}")
             lead = "," + indent
         out.append("\n" + "  " * depth + "}")
     elif kind is list:
-        if set(map(type, value)) <= _INT_LIST:
-            out.append(_int_list_text(value, depth))
-            return
         indent = "\n" + "  " * (depth + 1)
+        if set(map(type, value)) <= {int}:  # one int a line, or "[]"
+            out.append("[" + indent + ("," + indent).join(map(repr, value)) + "\n"
+                       + "  " * depth + "]" if value else "[]")
+            return
         lead = "[" + indent
         for item in value:
             out.append(lead)
             _emit(item, depth + 1, out)
             lead = "," + indent
         out.append("\n" + "  " * depth + "]")
+    elif kind is _PolyJson:
+        text = value.texts.get(depth)
+        if text is None:
+            parts: list[str] = []
+            _emit(dict(value), depth, parts)
+            text = value.texts[depth] = "".join(parts)
+        out.append(text)
     elif kind is FormalTerms:
         value.write_json(depth, out)
     else:
         raise TypeError(f"a report cannot hold {kind.__name__}")
-
-
-def _int_list_text(items: list[int], depth: int) -> str:
-    """JSON text of a list of ints nested depth levels deep, one item a
-    line as json.dumps(indent=2) writes it, or "[]" when it is empty."""
-    if not items:
-        return "[]"
-    indent = "\n" + "  " * (depth + 1)
-    return "[" + indent + ("," + indent).join(map(repr, items)) + "\n" + "  " * depth + "]"
 
 
 def render_text(report: dict[str, Any]) -> str:

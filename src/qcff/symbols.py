@@ -31,7 +31,7 @@ from __future__ import annotations
 from .algebra import Poly, poly_factor, poly_gcd
 from .algebra.factor import frobenius_table
 from .algebra.poly import _same_field
-from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus
+from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
 from .record import Record
 
 
@@ -40,8 +40,10 @@ def residue_symbol(a: Poly, r: Poly) -> int:
     prime r, on the Frobenius table r's field keeps. Errors, in this order:
     NotPrimeModulus for a constant or non-monic r; NotCoprime when
     gcd(a, r) != 1; NotPrimeModulus when the norm is not constant (r is
-    then reducible).
+    then reducible). A non-Poly a or r raises ValidationError.
     """
+    if not (isinstance(a, Poly) and isinstance(r, Poly)):
+        raise ValidationError(f"the residue symbol takes two Polys, not {a!r} and {r!r}")
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
     ctx = r.ctx

@@ -39,12 +39,17 @@ numerator coefficients, beside ``FormalSum.groups`` and, through
 ``decoded_terms``, ``FormalSum.terms``.
 ``dict_per_term_formal_sums`` keeps the report's formal-sums block as
 one plain dict per term, the reference of the terms the report writes
-straight as JSON text.
+straight as JSON text. ``fraction_genus_closed_form``,
+``fraction_genus_riemann_hurwitz``, ``fraction_genus_hasse_formula`` and
+``fraction_kummer_genus_riemann_hurwitz`` keep the four genus formulas in
+``Fraction`` arithmetic, unchecked: the references of the genus paths,
+which clear the formulas' denominators and compute in ints.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import zip_longest
 
 from qcff.algebra import (
@@ -500,3 +505,38 @@ def dict_per_term_formal_sums(pairs) -> list[dict]:
             terms.append({"num": _poly_json(c.num), "den": den, "coeff": n})
         out.append({"pair": pair, "raw_terms": fs.raw_terms, "terms": terms})
     return out
+
+
+def fraction_genus_closed_form(cond) -> Fraction:
+    """[(q-2)/(2(q-1)) - 1] * Phi(M) + (1/2) sum s_i d_i Phi(M/P_i^{r_i}) + 1."""
+    ctx = cond.ctx
+    g = (Fraction(ctx.q - 2, 2 * ctx.w) - 1) * cond.phi
+    g += Fraction(1, 2) * sum(row.s * row.degree * row.phi_cofactor
+                              for row in cond.different.per_prime)
+    return g + 1
+
+
+def fraction_genus_riemann_hurwitz(cond) -> Fraction:
+    """(2g - 2 + 2) / 2 with 2g - 2 = -2*Phi(M) + deg D, D the different."""
+    dd = cond.different
+    deg_different = sum(row.s * row.degree * row.phi_cofactor for row in dd.per_prime)
+    deg_different += dd.infinite_coefficient * dd.infinite_count
+    return Fraction(-2 * cond.phi + deg_different + 2, 2)
+
+
+def fraction_genus_hasse_formula(cond, base_genus: int, ram) -> Fraction:
+    """1 + w * [g_base - 1 + sum (1 - 1/e(L)) * d_L * Phi(M/L^{r_L}) / 2]."""
+    total = Fraction(base_genus - 1)
+    for pd, row in zip(cond.different.per_prime, ram.per_prime):
+        total += Fraction(1, 2) * (1 - Fraction(1, row.e)) * pd.degree * pd.phi_cofactor
+    return 1 + cond.ctx.w * total
+
+
+def fraction_kummer_genus_riemann_hurwitz(cond, base_genus: int, ram) -> Fraction:
+    """(2g - 2 + 2) / 2 with 2g - 2 = w(2g_base - 2)
+    + sum (e(L)-1) * (w/e(L)) * d_L * Phi(M/L^{r_L})."""
+    w = cond.ctx.w
+    two_g_minus_2 = Fraction(w * (2 * base_genus - 2))
+    for pd, row in zip(cond.different.per_prime, ram.per_prime):
+        two_g_minus_2 += (row.e - 1) * Fraction(w, row.e) * pd.degree * pd.phi_cofactor
+    return (two_g_minus_2 + 2) / 2

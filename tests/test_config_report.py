@@ -4,12 +4,14 @@ import gc
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcff import config as config_module
 from qcff import cyclotomic
 from qcff import report as report_module
 from qcff.algebra import FieldCtx, field_create, parse_poly, var_T
@@ -266,6 +268,70 @@ def test_term_cap_is_checked_before_any_formal_sum(monkeypatch):
 def test_report_is_deterministic_in_process():
     cfg = parse_config(_base_config(rng_seed=11))
     assert render_json(run_report(cfg)) == render_json(run_report(cfg))
+
+
+# A tower_report config of the benchmark pool (perfbench/pool.json) and its
+# report's pinned sha256: the four primes of M over F_7, every two of them
+# paired, so each prime's text appears three times in the pairs.
+POOL_PRIME = "T^11+4*T^10+3*T^9+3*T^7+2*T^6+T^5+2*T^3+T^2+2*T+3"
+POOL_CONFIG = {
+    "conductor": {"poly": [2, 0, 3, 0, 2, 5, 2, 2, 5, 2, 2, 0, 2, 0, 1, 6, 1]},
+    "e": 1, "options": {"emit_a_pq": False, "run_oracles": True}, "p": 7,
+    "pairs": [["T+3", "T+5"], ["T+3", "T+6"], ["T+3", POOL_PRIME], ["T+5", "T+6"],
+              ["T+5", POOL_PRIME], ["T+6", POOL_PRIME]],
+    "rng_seed": 627, "schema_version": 1}
+POOL_SHA256 = "a7c9f4f885339a24d0a4c861ba343ca2065737904cd89ee676be0e02bd1b73b2"
+
+
+def test_one_text_per_polynomial_and_one_parse_per_string(monkeypatch):
+    """parse_config parses each distinct polynomial string of a config once,
+    and run_report and render_json call format_poly at most once per
+    distinct polynomial of the report, not counting the generator names
+    kummer.presentation makes; the bytes are the pinned ones."""
+    real_format, real_parse = report_module.format_poly, config_module.parse_poly
+    texts, parses, counting = [], [], [True]
+
+    def format_poly(f):
+        if counting[0]:
+            texts.append(f.coeffs)
+        return real_format(f)
+
+    def presentation(*args):
+        counting[0] = False
+        try:
+            return real_presentation(*args)
+        finally:
+            counting[0] = True
+
+    # every qcff name for format_poly, Poly.__str__'s in qcff.algebra.poly included
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qcff" and getattr(module, "format_poly", None) is real_format:
+            monkeypatch.setattr(module, "format_poly", format_poly)
+    real_presentation = report_module.presentation
+    monkeypatch.setattr(report_module, "presentation", presentation)
+    monkeypatch.setattr(config_module, "parse_poly",
+                        lambda ctx, text: parses.append(text) or real_parse(ctx, text))
+
+    cfg = parse_config(POOL_CONFIG)
+    assert sorted(parses) == sorted({text for pair in POOL_CONFIG["pairs"] for text in pair})
+    text = render_json(run_report(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == POOL_SHA256
+
+    found = set()
+
+    def walk(node):
+        if isinstance(node, dict):
+            if set(node) == {"coeffs", "str"}:
+                found.add(tuple(node["coeffs"]))
+            for v in node.values():
+                walk(v)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v)
+
+    walk(json.loads(text))
+    assert len(found) == 11  # M, its four primes and each pair's radicand, their product
+    assert len(texts) == len(set(texts)) <= len(found)
 
 
 def test_every_reported_poly_round_trips():

@@ -15,11 +15,14 @@ from qcff.errors import (
     ConstantConductor,
     ConstantInput,
     DuplicatePrime,
+    NonIntegerGenus,
     NotMonic,
     ReducibleClaimedPrime,
     ValidationError,
 )
 from qcff.selfcheck import count_units, suite_genus_paths
+
+from .oracles import fraction_genus_closed_form, fraction_genus_riemann_hurwitz
 
 
 def test_conductor_from_factored_input(ctx3, mk):
@@ -157,6 +160,38 @@ def test_genus_fixtures_both_paths(ctx3, ctx5, mk):
         cond = conductor_create(ctx, mk(ctx, text))
         assert genus_closed_form(cond) == expected
         assert genus_riemann_hurwitz(cond) == expected
+
+
+def _doctored(record, **changes):
+    """record rebuilt by keyword with changes: a record no pipeline makes."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
+def test_genus_paths_raise_on_doctored_conductors(ctx3, mk):
+    """Each cyclotomic genus path raises NonIntegerGenus for a conductor
+    doctored to a non-integral genus and for one doctored to a negative
+    genus; the message names the value, which the path's Fraction reference
+    gives. M = T(T+1) over F_3: Phi(M) = 4, s = 1 and cofactor 2 at both
+    primes, two places at infinity, genus 0."""
+    cond = conductor_create(ctx3, mk(ctx3, "T^2+T"))
+    extra_place = _doctored(cond, different=_doctored(
+        cond.different, infinite_count=cond.different.infinite_count + 1))
+    wide = _doctored(cond, phi=10 * cond.phi)
+    cases = [
+        (genus_closed_form, fraction_genus_closed_form, _doctored(cond, phi=cond.phi + 1),
+         "closed-form genus evaluated to non-integer -3/4"),
+        (genus_closed_form, fraction_genus_closed_form, wide,
+         "closed-form genus evaluated to negative genus -27"),
+        (genus_riemann_hurwitz, fraction_genus_riemann_hurwitz, extra_place,
+         "Riemann-Hurwitz genus evaluated to non-integer 1/2"),
+        (genus_riemann_hurwitz, fraction_genus_riemann_hurwitz, wide,
+         "Riemann-Hurwitz genus evaluated to negative genus -36"),
+    ]
+    assert genus_closed_form(cond) == genus_riemann_hurwitz(cond) == 0
+    for path, reference, doctored, message in cases:
+        assert message.endswith(f" {reference(doctored)}")
+        with pytest.raises(NonIntegerGenus, match=f"^{message}$"):
+            path(doctored)
 
 
 def test_genus_zero_for_degree_one_conductors():

@@ -101,6 +101,16 @@ def test_irreducibility_rejects_constants(ctx3, mk):
         poly_is_irreducible(Poly(ctx3, []))
 
 
+def test_factor_and_irreducibility_reject_non_polys(ctx3):
+    """A non-Poly input is a ValidationError at entry, not an
+    AttributeError from inside the stages."""
+    for bad in ("x", 5, None, (1, 1)):
+        with pytest.raises(ValidationError):
+            poly_factor(bad)
+        with pytest.raises(ValidationError):
+            poly_is_irreducible(bad)
+
+
 def test_irreducible_counts_match_necklace_formula(ctx3, ctx5):
     # number of monic irreducibles of degree d: (1/d) sum_{k|d} mu(k) q^{d/k}
     counts3 = {}

@@ -29,6 +29,7 @@ from qcff.cyclotomic import (
 from qcff.errors import (
     BadPair,
     DuplicatePair,
+    NonIntegerGenus,
     OnlySinglePairSupported,
     PairMembersEqual,
     PrimeNotInConductor,
@@ -49,7 +50,16 @@ from qcff.kummer import (
 from qcff.selfcheck import suite_genus_paths
 from qcff.symbols import jacobi_symbol, residue_symbol
 
-from .oracles import decoded_terms, flat_terms, index_groups, per_term_formal_sum
+from .oracles import (
+    decoded_terms,
+    flat_terms,
+    fraction_genus_closed_form,
+    fraction_genus_hasse_formula,
+    fraction_genus_riemann_hurwitz,
+    fraction_kummer_genus_riemann_hurwitz,
+    index_groups,
+    per_term_formal_sum,
+)
 
 
 def _cond(ctx, *primes_with_exp):
@@ -78,6 +88,17 @@ def test_pairset_rejections(ctx3, mk):
         pairset_create(cond, [(t, t2)])
     with pytest.raises(ValidationError):
         pairset_create(cond, [])
+
+
+def test_pairset_rejects_non_polys(ctx3, mk):
+    """A pair member that is not a Poly is a ValidationError, not an
+    AttributeError."""
+    t, t1 = var_T(ctx3), mk(ctx3, "T+1")
+    cond = _cond(ctx3, (t, 1), (t1, 1))
+    for pair in ((t, "x"), ("T", t1), (t, None), (5, t1)):
+        with pytest.raises(ValidationError):
+            pairset_create(cond, [pair])
+    assert pairset_create(cond, [(t, t1)]).pairs == ((t, t1),)
 
 
 def test_formal_sum_frozen_example(ctx3, mk):
@@ -615,6 +636,66 @@ def test_quasi_genus_paths_agree_extension_field(ctx9):
     res = suite_genus_paths(ctx9, 3)
     assert res.failures == []
     assert res.cases == 1503
+
+
+def _doctored(record, **changes):
+    """record rebuilt by keyword with changes: a record no pipeline makes."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
+def test_kummer_genus_paths_raise_on_doctored_records(ctx3, mk):
+    """Each Kummer genus path raises NonIntegerGenus for a conductor
+    doctored to a non-integral genus and for a ramification table doctored
+    to a negative one; the message names the value, which the path's
+    Fraction reference gives. M = T(T+1) over F_3 with the pair (T, T+1):
+    e = 2 at T, 1 at T+1, both genera 0."""
+    t, t1 = var_T(ctx3), mk(ctx3, "T+1")
+    cond = _cond(ctx3, (t, 1), (t1, 1))
+    ram = ramification_table(cond, pairset_create(cond, [(t, t1)]))
+    assert [row.e for row in ram.per_prime] == [2, 1]
+    rows = cond.different.per_prime
+    # cofactor 1 at the ramified T: a different of odd degree
+    odd = _doctored(cond, different=_doctored(
+        cond.different, per_prime=(_doctored(rows[0], phi_cofactor=1), rows[1])))
+    # nothing ramified: g = 1 + w * (0 - 1)
+    unramified = _doctored(ram, per_prime=tuple(_doctored(row, vbar=0, e=1)
+                                                for row in ram.per_prime))
+    paths = [(genus_hasse_formula, fraction_genus_hasse_formula, "Kummer closed-form genus"),
+             (genus_riemann_hurwitz, fraction_kummer_genus_riemann_hurwitz,
+              "Kummer Riemann-Hurwitz genus")]
+    for path, reference, where in paths:
+        assert path(cond, 0, ram) == 0
+        for c, r, value in ((odd, ram, "non-integer -1/2"),
+                            (cond, unramified, "negative genus -1")):
+            assert value.endswith(f" {reference(c, 0, r)}")
+            with pytest.raises(NonIntegerGenus, match=f"^{where} evaluated to {value}$"):
+                path(c, 0, r)
+
+
+@pytest.mark.parametrize("field_args, max_degree, cases", [
+    ((3,), 4, 222), ((5,), 3, 265), ((3, 2, [1, 0, 1]), 3, 1503)])
+def test_integer_genera_equal_fraction_references(field_args, max_degree, cases):
+    """The four genus paths, in ints, equal their Fraction references on
+    every case of suite_genus_paths' ranges: run_selfcheck's F_3 to degree
+    4, and F_5 and F_9 to degree 3 as the tests run it."""
+    ctx = field_create(*field_args)
+    seen = 0
+    for d in range(1, max_degree + 1):
+        for m in monic_of_degree(ctx, d):
+            cond = conductor_create(ctx, m)
+            seen += 1
+            base = genus_closed_form(cond)
+            assert base == fraction_genus_closed_form(cond)
+            assert base_genus_riemann_hurwitz(cond) == fraction_genus_riemann_hurwitz(cond)
+            for i, j in itertools.combinations(range(len(cond.factors)), 2):
+                ps = pairset_create(cond, [(cond.factors[i].prime, cond.factors[j].prime)])
+                ram = ramification_table(cond, ps)
+                seen += 1
+                assert (genus_hasse_formula(cond, base, ram)
+                        == fraction_genus_hasse_formula(cond, base, ram))
+                assert (genus_riemann_hurwitz(cond, base, ram)
+                        == fraction_kummer_genus_riemann_hurwitz(cond, base, ram))
+    assert seen == cases == suite_genus_paths(ctx, max_degree).cases
 
 
 def test_tower_fixture_with_repeated_prime_power(ctx3, mk):

@@ -240,6 +240,20 @@ def test_bool_scalars_and_exponents_rejected(ctx3):
     assert t.scale(1) == poly_powmod(t, 1, t * t + 1) == t
 
 
+def test_bool_power_and_degree_bound_rejected(ctx3):
+    """A bool is no exponent for **, and no degree bound for
+    enumerate_monic_below: T ** True is not T, and a bound of True does
+    not enumerate [1]."""
+    t = var_T(ctx3)
+    for flag in (True, False):
+        with pytest.raises(ValidationError):
+            t ** flag
+        with pytest.raises(NonpositiveBound):
+            list(enumerate_monic_below(ctx3, flag))
+    assert t ** 1 == t
+    assert list(enumerate_monic_below(ctx3, 1)) == [one(ctx3)]
+
+
 def test_cross_field_arithmetic_rejected(ctx3, ctx5):
     with pytest.raises(ValidationError):
         var_T(ctx3) + var_T(ctx5)

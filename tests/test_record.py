@@ -152,13 +152,23 @@ def test_json_gives_one_key_per_field_in_order(record):
     assert list(_json(record)) == list(record._fields)
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def _loaded_by_import(names: set[str]) -> str:
+    """Which of names a fresh interpreter's import qcff loads, as printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, qcff; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = f"import sys, qcff; print(sorted({names!r} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_by_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    """Every genus path computes in ints, so import qcff needs no Fraction."""
+    assert _loaded_by_import({"fractions", "decimal"}) == "[]\n"
 
 
 OTHER_MECHANISMS = {"NamedTuple", "namedtuple", "dataclass", "dataclasses"}

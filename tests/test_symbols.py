@@ -32,6 +32,16 @@ def test_symbol_examples(ctx3, mk):
     assert residue_symbol(var_T(ctx3), mk(ctx3, "T^2+1")) == 0
 
 
+def test_symbol_rejects_non_polys(ctx3, mk):
+    """Either entry not a Poly is a ValidationError at entry, not an
+    AttributeError."""
+    t, r = var_T(ctx3), mk(ctx3, "T^2+1")
+    for a, b in ((t, 5), (t, "T"), (5, r), ("T", r), (None, None)):
+        with pytest.raises(ValidationError):
+            residue_symbol(a, b)
+    assert residue_symbol(t, r) == residue_symbol(mk(ctx3, "T"), r)
+
+
 def test_symbol_value_carries_consistent_dlog(ctx5, mk):
     """The symbol is a dlog in [0, w) whose power of gamma is the symbol's
     value: T = -1 mod T+1, and (-1)**((5-1)/4) = -1 = 4."""
