@@ -22,3 +22,26 @@ from .poly import (
     var_T,
     zero,
 )
+
+__all__ = [
+    "FieldCtx",
+    "Factorization",
+    "Poly",
+    "PrimePower",
+    "enumerate_monic_below",
+    "field_create",
+    "format_poly",
+    "is_prime_int",
+    "monic_irreducibles",
+    "monic_of_degree",
+    "one",
+    "parse_poly",
+    "poly_cmp",
+    "poly_factor",
+    "poly_gcd",
+    "poly_is_irreducible",
+    "poly_phi",
+    "poly_powmod",
+    "var_T",
+    "zero",
+]

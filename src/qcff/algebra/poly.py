@@ -295,10 +295,12 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
         m = _TERM_RE.match(term)
         if not m:
             raise ConfigError(f"cannot parse polynomial term {term!r} in {text!r}")
-        coeff, power, constant = m.groups()
         try:
-            c = int(constant or coeff or 1)
-            k = 0 if constant is not None else int(power or 1)
+            if m.group(3) is not None:
+                c, k = int(m.group(3)), 0
+            else:
+                c = int(m.group(1)) if m.group(1) is not None else 1
+                k = int(m.group(2)) if m.group(2) is not None else 1
         except ValueError as exc:  # a numeral past Python's int-from-text digit limit
             raise ConfigError(f"a numeral in a polynomial term has more than "
                               f"{sys.get_int_max_str_digits()} digits") from exc
@@ -306,7 +308,7 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
             raise ConfigError(f"coefficient {c} out of range for F_{ctx.q} in {text!r}")
         if k > MAX_DEGREE:
             raise ConfigError(f"exponent {k} is past MAX_DEGREE = {MAX_DEGREE} in {text!r}")
-        coeffs[k] = ctx.kernel.fadd(coeffs[k], c) if k in coeffs else c
+        coeffs[k] = ctx.kernel.fadd(coeffs.get(k, 0), c)
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c

@@ -86,8 +86,7 @@ def _poly(ctx: FieldCtx, value: Any, where: str, parsed: dict[str, Poly]) -> Pol
     if isinstance(value, list):
         _expect(len(value) <= MAX_DEGREE + 1,
                 f"{where}: more than MAX_DEGREE + 1 = {MAX_DEGREE + 1} coefficients")
-        _expect(set(map(type, value)) <= {int} and min(value, default=0) >= 0  # plain ints at C speed
-                or all(_is_int(c) and c >= 0 for c in value),
+        _expect(all(_is_int(c) and c >= 0 for c in value),
                 f"{where}: coefficient arrays must hold nonnegative integers")
         try:
             return Poly(ctx, value)

@@ -53,18 +53,16 @@ class _Texts(dict):
 
 
 class _PolyJson(dict):
-    """A polynomial's fragment; texts[depth] is its JSON text at depth."""
-
-    __slots__ = ("texts",)
+    """A polynomial's fragment, which many places of a report may share."""
+    __slots__ = ()
 
 
 def _poly_json(f: Poly) -> dict[str, Any]:
-    """The {"coeffs", "str"} fragment of f. A report holds one per distinct
-    polynomial, so one format_poly text; render_json keeps its JSON text at
-    each depth, so a fragment must not change once it is written."""
-    frag = _PolyJson(coeffs=list(f.coeffs), str=format_poly(f))
-    frag.texts = {}
-    return frag
+    """The {"coeffs", "str"} fragment of f. run_report makes one per
+    distinct polynomial of a report, so one format_poly text per
+    polynomial, and every place that holds the polynomial holds that one
+    fragment; render_json writes its JSON text once per depth per render."""
+    return _PolyJson(coeffs=list(f.coeffs), str=format_poly(f))
 
 
 def _json(value: Any, polys: dict | None = None) -> Any:
@@ -73,21 +71,19 @@ def _json(value: Any, polys: dict | None = None) -> Any:
     its fragment, polys[coeffs] when polys is given, and a tuple a list,
     recursively. Anything else is returned as it is, for render_json to
     accept or reject."""
-    if type(value) is Poly:
+    if isinstance(value, Poly):
         return _poly_json(value) if polys is None else polys[value.coeffs]
-    if type(value) is tuple:
+    if isinstance(value, tuple):
         return [_json(item, polys) for item in value]
     if isinstance(value, Record):
-        out = {}
-        for name in value._fields:  # a scalar field without a call
-            item = getattr(value, name)
-            out[name] = item if type(item) in _SCALAR_TEXT else _json(item, polys)
-        return out
+        return {name: _json(getattr(value, name), polys) for name in value._fields}
     return value
 
 
 def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, Any]:
-    """Execute the full pipeline and return the structured report."""
+    """Execute the full pipeline and return the structured report. Every
+    place that holds a polynomial holds its one {"coeffs", "str"} dict, so
+    a change to that dict shows at every such place."""
     if not cfg.pairs and not cyclotomic_only:
         raise ConfigError("pair set must be nonempty; pass --cyclotomic-only "
                           "for a report on the cyclotomic layer alone")
@@ -286,7 +282,7 @@ class FormalTerms:
         first = len(out)
         for den, nums in self.groups:
             den_parts: list[str] = []
-            _emit(_poly_json(den), depth + 2, den_parts)
+            _emit(_poly_json(den), depth + 2, den_parts, {})
             num_open = f',{i2}"den": {"".join(den_parts)},{i2}"num": {{{i3}"coeffs": [{i4}'
             opens = {n: f"{head}{n}{num_open}" for n in {n for _, n in nums}}
             out += [f"{opens[n]}{wholes[v]}" if v < base else
@@ -309,7 +305,8 @@ def render_json(report: dict[str, Any]) -> str:
     kummer.formal_sums is a FormalTerms, written as the JSON list of the
     term dicts it iterates as. A polynomial's fragment (_poly_json) is
     shared by every place of the report that holds it: one text per
-    polynomial, and its JSON text is made once per depth and kept on it.
+    polynomial, and one JSON text per depth in each render, made afresh
+    by the next render.
     Every value appends its text to one list of pieces, a FormalTerms one
     piece per term, and one join at the end makes the only copy of the
     whole text. Anything else (a float, a tuple, a set, a Poly, a non-str
@@ -318,26 +315,33 @@ def render_json(report: dict[str, Any]) -> str:
     4300 digits by default) raises ValueError, as in the json module.
     """
     out: list[str] = []
-    _emit(report, 0, out)
+    _emit(report, 0, out, {})
     out.append("\n")
     return "".join(out)
 
 
-# the JSON text of a scalar, by its type
-_SCALAR_TEXT = {str: _json_str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
-                type(None): lambda _: "null"}
+_INT_LIST = {int}
 
 
-def _emit(value: Any, depth: int, out: list[str]) -> None:
+def _emit(value: Any, depth: int, out: list[str], texts: dict) -> None:
     """Append the JSON text of value, nested depth levels deep, to out.
+    texts keeps the text of each fragment written so far, by its id and
+    depth; the report holds every fragment, so no id is reused meanwhile.
 
     A module-level function, not a closure calling itself: that closure
     would be a reference cycle holding out until the cyclic collector runs.
     """
     kind = type(value)
-    text = _SCALAR_TEXT.get(kind)
-    if text is not None:
-        out.append(text(value))
+    if kind is str:
+        out.append(_json_str(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
     elif kind is dict:
         if not value:
             out.append("{}")
@@ -347,38 +351,41 @@ def _emit(value: Any, depth: int, out: list[str]) -> None:
         for name in sorted(value):
             if type(name) is not str:
                 raise TypeError(f"report keys must be str, not {type(name).__name__}")
-            item = value[name]
-            text = _SCALAR_TEXT.get(type(item))
-            if text is None:
-                out.append(lead + _json_str(name) + ": ")
-                _emit(item, depth + 1, out)
-            else:  # a scalar, without a call
-                out.append(f"{lead}{_json_str(name)}: {text(item)}")
+            out.append(lead + _json_str(name) + ": ")
+            _emit(value[name], depth + 1, out, texts)
             lead = "," + indent
         out.append("\n" + "  " * depth + "}")
     elif kind is list:
-        indent = "\n" + "  " * (depth + 1)
-        if set(map(type, value)) <= {int}:  # one int a line, or "[]"
-            out.append("[" + indent + ("," + indent).join(map(repr, value)) + "\n"
-                       + "  " * depth + "]" if value else "[]")
+        if set(map(type, value)) <= _INT_LIST:
+            out.append(_int_list_text(value, depth))
             return
+        indent = "\n" + "  " * (depth + 1)
         lead = "[" + indent
         for item in value:
             out.append(lead)
-            _emit(item, depth + 1, out)
+            _emit(item, depth + 1, out, texts)
             lead = "," + indent
         out.append("\n" + "  " * depth + "]")
     elif kind is _PolyJson:
-        text = value.texts.get(depth)
-        if text is None:
+        key = (id(value), depth)
+        if key not in texts:
             parts: list[str] = []
-            _emit(dict(value), depth, parts)
-            text = value.texts[depth] = "".join(parts)
-        out.append(text)
+            _emit(dict(value), depth, parts, texts)
+            texts[key] = "".join(parts)
+        out.append(texts[key])
     elif kind is FormalTerms:
         value.write_json(depth, out)
     else:
         raise TypeError(f"a report cannot hold {kind.__name__}")
+
+
+def _int_list_text(items: list[int], depth: int) -> str:
+    """JSON text of a list of ints nested depth levels deep, one item a
+    line as json.dumps(indent=2) writes it, or "[]" when it is empty."""
+    if not items:
+        return "[]"
+    indent = "\n" + "  " * (depth + 1)
+    return "[" + indent + ("," + indent).join(map(repr, items)) + "\n" + "  " * depth + "]"
 
 
 def render_text(report: dict[str, Any]) -> str:

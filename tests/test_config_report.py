@@ -334,6 +334,26 @@ def test_one_text_per_polynomial_and_one_parse_per_string(monkeypatch):
     assert len(texts) == len(set(texts)) <= len(found)
 
 
+def test_an_edit_to_a_shared_fragment_shows_everywhere_and_in_the_next_render():
+    """A report holds one fragment per distinct polynomial at every place
+    that holds the polynomial, so an edit to it shows at each place; each
+    render_json call writes the fragments afresh, so a render after the
+    edit writes the edited fragment."""
+    report = run_report(parse_config(POOL_CONFIG))
+    first = render_json(report)
+    prime = report["inputs"]["conductor"]["factors"][0]["prime"]
+    rows = report["kummer"]["ramification"]["per_prime"]
+    assert [row["prime"] for row in rows if row["prime"] is prime] == [prime]
+    places = first.count(f'"str": {json.dumps(prime["str"])}')
+    assert places > 1
+
+    prime["str"] = "edited"
+    prime["coeffs"].append(9)
+    text = render_json(report)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n" != first
+    assert text.count('"str": "edited"') == places
+
+
 def test_every_reported_poly_round_trips():
     ctx = field_create(3)
     raw = _base_config(conductor={"poly": "T^4+2*T^3+2*T"},
