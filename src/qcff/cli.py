@@ -24,7 +24,7 @@ from .config import build_field, load_config
 from .errors import ConfigError, ConsistencyError, MissingModulus, ValidationError
 from .limits import MAX_Q
 from .report import _poly_json, render_json, render_text, run_report
-from .selfcheck import run_selfcheck
+from .selfcheck import SCOPES, run_selfcheck
 
 EXIT_OK = 0
 EXIT_SELFCHECK = 1
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output format (default json)")
 
     chk = sub.add_parser("selfcheck", help="run the property suites")
-    chk.add_argument("--scope", choices=("small", "full"), default="small")
+    chk.add_argument("--scope", choices=SCOPES, default="small")
     chk.add_argument("--seed", type=int, default=0)
 
     fac = sub.add_parser("factor", help="factor a polynomial over F_q")

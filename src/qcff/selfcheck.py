@@ -5,11 +5,20 @@ seeded random sample) and reports case counts plus failures. The CLI's
 ``selfcheck`` verb runs them through ``run_selfcheck``; the acceptance tests
 call the same suites and pin their case counts. The "small" scope covers the
 cheap exhaustive suites over F_3; "full" adds F_5/F_9 ranges, the degree-4
-genus sweep, and the factorization round trip.
+genus sweep, and the factorization round trip; "deep" is "full" plus the
+Euclidean symbol against the powmod symbols. The benchmark in perfbench/
+pins the list of (suite, cases) that "full" returns in its pool.json, so a
+new law check goes into "deep".
 
-suite_symbol_euclid is the one suite that run_selfcheck does not run: the
-benchmark in perfbench/ pins run_selfcheck's list of (suite, cases) in its
-pool.json. The tests call it with pinned case counts.
+``run_selfcheck`` runs about half of the work in a forked child: the same
+share of suites in every scope (the F_3 Phi sweep, the F_5 parity sweep,
+the degree-4 genus sweep and the F_9 round trip). The child sends each
+result's (name, cases, failures) back through a pipe as JSON and leaves
+by ``os._exit``, so what it builds, field tables included, dies with it.
+The round trips draw in turn from one ``random.Random(seed)``; each side
+reaches the generator state of its round trips by drawing the other
+side's earlier samples, so every sample equals a serial run's. Without
+``os.fork``, or when it fails, the parent runs the child's share itself.
 
 The brute-force helpers (``all_polys_below``, ``count_units``,
 ``power_residue_set``) enumerate residues and multiply repeatedly, so they
@@ -19,6 +28,8 @@ stay independent of the residue-symbol and Phi code they check.
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
 
 from .algebra import (
@@ -35,7 +46,7 @@ from .algebra import (
     poly_phi,
 )
 from .cyclotomic import conductor_create, genus_closed_form, genus_riemann_hurwitz
-from .errors import NotCoprime
+from .errors import ConsistencyError, NotCoprime, ValidationError
 from .kummer import (
     genus_hasse_formula,
     genus_riemann_hurwitz as kummer_genus_rh,
@@ -210,6 +221,16 @@ def suite_genus_paths(ctx: FieldCtx, max_degree: int) -> SuiteResult:
                        cases=cases, failures=failures)
 
 
+def _draw(ctx: FieldCtx, count: int, max_degree: int, rng: random.Random):
+    """The coefficient lists (lowest first) of the count polynomials a round
+    trip draws from rng, in draw order."""
+    for _ in range(count):
+        d = rng.randint(1, max_degree)
+        coeffs = [rng.randrange(ctx.q) for _ in range(d)]
+        coeffs.append(rng.randrange(1, ctx.q))
+        yield coeffs
+
+
 def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
                            rng: random.Random) -> SuiteResult:
     """Polynomials drawn from rng factor, multiply back exactly, and the
@@ -224,10 +245,7 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
             proven[prime.coeffs] = poly_is_irreducible(prime)
         return proven[prime.coeffs]
 
-    for _ in range(count):
-        d = rng.randint(1, max_degree)
-        coeffs = [rng.randrange(ctx.q) for _ in range(d)]
-        coeffs.append(rng.randrange(1, ctx.q))
+    for coeffs in _draw(ctx, count, max_degree, rng):
         f = Poly(ctx, coeffs)
         fz = poly_factor(f)
         if fz.product(ctx) != f:
@@ -243,29 +261,124 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
                        cases=count, failures=failures)
 
 
-def run_selfcheck(scope: str = "small", seed: int = 0) -> list[SuiteResult]:
-    """Run the suites for the given scope; "full" includes everything, its
-    factor round-trip samples drawn from seed."""
-    if scope not in ("small", "full"):
-        raise ValueError(f"scope must be 'small' or 'full', got {scope!r}")
+SCOPES = ("small", "full", "deep")
+
+
+def _steps(scope: str) -> list[tuple]:
+    """The scope's suites in their pinned order, as (suite, args, runs in the
+    child). A round trip takes one more argument, the shared generator."""
     f3 = field_create(3)
-    results = [
-        suite_reciprocity(f3, 3),
-        suite_phi_bruteforce(f3, 3),
-        suite_symbol_character(f3, 2),
-        suite_parity(f3, 3),
-        suite_genus_paths(f3, 3),
+    steps = [
+        (suite_reciprocity, (f3, 3), False),
+        (suite_phi_bruteforce, (f3, 3), True),
+        (suite_symbol_character, (f3, 2), False),
+        (suite_parity, (f3, 3), False),
+        (suite_genus_paths, (f3, 3), False),
     ]
-    if scope == "full":
+    if scope != "small":
         f5 = field_create(5)
         f9 = field_create(3, 2, [1, 0, 1])
-        rng = random.Random(seed)
-        results += [
-            suite_reciprocity(f5, 2),
-            suite_parity(f5, 3),
-            suite_genus_paths(f3, 4),
-            suite_factor_roundtrip(f3, 1000, 8, rng),
-            suite_factor_roundtrip(f5, 1000, 8, rng),
-            suite_factor_roundtrip(f9, 1000, 8, rng),
+        steps += [
+            (suite_reciprocity, (f5, 2), False),
+            (suite_parity, (f5, 3), True),
+            (suite_genus_paths, (f3, 4), True),
+            (suite_factor_roundtrip, (f3, 1000, 8), False),
+            (suite_factor_roundtrip, (f5, 1000, 8), False),
+            (suite_factor_roundtrip, (f9, 1000, 8), True),
         ]
+    if scope == "deep":
+        steps.append((suite_symbol_euclid, (f3, 3, 3), False))
+    return steps
+
+
+def _run_share(steps: list[tuple], in_child: bool, seed: int) -> list[SuiteResult]:
+    """Run the steps of one side in order. Before a round trip, draw the
+    samples of the other side's round trips since this side's last one, so
+    that the generator is where a serial run has it."""
+    rng = random.Random(seed)
+    results, skipped = [], []
+    for suite, args, side in steps:
+        roundtrip = suite is suite_factor_roundtrip
+        if side != in_child:
+            if roundtrip:
+                skipped.append(args)
+        elif roundtrip:
+            for earlier in skipped:
+                for _ in _draw(*earlier, rng):
+                    pass
+            skipped = []
+            results.append(suite(*args, rng))
+        else:
+            results.append(suite(*args))
     return results
+
+
+def _fork_child(steps: list[tuple], seed: int) -> tuple[int, int] | None:
+    """Fork a child that runs its share of the steps, writes the results to
+    a pipe as JSON and leaves by os._exit. Returns (pid, read end of the
+    pipe), or None where os.fork is missing or fails."""
+    if not hasattr(os, "fork"):
+        return None
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    status = 1
+    try:
+        os.close(rfd)
+        try:
+            payload = {"results": [[r.name, r.cases, r.failures]
+                                   for r in _run_share(steps, True, seed)]}
+            status = 0
+        except Exception as exc:  # reported to the parent, which raises
+            payload = {"error": f"{type(exc).__name__}: {exc}"}
+        with open(wfd, "w", encoding="utf-8") as pipe:
+            json.dump(payload, pipe)
+    finally:
+        os._exit(status)
+
+
+def _child_results(data: bytes, status: int) -> list[SuiteResult]:
+    try:
+        payload = json.loads(data)
+    except ValueError:
+        raise ConsistencyError(f"the selfcheck child wrote no results "
+                               f"(wait status {status})") from None
+    if "error" in payload:
+        raise ConsistencyError(f"a selfcheck suite raised in the child: "
+                               f"{payload['error']}")
+    return [SuiteResult(name=name, cases=cases, failures=failures)
+            for name, cases, failures in payload["results"]]
+
+
+def run_selfcheck(scope: str = "small", seed: int = 0) -> list[SuiteResult]:
+    """Run the suites of the scope ("small", "full" or "deep") in their pinned
+    order, the round-trip samples drawn from random.Random(seed). A fixed
+    share of the suites runs in a forked child (see the module docstring);
+    the results are those of a serial run."""
+    if scope not in SCOPES:
+        raise ValidationError(f"scope must be one of {', '.join(SCOPES)}, got {scope!r}")
+    if type(seed) is not int:
+        raise ValidationError(f"seed must be an int, got {seed!r}")
+    steps = _steps(scope)
+    child = _fork_child(steps, seed)
+    if child is None:
+        ours = _run_share(steps, False, seed)
+        theirs = _run_share(steps, True, seed)
+    else:
+        pid, rfd = child
+        try:
+            with open(rfd, "rb") as pipe:
+                ours = _run_share(steps, False, seed)
+                data = pipe.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        theirs = _child_results(data, status)
+    ours, theirs = iter(ours), iter(theirs)
+    return [next(theirs if in_child else ours) for _, _, in_child in steps]

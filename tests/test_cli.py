@@ -262,6 +262,27 @@ def test_selfcheck_small():
     assert "5/5 suites passed" in proc.stdout
 
 
+FULL_SELFCHECK = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                             / "pool.json").read_text(encoding="utf-8"))["selfcheck"]
+
+
+def test_selfcheck_full_passes_in_the_pinned_order():
+    proc = run_cli("selfcheck", "--scope", "full", "--seed", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:-1] == [f"ok   {name}  cases={cases}" for name, cases in FULL_SELFCHECK]
+    assert lines[-1] == "selfcheck full: 11/11 suites passed, 4078 cases"
+
+
+def test_selfcheck_deep_is_full_plus_symbol_euclid():
+    proc = run_cli("selfcheck", "--scope", "deep", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:-1] == [f"ok   {name}  cases={cases}" for name, cases in FULL_SELFCHECK] + [
+        "ok   symbol-euclid q=3 degB<=3 degA<3  cases=1080"]
+    assert lines[-1] == "selfcheck deep: 12/12 suites passed, 5158 cases"
+
+
 def test_factor_verb():
     proc = run_cli("factor", "--q", "3", "--poly", "T^3+2*T")
     assert proc.returncode == 0
