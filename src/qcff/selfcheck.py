@@ -15,10 +15,9 @@ share of suites in every scope (the F_3 Phi sweep, the F_5 parity sweep,
 the degree-4 genus sweep and the F_9 round trip). The child sends each
 result's (name, cases, failures) back through a pipe as JSON and leaves
 by ``os._exit``, so what it builds, field tables included, dies with it.
-The round trips draw in turn from one ``random.Random(seed)``; each side
-reaches the generator state of its round trips by drawing the other
-side's earlier samples, so every sample equals a serial run's. Without
-``os.fork``, or when it fails, the parent runs the child's share itself.
+Each round trip draws from its own ``random.Random(seed)``, so neither
+side depends on the other's draws. Without ``os.fork``, or when it fails,
+the parent runs every suite itself, in the pinned order.
 
 The brute-force helpers (``all_polys_below``, ``count_units``,
 ``power_residue_set``) enumerate residues and multiply repeatedly, so they
@@ -145,8 +144,8 @@ def suite_symbol_euclid(ctx: FieldCtx, max_degree: int, a_degree: int) -> SuiteR
     every monic b of degree <= max_degree and every a of degree < a_degree.
 
     The reference is jacobi_symbol: one residue_symbol per prime of b. Both
-    must raise NotCoprime on the same pairs. Not part of run_selfcheck (see
-    the module docstring).
+    must raise NotCoprime on the same pairs. The "deep" scope's extra suite,
+    run in the parent's share.
     """
     failures = []
     cases = 0
@@ -221,16 +220,6 @@ def suite_genus_paths(ctx: FieldCtx, max_degree: int) -> SuiteResult:
                        cases=cases, failures=failures)
 
 
-def _draw(ctx: FieldCtx, count: int, max_degree: int, rng: random.Random):
-    """The coefficient lists (lowest first) of the count polynomials a round
-    trip draws from rng, in draw order."""
-    for _ in range(count):
-        d = rng.randint(1, max_degree)
-        coeffs = [rng.randrange(ctx.q) for _ in range(d)]
-        coeffs.append(rng.randrange(1, ctx.q))
-        yield coeffs
-
-
 def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
                            rng: random.Random) -> SuiteResult:
     """Polynomials drawn from rng factor, multiply back exactly, and the
@@ -245,7 +234,10 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
             proven[prime.coeffs] = poly_is_irreducible(prime)
         return proven[prime.coeffs]
 
-    for coeffs in _draw(ctx, count, max_degree, rng):
+    for _ in range(count):
+        d = rng.randint(1, max_degree)
+        coeffs = [rng.randrange(ctx.q) for _ in range(d)]
+        coeffs.append(rng.randrange(1, ctx.q))
         f = Poly(ctx, coeffs)
         fz = poly_factor(f)
         if fz.product(ctx) != f:
@@ -264,9 +256,9 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
 SCOPES = ("small", "full", "deep")
 
 
-def _steps(scope: str) -> list[tuple]:
+def _steps(scope: str, seed: int) -> list[tuple]:
     """The scope's suites in their pinned order, as (suite, args, runs in the
-    child). A round trip takes one more argument, the shared generator."""
+    child). Each round trip gets its own random.Random(seed)."""
     f3 = field_create(3)
     steps = [
         (suite_reciprocity, (f3, 3), False),
@@ -282,38 +274,21 @@ def _steps(scope: str) -> list[tuple]:
             (suite_reciprocity, (f5, 2), False),
             (suite_parity, (f5, 3), True),
             (suite_genus_paths, (f3, 4), True),
-            (suite_factor_roundtrip, (f3, 1000, 8), False),
-            (suite_factor_roundtrip, (f5, 1000, 8), False),
-            (suite_factor_roundtrip, (f9, 1000, 8), True),
+            (suite_factor_roundtrip, (f3, 1000, 8, random.Random(seed)), False),
+            (suite_factor_roundtrip, (f5, 1000, 8, random.Random(seed)), False),
+            (suite_factor_roundtrip, (f9, 1000, 8, random.Random(seed)), True),
         ]
     if scope == "deep":
         steps.append((suite_symbol_euclid, (f3, 3, 3), False))
     return steps
 
 
-def _run_share(steps: list[tuple], in_child: bool, seed: int) -> list[SuiteResult]:
-    """Run the steps of one side in order. Before a round trip, draw the
-    samples of the other side's round trips since this side's last one, so
-    that the generator is where a serial run has it."""
-    rng = random.Random(seed)
-    results, skipped = [], []
-    for suite, args, side in steps:
-        roundtrip = suite is suite_factor_roundtrip
-        if side != in_child:
-            if roundtrip:
-                skipped.append(args)
-        elif roundtrip:
-            for earlier in skipped:
-                for _ in _draw(*earlier, rng):
-                    pass
-            skipped = []
-            results.append(suite(*args, rng))
-        else:
-            results.append(suite(*args))
-    return results
+def _run_share(steps: list[tuple], in_child: bool) -> list[SuiteResult]:
+    """Run the steps of one side in order."""
+    return [suite(*args) for suite, args, side in steps if side == in_child]
 
 
-def _fork_child(steps: list[tuple], seed: int) -> tuple[int, int] | None:
+def _fork_child(steps: list[tuple]) -> tuple[int, int] | None:
     """Fork a child that runs its share of the steps, writes the results to
     a pipe as JSON and leaves by os._exit. Returns (pid, read end of the
     pipe), or None where os.fork is missing or fails."""
@@ -334,7 +309,7 @@ def _fork_child(steps: list[tuple], seed: int) -> tuple[int, int] | None:
         os.close(rfd)
         try:
             payload = {"results": [[r.name, r.cases, r.failures]
-                                   for r in _run_share(steps, True, seed)]}
+                                   for r in _run_share(steps, True)]}
             status = 0
         except Exception as exc:  # reported to the parent, which raises
             payload = {"error": f"{type(exc).__name__}: {exc}"}
@@ -359,26 +334,27 @@ def _child_results(data: bytes, status: int) -> list[SuiteResult]:
 
 def run_selfcheck(scope: str = "small", seed: int = 0) -> list[SuiteResult]:
     """Run the suites of the scope ("small", "full" or "deep") in their pinned
-    order, the round-trip samples drawn from random.Random(seed). A fixed
+    order, each round trip drawing from its own random.Random(seed). A fixed
     share of the suites runs in a forked child (see the module docstring);
     the results are those of a serial run."""
     if scope not in SCOPES:
         raise ValidationError(f"scope must be one of {', '.join(SCOPES)}, got {scope!r}")
     if type(seed) is not int:
         raise ValidationError(f"seed must be an int, got {seed!r}")
-    steps = _steps(scope)
-    child = _fork_child(steps, seed)
+    steps = _steps(scope, seed)
+    child = _fork_child(steps)
     if child is None:
-        ours = _run_share(steps, False, seed)
-        theirs = _run_share(steps, True, seed)
-    else:
-        pid, rfd = child
-        try:
-            with open(rfd, "rb") as pipe:
-                ours = _run_share(steps, False, seed)
-                data = pipe.read()
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        theirs = _child_results(data, status)
-    ours, theirs = iter(ours), iter(theirs)
+        return [suite(*args) for suite, args, _ in steps]
+    pid, rfd = child
+    try:
+        with open(rfd, "rb") as pipe:
+            ours = iter(_run_share(steps, False))
+            data = pipe.read()
+    except BaseException:
+        import signal  # only on this path, so that import qcff loads no signal
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    theirs = iter(_child_results(data, status))
     return [next(theirs if in_child else ours) for _, _, in_child in steps]

@@ -2,9 +2,10 @@
 
 run_selfcheck runs a fixed share of its suites in a forked child. These
 tests check that the split changes no result: the same records in the
-pinned order, every round-trip sample the serial run's, a child's failure
-lines intact, a child's exception raised in the parent, no child left
-behind, and the same results where there is no fork.
+pinned order, each round trip drawing from its own generator, a child's
+failure lines intact, a child's exception raised in the parent, no child
+left behind, a child stopped when the parent's share raises, and the
+same results where there is no fork.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -26,9 +28,9 @@ PIN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "pool.j
 
 
 def serial(seed: int) -> list:
-    """The full scope's suites, called in the pinned order with one generator."""
+    """The full scope's suites, called in the pinned order, each round trip
+    with its own generator."""
     f3, f5, f9 = field_create(3), field_create(5), field_create(3, 2, [1, 0, 1])
-    rng = random.Random(seed)
     return [
         selfcheck.suite_reciprocity(f3, 3),
         selfcheck.suite_phi_bruteforce(f3, 3),
@@ -38,9 +40,9 @@ def serial(seed: int) -> list:
         selfcheck.suite_reciprocity(f5, 2),
         selfcheck.suite_parity(f5, 3),
         selfcheck.suite_genus_paths(f3, 4),
-        selfcheck.suite_factor_roundtrip(f3, 1000, 8, rng),
-        selfcheck.suite_factor_roundtrip(f5, 1000, 8, rng),
-        selfcheck.suite_factor_roundtrip(f9, 1000, 8, rng),
+        selfcheck.suite_factor_roundtrip(f3, 1000, 8, random.Random(seed)),
+        selfcheck.suite_factor_roundtrip(f5, 1000, 8, random.Random(seed)),
+        selfcheck.suite_factor_roundtrip(f9, 1000, 8, random.Random(seed)),
     ]
 
 
@@ -86,8 +88,8 @@ def test_full_equals_the_serial_run(seed, nothing_left):
 
 
 def test_child_failure_lines_arrive_intact_and_in_order(f9_mismatch, nothing_left):
-    """The F_9 round trip, which the child runs after drawing the F_3 and F_5
-    samples, fails on each of its 1,000 samples, in draw order."""
+    """The F_9 round trip, which the child runs, fails on each of its 1,000
+    samples, in draw order."""
     results = run_selfcheck("full", 6)
     assert results == serial(6)
     f9 = results[-1]
@@ -121,6 +123,25 @@ def test_parent_exception_leaves_no_child(monkeypatch, nothing_left):
     monkeypatch.setattr(selfcheck, "suite_reciprocity", reciprocity)
     with pytest.raises(KeyError, match="reciprocity in the parent"):
         run_selfcheck("full", 1)
+
+
+def test_parent_exception_stops_a_busy_child(monkeypatch, nothing_left):
+    """The parent does not wait for the child's share when its own raises."""
+    parent = os.getpid()
+
+    def reciprocity(ctx, max_degree):
+        raise KeyError("reciprocity in the parent")
+
+    def phi(ctx, max_degree):
+        assert os.getpid() != parent
+        time.sleep(30)
+
+    monkeypatch.setattr(selfcheck, "suite_reciprocity", reciprocity)
+    monkeypatch.setattr(selfcheck, "suite_phi_bruteforce", phi)
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="reciprocity in the parent"):
+        run_selfcheck("full", 1)
+    assert time.monotonic() - start < 5
 
 
 def _fork_fails():
