@@ -44,11 +44,15 @@ straight as JSON text. ``fraction_genus_closed_form``,
 ``fraction_kummer_genus_riemann_hurwitz`` keep the four genus formulas in
 ``Fraction`` arithmetic, unchecked: the references of the genus paths,
 which clear the formulas' denominators and compute in ints.
+
+The test doubles live here too: ``CountingKernel``, a kernel proxy that
+counts and keeps each op's calls, and ``doctored``, a record no pipeline makes.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -540,3 +544,29 @@ def fraction_kummer_genus_riemann_hurwitz(cond, base_genus: int, ram) -> Fractio
     for pd, row in zip(cond.different.per_prime, ram.per_prime):
         two_g_minus_2 += (row.e - 1) * Fraction(w, row.e) * pd.degree * pd.phi_cofactor
     return (two_g_minus_2 + 2) / 2
+
+
+class CountingKernel:
+    """A field kernel proxy that counts the calls of each method and keeps
+    their arguments."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls: Counter = Counter()
+        self.args: defaultdict = defaultdict(list)
+
+    def __getattr__(self, name):
+        attr = getattr(self.kernel, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            self.args[name].append(args)
+            return attr(*args)
+        return counted
+
+
+def doctored(record, **changes):
+    """record rebuilt by keyword with changes: a record no pipeline makes."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)

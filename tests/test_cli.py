@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,15 +47,34 @@ def test_report_json_to_stdout(quasi_config):
     assert report["schema_version"] == 1
 
 
-def test_report_out_file_and_text_format(quasi_config, tmp_path):
-    out = tmp_path / "report.json"
-    proc = run_cli("report", "--config", str(quasi_config), "--out", str(out))
-    assert proc.returncode == 0 and proc.stdout == ""
-    assert json.loads(out.read_text(encoding="utf-8"))["cyclotomic"]["phi"] == 4
+def test_report_out_file_and_text_format(tmp_path, capsys):
+    """A formal sum over F_3 with --out and to stdout: the same bytes, json's canonical
+    text, 80 raw and 54 kept terms, a known digest; the text format writes each term."""
+    cfg, out = tmp_path / "job.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({
+        "p": 3, "conductor": {"factors": [["T", 1], ["T^4+T+2", 1]]},
+        "pairs": [["T", "T^4+T+2"]], "options": {"emit_a_pq": True}}), encoding="utf-8")
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["report", "--config", str(cfg)]) == 0
+    text = capsys.readouterr().out
+    assert out.read_bytes() == text.encode()
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    block = report["kummer"]["formal_sums"][0]
+    assert block["raw_terms"] == 80
+    assert Counter(term["den"]["str"] for term in block["terms"]) == {
+        "T": 1, "T^4+T+2": 13, "T^5+T^2+2*T": 40}
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a90210f01f0e0b3f834dbdb47f7626e065a78c4d2872f2fcfc2bde86077fefa6")
 
-    proc = run_cli("report", "--config", str(quasi_config), "--format", "text")
-    assert proc.returncode == 0
-    assert "group order 8" in proc.stdout
+    cfg.write_text(json.dumps({"p": 3, "conductor": {"poly": "T^2+T"}, "pairs": [["T", "T+1"]],
+                               "options": {"emit_a_pq": True}}), encoding="utf-8")
+    assert main(["report", "--config", str(cfg), "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert "group order 8" in text
+    assert ("formal sum (T, T+1): +1*[(1)/(T+1)] -1*[(T+2)/(T^2+T)] [2 raw terms]"
+            in text.splitlines())
 
 
 @pytest.mark.parametrize("target", ["", "missing/report.json"],
@@ -65,13 +86,6 @@ def test_report_out_unwritable_exit_2(quasi_config, tmp_path, target):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert f"config error (ConfigError): cannot write report to {out}: " in proc.stderr
-
-
-def test_report_byte_identical_across_runs(quasi_config):
-    first = run_cli("report", "--config", str(quasi_config))
-    second = run_cli("report", "--config", str(quasi_config))
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
 
 
 def test_report_byte_identical_across_backends(quasi_config, monkeypatch):
@@ -235,7 +249,7 @@ def test_cyclotomic_only_still_checks_given_pairs(tmp_path, capsys, pairs, error
     assert capsys.readouterr().err.startswith(f"validation error ({error}): ")
 
 
-def test_math_validation_exit_3(tmp_path):
+def test_math_validation_exit_3(tmp_path, capsys):
     wrong_orientation = tmp_path / "orient.json"
     wrong_orientation.write_text(json.dumps({
         "p": 3,
@@ -254,6 +268,12 @@ def test_math_validation_exit_3(tmp_path):
     proc = run_cli("report", "--config", str(reducible), "--cyclotomic-only")
     assert proc.returncode == 3
     assert "validation error (ReducibleClaimedPrime): " in proc.stderr
+
+    # with pairs too: conductor_create is the one proof of a claimed prime
+    reducible.write_text(json.dumps({"p": 3, "conductor": {"factors": [["T", 1], ["T^2+2", 1]]},
+                                     "pairs": [["T", "T^2+2"]]}), encoding="utf-8")
+    assert main(["report", "--config", str(reducible)]) == 3
+    assert "validation error (ReducibleClaimedPrime): " in capsys.readouterr().err
 
 
 def test_selfcheck_small():

@@ -228,6 +228,20 @@ def test_run_report_extension_field_modulus():
     assert report["cyclotomic"]["phi"] == 8
 
 
+# an unfactored conductor P1*P2^2*P3 and two pairs over F_11, which no
+# benchmark workload covers: the pure kernel's byte tables, pnorm and Ben-Or's walk
+_F11_UNFACTORED = {
+    "p": 11, "conductor": {"poly": "T^13+9*T^11+7*T^9+3*T^8+5*T^6+6*T^5+9*T^4+2*T^3+5*T^2+7*T+2"},
+    "pairs": [["T^2+3", "T^3+3*T+9"], ["T^3+3*T+9", "T^5+4*T^2+2*T+2"]],
+}
+
+
+def test_unfactored_f11_report_passes_its_four_oracle_checks():
+    oracles = run_report(parse_config(_F11_UNFACTORED))["oracles"]
+    assert oracles["ran"] and len(oracles["checks"]) == 4
+    assert all(check["passed"] for check in oracles["checks"])
+
+
 def test_formal_sum_emission_and_cap():
     raw = _base_config(options={"emit_a_pq": True})
     report = run_report(parse_config(raw))
@@ -437,7 +451,7 @@ def _formal_sum_config(p, pairs, e=1, modulus=None):
     return parse_config(raw)
 
 
-# pairs over F_3, F_5, F_7, F_9, F_257, F_7^3 and F_3^6, of 2 to 1,454 raw terms
+# pairs over F_3, F_5, F_7, F_9, F_13, F_257, F_7^3 and F_3^6, of 2 to 4,312 raw terms
 _TEXT_PATH_CONFIGS = {
     "f3_linear": (3, [["T", "T+1"]]),
     "f3_two_pairs": (3, [["T", "T+1"], ["T+1", "T^2+1"]]),
@@ -446,7 +460,9 @@ _TEXT_PATH_CONFIGS = {
     "f7_linear": (7, [["T+1", "T+3"]]),
     "f7": (7, [["T", "T^2+1"]]),
     "f9": (3, [["T", "T^2+T+3"]], 2, "T^2+1"),
+    "f13": (13, [["T^2+2", "T^2+5"]]),
     "f257": (257, [["T", "T+1"]]),
+    "f257_wide": (257, [["T+3", "T+250"]]),
     "f7_3": (7, [["T", "T+1"]], 3, "T^3+2"),
     "f3_6": (3, [["T+1", "T+5"]], 6, "T^6+T+2"),
 }
@@ -579,6 +595,13 @@ def test_formal_terms_text_over_wide_fields(monkeypatch, low_block):
         want = json.dumps(list(terms), sort_keys=True, indent=2)
         for depth in (0, 3):
             assert _terms_text(terms, depth) == want.replace("\n", "\n" + "  " * depth), (name, depth)
+
+
+@pytest.mark.parametrize("args, raw_terms, kept", [
+    (_BLOCK_PAIRS["f13"], 4312, 2184), (_WIDE_BLOCK_PAIRS["f257"], 510, 257)], ids=["f13", "f257"])
+def test_formal_sum_term_counts_past_the_pool_fields(args, raw_terms, kept):
+    block = run_report(_formal_sum_config(*args))["kummer"]["formal_sums"][0]
+    assert block["raw_terms"] == raw_terms and len(list(block["terms"])) == kept
 
 
 def test_render_json_shared_fragment_at_every_depth():
@@ -780,6 +803,7 @@ _ECHO_CONFIGS = {
         pairs=[["T+1", "T^2+2"], ["T^2+2", "T^3+T+1"]]),
     "f9_three_pairs": dict(_P9, conductor={"factors": [["T", 1], ["T+1", 2], ["T^2+T+3", 1]]},
                            pairs=[["T", "T+1"], ["T", "T^2+T+3"], ["T+1", "T^2+T+3"]]),
+    "f11_unfactored": _F11_UNFACTORED,
 }
 
 

@@ -22,7 +22,7 @@ from qcff.errors import (
 )
 from qcff.selfcheck import count_units, suite_genus_paths
 
-from .oracles import fraction_genus_closed_form, fraction_genus_riemann_hurwitz
+from .oracles import doctored, fraction_genus_closed_form, fraction_genus_riemann_hurwitz
 
 
 def test_conductor_from_factored_input(ctx3, mk):
@@ -162,11 +162,6 @@ def test_genus_fixtures_both_paths(ctx3, ctx5, mk):
         assert genus_riemann_hurwitz(cond) == expected
 
 
-def _doctored(record, **changes):
-    """record rebuilt by keyword with changes: a record no pipeline makes."""
-    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
-
-
 def test_genus_paths_raise_on_doctored_conductors(ctx3, mk):
     """Each cyclotomic genus path raises NonIntegerGenus for a conductor
     doctored to a non-integral genus and for one doctored to a negative
@@ -174,11 +169,11 @@ def test_genus_paths_raise_on_doctored_conductors(ctx3, mk):
     gives. M = T(T+1) over F_3: Phi(M) = 4, s = 1 and cofactor 2 at both
     primes, two places at infinity, genus 0."""
     cond = conductor_create(ctx3, mk(ctx3, "T^2+T"))
-    extra_place = _doctored(cond, different=_doctored(
+    extra_place = doctored(cond, different=doctored(
         cond.different, infinite_count=cond.different.infinite_count + 1))
-    wide = _doctored(cond, phi=10 * cond.phi)
+    wide = doctored(cond, phi=10 * cond.phi)
     cases = [
-        (genus_closed_form, fraction_genus_closed_form, _doctored(cond, phi=cond.phi + 1),
+        (genus_closed_form, fraction_genus_closed_form, doctored(cond, phi=cond.phi + 1),
          "closed-form genus evaluated to non-integer -3/4"),
         (genus_closed_form, fraction_genus_closed_form, wide,
          "closed-form genus evaluated to negative genus -27"),
@@ -188,10 +183,10 @@ def test_genus_paths_raise_on_doctored_conductors(ctx3, mk):
          "Riemann-Hurwitz genus evaluated to negative genus -36"),
     ]
     assert genus_closed_form(cond) == genus_riemann_hurwitz(cond) == 0
-    for path, reference, doctored, message in cases:
-        assert message.endswith(f" {reference(doctored)}")
+    for path, reference, record, message in cases:
+        assert message.endswith(f" {reference(record)}")
         with pytest.raises(NonIntegerGenus, match=f"^{message}$"):
-            path(doctored)
+            path(record)
 
 
 def test_genus_zero_for_degree_one_conductors():

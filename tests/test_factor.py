@@ -3,7 +3,7 @@ from __future__ import annotations
 import ast
 import itertools
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from qcff.selfcheck import all_polys_below, suite_factor_roundtrip, suite_phi_br
 from qcff.symbols import residue_symbol
 
 from .oracles import (
+    CountingKernel,
     list_frobenius_rows,
     poly_power_product,
     poly_squarefree_decomposition,
@@ -50,27 +51,6 @@ def _polys(ctx, parts):
     return [(Poly(ctx, g), n) for g, n in parts]
 
 
-class _CountingKernel:
-    """A field kernel proxy that counts the calls of each method and keeps
-    their arguments."""
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.calls: Counter = Counter()
-        self.args: defaultdict = defaultdict(list)
-
-    def __getattr__(self, name):
-        attr = getattr(self.kernel, name)
-        if not callable(attr):
-            return attr
-
-        def counted(*args):
-            self.calls[name] += 1
-            self.args[name].append(args)
-            return attr(*args)
-        return counted
-
-
 def test_irreducibility_examples(ctx3, mk):
     assert poly_is_irreducible(var_T(ctx3))
     assert poly_is_irreducible(mk(ctx3, "T^2+1"))
@@ -82,7 +62,7 @@ def test_lines_build_no_frobenius_table(mk, monkeypatch):
     part, without a table; factoring T * (T+1)**2 builds none either. The
     field is a fresh one, so no table kept by an earlier test hides a build."""
     ctx = field_create(3)
-    counting = _CountingKernel(ctx.kernel)
+    counting = CountingKernel(ctx.kernel)
     monkeypatch.setattr(ctx, "kernel", counting)
     for text in ("T", "2*T+1", "T+2"):
         assert poly_is_irreducible(mk(ctx, text))
@@ -127,6 +107,34 @@ def test_factor_examples(ctx3, mk):
     assert _shape(poly_factor(mk(ctx3, "T^2+2*T+1"))) == [("T+1", 2)]
     assert _shape(poly_factor(mk(ctx3, "T^3+2*T"))) == [("T", 1), ("T+1", 1), ("T+2", 1)]
     assert _shape(poly_factor(mk(ctx3, "T^2+1"))) == [("T^2+1", 1)]
+    # two primes of one degree: an equal-degree split
+    assert _shape(poly_factor(mk(ctx3, "T^8+T^4+2*T^2+1"))) == [("T^4+T+2", 1), ("T^4+2*T+2", 1)]
+
+
+@pytest.mark.parametrize("q, text, primes", [
+    # five primes of degrees 5-14 over F_13: the pure kernel runs its
+    # products, remainders and gcds on bytes
+    (13, "T^50+T^49+8*T^48+2*T^47+7*T^46+10*T^45+T^44+3*T^43+5*T^42+6*T^41+3*T^40+12*T^38"
+         "+12*T^37+9*T^36+8*T^34+9*T^33+7*T^32+10*T^31+10*T^30+8*T^29+6*T^28+T^27+T^26"
+         "+5*T^25+8*T^24+12*T^23+4*T^22+9*T^21+9*T^20+7*T^19+4*T^18+3*T^17+T^16+5*T^15"
+         "+7*T^14+12*T^13+10*T^12+11*T^11+12*T^10+6*T^9+7*T^8+6*T^7+4*T^6+3*T^5+3*T^4"
+         "+11*T^3+11*T^2+11*T+12",
+     ["T^5+12*T^4+10*T^3+10*T^2+4*T+4", "T^7+10*T^6+3*T^5+2*T^4+10*T^3+3*T^2+10*T+2",
+      "T^12+3*T^11+5*T^10+12*T^9+12*T^8+4*T^7+11*T^6+6*T^5+11*T^4+2*T^3+4*T^2+10*T+7",
+      "T^12+10*T^11+2*T^10+6*T^9+4*T^7+11*T^6+3*T^5+8*T^4+T^3+2*T^2+2*T+11",
+      "T^14+5*T^13+T^12+5*T^11+7*T^10+T^9+2*T^8+10*T^7+3*T^6+2*T^4+11*T^3+8*T^2+2*T+5"]),
+    # T^11-T times two primes of degree 5 and two of degree 6 over F_11: the
+    # equal-degree splits build byte tables of degree 10, 11 and 12, on both sides of q
+    (11, "T^33+T^32+8*T^31+4*T^30+5*T^28+8*T^27+6*T^26+2*T^25+4*T^24+7*T^23+2*T^22+4*T^20"
+         "+3*T^19+7*T^18+4*T^17+5*T^16+T^15+8*T^14+6*T^13+9*T^12+6*T^11+3*T^10+8*T^9+10*T^8"
+         "+10*T^7+8*T^5+10*T^4+8*T^3+10*T^2+8*T",
+     ["T"] + [f"T+{a}" for a in range(1, 11)] + ["T^5+2*T^4+8*T^3+T^2+7*T+5",
+      "T^5+2*T^4+10*T^3+5*T^2+3*T+3", "T^6+2*T^5+3*T^4+6*T^3+T^2+4*T+3",
+      "T^6+6*T^5+5*T^4+2*T^3+3*T+3"]),
+], ids=["f13_degree_50", "f11_degree_33"])
+def test_factor_past_the_pool_fields(mk, q, text, primes):
+    """Squarefree products over fields the benchmark pool does not reach."""
+    assert _shape(poly_factor(mk(field_create(q), text))) == [(p, 1) for p in primes]
 
 
 def test_factor_keeps_leading_coefficient(ctx3, mk):
@@ -177,12 +185,12 @@ def test_squarefree_input_costs_one_gcd(ctx3, ctx9, mk, monkeypatch):
     for ctx, text, gcds in ((ctx3, "T^3+2*T+1", 0), (ctx3, "T^3+2*T^2+2*T", 1),
                             (ctx3, "T^3+2*T", 0), (ctx9, "T^2+T+3", 1)):
         f = mk(ctx, text)
-        counting = _CountingKernel(ctx.kernel)
+        counting = CountingKernel(ctx.kernel)
         monkeypatch.setattr(ctx, "kernel", counting)
         assert factor._squarefree_parts(ctx, f.coeffs) == [(f.coeffs, 1)]
         assert (counting.calls["pgcd"], counting.calls["pdivrem"]) == (gcds, 0), text
         monkeypatch.undo()
-    counting = _CountingKernel(ctx3.kernel)
+    counting = CountingKernel(ctx3.kernel)
     monkeypatch.setattr(ctx3, "kernel", counting)
     f = mk(ctx3, "T+1") ** 2 * mk(ctx3, "T^2+1")
     assert _polys(ctx3, factor._squarefree_parts(ctx3, f.coeffs)) == \
@@ -199,7 +207,7 @@ def test_squarefree_parts_take_no_constant_operand(ctx3, ctx9, mk, monkeypatch):
     for ctx, f, parts in (
             (ctx3, mk(ctx3, "T+1") ** 2 * mk(ctx3, "T^2+1"), [("T^2+1", 1), ("T+1", 2)]),
             (ctx9, mk(ctx9, "T+1") * mk(ctx9, "T+3") ** 3, [("T+1", 1), ("T+3", 3)])):
-        counting = _CountingKernel(ctx.kernel)
+        counting = CountingKernel(ctx.kernel)
         monkeypatch.setattr(ctx, "kernel", counting)
         assert [(str(g), m) for g, m in _polys(ctx, factor._squarefree_parts(ctx, f.coeffs))] \
             == parts
@@ -371,7 +379,7 @@ def test_the_field_keeps_each_table(mk, monkeypatch):
     the field kept from the first call on it, whichever of the two came
     first: one build per modulus."""
     ctx = field_create(3)
-    counting = _CountingKernel(ctx.kernel)
+    counting = CountingKernel(ctx.kernel)
     monkeypatch.setattr(ctx, "kernel", counting)
     r, s = mk(ctx, "T^3+2*T+1"), mk(ctx, "T^2+1")
     assert poly_is_irreducible(r) and poly_is_irreducible(r) and poly_is_irreducible(2 * r)
@@ -392,7 +400,7 @@ def test_ben_or_and_factoring_build_one_table_per_prime(mk, monkeypatch):
     leading coefficient: both take f's distinct-degree parts on the table
     the field keeps. A line builds none."""
     ctx = field_create(3)
-    counting = _CountingKernel(ctx.kernel)
+    counting = CountingKernel(ctx.kernel)
     monkeypatch.setattr(ctx, "kernel", counting)
     built = 0
     for text, ben_or_first in (("T^2+1", True), ("T^3+2*T+1", False), ("T^4+T+2", True)):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -51,7 +50,9 @@ from qcff.selfcheck import suite_genus_paths
 from qcff.symbols import jacobi_symbol, residue_symbol
 
 from .oracles import (
+    CountingKernel,
     decoded_terms,
+    doctored,
     flat_terms,
     fraction_genus_closed_form,
     fraction_genus_hasse_formula,
@@ -361,22 +362,6 @@ def test_formal_sum_builds_no_frobenius_table(mk, monkeypatch):
         monkeypatch.undo()
 
 
-class _CountingKernel:
-    """A field kernel that counts the calls of each op."""
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.calls = collections.Counter()
-
-    def __getattr__(self, name):
-        op = getattr(self.kernel, name)
-
-        def counted(*args):
-            self.calls[name] += 1
-            return op(*args)
-        return counted
-
-
 @pytest.mark.parametrize("pair, prems", [(("T", "T^4+T+2"), 2), (("T^2+1", "T^2+T+2"), 8)],
                          ids=["j=3", "j=0"])
 def test_formal_sum_takes_one_remainder_per_high_part(mk, monkeypatch, pair, prems):
@@ -386,7 +371,7 @@ def test_formal_sum_takes_one_remainder_per_high_part(mk, monkeypatch, pair, pre
     ctx = field_create(3)
     a, b = (mk(ctx, f) for f in pair)
     expected = pair_formal_sum(a, b)
-    counting = _CountingKernel(ctx.kernel)
+    counting = CountingKernel(ctx.kernel)
     monkeypatch.setattr(ctx, "kernel", counting)
     assert pair_formal_sum(a, b) == expected
     assert counting.calls["prem"] == prems
@@ -638,11 +623,6 @@ def test_quasi_genus_paths_agree_extension_field(ctx9):
     assert res.cases == 1503
 
 
-def _doctored(record, **changes):
-    """record rebuilt by keyword with changes: a record no pipeline makes."""
-    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
-
-
 def test_kummer_genus_paths_raise_on_doctored_records(ctx3, mk):
     """Each Kummer genus path raises NonIntegerGenus for a conductor
     doctored to a non-integral genus and for a ramification table doctored
@@ -655,10 +635,10 @@ def test_kummer_genus_paths_raise_on_doctored_records(ctx3, mk):
     assert [row.e for row in ram.per_prime] == [2, 1]
     rows = cond.different.per_prime
     # cofactor 1 at the ramified T: a different of odd degree
-    odd = _doctored(cond, different=_doctored(
-        cond.different, per_prime=(_doctored(rows[0], phi_cofactor=1), rows[1])))
+    odd = doctored(cond, different=doctored(
+        cond.different, per_prime=(doctored(rows[0], phi_cofactor=1), rows[1])))
     # nothing ramified: g = 1 + w * (0 - 1)
-    unramified = _doctored(ram, per_prime=tuple(_doctored(row, vbar=0, e=1)
+    unramified = doctored(ram, per_prime=tuple(doctored(row, vbar=0, e=1)
                                                 for row in ram.per_prime))
     paths = [(genus_hasse_formula, fraction_genus_hasse_formula, "Kummer closed-form genus"),
              (genus_riemann_hurwitz, fraction_kummer_genus_riemann_hurwitz,

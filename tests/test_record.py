@@ -152,23 +152,24 @@ def test_json_gives_one_key_per_field_in_order(record):
     assert list(_json(record)) == list(record._fields)
 
 
-def _loaded_by_import(names: set[str]) -> str:
-    """Which of names a fresh interpreter's import qcff loads, as printed."""
+@pytest.fixture(scope="module")
+def loaded_by_import() -> set[str]:
+    """The modules a fresh interpreter's import qcff loads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    code = f"import sys, qcff; print(sorted({names!r} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    return done.stdout
+    done = subprocess.run([sys.executable, "-c", "import sys, qcff; print(*sys.modules)"],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = set(done.stdout.split())
+    assert "qcff.selfcheck" in loaded
+    return loaded
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    assert _loaded_by_import({"dataclasses", "inspect"}) == "[]\n"
-
-
-def test_import_loads_neither_fractions_nor_decimal():
-    """Every genus path computes in ints, so import qcff needs no Fraction."""
-    assert _loaded_by_import({"fractions", "decimal"}) == "[]\n"
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "fractions", "decimal", "signal"])
+def test_import_does_not_load(loaded_by_import, module):
+    """Records need neither dataclasses nor inspect; every genus path
+    computes in ints, so no fractions or decimal; and run_selfcheck imports
+    signal only to kill its child on an error."""
+    assert module not in loaded_by_import
 
 
 OTHER_MECHANISMS = {"NamedTuple", "namedtuple", "dataclass", "dataclasses"}
