@@ -266,6 +266,8 @@ def poly_factor(f: Poly) -> Factorization:
 def poly_phi(ctx: FieldCtx, factors: Sequence[PrimePower]) -> int:
     """Order of the unit group modulo the product of the given prime powers:
     prod q**(d_i * (r_i - 1)) * (q**d_i - 1). Empty input gives 1."""
+    if not all(isinstance(pp, PrimePower) for pp in factors):
+        raise ValidationError(f"poly_phi takes PrimePowers, not {factors!r}")
     seen = set()
     out = 1
     for pp in factors:

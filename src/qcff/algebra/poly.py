@@ -287,6 +287,8 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
     Bad syntax, a coefficient outside F_q, an exponent past MAX_DEGREE or a
     numeral too long for int() is a ConfigError; the degree is checked
     before the coefficient list is allocated."""
+    if not isinstance(text, str):
+        raise ConfigError(f"a polynomial is parsed from a string, not {text!r}")
     compact = text.replace(" ", "").replace("\t", "")
     if not compact:
         raise ConfigError("empty polynomial string")
@@ -317,6 +319,8 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
 
 def format_poly(f: Poly) -> str:
     """Canonical text form; parse_poly(format_poly(f)) == f."""
+    if not isinstance(f, Poly):
+        raise ValidationError(f"format_poly formats a Poly, not {f!r}")
     if f.is_zero:
         return "0"
     cs = f.coeffs

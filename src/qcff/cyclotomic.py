@@ -32,6 +32,7 @@ from .algebra import (
     poly_is_irreducible,
     poly_phi,
 )
+from .algebra.poly import _wrap
 from .errors import (
     ConstantConductor,
     DuplicatePrime,
@@ -84,13 +85,16 @@ class Conductor(Record):
         return self.M.ctx
 
 
-def conductor_create(ctx: FieldCtx, spec) -> Conductor:
+def conductor_create(ctx: FieldCtx, spec, *, members=()) -> Conductor:
     """Build a Conductor from a monic polynomial or a claimed factorization.
 
     spec may be a Poly (factored here) or a sequence of (prime, exponent)
     pairs, each exponent an int >= 1; any other spec raises ValidationError.
-    Claimed primes are always tested for irreducibility; the primes
-    poly_factor returns are irreducible by construction and are not.
+    Claimed primes are always tested for irreducibility. A Poly spec is
+    factored by _factor_by_members from members, a config's pair members,
+    which change the work, never the Conductor; each member divided out is
+    proved by Ben-Or, and the primes poly_factor returns are irreducible by
+    construction and are not tested.
     """
     factored_here = isinstance(spec, Poly)
     if factored_here:
@@ -98,7 +102,7 @@ def conductor_create(ctx: FieldCtx, spec) -> Conductor:
             raise ConstantConductor(f"conductor must be nonconstant, got {spec}")
         if not spec.monic:
             raise NotMonic(f"conductor must be monic, got {spec}")
-        pairs = [(pp.prime, pp.exp) for pp in poly_factor(spec).factors]
+        pairs = _factor_by_members(spec, members)
     else:
         try:
             pairs = list(spec)
@@ -153,6 +157,34 @@ def conductor_create(ctx: FieldCtx, spec) -> Conductor:
                                   total_order=phi),
         different=DifferentData(per_prime=rows, infinite_count=phi // ctx.w,
                                 infinite_coefficient=ctx.q - 2))
+
+
+def _factor_by_members(m: Poly, members) -> list[tuple[Poly, int]]:
+    """The (prime, exponent) pairs of the monic nonconstant m. Each member
+    that is a monic nonconstant divisor of m is divided out to its full
+    power, on coefficient lists; any other member is passed over. poly_factor
+    factors only the cofactor, and Ben-Or then proves each member divided
+    out, last, so that the field keeps the members' tables, which the
+    residue symbols of their pairs read, past the cofactor's. If a member is
+    reducible, m is factored whole, as with no members."""
+    ctx, kernel = m.ctx, m.ctx.kernel
+    rest, named = m.coeffs, []
+    for member in members:
+        if not (isinstance(member, Poly) and member.ctx == ctx and member.monic
+                and member.degree > 0):
+            continue
+        exp = 0
+        quot, rem = kernel.pdivrem(rest, member.coeffs)
+        while not rem:
+            rest, exp = quot, exp + 1
+            quot, rem = kernel.pdivrem(rest, member.coeffs)
+        if exp:
+            named.append((member, exp))
+    found = [] if len(rest) == 1 else [
+        (pp.prime, pp.exp) for pp in poly_factor(_wrap(ctx, rest)).factors]
+    if all(poly_is_irreducible(prime) for prime, _ in named):
+        return named + found
+    return [(pp.prime, pp.exp) for pp in poly_factor(m).factors]
 
 
 def _as_genus(num: int, den: int, where: str) -> int:

@@ -55,7 +55,10 @@ def pairset_create(cond: Conductor, raw: Sequence[tuple[Poly, Poly]]) -> PairSet
     conductor_primes = {pp.prime.coeffs for pp in cond.factors}
     seen = set()
     pairs = []
-    for p_first, p_second in raw:
+    for entry in raw:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+            raise ValidationError(f"pair must be a (Poly, Poly) pair, got {entry!r}")
+        p_first, p_second = entry
         for member in (p_first, p_second):
             if not isinstance(member, Poly) or member.ctx != cond.ctx:
                 raise ValidationError(f"{member!r} is not a Poly over the conductor's field")

@@ -83,12 +83,16 @@ def _json(value: Any, polys: dict | None = None) -> Any:
 def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, Any]:
     """Execute the full pipeline and return the structured report. Every
     place that holds a polynomial holds its one {"coeffs", "str"} dict, so
-    a change to that dict shows at every such place."""
+    a change to that dict shows at every such place. conductor_create gets
+    the pair members, which name most of an unfactored conductor's primes:
+    it divides them out, proves each by Ben-Or and factors the cofactor
+    alone, and the residue symbols read the proofs' tables."""
     if not cfg.pairs and not cyclotomic_only:
         raise ConfigError("pair set must be nonempty; pass --cyclotomic-only "
                           "for a report on the cyclotomic layer alone")
     ctx = cfg.field
-    cond = conductor_create(ctx, cfg.conductor)
+    members = [m for pair in cfg.pairs or () if isinstance(pair, (tuple, list)) for m in pair]
+    cond = conductor_create(ctx, cfg.conductor, members=members)
     # the report's one fragment of each polynomial, by coefficients
     polys = _Texts(lambda coeffs: _poly_json(_wrap(ctx, coeffs)))
 

@@ -275,6 +275,13 @@ def test_math_validation_exit_3(tmp_path, capsys):
     assert main(["report", "--config", str(reducible)]) == 3
     assert "validation error (ReducibleClaimedPrime): " in capsys.readouterr().err
 
+    # a pair member that divides an unfactored conductor but is reducible:
+    # its Ben-Or proof fails, M is factored whole, and the pair is refused
+    reducible.write_text(json.dumps({"p": 3, "conductor": {"poly": "T^3+2*T"},
+                                     "pairs": [["T+2", "T^2+T"]]}), encoding="utf-8")
+    assert main(["report", "--config", str(reducible)]) == 3
+    assert "validation error (PrimeNotInConductor): " in capsys.readouterr().err
+
 
 def test_selfcheck_small():
     proc = run_cli("selfcheck", "--scope", "small")

@@ -3,9 +3,21 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcff.cyclotomic as cyclotomic
-from qcff.algebra import field_create, monic_of_degree, poly_is_irreducible, poly_phi, var_T
+from qcff.algebra import (
+    Poly,
+    field_create,
+    monic_of_degree,
+    one,
+    poly_is_irreducible,
+    poly_phi,
+    var_T,
+)
+from qcff.algebra.factor import TABLE_COEFFS
+from qcff.config import parse_config
 from qcff.cyclotomic import (
     conductor_create,
     genus_closed_form,
@@ -20,9 +32,15 @@ from qcff.errors import (
     ReducibleClaimedPrime,
     ValidationError,
 )
+from qcff.report import run_report
 from qcff.selfcheck import count_units, suite_genus_paths
 
-from .oracles import doctored, fraction_genus_closed_form, fraction_genus_riemann_hurwitz
+from .oracles import (
+    CountingKernel,
+    doctored,
+    fraction_genus_closed_form,
+    fraction_genus_riemann_hurwitz,
+)
 
 
 def test_conductor_from_factored_input(ctx3, mk):
@@ -117,6 +135,89 @@ def test_only_claimed_primes_are_retested(ctx3, mk, monkeypatch):
     claimed = conductor_create(ctx3, [(pp.prime, pp.exp) for pp in from_poly.factors])
     assert sorted(f.sort_key for f in tested) == sorted(f.sort_key for f in primes)
     assert claimed == from_poly
+    # members: Ben-Or runs once on each that divides m, in the order divided
+    # out, and on no prime that poly_factor returns for the cofactor
+    tested.clear()
+    members = [primes[3], primes[1], primes[3], mk(ctx3, "T+2"), mk(ctx3, "2*T+2"),
+               mk(ctx3, "1"), m * primes[1], "T", None]
+    assert conductor_create(ctx3, m, members=members) == from_poly
+    assert tested == [primes[3], primes[1]]
+
+
+def _first_built_twice(ctx, pairs, m, monkeypatch):
+    """The first table that run_report builds twice on the config of the
+    unfactored conductor m and pairs, or None; with the moduli of every
+    table it built."""
+    cfg = parse_config({"p": ctx.p, "conductor": {"poly": str(m)}, "pairs": pairs})
+    counting = CountingKernel(cfg.field.kernel)
+    monkeypatch.setattr(cfg.field, "kernel", counting)
+    run_report(cfg)
+    built = [tuple(m) for (m,) in counting.args["ptable"]]
+    return next((m for m in built if built.count(m) > 1), None), set(built)
+
+
+def test_a_report_builds_no_table_twice(mk, monkeypatch):
+    """With an unfactored conductor, run_report builds each Frobenius table
+    once: the walk runs on the cofactor alone, never on M, and the members'
+    tables, built last by their Ben-Or proofs, are the ones the residue
+    symbols read (a line's proof builds none; its symbols build it). In
+    the second config the cofactor T^63+T^26+2 is prime and its table
+    (3,969 coefficients) with the two members' (100 each) passes
+    TABLE_COEFFS = 4,096: had the proofs run before the cofactor was
+    factored, its table would have dropped the first member's."""
+    assert TABLE_COEFFS == 4096
+    ctx = field_create(3)
+    t, p2, p3 = var_T(ctx), mk(ctx, "T^2+1"), mk(ctx, "T^3+2*T+1")
+    pairs = [["T", "T^2+1"], ["T^2+1", "T^3+2*T+1"]]
+    twice, built = _first_built_twice(ctx, pairs, t * t * p2 * p3, monkeypatch)
+    assert twice is None and built == {t.coeffs, p2.coeffs, p3.coeffs}
+    members, cofactor = [mk(ctx, "T^10+2*T^2+1"), mk(ctx, "T^10+2*T^8+1")], mk(ctx, "T^63+T^26+2")
+    pairs = [[str(f) for f in members]]
+    twice, built = _first_built_twice(ctx, pairs, members[0] * members[1] * cofactor,
+                                      monkeypatch)
+    assert twice is None and built == {f.coeffs for f in members + [cofactor]}
+
+
+_HINT_FIELDS = [field_create(3), field_create(5), field_create(3, 2, [1, 0, 1]), field_create(17)]
+
+
+def _monics(ctx, max_degree: int):
+    return st.integers(1, max_degree).flatmap(
+        lambda d: st.lists(st.integers(0, ctx.q - 1), min_size=d, max_size=d)).map(
+        lambda cs: Poly(ctx, cs + [1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_members_never_change_the_conductor(data):
+    """Over F_3, F_5, F_9 and F_17 the conductor of M with any list of
+    members equals the one without: M's primes and their powers, products
+    of two of its primes and squares, non-divisors, repeats, constants,
+    non-monic members, members of degree above deg M and non-Polys."""
+    draw = data.draw
+    ctx = draw(st.sampled_from(_HINT_FIELDS), label="field")
+    m = one(ctx)
+    for f in draw(st.lists(_monics(ctx, 4), min_size=1, max_size=3), label="factors"):
+        m = m * f
+    plain = conductor_create(ctx, m)
+    primes = [pp.prime for pp in plain.factors]
+    prime = st.sampled_from(primes)
+    member = st.one_of(
+        prime,
+        st.builds(lambda f, k: f ** k, prime, st.integers(1, 3)),
+        st.builds(lambda f, g: f * g, prime, prime),
+        _monics(ctx, 3),
+        st.integers(0, ctx.q - 1).map(lambda c: Poly(ctx, [c])),
+        st.builds(lambda f, c: f.scale(c), prime, st.integers(2, ctx.q - 1)),
+        st.builds(lambda f: m * f, prime),
+        st.sampled_from([None, 1, "T", (1, 1)]),
+    )
+    members = draw(st.lists(member, max_size=8), label="members")
+    if members:
+        members += draw(st.lists(st.sampled_from(members), max_size=3), label="repeats")
+    hinted = conductor_create(ctx, m, members=members)
+    assert hinted == plain and hinted.M is m
+    assert [pp.prime for pp in hinted.factors] == primes
 
 
 def test_galois_structure_examples(ctx3, mk):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from qcff.algebra import (
     poly_is_irreducible,
     var_T,
 )
+from qcff.config import JobConfig, Options
 from qcff.cyclotomic import (
     conductor_create,
     genus_closed_form,
@@ -46,6 +48,7 @@ from qcff.kummer import (
     raw_term_count,
     reduce_fraction,
 )
+from qcff.report import run_report
 from qcff.selfcheck import suite_genus_paths
 from qcff.symbols import jacobi_symbol, residue_symbol
 
@@ -100,6 +103,22 @@ def test_pairset_rejects_non_polys(ctx3, mk):
         with pytest.raises(ValidationError):
             pairset_create(cond, [pair])
     assert pairset_create(cond, [(t, t1)]).pairs == ((t, t1),)
+
+
+def test_pairset_rejects_malformed_entries(ctx3, mk):
+    """An entry that is not a two-member pair is a ValidationError naming
+    the entry, not the TypeError or ValueError of unpacking it; run_report,
+    which hands the pair members to conductor_create first, raises the same."""
+    t, t1 = var_T(ctx3), mk(ctx3, "T+1")
+    cond = _cond(ctx3, (t, 1), (t1, 1))
+    for entry in (1, (t, t, t), (t,), None):
+        with pytest.raises(ValidationError, match=re.escape(f"got {entry!r}")):
+            pairset_create(cond, [entry])
+        cfg = JobConfig(field=ctx3, conductor=t * t1, pairs=(entry,), rng_seed=0,
+                        options=Options())
+        with pytest.raises(ValidationError, match=re.escape(f"got {entry!r}")):
+            run_report(cfg)
+    assert pairset_create(cond, [[t, t1]]).pairs == ((t, t1),)
 
 
 def test_formal_sum_frozen_example(ctx3, mk):

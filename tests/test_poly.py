@@ -14,6 +14,7 @@ from qcff.algebra import (
     parse_poly,
     poly_cmp,
     poly_gcd,
+    poly_phi,
     poly_powmod,
     var_T,
     zero,
@@ -198,6 +199,19 @@ def test_parse_rejections(ctx3):
     for bad in ["", "T^-1", "T+", "3*T", "x+1", "2**T", "T^\u0662", "\u0662*T"]:
         with pytest.raises(ConfigError):
             parse_poly(ctx3, bad)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: parse_poly(CTX3, None), ConfigError),
+    (lambda: parse_poly(CTX3, 5), ConfigError),
+    (lambda: format_poly(3), ValidationError),
+    (lambda: poly_phi(CTX3, [1]), ValidationError),
+], ids=["parse_none", "parse_int", "format_int", "phi_of_int"])
+def test_entry_points_reject_wrong_types(call, error):
+    """A value of the wrong type is the documented error of the entry point
+    (parse_poly's for unparsable text), not an AttributeError."""
+    with pytest.raises(error):
+        call()
 
 
 @given(f=polys(CTX3))
