@@ -12,6 +12,9 @@
  * step mod w. Each step adds one product into one coefficient, by the q*q
  * addition table for q <= 256 and digit by digit otherwise.
  *
+ * ppowmod(f, n, m) is f**n mod m, [1] for n <= 0; n is read as a long long,
+ * so one outside [-2**63, 2**63) raises OverflowError.
+ *
  * ptable(m) builds the Frobenius table of a nonconstant m, a FrobeniusTable
  * object: the rows T**(q*i) mod m for i < n = deg m, as logs, and m's
  * divisor, prepared once. While q < n each row is the one before shifted up
@@ -270,27 +273,22 @@ static Py_ssize_t mulmod_into(const Kernel *k, const int *a, Py_ssize_t la,
 }
 
 /* base**n mod d by right-to-left binary powering, [1] for n <= 0: base is
- * buf[0], reduced, of lbase ints; n's bits are small's, or the nbits of big's
- * little-endian bytes when big is not NULL. The three buffers, each with room
- * for a product of two remainders, trade places; buf[1] holds the result,
- * whose stripped length is returned. logs holds deg d ints. */
+ * buf[0], reduced, of lbase ints. The three buffers, each with room for a
+ * product of two remainders, trade places; buf[1] holds the result, whose
+ * stripped length is returned. logs holds deg d ints. */
 static Py_ssize_t powmod_into(const Kernel *k, int *buf[3], Py_ssize_t lbase,
-                              long long small, const char *big, Py_ssize_t nbits,
-                              const Divisor *d, int *logs) {
-    Py_ssize_t i, lacc = 1;
+                              long long n, const Divisor *d, int *logs) {
+    Py_ssize_t lacc = 1;
     int *base = buf[0], *acc = buf[1], *prod = buf[2], *t;
-    if (big == NULL)
-        while (small > 0 && small >> nbits)
-            nbits++;
     acc[0] = 1;
-    for (i = 0; i < nbits; i++) {
+    while (n > 0) {
         logs_of(k, base, lbase, logs);
-        if (big ? ((unsigned char)big[i / 8] >> (i % 8)) & 1 : (small >> i) & 1) {
+        if (n & 1) {
             lacc = rem_inplace(k, prod, mul_into(k, acc, lacc, logs, lbase, prod),
                                d, NULL);
             t = acc, acc = prod, prod = t;
         }
-        if (i + 1 < nbits) {
+        if ((n >>= 1) > 0) {
             lbase = rem_inplace(k, prod, mul_into(k, base, lbase, logs, lbase, prod),
                                 d, NULL);
             t = base, base = prod, prod = t;
@@ -339,7 +337,7 @@ static void build_rows(const Kernel *k, Table *t, int *work) {
     store_row(k, t, 0, cur, lr);
     if (q >= n && n > 1) {
         cur[0] = 0, cur[1] = 1;
-        lx = lr = powmod_into(k, buf, 2, q, NULL, 0, &t->div, logs);
+        lx = lr = powmod_into(k, buf, 2, q, &t->div, logs);
         memcpy(cur = buf[0], buf[1], lx * sizeof(int));
     }
     for (i = 1; i < n; i++) {
@@ -588,18 +586,24 @@ static PyObject *k_ptable(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     return (PyObject *)t;
 }
 
-/* The table args[0], which this kernel built, and a new buffer holding h =
- * args[1], of at most n coefficients, with room for n + extra ints; NULL
- * with an exception set on failure. */
-static int *read_frobenius_args(Kernel *k, PyObject *const *args, Py_ssize_t extra,
-                            Table **t, Py_ssize_t *lh) {
-    int *h;
-    if (!PyObject_TypeCheck(args[0], &TableType) || ((Table *)args[0])->owner != k) {
+/* obj as a table, if this kernel built it; NULL with TypeError otherwise. */
+static Table *frobenius_table_arg(Kernel *k, PyObject *obj) {
+    if (!PyObject_TypeCheck(obj, &TableType) || ((Table *)obj)->owner != k) {
         PyErr_SetString(PyExc_TypeError, "expected a FrobeniusTable built by this kernel");
         return NULL;
     }
-    *t = (Table *)args[0];
-    if ((h = read_poly(k, args[1], (*t)->n + extra, lh)) != NULL && *lh > (*t)->n) {
+    return (Table *)obj;
+}
+
+/* The table args[0], which this kernel built, and a new buffer holding h =
+ * args[1], of at most n coefficients, with room for n more ints; NULL with
+ * an exception set on failure. */
+static int *read_frobenius_args(Kernel *k, PyObject *const *args, Table **t,
+                                Py_ssize_t *lh) {
+    int *h;
+    if ((*t = frobenius_table_arg(k, args[0])) == NULL)
+        return NULL;
+    if ((h = read_poly(k, args[1], (*t)->n, lh)) != NULL && *lh > (*t)->n) {
         PyErr_Format(PyExc_ValueError,
                      "h needs at most %zd coefficients for a table of %zd rows",
                      (*t)->n, (*t)->n);
@@ -615,7 +619,7 @@ static PyObject *k_papply(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     Table *t;
     PyObject *res = NULL;
     if (check_nargs("papply", nargs, 2) < 0
-        || (h = read_frobenius_args(k, args, 0, &t, &lh)) == NULL)
+        || (h = read_frobenius_args(k, args, &t, &lh)) == NULL)
         return NULL;
     /* h has room for n ints past its own: the result goes there */
     res = to_list(h + lh, apply_into(k, t, h, lh, h + lh));
@@ -631,7 +635,7 @@ static PyObject *k_pnorm(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     Table *t;
     PyObject *res = NULL;
     if (check_nargs("pnorm", nargs, 3) < 0
-        || (h = read_frobenius_args(k, args, 0, &t, &lh)) == NULL)
+        || (h = read_frobenius_args(k, args, &t, &lh)) == NULL)
         return NULL;
     n = t->n;
     if ((d = PyLong_AsSsize_t(args[2])) < 1) {
@@ -693,13 +697,8 @@ static PyObject *k_pwalk(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     Table *t;
     Divisor fdiv, gdiv;
     PyObject *out;
-    if (check_nargs("pwalk", nargs, 2) < 0
-        || !PyObject_TypeCheck(args[0], &TableType) || ((Table *)args[0])->owner != k) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "expected a FrobeniusTable built by this kernel");
+    if (check_nargs("pwalk", nargs, 2) < 0 || (t = frobenius_table_arg(k, args[0])) == NULL)
         return NULL;
-    }
-    t = (Table *)args[0];
     n = t->n;
     if ((first = PyObject_IsTrue(args[1])) < 0 || (work = new_ints(12 * (n + 1))) == NULL)
         return NULL;
@@ -830,14 +829,13 @@ static PyObject *k_pgcd(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     return res;
 }
 
-/* f^n mod m by powmod_into; [1] for n <= 0. The bits of an n past 63 bits
- * are read from its little-endian bytes. */
+/* f^n mod m by powmod_into, n a long long; [1] for n <= 0. */
 static PyObject *k_ppowmod(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
-    Py_ssize_t lf, lm, lacc, cap, nbits = 0;
-    int *m, *f = NULL, *work = NULL, *buf[3], overflow;
-    long long small;
+    Py_ssize_t lf, lm, lacc, cap;
+    int *m, *f = NULL, *work = NULL, *buf[3];
+    long long n;
     Divisor d;
-    PyObject *big = NULL, *tmp, *res = NULL;
+    PyObject *res = NULL;
     if (check_nargs("ppowmod", nargs, 3) < 0
         || (m = read_poly(k, args[2], 0, &lm)) == NULL)
         return NULL;
@@ -848,33 +846,15 @@ static PyObject *k_ppowmod(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     }
     cap = 2 * lm - 1; /* more than a product of two remainders needs */
     if ((f = read_poly(k, args[0], cap, &lf)) == NULL
+        || ((n = PyLong_AsLongLong(args[1])) == -1 && PyErr_Occurred())
         || (work = new_ints(5 * cap)) == NULL)
         goto done;
     /* work holds acc, prod, logs and then the divisor's 2 (lm - 1) ints */
     buf[0] = f, buf[1] = work, buf[2] = work + cap;
     prepare_divisor(k, m, lm, work + 3 * cap, &d);
-
-    small = PyLong_AsLongLongAndOverflow(args[1], &overflow);
-    if (small == -1 && PyErr_Occurred())
-        goto done;
-    if (overflow > 0) {
-        if ((big = PyNumber_Index(args[1])) == NULL
-            || (tmp = PyObject_CallMethod(big, "bit_length", NULL)) == NULL)
-            goto done;
-        nbits = PyLong_AsSsize_t(tmp);
-        Py_DECREF(tmp);
-        if (nbits < 0)
-            goto done;
-        tmp = PyObject_CallMethod(big, "to_bytes", "ns", (nbits + 7) / 8, "little");
-        Py_DECREF(big);
-        if ((big = tmp) == NULL)
-            goto done;
-    }
-    lacc = powmod_into(k, buf, rem_inplace(k, f, lf, &d, NULL), small,
-                       big ? PyBytes_AS_STRING(big) : NULL, nbits, &d, work + 2 * cap);
+    lacc = powmod_into(k, buf, rem_inplace(k, f, lf, &d, NULL), n, &d, work + 2 * cap);
     res = to_list(buf[1], lacc);
 done:
-    Py_XDECREF(big);
     PyMem_Free(m);
     PyMem_Free(f);
     PyMem_Free(work);

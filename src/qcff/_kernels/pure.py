@@ -85,6 +85,10 @@ coefficient past the log table would raise ``IndexError`` and a negative
 one would read it from the end. It costs about 0.1 us per operand.
 ``fadd`` and the other polynomial loops are hot and check nothing.
 
+``ppowmod`` reads n as the compiled kernel does: n <= 0 gives [1], and
+an n outside [-2**63, 2**63) raises ``OverflowError``, checked after the
+modulus. ``algebra.poly.poly_powmod`` steps through larger ones.
+
 The compiled kernel in ``_core.c`` implements the identical interface;
 `qcff._kernels` uses it when it imports and this one otherwise.
 """
@@ -377,6 +381,8 @@ class FieldKernel(TableOps):
         acc = [1]
         base = list(f)
         reduce(base, m, divisor=divisor)
+        if not -(1 << 63) <= n < 1 << 63:
+            raise OverflowError("powmod exponent must lie in [-2**63, 2**63)")
         while n > 0:
             if n & 1:
                 acc = pmul(acc, base)

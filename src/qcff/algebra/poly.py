@@ -236,7 +236,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_powmod(a: Poly, n: int, m: Poly) -> Poly:
-    """a**n reduced modulo the nonconstant polynomial m (square and multiply)."""
+    """a**n reduced modulo the nonconstant polynomial m (square and multiply).
+    The kernel's ppowmod takes n < 2**63; an n of 2**62 or more is read 62
+    bits at a time from the top, acc = acc**(2**62) * a**digit mod m."""
     if type(n) is not int or n < 0:
         raise ValidationError("exponent must be a nonnegative integer")
     if m.is_zero:
@@ -244,7 +246,14 @@ def poly_powmod(a: Poly, n: int, m: Poly) -> Poly:
     if m.is_constant:
         raise ValidationError("powmod modulus must be nonconstant")
     _same_field(a, m)
-    return _wrap(a.ctx, a.ctx.kernel.ppowmod(a.coeffs, n, m.coeffs))
+    kernel, f, mc = a.ctx.kernel, a.coeffs, m.coeffs
+    shift = max(n.bit_length() - 1, 0) // 62 * 62
+    acc = kernel.ppowmod(f, n >> shift, mc)
+    while shift:
+        shift -= 62
+        digit = kernel.ppowmod(f, (n >> shift) & ((1 << 62) - 1), mc)
+        acc = kernel.prem(kernel.pmul(kernel.ppowmod(acc, 1 << 62, mc), digit), mc)
+    return _wrap(a.ctx, acc)
 
 
 def poly_cmp(a: Poly, b: Poly) -> int:

@@ -37,17 +37,20 @@ from .record import Record
 
 def residue_symbol(a: Poly, r: Poly) -> int:
     """The dlog of the (q-1)-th power residue symbol of a modulo the monic
-    prime r, on the Frobenius table r's field keeps. Errors, in this order:
-    NotPrimeModulus for a constant or non-monic r; NotCoprime when
-    gcd(a, r) != 1; NotPrimeModulus when the norm is not constant (r is
-    then reducible). A non-Poly a or r raises ValidationError.
+    prime r, on the Frobenius table r's field keeps (a line r needs none:
+    the norm is a mod r). Errors, in this order: NotPrimeModulus for a
+    constant or non-monic r; NotCoprime when gcd(a, r) != 1; NotPrimeModulus
+    when the norm is not constant (r is then reducible). A non-Poly a or r
+    raises ValidationError.
     """
     if not (isinstance(a, Poly) and isinstance(r, Poly)):
         raise ValidationError(f"the residue symbol takes two Polys, not {a!r} and {r!r}")
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
     ctx = r.ctx
-    norm = ctx.kernel.pnorm(frobenius_table(ctx, r.coeffs), (a % r).coeffs, r.degree)
+    norm = (a % r).coeffs
+    if r.degree > 1:
+        norm = ctx.kernel.pnorm(frobenius_table(ctx, r.coeffs), norm, r.degree)
     if len(norm) != 1:
         # a unit's norm is a unit, so a nonzero constant proves gcd(a, r) = 1
         if poly_gcd(a, r).degree != 0:

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from qcff import __version__, _kernels, backend_name
+from qcff import __version__, _kernels, backend_name, selfcheck
 from qcff._kernels import PureFieldKernel
 from qcff.algebra import field
 from qcff.cli import main
 from qcff.config import MAX_Q, load_config
 from qcff.kummer import genus_riemann_hurwitz as kummer_genus_rh
 from qcff.report import render_json, run_report
+from qcff.selfcheck import SuiteResult
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -287,6 +288,27 @@ def test_selfcheck_small():
     proc = run_cli("selfcheck", "--scope", "small")
     assert proc.returncode == 0
     assert "5/5 suites passed" in proc.stdout
+
+
+def test_selfcheck_failure_exits_1_with_at_most_ten_lines(monkeypatch, capsys):
+    """One suite that fails on 12 cases: exit 1, its FAIL line with the
+    count, its first 10 failures indented, and the others still ok."""
+    real = selfcheck.suite_symbol_character
+
+    def failing(ctx, max_degree):
+        res = real(ctx, max_degree)
+        return SuiteResult(name=res.name, cases=res.cases,
+                           failures=[f"case {i}: wrong" for i in range(12)])
+
+    monkeypatch.setattr(selfcheck, "suite_symbol_character", failing)
+    assert main(["selfcheck", "--scope", "small"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("FAIL "))
+    assert lines[at].startswith("FAIL symbol-character") and lines[at].endswith("failures=12")
+    assert lines[at + 1:at + 11] == [f"     case {i}: wrong" for i in range(10)]
+    assert lines[at + 11].startswith(("ok   ", "selfcheck small: "))
+    assert sum(line.startswith("ok   ") for line in lines) == 4
+    assert lines[-1].startswith("selfcheck small: 4/5 suites passed, ")
 
 
 FULL_SELFCHECK = json.loads((Path(__file__).resolve().parent.parent / "perfbench"

@@ -402,6 +402,17 @@ def test_render_text_mentions_key_facts():
     assert "Hasse formula" in text
 
 
+def test_render_text_with_oracles_off_says_skipped():
+    """With run_oracles off the report runs no check, and its text ends on
+    "oracles: skipped"; with them on, it counts the checks that passed."""
+    report = run_report(parse_config(_base_config(options={"run_oracles": False})))
+    assert report["oracles"] == {"ran": False, "checks": []}
+    assert render_text(report).endswith("\noracles: skipped\n")
+    checked = run_report(parse_config(_base_config()))
+    n = len(checked["oracles"]["checks"])
+    assert n > 0 and render_text(checked).endswith(f"\noracles: {n}/{n} passed\n")
+
+
 def _plain_terms(value):
     """json.dumps's hook for a formal sum's terms: their plain dicts."""
     if isinstance(value, FormalTerms):

@@ -36,6 +36,7 @@ from .oracles import (
     poly_power_product,
     poly_squarefree_decomposition,
     powmod_equal_degree_split,
+    powmod_residue_symbol,
     reference_factorization,
     rereducing_distinct_degree_split,
     table_rows,
@@ -59,8 +60,10 @@ def test_irreducibility_examples(ctx3, mk):
 
 def test_lines_build_no_frobenius_table(mk, monkeypatch):
     """A degree-1 polynomial is irreducible, and its own distinct-degree
-    part, without a table; factoring T * (T+1)**2 builds none either. The
-    field is a fresh one, so no table kept by an earlier test hides a build."""
+    part, without a table; factoring T * (T+1)**2 builds none either, and
+    neither does a residue symbol modulo a line, which is the powmod
+    definition's value. The field is a fresh one, so no table kept by an
+    earlier test hides a build."""
     ctx = field_create(3)
     counting = CountingKernel(ctx.kernel)
     monkeypatch.setattr(ctx, "kernel", counting)
@@ -69,6 +72,11 @@ def test_lines_build_no_frobenius_table(mk, monkeypatch):
     line = mk(ctx, "T+1").coeffs
     assert factor._distinct_degree_parts(ctx, line) == [(line, 1)]
     assert _shape(poly_factor(mk(ctx, "T^3+2*T^2+T"))) == [("T", 1), ("T+1", 2)]
+    for r in (mk(ctx, "T"), mk(ctx, "T+1"), mk(ctx, "T+2")):
+        for a in all_polys_below(ctx, 3):
+            if (a % r).is_zero:
+                continue
+            assert residue_symbol(a, r) == powmod_residue_symbol(a, r), (a, r)
     assert counting.calls["ptable"] == 0
     assert not poly_is_irreducible(mk(ctx, "T^2+2"))
     assert counting.calls["ptable"] == 1
@@ -316,6 +324,12 @@ def test_phi_examples(ctx3, mk):
     assert poly_phi(ctx3, poly_factor(t * t).factors) == 6
     assert poly_phi(ctx3, poly_factor(mk(ctx3, "T^2+T")).factors) == 4
     assert poly_phi(ctx3, []) == 1
+
+
+def test_phi_rejects_exponents_below_one(ctx3):
+    for exp in (0, -1):
+        with pytest.raises(ValidationError, match="exponent must be >= 1"):
+            poly_phi(ctx3, [PrimePower.make(var_T(ctx3), exp)])
 
 
 def test_phi_matches_unit_count_exhaustively(ctx5):

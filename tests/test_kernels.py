@@ -10,7 +10,7 @@ import pytest
 
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel, pure
 from qcff._kernels.pure import BYTES_MAX_Q, _GroupSums
-from qcff.algebra import Poly, field, field_create, poly_is_irreducible
+from qcff.algebra import Poly, field, field_create, poly_is_irreducible, poly_powmod
 from qcff.algebra.factor import frobenius_table
 
 from .oracles import (
@@ -113,15 +113,42 @@ def test_backends_agree_on_scalars(p, e, mod):
             assert pure.finv(a) == comp.finv(a)
 
 
-@needs_compiled
-def test_powmod_with_huge_exponent():
-    ctx, pure, comp = _kernels(3, 2, [1, 0, 1])
+def test_powmod_with_huge_exponent(monkeypatch):
+    """An n of 2**63 or more is past the kernels' ppowmod, which raises
+    OverflowError; poly_powmod steps through it 62 bits at a time, on
+    either kernel, and matches square and multiply on naive products."""
+    ctx = field_create(3, 2, [1, 0, 1])
     f = [4, 7, 1]
     cases = [((ctx.q ** 40 - 1) // ctx.w, [1, 0, 0, 0, 1])]
     # T**4 + 4 is prime, its units of order 9**4 - 1 = 2**5 * 5 * 41: a lost bit of n shows
     cases += [(n, [4, 0, 0, 0, 1]) for n in (2 ** 63, 2 ** 64 + 12345, 3 ** 90, 2 ** 200 - 1)]
-    for n, m in cases:
-        assert pure.ppowmod(f, n, m) == comp.ppowmod(f, n, m), (n, m)
+    for cls in [c for c in (PureFieldKernel, CompiledFieldKernel) if c is not None]:
+        kern = cls(ctx.p, ctx.e, ctx.exp, ctx.log)
+        monkeypatch.setattr(ctx, "kernel", kern)
+        for n, m in cases:
+            with pytest.raises(OverflowError):
+                kern.ppowmod(f, n, m)
+            got = poly_powmod(Poly(ctx, f), n, Poly(ctx, m))
+            assert list(got.coeffs) == naive_powmod(ctx, f, n, m), (cls, n, m)
+
+
+@needs_compiled
+@pytest.mark.parametrize("p,e,mod", FIELDS[:4])
+def test_powmod_exponent_is_a_64_bit_int(p, e, mod):
+    """Both kernels read n as a signed 64-bit int: OverflowError outside
+    [-2**63, 2**63), [1] for n <= 0, and the same power for 0 < n < 2**63."""
+    ctx, pure, comp = _kernels(p, e, mod)
+    f, m = [2, 1, 1], [1, 0, 1, 0, 1]
+    for n in (2 ** 63, -2 ** 63 - 1):
+        for kern in (pure, comp):
+            with pytest.raises(OverflowError):
+                kern.ppowmod(f, n, m)
+    for n in (0, -5, -2 ** 63):
+        assert pure.ppowmod(f, n, m) == comp.ppowmod(f, n, m) == [1]
+    rng = random.Random(63)
+    for n in [2 ** 62, 2 ** 63 - 1] + [rng.randrange(1, 2 ** 63) for _ in range(20)]:
+        assert pure.ppowmod(f, n, m) == comp.ppowmod(f, n, m), n
+    assert pure.ppowmod(f, 2 ** 62, m) == naive_powmod(ctx, f, 2 ** 62, m)
 
 
 @needs_compiled
@@ -203,9 +230,11 @@ def test_powmod_by_constant_modulus_raises(kern):
 
 @pytest.mark.parametrize("kern", _backends())
 def test_powmod_nonpositive_exponent_is_one(kern):
+    """[1] for n <= 0 down to -2**63; below it the exponent is no 64-bit int."""
     f, m = [2, 3, 1], [1, 4, 0, 1]
     assert kern.ppowmod(f, 0, m) == kern.ppowmod(f, -5, m) == [1]
-    assert kern.ppowmod(f, -2 ** 80, m) == [1]
+    with pytest.raises(OverflowError):
+        kern.ppowmod(f, -2 ** 80, m)
 
 
 @pytest.mark.parametrize("kern", _backends())
@@ -354,7 +383,7 @@ def _every_op_once(kern):
     kern.fadd(1, 2), kern.fneg(3), kern.fsub(1, 4), kern.fmul(2, 3), kern.finv(2)
     kern.padd(f, g), kern.psub(g, f), kern.pscale(f, 3), kern.pmul(f, g)
     kern.pdivrem(f, g), kern.prem(f, g), kern.pmonic(g), kern.pgcd(f, g)
-    kern.ppowmod(f, 10 ** 30, m), kern.ppowmod(tuple(f), 12345, m)
+    kern.ppowmod(tuple(f), 12345, m)
     table = kern.ptable(m)
     kern.papply(table, (3, 1, 2)), kern.pnorm(table, (3, 1, 2), 7)
     kern.pwalk(table, False), kern.pwalk(kern.ptable(kern.pmul(f, g)), True)
@@ -362,12 +391,13 @@ def _every_op_once(kern):
                (kern.papply, (table, [1, 1, 1, 1])), (kern.pnorm, (table, [1], 0)),
                (kern.ptable, ([2],)), (kern.ptable, ([1, 9],)), (kern.pwalk, ([[1]], True)),
                (kern.ppowmod, (f, 3, [2])), (kern.pmul, ([1], [5])),
-               (kern.ppowmod, (f, None, m)), (kern.pmonic, ([1, 0],))]
+               (kern.ppowmod, (f, None, m)), (kern.ppowmod, (f, 10 ** 30, m)),
+               (kern.pmonic, ([1, 0],))]
     failing += [(getattr(kern, op), args) for op, args in _NONE_CALLS]
     for fn, args in failing:
         try:
             fn(*args)
-        except (ZeroDivisionError, TypeError, ValueError):
+        except (ZeroDivisionError, TypeError, ValueError, OverflowError):
             pass
 
 

@@ -62,6 +62,8 @@ from .oracles import (
     fraction_genus_riemann_hurwitz,
     fraction_kummer_genus_riemann_hurwitz,
     index_groups,
+    naive_fq_inv,
+    naive_fq_mul,
     per_term_formal_sum,
 )
 
@@ -427,6 +429,24 @@ def test_reduce_fraction_drops_integral_classes(ctx3, mk):
     assert cls is not None and (str(cls.num), str(cls.den)) == ("2", "T^2+1")
 
 
+@pytest.mark.parametrize("ctx", [field_create(3), field_create(3, 2, [1, 0, 1]),
+                                 field_create(17)], ids=["F3", "F9", "F17"])
+def test_reduce_fraction_makes_the_denominator_monic(ctx):
+    """(T+1) / (c*T^2 + c) for every c != 0, 1 is the class of
+    (T+1)/c over T^2+1, the inverse of c found by naive products; a
+    multiple of the non-monic denominator, 0 included, is a class in A."""
+    t = var_T(ctx)
+    for c in range(2, ctx.q):
+        den = Poly(ctx, [c, 0, c])
+        inv = naive_fq_inv(ctx, c)
+        cls = reduce_fraction(t + 1, den)
+        assert cls.den == t * t + 1
+        assert cls.num == Poly(ctx, [inv, inv])
+        assert naive_fq_mul(ctx, inv, c) == 1
+        assert reduce_fraction((t + 2) * den, den) is None
+        assert reduce_fraction(Poly(ctx, []), den) is None
+
+
 def test_ramification_single_pair_example(ctx3, mk):
     t, t1 = var_T(ctx3), mk(ctx3, "T+1")
     cond = _cond(ctx3, (t, 1), (t1, 1))
@@ -434,6 +454,8 @@ def test_ramification_single_pair_example(ctx3, mk):
     ram = ramification_table(cond, ps)
     assert ram.row_for(t).vbar == 1 and ram.row_for(t).e == 2
     assert ram.row_for(t1).vbar == 0 and ram.row_for(t1).e == 1
+    with pytest.raises(ValidationError, match="T\\+2 has no ramification row"):
+        ram.row_for(mk(ctx3, "T+2"))
 
 
 def test_ramification_matches_direct_symbol_formulas(ctx3, ctx5):

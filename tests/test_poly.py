@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +29,12 @@ from qcff.errors import (
     ValidationError,
 )
 
-from .oracles import naive_poly_mul
+from .oracles import naive_fq_add, naive_fq_mul, naive_poly_add, naive_poly_mul, naive_powmod
 
 CTX3 = field_create(3)
 CTX9 = field_create(3, 2, [1, 0, 1])
+CTX17 = field_create(17)
+THREE_FIELDS = pytest.mark.parametrize("ctx", [CTX3, CTX9, CTX17], ids=["F3", "F9", "F17"])
 
 
 def polys(ctx, max_len=8):
@@ -112,6 +116,23 @@ def test_powmod_matches_repeated_multiplication(f, n, m):
     assert poly_powmod(f, n, m) == expected
 
 
+# n < 2**70 from 9 random bytes: st.integers over so wide a range draws
+# mostly small values, which never leave the kernel's 64-bit exponent
+_WIDE_EXPONENTS = st.binary(min_size=9, max_size=9).map(
+    lambda b: int.from_bytes(b, "little") >> 2)
+
+
+@pytest.mark.parametrize("ctx", [CTX3, CTX9], ids=["F3", "F9"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=_WIDE_EXPONENTS)
+def test_powmod_matches_naive_past_the_kernel_exponent(ctx, data, n):
+    """Past 2**62 poly_powmod steps through n 62 bits at a time on the
+    kernel's ppowmod; square and multiply on naive products agrees."""
+    f = data.draw(polys(ctx, 6))
+    m = data.draw(nonzero_polys(ctx, 6).filter(lambda g: not g.is_constant))
+    assert list(poly_powmod(f, n, m).coeffs) == naive_powmod(ctx, f.coeffs, n, m.coeffs)
+
+
 def test_division_errors(ctx3, mk):
     with pytest.raises(DivisionByZero):
         divmod(mk(ctx3, "T"), zero(ctx3))
@@ -119,6 +140,38 @@ def test_division_errors(ctx3, mk):
         poly_gcd(zero(ctx3), zero(ctx3))
     with pytest.raises(ValidationError):
         poly_powmod(var_T(ctx3), 2, one(ctx3))
+    with pytest.raises(DivisionByZero):
+        poly_powmod(var_T(ctx3), 2, zero(ctx3))
+
+
+def _random_polys(ctx, count=20, max_len=7):
+    rng = random.Random(ctx.q)
+    return [Poly(ctx, [rng.randrange(ctx.q) for _ in range(rng.randrange(max_len))])
+            for _ in range(count)]
+
+
+@THREE_FIELDS
+def test_negation_and_reflected_subtraction(ctx):
+    """-f and 1 - f against naive sums: f + (-f) = 0, (1 - f) + f = 1, and
+    the -1 that negation scales by adds to 1 to give 0."""
+    assert naive_fq_add(ctx, ctx.minus_one, 1) == 0
+    for f in _random_polys(ctx):
+        assert naive_poly_add(ctx, f, -f) == zero(ctx)
+        assert naive_poly_add(ctx, 1 - f, f) == one(ctx)
+
+
+@THREE_FIELDS
+def test_iteration_truth_and_evaluation(ctx):
+    """iter(f) runs through the coefficients from degree 0 up, bool(f) is
+    f != 0, and f.eval_at(x) is Horner's rule on naive field operations."""
+    for f in _random_polys(ctx):
+        assert list(f) == list(f.coeffs) and bool(f) == (f != zero(ctx))
+        for x in range(0, ctx.q, max(1, ctx.q // 5)):
+            expected = 0
+            for c in reversed(f.coeffs):
+                expected = naive_fq_add(ctx, naive_fq_mul(ctx, expected, x), c)
+            assert f.eval_at(x) == expected, (f, x)
+    assert list(zero(ctx)) == [] and not zero(ctx) and one(ctx)
 
 
 def test_cmp_examples(ctx3, mk):
