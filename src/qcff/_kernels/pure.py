@@ -78,16 +78,18 @@ q > 16.
 
 ``fneg`` and ``fsub`` raise ``ValueError`` for an element outside [0, q),
 as the compiled kernel does, since ``neg[a]`` would wrap a negative a.
-So do a divisor (``prem``, ``pdivrem``), a modulus (``ppowmod``,
-``ptable``), both operands of ``pgcd`` and the h of a table op, checked
-by ``_check``, one C-level set test (``TypeError`` for a non-int): a
-coefficient past the log table would raise ``IndexError`` and a negative
-one would read it from the end. It costs about 0.1 us per operand.
+So do a divisor (``prem``, ``pdivrem``), a modulus (``ptable``), both
+operands of ``pgcd`` and of ``ppowmod`` (the modulus first, before its
+degree is tested, as the compiled kernel reads them) and the h of a
+table op, checked by ``_check``, one C-level set test (``TypeError`` for
+a non-int): a coefficient past the log table would raise ``IndexError``
+and a negative one would read it from the end. It costs about 0.1 us per
+operand.
 ``fadd`` and the other polynomial loops are hot and check nothing.
 
 ``ppowmod`` reads n as the compiled kernel does: n <= 0 gives [1], and
-an n outside [-2**63, 2**63) raises ``OverflowError``, checked after the
-modulus. ``algebra.poly.poly_powmod`` steps through larger ones.
+an n outside [-2**63, 2**63) raises ``OverflowError``, checked after both
+operands. ``algebra.poly.poly_powmod`` steps through larger ones.
 
 The compiled kernel in ``_core.c`` implements the identical interface;
 `qcff._kernels` uses it when it imports and this one otherwise.
@@ -373,9 +375,10 @@ class FieldKernel(TableOps):
         return self.pmonic(f)
 
     def ppowmod(self, f, n, m):
+        self._check(m)
         if len(m) < 2:
             raise ZeroDivisionError("powmod modulus must be nonconstant")
-        self._check(m)
+        self._check(f)
         divisor = self._divisor(m)
         reduce, pmul = self._reduce, self.pmul
         acc = [1]

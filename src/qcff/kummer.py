@@ -99,10 +99,7 @@ def reduce_fraction(num: Poly, den: Poly) -> FracClass | None:
         inv = den.ctx.kernel.finv(den.lc)
         num = num.scale(inv)
         den = den.scale(inv)
-    num = num % den
-    if num.is_zero:
-        return None
-    return FracClass(num=num, den=den)
+    return FracClass(num=num % den, den=den)
 
 
 class FormalSum(Record):
@@ -146,10 +143,10 @@ def raw_term_count(ctx, d_first: int, d_second: int) -> int:
 def pair_formal_sum(p_first: Poly, p_second: Poly) -> FormalSum:
     """The formal k/A sum attached to an oriented prime pair.
 
-    The caller proves P and Q prime, as run_report does through the
-    conductor; here BadPair is raised only for a member that is not a monic
-    nonconstant Poly, equal members, the wrong orientation or members with
-    a common factor, which distinct primes never have.
+    The caller proves P and Q prime, as report.compute_tower does through
+    the conductor; here BadPair is raised only for a member that is not a
+    monic nonconstant Poly, equal members, the wrong orientation or members
+    with a common factor, which distinct primes never have.
 
     Sums s * ([ (B*Q + gamma^{-s} A) / (P*Q) ] - [ (A*P + gamma^{-s} B) / (P*Q) ])
     over monic A with deg A < deg Q, monic B with deg B < deg P, and

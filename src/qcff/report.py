@@ -1,4 +1,4 @@
-"""Pipeline orchestration: a parsed config -> conductor -> pairs -> report.
+"""Pipeline orchestration: a parsed config -> Tower -> checks -> report.
 
 The structured report is a dict of plain JSON values, a formal sum's
 terms aside (see render_json), rendered as canonical JSON (sorted keys,
@@ -9,15 +9,17 @@ byte-identical output.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .algebra import Poly, format_poly
 from .algebra.poly import _monomial, _wrap
 from .config import SCHEMA_VERSION, JobConfig
-from .cyclotomic import conductor_create, genus_closed_form, genus_riemann_hurwitz
+from .cyclotomic import Conductor, conductor_create, genus_closed_form, genus_riemann_hurwitz
 from .errors import ConfigError, ConsistencyError
 from .kummer import (
+    FormalSum,
+    GroupPresentation,
     PairSet,
     RamTable,
     _num_coeffs,
@@ -80,21 +82,106 @@ def _json(value: Any, polys: dict | None = None) -> Any:
     return value
 
 
-def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, Any]:
-    """Execute the full pipeline and return the structured report. Every
-    place that holds a polynomial holds its one {"coeffs", "str"} dict, so
-    a change to that dict shows at every such place. conductor_create gets
-    the pair members, which name most of an unfactored conductor's primes:
-    it divides them out, proves each by Ben-Or and factors the cofactor
-    alone, and the residue symbols read the proofs' tables."""
+class Tower(Record):
+    """One job's results, as compute_tower computes them: the conductor,
+    the pair set and both cyclotomic genera and, unless the job is
+    cyclotomic only, the ramification table, the presentation, both Kummer
+    genera and, with options.emit_a_pq, each pair's formal sum in pair
+    order. A field the job does not compute is None, so a cyclotomic only
+    tower has no ramification table."""
+
+    conductor: Conductor
+    pairs: PairSet
+    genus_closed_form: int
+    genus_riemann_hurwitz: int
+    ramification: RamTable | None
+    presentation: GroupPresentation | None
+    genus_hasse_formula: int | None
+    kummer_genus_riemann_hurwitz: int | None
+    formal_sums: tuple[FormalSum, ...] | None
+
+
+def compute_tower(cfg: JobConfig, cyclotomic_only: bool = False) -> Tower:
+    """The arithmetic of a job, run_report's first stage; it checks no
+    result. conductor_create gets the pair members, which name most of an
+    unfactored conductor's primes: it divides them out, proves each by
+    Ben-Or and factors the cofactor alone, and the residue symbols read
+    the proofs' tables. Each pair's raw term count is checked against
+    options.a_pq_term_cap before the first formal sum is computed."""
     if not cfg.pairs and not cyclotomic_only:
         raise ConfigError("pair set must be nonempty; pass --cyclotomic-only "
                           "for a report on the cyclotomic layer alone")
-    ctx = cfg.field
     members = [m for pair in cfg.pairs or () if isinstance(pair, (tuple, list)) for m in pair]
-    cond = conductor_create(ctx, cfg.conductor, members=members)
+    cond = conductor_create(cfg.field, cfg.conductor, members=members)
+    genus_closed = genus_closed_form(cond)
+    genus_rh = genus_riemann_hurwitz(cond)
+    pairs = pairset_create(cond, cfg.pairs) if cfg.pairs else PairSet(pairs=())
+    ram = pres = g_hasse = g_rh = sums = None
+    if not cyclotomic_only:
+        ram = ramification_table(cond, pairs)
+        g_hasse = genus_hasse_formula(cond, genus_closed, ram)
+        g_rh = kummer_genus_riemann_hurwitz(cond, genus_closed, ram)
+        pres = presentation(cond, pairs, ram)
+        if cfg.options.emit_a_pq:
+            cap = cfg.options.a_pq_term_cap
+            for a, b in pairs.pairs:
+                if (expected := raw_term_count(a.ctx, a.degree, b.degree)) > cap:
+                    raise ConfigError(f"formal sum for ({format_poly(a)}, {format_poly(b)}) has "
+                                      f"{expected} raw terms, over the cap {cap}; raise "
+                                      f"options.a_pq_term_cap")
+            sums = tuple(pair_formal_sum(a, b) for a, b in pairs.pairs)
+    return Tower(conductor=cond, pairs=pairs, genus_closed_form=genus_closed,
+                 genus_riemann_hurwitz=genus_rh, ramification=ram, presentation=pres,
+                 genus_hasse_formula=g_hasse, kummer_genus_riemann_hurwitz=g_rh, formal_sums=sums)
+
+
+def check_tower(tower: Tower, name: Callable[[Poly], str] = format_poly) -> list[dict[str, Any]]:
+    """The internal cross-checks of a tower, run_report's second stage, as
+    the report's {"name", "passed"} entries in order: the two cyclotomic
+    genera agree and, unless the tower is cyclotomic only, the two Kummer
+    genera agree, each pair's reciprocity law holds on the Frobenius tables
+    the field keeps, its members named by name, and a single pair keeps
+    the parity rule where it applies. The two symbols of each pair also
+    rebuild each prime's vbar, which the ramification table took from
+    symbol_dlog; a difference raises ConsistencyError naming the prime,
+    and so does a failed check."""
+    pairs, ram = tower.pairs, tower.ramification
+    checks = [{"name": "cyclotomic genus paths agree",
+               "passed": tower.genus_closed_form == tower.genus_riemann_hurwitz}]
+    if ram is not None:
+        checks.append({"name": "kummer genus paths agree",
+                       "passed": tower.genus_hasse_formula == tower.kummer_genus_riemann_hurwitz})
+        vbar = {row.prime.coeffs: 0 for row in ram.per_prime}
+        for a, b in pairs.pairs:
+            law = check_reciprocity(a, b)
+            checks.append({"name": f"reciprocity for ({name(a)}, {name(b)})",
+                           "passed": law.holds})
+            vbar[a.coeffs] += law.first_over_second
+            vbar[b.coeffs] -= law.second_over_first
+        for row in ram.per_prime:
+            v = vbar[row.prime.coeffs] % row.prime.ctx.w
+            if v != row.vbar:
+                raise ConsistencyError(f"vbar of {name(row.prime)} is {v} by the residue "
+                                       f"symbols but {row.vbar} in the ramification table")
+        if len(pairs.pairs) == 1 and (parity := parity_consistency(pairs, ram)).applicable:
+            checks.append({"name": "parity rule (single pair)", "passed": parity.passed})
+    if failed := [c["name"] for c in checks if not c["passed"]]:
+        raise ConsistencyError(f"internal cross-checks failed: {failed}")
+    return checks
+
+
+def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, Any]:
+    """The structured report of a job, in three stages: compute_tower,
+    check_tower when options.run_oracles is on, then the report dict.
+    Every place that holds a polynomial holds its one {"coeffs", "str"}
+    dict, so a change to that dict shows at every such place, and the
+    checks name each polynomial by that dict's text."""
+    tower = compute_tower(cfg, cyclotomic_only)
+    ctx, cond, pairs = cfg.field, tower.conductor, tower.pairs.pairs
     # the report's one fragment of each polynomial, by coefficients
     polys = _Texts(lambda coeffs: _poly_json(_wrap(ctx, coeffs)))
+    run_oracles = cfg.options.run_oracles
+    checks = check_tower(tower, lambda f: polys[f.coeffs]["str"]) if run_oracles else []
 
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -109,105 +196,38 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, An
             "p": ctx.p, "e": ctx.e, "q": ctx.q, "w": ctx.w,
             "modulus": list(ctx.modulus) if ctx.modulus is not None else None,
         },
+        "inputs": {
+            "conductor": {"poly": polys[cond.M.coeffs], "factors": _json(cond.factors, polys)},
+            "options": _json(cfg.options),
+            "cyclotomic_only": cyclotomic_only,
+            "pairs": _json(pairs, polys),
+        },
+        "cyclotomic": {
+            "phi": cond.phi,
+            "conductor_degree": cond.degM,
+            "galois_structure": _json(cond.structure),
+            "different": _json(cond.different, polys),
+            "genus": {"closed_form": tower.genus_closed_form,
+                      "riemann_hurwitz": tower.genus_riemann_hurwitz},
+        },
+        "oracles": {"ran": run_oracles, "checks": checks},
     }
-
-    genus_closed = genus_closed_form(cond)
-    genus_rh = genus_riemann_hurwitz(cond)
-
-    report["inputs"] = {
-        "conductor": {"poly": polys[cond.M.coeffs], "factors": _json(cond.factors, polys)},
-        "options": _json(cfg.options),
-        "cyclotomic_only": cyclotomic_only,
-    }
-    report["cyclotomic"] = {
-        "phi": cond.phi,
-        "conductor_degree": cond.degM,
-        "galois_structure": _json(cond.structure),
-        "different": _json(cond.different, polys),
-        "genus": {"closed_form": genus_closed, "riemann_hurwitz": genus_rh},
-    }
-
-    checks: list[dict[str, Any]] = []
-    if cfg.options.run_oracles:
-        checks.append({"name": "cyclotomic genus paths agree",
-                       "passed": genus_closed == genus_rh})
-
-    pairs = pairset_create(cond, cfg.pairs) if cfg.pairs else PairSet(pairs=())
-    report["inputs"]["pairs"] = _json(pairs.pairs, polys)
     if not cyclotomic_only:
-        ram = ramification_table(cond, pairs)
-        g_hasse = genus_hasse_formula(cond, genus_closed, ram)
-        g_rh = kummer_genus_riemann_hurwitz(cond, genus_closed, ram)
-
-        kummer_block: dict[str, Any] = {
-            "ramification": _json(ram, polys),
-            "presentation": _json(presentation(cond, pairs, ram), polys),
-            "genus": {"hasse_formula": g_hasse, "riemann_hurwitz": g_rh},
+        kummer = report["kummer"] = {
+            "ramification": _json(tower.ramification, polys),
+            "presentation": _json(tower.presentation, polys),
+            "genus": {"hasse_formula": tower.genus_hasse_formula,
+                      "riemann_hurwitz": tower.kummer_genus_riemann_hurwitz},
         }
-
-        if cfg.options.emit_a_pq:
-            kummer_block["formal_sums"] = _formal_sums_block(
-                pairs, cfg.options.a_pq_term_cap, polys)
-
-        report["kummer"] = kummer_block
-
-        if cfg.options.run_oracles:
-            checks.append({"name": "kummer genus paths agree",
-                           "passed": g_hasse == g_rh})
-            checks += _symbol_checks(pairs, ram, polys)
-            if len(pairs.pairs) == 1:
-                parity = parity_consistency(pairs, ram)
-                if parity.applicable:
-                    checks.append({"name": "parity rule (single pair)",
-                                   "passed": parity.passed})
-
-    report["oracles"] = {"ran": cfg.options.run_oracles, "checks": checks}
-    failed = [c["name"] for c in checks if not c["passed"]]
-    if failed:
-        raise ConsistencyError(f"internal cross-checks failed: {failed}")
+        if tower.formal_sums is not None:
+            # numerators have degree below the largest deg PQ
+            monomials = [[_monomial(k, c) for c in range(ctx.q)]
+                         for k in range(max(a.degree + b.degree for a, b in pairs))]
+            kummer["formal_sums"] = [
+                {"pair": [polys[a.coeffs], polys[b.coeffs]], "raw_terms": fs.raw_terms,
+                 "terms": FormalTerms(fs.groups, monomials)}
+                for (a, b), fs in zip(pairs, tower.formal_sums)]
     return report
-
-
-def _symbol_checks(pairs: PairSet, ram: RamTable, polys: dict) -> list[dict]:
-    """The reciprocity check of every pair, on the Frobenius tables the field
-    keeps, named by the texts in polys. The two symbols of each pair also
-    rebuild each prime's vbar, which the ramification table took from
-    symbol_dlog; a difference raises ConsistencyError."""
-    checks, vbar = [], {row.prime.coeffs: 0 for row in ram.per_prime}
-    for a, b in pairs.pairs:
-        law = check_reciprocity(a, b)
-        name = f"reciprocity for ({polys[a.coeffs]['str']}, {polys[b.coeffs]['str']})"
-        checks.append({"name": name, "passed": law.holds})
-        vbar[a.coeffs] += law.first_over_second
-        vbar[b.coeffs] -= law.second_over_first
-    for row in ram.per_prime:
-        v = vbar[row.prime.coeffs] % row.prime.ctx.w
-        if v != row.vbar:
-            raise ConsistencyError(f"vbar of {format_poly(row.prime)} is {v} by the residue "
-                                   f"symbols but {row.vbar} in the ramification table")
-    return checks
-
-
-def _formal_sums_block(pairs: PairSet, cap: int, polys: dict) -> list[dict]:
-    """The formal sum of every pair. Each pair's raw term count is checked
-    against the cap before the first sum is computed."""
-    for a, b in pairs.pairs:
-        expected = raw_term_count(a.ctx, a.degree, b.degree)
-        if expected > cap:
-            raise ConfigError(
-                f"formal sum for ({format_poly(a)}, {format_poly(b)}) has "
-                f"{expected} raw terms, over the cap {cap}; raise "
-                f"options.a_pq_term_cap")
-    ctx = pairs.pairs[0][0].ctx
-    # numerators have degree below the largest deg PQ
-    monomials = [[_monomial(k, c) for c in range(ctx.q)]
-                 for k in range(max(a.degree + b.degree for a, b in pairs.pairs))]
-    out = []
-    for a, b in pairs.pairs:
-        fs = pair_formal_sum(a, b)
-        out.append({"pair": [polys[a.coeffs], polys[b.coeffs]], "raw_terms": fs.raw_terms,
-                    "terms": FormalTerms(fs.groups, monomials)})
-    return out
 
 
 # A numerator's first LOW_BLOCK coefficients are its low block and the rest

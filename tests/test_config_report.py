@@ -12,15 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcff import config as config_module
-from qcff import cyclotomic
+from qcff import cyclotomic, symbols
+from qcff import kummer as kummer_module
 from qcff import report as report_module
 from qcff.algebra import FieldCtx, field_create, parse_poly, var_T
 from qcff.cli import main
 from qcff.config import MAX_Q, Options, load_config, parse_config
-from qcff.errors import ConfigError, NonPrimeP, ValidationError
-from qcff.kummer import pair_formal_sum
+from qcff.errors import ConfigError, ConsistencyError, NonPrimeP, ValidationError
+from qcff.kummer import RamRow, RamTable, pair_formal_sum
 from qcff.limits import MAX_DEGREE
-from qcff.report import FormalTerms, render_json, render_text, run_report
+from qcff.report import (
+    FormalTerms,
+    Tower,
+    check_tower,
+    compute_tower,
+    render_json,
+    render_text,
+    run_report,
+)
 
 from .oracles import dict_per_term_formal_sums
 
@@ -276,6 +285,73 @@ def test_term_cap_is_checked_before_any_formal_sum(monkeypatch):
     with pytest.raises(ConfigError, match=re.escape(
             "formal sum for (T, T^2+1) has 8 raw terms, over the cap 2")):
         run_report(parse_config(two_pairs))
+    assert calls == []
+
+
+def _doctored(tower: Tower, **fields) -> Tower:
+    """tower with the given fields replaced."""
+    return Tower(**{**{name: getattr(tower, name) for name in tower._fields}, **fields})
+
+
+def test_check_tower_rebuilds_each_vbar_from_the_residue_symbols():
+    """check_tower names each pair's members by the name it is given, and
+    raises ConsistencyError naming the prime whose ramification row holds
+    another vbar than the residue symbols of its pairs give."""
+    tower = compute_tower(parse_config(POOL_CONFIG))
+    checks = check_tower(tower, name=lambda f: f"<{f}>")
+    assert [c["name"] for c in checks][:3] == [
+        "cyclotomic genus paths agree", "kummer genus paths agree",
+        "reciprocity for (<T+3>, <T+5>)"]
+    assert len(checks) == 8 and all(c["passed"] for c in checks)
+    ram = tower.ramification
+    row = ram.per_prime[2]
+    wrong = (row.vbar + 1) % tower.conductor.ctx.w
+    rows = list(ram.per_prime)
+    rows[2] = RamRow(prime=row.prime, vbar=wrong, e=row.e)
+    doctored = _doctored(tower, ramification=RamTable(per_prime=tuple(rows),
+                                                      pair_parities=ram.pair_parities))
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"vbar of {row.prime} is {row.vbar} by the residue symbols but {wrong} "
+            "in the ramification table")):
+        check_tower(doctored)
+
+
+@pytest.mark.parametrize("field,check", [
+    ("genus_riemann_hurwitz", "cyclotomic genus paths agree"),
+    ("kummer_genus_riemann_hurwitz", "kummer genus paths agree"),
+])
+def test_check_tower_refuses_unequal_genera(field, check):
+    tower = compute_tower(parse_config(_base_config()))
+    assert [c["name"] for c in check_tower(tower)] == [
+        "cyclotomic genus paths agree", "kummer genus paths agree",
+        "reciprocity for (T, T+1)"]
+    doctored = _doctored(tower, **{field: getattr(tower, field) + 1})
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"internal cross-checks failed: [{check!r}]")):
+        check_tower(doctored)
+
+
+def test_a_cyclotomic_only_tower_computes_no_symbol(monkeypatch):
+    """compute_tower with cyclotomic_only leaves every Kummer field None and
+    computes no residue symbol, by either path; check_tower then checks
+    the cyclotomic genera alone."""
+    calls = []
+
+    def counted(real):
+        return lambda *args: calls.append(real.__name__) or real(*args)
+
+    monkeypatch.setattr(kummer_module, "symbol_dlog", counted(symbols.symbol_dlog))
+    monkeypatch.setattr(symbols, "residue_symbol", counted(symbols.residue_symbol))
+    cfg = parse_config(_base_config())
+    full = compute_tower(cfg)
+    check_tower(full)
+    assert calls == ["symbol_dlog"] * 2 + ["residue_symbol"] * 2
+    calls.clear()
+    tower = compute_tower(cfg, cyclotomic_only=True)
+    assert tower.pairs == full.pairs
+    assert (tower.ramification, tower.presentation, tower.genus_hasse_formula,
+            tower.kummer_genus_riemann_hurwitz, tower.formal_sums) == (None,) * 5
+    assert [c["name"] for c in check_tower(tower)] == ["cyclotomic genus paths agree"]
     assert calls == []
 
 

@@ -228,6 +228,25 @@ def test_powmod_by_constant_modulus_raises(kern):
             kern.ppowmod([1, 2], 3, m)
 
 
+# Over F_5, ppowmod calls with one bad operand, and the class the compiled
+# kernel raises: it reads the modulus before testing its degree, then the
+# base, and only then the exponent.
+_BAD_POWMODS = [
+    (([1], 3, [9]), ValueError),
+    (([9], 3, [1, 1]), ValueError),
+    (([9], 2 ** 70, [1, 1]), ValueError),
+    (([1, None], 3, [1, 1]), TypeError),
+]
+
+
+@pytest.mark.parametrize("kern", _backends())
+@pytest.mark.parametrize("args,error", _BAD_POWMODS)
+def test_powmod_checks_its_operands_as_the_compiled_kernel_reads_them(kern, args, error):
+    with pytest.raises(Exception) as raised:
+        kern.ppowmod(*args)
+    assert type(raised.value) is error
+
+
 @pytest.mark.parametrize("kern", _backends())
 def test_powmod_nonpositive_exponent_is_one(kern):
     """[1] for n <= 0 down to -2**63; below it the exponent is no 64-bit int."""

@@ -24,7 +24,7 @@ from qcff.kummer import (
     ramification_table,
 )
 from qcff.record import Record
-from qcff.report import _json
+from qcff.report import _json, compute_tower
 from qcff.selfcheck import SuiteResult
 from qcff.symbols import check_reciprocity
 
@@ -47,6 +47,7 @@ def _samples() -> list[Record]:
         ram.per_prime[0], ram, parity_consistency(pairs, ram), pres.generators[0],
         pres.relations[0], pres, cfg.options, cfg,
         SuiteResult(name="suite", cases=1, failures=[]), check_reciprocity(t, t1),
+        compute_tower(cfg),
     ]
 
 
@@ -60,7 +61,7 @@ def _fields(record: Record) -> dict:
 
 def test_every_result_type_is_sampled():
     types = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("qcff.")}
-    assert len(types) == len(SAMPLES) == 20
+    assert len(types) == len(SAMPLES) == 21
     assert types == {type(r) for r in SAMPLES}
 
 
