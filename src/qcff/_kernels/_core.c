@@ -12,8 +12,13 @@
  * step mod w. Each step adds one product into one coefficient, by the q*q
  * addition table for q <= 256 and digit by digit otherwise.
  *
- * ppowmod(f, n, m) is f**n mod m, [1] for n <= 0; n is read as a long long,
- * so one outside [-2**63, 2**63) raises OverflowError.
+ * ppowmod(f, n, m) is f**n mod m, [1] for n <= 0. Its n and pnorm's d are
+ * read as long longs, so one outside [-2**63, 2**63) raises OverflowError.
+ *
+ * A divisor (prem, pdivrem), a modulus (ppowmod, ptable) and both operands
+ * of pgcd lose their zeros on top before use, so a zero top coefficient
+ * never reaches a divisor's preparation. A divisor with nothing left raises
+ * ZeroDivisionError, and so does a modulus with no nonconstant part left.
  *
  * ptable(m) builds the Frobenius table of a nonconstant m, a FrobeniusTable
  * object: the rows T**(q*i) mod m for i < n = deg m, as logs, and m's
@@ -28,8 +33,9 @@
  * longer one raises ValueError.
  *
  * Every int read from Python is checked to lie in its table's range, so no
- * lookup can leave its table. Buffers come from PyMem, so tracemalloc sees
- * them.
+ * lookup can leave its table; an int past a C long is out of range too
+ * (ValueError), as in the pure kernel. Buffers come from PyMem, so
+ * tracemalloc sees them.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -103,17 +109,24 @@ static int *new_ints(Py_ssize_t n) {
     return buf;
 }
 
-/* Reads an int in [lo, hi); -1 with an exception set on failure. Only int
- * objects are taken, so no Python code runs while a sequence is read. */
+/* Reads an int in [lo, hi); -1 with an exception set on failure, ValueError
+ * for any int outside, one past a C long included. Only int objects are
+ * taken, so no Python code runs while a sequence is read. */
 static int read_int(PyObject *obj, long lo, long hi, int *out) {
     long v;
+    int overflow;
     if (!PyLong_Check(obj)) {
         PyErr_Format(PyExc_TypeError, "expected an int, got %.100s",
                      Py_TYPE(obj)->tp_name);
         return -1;
     }
-    if ((v = PyLong_AsLong(obj)) == -1 && PyErr_Occurred())
+    if ((v = PyLong_AsLongAndOverflow(obj, &overflow)) == -1 && PyErr_Occurred())
         return -1;
+    if (overflow) {
+        PyErr_Format(PyExc_ValueError, "an int past a C long is outside [%ld, %ld)",
+                     lo, hi);
+        return -1;
+    }
     if (v < lo || v >= hi) {
         PyErr_Format(PyExc_ValueError, "%ld is outside [%ld, %ld)", v, lo, hi);
         return -1;
@@ -630,7 +643,8 @@ static PyObject *k_papply(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
 /* N_k = h**(1 + q + ... + q**(k-1)) along the bits of d from the top:
  * N_2k = N_k**(q**k) * N_k and N_(k+1) = N_k**q * h. */
 static PyObject *k_pnorm(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
-    Py_ssize_t lh, la, ls, n, d, kk = 1, i;
+    Py_ssize_t lh, la, ls, n, kk = 1, i;
+    long long d;
     int *h, *work, *acc, *prod, *sh, *tmp, *logs, *swap, bit;
     Table *t;
     PyObject *res = NULL;
@@ -638,9 +652,9 @@ static PyObject *k_pnorm(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
         || (h = read_frobenius_args(k, args, &t, &lh)) == NULL)
         return NULL;
     n = t->n;
-    if ((d = PyLong_AsSsize_t(args[2])) < 1) {
+    if ((d = PyLong_AsLongLong(args[2])) < 1) {
         if (!PyErr_Occurred())
-            PyErr_Format(PyExc_ValueError, "pnorm needs d >= 1, got %zd", d);
+            PyErr_Format(PyExc_ValueError, "pnorm needs d >= 1, got %lld", d);
         PyMem_Free(h);
         return NULL;
     }
@@ -766,7 +780,7 @@ static int read_division(Kernel *k, const char *name, PyObject *const *args,
     if (check_nargs(name, nargs, 2) < 0
         || (*g = read_poly(k, args[1], 0, &lg)) == NULL)
         return -1;
-    if (lg == 0) {
+    if ((lg = strip(*g, lg)) == 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "polynomial division by zero");
         return -1;
     }
@@ -820,7 +834,7 @@ static PyObject *k_pgcd(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
         return NULL;
     if ((b = read_poly(k, args[1], 0, &lb)) != NULL
         && (room = new_ints(2 * (la > lb ? la : lb))) != NULL) {
-        la = gcd_inplace(k, &a, la, &b, lb, room);
+        la = gcd_inplace(k, &a, strip(a, la), &b, strip(b, lb), room);
         res = monic_to_list(k, a, la);
     }
     PyMem_Free(a);
@@ -839,7 +853,7 @@ static PyObject *k_ppowmod(Kernel *k, PyObject *const *args, Py_ssize_t nargs) {
     if (check_nargs("ppowmod", nargs, 3) < 0
         || (m = read_poly(k, args[2], 0, &lm)) == NULL)
         return NULL;
-    if (lm < 2) {
+    if ((lm = strip(m, lm)) < 2) {
         PyErr_SetString(PyExc_ZeroDivisionError,
                         "powmod modulus must be nonconstant");
         goto done;

@@ -51,12 +51,10 @@ out + c*v is a few C-level calls:
 
 Each byte of ``(out << 4) | v`` holds the pair (o, b) as o * 16 + b,
 which is why q <= 16, and ``ma[c]`` is a 256-byte table with o + c*b at
-that index, built from ``_sums`` and the exp/log tables in q*q steps per
-scalar. They are built on the first byte-path call, not in the
-constructor: ``parse_config`` makes a field per job, and the build
-(0.02 ms for q = 3, 0.4 ms for q = 13) costs about as much as the rest
-of a parse. Where the path runs, by operand length (below each
-threshold the list loop costs about as much or less, measured per op):
+that index, built by the constructor from ``_sums`` and the exp/log
+tables in q*q steps per scalar. Where the path runs, by operand length
+(below each threshold the list loop costs about as much or less,
+measured per op):
 - Frobenius tables, always (``pure_tables``): the rows, the norm chain
   and the walk stay packed from the first step to the last;
 - ``pmul``: both operands of length >= 8, one row operation per
@@ -81,21 +79,31 @@ as the compiled kernel does, since ``neg[a]`` would wrap a negative a.
 So do a divisor (``prem``, ``pdivrem``), a modulus (``ptable``), both
 operands of ``pgcd`` and of ``ppowmod`` (the modulus first, before its
 degree is tested, as the compiled kernel reads them) and the h of a
-table op, checked by ``_check``, one C-level set test (``TypeError`` for
-a non-int): a coefficient past the log table would raise ``IndexError``
-and a negative one would read it from the end. It costs about 0.1 us per
-operand.
+table op, checked by ``_check`` as the compiled kernel reads a sequence:
+its first coefficient that is not an int raises ``TypeError`` and its
+first one outside [0, q) ``ValueError``. A coefficient past the log table
+would raise ``IndexError``, a negative one would read it from the end, and
+a float equal to an element would pass a set test. The check is a set
+test and a sum, about 0.25 us per operand of four coefficients. A
+divisor, a modulus and a
+gcd operand then lose any zeros on top (``_stripped``), so a zero top
+coefficient is read as the compiled kernel reads it, and a divisor with
+nothing left raises ``ZeroDivisionError``.
 ``fadd`` and the other polynomial loops are hot and check nothing.
 
-``ppowmod`` reads n as the compiled kernel does: n <= 0 gives [1], and
-an n outside [-2**63, 2**63) raises ``OverflowError``, checked after both
-operands. ``algebra.poly.poly_powmod`` steps through larger ones.
+``ppowmod`` reads n and ``pnorm`` reads d as the compiled kernel reads a
+long long (``_int64``): ``TypeError`` for a non-int and ``OverflowError``
+outside [-2**63, 2**63), checked after the other operands and before any
+work. n <= 0 gives [1]; ``algebra.poly.poly_powmod`` steps through larger
+n.
 
 The compiled kernel in ``_core.c`` implements the identical interface;
 `qcff._kernels` uses it when it imports and this one otherwise.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .pure_tables import TableOps
 
@@ -188,7 +196,7 @@ class FieldKernel(TableOps):
         self._elements = frozenset(range(q))  # what _check accepts
         self._small = q <= BYTES_MAX_Q
         self._digits = bytes(range(q)) if self._small else None
-        self._ma = None  # built by _mul_add on the first byte-path call
+        self._ma = self._mul_add() if self._small else None
 
     # -- scalar ops ---------------------------------------------------------
 
@@ -196,20 +204,42 @@ class FieldKernel(TableOps):
         return self._sums[a * self._stride + b]
 
     def _element(self, a):
+        """a, if it is an int in [0, q), as the compiled kernel's read_int
+        reads it: TypeError for a non-int, ValueError for one outside."""
+        if not isinstance(a, int):
+            raise TypeError(f"expected an int, got {type(a).__name__}")
         if not 0 <= a < self.q:
             raise ValueError(f"{a} is outside [0, {self.q})")
         return a
 
     def _check(self, v):
         """Refuse v if a coefficient is not an int in [0, q), as the
-        compiled kernel's read_poly does: TypeError for one that is not an
-        int, ValueError for one outside. One C-level set test in the common
-        case."""
-        if not self._elements.issuperset(v):
+        compiled kernel's read_poly does: TypeError at the first one that
+        is not an int, ValueError at the first one outside. A set test and a
+        sum in the common case: the sum is an int only if no coefficient is
+        a float, or another number, equal to an element."""
+        if not (self._elements.issuperset(v) and type(sum(v)) is int):
             for c in v:
-                if not isinstance(c, int):
-                    raise TypeError(f"expected an int, got {type(c).__name__}")
-            raise ValueError(f"a coefficient of {list(v)} is outside [0, {self.q})")
+                self._element(c)
+
+    def _stripped(self, v):
+        """v checked, without its zeros on top: v itself unless its top
+        coefficient is 0."""
+        self._check(v)
+        if v and not v[-1]:
+            v = list(v)
+            while v and v[-1] == 0:
+                v.pop()
+        return v
+
+    @staticmethod
+    def _int64(n, name):
+        """n as the compiled kernel reads a long long: TypeError for a
+        non-int, OverflowError outside [-2**63, 2**63)."""
+        n = index(n)
+        if not -(1 << 63) <= n < 1 << 63:
+            raise OverflowError(f"{name} must lie in [-2**63, 2**63)")
+        return n
 
     def fneg(self, a):
         return self.neg[self._element(a)]
@@ -314,7 +344,7 @@ class FieldKernel(TableOps):
             r.pop()
 
     def pdivrem(self, f, g):
-        self._check(g)
+        g = self._stripped(g)
         rem = list(f)
         quot = [0] * max(len(rem) - len(g) + 1, 0)
         self._reduce(rem, g, quot)
@@ -323,7 +353,7 @@ class FieldKernel(TableOps):
         return quot, rem
 
     def prem(self, f, g):
-        self._check(g)
+        g = self._stripped(g)
         rem = list(f)
         self._reduce(rem, g)
         return rem
@@ -334,8 +364,7 @@ class FieldKernel(TableOps):
         return self.pscale(f, self.finv(f[-1]))
 
     def pgcd(self, f, g):
-        self._check(f)
-        self._check(g)
+        f, g = self._stripped(f), self._stripped(g)
         if self._small and len(f) >= PGCD_BYTES_MIN_LEN and len(g) >= PGCD_BYTES_MIN_LEN:
             return self.pmonic(list(self._gcd_bytes(bytes(f).rstrip(b"\0"),
                                                     bytes(g).rstrip(b"\0"))))
@@ -375,17 +404,16 @@ class FieldKernel(TableOps):
         return self.pmonic(f)
 
     def ppowmod(self, f, n, m):
-        self._check(m)
+        m = self._stripped(m)
         if len(m) < 2:
             raise ZeroDivisionError("powmod modulus must be nonconstant")
         self._check(f)
+        n = self._int64(n, "powmod exponent")
         divisor = self._divisor(m)
         reduce, pmul = self._reduce, self.pmul
         acc = [1]
         base = list(f)
         reduce(base, m, divisor=divisor)
-        if not -(1 << 63) <= n < 1 << 63:
-            raise OverflowError("powmod exponent must lie in [-2**63, 2**63)")
         while n > 0:
             if n & 1:
                 acc = pmul(acc, base)
@@ -399,10 +427,10 @@ class FieldKernel(TableOps):
     # -- the byte path, q <= 16 ---------------------------------------------
 
     def _mul_add(self):
-        """Build and keep the translate tables, one per scalar c:
-        ma[c][o * 16 + b] is o + c*b for o, b in [0, q)."""
+        """The translate tables, one per scalar c: ma[c][o * 16 + b] is
+        o + c*b for o, b in [0, q)."""
         q, sums, fmul = self.q, self._sums, self.fmul
-        ma = self._ma = []
+        ma = []
         for c in range(q):
             prods = [fmul(c, b) for b in range(q)]
             table = bytearray(256)
@@ -430,7 +458,7 @@ class FieldKernel(TableOps):
             a, b = b, a
         if not a:
             return b""
-        ma, from_bytes = self._ma or self._mul_add(), int.from_bytes
+        ma, from_bytes = self._ma, int.from_bytes
         bi = from_bytes(b, "little")
         n = len(a) + len(b) - 1
         out = 0
@@ -444,10 +472,9 @@ class FieldKernel(TableOps):
         """(ng, c) for the packed, stripped, nonconstant g: ng is -g/lc(g)
         below its top as an int, one coefficient per byte, and c the log
         of -1/lc(g)."""
-        ma = self._ma or self._mul_add()
         dg = len(gb) - 1
         c = (self.w // 2 - self.log[gb[dg]]) % self.w
-        return int.from_bytes(gb[:dg].translate(ma[self._exp3[c]]), "little"), c
+        return int.from_bytes(gb[:dg].translate(self._ma[self._exp3[c]]), "little"), c
 
     def _rem_packed(self, rb, ng, dg, c=0, quot=None):
         """The packed rb mod g of degree dg, given g's ng and c from
@@ -470,7 +497,7 @@ class FieldKernel(TableOps):
         """Euclid on the packed, stripped fb and gb, each step reduced as
         ``_rem_packed`` does, without a call per step: gcd(f, g) up to a
         scalar, packed."""
-        ma, from_bytes = self._ma or self._mul_add(), int.from_bytes
+        ma, from_bytes = self._ma, int.from_bytes
         exp3, log, w = self._exp3, self.log, self.w
         half = w // 2
         while gb:

@@ -60,10 +60,7 @@ class TableOps:
     __slots__ = ()
 
     def ptable(self, m):
-        self._check(m)
-        m = list(m)
-        while m and m[-1] == 0:
-            m.pop()
+        m = list(self._stripped(m))
         if len(m) < 2:
             raise ZeroDivisionError("table modulus must be nonconstant")
         n, q = len(m) - 1, self.q
@@ -100,6 +97,7 @@ class TableOps:
 
     def pnorm(self, table, h, d):
         apply, mulmod, acc = self._frobenius(table, h)
+        d = self._int64(d, "pnorm's d")
         if d < 1:
             raise ValueError(f"pnorm needs d >= 1, got {d}")
         # N_k = h**(1 + q + ... + q**(k-1)) along the bits of d from the top:
@@ -170,6 +168,7 @@ class TableOps:
         is checked and put in that form."""
         if type(table) is not FrobeniusTable or table.kernel is not self:
             raise TypeError("expected a FrobeniusTable built by this kernel")
+        self._check(h)
         rows, m, divisor = table.rows, table.modulus, table.divisor
         n = len(m) - 1
         if len(h) > n:
@@ -188,7 +187,7 @@ class TableOps:
             def mulmod(a, b):
                 return rem(mul(a, b), divisor, n).rstrip(b"\0")
 
-            return apply, mulmod, self._packed(h).rstrip(b"\0")
+            return apply, mulmod, bytes(h).rstrip(b"\0")
 
         exp3, log, add, stride = self._exp3, self.log, self._sums, self._stride
         reduce, pmul = self._reduce, self.pmul
@@ -209,7 +208,6 @@ class TableOps:
             reduce(out, m, divisor=divisor)
             return out
 
-        self._check(h)
         h = list(h)
         while h and h[-1] == 0:
             h.pop()

@@ -174,8 +174,10 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, An
     """The structured report of a job, in three stages: compute_tower,
     check_tower when options.run_oracles is on, then the report dict.
     Every place that holds a polynomial holds its one {"coeffs", "str"}
-    dict, so a change to that dict shows at every such place, and the
-    checks name each polynomial by that dict's text."""
+    dict, a formal-sum term's denominator included, so a change to that
+    dict shows at every such place, and the checks name each polynomial by
+    that dict's text. A term's numerator is written from monomial texts
+    (see FormalTerms), not from a shared dict."""
     tower = compute_tower(cfg, cyclotomic_only)
     ctx, cond, pairs = cfg.field, tower.conductor, tower.pairs.pairs
     # the report's one fragment of each polynomial, by coefficients
@@ -225,7 +227,7 @@ def run_report(cfg: JobConfig, *, cyclotomic_only: bool = False) -> dict[str, An
                          for k in range(max(a.degree + b.degree for a, b in pairs))]
             kummer["formal_sums"] = [
                 {"pair": [polys[a.coeffs], polys[b.coeffs]], "raw_terms": fs.raw_terms,
-                 "terms": FormalTerms(fs.groups, monomials)}
+                 "terms": FormalTerms(fs.groups, monomials, polys)}
                 for (a, b), fs in zip(pairs, tower.formal_sums)]
     return report
 
@@ -243,7 +245,8 @@ class FormalTerms:
     classes in order; render_json writes it as the JSON text of their list,
     without making them. monomials[k][c] is the text of c*T^k for every c
     and every k below the numerators' largest length, and row 0 also that
-    of each coefficient.
+    of each coefficient. polys is the report's fragment of each polynomial,
+    by coefficients, and each "den" is its denominator's.
 
     write_json appends one text per term to render_json's list of pieces,
     so the one join there is the only copy of the long text. It makes each
@@ -256,24 +259,26 @@ class FormalTerms:
     down, a term is: opening, low lines, high piece, low close. A numerator
     with v < q**LOW_BLOCK is one part after its opening."""
 
-    __slots__ = ("groups", "monomials")
+    __slots__ = ("groups", "monomials", "polys")
 
-    def __init__(self, groups: tuple, monomials: list[list[str]]):
+    def __init__(self, groups: tuple, monomials: list[list[str]], polys: dict):
         self.groups = groups
         self.monomials = monomials
+        self.polys = polys
 
     def __iter__(self):
         for den, nums in self.groups:
             for v, n in nums:
-                yield {"coeff": n, "den": _poly_json(den),
+                yield {"coeff": n, "den": self.polys[den.coeffs],
                        "num": _poly_json(_wrap(den.ctx, _num_coeffs(v, den.ctx.q)))}
 
-    def write_json(self, depth: int, out: list[str]) -> None:
+    def write_json(self, depth: int, out: list[str], texts: dict) -> None:
         """Append to out the JSON text of the list of term dicts, nested
         depth levels deep, as json.dumps(sort_keys=True, indent=2) writes
         it: one piece per term, led by its separator, "," and a newline,
         or by "[" and a newline for the first, then one piece closing the
-        list; or the one piece "[]"."""
+        list; or the one piece "[]". texts is the render's, as in _emit,
+        which writes each denominator's fragment."""
         i1, i2, i3, i4 = ("\n" + "  " * (depth + k) for k in range(1, 5))
         monomials, digits = self.monomials, self.monomials[0]
         comma, head, mid = "," + i4, f',{i1}{{{i2}"coeff": ', f'{i3}],{i3}"str": "'
@@ -306,7 +311,7 @@ class FormalTerms:
         first = len(out)
         for den, nums in self.groups:
             den_parts: list[str] = []
-            _emit(_poly_json(den), depth + 2, den_parts, {})
+            _emit(self.polys[den.coeffs], depth + 2, den_parts, texts)
             num_open = f',{i2}"den": {"".join(den_parts)},{i2}"num": {{{i3}"coeffs": [{i4}'
             opens = {n: f"{head}{n}{num_open}" for n in {n for _, n in nums}}
             out += [f"{opens[n]}{wholes[v]}" if v < base else
@@ -398,7 +403,7 @@ def _emit(value: Any, depth: int, out: list[str], texts: dict) -> None:
             texts[key] = "".join(parts)
         out.append(texts[key])
     elif kind is FormalTerms:
-        value.write_json(depth, out)
+        value.write_json(depth, out, texts)
     else:
         raise TypeError(f"a report cannot hold {kind.__name__}")
 

@@ -92,51 +92,48 @@ def power_residue_set(ctx: FieldCtx, r: Poly) -> set[tuple[int, ...]]:
     return out
 
 
+def _suite(name: str, cases) -> SuiteResult:
+    """The result of one suite, whose ``cases`` yields each case's failure
+    lines in turn: none when the case holds, several where it checks
+    several things."""
+    count, failures = 0, []
+    for lines in cases:
+        count += 1
+        failures += lines
+    return SuiteResult(name=name, cases=count, failures=failures)
+
+
 def suite_reciprocity(ctx: FieldCtx, max_degree: int) -> SuiteResult:
     """(second/first) == (-1)^(d1*d2) * (first/second) over every distinct
     monic prime pair up to the degree bound."""
     primes = list(monic_irreducibles(ctx, max_degree))
-    failures = []
-    cases = 0
-    for a, b in itertools.combinations(primes, 2):
-        cases += 1
-        if not check_reciprocity(a, b).holds:
-            failures.append(f"({format_poly(a)}, {format_poly(b)})")
-    return SuiteResult(name=f"reciprocity q={ctx.q} deg<={max_degree}",
-                       cases=cases, failures=failures)
+    return _suite(f"reciprocity q={ctx.q} deg<={max_degree}",
+                  ([] if check_reciprocity(a, b).holds
+                   else [f"({format_poly(a)}, {format_poly(b)})"]
+                   for a, b in itertools.combinations(primes, 2)))
 
 
 def suite_phi_bruteforce(ctx: FieldCtx, max_degree: int) -> SuiteResult:
     """poly_phi against a direct count of coprime residues."""
-    failures = []
-    cases = 0
-    for d in range(1, max_degree + 1):
-        for m in monic_of_degree(ctx, d):
-            cases += 1
-            count = count_units(ctx, m)
-            expected = poly_phi(ctx, poly_factor(m).factors)
-            if count != expected:
-                failures.append(f"{format_poly(m)}: brute {count} != {expected}")
-    return SuiteResult(name=f"phi-bruteforce q={ctx.q} degM<={max_degree}",
-                       cases=cases, failures=failures)
+    def cases():
+        for d in range(1, max_degree + 1):
+            for m in monic_of_degree(ctx, d):
+                count, expected = count_units(ctx, m), poly_phi(ctx, poly_factor(m).factors)
+                yield [] if count == expected else [
+                    f"{format_poly(m)}: brute {count} != {expected}"]
+    return _suite(f"phi-bruteforce q={ctx.q} degM<={max_degree}", cases())
 
 
 def suite_symbol_character(ctx: FieldCtx, max_degree: int) -> SuiteResult:
     """The residue symbol is 1 exactly on (q-1)-th power residues."""
-    failures = []
-    cases = 0
-    for r in monic_irreducibles(ctx, max_degree):
-        powers = power_residue_set(ctx, r)
-        for a in all_polys_below(ctx, r.degree):
-            if a.is_zero:
-                continue
-            cases += 1
-            is_power = a.coeffs in powers
-            symbol_trivial = residue_symbol(a, r) == 0
-            if is_power != symbol_trivial:
-                failures.append(f"({format_poly(a)} / {format_poly(r)})")
-    return SuiteResult(name=f"symbol-character q={ctx.q} degR<={max_degree}",
-                       cases=cases, failures=failures)
+    def cases():
+        for r in monic_irreducibles(ctx, max_degree):
+            powers = power_residue_set(ctx, r)
+            for a in all_polys_below(ctx, r.degree):
+                if not a.is_zero:
+                    yield [] if (a.coeffs in powers) == (residue_symbol(a, r) == 0) else [
+                        f"({format_poly(a)} / {format_poly(r)})"]
+    return _suite(f"symbol-character q={ctx.q} degR<={max_degree}", cases())
 
 
 def suite_symbol_euclid(ctx: FieldCtx, max_degree: int, a_degree: int) -> SuiteResult:
@@ -147,77 +144,61 @@ def suite_symbol_euclid(ctx: FieldCtx, max_degree: int, a_degree: int) -> SuiteR
     must raise NotCoprime on the same pairs. The "deep" scope's extra suite,
     run in the parent's share.
     """
-    failures = []
-    cases = 0
-    for d in range(max_degree + 1):
-        for b in monic_of_degree(ctx, d):
-            for a in all_polys_below(ctx, a_degree):
-                cases += 1
-                euclid = powmod = "not coprime"
-                try:
-                    euclid = symbol_dlog(a, b)
-                except NotCoprime:
-                    pass
-                try:
-                    powmod = jacobi_symbol(a, b)
-                except NotCoprime:
-                    pass
-                if euclid != powmod:
-                    failures.append(f"({format_poly(a)} / {format_poly(b)}): "
-                                    f"euclid {euclid} != powmod {powmod}")
-    return SuiteResult(name=f"symbol-euclid q={ctx.q} degB<={max_degree} degA<{a_degree}",
-                       cases=cases, failures=failures)
+    def symbol(of, a, b):
+        try:
+            return of(a, b)
+        except NotCoprime:
+            return "not coprime"
+
+    def cases():
+        for d in range(max_degree + 1):
+            for b in monic_of_degree(ctx, d):
+                for a in all_polys_below(ctx, a_degree):
+                    euclid, powmod = symbol(symbol_dlog, a, b), symbol(jacobi_symbol, a, b)
+                    yield [] if euclid == powmod else [
+                        f"({format_poly(a)} / {format_poly(b)}): "
+                        f"euclid {euclid} != powmod {powmod}"]
+    return _suite(f"symbol-euclid q={ctx.q} degB<={max_degree} degA<{a_degree}", cases())
 
 
 def suite_parity(ctx: FieldCtx, max_degree: int) -> SuiteResult:
     """For single pairs with even degree product, both ramification indices
     agree. Cases count only pairs where the hypothesis applies."""
     primes = list(monic_irreducibles(ctx, max_degree))
-    failures = []
-    cases = 0
-    for a, b in itertools.combinations(primes, 2):
-        if (a.degree * b.degree) % 2 != 0:
-            continue
-        cases += 1
-        cond = conductor_create(ctx, [(a, 1), (b, 1)])
-        pairs = pairset_create(cond, [(a, b)])
-        verdict = parity_consistency(pairs, ramification_table(cond, pairs))
-        if not (verdict.applicable and verdict.passed):
-            failures.append(f"({format_poly(a)}, {format_poly(b)}): "
-                            f"e={verdict.e_first} vs e={verdict.e_second}")
-    return SuiteResult(name=f"parity q={ctx.q} deg<={max_degree}",
-                       cases=cases, failures=failures)
+
+    def cases():
+        for a, b in itertools.combinations(primes, 2):
+            if (a.degree * b.degree) % 2 == 0:
+                cond = conductor_create(ctx, [(a, 1), (b, 1)])
+                pairs = pairset_create(cond, [(a, b)])
+                verdict = parity_consistency(pairs, ramification_table(cond, pairs))
+                yield [] if verdict.applicable and verdict.passed else [
+                    f"({format_poly(a)}, {format_poly(b)}): "
+                    f"e={verdict.e_first} vs e={verdict.e_second}"]
+    return _suite(f"parity q={ctx.q} deg<={max_degree}", cases())
 
 
 def suite_genus_paths(ctx: FieldCtx, max_degree: int) -> SuiteResult:
     """Both genus paths agree on every conductor up to the degree bound, and
     both Kummer genus paths agree for every admissible single pair."""
-    failures = []
-    cases = 0
-    for d in range(1, max_degree + 1):
-        for m in monic_of_degree(ctx, d):
-            cond = conductor_create(ctx, m)
-            cases += 1
-            g_closed = genus_closed_form(cond)
-            g_rh = genus_riemann_hurwitz(cond)
-            if g_closed != g_rh:
-                failures.append(f"M={format_poly(m)}: {g_closed} != {g_rh}")
-                continue
-            for i, j in itertools.combinations(range(len(cond.factors)), 2):
-                pairs = pairset_create(cond, [(cond.factors[i].prime,
-                                               cond.factors[j].prime)])
-                ram = ramification_table(cond, pairs)
-                cases += 1
-                g_hasse = genus_hasse_formula(cond, g_closed, ram)
-                g_kummer_rh = kummer_genus_rh(cond, g_closed, ram)
-                if g_hasse != g_kummer_rh:
-                    failures.append(
-                        f"M={format_poly(m)} pair "
-                        f"({format_poly(cond.factors[i].prime)}, "
-                        f"{format_poly(cond.factors[j].prime)}): "
-                        f"{g_hasse} != {g_kummer_rh}")
-    return SuiteResult(name=f"genus-paths q={ctx.q} degM<={max_degree}",
-                       cases=cases, failures=failures)
+    def cases():
+        for d in range(1, max_degree + 1):
+            for m in monic_of_degree(ctx, d):
+                cond = conductor_create(ctx, m)
+                g_closed, g_rh = genus_closed_form(cond), genus_riemann_hurwitz(cond)
+                if g_closed != g_rh:
+                    yield [f"M={format_poly(m)}: {g_closed} != {g_rh}"]
+                    continue
+                yield []
+                for i, j in itertools.combinations(range(len(cond.factors)), 2):
+                    a, b = cond.factors[i].prime, cond.factors[j].prime
+                    ram = ramification_table(cond, pairset_create(cond, [(a, b)]))
+                    g_hasse = genus_hasse_formula(cond, g_closed, ram)
+                    g_kummer_rh = kummer_genus_rh(cond, g_closed, ram)
+                    yield [] if g_hasse == g_kummer_rh else [
+                        f"M={format_poly(m)} pair ({format_poly(a)}, {format_poly(b)}): "
+                        f"{g_hasse} != {g_kummer_rh}"]
+    return _suite(f"genus-paths q={ctx.q} degM<={max_degree}", cases())
 
 
 def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
@@ -226,7 +207,6 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
     reported primes are distinct, monic, irreducible and of norm q^d. Each
     distinct prime is proven once per call; every sample that holds a bad
     prime gets its own failure line."""
-    failures = []
     proven: dict[tuple, bool] = {}
 
     def irreducible(prime: Poly) -> bool:
@@ -234,23 +214,23 @@ def suite_factor_roundtrip(ctx: FieldCtx, count: int, max_degree: int,
             proven[prime.coeffs] = poly_is_irreducible(prime)
         return proven[prime.coeffs]
 
-    for _ in range(count):
-        d = rng.randint(1, max_degree)
-        coeffs = [rng.randrange(ctx.q) for _ in range(d)]
-        coeffs.append(rng.randrange(1, ctx.q))
-        f = Poly(ctx, coeffs)
-        fz = poly_factor(f)
-        if fz.product(ctx) != f:
-            failures.append(f"{format_poly(f)}: product mismatch")
-            continue
-        if len({pp.prime for pp in fz.factors}) != len(fz.factors):
-            failures.append(f"{format_poly(f)}: repeated prime")
-        for pp in fz.factors:
-            if (not pp.prime.monic or pp.norm != ctx.q ** pp.degree
-                    or not irreducible(pp.prime)):
-                failures.append(f"{format_poly(f)}: bad prime {format_poly(pp.prime)}")
-    return SuiteResult(name=f"factor-roundtrip q={ctx.q} n={count} deg<={max_degree}",
-                       cases=count, failures=failures)
+    def cases():
+        for _ in range(count):
+            d = rng.randint(1, max_degree)
+            coeffs = [rng.randrange(ctx.q) for _ in range(d)]
+            coeffs.append(rng.randrange(1, ctx.q))
+            f = Poly(ctx, coeffs)
+            fz = poly_factor(f)
+            if fz.product(ctx) != f:
+                yield [f"{format_poly(f)}: product mismatch"]
+                continue
+            repeated = len({pp.prime for pp in fz.factors}) != len(fz.factors)
+            yield ([f"{format_poly(f)}: repeated prime"] if repeated else []) + [
+                f"{format_poly(f)}: bad prime {format_poly(pp.prime)}"
+                for pp in fz.factors
+                if (not pp.prime.monic or pp.norm != ctx.q ** pp.degree
+                    or not irreducible(pp.prime))]
+    return _suite(f"factor-roundtrip q={ctx.q} n={count} deg<={max_degree}", cases())
 
 
 SCOPES = ("small", "full", "deep")

@@ -371,13 +371,20 @@ POOL_CONFIG = {
               ["T+5", POOL_PRIME], ["T+6", POOL_PRIME]],
     "rng_seed": 627, "schema_version": 1}
 POOL_SHA256 = "a7c9f4f885339a24d0a4c861ba343ca2065737904cd89ee676be0e02bd1b73b2"
+# The formal-sum config that CI reports on, and its report's sha256: its
+# terms have the denominators T, T^4+T+2 and their product.
+F3_SUM_CONFIG = {"p": 3, "conductor": {"factors": [["T", 1], ["T^4+T+2", 1]]},
+                 "pairs": [["T", "T^4+T+2"]], "options": {"emit_a_pq": True}}
+F3_SUM_SHA256 = "a90210f01f0e0b3f834dbdb47f7626e065a78c4d2872f2fcfc2bde86077fefa6"
 
 
 def test_one_text_per_polynomial_and_one_parse_per_string(monkeypatch):
     """parse_config parses each distinct polynomial string of a config once,
     and run_report and render_json call format_poly at most once per
     distinct polynomial of the report, not counting the generator names
-    kummer.presentation makes; the bytes are the pinned ones."""
+    kummer.presentation makes; the bytes are the pinned ones. Formal-sum
+    terms write their numerators from monomial texts, and their
+    denominators' fragments are the report's."""
     real_format, real_parse = report_module.format_poly, config_module.parse_poly
     texts, parses, counting = [], [], [True]
 
@@ -402,46 +409,58 @@ def test_one_text_per_polynomial_and_one_parse_per_string(monkeypatch):
     monkeypatch.setattr(config_module, "parse_poly",
                         lambda ctx, text: parses.append(text) or real_parse(ctx, text))
 
-    cfg = parse_config(POOL_CONFIG)
-    assert sorted(parses) == sorted({text for pair in POOL_CONFIG["pairs"] for text in pair})
-    text = render_json(run_report(cfg))
-    assert hashlib.sha256(text.encode()).hexdigest() == POOL_SHA256
+    # M, its four primes and each pair's radicand, their product; then M,
+    # its two primes and the 50 distinct numerators of the formal sum's terms
+    for raw, sha256, fragments in ((POOL_CONFIG, POOL_SHA256, 11),
+                                   (F3_SUM_CONFIG, F3_SUM_SHA256, 53)):
+        texts.clear()
+        parses.clear()
+        cfg = parse_config(raw)
+        assert sorted(parses) == sorted({text for pair in raw["pairs"] for text in pair})
+        text = render_json(run_report(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
-    found = set()
+        found = set()
 
-    def walk(node):
-        if isinstance(node, dict):
-            if set(node) == {"coeffs", "str"}:
-                found.add(tuple(node["coeffs"]))
-            for v in node.values():
-                walk(v)
-        elif isinstance(node, list):
-            for v in node:
-                walk(v)
+        def walk(node):
+            if isinstance(node, dict):
+                if set(node) == {"coeffs", "str"}:
+                    found.add(tuple(node["coeffs"]))
+                for v in node.values():
+                    walk(v)
+            elif isinstance(node, list):
+                for v in node:
+                    walk(v)
 
-    walk(json.loads(text))
-    assert len(found) == 11  # M, its four primes and each pair's radicand, their product
-    assert len(texts) == len(set(texts)) <= len(found)
+        walk(json.loads(text))
+        assert len(found) == fragments
+        assert len(texts) == len(set(texts)) <= len(found)
 
 
 def test_an_edit_to_a_shared_fragment_shows_everywhere_and_in_the_next_render():
     """A report holds one fragment per distinct polynomial at every place
-    that holds the polynomial, so an edit to it shows at each place; each
-    render_json call writes the fragments afresh, so a render after the
-    edit writes the edited fragment."""
-    report = run_report(parse_config(POOL_CONFIG))
-    first = render_json(report)
-    prime = report["inputs"]["conductor"]["factors"][0]["prime"]
-    rows = report["kummer"]["ramification"]["per_prime"]
-    assert [row["prime"] for row in rows if row["prime"] is prime] == [prime]
-    places = first.count(f'"str": {json.dumps(prime["str"])}')
-    assert places > 1
+    that holds the polynomial, a formal-sum term's denominator included,
+    so an edit to it shows at each place; each render_json call writes the
+    fragments afresh, so a render after the edit writes the edited
+    fragment."""
+    for raw in (POOL_CONFIG, F3_SUM_CONFIG):
+        report = run_report(parse_config(raw))
+        first = render_json(report)
+        prime = report["inputs"]["conductor"]["factors"][0]["prime"]
+        rows = report["kummer"]["ramification"]["per_prime"]
+        assert [row["prime"] for row in rows if row["prime"] is prime] == [prime]
+        old = prime["str"]
+        places = first.count(f'"str": {json.dumps(old)}')
+        assert places > 1
 
-    prime["str"] = "edited"
-    prime["coeffs"].append(9)
-    text = render_json(report)
-    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n" != first
-    assert text.count('"str": "edited"') == places
+        prime["str"] = "edited"
+        prime["coeffs"].append(9)
+        text = render_json(report)
+        assert text == json.dumps(report, sort_keys=True, indent=2, default=_plain_terms) + "\n"
+        assert text != first and text.count('"str": "edited"') == places
+        for block in json.loads(text)["kummer"].get("formal_sums", ()):
+            dens = [term["den"] for term in block["terms"]]
+            assert prime in dens and old not in [den["str"] for den in dens]
 
 
 def test_every_reported_poly_round_trips():
@@ -634,7 +653,7 @@ def _terms_text(terms, depth):
     each term in a piece of its own: the one copy of the text is the join
     render_json makes."""
     out = ["before"]
-    terms.write_json(depth, out)
+    terms.write_json(depth, out, {})
     assert out[0] == "before"
     assert all(piece.count('"coeff"') <= 1 for piece in out)
     assert sum('"coeff"' in piece for piece in out) == len(list(terms))
@@ -645,7 +664,9 @@ def test_formal_terms_without_a_term_write_an_empty_list():
     """Groups that all hold no class write "[]", in one piece, as json
     writes an empty list at any depth."""
     ctx = field_create(3)
-    terms = FormalTerms(((var_T(ctx), ()), (var_T(ctx) + 1, ())), [["0", "1", "2"]])
+    dens = (var_T(ctx), var_T(ctx) + 1)
+    polys = {den.coeffs: report_module._poly_json(den) for den in dens}
+    terms = FormalTerms(tuple((den, ()) for den in dens), [["0", "1", "2"]], polys)
     for depth in (0, 3):
         assert _terms_text(terms, depth) == "[]"
     value = {"a": [{"terms": terms}]}

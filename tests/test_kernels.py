@@ -7,6 +7,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from qcff._kernels import CompiledFieldKernel, PureFieldKernel, pure
 from qcff._kernels.pure import BYTES_MAX_Q, _GroupSums
@@ -335,9 +337,58 @@ def test_finv_of_zero_raises(kern):
 def test_pmonic_of_zero_top_coefficient_raises(kern):
     """An unstripped f with a zero top has no monic multiple: both backends
     raise as finv(0) does, where the compiled one used to return [2, 0]."""
-    for call in (lambda: kern.pmonic([1, 0]), lambda: kern.pgcd([1, 0], [])):
-        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        kern.pmonic([1, 0])
+
+
+@pytest.mark.parametrize("kern", _backends())
+def test_divisors_moduli_and_gcd_operands_lose_their_zeros_on_top(kern):
+    """Over F_5 a divisor, a modulus and a gcd operand are read without
+    their zeros on top. Both backends used to read a zero top as it stood:
+    prem gave [3, 2] on the pure kernel and [0, 1] on the compiled one
+    where the remainder mod T + 1 is [2], pdivrem by [0, 0] raised
+    IndexError and returned ([2], [1]), and pgcd([1, 0], []) raised."""
+    assert kern.prem([1, 2, 3], [1, 1, 0]) == [2]
+    assert kern.pdivrem([1, 2, 3], (1, 1, 0, 0)) == ([4, 3], [2])
+    assert kern.ppowmod([0, 1], 5, [1, 1, 0]) == [4]
+    assert kern.pgcd([1, 1, 0], [1, 1]) == kern.pgcd([1, 1], [0]) == [1, 1]
+    assert kern.pgcd([1, 0], []) == [1]
+    for call in (lambda: kern.pdivrem([1, 1], [0, 0]), lambda: kern.prem([1, 1], [0])):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
             call()
+    with pytest.raises(ZeroDivisionError, match="powmod modulus must be nonconstant"):
+        kern.ppowmod([1, 2], 3, [2, 0, 0])
+
+
+@pytest.mark.parametrize("kern", _backends())
+def test_an_int_past_64_bits_is_out_of_range(kern):
+    """A checked element or coefficient past 64 bits raises ValueError, as
+    any other outside [0, q) does, where the compiled kernel raised
+    OverflowError; ppowmod's n keeps its OverflowError."""
+    calls = [lambda: kern.prem([1], [2 ** 70]), lambda: kern.pgcd([1], [1, -2 ** 70]),
+             lambda: kern.ppowmod([1], 3, [1, 2 ** 64]), lambda: kern.fneg(2 ** 70),
+             lambda: kern.fsub(1, 2 ** 63)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(OverflowError):
+        kern.ppowmod([1], 2 ** 70, [1, 1])
+
+
+@pytest.mark.parametrize("kern", _backends())
+def test_pnorm_reads_d_as_a_64_bit_int(kern):
+    """pnorm's d outside [-2**63, 2**63) raises OverflowError before any
+    work, where the pure kernel ran for 2**70 table applications; a
+    non-int raises TypeError."""
+    table = kern.ptable([1, 0, 0, 1])
+    for d in (2 ** 70, 2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(OverflowError):
+            kern.pnorm(table, [1, 1], d)
+    with pytest.raises(ValueError):
+        kern.pnorm(table, [1, 1], -2 ** 63)
+    with pytest.raises(TypeError):
+        kern.pnorm(table, [1, 1], 2.0)
+    assert kern.pnorm(table, [1, 1], True) == [1, 1]
 
 
 @pytest.mark.parametrize("kern", _backends())
@@ -819,20 +870,14 @@ def test_pure_byte_path_rejects_what_a_byte_cannot_hold(p, e, mod, monkeypatch):
     assert all(calls[name] for name in _BYTE_PATHS[:3])
 
 
-def test_byte_tables_are_built_on_first_use():
-    """A new kernel builds no translate table; the first byte-path call
-    builds one 256-byte table per element."""
+def test_byte_tables_are_built_with_the_kernel():
+    """A new kernel with q <= 16 holds one 256-byte translate table per
+    element, and one with q > 16 holds none."""
     ctx = field_create(13, 1, None)
     kern = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
-    assert kern._ma is None
-    kern.pmul([1] * 4, [1] * 4)
-    assert kern._ma is None
-    kern.pmul([1] * 8, [1] * 8)
     assert len(kern._ma) == 13 and all(len(t) == 256 for t in kern._ma)
     ctx = field_create(17, 1, None)
-    big = PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)
-    big.pmul([1] * 40, [1] * 40)
-    assert big._ma is None
+    assert PureFieldKernel(ctx.p, ctx.e, ctx.exp, ctx.log)._ma is None
 
 
 # the byte-path fields, both moduli of F_9, and two fields of list tables:
@@ -935,3 +980,111 @@ def test_a_kept_table_reads_as_a_fresh_one(cls, p, e, mod, monkeypatch):
             assert kern.pnorm(kept, h, d) == kern.pnorm(fresh, h, d), (m, h, d)
         for first in (True, False):
             assert kern.pwalk(kept, first) == kern.pwalk(fresh, first), (m, first)
+
+
+# -- one hostile-operand fuzz of both kernels -----------------------------------
+
+# Each method's operands, one letter each. Upper case marks what the pure
+# kernel checks or reads as the compiled one does: E an element of fneg or
+# fsub, P a divisor, a modulus, a pgcd or ppowmod operand or a table op's
+# h, N ppowmod's exponent, D pnorm's d, T a table and B pwalk's flag, read
+# by truth. Lower case marks the operands of its hot ops, which it does not
+# check: e an element and p a polynomial, a dividend included.
+_SIGNATURES = {
+    "fadd": "ee", "fneg": "E", "fsub": "EE", "fmul": "ee", "finv": "e",
+    "padd": "pp", "psub": "pp", "pscale": "pe", "pmul": "pp", "pdivrem": "pP",
+    "prem": "pP", "pmonic": "p", "pgcd": "PP", "ppowmod": "PNP", "ptable": "P",
+    "papply": "TP", "pnorm": "TPD", "pwalk": "TB",
+}
+_KERNEL_ERRORS = (TypeError, ValueError, ZeroDivisionError, OverflowError)
+_FUZZ_FIELDS = {"F_5": (5, 1, None), "F_9": (3, 2, [1, 0, 1]), "F_17": (17, 1, None)}
+# no n or d in [2**16, 2**63) is drawn: a pnorm on one would not return
+_BIG_INTS = [2 ** 63, 2 ** 64, 2 ** 70, -2 ** 63, -2 ** 63 - 1, -2 ** 70]
+_NON_INTS = [None, 0.0, 1.0, 1.5, -0.0, "1"]
+
+
+def _fuzz_strategies(q):
+    """A strategy per operand letter over F_q: mostly valid operands, some
+    hostile ones (ints outside [0, q), ints past 64 bits, bools, None,
+    floats, zero tops, zero divisors, tables of another kernel)."""
+    element = st.integers(0, q - 1)
+    hostile = st.one_of(st.integers(-3, q + 3), st.sampled_from(_BIG_INTS + [255, 256]),
+                        st.booleans(), st.sampled_from(_NON_INTS))
+    coefficient = st.one_of(element, element, element, hostile)
+    poly = st.one_of(st.lists(element, max_size=26), st.lists(coefficient, max_size=12),
+                     st.builds(lambda v, k: v + [0] * k, st.lists(element, max_size=8),
+                               st.integers(1, 2)),
+                     st.sampled_from([[], [0], [0, 0], [1, 0], [0, 1, 0, 0]]))
+    poly = st.builds(lambda v, as_tuple: tuple(v) if as_tuple else v, poly, st.booleans())
+    modulus = st.builds(lambda low, top: low + [top], st.lists(element, min_size=1, max_size=10),
+                        st.integers(1, q - 1))
+    table = st.one_of(st.tuples(st.sampled_from(["own", "other"]), modulus),
+                      st.tuples(st.just("junk"), st.sampled_from([None, [[1]], [1, 2]])))
+    scalar = st.one_of(element, element, hostile)
+    return {"e": scalar, "E": scalar, "p": poly, "P": poly, "T": table,
+            "N": st.one_of(st.integers(-5, 2 ** 16), st.sampled_from(_BIG_INTS + _NON_INTS + [True])),
+            "D": st.one_of(st.integers(-3, 40), st.sampled_from(_BIG_INTS + _NON_INTS + [True])),
+            "B": st.one_of(st.booleans(), st.sampled_from([0, 1, None, "", "x", 2 ** 70, 0.0]))}
+
+
+def _is_element(c, q):
+    return type(c) in (int, bool) and 0 <= c < q
+
+
+def _table(recipe, kern, other):
+    """The table a drawn recipe names: built by kern (own) or by another
+    kernel of its class (other), or the junk value itself."""
+    source, value = recipe
+    if source == "junk":
+        return value
+    return (kern if source == "own" else other).ptable(value)
+
+
+def _outcome(kern, other, name, args):
+    """What kern.name(*args) gives, each table operand made from its
+    recipe: ("value", value), a table as its rows, or ("raises", the
+    exception class)."""
+    args = [_table(a, kern, other) if letter == "T" else a
+            for letter, a in zip(_SIGNATURES[name], args)]
+    try:
+        value = getattr(kern, name)(*args)
+    except Exception as exc:
+        return "raises", type(exc)
+    return "value", table_rows(kern, value) if name == "ptable" else value
+
+
+@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
+@pytest.mark.parametrize("field_args", _FUZZ_FIELDS.values(), ids=_FUZZ_FIELDS)
+# no shrink phase: the assertion names the method and its operands, and
+# shrinking an example of 18 calls took minutes
+@settings(max_examples=80, derandomize=True, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_hostile_operands(backend, field_args, data):
+    """Every one of the 18 methods on drawn, often hostile, operands, on
+    the pure kernel and, in the compiled half, on the compiled one too.
+    Where the pure kernel's hot ops get only elements, the pure kernel
+    returns or raises TypeError, ValueError, ZeroDivisionError or
+    OverflowError, and the compiled one always does; the two agree on the
+    value or the exception class.
+
+    The one allowed divergence, as a rule: on an operand of a hot op
+    (lower case above) outside [0, q), the pure kernel may return or raise
+    anything where the compiled one raises. pmul([1, None], [1, 1]) over
+    F_5 is an example: the pure kernel returns [1, 1], skipping the None
+    as a zero, where the compiled one raises TypeError."""
+    ctx = field_create(*field_args)
+    tables = (ctx.p, ctx.e, ctx.exp, ctx.log)
+    classes = [PureFieldKernel] + [CompiledFieldKernel] * (backend == "compiled")
+    pairs = [(cls(*tables), cls(*tables)) for cls in classes]
+    strategies = _fuzz_strategies(ctx.q)
+    for name, letters in _SIGNATURES.items():
+        args = data.draw(st.tuples(*map(strategies.__getitem__, letters)), label=name)
+        hot_ok = all(_is_element(a, ctx.q) if letter == "e" else
+                     type(a) in (list, tuple) and all(_is_element(c, ctx.q) for c in a)
+                     for letter, a in zip(letters, args) if letter.islower())
+        pure, *compiled = [_outcome(kern, other, name, args) for kern, other in pairs]
+        for kind, got in compiled + ([pure] if hot_ok else []):
+            assert kind == "value" or issubclass(got, _KERNEL_ERRORS), (name, args, got)
+        if compiled and (hot_ok or compiled[0][0] == "value"):
+            assert pure == compiled[0], (name, args)
