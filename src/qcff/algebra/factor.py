@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 from ..errors import ConstantInput, ValidationError
 from ..record import Record
 from .field import FieldCtx
-from .poly import Poly, _wrap, coeffs_derivative, coeffs_sort_key, monic_of_degree
+from .poly import Poly, _same_field, _wrap, coeffs_derivative, coeffs_sort_key, monic_of_degree
 
 
 class PrimePower(Record):
@@ -57,11 +57,14 @@ class Factorization(Record):
 
     def product(self, ctx: FieldCtx) -> Poly:
         """lead times the prime powers on coefficient lists: exp kernel
-        products per prime, one Poly for the result."""
+        products per prime, one Poly for the result. A prime over another
+        field than ctx raises ValidationError."""
         ctx._check_elem(self.lead)
         kernel = ctx.kernel
         out = kernel.pscale([1], self.lead)
         for pp in self.factors:
+            if pp.prime.ctx is not ctx and pp.prime.ctx != ctx:
+                raise ValidationError(f"prime {pp.prime} belongs to a different field")
             for _ in range(pp.exp):
                 out = kernel.pmul(out, pp.prime.coeffs)
         return _wrap(ctx, out)
@@ -233,11 +236,9 @@ def _equal_degree_parts(ctx: FieldCtx, f, d: int) -> list[list[int]]:
 def poly_is_irreducible(f: Poly) -> bool:
     """Ben-Or's irreducibility test over F_q: the first distinct-degree part
     of f is f itself, found at degree deg f."""
-    if not isinstance(f, Poly):
-        raise ValidationError(f"irreducibility is tested for a Poly, not {f!r}")
+    ctx = _same_field(f)
     if f.is_zero or f.degree < 1:
         raise ConstantInput("irreducibility is tested for nonconstant polynomials only")
-    ctx = f.ctx
     return _distinct_degree_parts(ctx, ctx.kernel.pmonic(f.coeffs), True)[0][1] == f.degree
 
 
@@ -248,11 +249,9 @@ def poly_factor(f: Poly) -> Factorization:
     powers times it reproduces the input exactly. The stages run on
     coefficient lists; each prime is wrapped once.
     """
-    if not isinstance(f, Poly):
-        raise ValidationError(f"factorization needs a Poly, not {f!r}")
+    ctx = _same_field(f)
     if f.is_zero or f.degree < 1:
         raise ConstantInput("factorization needs a nonconstant polynomial")
-    ctx = f.ctx
     kernel = ctx.kernel
     found: list[tuple[tuple, int]] = []
     for part, mult in _squarefree_parts(ctx, kernel.pmonic(f.coeffs)):

@@ -150,7 +150,11 @@ def field_create(p: int, e: int = 1, modulus: Sequence[int] | Poly | None = None
             mod_tuple = modulus.coeffs
         else:
             base = None
-            mod_tuple = tuple(modulus)
+            try:
+                mod_tuple = tuple(modulus)
+            except TypeError:
+                raise ValidationError(f"modulus must be a coefficient sequence or a Poly, "
+                                      f"not {modulus!r}") from None
             if any(type(c) is not int or not 0 <= c < p for c in mod_tuple):
                 raise ValidationError(f"modulus coefficients must be integers in [0, {p})")
         if len(mod_tuple) != e + 1 or mod_tuple[-1] != 1:

@@ -27,6 +27,8 @@ class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs: Iterable[int]):
+        if not isinstance(ctx, FieldCtx):
+            raise ValidationError(f"a Poly is built over a FieldCtx, not {ctx!r}")
         cs = list(coeffs)
         for c in cs:
             if type(c) is not int or not 0 <= c < ctx.q:  # a bool is no element
@@ -71,44 +73,46 @@ class Poly:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            _same_field(self, other)
-            return other
+    def _arith(self, other, op: str, reflected: bool = False):
+        """self op other, or other op self when reflected, by the kernel's
+        binary op named op; pdivrem gives a (quotient, remainder) pair. An
+        int other is a constant; any other non-Poly gives NotImplemented, as
+        Python's operator protocol asks, and a Poly of another field
+        ValidationError. prem and pdivrem refuse a zero divisor."""
         if isinstance(other, int):
-            return Poly(self.ctx, [other] if other else [])
-        return NotImplemented  # type: ignore[return-value]
+            other = Poly(self.ctx, [other] if other else [])
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        ctx = _same_field(self, other)
+        a, b = (other.coeffs, self.coeffs) if reflected else (self.coeffs, other.coeffs)
+        if not b and op in ("prem", "pdivrem"):
+            raise DivisionByZero("polynomial division by zero")
+        out = getattr(ctx.kernel, op)(a, b)
+        if op == "pdivrem":
+            return _wrap(ctx, out[0]), _wrap(ctx, out[1])
+        return _wrap(ctx, out)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _wrap(self.ctx, self.ctx.kernel.padd(self.coeffs, o.coeffs))
+        return self._arith(other, "padd")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _wrap(self.ctx, self.ctx.kernel.psub(self.coeffs, o.coeffs))
+        return self._arith(other, "psub")
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
+        return self._arith(other, "psub", True)
 
     def __neg__(self):
         return _wrap(self.ctx, self.ctx.kernel.pscale(self.coeffs, self.ctx.minus_one))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _wrap(self.ctx, self.ctx.kernel.pmul(self.coeffs, o.coeffs))
+        return self._arith(other, "pmul")
 
     __rmul__ = __mul__
+
+    def __mod__(self, other):
+        return self._arith(other, "prem")
 
     def scale(self, c: int) -> "Poly":
         """Product with the encoded field element c."""
@@ -116,24 +120,10 @@ class Poly:
         return _wrap(self.ctx, self.ctx.kernel.pscale(self.coeffs, c))
 
     def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        q, r = self.ctx.kernel.pdivrem(self.coeffs, o.coeffs)
-        return _wrap(self.ctx, q), _wrap(self.ctx, r)
+        return self._arith(other, "pdivrem")
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_zero:
-            raise DivisionByZero("polynomial reduction by zero")
-        return _wrap(self.ctx, self.ctx.kernel.prem(self.coeffs, o.coeffs))
 
     def __pow__(self, n: int):
         if type(n) is not int or n < 0:  # a bool is no exponent
@@ -205,9 +195,21 @@ def coeffs_sort_key(coeffs: tuple) -> tuple:
     return (len(coeffs), coeffs[::-1])
 
 
-def _same_field(a: Poly, b: Poly) -> None:
-    if a.ctx is not b.ctx and a.ctx != b.ctx:
-        raise ValidationError("polynomials belong to different fields")
+def _same_field(*polys) -> FieldCtx:
+    """The one check of Poly arguments, run by the public polynomial entries
+    of the algebra, the symbols and the pair sets, and by Poly's operators,
+    before they read one: ValidationError for an argument that is not a
+    Poly or lies over another field than the first; otherwise the FieldCtx
+    they share, compared by identity first."""
+    ctx = None
+    for f in polys:
+        if not isinstance(f, Poly):
+            raise ValidationError(f"expected a Poly, got {f!r}")
+        if ctx is None:
+            ctx = f.ctx
+        elif f.ctx is not ctx and f.ctx != ctx:
+            raise ValidationError("polynomials belong to different fields")
+    return ctx
 
 
 # -- constructors ----------------------------------------------------------------
@@ -229,31 +231,31 @@ def var_T(ctx: FieldCtx) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) is an error."""
+    ctx = _same_field(a, b)
     if a.is_zero and b.is_zero:
         raise GcdOfZeros("gcd(0, 0) is undefined")
-    _same_field(a, b)
-    return _wrap(a.ctx, a.ctx.kernel.pgcd(a.coeffs, b.coeffs))
+    return _wrap(ctx, ctx.kernel.pgcd(a.coeffs, b.coeffs))
 
 
 def poly_powmod(a: Poly, n: int, m: Poly) -> Poly:
     """a**n reduced modulo the nonconstant polynomial m (square and multiply).
     The kernel's ppowmod takes n < 2**63; an n of 2**62 or more is read 62
     bits at a time from the top, acc = acc**(2**62) * a**digit mod m."""
+    ctx = _same_field(a, m)
     if type(n) is not int or n < 0:
         raise ValidationError("exponent must be a nonnegative integer")
     if m.is_zero:
         raise DivisionByZero("powmod modulus is zero")
     if m.is_constant:
         raise ValidationError("powmod modulus must be nonconstant")
-    _same_field(a, m)
-    kernel, f, mc = a.ctx.kernel, a.coeffs, m.coeffs
+    kernel, f, mc = ctx.kernel, a.coeffs, m.coeffs
     shift = max(n.bit_length() - 1, 0) // 62 * 62
     acc = kernel.ppowmod(f, n >> shift, mc)
     while shift:
         shift -= 62
         digit = kernel.ppowmod(f, (n >> shift) & ((1 << 62) - 1), mc)
         acc = kernel.prem(kernel.pmul(kernel.ppowmod(acc, 1 << 62, mc), digit), mc)
-    return _wrap(a.ctx, acc)
+    return _wrap(ctx, acc)
 
 
 def poly_cmp(a: Poly, b: Poly) -> int:
@@ -328,8 +330,7 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
 
 def format_poly(f: Poly) -> str:
     """Canonical text form; parse_poly(format_poly(f)) == f."""
-    if not isinstance(f, Poly):
-        raise ValidationError(f"format_poly formats a Poly, not {f!r}")
+    _same_field(f)
     if f.is_zero:
         return "0"
     cs = f.coeffs

@@ -186,7 +186,7 @@ def load_config(path: str | Path) -> JobConfig:
     """Read and validate a JSON config file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, TypeError) as exc:  # TypeError: no path at all
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)

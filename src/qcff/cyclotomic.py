@@ -89,19 +89,27 @@ def conductor_create(ctx: FieldCtx, spec, *, members=()) -> Conductor:
     """Build a Conductor from a monic polynomial or a claimed factorization.
 
     spec may be a Poly (factored here) or a sequence of (prime, exponent)
-    pairs, each exponent an int >= 1; any other spec raises ValidationError.
-    Claimed primes are always tested for irreducibility. A Poly spec is
-    factored by _factor_by_members from members, a config's pair members,
-    which change the work, never the Conductor; each member divided out is
-    proved by Ben-Or, and the primes poly_factor returns are irreducible by
-    construction and are not tested.
+    pairs, each exponent an int >= 1; any other spec, or a Poly or claimed
+    prime over another field than ctx, raises ValidationError. Claimed
+    primes are always tested for irreducibility. A Poly spec is factored by
+    _factor_by_members from members, a config's pair members, which change
+    the work, never the Conductor (members that cannot be iterated raise
+    ValidationError); each member divided out is proved by Ben-Or, and the
+    primes poly_factor returns are irreducible by construction and are not
+    tested.
     """
     factored_here = isinstance(spec, Poly)
     if factored_here:
+        if spec.ctx is not ctx and spec.ctx != ctx:
+            raise ValidationError(f"conductor {spec} belongs to a different field")
         if spec.is_zero or spec.is_constant:
             raise ConstantConductor(f"conductor must be nonconstant, got {spec}")
         if not spec.monic:
             raise NotMonic(f"conductor must be monic, got {spec}")
+        try:
+            members = tuple(members)
+        except TypeError:
+            raise ValidationError(f"members must be a sequence of Polys, got {members!r}") from None
         pairs = _factor_by_members(spec, members)
     else:
         try:

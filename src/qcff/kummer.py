@@ -17,7 +17,7 @@ from operator import mul
 from typing import Sequence
 
 from .algebra import Poly, poly_cmp, poly_gcd
-from .algebra.poly import _wrap
+from .algebra.poly import _same_field, _wrap
 from .cyclotomic import Conductor, _as_genus
 from .errors import (
     BadPair,
@@ -59,11 +59,8 @@ def pairset_create(cond: Conductor, raw: Sequence[tuple[Poly, Poly]]) -> PairSet
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
             raise ValidationError(f"pair must be a (Poly, Poly) pair, got {entry!r}")
         p_first, p_second = entry
-        for member in (p_first, p_second):
-            if not isinstance(member, Poly) or member.ctx != cond.ctx:
-                raise ValidationError(f"{member!r} is not a Poly over the conductor's field")
-            if member.coeffs not in conductor_primes:
-                raise PrimeNotInConductor(f"{member} is not a prime of the conductor")
+        _same_field(cond.M, p_first, p_second)
+        _check_members(conductor_primes, p_first, p_second)
         if p_first == p_second:
             raise PairMembersEqual(f"pair members must differ, got {p_first} twice")
         if poly_cmp(p_first, p_second) > 0:
@@ -75,6 +72,14 @@ def pairset_create(cond: Conductor, raw: Sequence[tuple[Poly, Poly]]) -> PairSet
         seen.add(key)
         pairs.append((p_first, p_second))
     return PairSet(pairs=tuple(pairs))
+
+
+def _check_members(primes, *members: Poly) -> None:
+    """PrimeNotInConductor for a pair member whose coefficients are not in
+    primes, a set or dict keyed by those of a conductor's primes."""
+    for member in members:
+        if member.coeffs not in primes:
+            raise PrimeNotInConductor(f"{member} is not a prime of the conductor")
 
 
 # -- formal sums ----------------------------------------------------------------
@@ -346,6 +351,7 @@ def ramification_table(cond: Conductor, pairs: PairSet) -> RamTable:
     ctx = cond.ctx
     vbar = {pp.prime.coeffs: 0 for pp in cond.factors}
     for a, b in pairs.pairs:
+        _check_members(vbar, a, b)
         vbar[a.coeffs] += symbol_dlog(a, b)
         vbar[b.coeffs] -= symbol_dlog(b, a)
     rows = []
@@ -415,6 +421,8 @@ def presentation(cond: Conductor, pairs: PairSet, ram: RamTable) -> GroupPresent
     """
     ctx = cond.ctx
     names = {pp.prime.coeffs: f"sigma[{pp.prime}]" for pp in cond.factors}
+    for pair in pairs.pairs:
+        _check_members(names, *pair)
     gens = []
     for pp, row in zip(cond.factors, ram.per_prime):
         base = pp.norm - 1

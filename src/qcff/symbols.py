@@ -31,7 +31,7 @@ from __future__ import annotations
 from .algebra import Poly, poly_factor, poly_gcd
 from .algebra.factor import frobenius_table
 from .algebra.poly import _same_field
-from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus, ValidationError
+from .errors import EqualPrimes, NotCoprime, NotMonic, NotPrimeModulus
 from .record import Record
 
 
@@ -40,15 +40,13 @@ def residue_symbol(a: Poly, r: Poly) -> int:
     prime r, on the Frobenius table r's field keeps (a line r needs none:
     the norm is a mod r). Errors, in this order: NotPrimeModulus for a
     constant or non-monic r; NotCoprime when gcd(a, r) != 1; NotPrimeModulus
-    when the norm is not constant (r is then reducible). A non-Poly a or r
-    raises ValidationError.
+    when the norm is not constant (r is then reducible). A non-Poly a or r,
+    or one over another field, raises ValidationError first.
     """
-    if not (isinstance(a, Poly) and isinstance(r, Poly)):
-        raise ValidationError(f"the residue symbol takes two Polys, not {a!r} and {r!r}")
+    ctx = _same_field(a, r)
     if r.is_zero or r.is_constant or not r.monic:
         raise NotPrimeModulus(f"lower entry {r} must be a monic prime")
-    ctx = r.ctx
-    norm = (a % r).coeffs
+    norm = ctx.kernel.prem(a.coeffs, r.coeffs)
     if r.degree > 1:
         norm = ctx.kernel.pnorm(frobenius_table(ctx, r.coeffs), norm, r.degree)
     if len(norm) != 1:
@@ -64,10 +62,11 @@ def jacobi_symbol(a: Poly, b: Poly) -> int:
     monic b: the sum of exp * dlog (a over P) over the prime powers P^exp
     of b, mod w; for b = 1 it is 0.
     """
+    w = _same_field(a, b).w
     if not b.monic:
         raise NotMonic(f"lower entry {b} must be monic")
     factors = poly_factor(b).factors if b.degree > 0 else ()
-    return sum(pp.exp * residue_symbol(a, pp.prime) for pp in factors) % a.ctx.w
+    return sum(pp.exp * residue_symbol(a, pp.prime) for pp in factors) % w
 
 
 def symbol_dlog(a: Poly, b: Poly) -> int:
@@ -80,8 +79,7 @@ def symbol_dlog(a: Poly, b: Poly) -> int:
     inputs: a reaches 0 while b is still nonconstant exactly when
     gcd(a, b) != 1.
     """
-    ctx = a.ctx
-    _same_field(a, b)
+    ctx = _same_field(a, b)
     if not b.monic:
         raise NotMonic(f"lower entry {b} must be monic")
     kernel, log, w = ctx.kernel, ctx.log, ctx.w
@@ -113,9 +111,9 @@ class Reciprocity(Record):
 def check_reciprocity(p1: Poly, p2: Poly) -> Reciprocity:
     """Evaluate both sides of the reciprocity law independently and compare
     them in logs, where the sign -1 is the shift by w/2, as in symbol_dlog."""
+    w = _same_field(p1, p2).w
     if p1 == p2:
         raise EqualPrimes("reciprocity needs two distinct primes")
-    w = p1.ctx.w
     left, right = residue_symbol(p2, p1), residue_symbol(p1, p2)
     sign = w // 2 if (p1.degree * p2.degree) % 2 else 0
     return Reciprocity(first_over_second=right, second_over_first=left,

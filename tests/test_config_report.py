@@ -142,6 +142,8 @@ def test_parse_config_rejects_degrees_past_max_degree(raw):
 def test_load_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+    with pytest.raises(ConfigError):
+        load_config(123)  # no path at all
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):

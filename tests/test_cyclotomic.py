@@ -75,7 +75,7 @@ def test_conductor_sorts_factors_canonically(ctx3, mk):
     assert [str(pp.prime) for pp in cond.factors] == ["T", "T^2+1"]
 
 
-def test_conductor_rejections(ctx3, mk):
+def test_conductor_rejections(ctx3, ctx5, mk):
     with pytest.raises(ReducibleClaimedPrime):
         conductor_create(ctx3, [(mk(ctx3, "T^2+2"), 1)])
     with pytest.raises(NotMonic):
@@ -90,6 +90,10 @@ def test_conductor_rejections(ctx3, mk):
         conductor_create(ctx3, [(var_T(ctx3), 1), (var_T(ctx3), 2)])
     with pytest.raises(ConstantInput):
         conductor_create(ctx3, [(mk(ctx3, "1"), 1)])
+    with pytest.raises(ValidationError, match="members"):
+        conductor_create(ctx3, mk(ctx3, "T^2+T"), members=5)
+    with pytest.raises(ValidationError, match="different field"):
+        conductor_create(ctx3, mk(ctx5, "T^2+T"))
 
 
 @pytest.mark.parametrize("exp", [1.9, "2", "x", True, 0], ids=repr)

@@ -150,6 +150,10 @@ def test_factor_keeps_leading_coefficient(ctx3, mk):
     assert fz.lead == 2
     assert _shape(fz) == [("T^2+1", 1)]
     assert fz.product(ctx3) == mk(ctx3, "2*T^2+2")
+    # primes over F_3 are not multiplied out over F_5, where (T+2)**2 would
+    # read T^2+4*T+4 instead of F_3's T^2+T+1
+    with pytest.raises(ValidationError, match="different field"):
+        poly_factor(mk(ctx3, "T^2+T+1")).product(field_create(5))
 
 
 def test_factor_rejects_constants(ctx3, mk):

@@ -154,6 +154,8 @@ def test_field_create_rejections():
         field_create(3, 2, [1, 0, 2])  # not monic
     with pytest.raises(ValidationError):
         field_create(3, 0)
+    with pytest.raises(ValidationError, match="coefficient sequence"):
+        field_create(3, 2, 5)
 
 
 @pytest.mark.parametrize("p,e,modulus", [

@@ -1,11 +1,14 @@
-"""Property tests at the input boundary: parse_poly, parse_config and main().
+"""Property tests at the input boundary: parse_poly, parse_config, main()
+and every library entry that takes a polynomial.
 
 Every input either succeeds or fails with a documented error: the parsers
 raise only ConfigError (exit 2) or ValidationError (exit 3), main() returns
 0, 2 or 3 for `report` and `factor`, and an accepted config renders to the
-same bytes twice. Inputs stay small (p <= 9, degree <= 4 in the polynomials
-that reach the mathematics, at most 3 pairs) and the examples are
-derandomized, so a run is fast and the same every time.
+same bytes twice. A library entry given a non-Poly, or a Poly of another
+field, where it takes a polynomial raises ValidationError. Inputs stay small
+(p <= 9, degree <= 4 in the polynomials that reach the mathematics, at most
+3 pairs) and the examples are derandomized, so a run is fast and the same
+every time.
 """
 
 from __future__ import annotations
@@ -13,17 +16,35 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import operator
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcff.algebra import field_create, format_poly, monic_irreducibles, one, parse_poly
+import pytest
+
+from qcff.algebra import (
+    Poly,
+    field_create,
+    format_poly,
+    monic_irreducibles,
+    one,
+    parse_poly,
+    poly_cmp,
+    poly_factor,
+    poly_gcd,
+    poly_is_irreducible,
+    poly_powmod,
+)
 from qcff.cli import main
 from qcff.config import parse_config
+from qcff.cyclotomic import conductor_create
 from qcff.errors import ConfigError, ValidationError
+from qcff.kummer import pair_formal_sum, pairset_create, reduce_fraction
 from qcff.limits import MAX_DEGREE
+from qcff.symbols import check_reciprocity, jacobi_symbol, residue_symbol, symbol_dlog
 
 FIELDS = {3: field_create(3), 5: field_create(5), 7: field_create(7),
           9: field_create(3, 2, [1, 0, 1])}
@@ -168,3 +189,74 @@ def test_main_factor_exits_0_2_or_3_and_repeats_its_bytes(q, poly, modulus):
     assert code in (0, 2, 3), argv
     if code == 0:
         assert out and _run_main(argv) == (0, out), argv
+
+
+# -- every Poly parameter of the library's public entries -------------------------
+
+_F3 = FIELDS[3]
+_T, _T1, _T2_1 = (parse_poly(_F3, text) for text in ("T", "T+1", "T^2+1"))
+_M = _T * _T1 * _T2_1
+_COND = conductor_create(_F3, _M)
+# Each entry is called with its valid Poly arguments, over F_3, in order.
+POLY_ENTRIES = {
+    "poly_gcd": (poly_gcd, (_T, _T1)),
+    "poly_powmod": (lambda a, m: poly_powmod(a, 5, m), (_T, _T2_1)),
+    "poly_cmp": (poly_cmp, (_T, _T1)),
+    "format_poly": (format_poly, (_T,)),
+    "poly_is_irreducible": (poly_is_irreducible, (_T2_1,)),
+    "poly_factor": (poly_factor, (_M,)),
+    "residue_symbol": (residue_symbol, (_T1, _T2_1)),
+    "jacobi_symbol": (jacobi_symbol, (_T1, _T2_1)),
+    "symbol_dlog": (symbol_dlog, (_T1, _T2_1)),
+    "check_reciprocity": (check_reciprocity, (_T1, _T2_1)),
+    "pairset_create": (lambda a, b: pairset_create(_COND, [(a, b)]), (_T, _T1)),
+    "reduce_fraction": (reduce_fraction, (_T, _T2_1)),
+    "pair_formal_sum": (pair_formal_sum, (_T, _T1)),
+    "conductor_create spec": (lambda m: conductor_create(_F3, m), (_M,)),
+    "conductor_create claimed prime": (lambda f: conductor_create(_F3, [(f, 1), (_T1, 2)]),
+                                       (_T,)),
+    "field_create modulus": (lambda m: field_create(3, 2, m), (_T2_1,)),
+}
+# Not a Poly of F_3: the last is a Poly of F_5, refused where another argument
+# fixes the field, that is by every entry but these three.
+NOT_F3_POLYS = [None, 0, 1.5, "T", (), parse_poly(FIELDS[5], "T+1")]
+ANY_FIELD = {"format_poly", "poly_factor", "poly_is_irreducible"}
+
+
+@pytest.mark.parametrize("name,at,bad", [
+    (name, at, bad) for name, (_, args) in sorted(POLY_ENTRIES.items())
+    for at in range(len(args)) for bad in NOT_F3_POLYS
+    if not (name in ANY_FIELD and isinstance(bad, Poly))], ids=repr)
+def test_every_poly_parameter_refuses_what_is_not_a_poly_of_its_field(name, at, bad):
+    """Valid arguments except one Poly parameter: the call raises a
+    ValidationError (BadPair and the other subclasses count), never the
+    AttributeError or TypeError of reading the bad value. With none bad it
+    returns."""
+    call, args = POLY_ENTRIES[name]
+    call(*args)
+    with pytest.raises(ValidationError):
+        call(*args[:at], bad, *args[at + 1:])
+
+
+@pytest.mark.parametrize("members", NOT_F3_POLYS, ids=repr)
+def test_conductor_members_refuse_a_non_sequence_and_skip_any_other_member(members):
+    """members change the work, never the Conductor: a value that is no
+    sequence raises ValidationError, and a member that is not a Poly of the
+    field is passed over, as are the characters of a string and the
+    coefficients of a Poly."""
+    if members in (None, 0, 1.5):
+        with pytest.raises(ValidationError):
+            conductor_create(_F3, _M, members=members)
+    else:
+        assert conductor_create(_F3, _M, members=members) == _COND
+
+
+@pytest.mark.parametrize("bad", [None, 1.5, "T", (), NOT_F3_POLYS[-1]], ids=repr)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.mod,
+                                operator.floordiv, divmod], ids=lambda op: op.__name__)
+def test_operators_follow_python_protocol_and_refuse_another_field(op, bad):
+    """Any operand that is neither a Poly nor an int gives Python's TypeError,
+    from either side; a Poly of another field ValidationError."""
+    for left, right in ((_T1, bad), (bad, _T1)):
+        with pytest.raises(ValidationError if isinstance(bad, Poly) else TypeError):
+            op(left, right)

@@ -583,6 +583,19 @@ def test_presentation_fixture(ctx3, mk):
     assert (rel.left, rel.right, rel.epsilon_exponent) == ("sigma[T]", "sigma[T+1]", -1)
 
 
+def test_pairs_of_another_conductor_name_the_missing_prime(ctx3, mk):
+    """Pairs validated against one conductor and read against another that
+    lacks a member raise PrimeNotInConductor naming it, not KeyError."""
+    t, t1, q2 = var_T(ctx3), mk(ctx3, "T+1"), mk(ctx3, "T^2+1")
+    cond = _cond(ctx3, (t, 1), (t1, 1), (q2, 1))
+    ps = pairset_create(cond, [(t, t1)])
+    cond2 = _cond(ctx3, (t, 1), (q2, 1))
+    with pytest.raises(PrimeNotInConductor, match=re.escape("T+1 is not a prime")):
+        ramification_table(cond2, ps)
+    with pytest.raises(PrimeNotInConductor, match=re.escape("T+1 is not a prime")):
+        presentation(cond2, ps, ramification_table(cond, ps))
+
+
 def test_presentation_unpaired_prime_keeps_base_order(ctx3, mk):
     t, t1, q2 = var_T(ctx3), mk(ctx3, "T+1"), mk(ctx3, "T^2+1")
     cond = _cond(ctx3, (t, 1), (t1, 1), (q2, 1))

@@ -293,6 +293,8 @@ def test_poly_rejects_bad_coefficients(ctx3):
             Poly(ctx3, coeffs)
     with pytest.raises(ValidationError):
         var_T(ctx3) + True
+    with pytest.raises(ValidationError, match="FieldCtx"):
+        Poly(None, [1])
 
 
 def test_bool_scalars_and_exponents_rejected(ctx3):
